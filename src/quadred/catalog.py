@@ -104,7 +104,10 @@ class ReductionRule:
         axis of the 2-D side can raise it further.
         """
         self.check_applicability(params)
-        floor = kernel_mu_min(self.build_kernel(params))
+        return self._mu_floor(params, self.build_kernel(params))
+
+    def _mu_floor(self, params: Params, terms: list[KernelTerm]) -> float:
+        floor = kernel_mu_min(terms)
         tilde = self.family is Family.MIXED_TILDE
         if params.a == 0.0 and not tilde:
             floor = max(floor, params.n / 2.0 - 1.0)
@@ -121,7 +124,7 @@ class ReductionRule:
     def reduce_to_1d(self, params: Params, f: TestIntegrand, tol: Tolerance | None = None) -> QuadResult:
         self.check_applicability(params)
         terms = self.build_kernel(params)
-        floor = self.mu_min(params)
+        floor = self._mu_floor(params, terms)
         if not f.mu > floor:
             raise KernelError(
                 f"rule {self.id}: f has mu={f.mu}, below the convergence floor {floor}"
@@ -540,6 +543,40 @@ def _rule(id, family, triple, pattern, description, kernel, predicate, sampler, 
     )
 
 
+def _tilde_rules() -> tuple[ReductionRule, ...]:
+    specs = (
+        ("T1", lambda nu: (3 - nu, 4 - nu, nu), _t1_kernel,
+         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx(2 sqrt((a-b)/t)))",
+         True, ""),
+        ("T2", lambda nu: (1 - nu, 4 - nu, nu), _t2_kernel,
+         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-2)/2) (1 + erfcx(2 sqrt((a-b)/t)))",
+         True, _CORRECTED_NOTE),
+        ("T3", lambda nu: (1 - nu, 6 - nu, nu), _t3_kernel,
+         "erfcx kernel sqrt(pi)/sqrt(a-b) t^((nu-4)/2) erfcx(2 sqrt((a-b)/t))",
+         True, "tabulated display carries the reciprocal of the erfcx growth factor; "
+               "this scaled form is what the 2-D oracle confirms"),
+        ("T4", lambda nu: (1 - nu, 8 - nu, nu), _t4_kernel,
+         "four-term erfcx kernel",
+         True, "tabulated display mixes incompatible powers of t; kernel re-derived "
+               "from the completed-square substitution and oracle-confirmed"),
+        ("T5", lambda nu: (-1 - nu, 6 - nu, nu), _t5_kernel,
+         "four-term erfcx kernel with positive leading power",
+         True, _CORRECTED_NOTE),
+    )
+    rules = []
+    for base, triple_of, kernel, desc, trusted, note in specs:
+        for nu in (0, 1, 2):
+            rules.append(
+                _rule(
+                    f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu), _ABC,
+                    desc + f" (nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
+                    kernel, _needs_a_gt_b, _sample_abc(triple_of(nu)),
+                    trusted=trusted, note=note,
+                )
+            )
+    return tuple(rules)
+
+
 RULES: tuple[ReductionRule, ...] = (
     _rule("E1-pbm-corrected", Family.POSITIVE_EXP, (0, 0, 1), _PQ,
           "corrected product-form identity: sqrt(pi)(sqrt p+sqrt q)/sqrt(pq) "
@@ -603,6 +640,7 @@ RULES: tuple[ReductionRule, ...] = (
           "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
           "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",
           _n6_kernel, _needs_n6, _sample_n6),
+    *_tilde_rules(),
     _rule("G1-general", Family.GENERAL_H, None, frozenset({"a", "b", "c", "h"}),
           "confluent-hypergeometric kernel 1F1((n+nu-2)/2; (m+n+2nu-4)/2; -(a-b+ht)/t) "
           "with the gamma-ratio prefactor, any m+nu>2, n+nu>2",
@@ -613,51 +651,6 @@ RULES: tuple[ReductionRule, ...] = (
           _r1_kernel, _needs_r1, _sample_r1),
 )
 
-
-def _tilde_rules() -> tuple[ReductionRule, ...]:
-    specs = (
-        ("T1", lambda nu: (3 - nu, 4 - nu, nu), _t1_kernel,
-         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^(nu-4)/2 (1 - erfcx(2 sqrt((a-b)/t)))",
-         True, ""),
-        ("T2", lambda nu: (1 - nu, 4 - nu, nu), _t2_kernel,
-         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^(nu-2)/2-... (1 + erfcx(2 sqrt((a-b)/t)))",
-         True, _CORRECTED_NOTE),
-        ("T3", lambda nu: (1 - nu, 6 - nu, nu), _t3_kernel,
-         "erfcx kernel sqrt(pi)/sqrt(a-b) t^(nu-4)/2 erfcx(2 sqrt((a-b)/t))",
-         True, "tabulated display carries the reciprocal of the erfcx growth factor; "
-               "this scaled form is what the 2-D oracle confirms"),
-        ("T4", lambda nu: (1 - nu, 8 - nu, nu), _t4_kernel,
-         "four-term erfcx kernel",
-         True, "tabulated display mixes incompatible powers of t; kernel re-derived "
-               "from the completed-square substitution and oracle-confirmed"),
-        ("T5", lambda nu: (-1 - nu, 6 - nu, nu), _t5_kernel,
-         "four-term erfcx kernel with positive leading power",
-         True, _CORRECTED_NOTE),
-    )
-    rules = []
-    for base, triple_of, kernel, desc, trusted, note in specs:
-        for nu in (0, 1, 2):
-            rules.append(
-                _rule(
-                    f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu), _ABC,
-                    desc + f" (nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
-                    kernel, _needs_a_gt_b, _sample_abc(triple_of(nu)),
-                    trusted=trusted, note=note,
-                )
-            )
-    return tuple(rules)
-
-
-def _ordered_rules() -> tuple[ReductionRule, ...]:
-    base = list(RULES)
-    tail = [r for r in base if r.id in ("N6-aeqb", "G1-general", "R1-rint")]
-    head = [r for r in base if r not in tail]
-    n_head = [r for r in tail if r.id == "N6-aeqb"]
-    rest = [r for r in tail if r.id != "N6-aeqb"]
-    return tuple(head + n_head + list(_tilde_rules()) + rest)
-
-
-RULES = _ordered_rules()
 
 _BY_ID = {rule.id: rule for rule in RULES}
 if len(_BY_ID) != len(RULES):

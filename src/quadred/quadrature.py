@@ -99,14 +99,14 @@ class _Budget:
             raise _BudgetExceeded
 
 
-def _exp_sinh_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exp_sinh_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
     """Abscissae/weights for t = exp((pi/2) sinh u) on (0, inf)."""
     with np.errstate(over="ignore"):
         g = _HALF_PI * np.sinh(u)
         t = np.exp(g)
         w = _HALF_PI * np.cosh(u) * t
-    # abscissae are exact doubles at every scale: no rounding fuzz
-    return t, w, np.zeros(u.shape, dtype=bool)
+    # abscissae are exact doubles at every scale: no rounding fuzz, no mask
+    return t, w, None
 
 
 def _make_tanh_sinh_nodes(lo: float, hi: float):
@@ -144,13 +144,20 @@ def _exp_sinh_valid(t: np.ndarray) -> np.ndarray:
     return (t > _T_MIN) & (t < _T_MAX)
 
 
-def _scan(f, nodes, valid, spacing: float, offset: float, budget: _Budget) -> tuple[complex, float]:
+def _largest(a) -> float:
+    """|a| for a single integral; the largest |row| for a batch."""
+    return float(np.abs(a).max()) if isinstance(a, np.ndarray) else abs(a)
+
+
+def _scan(f, nodes, valid, spacing: float, offset: float):
     """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
 
     With offset 0 this is a full trapezoid pass (u = 0 counted once); with
     offset h and spacing 2h it adds the odd nodes of the next level.  Each
     direction extends outward in blocks until terms fall below the
-    truncation threshold.  Returns (sum, fuzzy-node mass).
+    truncation threshold, measured against the largest running sum.  f
+    returns one value per abscissa or a (rows, abscissae) batch; sums run
+    over the last axis.  Returns (sum, fuzzy-node mass).
     """
     total = 0.0 + 0.0j
     fuzz_mass = 0.0
@@ -164,10 +171,8 @@ def _scan(f, nodes, valid, spacing: float, offset: float, budget: _Budget) -> tu
             keep = valid(x) & np.isfinite(w) & (w > 0.0)
             if not keep.any():
                 break
-            xk = x[keep]
-            budget.spend(xk.size)
             with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                y = np.asarray(f(xk))
+                y = np.asarray(f(x[keep]))
                 if np.isnan(y).any():
                     raise QuadratureError("integrand returned NaN")
                 terms = np.where(y == 0, 0.0, y * w[keep])
@@ -175,11 +180,11 @@ def _scan(f, nodes, valid, spacing: float, offset: float, budget: _Budget) -> tu
                 raise QuadratureError(
                     "integrand*weight overflowed; integral likely divergent"
                 )
-            total += terms.sum()
-            if fuzzy[keep].any():
-                fuzz_mass += float(np.abs(terms[fuzzy[keep]]).sum())
+            total += terms.sum(axis=-1)
+            if fuzzy is not None and fuzzy[keep].any():
+                fuzz_mass += np.abs(terms[..., fuzzy[keep]]).sum(axis=-1)
             tmax = float(np.abs(terms).max()) if terms.size else 0.0
-            if tmax <= _TRUNC_EPS * max(abs(total), 1e-300):
+            if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
                 quiet += 1
                 if quiet >= 2:
                     break
@@ -189,33 +194,50 @@ def _scan(f, nodes, valid, spacing: float, offset: float, budget: _Budget) -> tu
     return total, fuzz_mass
 
 
-def _drive(f, nodes, valid, tol: Tolerance) -> QuadResult:
-    budget = _Budget(tol.max_evaluations)
-    converged = False
+def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False):
+    """Halve the step until two levels agree; return (value, estimate, converged).
+
+    A batch converges when its largest row does.  Nested rows (the inner
+    integrals of the quadrant) are judged with no floor of 1 on the scale,
+    and a budget exhausted inside them stops the enclosing integral; at the
+    top level exhaustion returns the last completed level, unconverged.
+    """
+    floor = 0.0 if nested else 1.0
     h = _BASE_STEP
-    value = prev = 0.0 + 0.0j
-    estimate = math.inf
-    fuzz = 0.0
+    value, estimate, converged = 0.0, math.inf, False
     try:
-        raw, fz = _scan(f, nodes, valid, h, 0.0, budget)
-        fuzz += fz
-        value = prev = h * raw
+        raw, fuzz = _scan(f, nodes, valid, h, 0.0)
+        value = h * raw
         for _ in range(_MAX_LEVEL):
             h *= 0.5
-            odd, fz = _scan(f, nodes, valid, 2.0 * h, h, budget)
-            fuzz += fz
-            raw = raw + odd
+            odd, fz = _scan(f, nodes, valid, 2.0 * h, h)
+            prev, raw, fuzz = value, raw + odd, fuzz + fz
             value = h * raw
-            estimate = abs(value - prev) + h * fuzz + 4e-16 * abs(value)
-            if tol.met_by(estimate, value):
+            estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
+            if estimate <= max(tol.abs, tol.rel * max(floor, _largest(value))):
                 converged = True
                 break
-            prev = value
     except _BudgetExceeded:
-        converged = False
+        if nested:
+            raise
+    return value, estimate, converged
+
+
+def _result(level, budget: _Budget) -> QuadResult:
+    value, estimate, converged = level
     value = complex(value)
     out: complex = value.real if value.imag == 0.0 else value
     return QuadResult(out, float(estimate), budget.used, converged)
+
+
+def _integrate(integrand, nodes, valid, tol: Tolerance) -> QuadResult:
+    budget = _Budget(tol.max_evaluations)
+
+    def counted(x: np.ndarray):
+        budget.spend(x.size)
+        return integrand(x)
+
+    return _result(_drive(counted, nodes, valid, tol), budget)
 
 
 def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
@@ -224,7 +246,7 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     The integrand may blow up at 0 no worse than an integrable power and
     must decay at infinity.  It is never evaluated at t = 0.
     """
-    return _drive(integrand, _exp_sinh_nodes, _exp_sinh_valid, tol or Tolerance())
+    return _integrate(integrand, _exp_sinh_nodes, _exp_sinh_valid, tol or Tolerance())
 
 
 def integrate_interval(integrand, lo: float, hi: float, tol: Tolerance | None = None) -> QuadResult:
@@ -232,79 +254,17 @@ def integrate_interval(integrand, lo: float, hi: float, tol: Tolerance | None = 
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise QuadratureError("integrate_interval requires finite lo < hi")
     nodes, valid = _make_tanh_sinh_nodes(lo, hi)
-    return _drive(integrand, nodes, valid, tol or Tolerance())
-
-
-# ----------------------------------------------------------------------------
-# Two-dimensional oracle: iterated exp-sinh over the open quadrant.
-# ----------------------------------------------------------------------------
-
-
-def _inner_batch(f2, xs: np.ndarray, tol: Tolerance, budget: _Budget) -> np.ndarray:
-    """Integrate f2(x, y) dy over (0, inf) for a whole batch of x at once.
-
-    One shared y-ladder serves every slice; slices that are already tiny
-    ride along for free because convergence is measured against the largest
-    slice in the batch.
-    """
-    nx = xs.size
-    col = xs[:, None]
-
-    def scan(spacing: float, offset: float) -> np.ndarray:
-        total = np.zeros(nx, dtype=complex)
-        for direction in (+1.0, -1.0):
-            k0 = 1 if (direction < 0 and offset == 0.0) else 0
-            quiet = 0
-            while offset + spacing * k0 <= _U_MAX:
-                ks = np.arange(k0, k0 + _BLOCK)
-                u = direction * (offset + spacing * ks)
-                y, w, _ = _exp_sinh_nodes(u)
-                keep = _exp_sinh_valid(y) & np.isfinite(w) & (w > 0.0)
-                if not keep.any():
-                    break
-                yk = y[keep]
-                budget.spend(nx * yk.size)
-                with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                    vals = np.asarray(f2(col, yk[None, :]))
-                    if np.isnan(vals).any():
-                        raise QuadratureError("integrand returned NaN")
-                    terms = np.where(vals == 0, 0.0, vals * w[keep][None, :])
-                if np.isinf(terms).any():
-                    raise QuadratureError(
-                        "integrand*weight overflowed; integral likely divergent"
-                    )
-                total += terms.sum(axis=1)
-                tmax = float(np.abs(terms).max()) if terms.size else 0.0
-                if tmax <= _TRUNC_EPS * max(float(np.abs(total).max()), 1e-300):
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-                k0 += _BLOCK
-        return total
-
-    h = _BASE_STEP
-    raw = scan(h, 0.0)
-    prev = h * raw
-    for _ in range(_MAX_LEVEL):
-        h *= 0.5
-        raw = raw + scan(2.0 * h, h)
-        cur = h * raw
-        diff = float(np.abs(cur - prev).max())
-        scale = max(float(np.abs(cur).max()), 1e-300)
-        if diff <= max(tol.abs, tol.rel * scale):
-            return cur
-        prev = cur
-    return prev  # best effort; the outer driver sees the residual as noise
+    return _integrate(integrand, nodes, valid, tol or Tolerance())
 
 
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     """Integrate f(x, y) over (0, inf) x (0, inf) by iterated exp-sinh.
 
-    The outer x-integral runs the 1-D driver; each outer block evaluates the
-    inner y-integral for all new x nodes simultaneously, with the inner
-    tolerance tightened by a factor of 10.
+    The outer x-integral runs the 1-D driver; each outer block integrates
+    over y for all its x nodes at once, as a batch sharing one y-ladder,
+    with the inner tolerance tightened by a factor of 10.  Rows that are
+    already tiny ride along for free because the batch is judged by its
+    largest row.  Only evaluations of integrand2d count against the budget.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = Tolerance(
@@ -312,58 +272,13 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     )
     budget = _Budget(tol.max_evaluations)
 
-    def outer(xs: np.ndarray) -> np.ndarray:
-        return _inner_batch(integrand2d, xs, inner_tol, budget)
+    def inner_rows(xs: np.ndarray) -> np.ndarray:
+        col = xs[:, None]
 
-    converged = False
-    h = _BASE_STEP
-    value = prev = 0.0 + 0.0j
-    estimate = math.inf
+        def batch(ys: np.ndarray):
+            budget.spend(xs.size * ys.size)
+            return integrand2d(col, ys[None, :])
 
-    def scan(spacing: float, offset: float) -> complex:
-        total = 0.0 + 0.0j
-        for direction in (+1.0, -1.0):
-            k0 = 1 if (direction < 0 and offset == 0.0) else 0
-            quiet = 0
-            while offset + spacing * k0 <= _U_MAX:
-                ks = np.arange(k0, k0 + _BLOCK)
-                u = direction * (offset + spacing * ks)
-                x, w, _ = _exp_sinh_nodes(u)
-                keep = _exp_sinh_valid(x) & np.isfinite(w) & (w > 0.0)
-                if not keep.any():
-                    break
-                fx = outer(x[keep])
-                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                    terms = np.where(fx == 0, 0.0, fx * w[keep])
-                if np.isinf(terms).any():
-                    raise QuadratureError(
-                        "integrand*weight overflowed; integral likely divergent"
-                    )
-                total += terms.sum()
-                tmax = float(np.abs(terms).max()) if terms.size else 0.0
-                if tmax <= _TRUNC_EPS * max(abs(total), 1e-300):
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-                k0 += _BLOCK
-        return total
+        return _drive(batch, _exp_sinh_nodes, _exp_sinh_valid, inner_tol, nested=True)[0]
 
-    try:
-        raw = scan(h, 0.0)
-        value = prev = h * raw
-        for _ in range(_MAX_LEVEL):
-            h *= 0.5
-            raw = raw + scan(2.0 * h, h)
-            value = h * raw
-            estimate = abs(value - prev)
-            if tol.met_by(estimate, value):
-                converged = True
-                break
-            prev = value
-    except _BudgetExceeded:
-        converged = False
-    value = complex(value)
-    out: complex = value.real if value.imag == 0.0 else value
-    return QuadResult(out, float(estimate), budget.used, converged)
+    return _result(_drive(inner_rows, _exp_sinh_nodes, _exp_sinh_valid, tol), budget)

@@ -1,5 +1,6 @@
 """Registry contracts, applicability predicates, kernel weights, floors."""
 
+import dataclasses
 import json
 import math
 
@@ -31,6 +32,17 @@ class TestRegistry:
     def test_stable_ordering(self):
         assert [r.id for r in list_rules()] == [r.id for r in list_rules()]
         assert list_rules()[0].id == "E1-pbm-corrected"
+
+    def test_registry_order_pinned(self):
+        # the sweep report lists records in this order
+        assert [r.id for r in RULES] == [
+            "E1-pbm-corrected", "E1-uncorrected-pbm", "E2-110", "E3-m110", "E4-1m12",
+            "E5-1m54", "K1-111", "K2-220", "K3-0m44", "K4-1m33", "K5-1m75", "K6-m111",
+            "K7-m311", "N1-133", "N2-333", "N3-033", "N4-122", "N5-222", "N6-aeqb",
+            "T1-nu0", "T1-nu1", "T1-nu2", "T2-nu0", "T2-nu1", "T2-nu2",
+            "T3-nu0", "T3-nu1", "T3-nu2", "T4-nu0", "T4-nu1", "T4-nu2",
+            "T5-nu0", "T5-nu1", "T5-nu2", "G1-general", "R1-rint",
+        ]
 
     def test_contains_expected_entries(self):
         ids = {r.id for r in RULES}
@@ -200,3 +212,19 @@ class TestMuFloors:
     def test_b_zero_raises_floor(self):
         rule = get_rule("N1-133")
         assert rule.mu_min(Params(1, 3, 3, a=1.0, b=0.0, c=1.0)) == pytest.approx(0.5)
+
+    def test_reduction_builds_kernel_once(self):
+        rule = get_rule("N1-133")
+        built = []
+
+        def build(params):
+            built.append(params)
+            return rule.build_kernel(params)
+
+        counted = dataclasses.replace(rule, build_kernel=build)
+        params = Params(1, 3, 3, a=1.0, b=0.0, c=1.0)
+        res = counted.reduce_to_1d(params, TestIntegrand(mu=1.0, sigma=1.0))
+        assert len(built) == 1
+        assert res.value == rule.reduce_to_1d(params, TestIntegrand(mu=1.0, sigma=1.0)).value
+        with pytest.raises(KernelError, match="floor 0.5"):
+            counted.reduce_to_1d(params, TestIntegrand(mu=0.5))

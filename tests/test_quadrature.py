@@ -36,6 +36,11 @@ def closed_form_interval_cases():
     ]
 
 
+def _seed_cross_check_f2(x, y):
+    t = 1.0 / (1.0 / x + 1.0 / y)
+    return (x + y) ** -0.5 * np.exp(-t - x - y)
+
+
 class TestHalfLine:
     @pytest.mark.parametrize("f,expected,label", closed_form_half_line_cases())
     def test_closed_forms(self, f, expected, label):
@@ -158,11 +163,7 @@ class TestQuadrant:
     def test_seed_cross_check(self):
         # (x+y)^-1/2 exp(-xy/(x+y)) exp(-x-y) over the quadrant equals
         # 2 sqrt(pi)/5, the product-form reduction at p = q = 1, f = exp(-t)
-        def f2(x, y):
-            t = 1.0 / (1.0 / x + 1.0 / y)
-            return (x + y) ** -0.5 * np.exp(-t - x - y)
-
-        res = integrate_quadrant(f2)
+        res = integrate_quadrant(_seed_cross_check_f2)
         assert res.converged
         assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-9)
 
@@ -178,6 +179,61 @@ class TestQuadrant:
             assert not res.converged
         except QuadratureError:
             pass  # overflow detection is an equally loud failure
+
+
+class TestBudgetExhaustion:
+    """Exhaustion stops the integral at its last completed level, unconverged."""
+
+    @pytest.mark.parametrize("limit", [150, 190])
+    def test_half_line_returns_last_completed_level(self, limit):
+        f = lambda t: t**-0.5 * np.exp(-t - 1.0 / t)
+        res = integrate_half_line(f, Tolerance(rel=1e-13, abs=1e-16, max_evaluations=limit))
+        assert not res.converged
+        assert res.value == 0.23987554396089059
+        assert res.abs_error_estimate == pytest.approx(3.378081187234621e-06, rel=1e-9)
+        assert res.evaluations > limit
+
+    def test_interval_returns_last_completed_level(self):
+        f = lambda r: r**-0.5 * (1.0 - r) ** -0.5
+        res = integrate_interval(
+            f, 0.0, 1.0, Tolerance(rel=1e-13, abs=1e-16, max_evaluations=150)
+        )
+        assert not res.converged
+        assert res.value == 3.141592634020482
+        assert res.abs_error_estimate == pytest.approx(1.599437681926092e-07, rel=1e-9)
+
+    def test_quadrant_exhausted_in_first_level(self):
+        tol = Tolerance(rel=1e-9, abs=1e-14, max_evaluations=5000)
+        res = integrate_quadrant(_seed_cross_check_f2, tol)
+        assert not res.converged
+        assert res.value == 0.0
+        assert res.abs_error_estimate == math.inf
+
+    def test_quadrant_exhausted_inside_inner_rows(self):
+        # only inner evaluations are charged, so the budget always runs out
+        # inside an inner batch; that stops the outer integral as well
+        tol = Tolerance(rel=1e-9, abs=1e-14, max_evaluations=15000)
+        res = integrate_quadrant(_seed_cross_check_f2, tol)
+        assert not res.converged
+        assert res.value == 0.7089798289090279
+        assert res.abs_error_estimate == pytest.approx(4.335590722193139e-05, rel=1e-9)
+
+    def test_evaluations_count_integrand_points_only(self):
+        points = []
+
+        def f(t):
+            points.append(t.size)
+            return np.exp(-t)
+
+        def f2(x, y):
+            points.append(np.broadcast(x, y).size)
+            return np.exp(-x - y)
+
+        res = integrate_half_line(f)
+        assert res.evaluations == sum(points)
+        points.clear()
+        res = integrate_quadrant(f2)
+        assert res.evaluations == sum(points)
 
 
 class TestErrorEstimateHonesty:
