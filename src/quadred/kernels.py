@@ -32,7 +32,14 @@ import numpy as np
 from scipy import special as _sp
 
 from .params import TestIntegrand
-from .quadrature import Tolerance, integrate_interval
+from .quadrature import (
+    QuadratureError,
+    Tolerance,
+    _Budget,
+    _drive,
+    _unit_pair_nodes,
+    _unit_pair_valid,
+)
 from .specfun import kummer_1f1
 
 _LOG_DEAD = -745.0
@@ -221,7 +228,13 @@ class RInnerFactor:
                          exp(-b/t + j r^2 t - r(a-b+j) - r h t) dr
 
     The e^(-b/t) cutoff is folded inside, so the exponent stays bounded by
-    -min(a,b)/t even when b > a.
+    -min(a,b)/t even when b > a.  With s = r t every t row runs over the
+    fixed interval (0, 1), and the integrand takes the node pair (s, 1 - s):
+    the member that is small is the exact tanh-sinh offset from its
+    endpoint, so the (1 - r t) power at the moving endpoint r = 1/t never
+    sees a cancelled difference.  All live rows of one call are one batch
+    of the double-exponential driver, judged by its largest row; if the
+    batch does not converge, QuadratureError is raised.
     """
 
     n: int
@@ -245,34 +258,40 @@ class RInnerFactor:
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         pr = (self.n + self.nu) / 2.0 - 2.0
         ps = (self.m + self.nu) / 2.0 - 2.0
-        ab = self.a - self.b
         h = complex(self.h)
-        tol = Tolerance(rel=self.inner_rel, abs=1e-15, max_evaluations=400_000)
         out = np.zeros(t.shape, dtype=complex if h.imag != 0.0 else float)
-        for i, ti in enumerate(t):
-            if self.b / ti > 745.0:  # the folded cutoff already underflowed
-                continue
+        live = self.b / t <= 745.0  # beyond, the folded cutoff already underflowed
+        rows = int(live.sum())
+        if rows == 0:
+            return out
+        col = t[live][:, None]
+        # dr = ds/t and r**pr = s**pr t**-pr
+        lead = (pr + 1.0) * np.log(col)
+        tol = Tolerance(rel=self.inner_rel, abs=1e-15, max_evaluations=400_000 * rows)
+        budget = _Budget(tol.max_evaluations)
 
-            def integrand(r, ti=ti):
-                # exponent grouped so it stays <= -min(a,b)/t:
-                #   -b/t + j r^2 t - r(a-b+ht+j)
-                #     = -b/t - r(a-b) - j r(1 - r t) - r h t
-                s = r * ti  # in (0, 1); r h t is bounded by h
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    logmag = (
-                        pr * np.log(r)
-                        + ps * np.log1p(-s)
-                        - self.b / ti
-                        - r * ab
-                        - self.j * r * (1.0 - s)
-                        - h.real * s
-                    )
-                vals = np.where(s < 1.0, np.exp(np.where(s < 1.0, logmag, -np.inf)), 0.0)
-                if h.imag != 0.0:
-                    vals = vals * np.exp(-1j * h.imag * s)
-                return vals
+        def batch(x: np.ndarray) -> np.ndarray:
+            budget.spend(rows * len(x))
+            s, c = x.T
+            # -b/t + j r^2 t - r(a-b+j) - r h t, every part <= 0:
+            #   = -(a s + (b + j s)(1 - s))/t - h s
+            logmag = (
+                pr * np.log(s) + ps * np.log(c) - lead
+                - (self.a * s + (self.b + self.j * s) * c) / col
+                - h.real * s
+            )
+            vals = np.exp(logmag)
+            if h.imag != 0.0:
+                vals = vals * np.exp(-1j * h.imag * s)
+            return vals
 
-            out[i] = integrate_interval(integrand, 0.0, 1.0 / ti, tol).value
+        value, estimate, converged = _drive(batch, _unit_pair_nodes, _unit_pair_valid, tol)
+        if not converged:
+            raise QuadratureError(
+                f"R1 inner integral did not converge over {rows} t rows "
+                f"(estimate {estimate:.3e})"
+            )
+        out[live] = value if h.imag != 0.0 else value.real
         return out
 
 

@@ -132,6 +132,26 @@ def _make_tanh_sinh_nodes(lo: float, hi: float):
     return nodes, valid
 
 
+def _unit_pair_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+    """Tanh-sinh on (0, 1), each abscissa given as the pair (s, 1 - s).
+
+    Whichever member is small is the node's exact offset from its endpoint,
+    so an integrand that takes both never forms a cancelled 1 - s.
+    """
+    with np.errstate(over="ignore"):
+        g = _HALF_PI * np.sinh(u)
+        off = 1.0 / (1.0 + np.exp(2.0 * np.abs(g)))
+        pair = np.stack([off, 1.0 - off], axis=-1)
+        x = np.where(u[:, None] >= 0.0, pair[:, ::-1], pair)
+        w = 0.5 * _HALF_PI * np.cosh(u) / np.cosh(g) ** 2
+    # the small member of each pair is exact: no rounding fuzz, no mask
+    return x, w, None
+
+
+def _unit_pair_valid(x: np.ndarray) -> np.ndarray:
+    return x.min(axis=-1) > 0.0
+
+
 # Half-line ladders span [1e-160, 1e160].  For integrands that clear the
 # t**-1 divergence floor by at least ~0.05 (and decay at least that fast
 # beyond 1/t at infinity) the mass outside is below 1e-8 of any digit this
@@ -155,9 +175,11 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
     With offset 0 this is a full trapezoid pass (u = 0 counted once); with
     offset h and spacing 2h it adds the odd nodes of the next level.  Each
     direction extends outward in blocks until terms fall below the
-    truncation threshold, measured against the largest running sum.  f
-    returns one value per abscissa or a (rows, abscissae) batch; sums run
-    over the last axis.  Returns (sum, fuzzy-node mass).
+    truncation threshold, measured against the largest running sum.  The
+    abscissae run along the first axis of x; trailing axes, such as the
+    (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
+    or a (rows, abscissae) batch; sums run over the last axis.  Returns
+    (sum, fuzzy-node mass).
     """
     total = 0.0 + 0.0j
     fuzz_mass = 0.0

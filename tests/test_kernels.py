@@ -1,11 +1,15 @@
 """Kernel-term evaluation: frozen values, stability branches, special factors."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from quadred.applications import FourierSpec, fourier_params
+from quadred.catalog import R1_GRID
 from quadred.kernels import (
     BesselKFactor,
     ErfSqrtInvFactor,
@@ -155,6 +159,63 @@ class TestRInnerFactor:
     def test_early_exit_deep_t(self):
         factor = RInnerFactor(4, 4, 0, 1.0, 0.5, 0.0, 1.0)
         assert factor.bounded_part(np.array([1e-10]))[0] == 0.0
+
+
+# The R1 sampler's ranges: a log-uniform on [0.1, 10], b = a*U(0.05, 0.85),
+# h and j log-uniform on [0.1, 3].
+_R1_EDGE_TS = (1e-3, 1e-1, 1.0, 10.0, 1e3)
+_R1_CORNERS = [
+    (a, a * ratio, h, j)
+    for a, ratio, h, j in itertools.product((0.1, 10.0), (0.05, 0.85), (0.1, 3.0), (0.1, 3.0))
+]
+
+
+def _r_inner_reference(factor: RInnerFactor, t: float) -> complex:
+    """The inner integral over r in [0, 1/t], by mpmath at 30 digits."""
+    with mp.workdps(30):
+        pr = mp.mpf(factor.n + factor.nu) / 2 - 2
+        ps = mp.mpf(factor.m + factor.nu) / 2 - 2
+        a, b, j, h, t = (mp.mpf(factor.a), mp.mpf(factor.b), mp.mpf(factor.j),
+                         mp.mpc(factor.h), mp.mpf(t))
+
+        def integrand(r):
+            return (r**pr * (1 - r * t) ** ps
+                    * mp.exp(-b / t + j * r * r * t - r * (a - b + j) - r * h * t))
+
+        hi = 1 / t
+        # split points keep the mass near r = 0 resolved when 1/t is long;
+        # past degree 4 the nodes at r = 1/t only add 30-digit rounding noise
+        value, error = mp.quad(integrand, [0, hi / 10_000, hi / 100, hi / 2, hi],
+                               error=True, maxdegree=4)
+        assert error <= 1e-16 * max(1, abs(value))
+        return complex(value)
+
+
+def _assert_matches_mpmath(factor: RInnerFactor) -> None:
+    got = factor.bounded_part(np.array(_R1_EDGE_TS))
+    for t, value in zip(_R1_EDGE_TS, got):
+        ref = _r_inner_reference(factor, t)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (factor, t, value, ref)
+
+
+class TestRInnerFactorEdges:
+    """One batched call over t in 1e-3..1e3 against mpmath."""
+
+    @pytest.mark.parametrize("triple", R1_GRID)
+    def test_sampler_edges(self, triple):
+        # every corner for (4,2,1), whose (1 - r t)**-1/2 sits at the moving
+        # endpoint r = 1/t; the two extreme corners for the other triples
+        corners = _R1_CORNERS if triple == (4, 2, 1) else [_R1_CORNERS[0], _R1_CORNERS[-1]]
+        for a, b, h, j in corners:
+            _assert_matches_mpmath(RInnerFactor(*triple, a, b, h, j))
+
+    def test_imaginary_h_fourier_route(self):
+        params = fourier_params(FourierSpec(1.0, 0.4, 1.0, 0.7, 0.9))
+        factor = RInnerFactor(params.n, params.m, params.nu,
+                              params.a, params.b, params.h, params.j)
+        assert complex(factor.h).real == 0.0
+        assert np.iscomplexobj(factor.bounded_part(np.array([1.0])))
+        _assert_matches_mpmath(factor)
 
 
 class TestMuFloor:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadred.catalog import get_rule
+from quadred import quadrature
+from quadred.catalog import get_rule, list_rules
 from quadred.params import Params, TestIntegrand
+from quadred.quadrature import QuadratureError
 from quadred.reducer import (
     CSV_HEADER,
     DivergentIntegralError,
+    _case_inputs,
     derivative_check_k7,
     direct_2d,
     normalize,
@@ -221,6 +224,38 @@ class TestVerify:
         assert again["lhs"]["value"] == complex(rec.lhs.value).real
         row = rec.to_csv_row()
         assert row.count(",") == CSV_HEADER.count(",")
+
+
+def _sweep_r1_case(seed: int, case_index: int):
+    """An R1 draw exactly as `verify --rules all` makes it."""
+    ids = [rule.id for rule in list_rules(include_erratum=False)]
+    return _case_inputs(get_rule("R1-rint"), seed, ids.index("R1-rint"), case_index)
+
+
+class TestRInnerIntegral:
+    """Triple (4,2,1) puts (1 - r t)**-1/2 at the moving endpoint r = 1/t."""
+
+    @pytest.mark.parametrize(
+        "seed, case_index, bound",
+        [(42, 3, 1e-13), (42, 8, 1e-13)]
+        + [(seed, case_index, 1e-12) for seed in range(10) for case_index in (3, 8)],
+    )
+    def test_endpoint_cases_agree_with_oracle(self, seed, case_index, bound):
+        params, f = _sweep_r1_case(seed, case_index)
+        assert params.triple == (4, 2, 1)
+        rec = verify("R1-rint", params, f)
+        assert rec.passed and rec.rhs.converged
+        assert rec.rel_diff <= bound
+
+    def test_unconverged_inner_batch_is_not_silent(self, monkeypatch):
+        params, f = _sweep_r1_case(42, 3)
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        with pytest.raises(QuadratureError, match=r"R1 inner integral .* over \d+ t rows"):
+            get_rule("R1-rint").reduce_to_1d(params, f)
+        rec = verify("R1-rint", params, f)
+        assert not rec.passed
+        assert rec.rhs is None
+        assert rec.failure_reason.startswith("R1 inner integral did not converge")
 
 
 class TestDerivativeCheck:
