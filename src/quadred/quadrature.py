@@ -12,6 +12,13 @@ reuses the previous level's sum (trapezoid interleaving), node ladders are
 fixed, and truncation scans are value-driven but deterministic, so results
 are bit-reproducible.
 
+The ladders of the two fixed generators, exp-sinh on (0, inf) and the
+(s, 1 - s) tanh-sinh pair on (0, 1), are built once per process: each
+block of nodes is masked on first use and kept, read-only, for every later
+integral.  Finite-interval nodes depend on [lo, hi] and are built per call.
+The abscissae an integrand receives may therefore be read-only; integrands
+must not write to them.
+
 Integrands must accept numpy arrays (every integrand built by this package
 does).  They are never called at an endpoint: finite-interval nodes are
 generated as offsets from the endpoints and clipped strictly inside, and
@@ -60,8 +67,12 @@ class Tolerance:
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
 
-    def met_by(self, estimate: float, value: complex) -> bool:
-        return estimate <= max(self.abs, self.rel * max(1.0, abs(value)))
+    def met_by(self, estimate: float, value, floor: float = 1.0) -> bool:
+        """Whether estimate is within tolerance at the scale of value.
+
+        The scale of a batch is its largest row, bounded below by floor.
+        """
+        return estimate <= max(self.abs, self.rel * max(floor, _largest(value)))
 
 
 # Default work budget for the two-dimensional oracle.
@@ -164,9 +175,49 @@ def _exp_sinh_valid(t: np.ndarray) -> np.ndarray:
     return (t > _T_MIN) & (t < _T_MAX)
 
 
+# Generators whose ladders do not depend on the call, each with its valid().
+_FIXED_LADDERS = {_exp_sinh_nodes: _exp_sinh_valid, _unit_pair_nodes: _unit_pair_valid}
+# (generator, direction, spacing, offset, k0) -> read-only block, or None
+_LADDER: dict[tuple, tuple | None] = {}
+
+
 def _largest(a) -> float:
     """|a| for a single integral; the largest |row| for a batch."""
     return float(np.abs(a).max()) if isinstance(a, np.ndarray) else abs(a)
+
+
+def _block(nodes, valid, direction: float, spacing: float, offset: float, k0: int):
+    """The surviving (x, w, fuzzy) of nodes k0 .. k0 + _BLOCK - 1, or None.
+
+    A node survives when it is valid and its weight is finite and positive.
+    fuzzy is None unless some surviving node is fuzzy.
+    """
+    ks = np.arange(k0, k0 + _BLOCK)
+    u = direction * (offset + spacing * ks)
+    x, w, fuzzy = nodes(u)
+    keep = valid(x) & np.isfinite(w) & (w > 0.0)
+    if not keep.any():
+        return None
+    if fuzzy is not None:
+        fuzzy = fuzzy[keep]
+        if not fuzzy.any():
+            fuzzy = None
+    return x[keep], w[keep], fuzzy
+
+
+def _ladder_block(nodes, valid, direction: float, spacing: float, offset: float, k0: int):
+    """_block of a fixed generator, built on first use and kept read-only."""
+    key = (nodes, direction, spacing, offset, k0)
+    try:
+        return _LADDER[key]
+    except KeyError:
+        pass
+    block = _block(nodes, valid, direction, spacing, offset, k0)
+    if block is not None:
+        for a in block[:2]:
+            a.flags.writeable = False
+    _LADDER[key] = block
+    return block
 
 
 def _scan(f, nodes, valid, spacing: float, offset: float):
@@ -181,38 +232,39 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
     or a (rows, abscissae) batch; sums run over the last axis.  Returns
     (sum, fuzzy-node mass).
     """
+    block = _ladder_block if _FIXED_LADDERS.get(nodes) is valid else _block
     total = 0.0 + 0.0j
     fuzz_mass = 0.0
-    for direction in (+1.0, -1.0):
-        k0 = 1 if (direction < 0 and offset == 0.0) else 0
-        quiet = 0
-        while offset + spacing * k0 <= _U_MAX:
-            ks = np.arange(k0, k0 + _BLOCK)
-            u = direction * (offset + spacing * ks)
-            x, w, fuzzy = nodes(u)
-            keep = valid(x) & np.isfinite(w) & (w > 0.0)
-            if not keep.any():
-                break
-            with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                y = np.asarray(f(x[keep]))
-                if np.isnan(y).any():
-                    raise QuadratureError("integrand returned NaN")
-                terms = np.where(y == 0, 0.0, y * w[keep])
-            if np.isinf(terms).any():
-                raise QuadratureError(
-                    "integrand*weight overflowed; integral likely divergent"
-                )
-            total += terms.sum(axis=-1)
-            if fuzzy is not None and fuzzy[keep].any():
-                fuzz_mass += np.abs(terms[..., fuzzy[keep]]).sum(axis=-1)
-            tmax = float(np.abs(terms).max()) if terms.size else 0.0
-            if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
-                quiet += 1
-                if quiet >= 2:
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for direction in (+1.0, -1.0):
+            k0 = 1 if (direction < 0 and offset == 0.0) else 0
+            quiet = 0
+            while offset + spacing * k0 <= _U_MAX:
+                kept = block(nodes, valid, direction, spacing, offset, k0)
+                if kept is None:
                     break
-            else:
-                quiet = 0
-            k0 += _BLOCK
+                x, w, fuzzy = kept
+                y = np.asarray(f(x))
+                # w is finite and positive, so a term is non-finite only
+                # when y is or when the product overflowed
+                terms = y * w
+                if not np.isfinite(terms).all():
+                    if np.isnan(y).any():
+                        raise QuadratureError("integrand returned NaN")
+                    raise QuadratureError(
+                        "integrand*weight overflowed; integral likely divergent"
+                    )
+                total += terms.sum(axis=-1)
+                if fuzzy is not None:
+                    fuzz_mass += np.abs(terms[..., fuzzy]).sum(axis=-1)
+                tmax = float(np.abs(terms).max()) if terms.size else 0.0
+                if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
+                    quiet += 1
+                    if quiet >= 2:
+                        break
+                else:
+                    quiet = 0
+                k0 += _BLOCK
     return total, fuzz_mass
 
 
@@ -236,7 +288,7 @@ def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False):
             prev, raw, fuzz = value, raw + odd, fuzz + fz
             value = h * raw
             estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
-            if estimate <= max(tol.abs, tol.rel * max(floor, _largest(value))):
+            if tol.met_by(estimate, value, floor):
                 converged = True
                 break
     except _BudgetExceeded:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quadred import quadrature
 from quadred.quadrature import (
     QuadratureError,
     Tolerance,
@@ -234,6 +235,119 @@ class TestBudgetExhaustion:
         points.clear()
         res = integrate_quadrant(f2)
         assert res.evaluations == sum(points)
+
+
+class TestFailurePaths:
+    """A non-finite term raises; NaN is named before overflow."""
+
+    SCALES = [1e300, 1e300 * (1.0 + 1.0j)]
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["real", "complex"])
+    def test_half_line_overflow(self, scale):
+        with pytest.raises(QuadratureError, match=r"integrand\*weight overflowed"):
+            integrate_half_line(lambda t: np.full(t.shape, scale))
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["real", "complex"])
+    def test_quadrant_overflow(self, scale):
+        with pytest.raises(QuadratureError, match=r"integrand\*weight overflowed"):
+            integrate_quadrant(lambda x, y: np.full(np.broadcast(x, y).shape, scale))
+
+    def test_nan_outranks_overflow(self):
+        # the first block holds both NaN values and overflowing terms
+        with pytest.raises(QuadratureError, match="integrand returned NaN"):
+            integrate_half_line(lambda t: np.where(t > 1e100, np.nan, 1e300))
+
+    def test_nan_in_quadrant_inner_batch(self):
+        def f2(x, y):
+            return np.where(y > 2.0, np.nan, np.exp(-x - y))
+
+        with pytest.raises(QuadratureError, match="integrand returned NaN"):
+            integrate_quadrant(f2)
+
+
+def _fresh_block(nodes, valid, direction, spacing, offset, k0):
+    u = direction * (offset + spacing * np.arange(k0, k0 + quadrature._BLOCK))
+    x, w, fuzzy = nodes(u)
+    keep = valid(x) & np.isfinite(w) & (w > 0.0)
+    assert fuzzy is None
+    return x[keep], w[keep]
+
+
+FIXED_GENERATORS = [
+    (quadrature._exp_sinh_nodes, quadrature._exp_sinh_valid),
+    (quadrature._unit_pair_nodes, quadrature._unit_pair_valid),
+]
+
+
+class TestNodeLadder:
+    """Blocks of the fixed generators are built once, read-only and bounded."""
+
+    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
+    @pytest.mark.parametrize("level", [0, 3, 11])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_cached_blocks_equal_fresh_nodes(self, nodes, valid, level, direction):
+        h = quadrature._BASE_STEP * 0.5**level
+        # level 0 is the full pass; later levels add the odd nodes
+        spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
+        k0 = 1 if (direction < 0 and offset == 0.0) else 0
+        block = quadrature._ladder_block(nodes, valid, direction, spacing, offset, k0)
+        x, w, fuzzy = block
+        fresh_x, fresh_w = _fresh_block(nodes, valid, direction, spacing, offset, k0)
+        assert fuzzy is None
+        assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
+        assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
+        assert quadrature._LADDER[(nodes, direction, spacing, offset, k0)] is block
+        again = quadrature._ladder_block(nodes, valid, direction, spacing, offset, k0)
+        assert again is block
+
+    def test_dead_block_is_kept_as_none(self):
+        # exp-sinh nodes at u >= 16 all lie beyond the 1e160 rail
+        nodes, valid = FIXED_GENERATORS[0]
+        assert quadrature._ladder_block(nodes, valid, 1.0, 0.5, 0.0, 32) is None
+        assert quadrature._LADDER[(nodes, 1.0, 0.5, 0.0, 32)] is None
+
+    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
+    def test_cached_arrays_are_read_only(self, nodes, valid):
+        x, w, _ = quadrature._ladder_block(nodes, valid, 1.0, 0.5, 0.0, 0)
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+
+    def test_interval_nodes_are_not_stored(self):
+        before = len(quadrature._LADDER)
+        res = integrate_interval(lambda r: r**-0.5, 0.0, 1.0)
+        assert res.converged
+        assert len(quadrature._LADDER) == before
+
+    def test_repeated_quadrant_adds_no_entry(self):
+        first = integrate_quadrant(_seed_cross_check_f2)
+        size = len(quadrature._LADDER)
+        second = integrate_quadrant(_seed_cross_check_f2)
+        assert len(quadrature._LADDER) == size
+        assert second == first
+
+    def test_results_do_not_depend_on_ladder_state(self, monkeypatch):
+        warm = integrate_quadrant(_seed_cross_check_f2)
+        monkeypatch.setattr(quadrature, "_LADDER", {})
+        cold = integrate_quadrant(_seed_cross_check_f2)
+        assert cold == warm
+        assert 0 < len(quadrature._LADDER) < 1000
+
+
+class TestTolerance:
+    def test_met_by_scales_by_largest_row_above_floor(self):
+        tol = Tolerance(rel=1e-10, abs=1e-14)
+        assert tol.met_by(1.5e-10, 2.0)
+        assert not tol.met_by(1.5e-10, 1.0)
+        batch = np.array([1e-3, -2.0 + 0.0j])
+        assert tol.met_by(1.5e-10, batch)
+        assert not tol.met_by(2.5e-10, batch)
+        small = np.array([1e-3, 2e-3])
+        assert tol.met_by(1e-10, small)
+        assert not tol.met_by(1e-10, small, floor=0.0)
+        assert tol.met_by(1e-13, small, floor=0.0)
+        assert tol.met_by(1e-14, np.zeros(2), floor=0.0)
 
 
 class TestErrorEstimateHonesty:
