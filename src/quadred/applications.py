@@ -135,24 +135,26 @@ def _pair_params(spec: YukawaPairSpec) -> Params:
     return Params(4, 4, 0, a=a, b=b, c=spec.x2**2)
 
 
+def _reduced_pair(spec: YukawaPairSpec, params: Params, f: TestIntegrand,
+                  tol: Tolerance | None) -> QuadResult:
+    # G1 needs a > b or h > 0; equal ranges take the gamma-ratio rule
+    rule = get_rule("G1-general") if spec.eta1 != spec.eta2 else get_rule("N6-aeqb")
+    res = rule.reduce_to_1d(params, f, tol)
+    return QuadResult(SQPI * res.value, SQPI * res.abs_error_estimate,
+                      res.evaluations, res.converged)
+
+
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the catalog: sqrt(pi) times the reduced
     (4,4,0) integral with f = t**(3/2)."""
-    params = _pair_params(spec)
-    rule = get_rule("G1-general") if spec.eta1 != spec.eta2 else get_rule("N6-aeqb")
-    res = rule.reduce_to_1d(params, TestIntegrand(1.0, 1.5, 0.0), tol)
-    return QuadResult(SQPI * res.value, SQPI * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    return _reduced_pair(spec, _pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol)
 
 
 def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """Same value through the alternative exponent choice (1,1,3) with mu = 0."""
     base = _pair_params(spec)
     params = Params(1, 1, 3, a=base.a, b=base.b, c=base.c)
-    rule = get_rule("G1-general") if spec.eta1 != spec.eta2 else get_rule("N6-aeqb")
-    res = rule.reduce_to_1d(params, TestIntegrand(1.0, 0.0, 0.0), tol)
-    return QuadResult(SQPI * res.value, SQPI * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    return _reduced_pair(spec, params, TestIntegrand(1.0, 0.0, 0.0), tol)
 
 
 def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:

@@ -40,10 +40,10 @@ from .quadrature import (
     _unit_pair_nodes,
     _unit_pair_valid,
 )
-from .specfun import kummer_1f1
 
 _LOG_DEAD = -745.0
 _LOG_OVERFLOW = 705.0
+_KUMMER_LEADING_FROM = 1e16
 
 
 class KernelError(ValueError):
@@ -126,10 +126,13 @@ class ErfcxSqrtInvFactor:
 
 @dataclass(frozen=True)
 class KummerFactor:
-    """1F1(A; B; -(shift + h t)/t) with shift >= 0, h >= 0.
+    """1F1(A; B; -w) with w = shift/t + h, shift >= 0, h >= 0.
 
     For the parameter patterns the catalog produces (0 < A <= B) the value
-    lies in (0, 1], so the factor is bounded outright.
+    lies in (0, 1], so the factor is bounded outright.  Below w = 1e16 it is
+    scipy's hyp1f1; from there on it is the leading term of DLMF 13.7.2,
+    Gamma(B)/Gamma(B-A) w**-A, whose next term is below rounding while
+    scipy's series degrades and finally returns 0 or NaN.
     """
 
     a: float
@@ -148,9 +151,11 @@ class KummerFactor:
         return False
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            out[i] = kummer_1f1(self.a, self.b, complex(-self.shift / ti - self.h)).real
+        w = self.shift / t + self.h
+        big = w >= _KUMMER_LEADING_FROM
+        out = np.empty_like(w)
+        out[~big] = _sp.hyp1f1(self.a, self.b, -w[~big])
+        out[big] = _sp.gamma(self.b) * _sp.rgamma(self.b - self.a) * w[big] ** -self.a
         return out
 
 

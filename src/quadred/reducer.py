@@ -73,7 +73,9 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     """The 2-D integrand as a numpy-broadcasting callable.
 
     Assembled in log magnitude with t = 1/(1/x + 1/y); a complex h
-    contributes a unit-modulus phase factor.
+    contributes a unit-modulus phase factor.  It sets no numpy error state of
+    its own: it runs under the quadrature driver's scan-wide np.errstate,
+    where overflow and underflow are expected and ignored.
     """
     n, m, nu = params.n, params.m, params.nu
     a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
@@ -90,26 +92,24 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
         logt = -np.logaddexp(-lx, -ly)  # log(xy/(x+y))
         t = np.exp(logt)
         frac = np.exp(ly - ls)  # y/(x+y) in (0, 1)
-        with np.errstate(over="ignore"):
-            logmag = (
-                lead
-                - 0.5 * (n * lx + m * ly + nu * ls)
-                + f.mu * logt
-                - (f.sigma + c) * t
-                - p * x
-                - q * y
-                - h.real * frac
-            )
-            if j != 0.0:
-                logmag = logmag - j * np.exp(-ls)
-            if a != 0.0:
-                logmag = logmag - a * np.exp(-lx)
-            if b != 0.0:
-                logmag = logmag - b * np.exp(-ly)
-            if tilde:
-                logmag = logmag - ab * np.exp(2.0 * ls - lx - 2.0 * ly)
-        with np.errstate(under="ignore"):
-            vals = sign * np.exp(logmag)
+        logmag = (
+            lead
+            - 0.5 * (n * lx + m * ly + nu * ls)
+            + f.mu * logt
+            - (f.sigma + c) * t
+            - p * x
+            - q * y
+            - h.real * frac
+        )
+        if j != 0.0:
+            logmag = logmag - j * np.exp(-ls)
+        if a != 0.0:
+            logmag = logmag - a * np.exp(-lx)
+        if b != 0.0:
+            logmag = logmag - b * np.exp(-ly)
+        if tilde:
+            logmag = logmag - ab * np.exp(2.0 * ls - lx - 2.0 * ly)
+        vals = sign * np.exp(logmag)
         if h.imag != 0.0:
             vals = vals * np.exp(-1j * h.imag * frac)
         return vals

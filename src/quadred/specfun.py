@@ -1,12 +1,12 @@
-"""Special functions used by the reduction kernels.
+"""Special functions: gamma, erfi and the confluent hypergeometric family.
 
-Gamma, the error-function family, the Faddeeva function and the modified
-Bessel functions K0/K1/K2 are delegated to scipy.special, which meets the
-catalog's 1e-12 relative target over the parameter ranges that arise.
-The confluent hypergeometric function is implemented here because the
-kernels need complex arguments and arguments down to -1e30, both outside
-scipy's real-argument hyp1f1.  Half-integer-order Bessel I, generalized
-Laguerre polynomials and Pochhammer symbols are small exact recurrences.
+The reduction kernels call scipy.special directly for the error-function
+family, the Faddeeva function, K0/K1/K2 and real-argument 1F1.  This
+module keeps gamma with its pole check, erfi through the Faddeeva
+function, and the series 1F1 ``kummer_1f1`` (real a, b; complex z), which
+serves as the reference for the simplification identities
+``kummer_via_*``.  Half-integer-order Bessel I, generalized Laguerre
+polynomials and Pochhammer symbols are small exact recurrences.
 
 Everything is a pure function; nothing mutates shared state.
 """
@@ -16,18 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 from scipy import special as _sp
 
 __all__ = [
     "SpecialFunctionError",
     "gamma_fn",
-    "erf_real",
-    "erfc_real",
-    "erfcx_real",
     "faddeeva",
     "erfi",
-    "bessel_k",
     "bessel_i_half",
     "kummer_1f1",
     "kummer_via_bessel_2a_minus",
@@ -59,20 +54,6 @@ def gamma_fn(x: float) -> float:
     return float(_sp.gamma(x))
 
 
-def erf_real(x):
-    return _sp.erf(x)
-
-
-def erfc_real(x):
-    """1 - erf(x), without cancellation for large x."""
-    return _sp.erfc(x)
-
-
-def erfcx_real(x):
-    """exp(x**2) * erfc(x); the finite combination the erfc kernels need."""
-    return _sp.erfcx(x)
-
-
 def faddeeva(z: complex) -> complex:
     """w(z) = exp(-z**2) erfc(-iz)."""
     w = complex(_sp.wofz(complex(z)))
@@ -98,17 +79,6 @@ def erfi(z: complex) -> complex:
     if z.imag == 0.0:
         return complex(val.real, 0.0)
     return val
-
-
-def bessel_k(order: int, x):
-    """Macdonald function K_order for order in {0, 1, 2}, x > 0."""
-    if order not in (0, 1, 2):
-        raise SpecialFunctionError("bessel_k supports orders 0, 1, 2 only")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise SpecialFunctionError("bessel_k requires x > 0")
-    out = _sp.kv(order, xa)
-    return float(out) if np.isscalar(x) else out
 
 
 def _bessel_i_series(nu: float, z: complex) -> complex:

@@ -9,7 +9,7 @@ import pytest
 from scipy import special as sp
 
 from quadred.applications import FourierSpec, fourier_params
-from quadred.catalog import R1_GRID
+from quadred.catalog import G1_GRID, R1_GRID, get_rule
 from quadred.kernels import (
     BesselKFactor,
     ErfSqrtInvFactor,
@@ -17,12 +17,13 @@ from quadred.kernels import (
     FourierErfiFactor,
     KernelError,
     KernelTerm,
+    KummerFactor,
     RInnerFactor,
     eval_kernel,
     eval_kernel_with_f,
     kernel_mu_min,
 )
-from quadred.params import TestIntegrand
+from quadred.params import Params, TestIntegrand
 from quadred.specfun import erfi
 
 SQPI = math.sqrt(math.pi)
@@ -108,6 +109,29 @@ class TestBesselBranch:
             ref = ts**order * sp.kv(order, 3.0 * ts)
             assert np.allclose(mine, ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [0.2, 3.0])
+    def test_against_mpmath(self, order, scale):
+        # s t runs from 1e-14 to 50, across the small-argument branch at 1e-8
+        ts = np.concatenate([np.geomspace(1e-14, 50.0, 60), [0.5e-8, 0.99e-8, 1.01e-8, 2e-8]])
+        ts = ts / scale
+        got = BesselKFactor(order, scale).bounded_part(ts)
+        with mp.workdps(30):
+            for t, value in zip(ts, got):
+                ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
+                assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+
+class TestErfFactor:
+    @pytest.mark.parametrize("amount", [1e-3, 0.7, 40.0])
+    def test_against_mpmath(self, amount):
+        ts = np.geomspace(1e-6, 1e6, 61)
+        got = ErfSqrtInvFactor(amount).bounded_part(ts)
+        with mp.workdps(30):
+            for t, value in zip(ts, got):
+                ref = mp.erf(mp.sqrt(mp.mpf(amount) / mp.mpf(t)))
+                assert abs(value - ref) <= 1e-14 * ref, (t, value, ref)
+
 
 class TestErfcxFactor:
     def test_equals_scaled_combination(self):
@@ -118,6 +142,43 @@ class TestErfcxFactor:
             assert factor.bounded_part(np.array([t]))[0] == pytest.approx(
                 math.exp(x * x) * sp.erfc(x), rel=1e-12
             )
+
+    @pytest.mark.parametrize("amount", [1e-3, 0.7, 40.0])
+    def test_against_mpmath(self, amount):
+        # x = 2 sqrt(amount/t) runs up to 1.3e8, far past where erfc underflows
+        ts = np.geomspace(1e-14, 1e6, 81)
+        got = ErfcxSqrtInvFactor(amount).bounded_part(ts)
+        with mp.workdps(30):
+            for t, value in zip(ts, got):
+                x = 2 * mp.sqrt(mp.mpf(amount) / mp.mpf(t))
+                ref = mp.exp(x * x) * mp.erfc(x)
+                assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+
+def _g1_kummer_pairs() -> list[tuple[float, float]]:
+    """(A, B) of every G1_GRID triple, as the G1 rule builds them, plus the
+    Yukawa pair's (1, 2)."""
+    rule = get_rule("G1-general")
+    pairs = {(1.0, 2.0)}
+    for n, m, nu, h in G1_GRID:
+        factor = rule.build_kernel(Params(n, m, nu, a=1.0, b=0.5, c=1.0, h=h))[0].special
+        pairs.add((factor.a, factor.b))
+    return sorted(pairs)
+
+
+class TestKummerFactor:
+    """1F1(A; B; -w), w = shift/t + h, from w = 0 to past 1e160."""
+
+    _TS = np.concatenate([np.geomspace(1e-160, 1e160, 81), [0.999e-16, 1.001e-16]])
+
+    @pytest.mark.parametrize("a, b", _g1_kummer_pairs())
+    def test_against_mpmath(self, a, b):
+        with mp.workdps(30):
+            for shift, h in itertools.product((0.0, 0.05, 1.0, 10.0), (0.0, 0.25, 3.0)):
+                got = KummerFactor(a, b, shift, h).bounded_part(self._TS)
+                for t, value in zip(self._TS, got):
+                    ref = mp.hyp1f1(a, b, -(mp.mpf(shift) / mp.mpf(t) + mp.mpf(h)))
+                    assert abs(value - ref) <= 1e-13 * ref, (shift, h, t, value, ref)
 
 
 class TestFourierErfiFactor:

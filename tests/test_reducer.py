@@ -258,6 +258,22 @@ class TestRInnerIntegral:
         assert rec.failure_reason.startswith("R1 inner integral did not converge")
 
 
+class TestG1ZeroB:
+    """With b = 0 nothing cuts the G1 kernel off at t -> 0: live nodes reach
+    t = 1e-160, where the Kummer argument (a-b)/t + h is past 1e130."""
+
+    @pytest.mark.parametrize("triple", [(1, 4, 2), (3, 3, 0)])
+    @pytest.mark.parametrize("margin", [0.05, 0.5])
+    def test_agrees_with_oracle(self, triple, margin):
+        params = Params(*triple, a=1.3, b=0.0, c=0.8, h=0.6)
+        rule = get_rule("G1-general")
+        f = TestIntegrand(1.0, rule.mu_min(params) + margin, 0.0)
+        rhs = rule.reduce_to_1d(params, f)
+        lhs = direct_2d(params, f)
+        assert rhs.converged and lhs.converged
+        assert abs(rhs.value - complex(lhs.value).real) <= 1e-9 * abs(rhs.value)
+
+
 class TestDerivativeCheck:
     def test_residual_and_sign(self):
         f = TestIntegrand(1.0, 0.5, 0.0)
