@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comparison tolerance (absolute)")
     p_verify.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p_verify.add_argument("--output", default=None, help="write the report to this file")
-    p_verify.add_argument("--jobs", type=int,
-                          default=int(os.environ.get("QUADRED_JOBS", "1")))
+    p_verify.add_argument("--jobs", type=int, default=os.environ.get("QUADRED_JOBS", "1"))
     return parser
 
 

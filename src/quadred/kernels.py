@@ -393,7 +393,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
 def eval_kernel(terms: list[KernelTerm], t) -> np.ndarray | complex | float:
     """Pointwise weight w(t) for t > 0."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0.0):
+    if not np.all(ts > 0.0):  # also rejects NaN
         raise KernelError("kernel weights are defined for t > 0 only")
     vals = eval_kernel_with_f(terms, TestIntegrand(1.0, 0.0, 0.0), ts)
     if np.isscalar(t) or np.ndim(t) == 0:

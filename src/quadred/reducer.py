@@ -399,6 +399,8 @@ def run_sweep(
     are byte-identical for a fixed seed regardless of the jobs count; cases
     run in separate processes when jobs > 1 and are reassembled in order.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cases = []
     for rule_index, rule_id in enumerate(rule_ids):
         get_rule(rule_id)  # fail fast on unknown ids

@@ -137,6 +137,13 @@ class TestKernelWeights:
         val = kernel_weight("K1-111", params, 1.0)
         assert val == pytest.approx(2.0 * math.exp(-2.0) * sp.kv(0, 2.0), rel=1e-12)
 
+    def test_nan_t_rejected(self):
+        params = Params(1, 1, 1, p=1.0, q=2.0)
+        with pytest.raises(KernelError):
+            kernel_weight("K1-111", params, math.nan)
+        with pytest.raises(KernelError):
+            kernel_weight("K1-111", params, np.array([1.0, math.nan]))
+
     def test_split_exponential_weight(self):
         params = Params(2, 2, 2, a=2.0, b=1.0, c=0.0)
         val = kernel_weight("N5-222", params, 1.0)

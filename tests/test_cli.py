@@ -151,6 +151,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--rules", "Z9-nope", "--samples", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_two(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--rules", "E1-pbm-corrected",
+                                 "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+
+    def test_bad_jobs_environment_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUADRED_JOBS", "x")
+        code, _, _ = run_cli(capsys, "list")
+        assert code == 0  # only verify reads --jobs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--rules", "E1-pbm-corrected", "--samples", "1"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 def test_entry_point_subprocess():
     proc = subprocess.run(

@@ -24,7 +24,6 @@ from quadred.kernels import (
     kernel_mu_min,
 )
 from quadred.params import Params, TestIntegrand
-from quadred.specfun import erfi
 
 SQPI = math.sqrt(math.pi)
 
@@ -192,10 +191,12 @@ class TestFourierErfiFactor:
         for t in (0.3, 1.0, 2.0):
             zp = (1j * chi * t + g + d) / (k * math.sqrt(t))
             zm = (1j * chi * t + g - d) / (k * math.sqrt(t))
+            with mp.workdps(30):
+                erfi_diff = complex(mp.erfi(zp) - mp.erfi(zm))
             naive = (
                 math.exp(-e2 * e2 / (4 * t) - x2 * x2 * t)
                 * np.exp(-zp * zp)
-                * (erfi(zp) - erfi(zm))
+                * erfi_diff
             )
             mine = factor.bounded_part(np.array([t]))[0]
             assert mine == pytest.approx(naive, rel=1e-11)

@@ -1,9 +1,13 @@
 """Special-function checks against independent oracles.
 
-Oracles here are deliberately different routes from the implementation:
-explicit Maclaurin/asymptotic series, integral representations pushed
-through scipy's adaptive quadrature, three-term recurrences, and mpmath at
-30 significant digits.
+Two subjects: the scipy.special calls the kernel factors make directly
+(erf family, Faddeeva, K0/K1/K2, Bessel I, 1F1), and the package's own
+``specfun`` (gamma, Pochhammer, Laguerre and the ``kummer_via_*``
+simplification identities of 1F1).  Oracles are deliberately different
+routes from the implementation: explicit Maclaurin/asymptotic series,
+integral representations pushed through scipy's adaptive quadrature,
+three-term recurrences, and mpmath at 30 significant digits, which is the
+reference 1F1 for every identity, at real and at complex arguments.
 """
 
 import math
@@ -16,13 +20,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
+from quadred.kernels import KummerFactor
 from quadred.specfun import (
     SpecialFunctionError,
-    bessel_i_half,
-    erfi,
-    faddeeva,
     gamma_fn,
-    kummer_1f1,
     kummer_via_bessel_2a,
     kummer_via_bessel_2a_minus,
     kummer_via_bessel_2a_plus,
@@ -105,12 +106,14 @@ class TestErfFamily:
 
 
 class TestFaddeeva:
+    """scipy's wofz, which FourierErfiFactor calls directly."""
+
     def test_at_zero(self):
-        assert faddeeva(0.0) == pytest.approx(1.0, rel=1e-14)
+        assert sp.wofz(0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_real_part_on_real_axis(self):
         for x in (0.3, 1.0, 2.5, 5.0):
-            assert faddeeva(x).real == pytest.approx(math.exp(-x * x), rel=1e-12)
+            assert sp.wofz(x).real == pytest.approx(math.exp(-x * x), rel=1e-12)
 
     @settings(max_examples=60)
     @given(
@@ -119,8 +122,8 @@ class TestFaddeeva:
     )
     def test_reflection(self, re, im):
         z = complex(re, im)
-        lhs = faddeeva(-z.conjugate())
-        rhs = faddeeva(z).conjugate()
+        lhs = sp.wofz(-z.conjugate())
+        rhs = sp.wofz(z).conjugate()
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
     def test_against_mpmath_100_points(self):
@@ -128,25 +131,7 @@ class TestFaddeeva:
         for _ in range(100):
             z = complex(rng.uniform(-4, 4), rng.uniform(-2, 4))
             ref = complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z)))
-            assert faddeeva(z) == pytest.approx(ref, rel=1e-10)
-
-
-class TestErfi:
-    def test_zero(self):
-        assert erfi(0.0) == 0.0
-
-    def test_series_oracle(self):
-        # erfi(x) = 2/sqrt(pi) sum x^(2k+1)/(k! (2k+1))
-        x = 1.0
-        total = sum(x ** (2 * k + 1) / (math.factorial(k) * (2 * k + 1)) for k in range(30))
-        oracle = 2.0 / math.sqrt(math.pi) * total
-        assert oracle == pytest.approx(1.6504257587975429, rel=1e-14)
-        assert erfi(1.0).real == pytest.approx(oracle, rel=1e-12)
-        assert erfi(1.0).imag == 0.0
-
-    def test_odd(self):
-        for x in (0.2, 1.0, 2.0):
-            assert erfi(-x) == pytest.approx(-erfi(x), rel=1e-12)
+            assert sp.wofz(z) == pytest.approx(ref, rel=1e-10)
 
 
 class TestBesselK:
@@ -192,15 +177,17 @@ class TestBesselK:
 
 
 class TestBesselIHalf:
+    """scipy's iv at half-integer orders, which the kummer_via_bessel_* forms call."""
+
     def test_plus_half(self):
         expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
         assert expected == pytest.approx(0.9376748882454959, rel=1e-12)
-        assert bessel_i_half(1, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert sp.iv(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_minus_half(self):
         expected = math.sqrt(2.0 / math.pi) * math.cosh(1.0)
         assert expected == pytest.approx(1.2312002145929675, rel=1e-14)
-        assert bessel_i_half(-1, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert sp.iv(-0.5, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_three_halves_recurrence(self):
         # I_{3/2}(x) = I_{-1/2}(x) - (1/x) I_{1/2}(x) at x = 2, with the
@@ -211,13 +198,7 @@ class TestBesselIHalf:
             - math.sqrt(2.0 / (math.pi * x)) * math.sinh(x) / x
         )
         assert oracle == pytest.approx(1.0994731886331106, rel=1e-13)
-        assert bessel_i_half(3, x) == pytest.approx(oracle, rel=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(SpecialFunctionError):
-            bessel_i_half(2, 1.0)
-        with pytest.raises(SpecialFunctionError):
-            bessel_i_half(1, 0.0)
+        assert sp.iv(1.5, x) == pytest.approx(oracle, rel=1e-12)
 
     def test_against_mpmath_100_points(self):
         rng = np.random.default_rng(15)
@@ -225,66 +206,99 @@ class TestBesselIHalf:
             x = float(rng.uniform(0.05, 30.0))
             two_nu = int(rng.integers(-3, 6)) * 2 + 1
             ref = float(mp.besseli(two_nu / 2.0, x))
-            assert bessel_i_half(two_nu, x) == pytest.approx(ref, rel=1e-10)
+            assert sp.iv(two_nu / 2.0, x) == pytest.approx(ref, rel=1e-10)
+
+
+def _hyp1f1(a: float, b: float, z: complex) -> complex:
+    """Reference 1F1(a; b; z) from mpmath at the module's 30 digits."""
+    return complex(mp.hyp1f1(a, b, mp.mpc(z)))
+
+
+_IDENTITIES = (
+    (kummer_via_bessel_2a_minus, lambda a, m: 2 * a - m),
+    (kummer_via_bessel_2a_plus, lambda a, m: 2 * a + m),
+    (kummer_via_laguerre, lambda a, m: a - m),
+)
 
 
 class TestKummer:
+    """The simplification identities kummer_via_* against mpmath's 1F1."""
+
     def test_at_zero(self):
-        assert kummer_1f1(2.3, 1.7, 0.0) == 1.0
+        assert kummer_via_bessel_2a(2.3, 0.0) == 1.0
+        assert kummer_via_bessel_2a_minus(2.3, 1, 0.0) == 1.0
+        assert kummer_via_bessel_2a_plus(2.3, 1, 0.0) == 1.0
+        assert kummer_via_laguerre(2.3, 1, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_exponential(self):
-        assert kummer_1f1(1.0, 1.0, 0.7) == pytest.approx(math.exp(0.7), rel=1e-13)
+        # 1F1(a; a; z) = e^z is the Laguerre form at m = 0
+        for a in (1.0, 1.7, 3.5):
+            assert kummer_via_laguerre(a, 0, 0.7) == pytest.approx(math.exp(0.7), rel=1e-13)
 
     def test_b_pole(self):
         with pytest.raises(SpecialFunctionError):
-            kummer_1f1(1.0, 0.0, 1.0)
+            kummer_via_bessel_2a(0.0, 1.0)
         with pytest.raises(SpecialFunctionError):
-            kummer_1f1(1.0, -3.0, 1.0)
+            kummer_via_bessel_2a_minus(1.0, 2, 1.0)
+        with pytest.raises(SpecialFunctionError):
+            kummer_via_laguerre(1.0, 3, 1.0)
 
     def test_against_mpmath_100_random_points(self):
         rng = np.random.default_rng(16)
+        checked = 0
         for _ in range(100):
-            a = float(rng.uniform(-3.0, 5.0))
-            b = float(rng.uniform(0.3, 8.0))
-            z = complex(rng.uniform(-40.0, 40.0), rng.uniform(-10.0, 10.0))
-            ref = complex(mp.hyp1f1(a, b, mp.mpc(z)))
-            assert kummer_1f1(a, b, z) == pytest.approx(ref, rel=1e-10)
+            a = float(rng.uniform(0.3, 5.0))
+            m = int(rng.integers(0, 4))
+            z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-10.0, 10.0))
+            assert kummer_via_bessel_2a(a, z) == pytest.approx(_hyp1f1(a, 2 * a, z), rel=1e-10)
+            for fn, b in _IDENTITIES:
+                try:
+                    val = fn(a, m, z)
+                except SpecialFunctionError:
+                    continue
+                ref = _hyp1f1(a, b(a, m), z)
+                assert val == pytest.approx(ref, rel=1e-10), (fn.__name__, a, m, z)
+                checked += 1
+        assert checked >= 250
 
     @pytest.mark.parametrize("z", [-500.0, -1e4, -1e8, -1e20, -1e30])
     def test_deep_negative_argument(self, z):
-        ref = complex(mp.hyp1f1(1.5, 3.2, mp.mpf(z)))
-        assert kummer_1f1(1.5, 3.2, z) == pytest.approx(ref, rel=1e-12)
+        # the package's only 1F1 at deep negative argument: G1's KummerFactor
+        # at w = shift/t = -z (scipy's hyp1f1, then DLMF 13.7.2's leading term)
+        value = KummerFactor(1.5, 3.2, -z, 0.0).bounded_part(np.array([1.0]))[0]
+        assert value == pytest.approx(_hyp1f1(1.5, 3.2, z).real, rel=1e-12)
 
     def test_bessel_form_2a(self):
         # 1F1(A;2A;z) = 2^(2A-1) e^(z/2) (-z)^(1/2-A) Gamma(A+1/2) I_(A-1/2)(-z/2)
         val = kummer_via_bessel_2a(1.5, -2.0)
-        ref = kummer_1f1(1.5, 3.0, -2.0)
+        ref = _hyp1f1(1.5, 3.0, -2.0)
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_simplification_grid(self):
-        # all four simplified forms against the direct series
-        zs = (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)
+        # all four simplified forms against mpmath, on the real axis and at
+        # complex z = x + iy off it; 1 + 1e-300j must not leave the real-axis
+        # branch (there 1F1(1.5; -0.5; z) = -19.03)
+        xs = (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)
+        zs = [complex(x) for x in xs]
+        zs += [complex(x, y) for x in xs for y in (-3.0, -0.5, 0.5, 3.0)]
+        zs.append(complex(1.0, 1e-300))
         checked = 0
         for a in (1.0, 1.5, 2.5):
             for z in zs:
-                ref = kummer_1f1(a, 2 * a, complex(z))
-                assert kummer_via_bessel_2a(a, complex(z)) == pytest.approx(ref, rel=1e-10)
+                ref = _hyp1f1(a, 2 * a, z)
+                assert kummer_via_bessel_2a(a, z) == pytest.approx(ref, rel=1e-10)
                 checked += 1
             for m in (0, 1, 2, 3):
                 for z in zs:
-                    for fn, b in (
-                        (kummer_via_bessel_2a_minus, 2 * a - m),
-                        (kummer_via_bessel_2a_plus, 2 * a + m),
-                        (kummer_via_laguerre, a - m),
-                    ):
+                    for fn, b in _IDENTITIES:
                         try:
-                            val = fn(a, m, complex(z))
+                            val = fn(a, m, z)
                         except SpecialFunctionError:
                             continue  # parameter pattern outside the identity's domain
-                        ref = kummer_1f1(a, b, complex(z))
+                        ref = _hyp1f1(a, b(a, m), z)
                         assert val == pytest.approx(ref, rel=1e-10), (fn.__name__, a, m, z)
                         checked += 1
-        assert checked > 150
+        assert checked == 899  # 174 on the real axis, 725 off it
 
 
 class TestLaguerre:
@@ -309,8 +323,8 @@ class TestLaguerre:
             m = int(rng.integers(0, 6))
             alpha = float(rng.uniform(-0.9, 3.0))
             z = float(rng.uniform(-5.0, 5.0))
-            ref = pochhammer(alpha + 1.0, m) / math.factorial(m) * kummer_1f1(
-                -m, alpha + 1.0, complex(z)
+            ref = pochhammer(alpha + 1.0, m) / math.factorial(m) * _hyp1f1(
+                -m, alpha + 1.0, z
             )
             assert laguerre_gen(m, alpha, z) == pytest.approx(ref.real, rel=1e-10, abs=1e-12)
 
