@@ -246,9 +246,11 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
                 x, w, fuzzy = kept
                 y = np.asarray(f(x))
                 # w is finite and positive, so a term is non-finite only
-                # when y is or when the product overflowed
+                # when y is or when the product overflowed; max propagates
+                # both NaN and inf, so one pass measures size and finiteness
                 terms = y * w
-                if not np.isfinite(terms).all():
+                tmax = float(np.abs(terms).max()) if terms.size else 0.0
+                if not math.isfinite(tmax):
                     if np.isnan(y).any():
                         raise QuadratureError("integrand returned NaN")
                     raise QuadratureError(
@@ -257,7 +259,6 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
                 total += terms.sum(axis=-1)
                 if fuzzy is not None:
                     fuzz_mass += np.abs(terms[..., fuzzy]).sum(axis=-1)
-                tmax = float(np.abs(terms).max()) if terms.size else 0.0
                 if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
                     quiet += 1
                     if quiet >= 2:

@@ -4,12 +4,13 @@ The reduction kernels call scipy.special directly (error-function family,
 Faddeeva function, K0/K1/K2, real-argument 1F1); of this module they use
 only ``gamma_fn``, scipy's gamma with a pole check.  The rest is the
 paper's simplification claims: 1F1 at the parameter patterns b = 2a - m,
-2a, 2a + m written through Bessel I (``scipy.special.iv``, real order,
-complex z) and at b = a - m through a generalized Laguerre polynomial
-(DLMF 13.6).  Laguerre polynomials and Pochhammer symbols are short exact
-recurrences, kept because scipy's ``eval_genlaguerre`` returns NaN for
-alpha <= -1, which the Laguerre form needs.  The tests check every
-identity against mpmath's 1F1.
+2a, 2a + m written through Bessel I (``scipy.special.ive``, the
+exponentially scaled I of real order and complex z, so large |Re z|
+neither overflows nor underflows) and at b = a - m through a generalized
+Laguerre polynomial (DLMF 13.6).  Laguerre polynomials and Pochhammer
+symbols are short exact recurrences, kept because scipy's
+``eval_genlaguerre`` returns NaN for alpha <= -1, which the Laguerre form
+needs.  The tests check every identity against mpmath's 1F1.
 
 Everything is a pure function; nothing mutates shared state.
 """
@@ -76,7 +77,7 @@ def laguerre_gen(m: int, alpha: float, z: float | complex) -> float | complex:
 # Simplified forms of 1F1 at the special parameter patterns the catalog
 # meets: b = 2a - m, b = 2a, b = 2a + m (Bessel-I forms) and b = a - m
 # (Laguerre form).  Complex intermediates on principal branches; the result
-# is real for real arguments.  On the negative real axis scipy's iv takes
+# is real for real arguments.  On the negative real axis scipy's ive takes
 # the upper side of its cut whatever the sign of a zero imaginary part, and
 # _cpow does the same.
 # ----------------------------------------------------------------------------
@@ -89,6 +90,15 @@ def _cpow(base: complex, expo: float) -> complex:
     if base.imag == 0.0:
         base = complex(base.real, 0.0)  # drop a signed zero: one branch for real args
     return cmath.exp(expo * cmath.log(base))
+
+
+def _exp_half_scaled(z: complex) -> complex:
+    """exp(z/2) times the exp(|Re z|/2) that scipy's ive(v, +-z/2) divides out.
+
+    exp(z/2) I_v(+-z/2) = exp((z + |Re z|)/2) ive(v, +-z/2): the scaled
+    form neither overflows in I_v nor underflows in exp(z/2) at large |Re z|.
+    """
+    return cmath.exp((z + abs(z.real)) / 2.0)
 
 
 def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
@@ -111,8 +121,8 @@ def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
             * (a + k - m - 0.5)
             / (pochhammer(2 * a - m, k) * math.factorial(k))
         )
-        total += coeff * complex(_sp.iv(a + k - m - 0.5, z / 2.0))
-    pref = gamma_fn(a - m - 0.5) * _cpow(z / 4.0, m - a + 0.5) * cmath.exp(z / 2.0)
+        total += coeff * complex(_sp.ive(a + k - m - 0.5, z / 2.0))
+    pref = gamma_fn(a - m - 0.5) * _cpow(z / 4.0, m - a + 0.5) * _exp_half_scaled(z)
     return pref * total
 
 
@@ -125,10 +135,10 @@ def kummer_via_bessel_2a(a: float, z: complex) -> complex:
         return 1.0 + 0.0j
     return (
         2.0 ** (2 * a - 1)
-        * cmath.exp(z / 2.0)
+        * _exp_half_scaled(z)
         * _cpow(-z, 0.5 - a)
         * gamma_fn(a + 0.5)
-        * complex(_sp.iv(a - 0.5, -z / 2.0))
+        * complex(_sp.ive(a - 0.5, -z / 2.0))
     )
 
 
@@ -151,8 +161,8 @@ def kummer_via_bessel_2a_plus(a: float, m: int, z: complex) -> complex:
             * (a + k - 0.5)
             / (pochhammer(2 * a + m, k) * math.factorial(k))
         )
-        total += coeff * complex(_sp.iv(a + k - 0.5, z / 2.0))
-    pref = gamma_fn(a - 0.5) * _cpow(z / 4.0, 0.5 - a) * cmath.exp(z / 2.0)
+        total += coeff * complex(_sp.ive(a + k - 0.5, z / 2.0))
+    pref = gamma_fn(a - 0.5) * _cpow(z / 4.0, 0.5 - a) * _exp_half_scaled(z)
     return pref * total
 
 

@@ -257,6 +257,29 @@ class TestFailurePaths:
         with pytest.raises(QuadratureError, match="integrand returned NaN"):
             integrate_half_line(lambda t: np.where(t > 1e100, np.nan, 1e300))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (complex(math.inf, math.nan), "integrand returned NaN"),
+            (complex(1.0, math.nan), "integrand returned NaN"),
+            (complex(math.inf, math.inf), r"integrand\*weight overflowed"),
+        ],
+        ids=["inf+nanj", "1+nanj", "inf+infj"],
+    )
+    def test_complex_non_finite(self, value, message):
+        # |inf + nan j| is inf, not NaN: the NaN is still named
+        with pytest.raises(QuadratureError, match=message):
+            integrate_half_line(lambda t: np.full(t.shape, value))
+
+    def test_one_overflowing_row_in_quadrant(self):
+        # x = exp((pi/2) sinh 0.5) ~ 2.27 is the only first-level node in
+        # (2, 2.5): one row of the first inner batch overflows, none is NaN
+        def f2(x, y):
+            return np.where((x > 2.0) & (x < 2.5), 1e300, np.exp(-x - y))
+
+        with pytest.raises(QuadratureError, match=r"integrand\*weight overflowed"):
+            integrate_quadrant(f2)
+
     def test_nan_in_quadrant_inner_batch(self):
         def f2(x, y):
             return np.where(y > 2.0, np.nan, np.exp(-x - y))

@@ -3,13 +3,14 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from quadred import quadrature
-from quadred.catalog import get_rule, list_rules
+from quadred.catalog import Family, get_rule, list_rules
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import QuadratureError
 from quadred.reducer import (
@@ -19,6 +20,7 @@ from quadred.reducer import (
     derivative_check_k7,
     direct_2d,
     normalize,
+    quadrant_integrand,
     run_sweep,
     shift_power,
     verify,
@@ -156,6 +158,83 @@ class TestDirect2D:
         )
 
 
+# the ends and the middle of the quadrature's [1e-160, 1e160] node ladder
+_LADDER_POINTS = [1e-160, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e160]
+
+
+def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float, y: float):
+    """The defining formula of the quadrant integrand, in mpmath at 40 digits."""
+    with mp.workdps(40):
+        x, y = mp.mpf(x), mp.mpf(y)
+        s = x + y
+        t = x * y / s
+        h = mp.mpc(complex(params.h))
+        expo = (
+            -(f.sigma + params.c) * t - params.p * x - params.q * y
+            - params.a / x - params.b / y - params.j / s - h * y / s
+        )
+        if tilde:
+            expo -= (params.a - params.b) * s**2 / (x * y**2)
+        return complex(
+            f.coeff * x ** (-params.n / 2) * y ** (-params.m / 2) * s ** (-params.nu / 2)
+            * t**f.mu * mp.exp(expo)
+        )
+
+
+class TestQuadrantIntegrand:
+    """The oracle's integrand, pointwise against its defining formula."""
+
+    CASES = {
+        "j": (Params(2, 1, 1, b=0.4, c=0.5, j=1.3, q=0.9),
+              TestIntegrand(1.0, 0.75, 0.3), False),
+        "tilde": (Params(1, 2, 1, a=1.5, b=0.5, c=0.3, q=0.4),
+                  TestIntegrand(2.5, 1.25, 0.0), True),
+        "complex-h": (Params(0, 0, 1, c=1.0, h=0.8 + 2.5j, p=0.7, q=1.0),
+                      TestIntegrand(1.0, 0.5, 0.4), False),
+        "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8),
+                           TestIntegrand(-3.7, 2.0, 1.0), False),
+        "zero-coeff": (Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(0.0, 0.0, 1.0), False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_defining_formula(self, case):
+        params, f, tilde = self.CASES[case]
+        xs = np.array(_LADDER_POINTS)
+        # the quadrature driver calls it with a column of x and a row of y,
+        # under its scan-wide errstate
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            vals = quadrant_integrand(params, f, tilde)(xs[:, None], xs[None, :])
+        assert vals.shape == (xs.size, xs.size)
+        assert not np.isnan(vals).any()
+        for i, x in enumerate(xs):
+            for k, y in enumerate(xs):
+                ref = _integrand_reference(params, f, tilde, x, y)
+                got = complex(vals[i, k])
+                if abs(ref) < 1e-320:
+                    assert got == 0.0, (x, y, got, ref)
+                    continue
+                scale = max(abs(ref), 1e-250)
+                bound = 1e-13 * max(1.0, abs(math.log(scale))) * scale
+                assert abs(got - ref) <= bound, (x, y, got, ref)
+
+
+class TestOracleWork:
+    """The oracle's evaluation counts on three seed-42 sweep draws.
+
+    A change to the integrand that moves where a truncation scan stops
+    shows up here as a changed count, not only as moved digits.
+    """
+
+    @pytest.mark.parametrize(
+        "rule_id, case_index, evaluations",
+        [("K1-111", 0, 1_420_740), ("T5-nu2", 13, 110_465), ("K5-1m75", 9, 71_213)],
+    )
+    def test_evaluations_pinned(self, rule_id, case_index, evaluations):
+        params, f = _sweep_case(rule_id, 42, case_index)
+        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+        assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
+
+
 class TestVerify:
     def test_corrected_rule_passes(self):
         rec = verify(
@@ -226,10 +305,10 @@ class TestVerify:
         assert row.count(",") == CSV_HEADER.count(",")
 
 
-def _sweep_r1_case(seed: int, case_index: int):
-    """An R1 draw exactly as `verify --rules all` makes it."""
+def _sweep_case(rule_id: str, seed: int, case_index: int):
+    """A draw exactly as `verify --rules all` makes it."""
     ids = [rule.id for rule in list_rules(include_erratum=False)]
-    return _case_inputs(get_rule("R1-rint"), seed, ids.index("R1-rint"), case_index)
+    return _case_inputs(get_rule(rule_id), seed, ids.index(rule_id), case_index)
 
 
 class TestRInnerIntegral:
@@ -241,14 +320,14 @@ class TestRInnerIntegral:
         + [(seed, case_index, 1e-12) for seed in range(10) for case_index in (3, 8)],
     )
     def test_endpoint_cases_agree_with_oracle(self, seed, case_index, bound):
-        params, f = _sweep_r1_case(seed, case_index)
+        params, f = _sweep_case("R1-rint", seed, case_index)
         assert params.triple == (4, 2, 1)
         rec = verify("R1-rint", params, f)
         assert rec.passed and rec.rhs.converged
         assert rec.rel_diff <= bound
 
     def test_unconverged_inner_batch_is_not_silent(self, monkeypatch):
-        params, f = _sweep_r1_case(42, 3)
+        params, f = _sweep_case("R1-rint", 42, 3)
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
         with pytest.raises(QuadratureError, match=r"R1 inner integral .* over \d+ t rows"):
             get_rule("R1-rint").reduce_to_1d(params, f)

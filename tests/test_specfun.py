@@ -268,6 +268,23 @@ class TestKummer:
         value = KummerFactor(1.5, 3.2, -z, 0.0).bounded_part(np.array([1.0]))[0]
         assert value == pytest.approx(_hyp1f1(1.5, 3.2, z).real, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [-1e4, complex(-1e4, 3.0)], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "form, a, b, rel",
+        [
+            (lambda a, z: kummer_via_bessel_2a(a, z), 1.5, lambda a: 2 * a, 1e-12),
+            (lambda a, z: kummer_via_bessel_2a_minus(a, 0, z), 1.7, lambda a: 2 * a, 1e-12),
+            (lambda a, z: kummer_via_bessel_2a_plus(a, 2, z), 1.7, lambda a: 2 * a + 2, 1e-12),
+            # the m = 1 sum cancels to O(1/|z|) of its terms: about |z| eps
+            (lambda a, z: kummer_via_bessel_2a_minus(a, 1, z), 1.7, lambda a: 2 * a - 1, 1e-11),
+        ],
+        ids=["2a", "2a-minus-m0", "2a-plus-m2", "2a-minus-m1"],
+    )
+    def test_bessel_forms_far_left(self, form, a, b, rel, z):
+        # past -Re z ~ 1420, I_v(|z|/2) overflows and exp(z/2) underflows;
+        # 1F1 itself is small and representable there
+        assert form(a, z) == pytest.approx(_hyp1f1(a, b(a), z), rel=rel)
+
     def test_bessel_form_2a(self):
         # 1F1(A;2A;z) = 2^(2A-1) e^(z/2) (-z)^(1/2-A) Gamma(A+1/2) I_(A-1/2)(-z/2)
         val = kummer_via_bessel_2a(1.5, -2.0)
