@@ -139,9 +139,7 @@ def _reduced_pair(spec: YukawaPairSpec, params: Params, f: TestIntegrand,
                   tol: Tolerance | None) -> QuadResult:
     # G1 needs a > b or h > 0; equal ranges take the gamma-ratio rule
     rule = get_rule("G1-general") if spec.eta1 != spec.eta2 else get_rule("N6-aeqb")
-    res = rule.reduce_to_1d(params, f, tol)
-    return QuadResult(SQPI * res.value, SQPI * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    return rule.reduce_to_1d(params, f, tol).scaled(SQPI)
 
 
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
@@ -159,9 +157,8 @@ def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) 
 
 def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the brute-force quadrant oracle."""
-    res = direct_2d(_pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol)
-    return QuadResult(SQPI * complex(res.value).real, SQPI * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    # the integrand is real, so the oracle's value is a float
+    return direct_2d(_pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol).scaled(SQPI)
 
 
 # ----------------------------------------------------------------------------
@@ -199,8 +196,8 @@ def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) ->
     terms = _erfi_kernel(spec)
     f = TestIntegrand(1.0, 1.5, 0.0)
     res = integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol)
-    return QuadResult(SQPI * complex(res.value), SQPI * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    # a complex factor keeps the value complex when its imaginary part is 0
+    return res.scaled(complex(SQPI))
 
 
 def fourier_pair_erfi(spec: FourierSpec, tol: Tolerance | None = None) -> complex:
@@ -223,10 +220,7 @@ def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> 
             vals = vals * np.exp(-1j * chi * tau)
         return vals
 
-    res = integrate_interval(integrand, 0.0, 1.0, tol)
-    scale = 2.0 * math.pi
-    return QuadResult(scale * complex(res.value), scale * res.abs_error_estimate,
-                      res.evaluations, res.converged)
+    return integrate_interval(integrand, 0.0, 1.0, tol).scaled(complex(2.0 * math.pi))
 
 
 def fourier_pair_tau(spec: FourierSpec, tol: Tolerance | None = None) -> complex:

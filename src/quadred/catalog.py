@@ -2,7 +2,9 @@
 
 Each rule maps the integral named by ``Params`` (for its exponent triple and
 coefficient pattern) to  integral_0^inf f(t) w(t) dt  with a closed-form
-weight w.  Rules come in five families:
+weight w.  Rules come in five families, and the family fixes which
+coefficients may be nonzero, the validity predicate and the sampler
+(``_FAMILIES``); only N6-aeqb, the a = b form, overrides the last two:
 
   positive-exp   only p, q active: exp and Macdonald kernels
   inverse-exp    only a, b, c active: split-exponential and erf kernels,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,6 +53,9 @@ from .specfun import gamma_fn
 
 SQPI = math.sqrt(math.pi)
 
+_Predicate = Callable[[Params], str | None]
+_Sampler = Callable[[tuple[int, int, int] | None, np.random.Generator, int], Params]
+
 
 class Family(enum.Enum):
     POSITIVE_EXP = "positive-exp"
@@ -72,14 +77,22 @@ class ReductionRule:
     id: str
     family: Family
     triple: tuple[int, int, int] | None  # None: rule covers a triple range
-    pattern: frozenset[str]  # coefficients allowed to be nonzero
     description: str
     build_kernel: Callable[[Params], list[KernelTerm]]
-    extra_predicate: Callable[[Params], str | None] = lambda params: None
-    sample: Callable[[np.random.Generator, int], Params] | None = None
+    # None: the family's predicate and sampler (only N6-aeqb overrides them)
+    extra_predicate: _Predicate | None = None
+    sample: _Sampler | None = None
     erratum: bool = False
-    trusted: bool = True
     note: str = ""
+
+    @property
+    def pattern(self) -> frozenset[str]:
+        """Coefficients allowed to be nonzero."""
+        return _FAMILIES[self.family].pattern
+
+    @property
+    def trusted(self) -> bool:
+        return not self.erratum
 
     # -- validity ------------------------------------------------------------
 
@@ -87,10 +100,11 @@ class ReductionRule:
         """None when applicable, else the text of the failed predicate."""
         if self.triple is not None and params.triple != self.triple:
             return f"requires exponent triple {self.triple}, got {params.triple}"
+        traits = _FAMILIES[self.family]
         for name in _COEFF_NAMES:
-            if name not in self.pattern and getattr(params, name) != 0:
+            if name not in traits.pattern and getattr(params, name) != 0:
                 return f"requires {name}=0 for family {self.family.value}"
-        return self.extra_predicate(params)
+        return (self.extra_predicate or traits.predicate)(params)
 
     def check_applicability(self, params: Params) -> None:
         reason = self.applicability_failure(params)
@@ -138,9 +152,7 @@ class ReductionRule:
         return integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol)
 
     def sample_params(self, rng: np.random.Generator, index: int) -> Params:
-        if self.sample is None:
-            raise ValueError(f"rule {self.id} has no sampler")
-        return self.sample(rng, index)
+        return (self.sample or _FAMILIES[self.family].sample)(self.triple, rng, index)
 
     def descriptor(self) -> dict:
         """JSON-serializable registry row."""
@@ -165,19 +177,13 @@ def _loguni(rng, lo=0.1, hi=10.0):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _sample_pq(triple):
-    def sample(rng, index):
-        return Params(*triple, p=_loguni(rng), q=_loguni(rng))
-
-    return sample
+def _sample_pq(triple, rng, index):
+    return Params(*triple, p=_loguni(rng), q=_loguni(rng))
 
 
-def _sample_abc(triple):
-    def sample(rng, index):
-        a = _loguni(rng)
-        return Params(*triple, a=a, b=a * rng.uniform(0.05, 0.85), c=_loguni(rng))
-
-    return sample
+def _sample_abc(triple, rng, index):
+    a = _loguni(rng)
+    return Params(*triple, a=a, b=a * rng.uniform(0.05, 0.85), c=_loguni(rng))
 
 
 # fixed exponent grids for the rules that cover a triple range
@@ -197,23 +203,17 @@ R1_GRID = ((4, 4, 0), (3, 3, 1), (2, 3, 2), (4, 2, 1), (5, 5, 0))
 N6_GRID = ((4, 4, 0), (3, 3, 1), (2, 2, 2), (1, 4, 2), (5, 3, 0))
 
 
-def _sample_g1(rng, index):
+def _sample_g1(triple, rng, index):
     n, m, nu, h = G1_GRID[index % len(G1_GRID)]
-    a = _loguni(rng)
-    return Params(n, m, nu, a=a, b=a * rng.uniform(0.05, 0.85), c=_loguni(rng), h=h)
+    return replace(_sample_abc((n, m, nu), rng, index), h=h)
 
 
-def _sample_r1(rng, index):
-    n, m, nu = R1_GRID[index % len(R1_GRID)]
-    a = _loguni(rng)
-    return Params(
-        n, m, nu,
-        a=a, b=a * rng.uniform(0.05, 0.85), c=_loguni(rng),
-        h=_loguni(rng, 0.1, 3.0), j=_loguni(rng, 0.1, 3.0),
-    )
+def _sample_r1(triple, rng, index):
+    params = _sample_abc(R1_GRID[index % len(R1_GRID)], rng, index)
+    return replace(params, h=_loguni(rng, 0.1, 3.0), j=_loguni(rng, 0.1, 3.0))
 
 
-def _sample_n6(rng, index):
+def _sample_n6(triple, rng, index):
     n, m, nu = N6_GRID[index % len(N6_GRID)]
     b = _loguni(rng)
     return Params(n, m, nu, a=b, b=b, c=_loguni(rng))
@@ -484,9 +484,8 @@ def _needs_a_gt_b(params: Params) -> str | None:
     return None
 
 
-def _needs_n6(params: Params) -> str | None:
-    if params.a != params.b:
-        return "requires a=b"
+def _needs_exponent_sums(params: Params) -> str | None:
+    # positive gamma-ratio arguments; integrable endpoint powers in r for R1
     if not params.m + params.nu > 2:
         return "requires m+nu>2"
     if not params.n + params.nu > 2:
@@ -494,11 +493,15 @@ def _needs_n6(params: Params) -> str | None:
     return None
 
 
+def _needs_n6(params: Params) -> str | None:
+    if params.a != params.b:
+        return "requires a=b"
+    return _needs_exponent_sums(params)
+
+
 def _needs_g1(params: Params) -> str | None:
-    if not params.m + params.nu > 2:
-        return "requires m+nu>2"
-    if not params.n + params.nu > 2:
-        return "requires n+nu>2"
+    if (reason := _needs_exponent_sums(params)) is not None:
+        return reason
     h = complex(params.h)
     if h.imag != 0.0:
         return "requires real h"
@@ -512,10 +515,8 @@ def _needs_g1(params: Params) -> str | None:
 
 
 def _needs_r1(params: Params) -> str | None:
-    if not params.m + params.nu > 2:
-        return "requires m+nu>2"
-    if not params.n + params.nu > 2:
-        return "requires n+nu>2"
+    if (reason := _needs_exponent_sums(params)) is not None:
+        return reason
     if not (params.a > 0.0 and params.b > 0.0):
         return "requires a>0 and b>0"
     if complex(params.h).real < 0.0:
@@ -527,8 +528,21 @@ def _needs_r1(params: Params) -> str | None:
 # The registry.
 # ----------------------------------------------------------------------------
 
-_PQ = frozenset({"p", "q"})
-_ABC = frozenset({"a", "b", "c"})
+
+@dataclass(frozen=True)
+class _FamilyTraits:
+    pattern: frozenset[str]  # coefficients allowed to be nonzero
+    predicate: _Predicate  # beyond triple/pattern matching
+    sample: _Sampler
+
+
+_FAMILIES = {
+    Family.POSITIVE_EXP: _FamilyTraits(frozenset("pq"), _needs_pq, _sample_pq),
+    Family.INVERSE_EXP: _FamilyTraits(frozenset("abc"), _needs_a_gt_b, _sample_abc),
+    Family.MIXED_TILDE: _FamilyTraits(frozenset("abc"), _needs_a_gt_b, _sample_abc),
+    Family.GENERAL_H: _FamilyTraits(frozenset("abch"), _needs_g1, _sample_g1),
+    Family.R_INTEGRAL: _FamilyTraits(frozenset("abchj"), _needs_r1, _sample_r1),
+}
 
 _CORRECTED_NOTE = (
     "tabulated coefficient is twice this kernel; the halved normalization "
@@ -536,119 +550,93 @@ _CORRECTED_NOTE = (
 )
 
 
-def _rule(id, family, triple, pattern, description, kernel, predicate, sampler, **kw):
-    return ReductionRule(
-        id=id, family=family, triple=triple, pattern=pattern, description=description,
-        build_kernel=kernel, extra_predicate=predicate, sample=sampler, **kw
-    )
-
-
 def _tilde_rules() -> tuple[ReductionRule, ...]:
     specs = (
         ("T1", lambda nu: (3 - nu, 4 - nu, nu), _t1_kernel,
-         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx(2 sqrt((a-b)/t)))",
-         True, ""),
+         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx(2 sqrt((a-b)/t)))", ""),
         ("T2", lambda nu: (1 - nu, 4 - nu, nu), _t2_kernel,
          "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-2)/2) (1 + erfcx(2 sqrt((a-b)/t)))",
-         True, _CORRECTED_NOTE),
+         _CORRECTED_NOTE),
         ("T3", lambda nu: (1 - nu, 6 - nu, nu), _t3_kernel,
          "erfcx kernel sqrt(pi)/sqrt(a-b) t^((nu-4)/2) erfcx(2 sqrt((a-b)/t))",
-         True, "tabulated display carries the reciprocal of the erfcx growth factor; "
-               "this scaled form is what the 2-D oracle confirms"),
+         "tabulated display carries the reciprocal of the erfcx growth factor; "
+         "this scaled form is what the 2-D oracle confirms"),
         ("T4", lambda nu: (1 - nu, 8 - nu, nu), _t4_kernel,
          "four-term erfcx kernel",
-         True, "tabulated display mixes incompatible powers of t; kernel re-derived "
-               "from the completed-square substitution and oracle-confirmed"),
+         "tabulated display mixes incompatible powers of t; kernel re-derived "
+         "from the completed-square substitution and oracle-confirmed"),
         ("T5", lambda nu: (-1 - nu, 6 - nu, nu), _t5_kernel,
-         "four-term erfcx kernel with positive leading power",
-         True, _CORRECTED_NOTE),
+         "four-term erfcx kernel with positive leading power", _CORRECTED_NOTE),
     )
-    rules = []
-    for base, triple_of, kernel, desc, trusted, note in specs:
-        for nu in (0, 1, 2):
-            rules.append(
-                _rule(
-                    f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu), _ABC,
-                    desc + f" (nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
-                    kernel, _needs_a_gt_b, _sample_abc(triple_of(nu)),
-                    trusted=trusted, note=note,
-                )
-            )
-    return tuple(rules)
+    return tuple(
+        ReductionRule(
+            f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu),
+            desc + f" (nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
+            kernel, note=note,
+        )
+        for base, triple_of, kernel, desc, note in specs
+        for nu in (0, 1, 2)
+    )
 
 
 RULES: tuple[ReductionRule, ...] = (
-    _rule("E1-pbm-corrected", Family.POSITIVE_EXP, (0, 0, 1), _PQ,
-          "corrected product-form identity: sqrt(pi)(sqrt p+sqrt q)/sqrt(pq) "
-          "exp(-(sqrt p+sqrt q)^2 t)",
-          _e1_kernel, _needs_pq, _sample_pq((0, 0, 1))),
-    _rule("E1-uncorrected-pbm", Family.POSITIVE_EXP, (0, 0, 1), _PQ,
-          "as-tabulated coefficient sqrt(pi)/sqrt(pq(p+q)); wrong by "
-          "1/((sqrt p+sqrt q) sqrt(p+q)) and kept as a runnable erratum",
-          _e1_uncorrected_kernel, _needs_pq, _sample_pq((0, 0, 1)),
-          erratum=True, trusted=False),
-    _rule("E2-110", Family.POSITIVE_EXP, (1, 1, 0), _PQ,
-          "power-shifted companion of E1: same exponential kernel times t^-1/2",
-          _e2_kernel, _needs_pq, _sample_pq((1, 1, 0))),
-    _rule("E3-m110", Family.POSITIVE_EXP, (-1, 1, 0), _PQ,
-          "dissimilar-power identity: exponential kernel with a linear-in-t polynomial",
-          _e3_kernel, _needs_pq, _sample_pq((-1, 1, 0))),
-    _rule("E4-1m12", Family.POSITIVE_EXP, (1, -1, 2), _PQ,
-          "unlike-power identity: sqrt(pi)/sqrt(q) t^-1/2 exponential kernel",
-          _e4_kernel, _needs_pq, _sample_pq((1, -1, 2))),
-    _rule("E5-1m54", Family.POSITIVE_EXP, (1, -5, 4), _PQ,
-          "unlike-power identity: t^-1/2 (1 + 2 sqrt(pq) t) exponential kernel",
-          _e5_kernel, _needs_pq, _sample_pq((1, -5, 4))),
-    _rule("K1-111", Family.POSITIVE_EXP, (1, 1, 1), _PQ,
-          "Macdonald kernel 2 t^-1/2 e^-(p+q)t K0(2 sqrt(pq) t)",
-          _k1_kernel, _needs_pq, _sample_pq((1, 1, 1))),
-    _rule("K2-220", Family.POSITIVE_EXP, (2, 2, 0), _PQ,
-          "Macdonald kernel 2 t^-1 e^-(p+q)t K0(2 sqrt(pq) t)",
-          _k2_kernel, _needs_pq, _sample_pq((2, 2, 0))),
-    _rule("K3-0m44", Family.POSITIVE_EXP, (0, -4, 4), _PQ,
-          "Macdonald kernel 2 sqrt(p/q) t e^-(p+q)t K1(2 sqrt(pq) t)",
-          _k3_kernel, _needs_pq, _sample_pq((0, -4, 4))),
-    _rule("K4-1m33", Family.POSITIVE_EXP, (1, -3, 3), _PQ,
-          "Macdonald kernel 2 sqrt(p/q) t^1/2 e^-(p+q)t K1(2 sqrt(pq) t)",
-          _k4_kernel, _needs_pq, _sample_pq((1, -3, 3))),
-    _rule("K5-1m75", Family.POSITIVE_EXP, (1, -7, 5), _PQ,
-          "Macdonald kernel 2 (p/q) t^3/2 e^-(p+q)t K2(2 sqrt(pq) t)",
-          _k5_kernel, _needs_pq, _sample_pq((1, -7, 5))),
-    _rule("K6-m111", Family.POSITIVE_EXP, (-1, 1, 1), _PQ,
-          "two-term Macdonald kernel: sqrt(p) K0 + sqrt(q) K1, weight t^1/2",
-          _k6_kernel, _needs_pq, _sample_pq((-1, 1, 1))),
-    _rule("K7-m311", Family.POSITIVE_EXP, (-3, 1, 1), _PQ,
-          "three-term Macdonald kernel; minus the p-derivative of K6-m111",
-          _k7_kernel, _needs_pq, _sample_pq((-3, 1, 1))),
-    _rule("N1-133", Family.INVERSE_EXP, (1, 3, 3), _ABC,
-          "split-exponential kernel (a-b)^-2 t^-3/2 (t e^-a/t - (b-a+t) e^-b/t)",
-          _n1_kernel, _needs_a_gt_b, _sample_abc((1, 3, 3))),
-    _rule("N2-333", Family.INVERSE_EXP, (3, 3, 3), _ABC,
-          "split-exponential kernel (a-b)^-3 t^-3/2 ((a-b-2t) e^-b/t + (a-b+2t) e^-a/t)",
-          _n2_kernel, _needs_a_gt_b, _sample_abc((3, 3, 3))),
-    _rule("N3-033", Family.INVERSE_EXP, (0, 3, 3), _ABC,
-          "erf kernel: (a-b)^-3/2 t^-3/2 (sqrt(pi)(a-b-t/2) e^-b/t erf(sqrt((a-b)/t)) "
-          "+ sqrt(t(a-b)) e^-a/t)",
-          _n3_kernel, _needs_a_gt_b, _sample_abc((0, 3, 3))),
-    _rule("N4-122", Family.INVERSE_EXP, (1, 2, 2), _ABC,
-          "erf kernel: sqrt(pi/(a-b)) t^-1 e^-b/t erf(sqrt((a-b)/t))",
-          _n4_kernel, _needs_a_gt_b, _sample_abc((1, 2, 2))),
-    _rule("N5-222", Family.INVERSE_EXP, (2, 2, 2), _ABC,
-          "split-exponential kernel (a-b)^-1 t^-3/2 (e^-b/t - e^-a/t)",
-          _n5_kernel, _needs_a_gt_b, _sample_abc((2, 2, 2))),
-    _rule("N6-aeqb", Family.INVERSE_EXP, None, _ABC,
-          "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
-          "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",
-          _n6_kernel, _needs_n6, _sample_n6),
+    ReductionRule("E1-pbm-corrected", Family.POSITIVE_EXP, (0, 0, 1),
+                  "corrected product-form identity: sqrt(pi)(sqrt p+sqrt q)/sqrt(pq) "
+                  "exp(-(sqrt p+sqrt q)^2 t)", _e1_kernel),
+    ReductionRule("E1-uncorrected-pbm", Family.POSITIVE_EXP, (0, 0, 1),
+                  "as-tabulated coefficient sqrt(pi)/sqrt(pq(p+q)); wrong by "
+                  "1/((sqrt p+sqrt q) sqrt(p+q)) and kept as a runnable erratum",
+                  _e1_uncorrected_kernel, erratum=True),
+    ReductionRule("E2-110", Family.POSITIVE_EXP, (1, 1, 0),
+                  "power-shifted companion of E1: same exponential kernel times t^-1/2",
+                  _e2_kernel),
+    ReductionRule("E3-m110", Family.POSITIVE_EXP, (-1, 1, 0),
+                  "dissimilar-power identity: exponential kernel with a linear-in-t polynomial",
+                  _e3_kernel),
+    ReductionRule("E4-1m12", Family.POSITIVE_EXP, (1, -1, 2),
+                  "unlike-power identity: sqrt(pi)/sqrt(q) t^-1/2 exponential kernel",
+                  _e4_kernel),
+    ReductionRule("E5-1m54", Family.POSITIVE_EXP, (1, -5, 4),
+                  "unlike-power identity: t^-1/2 (1 + 2 sqrt(pq) t) exponential kernel",
+                  _e5_kernel),
+    ReductionRule("K1-111", Family.POSITIVE_EXP, (1, 1, 1),
+                  "Macdonald kernel 2 t^-1/2 e^-(p+q)t K0(2 sqrt(pq) t)", _k1_kernel),
+    ReductionRule("K2-220", Family.POSITIVE_EXP, (2, 2, 0),
+                  "Macdonald kernel 2 t^-1 e^-(p+q)t K0(2 sqrt(pq) t)", _k2_kernel),
+    ReductionRule("K3-0m44", Family.POSITIVE_EXP, (0, -4, 4),
+                  "Macdonald kernel 2 sqrt(p/q) t e^-(p+q)t K1(2 sqrt(pq) t)", _k3_kernel),
+    ReductionRule("K4-1m33", Family.POSITIVE_EXP, (1, -3, 3),
+                  "Macdonald kernel 2 sqrt(p/q) t^1/2 e^-(p+q)t K1(2 sqrt(pq) t)", _k4_kernel),
+    ReductionRule("K5-1m75", Family.POSITIVE_EXP, (1, -7, 5),
+                  "Macdonald kernel 2 (p/q) t^3/2 e^-(p+q)t K2(2 sqrt(pq) t)", _k5_kernel),
+    ReductionRule("K6-m111", Family.POSITIVE_EXP, (-1, 1, 1),
+                  "two-term Macdonald kernel: sqrt(p) K0 + sqrt(q) K1, weight t^1/2", _k6_kernel),
+    ReductionRule("K7-m311", Family.POSITIVE_EXP, (-3, 1, 1),
+                  "three-term Macdonald kernel; minus the p-derivative of K6-m111", _k7_kernel),
+    ReductionRule("N1-133", Family.INVERSE_EXP, (1, 3, 3),
+                  "split-exponential kernel (a-b)^-2 t^-3/2 (t e^-a/t - (b-a+t) e^-b/t)",
+                  _n1_kernel),
+    ReductionRule("N2-333", Family.INVERSE_EXP, (3, 3, 3),
+                  "split-exponential kernel (a-b)^-3 t^-3/2 ((a-b-2t) e^-b/t + (a-b+2t) e^-a/t)",
+                  _n2_kernel),
+    ReductionRule("N3-033", Family.INVERSE_EXP, (0, 3, 3),
+                  "erf kernel: (a-b)^-3/2 t^-3/2 (sqrt(pi)(a-b-t/2) e^-b/t erf(sqrt((a-b)/t)) "
+                  "+ sqrt(t(a-b)) e^-a/t)", _n3_kernel),
+    ReductionRule("N4-122", Family.INVERSE_EXP, (1, 2, 2),
+                  "erf kernel: sqrt(pi/(a-b)) t^-1 e^-b/t erf(sqrt((a-b)/t))", _n4_kernel),
+    ReductionRule("N5-222", Family.INVERSE_EXP, (2, 2, 2),
+                  "split-exponential kernel (a-b)^-1 t^-3/2 (e^-b/t - e^-a/t)", _n5_kernel),
+    ReductionRule("N6-aeqb", Family.INVERSE_EXP, None,
+                  "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
+                  "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",
+                  _n6_kernel, extra_predicate=_needs_n6, sample=_sample_n6),
     *_tilde_rules(),
-    _rule("G1-general", Family.GENERAL_H, None, frozenset({"a", "b", "c", "h"}),
-          "confluent-hypergeometric kernel 1F1((n+nu-2)/2; (m+n+2nu-4)/2; -(a-b+ht)/t) "
-          "with the gamma-ratio prefactor, any m+nu>2, n+nu>2",
-          _g1_kernel, _needs_g1, _sample_g1),
-    _rule("R1-rint", Family.R_INTEGRAL, None, frozenset({"a", "b", "c", "h", "j"}),
-          "semi-numeric rule: weight carries the finite inner integral "
-          "int_0^(1/t) r^((n+nu)/2-2) (1-rt)^((m+nu)/2-2) e^(jr^2t - r(a-b+ht+j)) dr",
-          _r1_kernel, _needs_r1, _sample_r1),
+    ReductionRule("G1-general", Family.GENERAL_H, None,
+                  "confluent-hypergeometric kernel 1F1((n+nu-2)/2; (m+n+2nu-4)/2; -(a-b+ht)/t) "
+                  "with the gamma-ratio prefactor, any m+nu>2, n+nu>2", _g1_kernel),
+    ReductionRule("R1-rint", Family.R_INTEGRAL, None,
+                  "semi-numeric rule: weight carries the finite inner integral int_0^(1/t) "
+                  "r^((n+nu)/2-2) (1-rt)^((m+nu)/2-2) e^(jr^2t - r(a-b+ht+j)) dr", _r1_kernel),
 )
 
 

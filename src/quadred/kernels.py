@@ -12,14 +12,8 @@ complementary-error factors of the constrained-exponential family are
 carried as erfcx so their exp(4(a-b)/t) growth cancels analytically.
 The evaluator assembles f(t) times each term in log magnitude, so
 integrands stay finite wherever the convergence floor mu > mu_min holds,
-no matter how deep the quadrature probes.
-
-Special-factor protocol:
-  bounded_part(t)   value of t**(-alpha_shift()) * factor(t); O(1) near 0
-  alpha_shift()     power folded out of bounded_part into the term exponent
-  floor_decay()     additional small-t decay of bounded_part itself, counted
-                    only when computing the convergence floor
-  cuts_off_at_zero() True when the factor decays exponentially at t -> 0
+no matter how deep the quadrature probes.  Each special factor follows
+the protocol of ``_Factor``.
 """
 
 from __future__ import annotations
@@ -44,14 +38,39 @@ from .quadrature import (
 _LOG_DEAD = -745.0
 _LOG_OVERFLOW = 705.0
 _KUMMER_LEADING_FROM = 1e16
+_R_INNER_REL = 1e-11
 
 
 class KernelError(ValueError):
     """A kernel was evaluated outside its validity domain."""
 
 
+class _Factor:
+    """Special-factor protocol, with the defaults a factor overrides as needed:
+
+      bounded_part(t)    value of t**(-alpha_shift()) * factor(t); O(1) near 0
+      alpha_shift()      power folded out of bounded_part into the term exponent
+      floor_decay()      additional small-t decay of bounded_part itself, counted
+                         only when computing the convergence floor
+      cuts_off_at_zero() True when the factor decays exponentially at t -> 0
+      is_complex()       True when bounded_part returns complex values
+    """
+
+    def alpha_shift(self) -> float:
+        return 0.0
+
+    def floor_decay(self) -> float:
+        return 0.0
+
+    def cuts_off_at_zero(self) -> bool:
+        return False
+
+    def is_complex(self) -> bool:
+        return False
+
+
 @dataclass(frozen=True)
-class BesselKFactor:
+class BesselKFactor(_Factor):
     """K_order(scale * t), order in {0, 1, 2}."""
 
     order: int
@@ -60,12 +79,6 @@ class BesselKFactor:
     def alpha_shift(self) -> float:
         # K_k(x) ~ x**-k for k >= 1; the pole is folded into the exponent
         return -float(self.order)
-
-    def floor_decay(self) -> float:
-        return 0.0
-
-    def cuts_off_at_zero(self) -> bool:
-        return False
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
@@ -87,45 +100,30 @@ class BesselKFactor:
 
 
 @dataclass(frozen=True)
-class ErfSqrtInvFactor:
+class ErfSqrtInvFactor(_Factor):
     """erf(sqrt(amount / t))."""
 
     amount: float
-
-    def alpha_shift(self) -> float:
-        return 0.0
-
-    def floor_decay(self) -> float:
-        return 0.0
-
-    def cuts_off_at_zero(self) -> bool:
-        return False
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         return _sp.erf(np.sqrt(self.amount / t))
 
 
 @dataclass(frozen=True)
-class ErfcxSqrtInvFactor:
+class ErfcxSqrtInvFactor(_Factor):
     """erfcx(2 sqrt(amount / t)) = exp(4 amount/t) erfc(2 sqrt(amount/t))."""
 
     amount: float
 
-    def alpha_shift(self) -> float:
-        return 0.0
-
     def floor_decay(self) -> float:
         return 0.5  # erfcx(x) ~ 1/(x sqrt(pi)), an extra sqrt(t) at the origin
-
-    def cuts_off_at_zero(self) -> bool:
-        return False
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         return _sp.erfcx(2.0 * np.sqrt(self.amount / t))
 
 
 @dataclass(frozen=True)
-class KummerFactor:
+class KummerFactor(_Factor):
     """1F1(A; B; -w) with w = shift/t + h, shift >= 0, h >= 0.
 
     For the parameter patterns the catalog produces (0 < A <= B) the value
@@ -140,15 +138,9 @@ class KummerFactor:
     shift: float
     h: float
 
-    def alpha_shift(self) -> float:
-        return 0.0
-
     def floor_decay(self) -> float:
         # 1F1(A;B;-w) ~ w**-A as w -> inf: an extra t**A of decay at 0
         return self.a if self.shift > 0.0 else 0.0
-
-    def cuts_off_at_zero(self) -> bool:
-        return False
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         w = self.shift / t + self.h
@@ -160,7 +152,7 @@ class KummerFactor:
 
 
 @dataclass(frozen=True)
-class FourierErfiFactor:
+class FourierErfiFactor(_Factor):
     """The momentum-transform kernel factor, Gaussians folded in:
 
         exp(-eta2^2/(4t) - x2^2 t) * exp(-zp^2) * (erfi(zp) - erfi(zm))
@@ -177,14 +169,11 @@ class FourierErfiFactor:
     eta2: float
     x2: float
 
-    def alpha_shift(self) -> float:
-        return 0.0
-
-    def floor_decay(self) -> float:
-        return 0.0
-
     def cuts_off_at_zero(self) -> bool:
         return self.eta1 > 0.0 and self.eta2 > 0.0
+
+    def is_complex(self) -> bool:
+        return True
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         k, chi, x2 = self.k, self.chi, self.x2
@@ -226,7 +215,7 @@ class FourierErfiFactor:
 
 
 @dataclass(frozen=True)
-class RInnerFactor:
+class RInnerFactor(_Factor):
     """Numerically evaluated inner integral of the r-substitution family:
 
         integral_0^(1/t) r**((n+nu)/2-2) (1-r t)**((m+nu)/2-2)
@@ -249,16 +238,12 @@ class RInnerFactor:
     b: float
     h: complex
     j: float
-    inner_rel: float = 1e-11
-
-    def alpha_shift(self) -> float:
-        return 0.0
-
-    def floor_decay(self) -> float:
-        return 0.0
 
     def cuts_off_at_zero(self) -> bool:
         return self.b > 0.0 and self.a > 0.0
+
+    def is_complex(self) -> bool:
+        return complex(self.h).imag != 0.0
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         pr = (self.n + self.nu) / 2.0 - 2.0
@@ -272,7 +257,7 @@ class RInnerFactor:
         col = t[live][:, None]
         # dr = ds/t and r**pr = s**pr t**-pr
         lead = (pr + 1.0) * np.log(col)
-        tol = Tolerance(rel=self.inner_rel, abs=1e-15, max_evaluations=400_000 * rows)
+        tol = Tolerance(rel=_R_INNER_REL, abs=1e-15, max_evaluations=400_000 * rows)
         budget = _Budget(tol.max_evaluations)
 
         def batch(x: np.ndarray) -> np.ndarray:
@@ -308,7 +293,7 @@ class KernelTerm:
     alpha: float
     beta: float = 0.0
     gamma: float = 0.0
-    special: object | None = None
+    special: _Factor | None = None
 
     def mu_floor(self) -> float:
         """Smallest power mu with t**mu * term integrable at the origin."""
@@ -325,11 +310,7 @@ def kernel_mu_min(terms: list[KernelTerm]) -> float:
 
 
 def kernel_is_complex(terms: list[KernelTerm]) -> bool:
-    return any(
-        isinstance(term.special, FourierErfiFactor)
-        or (isinstance(term.special, RInnerFactor) and complex(term.special.h).imag != 0.0)
-        for term in terms
-    )
+    return any(term.special is not None and term.special.is_complex() for term in terms)
 
 
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:

@@ -88,6 +88,11 @@ class QuadResult:
     evaluations: int
     converged: bool
 
+    def scaled(self, factor: complex) -> "QuadResult":
+        """The result of integrating factor times the same integrand."""
+        return QuadResult(factor * self.value, abs(factor) * self.abs_error_estimate,
+                          self.evaluations, self.converged)
+
     def require_converged(self) -> "QuadResult":
         if not self.converged:
             raise QuadratureError(

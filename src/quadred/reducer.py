@@ -31,6 +31,8 @@ from .quadrature import (
 )
 
 DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9, max_evaluations=1)
+# largest relative residual the K6/K7 derivative cross-check accepts
+_DERIVATIVE_CHECK_PASS = 1e-4
 _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 
 
@@ -296,18 +298,14 @@ def verify(
 
 def _case_inputs(rule: ReductionRule, sweep_seed: int, rule_index: int, case_index: int):
     rng = np.random.default_rng((sweep_seed, rule_index, case_index))
-    for _ in range(64):
-        params = rule.sample_params(rng, case_index)
-        if rule.applicability_failure(params) is not None:
-            continue
-        floor = max(rule.mu_min(params), -0.75)
-        f = TestIntegrand(
-            coeff=1.0,
-            mu=float(rng.uniform(floor + 0.5, floor + 3.0)),
-            sigma=float(rng.uniform(0.0, 2.0)),
-        )
-        return params, f
-    raise RuntimeError(f"sampler for rule {rule.id} kept violating its own predicate")
+    params = rule.sample_params(rng, case_index)
+    floor = max(rule.mu_min(params), -0.75)
+    f = TestIntegrand(
+        coeff=1.0,
+        mu=float(rng.uniform(floor + 0.5, floor + 3.0)),
+        sigma=float(rng.uniform(0.0, 2.0)),
+    )
+    return params, f
 
 
 @dataclass
@@ -371,20 +369,10 @@ class SweepReport:
 
 def _sweep_case(args) -> VerificationRecord:
     """One sweep case; module level so process pools can pickle it."""
-    rule_id, rule_index, case_index, seed, compare_tol, oracle_tol = args
+    rule_id, rule_index, case_index, seed, compare_tol = args
     rule = get_rule(rule_id)
-    try:
-        params, f = _case_inputs(rule, seed, rule_index, case_index)
-    except RuntimeError as exc:
-        return VerificationRecord(
-            rule.id, Params(0, 0, 0), TestIntegrand(), None, None,
-            math.nan, math.nan, compare_tol.rel, compare_tol.abs,
-            False, rule.trusted, seed, case_index, str(exc),
-        )
-    return verify(
-        rule, params, f, compare_tol, oracle_tol,
-        seed=seed, case_index=case_index,
-    )
+    params, f = _case_inputs(rule, seed, rule_index, case_index)
+    return verify(rule, params, f, compare_tol, seed=seed, case_index=case_index)
 
 
 def run_sweep(
@@ -392,7 +380,6 @@ def run_sweep(
     samples: int = 20,
     seed: int = 42,
     compare_tol: Tolerance = DEFAULT_COMPARE_TOL,
-    oracle_tol: Tolerance | None = None,
     jobs: int = 1,
 ) -> SweepReport:
     """Verify `samples` random instances of each rule.
@@ -407,7 +394,7 @@ def run_sweep(
     for rule_index, rule_id in enumerate(rule_ids):
         get_rule(rule_id)  # fail fast on unknown ids
         for case_index in range(samples):
-            cases.append((rule_id, rule_index, case_index, seed, compare_tol, oracle_tol))
+            cases.append((rule_id, rule_index, case_index, seed, compare_tol))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -431,11 +418,10 @@ class DerivativeCheckReport:
     companion_value: float
     matched_sign: int
     residual: float
-    pass_threshold: float = 1e-4
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.pass_threshold
+        return self.residual <= _DERIVATIVE_CHECK_PASS
 
     def to_json_dict(self) -> dict:
         return {

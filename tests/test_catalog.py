@@ -58,6 +58,23 @@ class TestRegistry:
         assert not erratum.trusted
         assert all(not r.erratum for r in list_rules(include_erratum=False))
 
+    def test_family_fixes_the_pattern(self):
+        expected = {
+            Family.POSITIVE_EXP: "pq", Family.INVERSE_EXP: "abc", Family.MIXED_TILDE: "abc",
+            Family.GENERAL_H: "abch", Family.R_INTEGRAL: "abchj",
+        }
+        for rule in RULES:
+            assert rule.pattern == frozenset(expected[rule.family]), rule.id
+
+    def test_trusted_is_not_erratum(self):
+        assert len(RULES) == 36
+        for rule in RULES:
+            assert rule.trusted == (not rule.erratum), rule.id
+
+    def test_only_n6_overrides_its_family(self):
+        overriding = [r.id for r in RULES if r.extra_predicate or r.sample]
+        assert overriding == ["N6-aeqb"]
+
     def test_family_filter(self):
         inverse = list_rules("inverse-exp")
         assert {r.id for r in inverse} == {

@@ -7,6 +7,7 @@ import pytest
 
 from quadred import quadrature
 from quadred.quadrature import (
+    QuadResult,
     QuadratureError,
     Tolerance,
     integrate_half_line,
@@ -371,6 +372,19 @@ class TestTolerance:
         assert not tol.met_by(1e-10, small, floor=0.0)
         assert tol.met_by(1e-13, small, floor=0.0)
         assert tol.met_by(1e-14, np.zeros(2), floor=0.0)
+
+
+class TestQuadResultScaled:
+    def test_real_factor_keeps_the_value_type(self):
+        res = QuadResult(2.5, 1e-12, 40, True).scaled(3.0)
+        assert res == QuadResult(7.5, 3.0 * 1e-12, 40, True)
+        assert type(res.value) is float
+        assert type(QuadResult(1.0 + 2.0j, 1e-12, 40, False).scaled(2.0).value) is complex
+
+    def test_complex_factor_scales_the_estimate_by_its_modulus(self):
+        res = QuadResult(2.5, 1e-12, 40, True).scaled(complex(3.0))
+        assert type(res.value) is complex and res.value == 7.5 + 0.0j
+        assert type(res.abs_error_estimate) is float and res.abs_error_estimate == 3.0 * 1e-12
 
 
 class TestErrorEstimateHonesty:

@@ -410,6 +410,16 @@ class TestSweep:
         assert rep.n_flagged == 2
         assert rep.n_fail_trusted == 0
 
+    @pytest.mark.parametrize("seed", [*range(10), 42])
+    def test_first_draw_satisfies_the_predicate(self, seed):
+        # _case_inputs draws once: every sampler must land in its rule's
+        # validity set on the first try
+        for rule_index, rule in enumerate(list_rules(include_erratum=False)):
+            for case_index in range(20):
+                rng = np.random.default_rng((seed, rule_index, case_index))
+                params = rule.sample_params(rng, case_index)
+                assert rule.applicability_failure(params) is None, (rule.id, case_index)
+
     def test_csv_shape(self):
         rep = run_sweep(["E1-pbm-corrected"], samples=1, seed=4)
         lines = rep.to_csv().strip().split("\n")
