@@ -17,7 +17,15 @@ The ladders of the two fixed generators, exp-sinh on (0, inf) and the
 block of nodes is masked on first use and kept, read-only, for every later
 integral.  Finite-interval nodes depend on [lo, hi] and are built per call.
 The abscissae an integrand receives may therefore be read-only; integrands
-must not write to them.
+must not write to them.  The quadrant's inner batches hand the integrand
+the same read-only column for every inner block of one outer block, and
+the same read-only row object each time an inner ladder block is
+revisited, so an integrand may keep its x-only and y-only terms by object
+identity.
+
+Each top-level integral runs under one np.errstate that ignores overflow,
+underflow, division by zero and invalid operations; nested integrals run
+inside their parent's.  Non-finite terms are caught by value instead.
 
 Integrands must accept numpy arrays (every integrand built by this package
 does).  They are never called at an endpoint: finite-interval nodes are
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import math
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +197,7 @@ _LADDER: dict[tuple, tuple | None] = {}
 
 def _largest(a) -> float:
     """|a| for a single integral; the largest |row| for a batch."""
-    return float(np.abs(a).max()) if isinstance(a, np.ndarray) else abs(a)
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if isinstance(a, np.ndarray) else abs(a)
 
 
 def _block(nodes, valid, direction: float, spacing: float, offset: float, k0: int):
@@ -235,42 +244,42 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
     abscissae run along the first axis of x; trailing axes, such as the
     (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
     or a (rows, abscissae) batch; sums run over the last axis.  Returns
-    (sum, fuzzy-node mass).
+    (sum, fuzzy-node mass).  It sets no error state: it runs under its
+    _drive's.
     """
     block = _ladder_block if _FIXED_LADDERS.get(nodes) is valid else _block
     total = 0.0 + 0.0j
     fuzz_mass = 0.0
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for direction in (+1.0, -1.0):
-            k0 = 1 if (direction < 0 and offset == 0.0) else 0
-            quiet = 0
-            while offset + spacing * k0 <= _U_MAX:
-                kept = block(nodes, valid, direction, spacing, offset, k0)
-                if kept is None:
+    for direction in (+1.0, -1.0):
+        k0 = 1 if (direction < 0 and offset == 0.0) else 0
+        quiet = 0
+        while offset + spacing * k0 <= _U_MAX:
+            kept = block(nodes, valid, direction, spacing, offset, k0)
+            if kept is None:
+                break
+            x, w, fuzzy = kept
+            y = np.asarray(f(x))
+            # w is finite and positive, so a term is non-finite only when y
+            # is or when the product overflowed; max propagates both NaN
+            # and inf, so one pass measures size and finiteness
+            terms = y * w
+            tmax = float(np.maximum.reduce(np.abs(terms), axis=None)) if terms.size else 0.0
+            if not math.isfinite(tmax):
+                if np.isnan(y).any():
+                    raise QuadratureError("integrand returned NaN")
+                raise QuadratureError(
+                    "integrand*weight overflowed; integral likely divergent"
+                )
+            total += np.add.reduce(terms, axis=-1)
+            if fuzzy is not None:
+                fuzz_mass += np.add.reduce(np.abs(terms[..., fuzzy]), axis=-1)
+            if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
+                quiet += 1
+                if quiet >= 2:
                     break
-                x, w, fuzzy = kept
-                y = np.asarray(f(x))
-                # w is finite and positive, so a term is non-finite only
-                # when y is or when the product overflowed; max propagates
-                # both NaN and inf, so one pass measures size and finiteness
-                terms = y * w
-                tmax = float(np.abs(terms).max()) if terms.size else 0.0
-                if not math.isfinite(tmax):
-                    if np.isnan(y).any():
-                        raise QuadratureError("integrand returned NaN")
-                    raise QuadratureError(
-                        "integrand*weight overflowed; integral likely divergent"
-                    )
-                total += terms.sum(axis=-1)
-                if fuzzy is not None:
-                    fuzz_mass += np.abs(terms[..., fuzzy]).sum(axis=-1)
-                if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-                k0 += _BLOCK
+            else:
+                quiet = 0
+            k0 += _BLOCK
     return total, fuzz_mass
 
 
@@ -280,23 +289,30 @@ def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False):
     A batch converges when its largest row does.  Nested rows (the inner
     integrals of the quadrant) are judged with no floor of 1 on the scale,
     and a budget exhausted inside them stops the enclosing integral; at the
-    top level exhaustion returns the last completed level, unconverged.
+    top level exhaustion returns the last completed level, unconverged.  A
+    top-level drive enters one np.errstate for all its scans, where
+    overflow, underflow and invalid operations are expected and ignored; a
+    nested drive runs under its parent's.
     """
     floor = 0.0 if nested else 1.0
+    fp_state = nullcontext() if nested else np.errstate(
+        over="ignore", under="ignore", divide="ignore", invalid="ignore"
+    )
     h = _BASE_STEP
     value, estimate, converged = 0.0, math.inf, False
     try:
-        raw, fuzz = _scan(f, nodes, valid, h, 0.0)
-        value = h * raw
-        for _ in range(_MAX_LEVEL):
-            h *= 0.5
-            odd, fz = _scan(f, nodes, valid, 2.0 * h, h)
-            prev, raw, fuzz = value, raw + odd, fuzz + fz
+        with fp_state:
+            raw, fuzz = _scan(f, nodes, valid, h, 0.0)
             value = h * raw
-            estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
-            if tol.met_by(estimate, value, floor):
-                converged = True
-                break
+            for _ in range(_MAX_LEVEL):
+                h *= 0.5
+                odd, fz = _scan(f, nodes, valid, 2.0 * h, h)
+                prev, raw, fuzz = value, raw + odd, fuzz + fz
+                value = h * raw
+                estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
+                if tol.met_by(estimate, value, floor):
+                    converged = True
+                    break
     except _BudgetExceeded:
         if nested:
             raise
@@ -345,19 +361,30 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     with the inner tolerance tightened by a factor of 10.  Rows that are
     already tiny ride along for free because the batch is judged by its
     largest row.  Only evaluations of integrand2d count against the budget.
+
+    integrand2d is called as f(column of x, row of y).  Within one integral
+    every inner block of an outer block gets the same column object, and
+    every visit to an inner ladder block gets the same row object; both are
+    read-only.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = Tolerance(
         rel=max(tol.rel / 10.0, 1e-14), abs=tol.abs, max_evaluations=tol.max_evaluations
     )
     budget = _Budget(tol.max_evaluations)
+    # id(ladder block) -> (block, block as a row); the entry keeps the block
+    # alive, so its id cannot be recycled
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         col = xs[:, None]
 
         def batch(ys: np.ndarray):
             budget.spend(xs.size * ys.size)
-            return integrand2d(col, ys[None, :])
+            entry = rows.get(id(ys))
+            if entry is None:
+                entry = rows[id(ys)] = (ys, ys[None, :])
+            return integrand2d(col, entry[1])
 
         return _drive(batch, _exp_sinh_nodes, _exp_sinh_valid, inner_tol, nested=True)[0]
 

@@ -71,6 +71,21 @@ def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
         raise DivergentIntegralError("divergent along the diagonal (no large-t decay)")
 
 
+def _by_identity(cache: dict, z, make):
+    """make(z), kept in cache under z's identity when z is a read-only array.
+
+    Each entry holds z itself, so no recycled id can alias it.  A writable
+    array may change between calls and is never kept.
+    """
+    hit = cache.get(id(z))
+    if hit is not None:
+        return hit[1]
+    terms = make(z)
+    if isinstance(z, np.ndarray) and not z.flags.writeable:
+        cache[id(z)] = (z, terms)
+    return terms
+
+
 def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     """The 2-D integrand as a numpy-broadcasting callable.
 
@@ -79,9 +94,16 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     [1e-160, 1e160] ladder.  Every factor that depends on x alone or on y
     alone is folded, as a logarithm, into one column or one row term; each
     (x, y) point then costs one log, of ix + iy, and one exp.  A complex h
-    adds a unit-modulus phase factor.  It sets no numpy error state of its
-    own: it runs under the quadrature driver's scan-wide np.errstate, where
-    overflow and underflow are expected and ignored.
+    adds a unit-modulus phase factor.
+
+    The column and row terms of a read-only x or y are computed once and
+    kept by object identity: the quadrant driver hands over the same
+    read-only column for every inner block of one outer block and the same
+    read-only row for every visit to an inner ladder block.  So one
+    closure serves one integral, and its read-only inputs must not change.
+    It sets no numpy error state of its own: it runs under the quadrature
+    driver's per-integral np.errstate, where overflow and underflow are
+    expected and ignored.
     """
     n, m, nu = params.n, params.m, params.nu
     a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
@@ -92,23 +114,35 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     # x^(-n/2) y^(-m/2) (x+y)^(-nu/2) t^mu, with log(x+y) = log x + log y - log t
     kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
     decay = f.sigma + c
+    # y/(x+y) is read only by the h and j terms
+    mixed = h != 0.0 or j != 0.0
+    cols: dict = {}
+    rows: dict = {}
+
+    def col_terms(x):
+        ix = 1.0 / x
+        return lead + kx * np.log(x) - p * x - a * ix, ix
+
+    def row_terms(y):
+        iy = 1.0 / y
+        return ky * np.log(y) - q * y - b * iy, iy
 
     def integrand(x, y):
         # x arrives as a column and y as a row: only s = ix + iy and what
         # follows from it is full-size
-        ix, iy = 1.0 / x, 1.0 / y
-        col = lead + kx * np.log(x) - p * x - a * ix
-        row = ky * np.log(y) - q * y - b * iy
+        col, ix = _by_identity(cols, x, col_terms)
+        row, iy = _by_identity(rows, y, row_terms)
         s = ix + iy
         t = 1.0 / s
-        frac = t * ix  # y/(x+y) in (0, 1)
         logmag = col + row
         logmag -= kt * np.log(s)
         logmag -= decay * t
-        if h.real != 0.0:
-            logmag -= h.real * frac
-        if j != 0.0:
-            logmag -= j * (frac * iy)  # j/(x+y)
+        if mixed:
+            frac = t * ix  # y/(x+y) in (0, 1)
+            if h.real != 0.0:
+                logmag -= h.real * frac
+            if j != 0.0:
+                logmag -= j * (frac * iy)  # j/(x+y)
         if tilde:
             logmag -= ab * (x * s * s)  # (x+y)^2/(x y^2)
         vals = np.exp(logmag)
@@ -390,6 +424,8 @@ def run_sweep(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not rule_ids:
+        raise ValueError("no rules to verify")
     cases = []
     for rule_index, rule_id in enumerate(rule_ids):
         get_rule(rule_id)  # fail fast on unknown ids

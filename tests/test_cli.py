@@ -159,6 +159,14 @@ class TestVerify:
         assert out == ""
         assert "samples" in err
 
+    @pytest.mark.parametrize("rules", [",", " , ,"])
+    def test_empty_rule_list_exit_two(self, capsys, rules):
+        # a sweep that verified nothing must not report success
+        code, out, err = run_cli(capsys, "verify", "--rules", rules, "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert "no rules" in err
+
     def test_bad_jobs_environment_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("QUADRED_JOBS", "x")
         code, _, _ = run_cli(capsys, "list")

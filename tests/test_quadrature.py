@@ -359,6 +359,66 @@ class TestNodeLadder:
         assert 0 < len(quadrature._LADDER) < 1000
 
 
+    def test_quadrant_hands_over_stable_read_only_blocks(self):
+        # within one integral, equal contents arrive as one object: the
+        # column of an outer block, and the row of a revisited inner block
+        cols: dict[bytes, list] = {}
+        rows: dict[bytes, list] = {}
+
+        def f2(x, y):
+            assert not x.flags.writeable and not y.flags.writeable
+            cols.setdefault(x.tobytes(), []).append(x)
+            rows.setdefault(y.tobytes(), []).append(y)
+            return _seed_cross_check_f2(x, y)
+
+        assert integrate_quadrant(f2).converged
+        for seen in (cols, rows):
+            assert all(all(o is objs[0] for o in objs) for objs in seen.values())
+        assert max(len(objs) for objs in cols.values()) > 1
+        assert max(len(objs) for objs in rows.values()) > 1
+        assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
+
+
+def _raise_on_nan(t):
+    return np.where(t > 2.0, np.nan, 1.0)
+
+
+def _raise_on_overflow(t):
+    return np.full(t.shape, 1e300) * 1e300
+
+
+class TestErrorStateRestored:
+    """Each integral runs under its own np.errstate and leaves the caller's intact."""
+
+    RUNS = {
+        "half-line": lambda g: integrate_half_line(lambda t: g(t) + np.exp(-t)),
+        "interval": lambda g: integrate_interval(lambda r: g(4.0 * r) + r**-0.5, 0.0, 1.0),
+        "quadrant": lambda g: integrate_quadrant(lambda x, y: g(x) + np.exp(-x - y)),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (np.zeros_like, None),
+            (_raise_on_nan, "integrand returned NaN"),
+            (_raise_on_overflow, r"integrand\*weight overflowed"),
+        ],
+        ids=["converges", "nan", "overflow"],
+    )
+    def test_caller_state_survives(self, run, g, message):
+        # a caller state unlike the driver's: its raise settings would also
+        # trip on any floating-point event left outside the driver's context
+        with np.errstate(over="raise", under="warn", divide="raise", invalid="print"):
+            before = np.geterr()
+            if message is None:
+                assert self.RUNS[run](g).converged
+            else:
+                with pytest.raises(QuadratureError, match=message):
+                    self.RUNS[run](g)
+            assert np.geterr() == before
+
+
 class TestTolerance:
     def test_met_by_scales_by_largest_row_above_floor(self):
         tol = Tolerance(rel=1e-10, abs=1e-14)

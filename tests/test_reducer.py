@@ -185,6 +185,10 @@ class TestQuadrantIntegrand:
     """The oracle's integrand, pointwise against its defining formula."""
 
     CASES = {
+        "plain": (Params(0, 2, 1, a=0.7, c=0.4, p=1.1, q=0.6),
+                  TestIntegrand(1.5, 0.5, 0.2), False),
+        "real-h": (Params(2, 1, 1, a=1.0, b=0.3, c=0.8, h=0.6),
+                   TestIntegrand(1.0, 1.25, 0.1), False),
         "j": (Params(2, 1, 1, b=0.4, c=0.5, j=1.3, q=0.9),
               TestIntegrand(1.0, 0.75, 0.3), False),
         "tilde": (Params(1, 2, 1, a=1.5, b=0.5, c=0.3, q=0.4),
@@ -201,7 +205,7 @@ class TestQuadrantIntegrand:
         params, f, tilde = self.CASES[case]
         xs = np.array(_LADDER_POINTS)
         # the quadrature driver calls it with a column of x and a row of y,
-        # under its scan-wide errstate
+        # under its per-integral errstate
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             vals = quadrant_integrand(params, f, tilde)(xs[:, None], xs[None, :])
         assert vals.shape == (xs.size, xs.size)
@@ -216,6 +220,40 @@ class TestQuadrantIntegrand:
                 scale = max(abs(ref), 1e-250)
                 bound = 1e-13 * max(1.0, abs(math.log(scale))) * scale
                 assert abs(got - ref) <= bound, (x, y, got, ref)
+
+    @pytest.mark.parametrize("case", ["plain", "tilde", "j", "real-h", "complex-h"])
+    def test_kept_terms_match_a_fresh_closure(self, case):
+        # one closure keeps the column and row terms of read-only inputs by
+        # identity; interleaved, re-used and equal-content inputs must give
+        # exactly what a newly built closure gives
+        params, f, tilde = self.CASES[case]
+
+        def frozen(a):
+            a = np.array(a, dtype=float)
+            a.flags.writeable = False
+            return a
+
+        col_a = frozen([[1e-8], [0.3], [7.0]])
+        col_b = frozen([[2.5], [1e8], [1e-160]])
+        row_1 = frozen([[0.04, 1.0, 3.0, 1e5]])
+        row_2 = frozen([[1e160, 0.6]])
+        writable = np.array(col_b)
+        calls = [
+            (col_a, row_1), (col_b, row_1), (col_a, row_2),
+            (frozen(col_a), frozen(row_1)), (col_a, row_1),
+            (writable, row_2),
+        ]
+        kept = quadrant_integrand(params, f, tilde)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            for x, y in calls:
+                got = kept(x, y)
+                want = quadrant_integrand(params, f, tilde)(x, y)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # a writable input may change between calls and is never kept
+            writable[:] = col_a
+            got = kept(writable, row_1)
+            want = quadrant_integrand(params, f, tilde)(col_a, row_1)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracleWork:
@@ -233,6 +271,24 @@ class TestOracleWork:
         params, f = _sweep_case(rule_id, 42, case_index)
         tilde = get_rule(rule_id).family is Family.MIXED_TILDE
         assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
+
+    @pytest.mark.parametrize(
+        "rule_id, case_index, value_hex",
+        [
+            ("K1-111", 0, "0x1.ce9a8266416f6p+0"),
+            ("T5-nu2", 13, "0x1.5c09cbbef6eabp+1"),
+            ("K5-1m75", 9, "0x1.290c5dcbe2f8ap+1"),
+            ("G1-general", 0, "0x1.04cfad0f76ed0p+1"),  # real h
+            ("R1-rint", 0, "0x1.0c5cbbc4be682p-3"),  # j and real h
+        ],
+    )
+    def test_value_bits_pinned(self, rule_id, case_index, value_hex):
+        # a change that moves a rounding anywhere in the oracle moves a bit here
+        params, f = _sweep_case(rule_id, 42, case_index)
+        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+        value = direct_2d(params, f, tilde=tilde).value
+        assert isinstance(value, float)
+        assert value.hex() == value_hex
 
 
 class TestVerify:
@@ -419,6 +475,10 @@ class TestSweep:
                 rng = np.random.default_rng((seed, rule_index, case_index))
                 params = rule.sample_params(rng, case_index)
                 assert rule.applicability_failure(params) is None, (rule.id, case_index)
+
+    def test_empty_rule_list_rejected(self):
+        with pytest.raises(ValueError, match="no rules"):
+            run_sweep([], samples=1, seed=4)
 
     def test_csv_shape(self):
         rep = run_sweep(["E1-pbm-corrected"], samples=1, seed=4)
