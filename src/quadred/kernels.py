@@ -228,7 +228,12 @@ class RInnerFactor(_Factor):
     endpoint, so the (1 - r t) power at the moving endpoint r = 1/t never
     sees a cancelled difference.  All live rows of one call are one batch
     of the double-exponential driver, judged by its largest row; if the
-    batch does not converge, QuadratureError is raised.
+    batch does not converge, QuadratureError is raised.  So a row's value
+    depends, within _R_INNER_REL, on which t share the call.  The 1-D driver
+    fetches each level's head of t nodes in one call; against one call per
+    block, that grouping moves 13 of the 200 R1-rint records of
+    `verify --samples 20` at seeds 0-9, by at most 4.3e-12 relative, with
+    the same evaluations.
     """
 
     n: int

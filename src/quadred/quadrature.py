@@ -12,16 +12,28 @@ reuses the previous level's sum (trapezoid interleaving), node ladders are
 fixed, and truncation scans are value-driven but deterministic, so results
 are bit-reproducible.
 
+The driver's own rules fix some blocks in advance: a scan stops a
+direction only after two quiet blocks, and the first convergence test
+follows level 1.  So the first two blocks of each direction (a level's
+head) are evaluated whatever the values, and they are fetched together:
+one integrand call for the heads of levels 0 and 1, one for each later
+level's head, and one per block past a head.  The sums are taken block by
+block in the same order as with one call per block, so a pointwise
+integrand gives the same bits either way.
+
 The ladders of the two fixed generators, exp-sinh on (0, inf) and the
 (s, 1 - s) tanh-sinh pair on (0, 1), are built once per process: each
 block of nodes is masked on first use and kept, read-only, for every later
-integral.  Finite-interval nodes depend on [lo, hi] and are built per call.
-The abscissae an integrand receives may therefore be read-only; integrands
-must not write to them.  The quadrant's inner batches hand the integrand
-the same read-only column for every inner block of one outer block, and
-the same read-only row object each time an inner ladder block is
-revisited, so an integrand may keep its x-only and y-only terms by object
-identity.
+integral, and so is each fused head.  Finite-interval nodes and heads
+depend on [lo, hi] and are built per call.  The abscissae an integrand
+receives may therefore be read-only; integrands must not write to them.
+The quadrant's inner batches hand the integrand the same read-only column
+for every inner block of one outer block, and the same read-only row
+object each time an inner head or ladder block is revisited, so an
+integrand may keep its x-only and y-only terms by object identity.  The
+quadrant's outer drive alone keeps one call per block: its integrand
+judges each inner batch by its largest row, so its values depend on which
+x nodes share a call.
 
 Each top-level integral runs under one np.errstate that ignores overflow,
 underflow, division by zero and invalid operations; nested integrals run
@@ -191,7 +203,8 @@ def _exp_sinh_valid(t: np.ndarray) -> np.ndarray:
 
 # Generators whose ladders do not depend on the call, each with its valid().
 _FIXED_LADDERS = {_exp_sinh_nodes: _exp_sinh_valid, _unit_pair_nodes: _unit_pair_valid}
-# (generator, direction, spacing, offset, k0) -> read-only block, or None
+# (generator, direction, spacing, offset, k0) -> read-only block, or None;
+# (generator, levels) -> read-only fused head (see _head), or None
 _LADDER: dict[tuple, tuple | None] = {}
 
 
@@ -234,7 +247,52 @@ def _ladder_block(nodes, valid, direction: float, spacing: float, offset: float,
     return block
 
 
-def _scan(f, nodes, valid, spacing: float, offset: float):
+def _head(nodes, valid, levels: tuple):
+    """The blocks every scan on levels must evaluate, fused: (x, slots) or None.
+
+    levels lists one (spacing, offset) per level.  A scan stops a direction
+    only after two quiet blocks, so whatever the values it evaluates the
+    first two blocks of each direction, or fewer where the ladder ends.  x
+    holds those blocks' abscissae in scan order; slots[i][d] lists, for
+    direction d of levels[i], each block's (slice of x, w, fuzzy), closed by
+    None where the ladder ended.  None stands for a head with no node.  The
+    heads of the fixed generators are built once and kept, read-only, in
+    _LADDER next to their blocks; finite-interval heads are built per call.
+    """
+    fixed = _FIXED_LADDERS.get(nodes) is valid
+    key = (nodes, levels)
+    if fixed and key in _LADDER:
+        return _LADDER[key]
+    block = _ladder_block if fixed else _block
+    xs, slots, n = [], [], 0
+    for spacing, offset in levels:
+        level = []
+        for direction in (+1.0, -1.0):
+            k0 = 1 if (direction < 0 and offset == 0.0) else 0
+            found = []
+            while len(found) < 2 and offset + spacing * k0 <= _U_MAX:
+                kept = block(nodes, valid, direction, spacing, offset, k0)
+                if kept is None:
+                    found.append(None)
+                    break
+                x, w, fuzzy = kept
+                found.append((slice(n, n + len(x)), w, fuzzy))
+                xs.append(x)
+                n += len(x)
+                k0 += _BLOCK
+            level.append(tuple(found))
+        slots.append(tuple(level))
+    head = None
+    if xs:
+        x = np.concatenate(xs)
+        x.flags.writeable = False
+        head = x, tuple(slots)
+    if fixed:
+        _LADDER[key] = head
+    return head
+
+
+def _scan(f, nodes, valid, spacing: float, offset: float, head=None):
     """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
 
     With offset 0 this is a full trapezoid pass (u = 0 counted once); with
@@ -243,22 +301,36 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
     truncation threshold, measured against the largest running sum.  The
     abscissae run along the first axis of x; trailing axes, such as the
     (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
-    or a (rows, abscissae) batch; sums run over the last axis.  Returns
-    (sum, fuzzy-node mass).  It sets no error state: it runs under its
-    _drive's.
+    or a (rows, abscissae) batch; sums run over the last axis.
+
+    head, if given, is (values, slots): f's values on a fused call and this
+    level's slots from _head.  The blocks it covers take their values as
+    slices of that call; blocks past it, or every block when head is None,
+    cost one call of f each.  The summation is the same either way.
+    Returns (sum, fuzzy-node mass).  It sets no error state: it runs under
+    its _drive's.
     """
     block = _ladder_block if _FIXED_LADDERS.get(nodes) is valid else _block
+    values, slots = head if head is not None else (None, ((), ()))
     total = 0.0 + 0.0j
     fuzz_mass = 0.0
-    for direction in (+1.0, -1.0):
+    for direction, ahead in zip((+1.0, -1.0), slots):
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
         quiet = 0
+        i = 0
         while offset + spacing * k0 <= _U_MAX:
-            kept = block(nodes, valid, direction, spacing, offset, k0)
-            if kept is None:
-                break
-            x, w, fuzzy = kept
-            y = np.asarray(f(x))
+            if i < len(ahead):
+                slot = ahead[i]
+                if slot is None:
+                    break
+                at, w, fuzzy = slot
+                y = values[..., at]
+            else:
+                kept = block(nodes, valid, direction, spacing, offset, k0)
+                if kept is None:
+                    break
+                x, w, fuzzy = kept
+                y = np.asarray(f(x))
             # w is finite and positive, so a term is non-finite only when y
             # is or when the product overflowed; max propagates both NaN
             # and inf, so one pass measures size and finiteness
@@ -280,33 +352,57 @@ def _scan(f, nodes, valid, spacing: float, offset: float):
             else:
                 quiet = 0
             k0 += _BLOCK
+            i += 1
     return total, fuzz_mass
 
 
-def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False):
+def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False, fuse: bool = True):
     """Halve the step until two levels agree; return (value, estimate, converged).
+
+    Level 0 is the full pass at step _BASE_STEP; each later level halves
+    the step and adds the odd nodes.  The first convergence test follows
+    level 1.  So the heads of levels 0 and 1 (see _head) are fetched in one
+    call of f, and each later level's head in one call before its scan;
+    only blocks past a head cost a call each.  fuse=False fetches every
+    block on its own, for an f whose values depend on which abscissae
+    share a call.
 
     A batch converges when its largest row does.  Nested rows (the inner
     integrals of the quadrant) are judged with no floor of 1 on the scale,
-    and a budget exhausted inside them stops the enclosing integral; at the
-    top level exhaustion returns the last completed level, unconverged.  A
-    top-level drive enters one np.errstate for all its scans, where
-    overflow, underflow and invalid operations are expected and ignored; a
-    nested drive runs under its parent's.
+    and a budget exhausted inside them stops the enclosing integral.  At
+    the top level exhaustion returns the last completed level, unconverged.
+    A fused call is charged in full before it runs, so when it exhausts
+    the budget none of the levels it covers is completed: exhaustion in the
+    first call returns value 0 with an infinite estimate.  A top-level
+    drive enters one np.errstate for all its scans, where overflow,
+    underflow and invalid operations are expected and ignored; a nested
+    drive runs under its parent's.
     """
     floor = 0.0 if nested else 1.0
     fp_state = nullcontext() if nested else np.errstate(
         over="ignore", under="ignore", divide="ignore", invalid="ignore"
     )
+
+    def fetch(*levels) -> list:
+        # one call of f on the fused head of levels: a _scan head per level
+        head = _head(nodes, valid, levels) if fuse else None
+        if head is None:
+            return [None] * len(levels)
+        x, slots = head
+        values = np.asarray(f(x))
+        return [(values, s) for s in slots]
+
     h = _BASE_STEP
     value, estimate, converged = 0.0, math.inf, False
     try:
         with fp_state:
-            raw, fuzz = _scan(f, nodes, valid, h, 0.0)
+            heads = fetch((h, 0.0), (h, 0.5 * h))
+            raw, fuzz = _scan(f, nodes, valid, h, 0.0, heads[0])
             value = h * raw
-            for _ in range(_MAX_LEVEL):
+            for level in range(1, _MAX_LEVEL + 1):
                 h *= 0.5
-                odd, fz = _scan(f, nodes, valid, 2.0 * h, h)
+                head = heads[1] if level == 1 else fetch((2.0 * h, h))[0]
+                odd, fz = _scan(f, nodes, valid, 2.0 * h, h, head)
                 prev, raw, fuzz = value, raw + odd, fuzz + fz
                 value = h * raw
                 estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
@@ -362,9 +458,13 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     already tiny ride along for free because the batch is judged by its
     largest row.  Only evaluations of integrand2d count against the budget.
 
-    integrand2d is called as f(column of x, row of y).  Within one integral
-    every inner block of an outer block gets the same column object, and
-    every visit to an inner ladder block gets the same row object; both are
+    integrand2d is called as f(column of x, row of y).  The outer drive
+    fetches one block of x per call, as the inner batch of a block is judged
+    by its largest row and fusing outer blocks would change its values; the
+    inner drives fetch fused heads (see _drive), so a row holds up to four
+    blocks of y, eight for levels 0 and 1.  Within one integral every inner
+    call of an outer block gets the same column object, and every visit to
+    an inner head or ladder block gets the same row object; both are
     read-only.
     """
     tol = tol or QUADRANT_TOLERANCE
@@ -388,4 +488,5 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
 
         return _drive(batch, _exp_sinh_nodes, _exp_sinh_valid, inner_tol, nested=True)[0]
 
-    return _result(_drive(inner_rows, _exp_sinh_nodes, _exp_sinh_valid, tol), budget)
+    outer = _drive(inner_rows, _exp_sinh_nodes, _exp_sinh_valid, tol, fuse=False)
+    return _result(outer, budget)

@@ -98,9 +98,11 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
 
     The column and row terms of a read-only x or y are computed once and
     kept by object identity: the quadrant driver hands over the same
-    read-only column for every inner block of one outer block and the same
-    read-only row for every visit to an inner ladder block.  So one
-    closure serves one integral, and its read-only inputs must not change.
+    read-only column for every inner call of one outer block and the same
+    read-only row for every visit to an inner fused head or ladder block.
+    A column holds one block of x nodes; a row holds up to eight blocks of
+    y nodes.  So one closure serves one integral, and its read-only inputs
+    must not change.
     It sets no numpy error state of its own: it runs under the quadrature
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.

@@ -16,6 +16,8 @@ from quadred.quadrature import (
 )
 
 SQPI = math.sqrt(math.pi)
+EXP_SINH = (quadrature._exp_sinh_nodes, quadrature._exp_sinh_valid)
+FIXED_GENERATORS = [EXP_SINH, (quadrature._unit_pair_nodes, quadrature._unit_pair_valid)]
 
 
 def closed_form_half_line_cases():
@@ -220,6 +222,20 @@ class TestBudgetExhaustion:
         assert res.value == 0.7089798289090279
         assert res.abs_error_estimate == pytest.approx(4.335590722193139e-05, rel=1e-9)
 
+    def test_exhausted_in_the_first_fused_call(self):
+        # levels 0 and 1 share one call, charged in full before it runs: a
+        # budget that level 0's head fits but the fused call does not leaves
+        # no completed level
+        h = quadrature._BASE_STEP
+        level0 = quadrature._head(*EXP_SINH, ((h, 0.0),))[0]
+        fused = quadrature._head(*EXP_SINH, ((h, 0.0), (h, 0.5 * h)))[0]
+        limit = 40
+        assert len(level0) < limit < len(fused)
+        res = integrate_half_line(lambda t: np.exp(-t), Tolerance(max_evaluations=limit))
+        assert res.value == 0.0
+        assert res.abs_error_estimate == math.inf
+        assert res.converged is False
+
     def test_evaluations_count_integrand_points_only(self):
         points = []
 
@@ -297,10 +313,6 @@ def _fresh_block(nodes, valid, direction, spacing, offset, k0):
     return x[keep], w[keep]
 
 
-FIXED_GENERATORS = [
-    (quadrature._exp_sinh_nodes, quadrature._exp_sinh_valid),
-    (quadrature._unit_pair_nodes, quadrature._unit_pair_valid),
-]
 
 
 class TestNodeLadder:
@@ -323,6 +335,35 @@ class TestNodeLadder:
         assert quadrature._LADDER[(nodes, direction, spacing, offset, k0)] is block
         again = quadrature._ladder_block(nodes, valid, direction, spacing, offset, k0)
         assert again is block
+
+    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
+    @pytest.mark.parametrize(
+        "levels", [((0.5, 0.0), (0.5, 0.25)), ((0.125, 0.0625),)], ids=["levels-0-1", "level-3"]
+    )
+    def test_cached_head_fuses_the_fresh_blocks(self, nodes, valid, levels):
+        head = quadrature._head(nodes, valid, levels)
+        x, slots = head
+        assert not x.flags.writeable
+        assert quadrature._head(nodes, valid, levels) is head
+        assert quadrature._LADDER[(nodes, levels)] is head
+        fresh = []
+        for (spacing, offset), level in zip(levels, slots):
+            for direction, found in zip((1.0, -1.0), level):
+                # two live blocks, or fewer closed by None where the ladder ends
+                assert len(found) == 2 or found[-1] is None
+                k0 = 1 if (direction < 0 and offset == 0.0) else 0
+                for i, slot in enumerate(found):
+                    fx, fw = _fresh_block(nodes, valid, direction, spacing, offset,
+                                          k0 + i * quadrature._BLOCK)
+                    if slot is None:
+                        assert fx.size == 0
+                        continue
+                    at, w, fuzzy = slot
+                    assert fuzzy is None
+                    assert x[at].tobytes() == fx.tobytes() and w.tobytes() == fw.tobytes()
+                    fresh.append(fx)
+        assert x.shape == np.concatenate(fresh).shape
+        assert x.tobytes() == np.concatenate(fresh).tobytes()
 
     def test_dead_block_is_kept_as_none(self):
         # exp-sinh nodes at u >= 16 all lie beyond the 1e160 rail
@@ -385,6 +426,74 @@ def _raise_on_nan(t):
 
 def _raise_on_overflow(t):
     return np.full(t.shape, 1e300) * 1e300
+
+
+class TestFetchRule:
+    """The blocks every scan must reach are fetched in one call per level head."""
+
+    # float.hex of the value, and the evaluations, with one call per block
+    PINNED = {
+        "half-line-exp": (
+            lambda: integrate_half_line(lambda t: np.exp(-t)),
+            "0x1.0000000000000p+0", 391,
+        ),
+        "half-line-bilateral": (
+            lambda: integrate_half_line(lambda t: t**-0.5 * np.exp(-t - 1.0 / t)),
+            "0x1.eb43de8286e12p-3", 197,
+        ),
+        "interval-beta": (
+            lambda: integrate_interval(lambda r: r**-0.5 * (1.0 - r) ** -0.5, 0.0, 1.0),
+            "0x1.921fb5235a7fdp+1", 29447,
+        ),
+        "quadrant": (
+            lambda: integrate_quadrant(_seed_cross_check_f2),
+            "0x1.6affa0e2a5922p-1", 52007,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pointwise_results_keep_their_bits(self, case):
+        run, value, evaluations = self.PINNED[case]
+        res = run()
+        assert float(res.value).hex() == value
+        assert res.evaluations == evaluations
+
+    def test_half_line_call_count(self):
+        # levels 0-1 in one call, one head call for each of levels 2-4, and
+        # three blocks past level 4's head (17 calls at one per block)
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.exp(-t)
+
+        res = integrate_half_line(f)
+        assert len(sizes) == 7
+        assert sum(sizes) == res.evaluations == 391
+
+    def test_head_without_nodes_makes_no_call(self):
+        # one ulp wide: every node rounds onto an endpoint, so no block and
+        # no head survives
+        calls = []
+        res = integrate_interval(
+            lambda r: calls.append(r.size) or np.ones_like(r), 1.0, math.nextafter(1.0, 2.0)
+        )
+        assert calls == [] and res.evaluations == 0
+        assert res.value == 0.0
+
+    def test_quadrant_outer_stays_per_block(self):
+        # the outer integrand judges a batch by its largest row, so it keeps
+        # one call per block; the inner drives fetch fused heads
+        rows, nodes = [], []
+
+        def f2(x, y):
+            rows.append(x.shape[0])
+            nodes.append(y.shape[-1])
+            return _seed_cross_check_f2(x, y)
+
+        assert integrate_quadrant(f2).converged
+        assert max(rows) <= quadrature._BLOCK
+        assert max(nodes) > quadrature._BLOCK
 
 
 class TestErrorStateRestored:
