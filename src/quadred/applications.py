@@ -63,10 +63,9 @@ class FourierSpec:
     def __post_init__(self):
         if not (self.k >= 0.0 and math.isfinite(self.k)):
             raise ValueError("k must be >= 0 and finite")
-        if not (self.eta1 > 0.0 and self.eta2 > 0.0):
-            raise ValueError("eta1, eta2 must be positive")
-        if not (self.x2 >= 0.0 and math.isfinite(self.x2)):
-            raise ValueError("x2 must be >= 0 and finite")
+        if not math.isfinite(self.k_dot_x2):
+            raise ValueError("k_dot_x2 must be finite")
+        self.pair  # checks eta1, eta2 and x2 as a Yukawa pair
         if abs(self.k_dot_x2) > self.k * self.x2 * (1.0 + 1e-12):
             raise ValueError("|k_dot_x2| cannot exceed k*x2")
 

@@ -21,7 +21,7 @@ from .catalog import (
 )
 from .kernels import KernelError
 from .params import Params, TestIntegrand
-from .quadrature import Tolerance
+from .quadrature import QuadratureError, Tolerance
 from .reducer import DEFAULT_COMPARE_TOL, DivergentIntegralError, run_sweep
 
 _APPLICATIONS = (
@@ -210,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,9 +30,8 @@ from .quadrature import (
     QuadratureError,
     Tolerance,
     _Budget,
+    _UNIT_PAIR,
     _drive,
-    _unit_pair_nodes,
-    _unit_pair_valid,
 )
 
 _LOG_DEAD = -745.0
@@ -280,7 +279,7 @@ class RInnerFactor(_Factor):
                 vals = vals * np.exp(-1j * h.imag * s)
             return vals
 
-        value, estimate, converged = _drive(batch, _unit_pair_nodes, _unit_pair_valid, tol)
+        value, estimate, converged = _drive(batch, _UNIT_PAIR, tol)
         if not converged:
             raise QuadratureError(
                 f"R1 inner integral did not converge over {rows} t rows "

@@ -78,6 +78,8 @@ class TestIntegrand:
     def __post_init__(self):
         if not math.isfinite(self.coeff):
             raise ValueError("coeff must be finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and >= 0")
 

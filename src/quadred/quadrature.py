@@ -17,23 +17,20 @@ direction only after two quiet blocks, and the first convergence test
 follows level 1.  So the first two blocks of each direction (a level's
 head) are evaluated whatever the values, and they are fetched together:
 one integrand call for the heads of levels 0 and 1, one for each later
-level's head, and one per block past a head.  The sums are taken block by
-block in the same order as with one call per block, so a pointwise
-integrand gives the same bits either way.
+level's head, and one per block past a head (the quadrant's outer drive
+alone keeps one call per block, see integrate_quadrant).  The sums are
+taken block by block in the same order as with one call per block, so a
+pointwise integrand gives the same bits either way.
 
-The ladders of the two fixed generators, exp-sinh on (0, inf) and the
-(s, 1 - s) tanh-sinh pair on (0, 1), are built once per process: each
-block of nodes is masked on first use and kept, read-only, for every later
-integral, and so is each fused head.  Finite-interval nodes and heads
-depend on [lo, hi] and are built per call.  The abscissae an integrand
-receives may therefore be read-only; integrands must not write to them.
-The quadrant's inner batches hand the integrand the same read-only column
-for every inner block of one outer block, and the same read-only row
-object each time an inner head or ladder block is revisited, so an
-integrand may keep its x-only and y-only terms by object identity.  The
-quadrant's outer drive alone keeps one call per block: its integrand
-judges each inner batch by its largest row, so its values depend on which
-x nodes share a call.
+A ladder is a node generator with the blocks and heads built from it,
+each built on first use and kept read-only.  The two fixed ladders,
+exp-sinh on (0, inf) and the (s, 1 - s) tanh-sinh pair on (0, 1), live
+for the process; a finite-interval ladder depends on [lo, hi] and lives
+for one call.  So the abscissae an integrand receives are read-only, and
+integrands must not write to them.  The quadrant hands its integrand the
+same column object for every inner call of one outer block, and the inner
+ladder's own block or head as the row, so an integrand may keep its
+x-only and y-only terms by object identity.
 
 Each top-level integral runs under one np.errstate that ignores overflow,
 underflow, division by zero and invalid operations; nested integrals run
@@ -51,6 +48,7 @@ import math
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -136,6 +134,21 @@ class _Budget:
             raise _BudgetExceeded
 
 
+class _Ladder:
+    """A node generator, its valid() mask and what is built from it.
+
+    kept maps (direction, spacing, offset, k0) to a block (see _block) and
+    a tuple of levels to a head (see _head), each built once, read-only.
+    """
+
+    __slots__ = ("nodes", "valid", "kept")
+
+    def __init__(self, nodes, valid):
+        self.nodes = nodes
+        self.valid = valid
+        self.kept: dict[tuple, object] = {}
+
+
 def _exp_sinh_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
     """Abscissae/weights for t = exp((pi/2) sinh u) on (0, inf)."""
     with np.errstate(over="ignore"):
@@ -146,7 +159,7 @@ def _exp_sinh_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
     return t, w, None
 
 
-def _make_tanh_sinh_nodes(lo: float, hi: float):
+def _make_tanh_sinh_nodes(lo: float, hi: float) -> _Ladder:
     half = 0.5 * (hi - lo)
     # Within ~16 ulp of a nonzero endpoint the evaluation abscissa is
     # quantized; those contributions are charged to the error estimate.
@@ -166,7 +179,7 @@ def _make_tanh_sinh_nodes(lo: float, hi: float):
     def valid(x: np.ndarray) -> np.ndarray:
         return (x > lo) & (x < hi)
 
-    return nodes, valid
+    return _Ladder(nodes, valid)
 
 
 def _unit_pair_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
@@ -185,10 +198,6 @@ def _unit_pair_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
     return x, w, None
 
 
-def _unit_pair_valid(x: np.ndarray) -> np.ndarray:
-    return x.min(axis=-1) > 0.0
-
-
 # Half-line ladders span [1e-160, 1e160].  For integrands that clear the
 # t**-1 divergence floor by at least ~0.05 (and decay at least that fast
 # beyond 1/t at infinity) the mass outside is below 1e-8 of any digit this
@@ -196,16 +205,9 @@ def _unit_pair_valid(x: np.ndarray) -> np.ndarray:
 # representable at every node.
 _T_MIN, _T_MAX = 1e-160, 1e160
 
-
-def _exp_sinh_valid(t: np.ndarray) -> np.ndarray:
-    return (t > _T_MIN) & (t < _T_MAX)
-
-
-# Generators whose ladders do not depend on the call, each with its valid().
-_FIXED_LADDERS = {_exp_sinh_nodes: _exp_sinh_valid, _unit_pair_nodes: _unit_pair_valid}
-# (generator, direction, spacing, offset, k0) -> read-only block, or None;
-# (generator, levels) -> read-only fused head (see _head), or None
-_LADDER: dict[tuple, tuple | None] = {}
+# The ladders that do not depend on the call, kept for the process.
+_EXP_SINH = _Ladder(_exp_sinh_nodes, lambda t: (t > _T_MIN) & (t < _T_MAX))
+_UNIT_PAIR = _Ladder(_unit_pair_nodes, lambda x: x.min(axis=-1) > 0.0)
 
 
 def _largest(a) -> float:
@@ -213,86 +215,68 @@ def _largest(a) -> float:
     return float(np.maximum.reduce(np.abs(a), axis=None)) if isinstance(a, np.ndarray) else abs(a)
 
 
-def _block(nodes, valid, direction: float, spacing: float, offset: float, k0: int):
+def _block(ladder: _Ladder, direction: float, spacing: float, offset: float, k0: int):
     """The surviving (x, w, fuzzy) of nodes k0 .. k0 + _BLOCK - 1, or None.
 
     A node survives when it is valid and its weight is finite and positive.
     fuzzy is None unless some surviving node is fuzzy.
     """
-    ks = np.arange(k0, k0 + _BLOCK)
-    u = direction * (offset + spacing * ks)
-    x, w, fuzzy = nodes(u)
-    keep = valid(x) & np.isfinite(w) & (w > 0.0)
-    if not keep.any():
-        return None
-    if fuzzy is not None:
-        fuzzy = fuzzy[keep]
-        if not fuzzy.any():
-            fuzzy = None
-    return x[keep], w[keep], fuzzy
-
-
-def _ladder_block(nodes, valid, direction: float, spacing: float, offset: float, k0: int):
-    """_block of a fixed generator, built on first use and kept read-only."""
-    key = (nodes, direction, spacing, offset, k0)
-    try:
-        return _LADDER[key]
-    except KeyError:
-        pass
-    block = _block(nodes, valid, direction, spacing, offset, k0)
-    if block is not None:
-        for a in block[:2]:
-            a.flags.writeable = False
-    _LADDER[key] = block
+    key = (direction, spacing, offset, k0)
+    if key in ladder.kept:
+        return ladder.kept[key]
+    u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
+    x, w, fuzzy = ladder.nodes(u)
+    keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
+    block = None
+    if keep.any():
+        x, w = x[keep], w[keep]
+        x.flags.writeable = w.flags.writeable = False
+        if fuzzy is not None:
+            fuzzy = fuzzy[keep]
+            if not fuzzy.any():
+                fuzzy = None
+        block = x, w, fuzzy
+    ladder.kept[key] = block
     return block
 
 
-def _head(nodes, valid, levels: tuple):
-    """The blocks every scan on levels must evaluate, fused: (x, slots) or None.
+def _blocks(ladder: _Ladder, direction: float, spacing: float, offset: float):
+    """The blocks of one direction of a level, outward, until the ladder ends."""
+    k0 = 1 if (direction < 0 and offset == 0.0) else 0
+    while offset + spacing * k0 <= _U_MAX:
+        block = _block(ladder, direction, spacing, offset, k0)
+        if block is None:
+            return
+        yield block
+        k0 += _BLOCK
+
+
+def _head(ladder: _Ladder, levels: tuple):
+    """The abscissae every scan on levels must evaluate, fused, or None.
 
     levels lists one (spacing, offset) per level.  A scan stops a direction
     only after two quiet blocks, so whatever the values it evaluates the
-    first two blocks of each direction, or fewer where the ladder ends.  x
-    holds those blocks' abscissae in scan order; slots[i][d] lists, for
-    direction d of levels[i], each block's (slice of x, w, fuzzy), closed by
-    None where the ladder ended.  None stands for a head with no node.  The
-    heads of the fixed generators are built once and kept, read-only, in
-    _LADDER next to their blocks; finite-interval heads are built per call.
+    first two blocks of each direction, or fewer where the ladder ends.
+    The head holds those blocks' abscissae in scan order; None stands for a
+    head with no node.
     """
-    fixed = _FIXED_LADDERS.get(nodes) is valid
-    key = (nodes, levels)
-    if fixed and key in _LADDER:
-        return _LADDER[key]
-    block = _ladder_block if fixed else _block
-    xs, slots, n = [], [], 0
-    for spacing, offset in levels:
-        level = []
-        for direction in (+1.0, -1.0):
-            k0 = 1 if (direction < 0 and offset == 0.0) else 0
-            found = []
-            while len(found) < 2 and offset + spacing * k0 <= _U_MAX:
-                kept = block(nodes, valid, direction, spacing, offset, k0)
-                if kept is None:
-                    found.append(None)
-                    break
-                x, w, fuzzy = kept
-                found.append((slice(n, n + len(x)), w, fuzzy))
-                xs.append(x)
-                n += len(x)
-                k0 += _BLOCK
-            level.append(tuple(found))
-        slots.append(tuple(level))
+    if levels in ladder.kept:
+        return ladder.kept[levels]
+    xs = [
+        x
+        for spacing, offset in levels
+        for direction in (+1.0, -1.0)
+        for x, _, _ in islice(_blocks(ladder, direction, spacing, offset), 2)
+    ]
     head = None
     if xs:
-        x = np.concatenate(xs)
-        x.flags.writeable = False
-        head = x, tuple(slots)
-    if fixed:
-        _LADDER[key] = head
+        head = np.concatenate(xs)
+        head.flags.writeable = False
+    ladder.kept[levels] = head
     return head
 
 
-def _scan(f, nodes, valid, spacing: float, offset: float, head=None):
+def _scan(f, ladder: _Ladder, spacing: float, offset: float, head=None, at: int = 0):
     """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
 
     With offset 0 this is a full trapezoid pass (u = 0 counted once); with
@@ -303,33 +287,23 @@ def _scan(f, nodes, valid, spacing: float, offset: float, head=None):
     (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
     or a (rows, abscissae) batch; sums run over the last axis.
 
-    head, if given, is (values, slots): f's values on a fused call and this
-    level's slots from _head.  The blocks it covers take their values as
-    slices of that call; blocks past it, or every block when head is None,
-    cost one call of f each.  The summation is the same either way.
-    Returns (sum, fuzzy-node mass).  It sets no error state: it runs under
-    its _drive's.
+    head, if given, is f's values on a fused call (see _head) whose
+    abscissae from index at on are this level's head.  The first two
+    blocks of each direction take their values from it by a running
+    offset; blocks past them, or every block when head is None, cost one
+    call of f each.  The summation is the same either way.  Returns (sum,
+    fuzzy-node mass, the offset past this level's head).  It sets no error
+    state: it runs under its _drive's.
     """
-    block = _ladder_block if _FIXED_LADDERS.get(nodes) is valid else _block
-    values, slots = head if head is not None else (None, ((), ()))
     total = 0.0 + 0.0j
     fuzz_mass = 0.0
-    for direction, ahead in zip((+1.0, -1.0), slots):
-        k0 = 1 if (direction < 0 and offset == 0.0) else 0
+    for direction in (+1.0, -1.0):
         quiet = 0
-        i = 0
-        while offset + spacing * k0 <= _U_MAX:
-            if i < len(ahead):
-                slot = ahead[i]
-                if slot is None:
-                    break
-                at, w, fuzzy = slot
-                y = values[..., at]
+        for i, (x, w, fuzzy) in enumerate(_blocks(ladder, direction, spacing, offset)):
+            if head is not None and i < 2:
+                y = head[..., at:at + len(x)]
+                at += len(x)
             else:
-                kept = block(nodes, valid, direction, spacing, offset, k0)
-                if kept is None:
-                    break
-                x, w, fuzzy = kept
                 y = np.asarray(f(x))
             # w is finite and positive, so a term is non-finite only when y
             # is or when the product overflowed; max propagates both NaN
@@ -351,12 +325,10 @@ def _scan(f, nodes, valid, spacing: float, offset: float, head=None):
                     break
             else:
                 quiet = 0
-            k0 += _BLOCK
-            i += 1
-    return total, fuzz_mass
+    return total, fuzz_mass, at
 
 
-def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False, fuse: bool = True):
+def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False, fuse: bool = True):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
@@ -383,26 +355,23 @@ def _drive(f, nodes, valid, tol: Tolerance, nested: bool = False, fuse: bool = T
         over="ignore", under="ignore", divide="ignore", invalid="ignore"
     )
 
-    def fetch(*levels) -> list:
-        # one call of f on the fused head of levels: a _scan head per level
-        head = _head(nodes, valid, levels) if fuse else None
-        if head is None:
-            return [None] * len(levels)
-        x, slots = head
-        values = np.asarray(f(x))
-        return [(values, s) for s in slots]
+    def fetch(*levels):
+        # f's values on the fused head of levels, or None
+        x = _head(ladder, levels) if fuse else None
+        return None if x is None else np.asarray(f(x))
 
     h = _BASE_STEP
     value, estimate, converged = 0.0, math.inf, False
     try:
         with fp_state:
-            heads = fetch((h, 0.0), (h, 0.5 * h))
-            raw, fuzz = _scan(f, nodes, valid, h, 0.0, heads[0])
+            head = fetch((h, 0.0), (h, 0.5 * h))
+            raw, fuzz, at = _scan(f, ladder, h, 0.0, head)
             value = h * raw
             for level in range(1, _MAX_LEVEL + 1):
                 h *= 0.5
-                head = heads[1] if level == 1 else fetch((2.0 * h, h))[0]
-                odd, fz = _scan(f, nodes, valid, 2.0 * h, h, head)
+                if level > 1:  # level 1's head follows level 0's in one call
+                    head, at = fetch((2.0 * h, h)), 0
+                odd, fz, _ = _scan(f, ladder, 2.0 * h, h, head, at)
                 prev, raw, fuzz = value, raw + odd, fuzz + fz
                 value = h * raw
                 estimate = _largest(abs(value - prev) + h * fuzz + 4e-16 * abs(value))
@@ -422,14 +391,14 @@ def _result(level, budget: _Budget) -> QuadResult:
     return QuadResult(out, float(estimate), budget.used, converged)
 
 
-def _integrate(integrand, nodes, valid, tol: Tolerance) -> QuadResult:
+def _integrate(integrand, ladder: _Ladder, tol: Tolerance) -> QuadResult:
     budget = _Budget(tol.max_evaluations)
 
     def counted(x: np.ndarray):
         budget.spend(x.size)
         return integrand(x)
 
-    return _result(_drive(counted, nodes, valid, tol), budget)
+    return _result(_drive(counted, ladder, tol), budget)
 
 
 def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
@@ -438,15 +407,14 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     The integrand may blow up at 0 no worse than an integrable power and
     must decay at infinity.  It is never evaluated at t = 0.
     """
-    return _integrate(integrand, _exp_sinh_nodes, _exp_sinh_valid, tol or Tolerance())
+    return _integrate(integrand, _EXP_SINH, tol or Tolerance())
 
 
 def integrate_interval(integrand, lo: float, hi: float, tol: Tolerance | None = None) -> QuadResult:
     """Integrate over finite [lo, hi]; integrable endpoint singularities allowed."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise QuadratureError("integrate_interval requires finite lo < hi")
-    nodes, valid = _make_tanh_sinh_nodes(lo, hi)
-    return _integrate(integrand, nodes, valid, tol or Tolerance())
+    return _integrate(integrand, _make_tanh_sinh_nodes(lo, hi), tol or Tolerance())
 
 
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
@@ -458,35 +426,28 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     already tiny ride along for free because the batch is judged by its
     largest row.  Only evaluations of integrand2d count against the budget.
 
-    integrand2d is called as f(column of x, row of y).  The outer drive
-    fetches one block of x per call, as the inner batch of a block is judged
-    by its largest row and fusing outer blocks would change its values; the
-    inner drives fetch fused heads (see _drive), so a row holds up to four
-    blocks of y, eight for levels 0 and 1.  Within one integral every inner
-    call of an outer block gets the same column object, and every visit to
-    an inner head or ladder block gets the same row object; both are
-    read-only.
+    integrand2d is called as f(column of x, row of y), an (n, 1) column and
+    a 1-D row.  The outer drive fetches one block of x per call, as the
+    inner batch of a block is judged by its largest row and fusing outer
+    blocks would change its values; the inner drives fetch fused heads (see
+    _drive), so a row holds up to four blocks of y, eight for levels 0 and
+    1.  Within one integral every inner call of an outer block gets the same
+    column object, and each row is the exp-sinh ladder's own kept block or
+    head; both are read-only.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = Tolerance(
         rel=max(tol.rel / 10.0, 1e-14), abs=tol.abs, max_evaluations=tol.max_evaluations
     )
     budget = _Budget(tol.max_evaluations)
-    # id(ladder block) -> (block, block as a row); the entry keeps the block
-    # alive, so its id cannot be recycled
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         col = xs[:, None]
 
         def batch(ys: np.ndarray):
             budget.spend(xs.size * ys.size)
-            entry = rows.get(id(ys))
-            if entry is None:
-                entry = rows[id(ys)] = (ys, ys[None, :])
-            return integrand2d(col, entry[1])
+            return integrand2d(col, ys)
 
-        return _drive(batch, _exp_sinh_nodes, _exp_sinh_valid, inner_tol, nested=True)[0]
+        return _drive(batch, _EXP_SINH, inner_tol, nested=True)[0]
 
-    outer = _drive(inner_rows, _exp_sinh_nodes, _exp_sinh_valid, tol, fuse=False)
-    return _result(outer, budget)
+    return _result(_drive(inner_rows, _EXP_SINH, tol, fuse=False), budget)

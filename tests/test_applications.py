@@ -155,6 +155,14 @@ class TestFourier:
         with pytest.raises(ValueError, match="k_dot_x2"):
             FourierSpec(1.0, 2.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["k", "k_dot_x2", "eta1", "eta2", "x2"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_field_is_rejected(self, field, bad):
+        fields = dict(k=1.0, k_dot_x2=0.5, eta1=1.0, eta2=0.5, x2=1.0)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=field):
+            FourierSpec(**fields)
+
     def test_semi_numeric_rule_route(self):
         # the same quantity through the catalog's inner-integral rule with
         # an imaginary h: a third, fully independent route

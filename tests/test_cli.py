@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from quadred import quadrature
 from quadred.cli import main
 
 
@@ -76,6 +77,32 @@ class TestEval:
     def test_unknown_rule_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "Z9-nope", "--f-sigma", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--eta1", "inf", "eta1"), ("--x2", "nan", "x2"), ("--k-dot-x2", "nan", "k_dot_x2")],
+    )
+    def test_non_finite_fourier_argument_exit_code(self, capsys, flag, value, message):
+        args = {"--eta1": "1", "--eta2": "0.5", "--x2": "1", "--k": "1", "--k-dot-x2": "0"}
+        args[flag] = value
+        argv = [a for pair in args.items() for a in pair]
+        code, out, err = run_cli(capsys, "eval", "fourier-tau", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_quadrature_error_exit_code(self, capsys, monkeypatch):
+        # the R1 inner integral cannot converge in one level: main returns
+        # an error line and the exit code an uncaught exception would give
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        code, out, err = run_cli(
+            capsys, "eval", "R1-rint", "--n", "4", "--m", "2", "--nu", "1",
+            "--a", "0.44", "--b", "0.12", "--c", "2.26", "--h-re", "2.94", "--j", "0.12",
+            "--f-mu", "1.62", "--f-sigma", "0.9",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: R1 inner integral did not converge")
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(

@@ -16,8 +16,7 @@ from quadred.quadrature import (
 )
 
 SQPI = math.sqrt(math.pi)
-EXP_SINH = (quadrature._exp_sinh_nodes, quadrature._exp_sinh_valid)
-FIXED_GENERATORS = [EXP_SINH, (quadrature._unit_pair_nodes, quadrature._unit_pair_valid)]
+FIXED_LADDERS = [quadrature._EXP_SINH, quadrature._UNIT_PAIR]
 
 
 def closed_form_half_line_cases():
@@ -227,8 +226,8 @@ class TestBudgetExhaustion:
         # budget that level 0's head fits but the fused call does not leaves
         # no completed level
         h = quadrature._BASE_STEP
-        level0 = quadrature._head(*EXP_SINH, ((h, 0.0),))[0]
-        fused = quadrature._head(*EXP_SINH, ((h, 0.0), (h, 0.5 * h)))[0]
+        level0 = quadrature._head(quadrature._EXP_SINH, ((h, 0.0),))
+        fused = quadrature._head(quadrature._EXP_SINH, ((h, 0.0), (h, 0.5 * h)))
         limit = 40
         assert len(level0) < limit < len(fused)
         res = integrate_half_line(lambda t: np.exp(-t), Tolerance(max_evaluations=limit))
@@ -305,100 +304,138 @@ class TestFailurePaths:
             integrate_quadrant(f2)
 
 
-def _fresh_block(nodes, valid, direction, spacing, offset, k0):
+def _fresh_block(ladder, direction, spacing, offset, k0):
     u = direction * (offset + spacing * np.arange(k0, k0 + quadrature._BLOCK))
-    x, w, fuzzy = nodes(u)
-    keep = valid(x) & np.isfinite(w) & (w > 0.0)
+    x, w, fuzzy = ladder.nodes(u)
+    keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
     assert fuzzy is None
     return x[keep], w[keep]
 
 
+LADDER_IDS = ["exp-sinh", "unit-pair"]
 
 
 class TestNodeLadder:
-    """Blocks of the fixed generators are built once, read-only and bounded."""
+    """Blocks and heads of a ladder are built once, read-only and bounded."""
 
-    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
+    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize("level", [0, 3, 11])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_cached_blocks_equal_fresh_nodes(self, nodes, valid, level, direction):
+    def test_cached_blocks_equal_fresh_nodes(self, ladder, level, direction):
         h = quadrature._BASE_STEP * 0.5**level
         # level 0 is the full pass; later levels add the odd nodes
         spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
-        block = quadrature._ladder_block(nodes, valid, direction, spacing, offset, k0)
+        block = quadrature._block(ladder, direction, spacing, offset, k0)
         x, w, fuzzy = block
-        fresh_x, fresh_w = _fresh_block(nodes, valid, direction, spacing, offset, k0)
+        fresh_x, fresh_w = _fresh_block(ladder, direction, spacing, offset, k0)
         assert fuzzy is None
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
-        assert quadrature._LADDER[(nodes, direction, spacing, offset, k0)] is block
-        again = quadrature._ladder_block(nodes, valid, direction, spacing, offset, k0)
+        assert ladder.kept[(direction, spacing, offset, k0)] is block
+        again = quadrature._block(ladder, direction, spacing, offset, k0)
         assert again is block
 
-    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
+    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize(
         "levels", [((0.5, 0.0), (0.5, 0.25)), ((0.125, 0.0625),)], ids=["levels-0-1", "level-3"]
     )
-    def test_cached_head_fuses_the_fresh_blocks(self, nodes, valid, levels):
-        head = quadrature._head(nodes, valid, levels)
-        x, slots = head
+    def test_cached_head_fuses_the_fresh_blocks(self, ladder, levels):
+        x = quadrature._head(ladder, levels)
         assert not x.flags.writeable
-        assert quadrature._head(nodes, valid, levels) is head
-        assert quadrature._LADDER[(nodes, levels)] is head
-        fresh = []
-        for (spacing, offset), level in zip(levels, slots):
-            for direction, found in zip((1.0, -1.0), level):
-                # two live blocks, or fewer closed by None where the ladder ends
-                assert len(found) == 2 or found[-1] is None
+        assert quadrature._head(ladder, levels) is x
+        assert ladder.kept[levels] is x
+        fresh, at = [], 0
+        for spacing, offset in levels:
+            for direction in (1.0, -1.0):
+                # two live blocks, or fewer where the ladder ends
                 k0 = 1 if (direction < 0 and offset == 0.0) else 0
-                for i, slot in enumerate(found):
-                    fx, fw = _fresh_block(nodes, valid, direction, spacing, offset,
-                                          k0 + i * quadrature._BLOCK)
-                    if slot is None:
-                        assert fx.size == 0
-                        continue
-                    at, w, fuzzy = slot
+                for i in range(2):
+                    k = k0 + i * quadrature._BLOCK
+                    fx, fw = _fresh_block(ladder, direction, spacing, offset, k)
+                    block = quadrature._block(ladder, direction, spacing, offset, k)
+                    if fx.size == 0:
+                        assert block is None
+                        break
+                    _, w, fuzzy = block
                     assert fuzzy is None
-                    assert x[at].tobytes() == fx.tobytes() and w.tobytes() == fw.tobytes()
+                    assert x[at:at + len(fx)].tobytes() == fx.tobytes()
+                    assert w.tobytes() == fw.tobytes()
+                    at += len(fx)
                     fresh.append(fx)
         assert x.shape == np.concatenate(fresh).shape
         assert x.tobytes() == np.concatenate(fresh).tobytes()
 
     def test_dead_block_is_kept_as_none(self):
         # exp-sinh nodes at u >= 16 all lie beyond the 1e160 rail
-        nodes, valid = FIXED_GENERATORS[0]
-        assert quadrature._ladder_block(nodes, valid, 1.0, 0.5, 0.0, 32) is None
-        assert quadrature._LADDER[(nodes, 1.0, 0.5, 0.0, 32)] is None
+        ladder = quadrature._EXP_SINH
+        assert quadrature._block(ladder, 1.0, 0.5, 0.0, 32) is None
+        assert ladder.kept[(1.0, 0.5, 0.0, 32)] is None
 
-    @pytest.mark.parametrize("nodes,valid", FIXED_GENERATORS, ids=["exp-sinh", "unit-pair"])
-    def test_cached_arrays_are_read_only(self, nodes, valid):
-        x, w, _ = quadrature._ladder_block(nodes, valid, 1.0, 0.5, 0.0, 0)
+    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
+    def test_cached_arrays_are_read_only(self, ladder):
+        x, w, _ = quadrature._block(ladder, 1.0, 0.5, 0.0, 0)
         with pytest.raises(ValueError):
             x[0] = 1.0
         with pytest.raises(ValueError):
             w *= 2.0
 
     def test_interval_nodes_are_not_stored(self):
-        before = len(quadrature._LADDER)
+        before = [len(ladder.kept) for ladder in FIXED_LADDERS]
         res = integrate_interval(lambda r: r**-0.5, 0.0, 1.0)
         assert res.converged
-        assert len(quadrature._LADDER) == before
+        assert [len(ladder.kept) for ladder in FIXED_LADDERS] == before
+
+    def test_interval_blocks_are_built_once_per_call(self, monkeypatch):
+        # each call gets its own ladder; every block of it is generated once,
+        # kept read-only, and handed to the integrand read-only
+        made, built, writable = [], [], []
+        make = quadrature._make_tanh_sinh_nodes
+
+        def spy(lo, hi):
+            ladder = make(lo, hi)
+            nodes = ladder.nodes
+
+            def counted(u):
+                built.append(u.tobytes())
+                return nodes(u)
+
+            ladder.nodes = counted
+            made.append(ladder)
+            return ladder
+
+        def f(r):
+            writable.append(r.flags.writeable)
+            return r**-0.5
+
+        monkeypatch.setattr(quadrature, "_make_tanh_sinh_nodes", spy)
+        before = [len(ladder.kept) for ladder in FIXED_LADDERS]
+        first = integrate_interval(f, 0.0, 1.0)
+        second = integrate_interval(f, 0.0, 1.0)
+        assert first.converged and second == first
+        assert len(made) == 2 and made[0] is not made[1]
+        assert len(built) == 2 * len(set(built))
+        # block keys are (direction, spacing, offset, k0); head keys are levels
+        blocks = [v for k, v in made[0].kept.items() if not isinstance(k[0], tuple)]
+        assert len(blocks) == len(built) // 2
+        live = [b for b in blocks if b is not None]
+        assert live and all(not x.flags.writeable and not w.flags.writeable for x, w, _ in live)
+        assert writable and not any(writable)
+        assert [len(ladder.kept) for ladder in FIXED_LADDERS] == before
 
     def test_repeated_quadrant_adds_no_entry(self):
         first = integrate_quadrant(_seed_cross_check_f2)
-        size = len(quadrature._LADDER)
+        size = len(quadrature._EXP_SINH.kept)
         second = integrate_quadrant(_seed_cross_check_f2)
-        assert len(quadrature._LADDER) == size
+        assert len(quadrature._EXP_SINH.kept) == size
         assert second == first
 
     def test_results_do_not_depend_on_ladder_state(self, monkeypatch):
         warm = integrate_quadrant(_seed_cross_check_f2)
-        monkeypatch.setattr(quadrature, "_LADDER", {})
+        monkeypatch.setattr(quadrature._EXP_SINH, "kept", {})
         cold = integrate_quadrant(_seed_cross_check_f2)
         assert cold == warm
-        assert 0 < len(quadrature._LADDER) < 1000
-
+        assert 0 < len(quadrature._EXP_SINH.kept) < 1000
 
     def test_quadrant_hands_over_stable_read_only_blocks(self):
         # within one integral, equal contents arrive as one object: the
@@ -418,6 +455,10 @@ class TestNodeLadder:
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
+        # a row is the exp-sinh ladder's own 1-D block or head
+        kept = [v[0] if isinstance(v, tuple) else v for v in quadrature._EXP_SINH.kept.values()]
+        assert all(objs[0].ndim == 1 for objs in rows.values())
+        assert all(any(objs[0] is k for k in kept) for objs in rows.values())
 
 
 def _raise_on_nan(t):

@@ -181,6 +181,15 @@ def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float
         )
 
 
+class TestIntegrandValidation:
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_mu_is_rejected(self, mu):
+        # a NaN mu used to reach the oracle's divergence check and be
+        # reported as a divergent x -> 0 axis
+        with pytest.raises(ValueError, match="mu must be finite"):
+            TestIntegrand(1.0, mu, 1.0)
+
+
 class TestQuadrantIntegrand:
     """The oracle's integrand, pointwise against its defining formula."""
 
