@@ -33,6 +33,15 @@ SQPI = math.sqrt(math.pi)
 _ERFI_SMALL_K = 1e-3
 
 
+def _check_pair(x2: float, **etas: float) -> None:
+    """Each range must be positive and finite, the separation >= 0 and finite."""
+    for name, eta in etas.items():
+        if not (eta > 0.0 and math.isfinite(eta)):
+            raise ValueError(f"{name} must be positive and finite")
+    if not (x2 >= 0.0 and math.isfinite(x2)):
+        raise ValueError("x2 must be >= 0 and finite")
+
+
 @dataclass(frozen=True)
 class YukawaPairSpec:
     """Two Yukawa ranges and the separation of their centers."""
@@ -42,12 +51,7 @@ class YukawaPairSpec:
     x2: float = 0.0
 
     def __post_init__(self):
-        if not (self.eta1 > 0.0 and math.isfinite(self.eta1)):
-            raise ValueError("eta1 must be positive and finite")
-        if not (self.eta2 > 0.0 and math.isfinite(self.eta2)):
-            raise ValueError("eta2 must be positive and finite")
-        if not (self.x2 >= 0.0 and math.isfinite(self.x2)):
-            raise ValueError("x2 must be >= 0 and finite")
+        _check_pair(eta1=self.eta1, eta2=self.eta2, x2=self.x2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,7 @@ def yukawa_pair(spec: YukawaPairSpec) -> float:
 
 def yukawa_pair_equal(eta: float, x2: float) -> float:
     """Equal-range overlap 2 pi exp(-x2 eta) / eta."""
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    _check_pair(eta=eta, x2=x2)
     return 2.0 * math.pi * math.exp(-x2 * eta) / eta
 
 
@@ -119,8 +122,7 @@ def hydrogenic_pair(spec: YukawaPairSpec) -> float:
 
 def hydrogenic_pair_equal(eta: float, x2: float) -> float:
     """Equal-range limit sqrt(pi) (1 + x2 eta)/sqrt(eta) exp(-eta x2)."""
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    _check_pair(eta=eta, x2=x2)
     return SQPI * (1.0 + x2 * eta) / math.sqrt(eta) * math.exp(-eta * x2)
 
 

@@ -17,10 +17,12 @@ direction only after two quiet blocks, and the first convergence test
 follows level 1.  So the first two blocks of each direction (a level's
 head) are evaluated whatever the values, and they are fetched together:
 one integrand call for the heads of levels 0 and 1, one for each later
-level's head, and one per block past a head (the quadrant's outer drive
-alone keeps one call per block, see integrate_quadrant).  The sums are
-taken block by block in the same order as with one call per block, so a
-pointwise integrand gives the same bits either way.
+level's head, and one per block past a head.  The sums are taken block by
+block in the same order as with one call per block, so a pointwise
+integrand gives the same bits either way.  Every drive fetches this way,
+the quadrant's outer drive included: its inner rows are judged by their
+share of the outer sum (see integrate_quadrant), so which x nodes share a
+call moves an inner value only within the tolerance it was judged by.
 
 A ladder is a node generator with the blocks and heads built from it,
 each built on first use and kept read-only.  The two fixed ladders,
@@ -28,7 +30,7 @@ exp-sinh on (0, inf) and the (s, 1 - s) tanh-sinh pair on (0, 1), live
 for the process; a finite-interval ladder depends on [lo, hi] and lives
 for one call.  So the abscissae an integrand receives are read-only, and
 integrands must not write to them.  The quadrant hands its integrand the
-same column object for every inner call of one outer block, and the inner
+same column object for every inner call of one outer call, and the inner
 ladder's own block or head as the row, so an integrand may keep its
 x-only and y-only terms by object identity.
 
@@ -328,21 +330,20 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head=None, at: int 
     return total, fuzz_mass, at
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False, fuse: bool = True):
+def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
     the step and adds the odd nodes.  The first convergence test follows
     level 1.  So the heads of levels 0 and 1 (see _head) are fetched in one
     call of f, and each later level's head in one call before its scan;
-    only blocks past a head cost a call each.  fuse=False fetches every
-    block on its own, for an f whose values depend on which abscissae
-    share a call.
+    only blocks past a head cost a call each.
 
     A batch converges when its largest row does.  Nested rows (the inner
-    integrals of the quadrant) are judged with no floor of 1 on the scale,
-    and a budget exhausted inside them stops the enclosing integral.  At
-    the top level exhaustion returns the last completed level, unconverged.
+    integrals of the quadrant, each scaled by its share of the outer sum)
+    are judged with no floor of 1 on the scale, and a budget exhausted
+    inside them stops the enclosing integral.  At the top level exhaustion
+    returns the last completed level, unconverged.
     A fused call is charged in full before it runs, so when it exhausts
     the budget none of the levels it covers is completed: exhaustion in the
     first call returns value 0 with an infinite estimate.  A top-level
@@ -357,7 +358,7 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False, fuse: bool 
 
     def fetch(*levels):
         # f's values on the fused head of levels, or None
-        x = _head(ladder, levels) if fuse else None
+        x = _head(ladder, levels)
         return None if x is None else np.asarray(f(x))
 
     h = _BASE_STEP
@@ -420,18 +421,23 @@ def integrate_interval(integrand, lo: float, hi: float, tol: Tolerance | None = 
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     """Integrate f(x, y) over (0, inf) x (0, inf) by iterated exp-sinh.
 
-    The outer x-integral runs the 1-D driver; each outer block integrates
+    The outer x-integral runs the 1-D driver; each outer call integrates
     over y for all its x nodes at once, as a batch sharing one y-ladder,
-    with the inner tolerance tightened by a factor of 10.  Rows that are
-    already tiny ride along for free because the batch is judged by its
-    largest row.  Only evaluations of integrand2d count against the budget.
+    with the inner tolerance tightened by a factor of 10.  Each row is
+    judged by what it adds to the outer sum: before the inner drive sees
+    it, row i is multiplied by its outer exp-sinh weight
+    w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two so
+    that the scaling is exact while the product stays a normal double, and
+    it is divided out again on return.  So a row far out on the x-ladder,
+    whose weight is 1e-154, no longer holds its batch to the precision of
+    its own large value.  Only evaluations of integrand2d count against the
+    budget.  An inner drive that does not converge clears converged of
+    the result.
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
-    a 1-D row.  The outer drive fetches one block of x per call, as the
-    inner batch of a block is judged by its largest row and fusing outer
-    blocks would change its values; the inner drives fetch fused heads (see
-    _drive), so a row holds up to four blocks of y, eight for levels 0 and
-    1.  Within one integral every inner call of an outer block gets the same
+    a 1-D row.  Both drives fetch fused heads (see _drive): a column holds
+    up to four blocks of x, eight for levels 0 and 1, and so does a row of
+    y.  Within one integral every inner call of an outer call gets the same
     column object, and each row is the exp-sinh ladder's own kept block or
     head; both are read-only.
     """
@@ -440,14 +446,22 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
         rel=max(tol.rel / 10.0, 1e-14), abs=tol.abs, max_evaluations=tol.max_evaluations
     )
     budget = _Budget(tol.max_evaluations)
+    failures = 0
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
+        nonlocal failures
         col = xs[:, None]
+        # each row's outer exp-sinh weight, rounded down to a power of two
+        weight = xs * np.hypot(_HALF_PI, np.log(xs))
+        share = np.ldexp(0.5, np.frexp(weight)[1])[:, None]
 
         def batch(ys: np.ndarray):
             budget.spend(xs.size * ys.size)
-            return integrand2d(col, ys)
+            return integrand2d(col, ys) * share
 
-        return _drive(batch, _EXP_SINH, inner_tol, nested=True)[0]
+        value, _, converged = _drive(batch, _EXP_SINH, inner_tol, nested=True)
+        failures += not converged
+        return value / share[:, 0]
 
-    return _result(_drive(inner_rows, _EXP_SINH, tol, fuse=False), budget)
+    value, estimate, converged = _drive(inner_rows, _EXP_SINH, tol)
+    return _result((value, estimate, converged and failures == 0), budget)

@@ -98,11 +98,11 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
 
     The column and row terms of a read-only x or y are computed once and
     kept by object identity: the quadrant driver hands over the same
-    read-only (n, 1) column for every inner call of one outer block, and as
+    read-only (n, 1) column for every inner call of one outer call, and as
     the row the exp-sinh ladder's own 1-D block or fused head, which the
-    ladder keeps read-only for the process.  A column holds one block of x
-    nodes; a row holds up to eight blocks of y nodes.  So one closure serves one integral, and its read-only inputs
-    must not change.
+    ladder keeps read-only for the process.  A column and a row each hold
+    up to eight blocks of nodes.  So one closure serves one integral, and
+    its read-only inputs must not change.
     It sets no numpy error state of its own: it runs under the quadrature
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.

@@ -7,10 +7,12 @@ paper's simplification claims: 1F1 at the parameter patterns b = 2a - m,
 2a, 2a + m written through Bessel I (``scipy.special.ive``, the
 exponentially scaled I of real order and complex z, so large |Re z|
 neither overflows nor underflows) and at b = a - m through a generalized
-Laguerre polynomial (DLMF 13.6).  Laguerre polynomials and Pochhammer
-symbols are short exact recurrences, kept because scipy's
-``eval_genlaguerre`` returns NaN for alpha <= -1, which the Laguerre form
-needs.  The tests check every identity against mpmath's 1F1.
+Laguerre polynomial (DLMF 13.6).  Far out on the left the b = 2a - m sum
+cancels, and that form takes DLMF 13.7.2's asymptotic series instead.
+Laguerre polynomials and Pochhammer symbols are short exact recurrences,
+kept because scipy's ``eval_genlaguerre`` returns NaN for alpha <= -1,
+which the Laguerre form needs.  The tests check every identity against
+mpmath's 1F1.
 
 Everything is a pure function; nothing mutates shared state.
 """
@@ -101,8 +103,43 @@ def _exp_half_scaled(z: complex) -> complex:
     return cmath.exp((z + abs(z.real)) / 2.0)
 
 
+# From Re z <= -_FAR_LEFT on, kummer_via_bessel_2a_minus takes DLMF 13.7.2;
+# the e^z z^(a-b) part that drops is then about e^-100 |z|^m of the value.
+_FAR_LEFT = 100.0
+
+
+def _kummer_far_left(a: float, b: float, z: complex) -> complex | None:
+    """1F1(a; b; z) for Re z <= -_FAR_LEFT by DLMF 13.7.2, or None.
+
+    Gamma(b)/Gamma(b-a) (-z)^-a sum_s (a)_s (a-b+1)_s / s! (-z)^-s, summed
+    while its terms fall; None when they stop falling before reaching
+    rounding, or when 1/Gamma(b-a) vanishes and the dropped part is all.
+    """
+    scale = _sp.rgamma(b - a)
+    if scale == 0.0:
+        return None
+    w = -z
+    term = total = 1.0 + 0.0j
+    for s in range(200):
+        nxt = term * (a + s) * (a - b + 1.0 + s) / ((s + 1) * w)
+        if abs(nxt) >= abs(term):
+            return None
+        term = nxt
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return gamma_fn(b) * scale * _cpow(w, -a) * total
+    return None
+
+
 def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
-    """1F1(a; 2a-m; z) through a finite sum of Bessel-I terms."""
+    """1F1(a; 2a-m; z) through a finite sum of Bessel-I terms.
+
+    Once m >= 1 the terms cancel to O(|z|^-m) of their size far out on the
+    left, where 1F1 itself decays only as |z|^-a; Kummer's transformation
+    does not help, as it maps there to the 2a-plus sum at +|z|, which
+    cancels alike.  So from Re z <= -_FAR_LEFT on, the value is DLMF
+    13.7.2's asymptotic series wherever that reaches rounding.
+    """
     if m < 0:
         raise SpecialFunctionError("m must be a non-negative integer")
     if _is_nonpositive_integer(2 * a - m):
@@ -112,6 +149,10 @@ def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j
+    if z.real <= -_FAR_LEFT:
+        far = _kummer_far_left(a, 2 * a - m, z)
+        if far is not None:
+            return far
     total = 0.0 + 0.0j
     for k in range(m + 1):
         coeff = (

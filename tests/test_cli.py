@@ -91,6 +91,20 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "target, eta, x2, message",
+        [
+            ("yukawa-pair-equal", "1", "nan", "x2"),
+            ("yukawa-pair-equal", "inf", "1", "eta"),
+            ("hydrogenic-pair-equal", "1", "-1", "x2"),
+        ],
+    )
+    def test_bad_equal_range_argument_exit_code(self, capsys, target, eta, x2, message):
+        code, out, err = run_cli(capsys, "eval", target, "--eta", eta, "--x2", x2)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_quadrature_error_exit_code(self, capsys, monkeypatch):
         # the R1 inner integral cannot converge in one level: main returns
         # an error line and the exit code an uncaught exception would give

@@ -278,7 +278,7 @@ class TestOracleWork:
 
     @pytest.mark.parametrize(
         "rule_id, case_index, evaluations",
-        [("K1-111", 0, 1_420_740), ("T5-nu2", 13, 110_465), ("K5-1m75", 9, 71_213)],
+        [("K1-111", 0, 150_629), ("T5-nu2", 13, 202_949), ("K5-1m75", 9, 77_027)],
     )
     def test_evaluations_pinned(self, rule_id, case_index, evaluations):
         params, f = _sweep_case(rule_id, 42, case_index)
@@ -289,9 +289,9 @@ class TestOracleWork:
         "rule_id, case_index, value_hex",
         [
             ("K1-111", 0, "0x1.ce9a8266416f6p+0"),
-            ("T5-nu2", 13, "0x1.5c09cbbef6eabp+1"),
+            ("T5-nu2", 13, "0x1.5c09cbbef6eacp+1"),
             ("K5-1m75", 9, "0x1.290c5dcbe2f8ap+1"),
-            ("G1-general", 0, "0x1.04cfad0f76ed0p+1"),  # real h
+            ("G1-general", 0, "0x1.04cfad0f771c8p+1"),  # real h
             ("R1-rint", 0, "0x1.0c5cbbc4be682p-3"),  # j and real h
         ],
     )
@@ -302,6 +302,27 @@ class TestOracleWork:
         value = direct_2d(params, f, tilde=tilde).value
         assert isinstance(value, float)
         assert value.hex() == value_hex
+
+
+class TestOracleInnerRows:
+    """Seed-42 draws with one inner row that barely counts.
+
+    The row at the deepest outer node, x ~ 1e-156, has a large inner value
+    but adds ~1e-96 to the result; judged by its share of the outer sum,
+    it must not hold its batch to the last level.
+    """
+
+    @pytest.mark.parametrize(
+        "rule_id, case_index",
+        [("K1-111", i) for i in (0, 2, 11, 19)]
+        + [("K2-220", i) for i in (1, 7, 11, 13, 16, 17, 19)],
+    )
+    def test_converges_within_budget(self, rule_id, case_index):
+        # converged is cleared by any inner drive that did not converge
+        params, f = _sweep_case(rule_id, 42, case_index)
+        res = direct_2d(params, f)
+        assert res.converged
+        assert res.evaluations < 200_000
 
 
 class TestVerify:

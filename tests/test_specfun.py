@@ -285,6 +285,14 @@ class TestKummer:
         # 1F1 itself is small and representable there
         assert form(a, z) == pytest.approx(_hyp1f1(a, b(a), z), rel=rel)
 
+    @pytest.mark.parametrize("z", [-1e4, complex(-1e4, 3.0)], ids=["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("a", [0.8, 1.7, 2.3, 3.1, 4.6])
+    def test_2a_minus_far_left_keeps_its_digits(self, a, m, z):
+        # the Bessel-I terms cancel there to O(|z|^-m) of their size
+        ref = _hyp1f1(a, 2 * a - m, z)
+        assert abs(kummer_via_bessel_2a_minus(a, m, z) - ref) <= 1e-13 * abs(ref)
+
     def test_bessel_form_2a(self):
         # 1F1(A;2A;z) = 2^(2A-1) e^(z/2) (-z)^(1/2-A) Gamma(A+1/2) I_(A-1/2)(-z/2)
         val = kummer_via_bessel_2a(1.5, -2.0)
