@@ -1,8 +1,9 @@
 """Command-line front end: list rules, evaluate reductions, run sweeps.
 
 Exit codes: 0 success/all-pass, 1 verification failure or non-convergence,
-2 applicability violation or bad arguments, 3 oracle non-convergence during
-a sweep.  Output for a fixed (command, seed) is byte-identical run to run.
+2 applicability violation or bad arguments, 3 non-convergence of either
+side of any record during a sweep.  Output for a fixed (command, seed) is
+byte-identical run to run.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from .params import TestIntegrand
 from .quadrature import (
     QuadratureError,
     Tolerance,
-    _Budget,
     _UNIT_PAIR,
     _drive,
 )
@@ -37,7 +36,10 @@ from .quadrature import (
 _LOG_DEAD = -745.0
 _LOG_OVERFLOW = 705.0
 _KUMMER_LEADING_FROM = 1e16
-_R_INNER_REL = 1e-11
+# R1's inner integral needs no work bound: _drive evaluates only new nodes
+# per level, so through _MAX_LEVEL a row costs at most 50 081 evaluations,
+# every node of the (s, 1 - s) ladder
+_R_INNER_TOL = Tolerance(rel=1e-11, abs=1e-15)
 
 
 class KernelError(ValueError):
@@ -226,13 +228,14 @@ class RInnerFactor(_Factor):
     the member that is small is the exact tanh-sinh offset from its
     endpoint, so the (1 - r t) power at the moving endpoint r = 1/t never
     sees a cancelled difference.  All live rows of one call are one batch
-    of the double-exponential driver, judged by its largest row; if the
-    batch does not converge, QuadratureError is raised.  So a row's value
-    depends, within _R_INNER_REL, on which t share the call.  The 1-D driver
-    fetches each level's head of t nodes in one call; against one call per
-    block, that grouping moves 13 of the 200 R1-rint records of
-    `verify --samples 20` at seeds 0-9, by at most 4.3e-12 relative, with
-    the same evaluations.
+    of the double-exponential driver, judged by its largest row against
+    _R_INNER_TOL with no work bound of its own: the level cap bounds the
+    work, and a batch that has not converged by then raises
+    QuadratureError.  So a row's value depends, within _R_INNER_TOL.rel, on
+    which t share the call.  The 1-D driver fetches each level's head of t
+    nodes in one call; against one call per block, that grouping moves 13
+    of the 200 R1-rint records of `verify --samples 20` at seeds 0-9, by at
+    most 4.3e-12 relative, with the same evaluations.
     """
 
     n: int
@@ -261,11 +264,8 @@ class RInnerFactor(_Factor):
         col = t[live][:, None]
         # dr = ds/t and r**pr = s**pr t**-pr
         lead = (pr + 1.0) * np.log(col)
-        tol = Tolerance(rel=_R_INNER_REL, abs=1e-15, max_evaluations=400_000 * rows)
-        budget = _Budget(tol.max_evaluations)
 
         def batch(x: np.ndarray) -> np.ndarray:
-            budget.spend(rows * len(x))
             s, c = x.T
             # -b/t + j r^2 t - r(a-b+j) - r h t, every part <= 0:
             #   = -(a s + (b + j s)(1 - s))/t - h s
@@ -279,7 +279,7 @@ class RInnerFactor(_Factor):
                 vals = vals * np.exp(-1j * h.imag * s)
             return vals
 
-        value, estimate, converged = _drive(batch, _UNIT_PAIR, tol)
+        value, estimate, converged = _drive(batch, _UNIT_PAIR, _R_INNER_TOL)
         if not converged:
             raise QuadratureError(
                 f"R1 inner integral did not converge over {rows} t rows "

@@ -17,8 +17,6 @@ import math
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Params:
@@ -82,10 +80,6 @@ class TestIntegrand:
             raise ValueError("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and >= 0")
-
-    def __call__(self, t):
-        with np.errstate(under="ignore"):
-            return self.coeff * t**self.mu * np.exp(-self.sigma * t)
 
     def shifted(self, delta: float) -> "TestIntegrand":
         """The companion g(t) = t**(-delta) f(t) of a power-shift rewrite."""

@@ -29,10 +29,8 @@ each built on first use and kept read-only.  The two fixed ladders,
 exp-sinh on (0, inf) and the (s, 1 - s) tanh-sinh pair on (0, 1), live
 for the process; a finite-interval ladder depends on [lo, hi] and lives
 for one call.  So the abscissae an integrand receives are read-only, and
-integrands must not write to them.  The quadrant hands its integrand the
-same column object for every inner call of one outer call, and the inner
-ladder's own block or head as the row, so an integrand may keep its
-x-only and y-only terms by object identity.
+integrands must not write to them.  The quadrant hands its integrand one
+column object for every inner call of one outer call.
 
 Each top-level integral runs under one np.errstate that ignores overflow,
 underflow, division by zero and invalid operations; nested integrals run
@@ -49,7 +47,7 @@ from __future__ import annotations
 import math
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -435,16 +433,14 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     the result.
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
-    a 1-D row.  Both drives fetch fused heads (see _drive): a column holds
-    up to four blocks of x, eight for levels 0 and 1, and so does a row of
-    y.  Within one integral every inner call of an outer call gets the same
-    column object, and each row is the exp-sinh ladder's own kept block or
-    head; both are read-only.
+    a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
+    a column holds up to four blocks of x, eight for levels 0 and 1, and so
+    does a row of y.  Every inner call of one outer call gets the same
+    column object.
     """
     tol = tol or QUADRANT_TOLERANCE
-    inner_tol = Tolerance(
-        rel=max(tol.rel / 10.0, 1e-14), abs=tol.abs, max_evaluations=tol.max_evaluations
-    )
+    # inner drives charge the shared budget, so only rel changes
+    inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))
     budget = _Budget(tol.max_evaluations)
     failures = 0
 

@@ -71,21 +71,6 @@ def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
         raise DivergentIntegralError("divergent along the diagonal (no large-t decay)")
 
 
-def _by_identity(cache: dict, z, make):
-    """make(z), kept in cache under z's identity when z is a read-only array.
-
-    Each entry holds z itself, so no recycled id can alias it.  A writable
-    array may change between calls and is never kept.
-    """
-    hit = cache.get(id(z))
-    if hit is not None:
-        return hit[1]
-    terms = make(z)
-    if isinstance(z, np.ndarray) and not z.flags.writeable:
-        cache[id(z)] = (z, terms)
-    return terms
-
-
 def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     """The 2-D integrand as a numpy-broadcasting callable.
 
@@ -96,13 +81,10 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     (x, y) point then costs one log, of ix + iy, and one exp.  A complex h
     adds a unit-modulus phase factor.
 
-    The column and row terms of a read-only x or y are computed once and
-    kept by object identity: the quadrant driver hands over the same
-    read-only (n, 1) column for every inner call of one outer call, and as
-    the row the exp-sinh ladder's own 1-D block or fused head, which the
-    ladder keeps read-only for the process.  A column and a row each hold
-    up to eight blocks of nodes.  So one closure serves one integral, and
-    its read-only inputs must not change.
+    The column terms are kept in one slot while x is the same read-only
+    array as on the previous call: the quadrant driver hands over one
+    column object for every inner call of an outer call.  A writable or
+    non-array x, and every y, has its terms computed afresh.
     It sets no numpy error state of its own: it runs under the quadrature
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.
@@ -118,22 +100,21 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     decay = f.sigma + c
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
-    cols: dict = {}
-    rows: dict = {}
-
-    def col_terms(x):
-        ix = 1.0 / x
-        return lead + kx * np.log(x) - p * x - a * ix, ix
-
-    def row_terms(y):
-        iy = 1.0 / y
-        return ky * np.log(y) - q * y - b * iy, iy
+    kept_x = kept = None  # the last read-only column and its terms
 
     def integrand(x, y):
         # x arrives as a column and y as a row: only s = ix + iy and what
         # follows from it is full-size
-        col, ix = _by_identity(cols, x, col_terms)
-        row, iy = _by_identity(rows, y, row_terms)
+        nonlocal kept_x, kept
+        if x is kept_x:
+            col, ix = kept
+        else:
+            ix = 1.0 / x
+            col = lead + kx * np.log(x) - p * x - a * ix
+            if isinstance(x, np.ndarray) and not x.flags.writeable:
+                kept_x, kept = x, (col, ix)
+        iy = 1.0 / y
+        row = ky * np.log(y) - q * y - b * iy
         s = ix + iy
         t = 1.0 / s
         logmag = col + row

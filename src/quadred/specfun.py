@@ -8,7 +8,9 @@ paper's simplification claims: 1F1 at the parameter patterns b = 2a - m,
 exponentially scaled I of real order and complex z, so large |Re z|
 neither overflows nor underflows) and at b = a - m through a generalized
 Laguerre polynomial (DLMF 13.6).  Far out on the left the b = 2a - m sum
-cancels, and that form takes DLMF 13.7.2's asymptotic series instead.
+cancels, and that form takes DLMF 13.7.2's asymptotic series instead; far
+out on the right the b = 2a + m sum cancels alike, and Kummer's
+transformation (DLMF 13.2.39) maps it onto that same series.
 Laguerre polynomials and Pochhammer symbols are short exact recurrences,
 kept because scipy's ``eval_genlaguerre`` returns NaN for alpha <= -1,
 which the Laguerre form needs.  The tests check every identity against
@@ -103,13 +105,14 @@ def _exp_half_scaled(z: complex) -> complex:
     return cmath.exp((z + abs(z.real)) / 2.0)
 
 
-# From Re z <= -_FAR_LEFT on, kummer_via_bessel_2a_minus takes DLMF 13.7.2;
+# From Re z <= -_FAR_OUT on, kummer_via_bessel_2a_minus takes DLMF 13.7.2;
 # the e^z z^(a-b) part that drops is then about e^-100 |z|^m of the value.
-_FAR_LEFT = 100.0
+# kummer_via_bessel_2a_plus reaches it from Re z >= _FAR_OUT on.
+_FAR_OUT = 100.0
 
 
 def _kummer_far_left(a: float, b: float, z: complex) -> complex | None:
-    """1F1(a; b; z) for Re z <= -_FAR_LEFT by DLMF 13.7.2, or None.
+    """1F1(a; b; z) for Re z <= -_FAR_OUT by DLMF 13.7.2, or None.
 
     Gamma(b)/Gamma(b-a) (-z)^-a sum_s (a)_s (a-b+1)_s / s! (-z)^-s, summed
     while its terms fall; None when they stop falling before reaching
@@ -135,10 +138,9 @@ def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
     """1F1(a; 2a-m; z) through a finite sum of Bessel-I terms.
 
     Once m >= 1 the terms cancel to O(|z|^-m) of their size far out on the
-    left, where 1F1 itself decays only as |z|^-a; Kummer's transformation
-    does not help, as it maps there to the 2a-plus sum at +|z|, which
-    cancels alike.  So from Re z <= -_FAR_LEFT on, the value is DLMF
-    13.7.2's asymptotic series wherever that reaches rounding.
+    left, where 1F1 itself decays only as |z|^-a.  So from
+    Re z <= -_FAR_OUT on, the value is DLMF 13.7.2's asymptotic series
+    wherever that reaches rounding.
     """
     if m < 0:
         raise SpecialFunctionError("m must be a non-negative integer")
@@ -149,7 +151,7 @@ def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j
-    if z.real <= -_FAR_LEFT:
+    if z.real <= -_FAR_OUT:
         far = _kummer_far_left(a, 2 * a - m, z)
         if far is not None:
             return far
@@ -184,7 +186,13 @@ def kummer_via_bessel_2a(a: float, z: complex) -> complex:
 
 
 def kummer_via_bessel_2a_plus(a: float, m: int, z: complex) -> complex:
-    """1F1(a; 2a+m; z) through a finite sum of Bessel-I terms."""
+    """1F1(a; 2a+m; z) through a finite sum of Bessel-I terms.
+
+    Once m >= 1 the terms cancel to O(|z|^-m) of their size far out on the
+    right.  So from Re z >= _FAR_OUT on, the value is Kummer's
+    transformation, e^z 1F1(a+m; 2(a+m)-m; -z), whose 2a-minus form takes
+    the far-left series; both forms have the same poles.
+    """
     if m < 0:
         raise SpecialFunctionError("m must be a non-negative integer")
     if _is_nonpositive_integer(2 * a + m):
@@ -194,6 +202,8 @@ def kummer_via_bessel_2a_plus(a: float, m: int, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j
+    if z.real >= _FAR_OUT:
+        return cmath.exp(z) * kummer_via_bessel_2a_minus(a + m, m, -z)
     total = 0.0 + 0.0j
     for k in range(m + 1):
         coeff = (

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quadred import quadrature
+from quadred import catalog, quadrature, reducer
 from quadred.cli import main
 
 
@@ -187,6 +187,22 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(target.read_text())["summary"]["total"] == 1
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(reducer, "integrate_quadrant"), (catalog, "integrate_half_line")],
+        ids=["oracle", "reduction"],
+    )
+    def test_nonconverged_side_exit_three(self, capsys, monkeypatch, module, name):
+        # either side of a record that did not converge gives exit 3
+        unconverged = quadrature.QuadResult(1.0, 1.0, 1, False)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: unconverged)
+        code, out, _ = run_cli(
+            capsys, "verify", "--rules", "K1-111", "--samples", "1", "--seed", "7",
+            "--jobs", "1",
+        )
+        assert code == 3
+        assert "quadrature did not converge" in out
 
     def test_unknown_rule_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rules", "Z9-nope", "--samples", "1")

@@ -236,9 +236,9 @@ class TestQuadrantIntegrand:
 
     @pytest.mark.parametrize("case", ["plain", "tilde", "j", "real-h", "complex-h"])
     def test_kept_terms_match_a_fresh_closure(self, case):
-        # one closure keeps the column and row terms of read-only inputs by
-        # identity; interleaved, re-used and equal-content inputs must give
-        # exactly what a newly built closure gives
+        # one closure keeps the terms of the last read-only column;
+        # interleaved, re-used and equal-content inputs must give exactly
+        # what a newly built closure gives
         params, f, tilde = self.CASES[case]
 
         def frozen(a):

@@ -275,8 +275,8 @@ class TestKummer:
             (lambda a, z: kummer_via_bessel_2a(a, z), 1.5, lambda a: 2 * a, 1e-12),
             (lambda a, z: kummer_via_bessel_2a_minus(a, 0, z), 1.7, lambda a: 2 * a, 1e-12),
             (lambda a, z: kummer_via_bessel_2a_plus(a, 2, z), 1.7, lambda a: 2 * a + 2, 1e-12),
-            # the m = 1 sum cancels to O(1/|z|) of its terms: about |z| eps
-            (lambda a, z: kummer_via_bessel_2a_minus(a, 1, z), 1.7, lambda a: 2 * a - 1, 1e-11),
+            # the m = 1 Bessel sum would cancel here; the asymptotic series does not
+            (lambda a, z: kummer_via_bessel_2a_minus(a, 1, z), 1.7, lambda a: 2 * a - 1, 1e-12),
         ],
         ids=["2a", "2a-minus-m0", "2a-plus-m2", "2a-minus-m1"],
     )
@@ -292,6 +292,16 @@ class TestKummer:
         # the Bessel-I terms cancel there to O(|z|^-m) of their size
         ref = _hyp1f1(a, 2 * a - m, z)
         assert abs(kummer_via_bessel_2a_minus(a, m, z) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "z", [100.0, 120.0, 150.0, 300.0, 700.0, 700 + 40j, 300 - 60j, 100 + 99j]
+    )
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("a", [0.8, 1.7, 2.3, 3.1, 4.6])
+    def test_2a_plus_far_right_keeps_its_digits(self, a, m, z):
+        # the Bessel-I terms cancel there to O(|z|^-m) of their size
+        ref = _hyp1f1(a, 2 * a + m, z)
+        assert abs(kummer_via_bessel_2a_plus(a, m, z) - ref) <= 1e-13 * abs(ref)
 
     def test_bessel_form_2a(self):
         # 1F1(A;2A;z) = 2^(2A-1) e^(z/2) (-z)^(1/2-A) Gamma(A+1/2) I_(A-1/2)(-z/2)
