@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exprel
 
 from .catalog import get_rule
 from .kernels import FourierErfiFactor, KernelTerm, eval_kernel_with_f
@@ -89,9 +90,9 @@ def yukawa_pair(spec: YukawaPairSpec) -> float:
         raise ValueError("eta1 == eta2: use yukawa_pair_equal")
     if not x2 > 0.0:
         raise ValueError("closed form needs x2 > 0 (x2 = 0 limit: 4 pi/(eta1+eta2))")
-    return 4.0 * math.pi * (math.exp(-x2 * e1) - math.exp(-x2 * e2)) / (
-        x2 * (e2 * e2 - e1 * e1)
-    )
+    lo, hi = min(e1, e2), max(e1, e2)
+    # (e^(-x2 lo) - e^(-x2 hi)) / (x2 (hi - lo)), without the cancellation
+    return 4.0 * math.pi * math.exp(-x2 * lo) * float(exprel(-x2 * (hi - lo))) / (lo + hi)
 
 
 def yukawa_pair_equal(eta: float, x2: float) -> float:
@@ -113,11 +114,25 @@ def hydrogenic_pair(spec: YukawaPairSpec) -> float:
         raise ValueError("eta1 == eta2: use hydrogenic_pair_equal")
     if not x2 > 0.0:
         raise ValueError("closed form needs x2 > 0")
+    z = (e1 - e2) * x2
+    if abs(z) < 1.0:
+        # the bracket of the form below cancels to (e1 - e2)^2 e^(-e1 x2)
+        # (x2 phi2(z) + 1/(2 e1)); that product is taken directly
+        return (8.0 * SQPI * e1**2.5 * math.exp(-e1 * x2)
+                * (x2 * _phi2(z) + 0.5 / e1) / (e1 + e2) ** 2)
     diff = e1 * e1 - e2 * e2
     return (
         8.0 * SQPI * e1**2.5 / diff**2
         * (math.exp(-e2 * x2) / x2 - (diff / (2.0 * e1) + 1.0 / x2) * math.exp(-e1 * x2))
     )
+
+
+def _phi2(z: float) -> float:
+    """(e^z - 1 - z)/z^2 = sum of z^k/(k+2)! for |z| < 1, to double precision."""
+    acc = 1.0
+    for n in range(20, 2, -1):  # z^18/20! < 5e-19
+        acc = 1.0 + z * acc / n
+    return 0.5 * acc
 
 
 def hydrogenic_pair_equal(eta: float, x2: float) -> float:

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+from contextlib import nullcontext
+
 from . import applications as apps
 from .catalog import (
     ApplicabilityError,
@@ -164,33 +166,38 @@ def cmd_eval(args) -> int:
                          res.converged, args.format)
 
 
+def _report_body(report, fmt: str) -> str:
+    if fmt == "json":
+        return report.to_json() + "\n"
+    if fmt == "csv":
+        return report.to_csv()
+    lines = []
+    for r in report.records:
+        status = "pass" if r.passed else ("FLAGGED" if not r.trusted else "FAIL")
+        rel = "nan" if r.rel_diff != r.rel_diff else f"{r.rel_diff:.3e}"
+        lines.append(
+            f"{status:7} {r.rule_id:<20} case={r.case_index} rel_diff={rel}"
+            + (f" [{r.failure_reason}]" if r.failure_reason else "")
+        )
+    return "\n".join(lines) + "\n"
+
+
 def cmd_verify(args) -> int:
     if args.rules == "all":
         ids = [r.id for r in list_rules(include_erratum=False)]
     else:
         ids = [s.strip() for s in args.rules.split(",") if s.strip()]
-    compare = Tolerance(rel=args.rel, abs=args.abs, max_evaluations=1)
-    report = run_sweep(ids, samples=args.samples, seed=args.seed,
-                       compare_tol=compare, jobs=max(1, args.jobs))
-    if args.format == "json":
-        body = report.to_json() + "\n"
-    elif args.format == "csv":
-        body = report.to_csv()
-    else:
-        lines = []
-        for r in report.records:
-            status = "pass" if r.passed else ("FLAGGED" if not r.trusted else "FAIL")
-            rel = "nan" if r.rel_diff != r.rel_diff else f"{r.rel_diff:.3e}"
-            lines.append(
-                f"{status:7} {r.rule_id:<20} case={r.case_index} rel_diff={rel}"
-                + (f" [{r.failure_reason}]" if r.failure_reason else "")
-            )
-        body = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    compare = Tolerance(rel=args.rel, abs=args.abs)
+    # a report path that cannot be written is a bad argument: fail before the sweep
+    try:
+        sink = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with sink as fh:
+        report = run_sweep(ids, samples=args.samples, seed=args.seed,
+                           compare_tol=compare, jobs=max(1, args.jobs))
+        fh.write(_report_body(report, args.format))
     print(report.summary_line(), file=sys.stderr)
     if report.any_nonconverged():
         return 3

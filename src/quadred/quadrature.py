@@ -32,6 +32,12 @@ for one call.  So the abscissae an integrand receives are read-only, and
 integrands must not write to them.  The quadrant hands its integrand one
 column object for every inner call of one outer call.
 
+A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
+never converges stops at its ladder's last level after bounded work
+(50 387 evaluations on the half line, 38 036 on (0, 1)).  Only the
+quadrant oracle, each of whose outer nodes runs a whole inner drive, has
+a work bound, _QUADRANT_MAX_EVALUATIONS; a Tolerance sets targets only.
+
 Each top-level integral runs under one np.errstate that ignores overflow,
 underflow, division by zero and invalid operations; nested integrals run
 inside their parent's.  Non-finite terms are caught by value instead.
@@ -72,19 +78,16 @@ class _BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence targets and a work bound for one integral."""
+    """Convergence targets for one integral; no work bound (see the module)."""
 
     rel: float = 1e-10
     abs: float = 1e-14
-    max_evaluations: int = 2_000_000
 
     def __post_init__(self):
         if not (self.rel >= 1e-14):
             raise ValueError("rel tolerance must be >= 1e-14")
         if not (self.abs > 0.0):
             raise ValueError("abs tolerance must be positive")
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
 
     def met_by(self, estimate: float, value, floor: float = 1.0) -> bool:
         """Whether estimate is within tolerance at the scale of value.
@@ -94,8 +97,11 @@ class Tolerance:
         return estimate <= max(self.abs, self.rel * max(floor, _largest(value)))
 
 
-# Default work budget for the two-dimensional oracle.
-QUADRANT_TOLERANCE = Tolerance(rel=1e-9, abs=1e-14, max_evaluations=100_000_000)
+# Default targets for the two-dimensional oracle.
+QUADRANT_TOLERANCE = Tolerance(rel=1e-9, abs=1e-14)
+# The oracle's work bound: an inner batch that would take its evaluations
+# of the integrand past this stops it at its last completed outer level.
+_QUADRANT_MAX_EVALUATIONS = 100_000_000
 
 
 @dataclass
@@ -119,19 +125,6 @@ class QuadResult:
                 f"after {self.evaluations} evaluations)"
             )
         return self
-
-
-class _Budget:
-    __slots__ = ("used", "limit")
-
-    def __init__(self, limit: int):
-        self.used = 0
-        self.limit = limit
-
-    def spend(self, n: int) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise _BudgetExceeded
 
 
 class _Ladder:
@@ -337,17 +330,16 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
     call of f, and each later level's head in one call before its scan;
     only blocks past a head cost a call each.
 
-    A batch converges when its largest row does.  Nested rows (the inner
-    integrals of the quadrant, each scaled by its share of the outer sum)
-    are judged with no floor of 1 on the scale, and a budget exhausted
-    inside them stops the enclosing integral.  At the top level exhaustion
-    returns the last completed level, unconverged.
-    A fused call is charged in full before it runs, so when it exhausts
-    the budget none of the levels it covers is completed: exhaustion in the
-    first call returns value 0 with an infinite estimate.  A top-level
-    drive enters one np.errstate for all its scans, where overflow,
-    underflow and invalid operations are expected and ignored; a nested
-    drive runs under its parent's.
+    A drive that never converges stops after level _MAX_LEVEL, which
+    bounds its work.  A batch converges when its largest row does.  Nested
+    rows (the inner integrals of the quadrant, each scaled by its share of
+    the outer sum) are judged with no floor of 1 on the scale.  Only the
+    quadrant's inner batches raise _BudgetExceeded: it passes through the
+    nested drive and stops the top-level one at its last completed level,
+    unconverged, or at value 0 with an infinite estimate if there is none.
+    A top-level drive enters one np.errstate for all its scans, where
+    overflow, underflow and invalid operations are expected and ignored; a
+    nested drive runs under its parent's.
     """
     floor = 0.0 if nested else 1.0
     fp_state = nullcontext() if nested else np.errstate(
@@ -383,21 +375,23 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
     return value, estimate, converged
 
 
-def _result(level, budget: _Budget) -> QuadResult:
+def _result(level, evaluations: int) -> QuadResult:
     value, estimate, converged = level
     value = complex(value)
     out: complex = value.real if value.imag == 0.0 else value
-    return QuadResult(out, float(estimate), budget.used, converged)
+    return QuadResult(out, float(estimate), evaluations, converged)
 
 
 def _integrate(integrand, ladder: _Ladder, tol: Tolerance) -> QuadResult:
-    budget = _Budget(tol.max_evaluations)
+    evaluations = 0
 
     def counted(x: np.ndarray):
-        budget.spend(x.size)
+        nonlocal evaluations
+        evaluations += x.size
         return integrand(x)
 
-    return _result(_drive(counted, ladder, tol), budget)
+    level = _drive(counted, ladder, tol)
+    return _result(level, evaluations)
 
 
 def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
@@ -428,9 +422,11 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     that the scaling is exact while the product stays a normal double, and
     it is divided out again on return.  So a row far out on the x-ladder,
     whose weight is 1e-154, no longer holds its batch to the precision of
-    its own large value.  Only evaluations of integrand2d count against the
-    budget.  An inner drive that does not converge clears converged of
-    the result.
+    its own large value.  An inner drive that does not converge clears
+    converged of the result.  Whatever tol is, an inner batch that would
+    take the evaluations of integrand2d past _QUADRANT_MAX_EVALUATIONS is
+    not run, and the outer drive stops at its last completed level (see
+    _drive).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
@@ -439,10 +435,8 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     column object.
     """
     tol = tol or QUADRANT_TOLERANCE
-    # inner drives charge the shared budget, so only rel changes
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))
-    budget = _Budget(tol.max_evaluations)
-    failures = 0
+    evaluations = failures = 0
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         nonlocal failures
@@ -452,7 +446,10 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
         share = np.ldexp(0.5, np.frexp(weight)[1])[:, None]
 
         def batch(ys: np.ndarray):
-            budget.spend(xs.size * ys.size)
+            nonlocal evaluations
+            evaluations += xs.size * ys.size
+            if evaluations > _QUADRANT_MAX_EVALUATIONS:
+                raise _BudgetExceeded
             return integrand2d(col, ys) * share
 
         value, _, converged = _drive(batch, _EXP_SINH, inner_tol, nested=True)
@@ -460,4 +457,4 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
         return value / share[:, 0]
 
     value, estimate, converged = _drive(inner_rows, _EXP_SINH, tol)
-    return _result((value, estimate, converged and failures == 0), budget)
+    return _result((value, estimate, converged and failures == 0), evaluations)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -107,6 +108,48 @@ class TestHydrogenic:
         assert hydrogenic_pair_equal(eta, x2) == pytest.approx(closed, rel=1e-14)
         near = hydrogenic_pair(YukawaPairSpec(1.0, 1.0 + 1e-5, 1.0))
         assert near == pytest.approx(closed, rel=1e-4)
+
+
+def _yukawa_pair_mp(e1, e2, x2):
+    return 4 * mp.pi * (mp.exp(-x2 * e1) - mp.exp(-x2 * e2)) / (x2 * (e2**2 - e1**2))
+
+
+def _hydrogenic_pair_mp(e1, e2, x2):
+    d = e1**2 - e2**2
+    return (8 * mp.sqrt(mp.pi) * e1**2.5 / d**2
+            * (mp.exp(-e2 * x2) / x2 - (d / (2 * e1) + 1 / x2) * mp.exp(-e1 * x2)))
+
+
+class TestPairClosedFormsNearEqualRanges:
+    """The pair closed forms keep their digits as eta2 -> eta1.
+
+    The reference is the textbook form at 60 digits, where its cancellation
+    (up to ~20 digits at eta2 - eta1 = 1e-9, x2 = 0.01) costs nothing.
+    """
+
+    GAPS = [sign * 10.0**k for k in range(-9, 1) for sign in (1.0, -1.0)]
+    X2S = [0.01, 0.03, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0]
+
+    @pytest.mark.parametrize("eta1", [0.4, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "closed, reference",
+        [(yukawa_pair, _yukawa_pair_mp), (hydrogenic_pair, _hydrogenic_pair_mp)],
+        ids=["yukawa", "hydrogenic"],
+    )
+    def test_against_mpmath(self, closed, reference, eta1):
+        worst = 0.0
+        with mp.workdps(60):
+            for gap in self.GAPS:
+                eta2 = eta1 + gap
+                if eta2 <= 0.0:
+                    continue
+                for x2 in self.X2S:
+                    ref = reference(mp.mpf(eta1), mp.mpf(eta2), mp.mpf(x2))
+                    if ref < 1e-280:
+                        continue
+                    value = closed(YukawaPairSpec(eta1, eta2, x2))
+                    worst = max(worst, float(abs(value - ref) / ref))
+        assert worst <= 1e-12
 
 
 class TestFourier:

@@ -188,6 +188,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(target.read_text())["summary"]["total"] == 1
 
+    def test_unwritable_output_exits_two_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("quadred.cli.run_sweep", no_sweep)
+        code, _, err = run_cli(
+            capsys, "verify", "--rules", "E1-pbm-corrected", "--samples", "1",
+            "--output", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "module, name",
         [(reducer, "integrate_quadrant"), (catalog, "integrate_half_line")],
