@@ -17,9 +17,7 @@ from .applications import (
     fourier_pair_erfi,
     fourier_pair_tau,
     hydrogenic_pair,
-    hydrogenic_pair_equal,
     yukawa_pair,
-    yukawa_pair_equal,
     yukawa_pair_oracle,
     yukawa_pair_reduced,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "fourier_pair_tau",
     "get_rule",
     "hydrogenic_pair",
-    "hydrogenic_pair_equal",
     "integrate_half_line",
     "integrate_interval",
     "integrate_quadrant",
@@ -94,7 +91,6 @@ __all__ = [
     "shift_power",
     "verify",
     "yukawa_pair",
-    "yukawa_pair_equal",
     "yukawa_pair_oracle",
     "yukawa_pair_reduced",
 ]

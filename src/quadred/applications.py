@@ -82,23 +82,13 @@ class FourierSpec:
 def yukawa_pair(spec: YukawaPairSpec) -> float:
     """Closed form 4 pi (exp(-x2 eta1) - exp(-x2 eta2)) / (x2 (eta2^2 - eta1^2)).
 
-    Requires x2 > 0 and eta1 != eta2; the equal-range limit is
-    ``yukawa_pair_equal``.
+    Taken without cancellation, so the same form gives the equal-range
+    limit 2 pi exp(-x2 eta)/eta and the x2 = 0 limit 4 pi/(eta1 + eta2).
     """
     e1, e2, x2 = spec.eta1, spec.eta2, spec.x2
-    if e1 == e2:
-        raise ValueError("eta1 == eta2: use yukawa_pair_equal")
-    if not x2 > 0.0:
-        raise ValueError("closed form needs x2 > 0 (x2 = 0 limit: 4 pi/(eta1+eta2))")
     lo, hi = min(e1, e2), max(e1, e2)
     # (e^(-x2 lo) - e^(-x2 hi)) / (x2 (hi - lo)), without the cancellation
     return 4.0 * math.pi * math.exp(-x2 * lo) * float(exprel(-x2 * (hi - lo))) / (lo + hi)
-
-
-def yukawa_pair_equal(eta: float, x2: float) -> float:
-    """Equal-range overlap 2 pi exp(-x2 eta) / eta."""
-    _check_pair(eta=eta, x2=x2)
-    return 2.0 * math.pi * math.exp(-x2 * eta) / eta
 
 
 def hydrogenic_pair(spec: YukawaPairSpec) -> float:
@@ -107,13 +97,12 @@ def hydrogenic_pair(spec: YukawaPairSpec) -> float:
     Closed form
         8 sqrt(pi) eta1^(5/2)/(eta1^2-eta2^2)^2
           * (exp(-eta2 x2)/x2 - ((eta1^2-eta2^2)/(2 eta1) + 1/x2) exp(-eta1 x2));
-    equals -(eta1^(3/2)/sqrt(pi)) d/d(eta1) of ``yukawa_pair``.
+    equals -(eta1^(3/2)/sqrt(pi)) d/d(eta1) of ``yukawa_pair``.  Near equal
+    ranges the cancellation-free branch also gives the equal-range limit
+    sqrt(pi) (1 + x2 eta)/sqrt(eta) exp(-eta x2) and the x2 = 0 limit
+    4 sqrt(pi) eta1^(3/2)/(eta1 + eta2)^2.
     """
     e1, e2, x2 = spec.eta1, spec.eta2, spec.x2
-    if e1 == e2:
-        raise ValueError("eta1 == eta2: use hydrogenic_pair_equal")
-    if not x2 > 0.0:
-        raise ValueError("closed form needs x2 > 0")
     z = (e1 - e2) * x2
     if abs(z) < 1.0:
         # the bracket of the form below cancels to (e1 - e2)^2 e^(-e1 x2)
@@ -133,12 +122,6 @@ def _phi2(z: float) -> float:
     for n in range(20, 2, -1):  # z^18/20! < 5e-19
         acc = 1.0 + z * acc / n
     return 0.5 * acc
-
-
-def hydrogenic_pair_equal(eta: float, x2: float) -> float:
-    """Equal-range limit sqrt(pi) (1 + x2 eta)/sqrt(eta) exp(-eta x2)."""
-    _check_pair(eta=eta, x2=x2)
-    return SQPI * (1.0 + x2 * eta) / math.sqrt(eta) * math.exp(-eta * x2)
 
 
 def _pair_params(spec: YukawaPairSpec) -> Params:
@@ -229,14 +212,15 @@ def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> 
     k, chi, x2 = spec.k, spec.k_dot_x2, spec.x2
     e1sq, e2sq = spec.eta1**2, spec.eta2**2
 
-    def integrand(tau):
-        ell = np.sqrt((1.0 - tau) * (k * k * tau + e2sq) + e1sq * tau)
+    def integrand(x):
+        tau, rest = x.T  # rest is 1 - tau, exact where it is small
+        ell = np.sqrt(rest * (k * k * tau + e2sq) + e1sq * tau)
         vals = np.exp(-x2 * ell) / ell
         if chi != 0.0:
             vals = vals * np.exp(-1j * chi * tau)
         return vals
 
-    return integrate_interval(integrand, 0.0, 1.0, tol).scaled(complex(2.0 * math.pi))
+    return integrate_interval(integrand, tol).scaled(complex(2.0 * math.pi))
 
 
 def fourier_pair_tau(spec: FourierSpec, tol: Tolerance | None = None) -> complex:

@@ -29,9 +29,7 @@ from .reducer import DEFAULT_COMPARE_TOL, DivergentIntegralError, run_sweep
 
 _APPLICATIONS = (
     "yukawa-pair",
-    "yukawa-pair-equal",
     "hydrogenic-pair",
-    "hydrogenic-pair-equal",
     "fourier-erfi",
     "fourier-tau",
 )
@@ -59,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--f-coeff", type=float, default=1.0)
     p_eval.add_argument("--f-mu", type=float, default=0.0)
     p_eval.add_argument("--f-sigma", type=float, default=0.0)
-    for name in ("eta1", "eta2", "eta", "x2", "k"):
+    for name in ("eta1", "eta2", "x2", "k"):
         p_eval.add_argument(f"--{name}", type=float, default=None)
     p_eval.add_argument("--k-dot-x2", type=float, default=0.0)
     p_eval.add_argument("--rel", type=float, default=1e-10)
@@ -136,10 +134,6 @@ def _eval_application(args) -> int:
         spec = apps.YukawaPairSpec(args.eta1, args.eta2, args.x2)
         fn = apps.yukawa_pair if name == "yukawa-pair" else apps.hydrogenic_pair
         return _print_result(fn(spec), 0.0, 0, True, args.format)
-    if name in ("yukawa-pair-equal", "hydrogenic-pair-equal"):
-        need("eta", "x2")
-        fn = apps.yukawa_pair_equal if name.startswith("yukawa") else apps.hydrogenic_pair_equal
-        return _print_result(fn(args.eta, args.x2), 0.0, 0, True, args.format)
     need("eta1", "eta2", "x2", "k")
     spec = apps.FourierSpec(args.k, args.k_dot_x2, args.eta1, args.eta2, args.x2)
     fn = apps.fourier_pair_erfi_result if name == "fourier-erfi" else apps.fourier_pair_tau_result

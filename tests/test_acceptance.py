@@ -19,9 +19,7 @@ from quadred.applications import (
     fourier_pair_erfi,
     fourier_pair_tau,
     hydrogenic_pair,
-    hydrogenic_pair_equal,
     yukawa_pair,
-    yukawa_pair_equal,
     yukawa_pair_oracle,
 )
 from quadred.catalog import get_rule
@@ -136,7 +134,7 @@ def test_criterion_4_yukawa_closed_forms():
     spec = YukawaPairSpec(1.0, 2.0, 1.0)
     closed = yukawa_pair(spec)
     oracle = complex(yukawa_pair_oracle(spec).value).real
-    equal0 = yukawa_pair_equal(1.0, 0.0)
+    equal0 = yukawa_pair(YukawaPairSpec(1.0, 1.0, 0.0))
 
     eta, x2 = 1.0, 1.0
     limit_form = SQPI * (1.0 + x2 * eta) / math.sqrt(eta) * math.exp(-eta * x2)
@@ -147,7 +145,7 @@ def test_criterion_4_yukawa_closed_forms():
         and abs(oracle - closed) <= 1e-6 * abs(closed)
         and abs(equal0 - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
         and abs(numeric_limit - limit_form) <= 1e-4 * abs(limit_form)
-        and hydrogenic_pair_equal(eta, x2) == pytest.approx(limit_form, rel=1e-12)
+        and hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(limit_form, rel=1e-12)
     )
     report(
         4, "pair-overlap closed forms and the equal-range limits",
@@ -232,11 +230,10 @@ def test_criterion_8_quadrature_honesty():
     cases.append(
         (abs(complex(res.value).real - SQPI * math.exp(-2.0)), res.abs_error_estimate, "bilateral")
     )
-    res = integrate_interval(lambda u: 2.0 / SQPI * np.exp(-(u * u)), 0.0, 1.0)
+    # integrands over (0, 1) take the pairs (r, 1 - r)
+    res = integrate_interval(lambda x: 2.0 / SQPI * np.exp(-(x[:, 0] ** 2)))
     cases.append((abs(complex(res.value).real - math.erf(1.0)), res.abs_error_estimate, "erf"))
-    res = integrate_interval(
-        lambda r: r**-0.5 * (1.0 - r) ** -0.5, 0.0, 1.0, Tolerance(rel=1e-7)
-    )
+    res = integrate_interval(lambda x: x[:, 0] ** -0.5 * x[:, 1] ** -0.5, Tolerance(rel=1e-7))
     cases.append((abs(complex(res.value).real - math.pi), res.abs_error_estimate, "beta"))
     res = integrate_quadrant(lambda x, y: np.exp(-x - y))
     cases.append((abs(complex(res.value).real - 1.0), res.abs_error_estimate, "separable-2d"))

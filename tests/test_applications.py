@@ -1,5 +1,6 @@
 """Two-center overlaps and their momentum-space forms, route against route."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -13,15 +14,17 @@ from quadred.applications import (
     fourier_pair_erfi,
     fourier_pair_tau,
     hydrogenic_pair,
-    hydrogenic_pair_equal,
     yukawa_pair,
-    yukawa_pair_equal,
     yukawa_pair_oracle,
     yukawa_pair_reduced,
     yukawa_pair_reduced_alt,
 )
 
 SQPI = math.sqrt(math.pi)
+# equal ranges and zero separation take the general closed forms
+EQUAL_ETAS = [0.01, 0.1, 0.5, 1.0, 2.0, 7.0, 30.0]
+EQUAL_X2S = [0.0, 0.01, 0.3, 1.0, 5.0, 20.0]
+ZERO_SEPARATION_ETAS = [(1.0, 2.0), (2.0, 1.0), (0.01, 30.0), (30.0, 0.01), (0.7, 0.7)]
 
 
 class TestYukawaClosedForms:
@@ -40,18 +43,33 @@ class TestYukawaClosedForms:
         assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-4)
 
     def test_equal_at_origin(self):
-        assert yukawa_pair_equal(1.0, 0.0) == pytest.approx(2.0 * math.pi, rel=1e-14)
+        assert yukawa_pair(YukawaPairSpec(1.0, 1.0, 0.0)) == pytest.approx(
+            2.0 * math.pi, rel=1e-14
+        )
 
     def test_equal_general(self):
-        assert yukawa_pair_equal(1.0, 1.0) == pytest.approx(2.0 * math.pi / math.e, rel=1e-14)
+        assert yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0)) == pytest.approx(
+            2.0 * math.pi / math.e, rel=1e-14
+        )
 
     def test_equal_is_the_limit(self):
         near = yukawa_pair(YukawaPairSpec(1.0, 1.0 + 1e-5, 1.0))
-        assert near == pytest.approx(yukawa_pair_equal(1.0, 1.0), rel=1e-4)
+        assert near == pytest.approx(yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0)), rel=1e-4)
 
     def test_equal_eta_routed_to_limit_form(self):
-        with pytest.raises(ValueError):
-            yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0))
+        # exprel(0) = 1: the general form is the limit 2 pi e^(-x2 eta)/eta
+        for eta in EQUAL_ETAS:
+            for x2 in EQUAL_X2S:
+                ref = 2 * mp.pi * mp.exp(-mp.mpf(x2) * eta) / eta
+                val = yukawa_pair(YukawaPairSpec(eta, eta, x2))
+                assert abs(val - ref) <= 1e-15 * abs(ref), (eta, x2)
+
+    def test_zero_separation(self):
+        # x2 = 0 takes the same form: 4 pi/(eta1 + eta2)
+        for e1, e2 in ZERO_SEPARATION_ETAS:
+            ref = 4 * mp.pi / (mp.mpf(e1) + e2)
+            val = yukawa_pair(YukawaPairSpec(e1, e2, 0.0))
+            assert abs(val - ref) <= 1e-15 * abs(ref), (e1, e2)
 
 
 class TestYukawaRoutes:
@@ -87,7 +105,7 @@ class TestYukawaRoutes:
     def test_equal_range_route(self):
         spec = YukawaPairSpec(1.0, 1.0, 1.0)
         red = complex(yukawa_pair_reduced(spec).value).real
-        assert red == pytest.approx(yukawa_pair_equal(1.0, 1.0), rel=1e-8)
+        assert red == pytest.approx(yukawa_pair(spec), rel=1e-8)
 
 
 class TestHydrogenic:
@@ -105,9 +123,25 @@ class TestHydrogenic:
     def test_equal_limit_form(self):
         eta, x2 = 1.0, 1.0
         closed = SQPI * (1.0 + x2 * eta) / math.sqrt(eta) * math.exp(-eta * x2)
-        assert hydrogenic_pair_equal(eta, x2) == pytest.approx(closed, rel=1e-14)
+        assert hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(closed, rel=1e-14)
         near = hydrogenic_pair(YukawaPairSpec(1.0, 1.0 + 1e-5, 1.0))
         assert near == pytest.approx(closed, rel=1e-4)
+
+    def test_equal_ranges_take_the_general_form(self):
+        # phi2 at z = 0: sqrt(pi) (1 + x2 eta)/sqrt(eta) e^(-eta x2)
+        for eta in EQUAL_ETAS:
+            for x2 in EQUAL_X2S:
+                e, x = mp.mpf(eta), mp.mpf(x2)
+                ref = mp.sqrt(mp.pi) * (1 + x * e) / mp.sqrt(e) * mp.exp(-e * x)
+                val = hydrogenic_pair(YukawaPairSpec(eta, eta, x2))
+                assert abs(val - ref) <= 1e-15 * abs(ref), (eta, x2)
+
+    def test_zero_separation(self):
+        # x2 = 0: 4 sqrt(pi) eta1^(3/2)/(eta1 + eta2)^2
+        for e1, e2 in ZERO_SEPARATION_ETAS:
+            ref = 4 * mp.sqrt(mp.pi) * mp.mpf(e1) ** 1.5 / (mp.mpf(e1) + e2) ** 2
+            val = hydrogenic_pair(YukawaPairSpec(e1, e2, 0.0))
+            assert abs(val - ref) <= 1e-15 * abs(ref), (e1, e2)
 
 
 def _yukawa_pair_mp(e1, e2, x2):
@@ -177,6 +211,27 @@ class TestFourier:
     def test_tau_at_k0_equal_ranges(self):
         spec = FourierSpec(0.0, 0.0, 1.0, 1.0, 1.0)
         assert fourier_pair_tau(spec).real == pytest.approx(2.0 * math.pi / math.e, rel=1e-10)
+
+    def test_tau_against_mpmath(self):
+        # the tau route's own integral, 2 pi int_0^1 e^(-i k.x2 tau) e^(-x2 L)/L,
+        # at 30 digits
+        worst = 0.0
+        # k, eta1, eta2, x2 and the cosine of the angle between k and x2
+        grid = itertools.product(
+            (0.0, 0.5, 2.0), (0.5, 2.0), (0.5, 2.0), (0.3, 3.0), (-1.0, 0.0, 1.0)
+        )
+        with mp.workdps(30):
+            for k, e1, e2, x2, cos in grid:
+                chi = k * x2 * cos
+
+                def f(tau):
+                    ell = mp.sqrt((1 - tau) * (k * k * tau + e2 * e2) + e1 * e1 * tau)
+                    return mp.expj(-chi * tau) * mp.exp(-x2 * ell) / ell
+
+                ref = complex(2 * mp.pi * mp.quad(f, [0, 1]))
+                val = fourier_pair_tau(FourierSpec(k, chi, e1, e2, x2))
+                worst = max(worst, abs(val - ref) / abs(ref))
+        assert worst <= 1e-14, worst
 
     def test_hermiticity(self):
         up = fourier_pair_erfi(FourierSpec(1.0, 0.5, 1.0, 2.0, 1.0))

@@ -161,6 +161,14 @@ class TestKernelWeights:
         with pytest.raises(KernelError):
             kernel_weight("K1-111", params, np.array([1.0, math.nan]))
 
+    def test_infinite_t_rejected(self):
+        # 0 * inf inside the kernel would warn and return 0
+        params = Params(0, 0, 1, p=1.0, q=1.0)
+        with pytest.raises(KernelError, match="finite t > 0"):
+            kernel_weight("E1-pbm-corrected", params, math.inf)
+        with pytest.raises(KernelError, match="finite t > 0"):
+            kernel_weight("E1-pbm-corrected", params, np.array([1.0, math.inf]))
+
     def test_split_exponential_weight(self):
         params = Params(2, 2, 2, a=2.0, b=1.0, c=0.0)
         val = kernel_weight("N5-222", params, 1.0)

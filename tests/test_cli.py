@@ -94,13 +94,18 @@ class TestEval:
     @pytest.mark.parametrize(
         "target, eta, x2, message",
         [
-            ("yukawa-pair-equal", "1", "nan", "x2"),
-            ("yukawa-pair-equal", "inf", "1", "eta"),
-            ("hydrogenic-pair-equal", "1", "-1", "x2"),
+            pytest.param("yukawa-pair", "1", "nan", "x2", id="yukawa-pair-equal-1-nan-x2"),
+            pytest.param("yukawa-pair", "inf", "1", "eta", id="yukawa-pair-equal-inf-1-eta"),
+            pytest.param(
+                "hydrogenic-pair", "1", "-1", "x2", id="hydrogenic-pair-equal-1--1-x2"
+            ),
         ],
     )
     def test_bad_equal_range_argument_exit_code(self, capsys, target, eta, x2, message):
-        code, out, err = run_cli(capsys, "eval", target, "--eta", eta, "--x2", x2)
+        # equal ranges take the general closed forms, which check their spec
+        code, out, err = run_cli(
+            capsys, "eval", target, "--eta1", eta, "--eta2", eta, "--x2", x2
+        )
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
@@ -219,6 +224,16 @@ class TestVerify:
     def test_unknown_rule_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rules", "Z9-nope", "--samples", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--abs", "--rel"])
+    def test_infinite_tolerance_exits_two(self, capsys, flag):
+        # an infinite target would pass the erratum's records
+        code, out, err = run_cli(
+            capsys, "verify", "--rules", "E1-uncorrected-pbm", "--samples", "3", flag, "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_exit_two(self, capsys, samples):

@@ -28,14 +28,17 @@ def closed_form_half_line_cases():
     ]
 
 
+def _beta_half_half(x):
+    # 1/sqrt(r (1 - r)), taking 1 - r from the pair
+    return x[:, 0] ** -0.5 * x[:, 1] ** -0.5
+
+
 def closed_form_interval_cases():
+    # integrands over (0, 1) take the (n, 2) pairs (r, 1 - r)
     return [
-        (lambda r: np.ones_like(r), 0.0, 1.0, 1.0, "unit"),
-        (
-            lambda u: 2.0 / SQPI * np.exp(-(u * u)),
-            0.0, 1.0, math.erf(1.0), "erf-definition",
-        ),
-        (lambda r: r**-0.5 * (1.0 - r) ** -0.5, 0.0, 1.0, math.pi, "beta-half-half"),
+        (lambda x: np.ones(len(x)), 1.0, "unit"),
+        (lambda x: 2.0 / SQPI * np.exp(-(x[:, 0] ** 2)), math.erf(1.0), "erf-definition"),
+        (_beta_half_half, math.pi, "beta-half-half"),
     ]
 
 
@@ -93,31 +96,35 @@ class TestHalfLine:
 
 
 class TestInterval:
-    @pytest.mark.parametrize("f,lo,hi,expected,label", closed_form_interval_cases())
-    def test_closed_forms(self, f, lo, hi, expected, label):
+    @pytest.mark.parametrize(
+        "f,expected,label", closed_form_interval_cases(),
+        ids=[label for _, _, label in closed_form_interval_cases()],
+    )
+    def test_closed_forms(self, f, expected, label):
         tol = Tolerance(rel=1e-7) if label == "beta-half-half" else Tolerance()
-        res = integrate_interval(f, lo, hi, tol)
+        res = integrate_interval(f, tol)
         assert res.converged
         assert complex(res.value).real == pytest.approx(expected, rel=1e-7)
 
+    def test_beta_converges_at_the_default_tolerance(self):
+        # both endpoint singularities see exact offsets from their endpoint
+        res = integrate_interval(_beta_half_half)
+        assert res.converged
+        assert abs(res.value - math.pi) <= 1e-15
+
     def test_complex_integrand_shared_mesh(self):
-        res = integrate_interval(lambda u: np.exp(-2j * u), 0.0, 1.0)
+        res = integrate_interval(lambda x: np.exp(-2j * x[:, 0]))
         expected = (1.0 - np.exp(-2j)) / 2j
         assert res.converged
         assert complex(res.value) == pytest.approx(expected, rel=1e-12)
 
-    def test_bad_interval(self):
-        with pytest.raises(QuadratureError):
-            integrate_interval(lambda x: x, 1.0, 1.0)
-        with pytest.raises(QuadratureError):
-            integrate_interval(lambda x: x, 0.0, math.inf)
-
     def test_endpoints_untouched(self):
         def f(x):
-            assert np.all((x > 0.0) & (x < 1.0))
-            return x**-0.25
+            # r and 1 - r are both positive: neither endpoint is reached
+            assert x.ndim == 2 and x.shape[1] == 2 and np.all(x > 0.0)
+            return x[:, 0] ** -0.25
 
-        res = integrate_interval(f, 0.0, 1.0)
+        res = integrate_interval(f)
         assert complex(res.value).real == pytest.approx(4.0 / 3.0, rel=1e-10)
 
 
@@ -126,12 +133,13 @@ class TestTransformConsistency:
         # t = u/(1-u) maps (0,1) onto (0,inf)
         g = lambda t: t**0.5 * np.exp(-2.0 * t)
 
-        def compactified(u):
-            t = u / (1.0 - u)
-            return g(t) / (1.0 - u) ** 2
+        def compactified(x):
+            # 1 - u is exact down to ~1e-300, where rest**2 would underflow
+            u, rest = x.T
+            return g(u / rest) / rest / rest
 
         direct = integrate_half_line(g)
-        mapped = integrate_interval(compactified, 0.0, 1.0)
+        mapped = integrate_interval(compactified)
         assert complex(direct.value).real == pytest.approx(
             complex(mapped.value).real, rel=1e-9
         )
@@ -208,10 +216,11 @@ class TestLevelCap:
 
     @pytest.mark.parametrize("tol", TOLS, ids=["default", "tight"])
     def test_interval(self, tol):
-        f = lambda x: np.where(x > 0.5, 1.0, 0.5) / (x * (1.0 - x)) ** 0.999
-        res = integrate_interval(f, 0.0, 1.0, tol)
+        f = lambda x: np.where(x[:, 0] > 0.5, 1.0, 0.5) / (x[:, 0] * x[:, 1]) ** 0.999
+        res = integrate_interval(f, tol)
         assert res.converged is False
-        assert res.evaluations == 38_036
+        # every node of the (s, 1 - s) ladder
+        assert res.evaluations == 50_081
 
 
 class TestBudgetExhaustion:
@@ -254,6 +263,10 @@ class TestBudgetExhaustion:
             return np.exp(-x - y)
 
         res = integrate_half_line(f)
+        assert res.evaluations == sum(points)
+        points.clear()
+        # one evaluation per (s, 1 - s) pair, not two
+        res = integrate_interval(lambda x: points.append(len(x)) or np.exp(-x[:, 0]))
         assert res.evaluations == sum(points)
         points.clear()
         res = integrate_quadrant(f2)
@@ -313,9 +326,8 @@ class TestFailurePaths:
 
 def _fresh_block(ladder, direction, spacing, offset, k0):
     u = direction * (offset + spacing * np.arange(k0, k0 + quadrature._BLOCK))
-    x, w, fuzzy = ladder.nodes(u)
+    x, w = ladder.nodes(u)
     keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
-    assert fuzzy is None
     return x[keep], w[keep]
 
 
@@ -334,9 +346,8 @@ class TestNodeLadder:
         spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
         block = quadrature._block(ladder, direction, spacing, offset, k0)
-        x, w, fuzzy = block
+        x, w = block
         fresh_x, fresh_w = _fresh_block(ladder, direction, spacing, offset, k0)
-        assert fuzzy is None
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
         assert ladder.kept[(direction, spacing, offset, k0)] is block
@@ -364,8 +375,7 @@ class TestNodeLadder:
                     if fx.size == 0:
                         assert block is None
                         break
-                    _, w, fuzzy = block
-                    assert fuzzy is None
+                    _, w = block
                     assert x[at:at + len(fx)].tobytes() == fx.tobytes()
                     assert w.tobytes() == fw.tobytes()
                     at += len(fx)
@@ -381,54 +391,31 @@ class TestNodeLadder:
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     def test_cached_arrays_are_read_only(self, ladder):
-        x, w, _ = quadrature._block(ladder, 1.0, 0.5, 0.0, 0)
+        x, w = quadrature._block(ladder, 1.0, 0.5, 0.0, 0)
         with pytest.raises(ValueError):
             x[0] = 1.0
         with pytest.raises(ValueError):
             w *= 2.0
 
-    def test_interval_nodes_are_not_stored(self):
-        before = [len(ladder.kept) for ladder in FIXED_LADDERS]
-        res = integrate_interval(lambda r: r**-0.5, 0.0, 1.0)
-        assert res.converged
-        assert [len(ladder.kept) for ladder in FIXED_LADDERS] == before
+    def test_repeated_interval_reads_the_kept_pair_ladder(self):
+        # the interval runs on the process-wide (s, 1 - s) ladder: a repeat
+        # builds nothing and hands the integrand the ladder's own blocks
+        seen = []
 
-    def test_interval_blocks_are_built_once_per_call(self, monkeypatch):
-        # each call gets its own ladder; every block of it is generated once,
-        # kept read-only, and handed to the integrand read-only
-        made, built, writable = [], [], []
-        make = quadrature._make_tanh_sinh_nodes
+        def f(x):
+            seen.append(x)
+            return x[:, 0] ** -0.5
 
-        def spy(lo, hi):
-            ladder = make(lo, hi)
-            nodes = ladder.nodes
-
-            def counted(u):
-                built.append(u.tobytes())
-                return nodes(u)
-
-            ladder.nodes = counted
-            made.append(ladder)
-            return ladder
-
-        def f(r):
-            writable.append(r.flags.writeable)
-            return r**-0.5
-
-        monkeypatch.setattr(quadrature, "_make_tanh_sinh_nodes", spy)
-        before = [len(ladder.kept) for ladder in FIXED_LADDERS]
-        first = integrate_interval(f, 0.0, 1.0)
-        second = integrate_interval(f, 0.0, 1.0)
+        first = integrate_interval(f)
+        size = len(quadrature._UNIT_PAIR.kept)
+        seen.clear()
+        second = integrate_interval(f)
+        assert len(quadrature._UNIT_PAIR.kept) == size
         assert first.converged and second == first
-        assert len(made) == 2 and made[0] is not made[1]
-        assert len(built) == 2 * len(set(built))
-        # block keys are (direction, spacing, offset, k0); head keys are levels
-        blocks = [v for k, v in made[0].kept.items() if not isinstance(k[0], tuple)]
-        assert len(blocks) == len(built) // 2
-        live = [b for b in blocks if b is not None]
-        assert live and all(not x.flags.writeable and not w.flags.writeable for x, w, _ in live)
-        assert writable and not any(writable)
-        assert [len(ladder.kept) for ladder in FIXED_LADDERS] == before
+        # a block is kept as (x, w), a head as its abscissae alone
+        kept = [v[0] if isinstance(v, tuple) else v for v in quadrature._UNIT_PAIR.kept.values()]
+        assert seen and all(not x.flags.writeable for x in seen)
+        assert all(x.ndim == 2 and any(x is k for k in kept) for x in seen)
 
     def test_repeated_quadrant_adds_no_entry(self):
         first = integrate_quadrant(_seed_cross_check_f2)
@@ -490,8 +477,8 @@ class TestFetchRule:
             "0x1.eb43de8286e12p-3", 197,
         ),
         "interval-beta": (
-            lambda: integrate_interval(lambda r: r**-0.5 * (1.0 - r) ** -0.5, 0.0, 1.0),
-            "0x1.921fb5235a7fdp+1", 29447,
+            lambda: integrate_interval(_beta_half_half),
+            "0x1.921fb54442d19p+1", 97,
         ),
         "quadrant": (
             lambda: integrate_quadrant(_seed_cross_check_f2),
@@ -519,16 +506,6 @@ class TestFetchRule:
         assert len(sizes) == 7
         assert sum(sizes) == res.evaluations == 391
 
-    def test_head_without_nodes_makes_no_call(self):
-        # one ulp wide: every node rounds onto an endpoint, so no block and
-        # no head survives
-        calls = []
-        res = integrate_interval(
-            lambda r: calls.append(r.size) or np.ones_like(r), 1.0, math.nextafter(1.0, 2.0)
-        )
-        assert calls == [] and res.evaluations == 0
-        assert res.value == 0.0
-
     def test_quadrant_outer_fetches_fused_heads(self):
         # inner rows are judged by their share of the outer sum, so the
         # outer drive fuses its heads like every other drive
@@ -549,7 +526,7 @@ class TestErrorStateRestored:
 
     RUNS = {
         "half-line": lambda g: integrate_half_line(lambda t: g(t) + np.exp(-t)),
-        "interval": lambda g: integrate_interval(lambda r: g(4.0 * r) + r**-0.5, 0.0, 1.0),
+        "interval": lambda g: integrate_interval(lambda x: g(4.0 * x[:, 0]) + x[:, 0] ** -0.5),
         "quadrant": lambda g: integrate_quadrant(lambda x, y: g(x) + np.exp(-x - y)),
     }
 
@@ -590,6 +567,13 @@ class TestTolerance:
         assert tol.met_by(1e-13, small, floor=0.0)
         assert tol.met_by(1e-14, np.zeros(2), floor=0.0)
 
+    @pytest.mark.parametrize("field", ["rel", "abs"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_target_is_rejected(self, field, value):
+        # an infinite target would pass every estimate
+        with pytest.raises(ValueError, match=f"{field} tolerance must be finite"):
+            Tolerance(**{field: value})
+
 
 class TestQuadResultScaled:
     def test_real_factor_keeps_the_value_type(self):
@@ -612,9 +596,9 @@ class TestErrorEstimateHonesty:
             assert true_err <= 10.0 * res.abs_error_estimate + 1e-15, label
 
     def test_interval_examples(self):
-        for f, lo, hi, expected, label in closed_form_interval_cases():
+        for f, expected, label in closed_form_interval_cases():
             tol = Tolerance(rel=1e-7) if label == "beta-half-half" else Tolerance()
-            res = integrate_interval(f, lo, hi, tol)
+            res = integrate_interval(f, tol)
             true_err = abs(complex(res.value).real - expected)
             assert true_err <= 10.0 * res.abs_error_estimate + 1e-15, label
 
