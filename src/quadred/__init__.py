@@ -14,8 +14,8 @@ from .applications import (
     FourierSpec,
     YukawaPairSpec,
     cheshire_check,
-    fourier_pair_erfi,
-    fourier_pair_tau,
+    fourier_pair_erfi_result,
+    fourier_pair_tau_result,
     hydrogenic_pair,
     yukawa_pair,
     yukawa_pair_oracle,
@@ -27,10 +27,7 @@ from .catalog import (
     ReductionRule,
     RULES,
     get_rule,
-    kernel_weight,
     list_rules,
-    lookup_rule,
-    reduce_to_1d,
 )
 from .kernels import KernelError, KernelTerm
 from .params import Params, TestIntegrand
@@ -75,18 +72,15 @@ __all__ = [
     "cheshire_check",
     "derivative_check_k7",
     "direct_2d",
-    "fourier_pair_erfi",
-    "fourier_pair_tau",
+    "fourier_pair_erfi_result",
+    "fourier_pair_tau_result",
     "get_rule",
     "hydrogenic_pair",
     "integrate_half_line",
     "integrate_interval",
     "integrate_quadrant",
-    "kernel_weight",
     "list_rules",
-    "lookup_rule",
     "normalize",
-    "reduce_to_1d",
     "run_sweep",
     "shift_power",
     "verify",

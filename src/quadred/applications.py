@@ -70,13 +70,9 @@ class FourierSpec:
             raise ValueError("k must be >= 0 and finite")
         if not math.isfinite(self.k_dot_x2):
             raise ValueError("k_dot_x2 must be finite")
-        self.pair  # checks eta1, eta2 and x2 as a Yukawa pair
+        _check_pair(self.x2, eta1=self.eta1, eta2=self.eta2)
         if abs(self.k_dot_x2) > self.k * self.x2 * (1.0 + 1e-12):
             raise ValueError("|k_dot_x2| cannot exceed k*x2")
-
-    @property
-    def pair(self) -> YukawaPairSpec:
-        return YukawaPairSpec(self.eta1, self.eta2, self.x2)
 
 
 def yukawa_pair(spec: YukawaPairSpec) -> float:
@@ -190,6 +186,11 @@ def _erfi_kernel(spec: FourierSpec) -> list[KernelTerm]:
 
 
 def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) -> QuadResult:
+    """Momentum-space overlap via the half-line integral with the erfi kernel.
+
+    Below k ~ 1e-3 max(eta) the kernel's removable 0/0 structure costs
+    digits, so the equivalent tau-form is substituted.
+    """
     if spec.k < _ERFI_SMALL_K * max(spec.eta1, spec.eta2):
         return fourier_pair_tau_result(spec, tol)
     terms = _erfi_kernel(spec)
@@ -199,16 +200,12 @@ def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) ->
     return res.scaled(complex(SQPI))
 
 
-def fourier_pair_erfi(spec: FourierSpec, tol: Tolerance | None = None) -> complex:
-    """Momentum-space overlap via the half-line integral with the erfi kernel.
-
-    Below k ~ 1e-3 max(eta) the kernel's removable 0/0 structure costs
-    digits, so the equivalent tau-form is substituted.
-    """
-    return complex(fourier_pair_erfi_result(spec, tol).value)
-
-
 def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> QuadResult:
+    """Momentum-space overlap via the finite parametric integral
+
+        2 pi integral_0^1 exp(-i k.x2 tau) exp(-x2 L)/L dtau,
+        L = sqrt((1-tau)(k^2 tau + eta2^2) + eta1^2 tau).
+    """
     k, chi, x2 = spec.k, spec.k_dot_x2, spec.x2
     e1sq, e2sq = spec.eta1**2, spec.eta2**2
 
@@ -221,15 +218,6 @@ def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> 
         return vals
 
     return integrate_interval(integrand, tol).scaled(complex(2.0 * math.pi))
-
-
-def fourier_pair_tau(spec: FourierSpec, tol: Tolerance | None = None) -> complex:
-    """Momentum-space overlap via the finite parametric integral
-
-        2 pi integral_0^1 exp(-i k.x2 tau) exp(-x2 L)/L dtau,
-        L = sqrt((1-tau)(k^2 tau + eta2^2) + eta1^2 tau).
-    """
-    return complex(fourier_pair_tau_result(spec, tol).value)
 
 
 # ----------------------------------------------------------------------------
@@ -255,7 +243,9 @@ def _wrapped_derivative(route, spec: FourierSpec, step: float) -> complex:
     pref = spec.eta1**1.5 * spec.eta2**1.5 / math.pi
 
     def at(eta2: float) -> complex:
-        return route(FourierSpec(spec.k, spec.k_dot_x2, spec.eta1, eta2, spec.x2))
+        # an unconverged value raises rather than feed the difference
+        res = route(FourierSpec(spec.k, spec.k_dot_x2, spec.eta1, eta2, spec.x2))
+        return complex(res.require_converged().value)
 
     fd = (at(spec.eta2 + step) - at(spec.eta2 - step)) / (2.0 * step)
     return pref * (-fd)
@@ -268,10 +258,13 @@ def cheshire_check(
     step: float = 1e-5,
 ) -> CheshireReport:
     """Central-difference -d/d(eta2) wrapper at eta1 = 1, eta2 = 1/2,
-    k = kf_mag/2, applied to both momentum-space routes."""
+    k = kf_mag/2, applied to both momentum-space routes.
+
+    Raises QuadratureError if either route does not converge at a step.
+    """
     spec = FourierSpec(kf_mag / 2.0, k_dot_x2, 1.0, 0.5, x2)
     return CheshireReport(
         spec, step,
-        _wrapped_derivative(fourier_pair_erfi, spec, step),
-        _wrapped_derivative(fourier_pair_tau, spec, step),
+        _wrapped_derivative(fourier_pair_erfi_result, spec, step),
+        _wrapped_derivative(fourier_pair_tau_result, spec, step),
     )

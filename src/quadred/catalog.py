@@ -661,29 +661,3 @@ def get_rule(rule_id: str) -> ReductionRule:
     except KeyError:
         raise KeyError(f"unknown rule id {rule_id!r}") from None
 
-
-def lookup_rule(triple: tuple[int, int, int], family: Family | str) -> ReductionRule | None:
-    """The unique non-erratum rule registered for an exact exponent triple."""
-    if isinstance(family, str):
-        family = Family(family)
-    for rule in RULES:
-        if rule.erratum or rule.triple is None:
-            continue
-        if rule.family is family and rule.triple == tuple(triple):
-            return rule
-    return None
-
-
-def kernel_weight(rule: ReductionRule | str, params: Params, t):
-    """Pointwise weight w(t); raises ApplicabilityError off the validity set."""
-    if isinstance(rule, str):
-        rule = get_rule(rule)
-    return rule.kernel_weight(params, t)
-
-
-def reduce_to_1d(rule: ReductionRule | str, params: Params, f: TestIntegrand,
-                 tol: Tolerance | None = None) -> QuadResult:
-    """Evaluate the reduced side: integral of f(t) w(t) over (0, inf)."""
-    if isinstance(rule, str):
-        rule = get_rule(rule)
-    return rule.reduce_to_1d(params, f, tol)

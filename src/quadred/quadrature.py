@@ -237,6 +237,15 @@ def _head(ladder: _Ladder, levels: tuple) -> np.ndarray:
     return head
 
 
+def _where(x: np.ndarray, bad: np.ndarray) -> str:
+    """The abscissa of the first column of bad that holds a True."""
+    col = np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0]
+    point = x[col]
+    if point.ndim:  # a (s, 1 - s) pair
+        return f"(s, 1 - s) = ({float(point[0])!r}, {float(point[1])!r})"
+    return f"abscissa {float(point)!r}"
+
+
 def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, at: int):
     """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
 
@@ -270,10 +279,12 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, a
             terms = y * w
             tmax = float(np.maximum.reduce(np.abs(terms), axis=None)) if terms.size else 0.0
             if not math.isfinite(tmax):
-                if np.isnan(y).any():
-                    raise QuadratureError("integrand returned NaN")
+                nan = np.isnan(y)
+                if nan.any():
+                    raise QuadratureError(f"integrand returned NaN at {_where(x, nan)}")
                 raise QuadratureError(
-                    "integrand*weight overflowed; integral likely divergent"
+                    f"integrand*weight overflowed at {_where(x, ~np.isfinite(terms))}; "
+                    "integral likely divergent"
                 )
             total += np.add.reduce(terms, axis=-1)
             if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):

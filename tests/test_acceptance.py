@@ -16,8 +16,8 @@ import pytest
 from quadred.applications import (
     FourierSpec,
     YukawaPairSpec,
-    fourier_pair_erfi,
-    fourier_pair_tau,
+    fourier_pair_erfi_result,
+    fourier_pair_tau_result,
     hydrogenic_pair,
     yukawa_pair,
     yukawa_pair_oracle,
@@ -158,19 +158,22 @@ def test_criterion_4_yukawa_closed_forms():
 def test_criterion_5_fourier_cross_check():
     worst = 0.0
     count = 0
+    converged = True
     for k in (0.5, 1.0, 2.0):
         for ratio in (0.5, 1.0, 2.0):
             for x2 in (0.5, 1.0, 2.0):
                 for cosine in (0.0, 0.3):
                     spec = FourierSpec(k, cosine * k * x2, 1.0, ratio, x2)
-                    a = fourier_pair_erfi(spec)
-                    b = fourier_pair_tau(spec)
+                    erfi, tau = fourier_pair_erfi_result(spec), fourier_pair_tau_result(spec)
+                    converged = converged and erfi.converged and tau.converged
+                    a, b = complex(erfi.value), complex(tau.value)
                     worst = max(worst, abs(a - b) / max(1.0, abs(b)))
                     count += 1
-    ok = worst <= 1e-6
+    ok = converged and worst <= 1e-6
     report(
         5, "erfi-kernel and parametric momentum-space routes agree on the grid",
-        ok, f"{count} points (27 aligned + 27 oblique), worst rel {worst:.2e}",
+        ok, f"{count} points (27 aligned + 27 oblique), worst rel {worst:.2e}, "
+        f"all converged {converged}",
     )
 
 

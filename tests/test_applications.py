@@ -7,18 +7,20 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from quadred import applications
 from quadred.applications import (
     FourierSpec,
     YukawaPairSpec,
     cheshire_check,
-    fourier_pair_erfi,
-    fourier_pair_tau,
+    fourier_pair_erfi_result,
+    fourier_pair_tau_result,
     hydrogenic_pair,
     yukawa_pair,
     yukawa_pair_oracle,
     yukawa_pair_reduced,
     yukawa_pair_reduced_alt,
 )
+from quadred.quadrature import QuadratureError, QuadResult
 
 SQPI = math.sqrt(math.pi)
 # equal ranges and zero separation take the general closed forms
@@ -186,6 +188,18 @@ class TestPairClosedFormsNearEqualRanges:
         assert worst <= 1e-12
 
 
+def erfi_value(spec: FourierSpec) -> complex:
+    res = fourier_pair_erfi_result(spec)
+    assert res.converged, spec
+    return complex(res.value)
+
+
+def tau_value(spec: FourierSpec) -> complex:
+    res = fourier_pair_tau_result(spec)
+    assert res.converged, spec
+    return complex(res.value)
+
+
 class TestFourier:
     def test_cross_parametrization(self):
         for (k, chi, e1, e2, x2) in [
@@ -194,23 +208,23 @@ class TestFourier:
             (0.5, -0.2, 1.5, 1.5, 2.0),
         ]:
             spec = FourierSpec(k, chi, e1, e2, x2)
-            a = fourier_pair_erfi(spec)
-            b = fourier_pair_tau(spec)
+            a = erfi_value(spec)
+            b = tau_value(spec)
             assert a == pytest.approx(b, rel=1e-6)
 
     def test_real_when_phase_vanishes(self):
         spec = FourierSpec(1.0, 0.0, 1.0, 0.5, 1.0)
-        val = fourier_pair_erfi(spec)
+        val = erfi_value(spec)
         assert abs(val.imag) <= 1e-10 * abs(val.real)
 
     def test_small_k_matches_static_pair(self):
         spec = FourierSpec(1e-3, 0.0, 1.0, 2.0, 1.0)
         static = yukawa_pair(YukawaPairSpec(1.0, 2.0, 1.0))
-        assert fourier_pair_erfi(spec).real == pytest.approx(static, rel=1e-3)
+        assert erfi_value(spec).real == pytest.approx(static, rel=1e-3)
 
     def test_tau_at_k0_equal_ranges(self):
         spec = FourierSpec(0.0, 0.0, 1.0, 1.0, 1.0)
-        assert fourier_pair_tau(spec).real == pytest.approx(2.0 * math.pi / math.e, rel=1e-10)
+        assert tau_value(spec).real == pytest.approx(2.0 * math.pi / math.e, rel=1e-10)
 
     def test_tau_against_mpmath(self):
         # the tau route's own integral, 2 pi int_0^1 e^(-i k.x2 tau) e^(-x2 L)/L,
@@ -229,13 +243,13 @@ class TestFourier:
                     return mp.expj(-chi * tau) * mp.exp(-x2 * ell) / ell
 
                 ref = complex(2 * mp.pi * mp.quad(f, [0, 1]))
-                val = fourier_pair_tau(FourierSpec(k, chi, e1, e2, x2))
+                val = tau_value(FourierSpec(k, chi, e1, e2, x2))
                 worst = max(worst, abs(val - ref) / abs(ref))
         assert worst <= 1e-14, worst
 
     def test_hermiticity(self):
-        up = fourier_pair_erfi(FourierSpec(1.0, 0.5, 1.0, 2.0, 1.0))
-        dn = fourier_pair_erfi(FourierSpec(1.0, -0.5, 1.0, 2.0, 1.0))
+        up = erfi_value(FourierSpec(1.0, 0.5, 1.0, 2.0, 1.0))
+        dn = erfi_value(FourierSpec(1.0, -0.5, 1.0, 2.0, 1.0))
         assert up.conjugate() == pytest.approx(dn, rel=1e-10)
 
     def test_colinear_boundary(self):
@@ -245,8 +259,8 @@ class TestFourier:
         for s in (+1.0, -1.0):
             for (e1, e2) in ((1.0, 0.6), (0.7, 1.8)):
                 spec = FourierSpec(0.5, s * 0.5 * 8.0, e1, e2, 8.0)
-                a = fourier_pair_erfi(spec)
-                b = fourier_pair_tau(spec)
+                a = erfi_value(spec)
+                b = tau_value(spec)
                 assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
 
     def test_spec_validation(self):
@@ -271,8 +285,8 @@ class TestFourier:
         spec = FourierSpec(1.0, 0.4, 1.0, 0.7, 0.9)
         res = get_rule("R1-rint").reduce_to_1d(fourier_params(spec), TestIntegrand(1.0, 1.5, 0.0))
         via_rule = SQPI * complex(res.value)
-        assert via_rule == pytest.approx(fourier_pair_tau(spec), rel=1e-8)
-        assert via_rule == pytest.approx(fourier_pair_erfi(spec), rel=1e-8)
+        assert via_rule == pytest.approx(tau_value(spec), rel=1e-8)
+        assert via_rule == pytest.approx(erfi_value(spec), rel=1e-8)
 
 
 class TestCheshire:
@@ -284,3 +298,12 @@ class TestCheshire:
     def test_with_oblique_phase(self):
         rep = cheshire_check(1.0, 1.0, k_dot_x2=0.25)
         assert rep.rel_diff <= 1e-6
+
+    def test_unconverged_route_raises(self, monkeypatch):
+        # a value that never converged must not enter the finite difference
+        def unconverged(spec, tol=None):
+            return QuadResult(1.0 + 0.0j, math.inf, 50_081, False)
+
+        monkeypatch.setattr(applications, "fourier_pair_tau_result", unconverged)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            cheshire_check()

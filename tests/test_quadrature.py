@@ -1,6 +1,7 @@
 """Quadrature engine checks: closed forms, invariants, honesty, failure modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,8 +321,47 @@ class TestFailurePaths:
         def f2(x, y):
             return np.where(y > 2.0, np.nan, np.exp(-x - y))
 
-        with pytest.raises(QuadratureError, match="integrand returned NaN"):
+        with pytest.raises(QuadratureError, match="integrand returned NaN") as err:
             integrate_quadrant(f2)
+        # the first bad column of the (rows, n) batch names its y node
+        assert _abscissa(err) > 2.0
+
+
+def _abscissa(err) -> float:
+    return float(re.search(r" at abscissa (\S+?);?(?: |$)", str(err.value)).group(1))
+
+
+def _pair(err) -> tuple[float, float]:
+    found = re.search(r" at \(s, 1 - s\) = \((\S+), (\S+)\)", str(err.value))
+    return float(found.group(1)), float(found.group(2))
+
+
+class TestFailureLocation:
+    """Each error names the abscissa of the first non-finite term."""
+
+    def test_half_line_nan(self):
+        with pytest.raises(QuadratureError, match="integrand returned NaN at abscissa") as err:
+            integrate_half_line(lambda t: np.where(t > 1e3, np.nan, np.exp(-t)))
+        assert 1e3 < _abscissa(err) < 1e5
+
+    def test_half_line_overflow(self):
+        with pytest.raises(QuadratureError, match=r"overflowed at abscissa") as err:
+            integrate_half_line(lambda t: 1.0 / t**2)
+        assert 0.0 < _abscissa(err) < 1e-150
+
+    def test_interval_nan(self):
+        with pytest.raises(QuadratureError, match=r"returned NaN at \(s, 1 - s\)") as err:
+            integrate_interval(lambda x: np.where(x[:, 1] < 1e-5, np.nan, 1.0))
+        s, rest = _pair(err)
+        assert 0.0 < rest < 1e-5 and s == 1.0 - rest
+
+    def test_interval_overflow_names_a_cancelled_difference(self):
+        # the integrand forms 1 - s itself, which rounds to 0 near s = 1;
+        # read from the pair, the same integral is pi (TestInterval)
+        with pytest.raises(QuadratureError, match=r"overflowed at \(s, 1 - s\)") as err:
+            integrate_interval(lambda x: x[:, 0] ** -0.5 * (1 - x[:, 0]) ** -0.5)
+        s, rest = _pair(err)
+        assert s == 1.0 and 0.0 < rest < 1e-16
 
 
 def _fresh_block(ladder, direction, spacing, offset, k0):
