@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
         return 2
     with sink as fh:
         report = run_sweep(ids, samples=args.samples, seed=args.seed,
-                           compare_tol=compare, jobs=max(1, args.jobs))
+                           compare_tol=compare, jobs=args.jobs)
         fh.write(_report_body(report, args.format))
     print(report.summary_line(), file=sys.stderr)
     if report.any_nonconverged():

@@ -26,19 +26,13 @@ import numpy as np
 from scipy import special as _sp
 
 from .params import TestIntegrand
-from .quadrature import (
-    QuadratureError,
-    Tolerance,
-    _UNIT_PAIR,
-    _drive,
-)
+from .quadrature import QuadratureError, Tolerance, integrate_interval
 
 _LOG_DEAD = -745.0
 _LOG_OVERFLOW = 705.0
 _KUMMER_LEADING_FROM = 1e16
-# R1's inner integral needs no work bound: _drive evaluates only new nodes
-# per level, so through _MAX_LEVEL a row costs at most 50 081 evaluations,
-# every node of the (s, 1 - s) ladder
+# Targets of R1's inner integrate_interval batch; the level cap bounds its
+# work, at most 50 081 evaluations a row, every node of the (s, 1 - s) ladder
 _R_INNER_TOL = Tolerance(rel=1e-11, abs=1e-15)
 
 
@@ -227,15 +221,12 @@ class RInnerFactor(_Factor):
     fixed interval (0, 1), and the integrand takes the node pair (s, 1 - s):
     the member that is small is the exact tanh-sinh offset from its
     endpoint, so the (1 - r t) power at the moving endpoint r = 1/t never
-    sees a cancelled difference.  All live rows of one call are one batch
-    of the double-exponential driver, judged by its largest row against
-    _R_INNER_TOL with no work bound of its own: the level cap bounds the
-    work, and a batch that has not converged by then raises
+    sees a cancelled difference.  All live rows of one call are one
+    (rows, n) batch of integrate_interval, judged by its largest row
+    against _R_INNER_TOL with no work bound of its own: the level cap
+    bounds the work, and a batch that has not converged by then raises
     QuadratureError.  So a row's value depends, within _R_INNER_TOL.rel, on
-    which t share the call.  The 1-D driver fetches each level's head of t
-    nodes in one call; against one call per block, that grouping moves 13
-    of the 200 R1-rint records of `verify --samples 20` at seeds 0-9, by at
-    most 4.3e-12 relative, with the same evaluations.
+    which t share the call.
     """
 
     n: int
@@ -279,13 +270,13 @@ class RInnerFactor(_Factor):
                 vals = vals * np.exp(-1j * h.imag * s)
             return vals
 
-        value, estimate, converged = _drive(batch, _UNIT_PAIR, _R_INNER_TOL)
-        if not converged:
+        res = integrate_interval(batch, _R_INNER_TOL)
+        if not res.converged:
             raise QuadratureError(
                 f"R1 inner integral did not converge over {rows} t rows "
-                f"(estimate {estimate:.3e})"
+                f"(estimate {res.abs_error_estimate:.3e})"
             )
-        out[live] = value if h.imag != 0.0 else value.real
+        out[live] = res.value
         return out
 
 

@@ -14,6 +14,7 @@ searches exact.
 from __future__ import annotations
 
 import math
+import operator
 
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,12 @@ class Params:
     q: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "m", "nu"):
+            v = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise ValueError(f"exponent {name} must be an integer, got {v!r}") from None
         for name in ("a", "b", "c", "j", "p", "q"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):

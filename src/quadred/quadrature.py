@@ -37,10 +37,12 @@ never converges stops at its ladder's last level after bounded work
 (50 387 evaluations on the half line, 50 081 on (0, 1)).  Only the
 quadrant oracle, each of whose outer nodes runs a whole inner drive, has
 a work bound, _QUADRANT_MAX_EVALUATIONS; a Tolerance sets targets only.
+An inner batch that would pass it stops its inner drive, and the outer
+integrand then stops the outer drive at its last completed level.
 
-Each top-level integral runs under one np.errstate that ignores overflow,
-underflow, division by zero and invalid operations; nested integrals run
-inside their parent's.  Non-finite terms are caught by value instead.
+_drive sets no error state: each entry point enters one
+np.errstate(all="ignore"), under which all its drives run, the quadrant's
+inner ones included.  Non-finite terms are caught by value instead.
 
 Integrands must accept numpy arrays (every integrand built by this package
 does).  They are never called at an endpoint: of each (s, 1 - s) pair the
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import math
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -106,7 +107,7 @@ _QUADRANT_MAX_EVALUATIONS = 100_000_000
 
 @dataclass
 class QuadResult:
-    """One converged (or best-effort) integral value."""
+    """One converged (or best-effort) integral value, or one value per row."""
 
     value: complex
     abs_error_estimate: float
@@ -262,7 +263,7 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, a
     direction take their values from it by a running offset; blocks past
     them cost one call of f each.  The summation is the same as with one
     call per block.  Returns (sum, the offset past this level's head).  It
-    sets no error state: it runs under its _drive's.
+    sets no error state: it runs under its entry point's.
     """
     total = 0.0 + 0.0j
     for direction in (+1.0, -1.0):
@@ -296,7 +297,7 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, a
     return total, at
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
+def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
@@ -306,20 +307,12 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
     only blocks past a head cost a call each.
 
     A drive that never converges stops after level _MAX_LEVEL, which
-    bounds its work.  A batch converges when its largest row does.  Nested
-    rows (the inner integrals of the quadrant, each scaled by its share of
-    the outer sum) are judged with no floor of 1 on the scale.  Only the
-    quadrant's inner batches raise _BudgetExceeded: it passes through the
-    nested drive and stops the top-level one at its last completed level,
-    unconverged, or at value 0 with an infinite estimate if there is none.
-    A top-level drive enters one np.errstate for all its scans, where
-    overflow, underflow and invalid operations are expected and ignored; a
-    nested drive runs under its parent's.
+    bounds its work.  A batch converges when its largest row does, at a
+    scale bounded below by floor (see Tolerance.met_by).  A drive whose f
+    raises _BudgetExceeded stops at its last completed level, unconverged,
+    or at value 0 with an infinite estimate if there is none.  It sets no
+    error state: it runs under its entry point's (see the module).
     """
-    floor = 0.0 if nested else 1.0
-    fp_state = nullcontext() if nested else np.errstate(
-        over="ignore", under="ignore", divide="ignore", invalid="ignore"
-    )
 
     def fetch(*levels):
         # f's values on the fused head of levels
@@ -328,31 +321,31 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, nested: bool = False):
     h = _BASE_STEP
     value, estimate, converged = 0.0, math.inf, False
     try:
-        with fp_state:
-            head = fetch((h, 0.0), (h, 0.5 * h))
-            raw, at = _scan(f, ladder, h, 0.0, head, 0)
+        head = fetch((h, 0.0), (h, 0.5 * h))
+        raw, at = _scan(f, ladder, h, 0.0, head, 0)
+        value = h * raw
+        for level in range(1, _MAX_LEVEL + 1):
+            h *= 0.5
+            if level > 1:  # level 1's head follows level 0's in one call
+                head, at = fetch((2.0 * h, h)), 0
+            odd, _ = _scan(f, ladder, 2.0 * h, h, head, at)
+            prev, raw = value, raw + odd
             value = h * raw
-            for level in range(1, _MAX_LEVEL + 1):
-                h *= 0.5
-                if level > 1:  # level 1's head follows level 0's in one call
-                    head, at = fetch((2.0 * h, h)), 0
-                odd, _ = _scan(f, ladder, 2.0 * h, h, head, at)
-                prev, raw = value, raw + odd
-                value = h * raw
-                estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
-                if tol.met_by(estimate, value, floor):
-                    converged = True
-                    break
+            estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
+            if tol.met_by(estimate, value, floor):
+                converged = True
+                break
     except _BudgetExceeded:
-        if nested:
-            raise
+        pass
     return value, estimate, converged
 
 
 def _result(level, evaluations: int) -> QuadResult:
     value, estimate, converged = level
-    value = complex(value)
-    out: complex = value.real if value.imag == 0.0 else value
+    if np.ndim(value) == 0:
+        value = complex(value)
+    # a batch has one value per row, real when every imaginary part is 0
+    out = value if np.any(np.imag(value)) else value.real
     return QuadResult(out, float(estimate), evaluations, converged)
 
 
@@ -361,10 +354,12 @@ def _integrate(integrand, ladder: _Ladder, tol: Tolerance) -> QuadResult:
 
     def counted(x: np.ndarray):
         nonlocal evaluations
-        evaluations += len(x)  # one per node, whatever the trailing axes
-        return integrand(x)
+        y = integrand(x)
+        evaluations += np.size(y)  # one per value, whatever the trailing axes of x
+        return y
 
-    level = _drive(counted, ladder, tol)
+    with np.errstate(all="ignore"):
+        level = _drive(counted, ladder, tol)
     return _result(level, evaluations)
 
 
@@ -372,7 +367,10 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     """Integrate a function of t over (0, inf).
 
     The integrand may blow up at 0 no worse than an integrable power and
-    must decay at infinity.  It is never evaluated at t = 0.
+    must decay at infinity.  It is never evaluated at t = 0.  It returns one
+    value per t, or a (rows, n) batch: then the value holds one integral
+    per row, the batch converges when its largest row does, and each of
+    its values counts as one evaluation.
     """
     return _integrate(integrand, _EXP_SINH, tol or Tolerance())
 
@@ -385,6 +383,7 @@ def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
     member near each endpoint is that endpoint's exact offset, so an
     integrand that reads 1 - s from the pair never forms a cancelled
     difference, and integrable powers of s and 1 - s are handled natively.
+    A (rows, n) batch gives one integral per row, as in integrate_half_line.
     """
     return _integrate(integrand, _UNIT_PAIR, tol or Tolerance())
 
@@ -399,13 +398,14 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     it, row i is multiplied by its outer exp-sinh weight
     w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two so
     that the scaling is exact while the product stays a normal double, and
-    it is divided out again on return.  So a row far out on the x-ladder,
-    whose weight is 1e-154, no longer holds its batch to the precision of
-    its own large value.  An inner drive that does not converge clears
+    it is divided out again on return, and the batch is judged with no
+    floor of 1 on its scale.  So a row far out on the x-ladder, whose
+    weight is 1e-154, no longer holds its batch to the precision of its
+    own large value.  An inner drive that does not converge clears
     converged of the result.  Whatever tol is, an inner batch that would
     take the evaluations of integrand2d past _QUADRANT_MAX_EVALUATIONS is
     not run, and the outer drive stops at its last completed level (see
-    _drive).
+    the module).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
@@ -431,9 +431,12 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
                 raise _BudgetExceeded
             return integrand2d(col, ys) * share
 
-        value, _, converged = _drive(batch, _EXP_SINH, inner_tol, nested=True)
+        value, _, converged = _drive(batch, _EXP_SINH, inner_tol, floor=0.0)
+        if evaluations > _QUADRANT_MAX_EVALUATIONS:
+            raise _BudgetExceeded  # stop the outer drive too
         failures += not converged
         return value / share[:, 0]
 
-    value, estimate, converged = _drive(inner_rows, _EXP_SINH, tol)
+    with np.errstate(all="ignore"):  # the inner drives run under it too
+        value, estimate, converged = _drive(inner_rows, _EXP_SINH, tol)
     return _result((value, estimate, converged and failures == 0), evaluations)

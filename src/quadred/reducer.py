@@ -22,13 +22,7 @@ import numpy as np
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import KernelError
 from .params import Params, TestIntegrand
-from .quadrature import (
-    QUADRANT_TOLERANCE,
-    QuadResult,
-    QuadratureError,
-    Tolerance,
-    integrate_quadrant,
-)
+from .quadrature import QuadResult, QuadratureError, Tolerance, integrate_quadrant
 
 DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9)
 # largest relative residual the K6/K7 derivative cross-check accepts
@@ -147,7 +141,7 @@ def direct_2d(
 ) -> QuadResult:
     """Brute-force oracle: the quadrant integral evaluated directly."""
     _check_convergence(params, f, tilde)
-    return integrate_quadrant(quadrant_integrand(params, f, tilde), tol or QUADRANT_TOLERANCE)
+    return integrate_quadrant(quadrant_integrand(params, f, tilde), tol)
 
 
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:
@@ -283,12 +277,13 @@ def verify(
 
     Applicability and convergence failures become failed records with the
     reason recorded, never silent values.  When both sides converged, a
-    record passes if abs_diff <= compare_tol.abs or
-    rel_diff = abs_diff / max(1, |lhs|) <= compare_tol.rel.  So below 1
-    the test is absolute, as is each side's own convergence test: with the
-    defaults two values below 5e-7 always agree, since their difference
-    already meets rel, and the abs clause decides nothing unless it exceeds
-    rel.  ROADMAP item 1 will make both relative to the integral's size.
+    record passes if compare_tol.met_by(abs_diff, lhs), the rule each
+    side's own convergence test applies: abs_diff within
+    max(abs, rel * max(1, |lhs|)).  rel_diff = abs_diff / max(1, |lhs|) is
+    reported beside it.  So below 1 the test is absolute: with the defaults
+    two values below 5e-7 always agree, since their difference already
+    meets rel, and the abs clause decides nothing unless it exceeds rel.
+    ROADMAP item 1 will make both relative to the integral's size.
     """
     if isinstance(rule, str):
         rule = get_rule(rule)
@@ -308,8 +303,7 @@ def verify(
         return failed(str(exc))
     abs_diff = abs(complex(lhs.value) - complex(rhs.value))
     rel_diff = abs_diff / max(1.0, abs(complex(lhs.value)))
-    ok = (abs_diff <= compare_tol.abs or rel_diff <= compare_tol.rel)
-    ok = ok and lhs.converged and rhs.converged
+    ok = compare_tol.met_by(abs_diff, lhs.value) and lhs.converged and rhs.converged
     reason = None
     if not (lhs.converged and rhs.converged):
         reason = "quadrature did not converge"
@@ -414,6 +408,8 @@ def run_sweep(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not rule_ids:
         raise ValueError("no rules to verify")
     cases = []

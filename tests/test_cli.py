@@ -243,6 +243,14 @@ class TestVerify:
         assert out == ""
         assert "samples" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_two(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "--rules", "E1-pbm-corrected",
+                                 "--samples", "1", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "jobs" in err
+
     @pytest.mark.parametrize("rules", [",", " , ,"])
     def test_empty_rule_list_exit_two(self, capsys, rules):
         # a sweep that verified nothing must not report success

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from quadred import kernels
 from quadred.applications import FourierSpec, fourier_params
 from quadred.catalog import G1_GRID, R1_GRID, get_rule
 from quadred.kernels import (
@@ -24,6 +25,7 @@ from quadred.kernels import (
     kernel_mu_min,
 )
 from quadred.params import Params, TestIntegrand
+from quadred.quadrature import integrate_interval
 
 SQPI = math.sqrt(math.pi)
 
@@ -221,6 +223,24 @@ class TestRInnerFactor:
     def test_early_exit_deep_t(self):
         factor = RInnerFactor(4, 4, 0, 1.0, 0.5, 0.0, 1.0)
         assert factor.bounded_part(np.array([1e-10]))[0] == 0.0
+
+    def test_kernel_weight_runs_one_integrate_interval_batch(self, monkeypatch):
+        results = []
+
+        def spy(integrand, tol=None):
+            results.append(integrate_interval(integrand, tol))
+            return results[-1]
+
+        monkeypatch.setattr(kernels, "integrate_interval", spy)
+        params = Params(4, 2, 1, a=1.2, b=0.5, h=0.3, j=0.7)
+        ts = np.array([0.1, 1.0, 10.0])
+        w = get_rule("R1-rint").kernel_weight(params, ts)
+        assert len(results) == 1
+        assert results[0].converged
+        assert results[0].value.shape == ts.shape
+        # one evaluation per (t row, s node)
+        assert results[0].evaluations % len(ts) == 0
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
 
 
 # The R1 sampler's ranges: a log-uniform on [0.1, 10], b = a*U(0.05, 0.85),

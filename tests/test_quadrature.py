@@ -129,6 +129,35 @@ class TestInterval:
         assert complex(res.value).real == pytest.approx(4.0 / 3.0, rel=1e-10)
 
 
+class TestBatches:
+    """A (rows, n) batch through a public route: one value per row."""
+
+    ROUTES = {
+        "interval": (integrate_interval, _beta_half_half, 97),
+        "half-line": (integrate_half_line, lambda t: t**-0.5 * np.exp(-t), 197),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_identical_rows_keep_the_scalar_bits(self, route):
+        integrate, f, evaluations = self.ROUTES[route]
+        single = integrate(f)
+        assert single.evaluations == evaluations
+        batch = integrate(lambda x: np.stack([f(x), f(x)]))
+        assert batch.value.dtype == np.float64
+        assert batch.value.tolist() == [single.value, single.value]
+        assert batch.abs_error_estimate == single.abs_error_estimate
+        assert batch.evaluations == 2 * single.evaluations
+        assert batch.converged
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_complex_row_gives_a_complex_batch(self, route):
+        integrate, f, _ = self.ROUTES[route]
+        single = integrate(f)
+        batch = integrate(lambda x: np.stack([f(x), 1j * f(x)]))
+        assert batch.value.dtype == np.complex128
+        assert batch.value.tolist() == [single.value, 1j * single.value]
+
+
 class TestTransformConsistency:
     def test_half_line_vs_compactified(self):
         # t = u/(1-u) maps (0,1) onto (0,inf)

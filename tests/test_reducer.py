@@ -1,5 +1,6 @@
 """Normalization, the 2-D oracle, verification records and sweeps."""
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from quadred import quadrature
 from quadred.catalog import ApplicabilityError, Family, get_rule, list_rules
+from quadred.kernels import ErfcxSqrtInvFactor
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import QuadratureError
 from quadred.reducer import (
@@ -418,6 +420,26 @@ class TestVerify:
         assert row.count(",") == CSV_HEADER.count(",")
 
 
+class TestParamsExponents:
+    """n, m and nu are stored as Python ints; anything else is rejected."""
+
+    def test_numpy_integer_verifies_and_serializes(self):
+        params = Params(np.int64(4), 4, 0, a=2.0, b=1.0, c=1.0)
+        assert type(params.n) is int
+        rec = verify("G1-general", params, TestIntegrand(1.0, 1.0))
+        assert rec.passed
+        import jsonschema
+
+        from quadred.schemas import RECORD_SCHEMA
+
+        jsonschema.validate(json.loads(json.dumps(rec.to_json_dict())), RECORD_SCHEMA)
+
+    @pytest.mark.parametrize("n", [3.5, 4.0, "4", None])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="exponent n must be an integer"):
+            Params(n, 3, 0, a=1.0, b=0.5, c=1.0)
+
+
 def _sweep_case(rule_id: str, seed: int, case_index: int):
     """A draw exactly as `verify --rules all` makes it."""
     ids = [rule.id for rule in list_rules(include_erratum=False)]
@@ -448,6 +470,64 @@ class TestRInnerIntegral:
         assert not rec.passed
         assert rec.rhs is None
         assert rec.failure_reason.startswith("R1 inner integral did not converge")
+
+
+def _reduced_reference(rule_id: str, params: Params, f: TestIntegrand) -> float:
+    """integral f(t) w(t) dt over the rule's KernelTerm list, mpmath at 30 digits."""
+    terms = get_rule(rule_id).build_kernel(params)
+    with mp.workdps(30):
+
+        def integrand(t):
+            total = mp.mpf(0)
+            for term in terms:
+                value = term.coeff * t**term.alpha * mp.exp(-term.beta * t - term.gamma / t)
+                if term.special is not None:
+                    assert isinstance(term.special, ErfcxSqrtInvFactor), term.special
+                    x = 2 * mp.sqrt(term.special.amount / t)
+                    value *= mp.exp(x * x) * mp.erfc(x)  # erfcx
+                total += value
+            return f.coeff * t**f.mu * mp.exp(-f.sigma * t) * total
+
+        value, error = mp.quad(integrand, [0, 1e-6, 1e-3, 1, 10, 100, mp.inf], error=True)
+        assert error <= 1e-25 * abs(value)
+        return float(value)
+
+
+class TestSmallValuePins:
+    """ROADMAP item 1's two named seed-42 cases, both sides against mpmath.
+
+    Both values are near 1e-10, where the floor of 1 in each side's
+    convergence test and in the verdict makes every test absolute.
+    """
+
+    CASES = [("T5-nu2", 16), ("T1-nu0", 11)]
+
+    @pytest.mark.parametrize("rule_id, case_index", CASES)
+    def test_both_sides_exact_when_scaled_up(self, rule_id, case_index):
+        # the same integral times 1e10: the formulas are right
+        params, f = _sweep_case(rule_id, 42, case_index)
+        f = dataclasses.replace(f, coeff=1e10)
+        ref = _reduced_reference(rule_id, params, f)
+        rec = verify(rule_id, params, f)
+        assert rec.passed
+        for side in (rec.lhs, rec.rhs):
+            assert side.converged
+            assert abs(side.value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: below 1 each side converges to an absolute "
+        "target, so T5-nu2 case 16's reduction is off by 1.7e-3 relative and "
+        "T1-nu0 case 11's oracle by 1.8e-4, yet both records pass",
+    )
+    @pytest.mark.parametrize("rule_id, case_index", CASES)
+    def test_both_sides_exact_at_the_sweep_draw(self, rule_id, case_index):
+        params, f = _sweep_case(rule_id, 42, case_index)
+        ref = _reduced_reference(rule_id, params, f)
+        rec = verify(rule_id, params, f)
+        assert rec.passed
+        for side in (rec.lhs, rec.rhs):
+            assert abs(side.value - ref) <= 1e-6 * abs(ref)
 
 
 class TestG1ZeroB:
@@ -532,6 +612,11 @@ class TestSweep:
                 rng = np.random.default_rng((seed, rule_index, case_index))
                 params = rule.sample_params(rng, case_index)
                 assert rule.applicability_failure(params) is None, (rule.id, case_index)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(["K1-111"], samples=1, seed=4, jobs=jobs)
 
     def test_empty_rule_list_rejected(self):
         with pytest.raises(ValueError, match="no rules"):
