@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-from contextlib import nullcontext
-
 from . import applications as apps
 from .catalog import (
     ApplicabilityError,
@@ -182,16 +180,34 @@ def cmd_verify(args) -> int:
     else:
         ids = [s.strip() for s in args.rules.split(",") if s.strip()]
     compare = Tolerance(rel=args.rel, abs=args.abs)
-    # a report path that cannot be written is a bad argument: fail before the sweep
+    # a report path that cannot be written is a bad argument: fail before the
+    # sweep.  The report goes to a temporary file beside it, renamed onto it
+    # once written, so a refused or failed sweep leaves an earlier report.
+    tmp = fh = None
+    if args.output:
+        tmp = f"{args.output}.{os.getpid()}.tmp"
+        try:
+            if os.path.isdir(args.output):
+                raise IsADirectoryError(f"{args.output!r} is a directory")
+            fh = open(tmp, "x")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
-        sink = open(args.output, "w") if args.output else nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with sink as fh:
         report = run_sweep(ids, samples=args.samples, seed=args.seed,
                            compare_tol=compare, jobs=args.jobs)
-        fh.write(_report_body(report, args.format))
+        body = _report_body(report, args.format)
+        if fh is None:
+            sys.stdout.write(body)
+        else:
+            with fh:
+                fh.write(body)
+            os.replace(tmp, args.output)
+            tmp = None
+    finally:
+        if tmp is not None:
+            fh.close()
+            os.remove(tmp)
     print(report.summary_line(), file=sys.stderr)
     if report.any_nonconverged():
         return 3

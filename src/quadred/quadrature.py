@@ -32,6 +32,13 @@ integrand receives are read-only, and integrands must not write to them.
 The quadrant hands its integrand one column object for every inner call
 of one outer call.
 
+A quadrant caller may pass a support box outside which it guarantees its
+integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
+ladder, a child of the fixed one that lives for one integral: its blocks
+are the fixed blocks with their outer tails cut, so no value known to be 0
+is computed, the fixed ladder's cache does not grow, and the sums differ
+from the unclipped ones only in how a cut block's terms are grouped.
+
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
 never converges stops at its ladder's last level after bounded work
 (50 387 evaluations on the half line, 50 081 on (0, 1)).  Only the
@@ -133,15 +140,19 @@ class _Ladder:
 
     kept maps (direction, spacing, offset, k0) to a block (see _block) and
     a tuple of levels to a head (see _head), each built once, read-only,
-    and kept for the process: the two ladders are module constants.
+    and kept for as long as the ladder lives: the two fixed ladders are
+    module constants.  A clipped ladder (see _clipped) has a parent, whose
+    blocks it cuts at [lo, hi], and lives for one integral.
     """
 
-    __slots__ = ("nodes", "valid", "kept")
+    __slots__ = ("nodes", "valid", "kept", "parent", "lo", "hi")
 
-    def __init__(self, nodes, valid):
+    def __init__(self, nodes, valid, parent=None, lo=0.0, hi=math.inf):
         self.nodes = nodes
         self.valid = valid
         self.kept: dict[tuple, object] = {}
+        self.parent = parent
+        self.lo, self.hi = lo, hi
 
 
 def _exp_sinh_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,16 +179,34 @@ def _unit_pair_nodes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# Half-line ladders span [1e-160, 1e160].  For integrands that clear the
-# t**-1 divergence floor by at least ~0.05 (and decay at least that fast
-# beyond 1/t at infinity) the mass outside is below 1e-8 of any digit this
-# engine can resolve, and the bound keeps log-assembled integrands
-# representable at every node.
-_T_MIN, _T_MAX = 1e-160, 1e160
+# Half-line ladders span the open interval HALF_LINE_SPAN.  For integrands
+# that clear the t**-1 divergence floor by at least ~0.05 (and decay at
+# least that fast beyond 1/t at infinity) the mass outside is below 1e-8 of
+# any digit this engine can resolve, and the bound keeps log-assembled
+# integrands representable at every node.
+HALF_LINE_SPAN = (1e-160, 1e160)
 
 # The two ladders, kept for the process.
-_EXP_SINH = _Ladder(_exp_sinh_nodes, lambda t: (t > _T_MIN) & (t < _T_MAX))
+_EXP_SINH = _Ladder(_exp_sinh_nodes,
+                    lambda t: (t > HALF_LINE_SPAN[0]) & (t < HALF_LINE_SPAN[1]))
 _UNIT_PAIR = _Ladder(_unit_pair_nodes, lambda x: x.min(axis=-1) > 0.0)
+
+# Every level's first node in each direction has |u| <= _BASE_STEP, so an
+# exp-sinh clip that keeps this span keeps every head non-empty.
+_FIRST_NODES = (math.exp(-_HALF_PI * math.sinh(_BASE_STEP)),
+                math.exp(_HALF_PI * math.sinh(_BASE_STEP)))
+
+
+def _clipped(lo: float, hi: float) -> _Ladder:
+    """The exp-sinh ladder cut to the nodes in [lo, hi], for one integral.
+
+    The span is widened to keep each level's first nodes.  Its blocks are
+    the fixed ladder's kept blocks with their outer tails cut, built on
+    first use and kept by the child alone, so the fixed ladder's cache
+    does not grow; a block cut to nothing ends its direction.
+    """
+    lo, hi = min(lo, _FIRST_NODES[0]), max(hi, _FIRST_NODES[1])
+    return _Ladder(_EXP_SINH.nodes, _EXP_SINH.valid, _EXP_SINH, lo, hi)
 
 
 def _largest(a) -> float:
@@ -189,18 +218,28 @@ def _block(ladder: _Ladder, direction: float, spacing: float, offset: float, k0:
     """The surviving (x, w) of nodes k0 .. k0 + _BLOCK - 1, or None.
 
     A node survives when it is valid and its weight is finite and positive.
+    A clipped ladder takes its parent's block and keeps the nodes inside
+    [lo, hi]: exp-sinh nodes run outward, so they are a leading run.
     """
     key = (direction, spacing, offset, k0)
     if key in ladder.kept:
         return ladder.kept[key]
-    u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
-    x, w = ladder.nodes(u)
-    keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
     block = None
-    if keep.any():
-        x, w = x[keep], w[keep]
-        x.flags.writeable = w.flags.writeable = False
-        block = x, w
+    if ladder.parent is not None:
+        block = _block(ladder.parent, direction, spacing, offset, k0)
+        if block is not None:
+            x, w = block
+            n = np.count_nonzero(x <= ladder.hi if direction > 0 else x >= ladder.lo)
+            if n < len(x):
+                block = (x[:n], w[:n]) if n else None
+    else:
+        u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
+        x, w = ladder.nodes(u)
+        keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
+        if keep.any():
+            x, w = x[keep], w[keep]
+            x.flags.writeable = w.flags.writeable = False
+            block = x, w
     ladder.kept[key] = block
     return block
 
@@ -388,7 +427,7 @@ def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
     return _integrate(integrand, _UNIT_PAIR, tol or Tolerance())
 
 
-def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
+def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=None) -> QuadResult:
     """Integrate f(x, y) over (0, inf) x (0, inf) by iterated exp-sinh.
 
     The outer x-integral runs the 1-D driver; each outer call integrates
@@ -412,10 +451,22 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
     a column holds up to four blocks of x, eight for levels 0 and 1, and so
     does a row of y.  Every inner call of one outer call gets the same
     column object.
+
+    support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
+    and outside which the caller guarantees integrand2d is exactly 0 at
+    every node.  The outer drive then runs on the exp-sinh ladder clipped
+    to [x_lo, x_hi] and every inner drive on it clipped to [y_lo, y_hi]
+    (see _clipped), so no value known to be 0 is computed.  The clipped
+    scans add the same terms less those zeros; only the grouping of a cut
+    block's sum differs, which can move the last bit of a value.  A box
+    that cuts a nonzero value gives a wrong result, not an error.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))
     evaluations = failures = 0
+    outer = inner = _EXP_SINH
+    if support is not None:
+        outer, inner = _clipped(*support[0]), _clipped(*support[1])
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         nonlocal failures
@@ -431,12 +482,12 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None) -> QuadResult:
                 raise _BudgetExceeded
             return integrand2d(col, ys) * share
 
-        value, _, converged = _drive(batch, _EXP_SINH, inner_tol, floor=0.0)
+        value, _, converged = _drive(batch, inner, inner_tol, floor=0.0)
         if evaluations > _QUADRANT_MAX_EVALUATIONS:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged
         return value / share[:, 0]
 
     with np.errstate(all="ignore"):  # the inner drives run under it too
-        value, estimate, converged = _drive(inner_rows, _EXP_SINH, tol)
+        value, estimate, converged = _drive(inner_rows, outer, tol)
     return _result((value, estimate, converged and failures == 0), evaluations)

@@ -22,12 +22,24 @@ import numpy as np
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import KernelError
 from .params import Params, TestIntegrand
-from .quadrature import QuadResult, QuadratureError, Tolerance, integrate_quadrant
+from .quadrature import (
+    HALF_LINE_SPAN,
+    QuadResult,
+    QuadratureError,
+    Tolerance,
+    integrate_quadrant,
+)
 
 DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9)
 # largest relative residual the K6/K7 derivative cross-check accepts
 _DERIVATIVE_CHECK_PASS = 1e-4
 _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
+# exp underflows to exactly 0 below about -745.1; quadrant_support cuts its
+# box where a bound on the integrand's log-magnitude falls below this
+_LOG_UNDERFLOW = -800.0
+_LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
+# a box edge lies within this of the bound's crossing, in log x or log y
+_EDGE_TOL = 0.25
 
 
 class DivergentIntegralError(ValueError):
@@ -120,7 +132,7 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
                 logmag -= h.real * frac
             if j != 0.0:
                 logmag -= j * (frac * iy)  # j/(x+y)
-        if tilde:
+        if tilde and ab != 0.0:  # at a = b the term is 0, and 0 * inf would be NaN
             logmag -= ab * (x * s * s)  # (x+y)^2/(x y^2)
         vals = np.exp(logmag)
         if negative:
@@ -132,6 +144,89 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     return integrand
 
 
+def _peak(k: float, p: float, a: float) -> float:
+    """Where k*l - p*e^l - a*e^-l, concave in l, peaks on the ladders' log span."""
+    root = math.sqrt(k * k + 4.0 * p * a)
+    if k > 0.0:
+        e = (k + root) / (2.0 * p) if p > 0.0 else math.inf
+    elif root > k:  # the same root as 2a/(root - k), without cancellation
+        e = 2.0 * a / (root - k)
+    else:  # k = 0 and p*a = 0: increasing when a > 0, else non-increasing
+        e = math.inf if a > 0.0 else 0.0
+    lo, hi = _LOG_SPAN
+    return min(max(math.log(e), lo), hi) if e > 0.0 else lo
+
+
+def _edge(bound, out: float, inner: float) -> float:
+    """A point between out and inner beyond which bound < _LOG_UNDERFLOW.
+
+    bound is monotone from out to inner.  A bisection keeps out on the side
+    below the floor, so the point is safe whatever the tolerance.
+    """
+    if bound(inner) < _LOG_UNDERFLOW:
+        return inner
+    if bound(out) >= _LOG_UNDERFLOW:
+        return out
+    while abs(inner - out) > _EDGE_TOL:
+        mid = 0.5 * (out + inner)
+        if bound(mid) < _LOG_UNDERFLOW:
+            out = mid
+        else:
+            inner = mid
+    return out
+
+
+def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
+    """A box outside which quadrant_integrand is exactly 0 on the node ladders.
+
+    Returns ((x_lo, x_hi), (y_lo, y_hi)), widened to hold 1, or None when
+    a term of the exponent has no known sign (the tilde term with a < b).
+    The integrand's log-magnitude is bounded from above: every term that
+    is <= 0 for valid Params is dropped (c, sigma, j and the tilde term
+    with a >= b), the h term is charged max(-Re h, 0), and with
+    kt = mu + nu/2 the term -kt log(1/x + 1/y) is charged
+    kt min(log x, log y) when kt >= 0 and |kt| (log 2 + max(-log x, -log y))
+    when kt < 0, the same kt min(log x, log y) plus |kt| log 2.  What is
+    left is lead + g_x(log x) + g_y(log y) + kt min(log x, log y), where
+    g(l) = k l - p e^l - a e^-l is concave.  Its sup over the other
+    variable on the ladders' log span is min (kt >= 0) or max (kt < 0) of
+    two concave pieces, found in closed form (_peak).  The box edge on each
+    side of the peaks is where that bound crosses -800, found by bisection;
+    past it exp gives exactly 0.
+    """
+    if tilde and params.a < params.b:
+        return None
+    n, m, nu = params.n, params.m, params.nu
+    kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
+    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
+    lead += max(-complex(params.h).real, 0.0) - min(kt, 0.0) * math.log(2.0)
+    pick = min if kt >= 0.0 else max
+
+    def g(k, p, a, l):
+        return k * l - p * math.exp(l) - a * math.exp(-l)
+
+    def box(own, other):
+        k, p, a = other
+        o0, o1 = _peak(k, p, a), _peak(k + kt, p, a)
+        # the other variable's sup, without and with the kt term on it
+        sup0, sup1 = g(k, p, a, o0), g(k, p, a, o1) + kt * o1
+        k, p, a = own
+
+        def bound(l):
+            return lead + g(k, p, a, l) + pick(kt * l + sup0, sup1)
+
+        l0, l1 = _peak(k, p, a), _peak(k + kt, p, a)
+        # bound rises up to the lower peak and falls from the upper one
+        lo = _edge(bound, _LOG_SPAN[0], min(l0, l1))
+        hi = _edge(bound, _LOG_SPAN[1], max(l0, l1))
+        # an edge at the span's end cuts nothing
+        return (math.exp(min(lo, 0.0)) if lo > _LOG_SPAN[0] else 0.0,
+                math.exp(max(hi, 0.0)) if hi < _LOG_SPAN[1] else math.inf)
+
+    x_part, y_part = (kx, params.p, params.a), (ky, params.q, params.b)
+    return box(x_part, y_part), box(y_part, x_part)
+
+
 def direct_2d(
     params: Params,
     f: TestIntegrand,
@@ -139,9 +234,14 @@ def direct_2d(
     *,
     tilde: bool = False,
 ) -> QuadResult:
-    """Brute-force oracle: the quadrant integral evaluated directly."""
+    """Brute-force oracle: the quadrant integral evaluated directly.
+
+    The oracle evaluates nothing outside quadrant_support's box, where
+    every value is exactly 0.
+    """
     _check_convergence(params, f, tilde)
-    return integrate_quadrant(quadrant_integrand(params, f, tilde), tol)
+    return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
+                              support=quadrant_support(params, f, tilde))
 
 
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:

@@ -192,6 +192,33 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(target.read_text())["summary"]["total"] == 1
+        assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+
+    @pytest.mark.parametrize(
+        "refused",
+        [["--rules", "K1-111", "--jobs", "0"], ["--rules", "Z9"]],
+        ids=["jobs-0", "unknown-rule"],
+    )
+    def test_refused_sweep_keeps_an_existing_report(self, capsys, tmp_path, refused):
+        target = tmp_path / "out.json"
+        target.write_bytes(b'{"an": "earlier report"}\n')
+        code, _, err = run_cli(capsys, "verify", *refused, "--samples", "1",
+                               "--output", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert target.read_bytes() == b'{"an": "earlier report"}\n'
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_directory_output_exits_two_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("quadred.cli.run_sweep", no_sweep)
+        code, _, err = run_cli(capsys, "verify", "--rules", "E1-pbm-corrected",
+                               "--samples", "1", "--output", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_exits_two_before_the_sweep(self, capsys, monkeypatch, tmp_path):
         def no_sweep(*args, **kwargs):

@@ -226,6 +226,51 @@ class TestQuadrant:
             pass  # overflow detection is an equally loud failure
 
 
+class TestSupport:
+    """integrate_quadrant(support=box) computes no value outside the box."""
+
+    # exp(-x - y) underflows to 0 past 800, and (x + y)**-0.5 < 1 there
+    BOX = ((0.0, 800.0), (0.0, 800.0))
+
+    def test_clipped_equals_unclipped_with_fewer_evaluations(self):
+        full = integrate_quadrant(_seed_cross_check_f2)
+        clipped = integrate_quadrant(_seed_cross_check_f2, support=self.BOX)
+        assert full.converged and clipped.converged
+        assert abs(clipped.value - full.value) <= 1e-15 * abs(full.value)
+        assert clipped.evaluations < full.evaluations
+
+    def test_nodes_stay_in_the_box(self):
+        seen = []
+
+        def f2(x, y):
+            seen.append((x.max(), y.max()))
+            return _seed_cross_check_f2(x, y)
+
+        integrate_quadrant(f2, support=self.BOX)
+        assert max(x for x, _ in seen) <= 800.0 and max(y for _, y in seen) <= 800.0
+
+    def test_clipped_blocks_are_leading_runs_of_the_fixed_blocks(self):
+        child = quadrature._clipped(1e-3, 800.0)
+        for direction in (1.0, -1.0):
+            for k0 in range(1 if direction < 0 else 0, 400, quadrature._BLOCK):
+                fixed = quadrature._block(quadrature._EXP_SINH, direction, 0.0625, 0.0, k0)
+                cut = quadrature._block(child, direction, 0.0625, 0.0, k0)
+                if cut is None:
+                    continue
+                x, w = cut
+                assert not x.flags.writeable and not w.flags.writeable
+                assert np.all((x >= 1e-3) & (x <= 800.0))
+                assert x.base is fixed[0] or x is fixed[0]
+                assert np.array_equal(x, fixed[0][:len(x)])
+                assert np.array_equal(w, fixed[1][:len(w)])
+
+    def test_box_of_one_point_keeps_every_head(self):
+        # every level's first nodes survive a box that holds 1 alone
+        res = integrate_quadrant(lambda x, y: np.zeros(np.broadcast(x, y).shape),
+                                 support=((1.0, 1.0), (1.0, 1.0)))
+        assert res.value == 0.0 and res.converged
+
+
 class TestLevelCap:
     """A 1-D drive that never converges stops at its ladder's last level.
 

@@ -23,6 +23,7 @@ from quadred.reducer import (
     direct_2d,
     normalize,
     quadrant_integrand,
+    quadrant_support,
     run_sweep,
     shift_power,
     verify,
@@ -290,7 +291,7 @@ class TestOracleWork:
 
     @pytest.mark.parametrize(
         "rule_id, case_index, evaluations",
-        [("K1-111", 0, 150_629), ("T5-nu2", 13, 202_949), ("K5-1m75", 9, 77_027)],
+        [("K1-111", 0, 77_058), ("T5-nu2", 13, 110_772), ("K5-1m75", 9, 35_100)],
     )
     def test_evaluations_pinned(self, rule_id, case_index, evaluations):
         params, f = _sweep_case(rule_id, 42, case_index)
@@ -314,6 +315,117 @@ class TestOracleWork:
         value = direct_2d(params, f, tilde=tilde).value
         assert isinstance(value, float)
         assert value.hex() == value_hex
+
+
+_SUPPORT_GRID = np.geomspace(1e-160, 1e160, 401)
+
+
+def _values_outside(params: Params, f: TestIntegrand, tilde: bool, box) -> np.ndarray:
+    """The integrand on a log grid over [1e-160, 1e160]^2, where it lies outside box.
+
+    The grid also holds the points a relative 1e-12 past each edge.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    near = [e * (1.0 + s) for e in (x_lo, x_hi, y_lo, y_hi) for s in (-1e-12, 1e-12)]
+    pts = np.union1d(_SUPPORT_GRID, [v for v in near if 1e-160 <= v <= 1e160])
+    integrand = quadrant_integrand(params, f, tilde)
+    cols = pts[(pts < x_lo) | (pts > x_hi)]
+    rows = pts[(pts < y_lo) | (pts > y_hi)]
+    with np.errstate(all="ignore"):
+        return np.concatenate([
+            integrand(cols[:, None], pts[None, :]).ravel(),
+            integrand(pts[:, None], rows[None, :]).ravel(),
+        ])
+
+
+class TestQuadrantSupport:
+    """quadrant_support's box: outside it every value is exactly 0."""
+
+    CORNERS = {
+        "kt-negative": (Params(2, 2, 0, a=0.7, b=1.1, c=0.5),
+                        TestIntegrand(1.0, -0.6, 0.2), False),
+        "G1-b-zero": (Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6),
+                      TestIntegrand(1.0, get_rule("G1-general").mu_min(
+                          Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6)) + 0.05, 0.0), False),
+        "q-zero": (Params(1, 3, 1, a=0.9, b=0.4, c=0.6, p=0.5),
+                   TestIntegrand(1.0, 0.3, 0.0), False),
+        "complex-h-negative-real": (Params(0, 0, 1, c=1.0, h=-0.8 + 2.5j, p=0.7, q=1.0),
+                                    TestIntegrand(1.0, 0.5, 0.4), False),
+        "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, q=0.4),
+                             TestIntegrand(2.5, 1.25, 0.0), True),
+        "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0), False),
+    }
+
+    @staticmethod
+    def _check(params, f, tilde):
+        box = quadrant_support(params, f, tilde)
+        (x_lo, x_hi), (y_lo, y_hi) = box
+        assert x_lo <= 1.0 <= x_hi and y_lo <= 1.0 <= y_hi
+        vals = _values_outside(params, f, tilde, box)
+        assert np.all(vals == 0.0), (params, f, box)
+        return box
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("rule_id", [r.id for r in list_rules(include_erratum=False)
+                                         if r.trusted])
+    def test_sweep_draws(self, rule_id, seed):
+        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+        for case_index in range(20):
+            params, f = _sweep_case(rule_id, seed, case_index)
+            if tilde and params.a < params.b:
+                assert quadrant_support(params, f, tilde) is None
+            else:
+                self._check(params, f, tilde)
+
+    @pytest.mark.parametrize("case", list(CORNERS))
+    def test_corner_cases(self, case):
+        self._check(*self.CORNERS[case])
+
+    def test_cuts_the_ladder(self):
+        # K1-111 case 0 at seed 42 has p, q > 0: both boxes end below 1e160
+        params, f = _sweep_case("K1-111", 42, 0)
+        (_, x_hi), (_, y_hi) = self._check(params, f, False)
+        assert x_hi < 1e5 and y_hi < 1e5
+
+    def test_tilde_with_a_below_b_has_no_box(self):
+        params = Params(1, 2, 1, a=0.5, b=1.5, c=0.3, q=0.4)
+        assert quadrant_support(params, TestIntegrand(2.5, 1.25, 0.0), True) is None
+        assert quadrant_support(params, TestIntegrand(2.5, 1.25, 0.0), False) is not None
+
+    def test_oracle_calls_leave_the_fixed_ladders_alone(self):
+        # once every block and head of the fixed ladders is built, 50 oracle
+        # calls with different boxes add no entry to them and replace none
+        for ladder in (quadrature._EXP_SINH, quadrature._UNIT_PAIR):
+            _build_every_block_and_head(ladder)
+        before = [dict(ladder.kept) for ladder in (quadrature._EXP_SINH, quadrature._UNIT_PAIR)]
+        ids = [r.id for r in list_rules(include_erratum=False)]
+        boxes = set()
+        for i in range(50):
+            rule_id = ids[i % len(ids)]
+            params, f = _sweep_case(rule_id, 42, i // len(ids))
+            tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+            boxes.add(quadrant_support(params, f, tilde))
+            assert direct_2d(params, f, tilde=tilde).converged
+        assert len(boxes) == 50
+        for ladder, kept in zip((quadrature._EXP_SINH, quadrature._UNIT_PAIR), before):
+            assert ladder.kept.keys() == kept.keys()
+            assert all(ladder.kept[key] is value for key, value in kept.items())
+
+
+def _build_every_block_and_head(ladder) -> None:
+    """Build every block and head a drive on ladder can ask for."""
+    h = quadrature._BASE_STEP
+    levels = [(h, 0.0)]
+    for _ in range(quadrature._MAX_LEVEL):
+        h *= 0.5
+        levels.append((2.0 * h, h))
+    for spacing, offset in levels:
+        for direction in (1.0, -1.0):
+            for _ in quadrature._blocks(ladder, direction, spacing, offset):
+                pass
+    quadrature._head(ladder, tuple(levels[:2]))
+    for level in levels[2:]:
+        quadrature._head(ladder, (level,))
 
 
 class TestOracleInnerRows:
