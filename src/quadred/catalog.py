@@ -114,20 +114,12 @@ class ReductionRule:
     def mu_min(self, params: Params) -> float:
         """Convergence floor: f = t**mu needs mu > mu_min on both sides.
 
-        The kernel fixes the floor at the origin of t; an uncut coordinate
-        axis of the 2-D side can raise it further.
+        The kernel alone owns it: t = xy/(x+y) -> 0 exactly when x or y -> 0,
+        so for the nonnegative integrands an axis floor applies to, Tonelli
+        makes its floor at t -> 0 the 2-D side's floor at the axes.
         """
         self.check_applicability(params)
-        return self._mu_floor(params, self.build_kernel(params))
-
-    def _mu_floor(self, params: Params, terms: list[KernelTerm]) -> float:
-        floor = kernel_mu_min(terms)
-        tilde = self.family is Family.MIXED_TILDE
-        if params.a == 0.0 and not tilde:
-            floor = max(floor, params.n / 2.0 - 1.0)
-        if params.b == 0.0 and not tilde:
-            floor = max(floor, params.m / 2.0 - 1.0)
-        return floor
+        return kernel_mu_min(self.build_kernel(params))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -138,7 +130,7 @@ class ReductionRule:
     def reduce_to_1d(self, params: Params, f: TestIntegrand, tol: Tolerance | None = None) -> QuadResult:
         self.check_applicability(params)
         terms = self.build_kernel(params)
-        floor = self._mu_floor(params, terms)
+        floor = kernel_mu_min(terms)
         if not f.mu > floor:
             raise KernelError(
                 f"rule {self.id}: f has mu={f.mu}, below the convergence floor {floor}"

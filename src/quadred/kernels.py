@@ -45,9 +45,9 @@ class _Factor:
 
       bounded_part(t)    value of t**(-alpha_shift()) * factor(t); O(1) near 0
       alpha_shift()      power folded out of bounded_part into the term exponent
-      floor_decay()      additional small-t decay of bounded_part itself, counted
-                         only when computing the convergence floor
-      cuts_off_at_zero() True when the factor decays exponentially at t -> 0
+      floor_decay()      additional small-t decay of bounded_part itself, as a
+                         power of t, or math.inf for an exponential cut-off;
+                         read only by the convergence floor (KernelTerm.mu_floor)
       is_complex()       True when bounded_part returns complex values
     """
 
@@ -56,9 +56,6 @@ class _Factor:
 
     def floor_decay(self) -> float:
         return 0.0
-
-    def cuts_off_at_zero(self) -> bool:
-        return False
 
     def is_complex(self) -> bool:
         return False
@@ -164,8 +161,8 @@ class FourierErfiFactor(_Factor):
     eta2: float
     x2: float
 
-    def cuts_off_at_zero(self) -> bool:
-        return self.eta1 > 0.0 and self.eta2 > 0.0
+    def floor_decay(self) -> float:
+        return math.inf if self.eta1 > 0.0 and self.eta2 > 0.0 else 0.0
 
     def is_complex(self) -> bool:
         return True
@@ -216,17 +213,18 @@ class RInnerFactor(_Factor):
         integral_0^(1/t) r**((n+nu)/2-2) (1-r t)**((m+nu)/2-2)
                          exp(-b/t + j r^2 t - r(a-b+j) - r h t) dr
 
-    The e^(-b/t) cutoff is folded inside, so the exponent stays bounded by
-    -min(a,b)/t even when b > a.  With s = r t every t row runs over the
-    fixed interval (0, 1), and the integrand takes the node pair (s, 1 - s):
-    the member that is small is the exact tanh-sinh offset from its
-    endpoint, so the (1 - r t) power at the moving endpoint r = 1/t never
-    sees a cancelled difference.  All live rows of one call are one
-    (rows, n) batch of integrate_interval, judged by its largest row
-    against _R_INNER_TOL with no work bound of its own: the level cap
-    bounds the work, and a batch that has not converged by then raises
-    QuadratureError.  So a row's value depends, within _R_INNER_TOL.rel, on
-    which t share the call.
+    The e^(-b/t) cutoff is folded inside, so the exponent stays bounded
+    by -min(a,b)/t even when b > a: the factor's floor_decay() cut-off,
+    and a t row is 0 only where that bound underflows.  With s = r t
+    every t row runs over the fixed interval (0, 1), and the integrand
+    takes the node pair (s, 1 - s): the member that is small is the
+    exact tanh-sinh offset from its endpoint, so the (1 - r t) power at
+    the moving endpoint r = 1/t never sees a cancelled difference.  All
+    live rows of one call are one (rows, n) batch of integrate_interval,
+    judged by its largest row against _R_INNER_TOL with no work bound of
+    its own: the level cap bounds the work, and a batch that has not
+    converged by then raises QuadratureError.  So a row's value depends,
+    within _R_INNER_TOL.rel, on which t share the call.
     """
 
     n: int
@@ -237,8 +235,8 @@ class RInnerFactor(_Factor):
     h: complex
     j: float
 
-    def cuts_off_at_zero(self) -> bool:
-        return self.b > 0.0 and self.a > 0.0
+    def floor_decay(self) -> float:
+        return math.inf if self.a > 0.0 and self.b > 0.0 else 0.0
 
     def is_complex(self) -> bool:
         return complex(self.h).imag != 0.0
@@ -248,7 +246,7 @@ class RInnerFactor(_Factor):
         ps = (self.m + self.nu) / 2.0 - 2.0
         h = complex(self.h)
         out = np.zeros(t.shape, dtype=complex if h.imag != 0.0 else float)
-        live = self.b / t <= 745.0  # beyond, the folded cutoff already underflowed
+        live = min(self.a, self.b) / t <= 745.0  # beyond, the folded exponent underflowed
         rows = int(live.sum())
         if rows == 0:
             return out
@@ -292,12 +290,12 @@ class KernelTerm:
 
     def mu_floor(self) -> float:
         """Smallest power mu with t**mu * term integrable at the origin."""
-        if self.gamma > 0.0 or (self.special and self.special.cuts_off_at_zero()):
+        if self.gamma > 0.0:
             return -math.inf
-        extra = 0.0
+        decay = self.alpha
         if self.special is not None:
-            extra = self.special.alpha_shift() + self.special.floor_decay()
-        return -1.0 - (self.alpha + extra)
+            decay += self.special.alpha_shift() + self.special.floor_decay()
+        return -1.0 - decay
 
 
 def kernel_mu_min(terms: list[KernelTerm]) -> float:

@@ -61,12 +61,22 @@ def shift_power(triple: tuple[int, int, int], delta: float) -> tuple[int, int, i
 
 
 def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
+    """The oracle's whole convergence contract, by exponent accounting.
+
+    The tilde term counts as decay only when a > b: it is 0 at a = b, and
+    with a < b it grows as y -> 0, so the integral diverges.
+    """
     n, m, nu = params.n, params.m, params.nu
-    if not (params.a > 0.0 or tilde or f.mu - n / 2.0 > -1.0):
+    if tilde and params.a < params.b:
+        raise DivergentIntegralError("divergent at the y->0 axis (the tilde term grows when a<b)")
+    cut = tilde and params.a > params.b
+    if not (params.a > 0.0 or cut or f.mu - n / 2.0 > -1.0):
         raise DivergentIntegralError("divergent at the x->0 axis (a=0 and mu too small)")
-    if not (params.b > 0.0 or tilde or f.mu - m / 2.0 > -1.0):
+    if not (params.b > 0.0 or cut or f.mu - m / 2.0 > -1.0):
         raise DivergentIntegralError("divergent at the y->0 axis (b=0 and mu too small)")
-    if not (params.p > 0.0 or tilde or n + nu > 2):
+    if not (params.a or params.b or params.j or cut or f.mu - (n + m + nu) / 2.0 > -2.0):
+        raise DivergentIntegralError("divergent at the origin (a=b=j=0 and mu too small)")
+    if not (params.p > 0.0 or cut or n + nu > 2):
         raise DivergentIntegralError("divergent as x->inf (p=0 and n+nu<=2)")
     if not (params.q > 0.0 or m + nu > 2):
         raise DivergentIntegralError("divergent as y->inf (q=0 and m+nu<=2)")
@@ -179,11 +189,11 @@ def _edge(bound, out: float, inner: float) -> float:
 def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     """A box outside which quadrant_integrand is exactly 0 on the node ladders.
 
-    Returns ((x_lo, x_hi), (y_lo, y_hi)), widened to hold 1, or None when
-    a term of the exponent has no known sign (the tilde term with a < b).
+    Runs the oracle's convergence check first, so it returns a box for every
+    integral it does not reject: ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
     The integrand's log-magnitude is bounded from above: every term that
-    is <= 0 for valid Params is dropped (c, sigma, j and the tilde term
-    with a >= b), the h term is charged max(-Re h, 0), and with
+    is <= 0 for valid Params is dropped (c, sigma, j and the tilde term,
+    admitted only with a >= b), the h term is charged max(-Re h, 0), and with
     kt = mu + nu/2 the term -kt log(1/x + 1/y) is charged
     kt min(log x, log y) when kt >= 0 and |kt| (log 2 + max(-log x, -log y))
     when kt < 0, the same kt min(log x, log y) plus |kt| log 2.  What is
@@ -194,8 +204,7 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     side of the peaks is where that bound crosses -800, found by bisection;
     past it exp gives exactly 0.
     """
-    if tilde and params.a < params.b:
-        return None
+    _check_convergence(params, f, tilde)
     n, m, nu = params.n, params.m, params.nu
     kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
     lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
@@ -236,10 +245,10 @@ def direct_2d(
 ) -> QuadResult:
     """Brute-force oracle: the quadrant integral evaluated directly.
 
-    The oracle evaluates nothing outside quadrant_support's box, where
-    every value is exactly 0.
+    quadrant_support owns the convergence check and raises
+    DivergentIntegralError for an integral that diverges; otherwise the
+    oracle evaluates nothing outside its box, where every value is exactly 0.
     """
-    _check_convergence(params, f, tilde)
     return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
                               support=quadrant_support(params, f, tilde))
 

@@ -275,6 +275,29 @@ class TestReduceTo1D:
                 Params(2, 2, 2, a=1.0, b=0.5, c=0.0), TestIntegrand(1.0, 1.0, 0.0)
             )
 
+    def test_cancelling_instance_without_decay_is_rejected(self):
+        # unguarded, N3's split kernel returns -3.07e19 here through cancellation
+        with pytest.raises(KernelError, match="decay"):
+            get_rule("N3-033").reduce_to_1d(
+                Params(0, 3, 3, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.2, 0.0)
+            )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=KernelError,
+        reason="ROADMAP item 4: the large-t guard reads only each term's power, so "
+        "it rejects this convergent instance; it may loosen only together with "
+        "cancellation-free kernels",
+    )
+    def test_convergent_instance_without_c_or_sigma(self):
+        # the oracle converges to 8.347688506817965 here, and the unguarded
+        # reduction matches it to 2e-16
+        res = get_rule("N4-122").reduce_to_1d(
+            Params(1, 2, 2, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.25, 0.0)
+        )
+        assert res.converged
+        assert res.value == pytest.approx(8.347688506817965, rel=1e-12)
+
     def test_positivity(self):
         rng = np.random.default_rng(5)
         for rid in ("E1-pbm-corrected", "K1-111", "N3-033", "T1-nu0", "G1-general"):
@@ -308,6 +331,37 @@ class TestMuFloors:
     def test_b_zero_raises_floor(self):
         rule = get_rule("N1-133")
         assert rule.mu_min(Params(1, 3, 3, a=1.0, b=0.0, c=1.0)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("rule_id", [r.id for r in list_rules(include_erratum=False)
+                                         if r.family is not Family.MIXED_TILDE])
+    def test_kernel_floor_covers_the_axes(self, rule_id):
+        # t -> 0 exactly when x -> 0 or y -> 0, so the kernel's floor alone
+        # must hold the 2-D side's floors at the axes and the origin: at every
+        # seed-0 and seed-42 sweep draw, and at each draw's a = 0, b = 0 or
+        # a = b = 0 variant the rule admits
+        rule = get_rule(rule_id)
+        index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
+        checked = 0
+        for seed in (0, 42):
+            for case_index in range(20):
+                params, _ = _case_inputs(rule, seed, index, case_index)
+                for variant in (params, dataclasses.replace(params, a=0.0),
+                                dataclasses.replace(params, b=0.0),
+                                dataclasses.replace(params, a=0.0, b=0.0)):
+                    if rule.applicability_failure(variant) is not None:
+                        continue
+                    n, m, nu = variant.triple
+                    floor = rule.mu_min(variant)
+                    if variant.a == 0.0:
+                        assert floor >= n / 2.0 - 1.0, variant
+                        checked += 1
+                    if variant.b == 0.0:
+                        assert floor >= m / 2.0 - 1.0, variant
+                        checked += 1
+                    if variant.a == variant.b == 0.0:
+                        assert floor >= (n + m + nu) / 2.0 - 2.0, variant
+        if rule.family is not Family.R_INTEGRAL:  # R1 admits no zero a or b
+            assert checked > 0
 
     def test_reduction_builds_kernel_once(self):
         rule = get_rule("N1-133")

@@ -159,6 +159,24 @@ class TestDirect2D:
         with pytest.raises(DivergentIntegralError, match="x->0"):
             direct_2d(Params(4, 0, 0, p=1.0, q=1.0), TestIntegrand(1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("oracle", [direct_2d, quadrant_support])
+    def test_tilde_term_at_a_equals_b_is_no_decay(self, oracle):
+        # the tilde term is 0 at a = b, so with p = 0 and n + nu = 2 nothing
+        # cuts off x -> inf; this input once ran 4.4M evaluations, unconverged
+        params = Params(1, 2, 1, a=0.9, b=0.9, c=0.3, q=0.4)
+        with pytest.raises(DivergentIntegralError, match="x->inf"):
+            oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
+
+    def test_origin_divergence_rejected(self):
+        # with a = b = 0 the origin needs mu > (n+m+nu)/2 - 2 = 1; both axes
+        # alone would admit mu > 0
+        params = Params(2, 2, 2, p=1.0, q=1.0)
+        with pytest.raises(DivergentIntegralError, match="origin"):
+            direct_2d(params, TestIntegrand(1.0, 0.9, 0.0))
+        res = direct_2d(params, TestIntegrand(1.0, 1.2, 0.0))
+        assert res.converged
+        assert res.value == pytest.approx(3.115707707878462, rel=1e-12)
+
     def test_gamma_ratio_instance_matches_oracle(self):
         # equal inverse-exponential coefficients at (4,4,0), f = t^(3/2)
         params = Params(4, 4, 0, a=1.0, b=1.0, c=1.0)
@@ -342,7 +360,7 @@ class TestQuadrantSupport:
     """quadrant_support's box: outside it every value is exactly 0."""
 
     CORNERS = {
-        "kt-negative": (Params(2, 2, 0, a=0.7, b=1.1, c=0.5),
+        "kt-negative": (Params(3, 3, 0, a=0.7, b=1.1, c=0.5),
                         TestIntegrand(1.0, -0.6, 0.2), False),
         "G1-b-zero": (Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6),
                       TestIntegrand(1.0, get_rule("G1-general").mu_min(
@@ -351,7 +369,7 @@ class TestQuadrantSupport:
                    TestIntegrand(1.0, 0.3, 0.0), False),
         "complex-h-negative-real": (Params(0, 0, 1, c=1.0, h=-0.8 + 2.5j, p=0.7, q=1.0),
                                     TestIntegrand(1.0, 0.5, 0.4), False),
-        "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, q=0.4),
+        "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, p=0.5, q=0.4),
                              TestIntegrand(2.5, 1.25, 0.0), True),
         "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0), False),
     }
@@ -371,11 +389,7 @@ class TestQuadrantSupport:
     def test_sweep_draws(self, rule_id, seed):
         tilde = get_rule(rule_id).family is Family.MIXED_TILDE
         for case_index in range(20):
-            params, f = _sweep_case(rule_id, seed, case_index)
-            if tilde and params.a < params.b:
-                assert quadrant_support(params, f, tilde) is None
-            else:
-                self._check(params, f, tilde)
+            self._check(*_sweep_case(rule_id, seed, case_index), tilde)
 
     @pytest.mark.parametrize("case", list(CORNERS))
     def test_corner_cases(self, case):
@@ -387,10 +401,12 @@ class TestQuadrantSupport:
         (_, x_hi), (_, y_hi) = self._check(params, f, False)
         assert x_hi < 1e5 and y_hi < 1e5
 
-    def test_tilde_with_a_below_b_has_no_box(self):
+    def test_tilde_with_a_below_b_is_divergent(self):
         params = Params(1, 2, 1, a=0.5, b=1.5, c=0.3, q=0.4)
-        assert quadrant_support(params, TestIntegrand(2.5, 1.25, 0.0), True) is None
-        assert quadrant_support(params, TestIntegrand(2.5, 1.25, 0.0), False) is not None
+        # the tilde term grows as y -> 0: rejected, where it once had no box
+        for oracle in (quadrant_support, direct_2d):
+            with pytest.raises(DivergentIntegralError, match="tilde term"):
+                oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
 
     def test_oracle_calls_leave_the_fixed_ladders_alone(self):
         # once every block and head of the fixed ladders is built, 50 oracle
@@ -572,6 +588,17 @@ class TestRInnerIntegral:
         rec = verify("R1-rint", params, f)
         assert rec.passed and rec.rhs.converged
         assert rec.rel_diff <= bound
+
+    @pytest.mark.parametrize("a", [0.01, 0.05])
+    def test_a_below_b_keeps_the_live_rows(self, a):
+        # the inner exponent is bounded by -min(a, b)/t, not -b/t: rows with
+        # b/t past the underflow still carry e^(-a/t)
+        params = Params(4, 4, 0, a=a, b=10.0, c=1.0, h=0.5, j=0.5)
+        f = TestIntegrand(1.0, 1.5, 0.3)
+        rhs = get_rule("R1-rint").reduce_to_1d(params, f)
+        lhs = direct_2d(params, f)
+        assert rhs.converged and lhs.converged
+        assert abs(rhs.value - lhs.value) <= 1e-12 * abs(lhs.value)
 
     def test_unconverged_inner_batch_is_not_silent(self, monkeypatch):
         params, f = _sweep_case("R1-rint", 42, 3)
