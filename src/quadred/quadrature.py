@@ -14,15 +14,23 @@ are bit-reproducible.
 
 The driver's own rules fix some blocks in advance: a scan stops a
 direction only after two quiet blocks, and the first convergence test
-follows level 1.  So the first two blocks of each direction (a level's
-head) are evaluated whatever the values, and they are fetched together:
-one integrand call for the heads of levels 0 and 1, one for each later
-level's head, and one per block past a head.  The sums are taken block by
-block in the same order as with one call per block, so a pointwise
-integrand gives the same bits either way.  Every drive fetches this way,
-the quadrant's outer drive included: its inner rows are judged by their
-share of the outer sum (see integrate_quadrant), so which x nodes share a
-call moves an inner value only within the tolerance it was judged by.
+follows level _FIRST_TEST_LEVEL (3).  So the first two blocks of each
+direction (a level's head) are evaluated whatever the values, and they
+are fetched together: one integrand call for the heads of levels 0 to 3,
+one for each later level's head, and one per block past a head.  A drive
+pays per call more than per node (on a 2-core Xeon VM, an oracle call of
+43 x 32 values costs about 37 us, and one of 43 x 258 about 147 us), and
+nearly every drive reaches level 3, so levels 2 and 3 ride in the first
+call.  Testing from level 3 also keeps two coarse levels that agree by
+chance from passing for convergence.  A head is multiplied by its
+weights in one pass and each direction's part of it summed in one pass,
+so a head's terms are grouped otherwise than block by block, which can
+move a last bit; a complex sum is two real sums, so a real row of a
+complex batch keeps the bits it has alone.  Every drive fetches this
+way, the quadrant's outer and inner drives and R1's inner batch
+included: the outer drive's inner rows are judged by their share of the
+outer sum (see integrate_quadrant), so which x nodes share a call moves
+an inner value only within the tolerance it was judged by.
 
 A ladder is a node generator with the blocks and heads built from it,
 each built on first use and kept read-only.  There are two, both fixed
@@ -74,6 +82,14 @@ _BLOCK = 32
 _MAX_LEVEL = 11
 _BASE_STEP = 0.5
 _U_MAX = 700.0  # |u| rail; transformed nodes under/overflow long before this
+# (spacing, offset, step) of each level: level 0 is the full pass at step
+# _BASE_STEP, and level k adds the odd nodes of step h = _BASE_STEP / 2**k.
+_LEVELS = [(_BASE_STEP, 0.0, _BASE_STEP)] + [
+    (2.0 * h, h, h) for h in (_BASE_STEP * 0.5**k for k in range(1, _MAX_LEVEL + 1))
+]
+# A drive first tests for convergence after this level, and fetches the
+# heads of levels 0 to it in its first integrand call (see _drive).
+_FIRST_TEST_LEVEL = 3
 
 
 class QuadratureError(Exception):
@@ -255,25 +271,27 @@ def _blocks(ladder: _Ladder, direction: float, spacing: float, offset: float):
         k0 += _BLOCK
 
 
-def _head(ladder: _Ladder, levels: tuple) -> np.ndarray:
-    """The abscissae every scan on levels must evaluate, fused.
+def _head(ladder: _Ladder, levels: tuple):
+    """The (x, w) every scan on levels must evaluate, fused.
 
     levels lists one (spacing, offset) per level.  A scan stops a direction
     only after two quiet blocks, so whatever the values it evaluates the
     first two blocks of each direction, or fewer where the ladder ends.
-    The head holds those blocks' abscissae in scan order.  It is never
-    empty: u = 0 and u = offset are nodes of both ladders.
+    The head holds those blocks' abscissae and weights in scan order.  It
+    is never empty: u = 0 and u = offset are nodes of both ladders.
     """
     if levels in ladder.kept:
         return ladder.kept[levels]
-    head = np.concatenate([
-        x
+    blocks = [
+        block
         for spacing, offset in levels
         for direction in (+1.0, -1.0)
-        for x, _ in islice(_blocks(ladder, direction, spacing, offset), 2)
-    ])
-    head.flags.writeable = False
-    ladder.kept[levels] = head
+        for block in islice(_blocks(ladder, direction, spacing, offset), 2)
+    ]
+    x = np.concatenate([x for x, _ in blocks])
+    w = np.concatenate([w for _, w in blocks])
+    x.flags.writeable = w.flags.writeable = False
+    ladder.kept[levels] = head = x, w
     return head
 
 
@@ -286,7 +304,30 @@ def _where(x: np.ndarray, bad: np.ndarray) -> str:
     return f"abscissa {float(point)!r}"
 
 
-def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, at: int):
+def _sum(terms):
+    """The sum of terms over their last axis.
+
+    A complex sum is taken as two real sums, so a real row of a complex
+    batch keeps the bits it has alone (numpy's complex pairwise sum groups
+    the terms otherwise).
+    """
+    if terms.dtype.kind != "c":
+        return np.add.reduce(terms, axis=-1)
+    return np.add.reduce(terms.real, axis=-1) + 1j * np.add.reduce(terms.imag, axis=-1)
+
+
+def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
+    """Raise for one block holding a non-finite term: NaN is named first."""
+    nan = np.isnan(y)
+    if nan.any():
+        raise QuadratureError(f"integrand returned NaN at {_where(x, nan)}")
+    raise QuadratureError(
+        f"integrand*weight overflowed at {_where(x, ~np.isfinite(terms))}; "
+        "integral likely divergent"
+    )
+
+
+def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: tuple, at: int):
     """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
 
     With offset 0 this is a full trapezoid pass (u = 0 counted once); with
@@ -297,36 +338,51 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: np.ndarray, a
     (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
     or a (rows, abscissae) batch; sums run over the last axis.
 
-    head is f's values on a fused call (see _head) whose abscissae from
-    index at on are this level's head.  The first two blocks of each
-    direction take their values from it by a running offset; blocks past
-    them cost one call of f each.  The summation is the same as with one
-    call per block.  Returns (sum, the offset past this level's head).  It
-    sets no error state: it runs under its entry point's.
+    head is (values, terms) of a fused call (see _head), terms being the
+    values times the head's weights; from index at on they hold this
+    level's head.  Each direction's part of the head is summed in one
+    pass.  A non-finite term leaves its row's sum non-finite, so one check
+    of that sum stands for a check of every term.  Only where the ladder
+    goes on past the head are its blocks tested for quiet, against the
+    total after the head; each block past it costs one call of f, checked
+    and tested block by block.  Returns (sum, the offset past this level's
+    head).  It sets no error state: it runs under its entry point's.
     """
-    total = 0.0 + 0.0j
+    values, head_terms = head
+    total = 0.0
     for direction in (+1.0, -1.0):
-        quiet = 0
-        for i, (x, w) in enumerate(_blocks(ladder, direction, spacing, offset)):
-            if i < 2:
-                y = head[..., at:at + len(x)]
-                at += len(x)
-            else:
-                y = np.asarray(f(x))
+        blocks = _blocks(ladder, direction, spacing, offset)
+        first = list(islice(blocks, 2))  # this direction's part of the head
+        end = at + sum(len(x) for x, _ in first)
+        y, terms = values[..., at:end], head_terms[..., at:end]
+        part = _sum(terms)
+        if not np.isfinite(part).all():
+            for x, _ in first:
+                n = len(x)
+                if not np.isfinite(terms[..., :n]).all():
+                    _raise_non_finite(x, y[..., :n], terms[..., :n])
+                y, terms = y[..., n:], terms[..., n:]
+            raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
+        total = total + part
+        at = end
+        quiet = None
+        for x, w in blocks:
+            if quiet is None:  # the ladder goes on: were the head's blocks quiet?
+                quiet, edge = 0, _TRUNC_EPS * max(_largest(total), 1e-300)
+                for hx, _ in first:
+                    block, terms = terms[..., :len(hx)], terms[..., len(hx):]
+                    quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
+                if quiet >= 2:
+                    break
+            y = np.asarray(f(x))
             # w is finite and positive, so a term is non-finite only when y
             # is or when the product overflowed; max propagates both NaN
             # and inf, so one pass measures size and finiteness
             terms = y * w
             tmax = float(np.maximum.reduce(np.abs(terms), axis=None)) if terms.size else 0.0
             if not math.isfinite(tmax):
-                nan = np.isnan(y)
-                if nan.any():
-                    raise QuadratureError(f"integrand returned NaN at {_where(x, nan)}")
-                raise QuadratureError(
-                    f"integrand*weight overflowed at {_where(x, ~np.isfinite(terms))}; "
-                    "integral likely divergent"
-                )
-            total += np.add.reduce(terms, axis=-1)
+                _raise_non_finite(x, y, terms)
+            total = total + _sum(terms)
             if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
                 quiet += 1
                 if quiet >= 2:
@@ -340,40 +396,44 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
-    the step and adds the odd nodes.  The first convergence test follows
-    level 1.  So the heads of levels 0 and 1 (see _head) are fetched in one
-    call of f, and each later level's head in one call before its scan;
-    only blocks past a head cost a call each.
+    the step and adds the odd nodes (see _LEVELS).  The first convergence
+    test follows level _FIRST_TEST_LEVEL, so the heads of levels 0 to it
+    (see _head) are fetched in one call of f, and each later level's head
+    in one call before its scan; only blocks past a head cost a call each.
+    Each fetched head is multiplied by its weights once, in one pass.
 
     A drive that never converges stops after level _MAX_LEVEL, which
-    bounds its work.  A batch converges when its largest row does, at a
-    scale bounded below by floor (see Tolerance.met_by).  A drive whose f
-    raises _BudgetExceeded stops at its last completed level, unconverged,
-    or at value 0 with an infinite estimate if there is none.  It sets no
-    error state: it runs under its entry point's (see the module).
+    bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
+    and fetch down to it.  A batch converges when its largest row does, at
+    a scale bounded below by floor (see Tolerance.met_by).  A drive whose
+    f raises _BudgetExceeded stops at its last completed level,
+    unconverged, or at value 0 with an infinite estimate if there is none.
+    It sets no error state: it runs under its entry point's (see the
+    module).
     """
 
-    def fetch(*levels):
-        # f's values on the fused head of levels
-        return np.asarray(f(_head(ladder, levels)))
+    def fetch(levels):
+        # f's values on the fused head of levels, and their terms
+        x, w = _head(ladder, tuple((spacing, offset) for spacing, offset, _ in levels))
+        y = np.asarray(f(x))
+        return (y, y * w), 0
 
-    h = _BASE_STEP
-    value, estimate, converged = 0.0, math.inf, False
+    levels = _LEVELS[:_MAX_LEVEL + 1]
+    first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
+    raw, value, estimate, converged = 0.0, 0.0, math.inf, False
     try:
-        head = fetch((h, 0.0), (h, 0.5 * h))
-        raw, at = _scan(f, ladder, h, 0.0, head, 0)
-        value = h * raw
-        for level in range(1, _MAX_LEVEL + 1):
-            h *= 0.5
-            if level > 1:  # level 1's head follows level 0's in one call
-                head, at = fetch((2.0 * h, h)), 0
-            odd, _ = _scan(f, ladder, 2.0 * h, h, head, at)
-            prev, raw = value, raw + odd
-            value = h * raw
-            estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
-            if tol.met_by(estimate, value, floor):
-                converged = True
-                break
+        head, at = fetch(levels[:first + 1])
+        for level, (spacing, offset, step) in enumerate(levels):
+            if level > first:
+                head, at = fetch(levels[level:level + 1])
+            part, at = _scan(f, ladder, spacing, offset, head, at)
+            prev, raw = value, raw + part
+            value = step * raw
+            if level:
+                estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
+                if level >= first and tol.met_by(estimate, value, floor):
+                    converged = True
+                    break
     except _BudgetExceeded:
         pass
     return value, estimate, converged
@@ -448,8 +508,8 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
-    a column holds up to four blocks of x, eight for levels 0 and 1, and so
-    does a row of y.  Every inner call of one outer call gets the same
+    a column holds up to four blocks of x, sixteen for levels 0 to 3, and
+    so does a row of y.  Every inner call of one outer call gets the same
     column object.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1

@@ -18,6 +18,8 @@ from quadred.quadrature import (
 
 SQPI = math.sqrt(math.pi)
 FIXED_LADDERS = [quadrature._EXP_SINH, quadrature._UNIT_PAIR]
+# the (spacing, offset) of levels 0 to 3, whose heads a drive's first call fetches
+FIRST_HEAD = tuple((spacing, offset) for spacing, offset, _ in quadrature._LEVELS[:4])
 
 
 def closed_form_half_line_cases():
@@ -133,8 +135,14 @@ class TestBatches:
     """A (rows, n) batch through a public route: one value per row."""
 
     ROUTES = {
-        "interval": (integrate_interval, _beta_half_half, 97),
+        "interval": (integrate_interval, _beta_half_half, 195),
         "half-line": (integrate_half_line, lambda t: t**-0.5 * np.exp(-t), 197),
+        # a complex pairwise sum once moved this row's last bit
+        "interval-power-exp": (
+            integrate_interval, lambda x: x[:, 0] ** 0.3 * np.exp(x[:, 1]), 195,
+        ),
+        # converges past level 3, so its later levels are summed too
+        "interval-past-level-3": (integrate_interval, lambda x: np.cos(30.0 * x[:, 0]), 391),
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -310,12 +318,15 @@ class TestBudgetExhaustion:
 
     def test_quadrant_exhausted_inside_inner_rows(self, monkeypatch):
         # only inner evaluations are counted, so the bound always runs out
-        # inside an inner batch; that stops the outer integral as well
-        monkeypatch.setattr(quadrature, "_QUADRANT_MAX_EVALUATIONS", 15000)
-        res = integrate_quadrant(_seed_cross_check_f2)
+        # inside an inner batch; that stops the outer integral as well.  At
+        # this tolerance the outer drive goes past its first call (77 027
+        # evaluations) to level 4, whose second inner batch takes it past
+        # 100 000: level 3's value and estimate are returned
+        monkeypatch.setattr(quadrature, "_QUADRANT_MAX_EVALUATIONS", 100_000)
+        res = integrate_quadrant(_seed_cross_check_f2, Tolerance(rel=1e-11))
         assert not res.converged
-        assert res.value == 0.7089798289090279
-        assert res.abs_error_estimate == pytest.approx(4.335590722193139e-05, rel=1e-9)
+        assert res.value == 0.7089815403622064
+        assert res.abs_error_estimate == pytest.approx(1.1244511363717268e-11, rel=1e-9)
 
     def test_bound_does_not_depend_on_tol(self, monkeypatch):
         # the targets of QUADRANT_TOLERANCE, passed or left to the default
@@ -324,7 +335,7 @@ class TestBudgetExhaustion:
         passed = integrate_quadrant(_divergent_f2, Tolerance(rel=1e-9, abs=1e-14))
         assert default == passed
         assert not default.converged
-        assert default.evaluations == 301_497
+        assert default.evaluations == 304_365
 
     def test_evaluations_count_integrand_points_only(self):
         points = []
@@ -362,6 +373,12 @@ class TestFailurePaths:
     def test_quadrant_overflow(self, scale):
         with pytest.raises(QuadratureError, match=r"integrand\*weight overflowed"):
             integrate_quadrant(lambda x, y: np.full(np.broadcast(x, y).shape, scale))
+
+    def test_head_sum_overflow(self):
+        # each term, 1e308 times a tanh-sinh weight of at most pi/4, is
+        # finite, but their sum is not; it once returned inf + nan j
+        with pytest.raises(QuadratureError, match=r"integrand\*weight sum overflowed"):
+            integrate_interval(lambda x: np.full(len(x), 1e308))
 
     def test_nan_outranks_overflow(self):
         # the first block holds both NaN values and overflowing terms
@@ -470,14 +487,17 @@ class TestNodeLadder:
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize(
-        "levels", [((0.5, 0.0), (0.5, 0.25)), ((0.125, 0.0625),)], ids=["levels-0-1", "level-3"]
+        "levels",
+        [((0.5, 0.0), (0.5, 0.25)), ((0.125, 0.0625),), FIRST_HEAD],
+        ids=["levels-0-1", "level-3", "levels-0-3"],
     )
     def test_cached_head_fuses_the_fresh_blocks(self, ladder, levels):
-        x = quadrature._head(ladder, levels)
-        assert not x.flags.writeable
-        assert quadrature._head(ladder, levels) is x
-        assert ladder.kept[levels] is x
-        fresh, at = [], 0
+        head = quadrature._head(ladder, levels)
+        x, w = head
+        assert not x.flags.writeable and not w.flags.writeable
+        assert quadrature._head(ladder, levels) is head
+        assert ladder.kept[levels] is head
+        fresh, fresh_w, at = [], [], 0
         for spacing, offset in levels:
             for direction in (1.0, -1.0):
                 # two live blocks, or fewer where the ladder ends
@@ -489,13 +509,15 @@ class TestNodeLadder:
                     if fx.size == 0:
                         assert block is None
                         break
-                    _, w = block
+                    _, bw = block
                     assert x[at:at + len(fx)].tobytes() == fx.tobytes()
-                    assert w.tobytes() == fw.tobytes()
+                    assert bw.tobytes() == fw.tobytes()
                     at += len(fx)
                     fresh.append(fx)
+                    fresh_w.append(fw)
         assert x.shape == np.concatenate(fresh).shape
         assert x.tobytes() == np.concatenate(fresh).tobytes()
+        assert w.tobytes() == np.concatenate(fresh_w).tobytes()
 
     def test_dead_block_is_kept_as_none(self):
         # exp-sinh nodes at u >= 16 all lie beyond the 1e160 rail
@@ -526,8 +548,8 @@ class TestNodeLadder:
         second = integrate_interval(f)
         assert len(quadrature._UNIT_PAIR.kept) == size
         assert first.converged and second == first
-        # a block is kept as (x, w), a head as its abscissae alone
-        kept = [v[0] if isinstance(v, tuple) else v for v in quadrature._UNIT_PAIR.kept.values()]
+        # blocks and heads are kept as (x, w), a dead block as None
+        kept = [v[0] for v in quadrature._UNIT_PAIR.kept.values() if v is not None]
         assert seen and all(not x.flags.writeable for x in seen)
         assert all(x.ndim == 2 and any(x is k for k in kept) for x in seen)
 
@@ -547,7 +569,10 @@ class TestNodeLadder:
 
     def test_quadrant_hands_over_stable_read_only_blocks(self):
         # within one integral, equal contents arrive as one object: the
-        # column of an outer block, and the row of a revisited inner block
+        # column of an outer block, and the row of a revisited inner block.
+        # At the default targets this integral takes one call, the fused
+        # heads of levels 0-3; at these its drives go past level 3, so
+        # columns get more than one inner call and rows are revisited
         cols: dict[bytes, list] = {}
         rows: dict[bytes, list] = {}
 
@@ -557,14 +582,14 @@ class TestNodeLadder:
             rows.setdefault(y.tobytes(), []).append(y)
             return _seed_cross_check_f2(x, y)
 
-        assert integrate_quadrant(f2).converged
+        assert integrate_quadrant(f2, Tolerance(rel=1e-11)).converged
         for seen in (cols, rows):
             assert all(all(o is objs[0] for o in objs) for objs in seen.values())
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
         # a row is the exp-sinh ladder's own 1-D block or head
-        kept = [v[0] if isinstance(v, tuple) else v for v in quadrature._EXP_SINH.kept.values()]
+        kept = [v[0] for v in quadrature._EXP_SINH.kept.values() if v is not None]
         assert all(objs[0].ndim == 1 for objs in rows.values())
         assert all(any(objs[0] is k for k in kept) for objs in rows.values())
 
@@ -580,7 +605,8 @@ def _raise_on_overflow(t):
 class TestFetchRule:
     """The blocks every scan must reach are fetched in one call per level head."""
 
-    # float.hex of the value, and the evaluations, with one call per block
+    # float.hex of the value, and the evaluations; the beta integral's
+    # last bit moved when its first test went from level 1 to level 3
     PINNED = {
         "half-line-exp": (
             lambda: integrate_half_line(lambda t: np.exp(-t)),
@@ -592,7 +618,7 @@ class TestFetchRule:
         ),
         "interval-beta": (
             lambda: integrate_interval(_beta_half_half),
-            "0x1.921fb54442d19p+1", 97,
+            "0x1.921fb54442d18p+1", 195,
         ),
         "quadrant": (
             lambda: integrate_quadrant(_seed_cross_check_f2),
@@ -607,9 +633,32 @@ class TestFetchRule:
         assert float(res.value).hex() == value
         assert res.evaluations == evaluations
 
+    @pytest.mark.parametrize(
+        "ladder, f",
+        [(quadrature._EXP_SINH, lambda t: t**-0.5 * np.exp(-t)),
+         (quadrature._UNIT_PAIR, _beta_half_half)],
+        ids=LADDER_IDS,
+    )
+    def test_scan_matches_a_block_by_block_sum(self, ladder, f):
+        # the reference is the loop the head's one-pass sums replaced, run
+        # over every block to the ladder's end: the grouping differs, so
+        # the sums agree within rounding of the sum of |terms|
+        for spacing, offset, _ in quadrature._LEVELS[:6]:
+            x, w = quadrature._head(ladder, ((spacing, offset),))
+            y = f(x)
+            got, at = quadrature._scan(f, ladder, spacing, offset, (y, y * w), 0)
+            assert at == len(x)
+            ref = size = 0.0
+            for direction in (1.0, -1.0):
+                for bx, bw in quadrature._blocks(ladder, direction, spacing, offset):
+                    terms = f(bx) * bw
+                    ref += terms.sum()
+                    size += np.abs(terms).sum()
+            assert abs(got - ref) <= 1e-15 * size
+
     def test_half_line_call_count(self):
-        # levels 0-1 in one call, one head call for each of levels 2-4, and
-        # three blocks past level 4's head (17 calls at one per block)
+        # levels 0-3 in one call, one head call for level 4, and three
+        # blocks past level 4's head (17 calls at one per block)
         sizes = []
 
         def f(t):
@@ -617,8 +666,45 @@ class TestFetchRule:
             return np.exp(-t)
 
         res = integrate_half_line(f)
-        assert len(sizes) == 7
+        assert len(sizes) == 5
         assert sum(sizes) == res.evaluations == 391
+
+    # integrands that meet the default targets at level 2 when tested from level 1
+    EARLY = {
+        "half-line": (integrate_half_line, quadrature._EXP_SINH, lambda t: 1.0 / (1.0 + t) ** 2),
+        "interval": (integrate_interval, quadrature._UNIT_PAIR, _beta_half_half),
+    }
+
+    @pytest.mark.parametrize("route", list(EARLY))
+    def test_first_call_is_the_fused_head_of_levels_0_to_3(self, route, monkeypatch):
+        integrate, ladder, f = self.EARLY[route]
+        seen = []
+        res = integrate(lambda x: seen.append(x) or f(x))
+        head, _ = quadrature._head(ladder, FIRST_HEAD)
+        # the drive does not stop at level 1 or 2, and needs no more calls
+        assert seen[0] is head
+        assert res.converged and len(seen) == 1 and res.evaluations == len(head)
+        # the one constant moves the first test and the first fetch together
+        monkeypatch.setattr(quadrature, "_FIRST_TEST_LEVEL", 1)
+        seen.clear()
+        early = integrate(lambda x: seen.append(x) or f(x))
+        assert seen[0] is quadrature._head(ladder, FIRST_HEAD[:2])[0]
+        assert early.converged and early.evaluations < len(head)
+
+    def test_quadrant_drives_start_at_the_fused_head_of_levels_0_to_3(self):
+        # the outer drive's first column, and each inner drive's first row
+        head, _ = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+        first_rows = {}
+
+        def f2(x, y):
+            first_rows.setdefault(id(x), (x, y))
+            return np.exp(-x - y)
+
+        res = integrate_quadrant(f2)
+        assert res.converged
+        (col, _), *_ = first_rows.values()
+        assert col[:, 0].tobytes() == head.tobytes()
+        assert all(y is head for _, y in first_rows.values())
 
     def test_quadrant_outer_fetches_fused_heads(self):
         # inner rows are judged by their share of the outer sum, so the
