@@ -88,8 +88,6 @@ def cmd_list(args) -> int:
         flags = []
         if r.erratum:
             flags.append("erratum")
-        if not r.trusted:
-            flags.append("untrusted")
         if r.note:
             flags.append("corrected")
         pattern = "".join(sorted(r.pattern))

@@ -341,11 +341,11 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
             if np.iscomplexobj(bounded):
                 # lift denormals into the normal range before the complex
                 # division: numpy's complex divide NaNs out on denormals
-                shift = np.where(np.abs(bounded) < 1e-280, 2.0**1000, 1.0)
-                bounded = bounded * shift
+                lift = np.where(np.abs(bounded) < 1e-280, 2.0**1000, 1.0)
+                bounded = bounded * lift
                 mag = np.abs(bounded)
                 with np.errstate(divide="ignore"):
-                    logtot = logmag[live] + np.log(mag) - np.log(shift)
+                    logtot = logmag[live] + np.log(mag) - np.log(lift)
                 phase = np.where(mag > 0.0, bounded / np.where(mag > 0.0, mag, 1.0), 0.0)
             else:
                 mag = np.abs(bounded)

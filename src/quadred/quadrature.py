@@ -32,20 +32,23 @@ included: the outer drive's inner rows are judged by their share of the
 outer sum (see integrate_quadrant), so which x nodes share a call moves
 an inner value only within the tolerance it was judged by.
 
-A ladder is a node generator with the blocks and heads built from it,
-each built on first use and kept read-only.  There are two, both fixed
-and kept for the process: exp-sinh on (0, inf), and tanh-sinh on (0, 1)
-with each abscissa given as the pair (s, 1 - s).  So the abscissae an
-integrand receives are read-only, and integrands must not write to them.
-The quadrant hands its integrand one column object for every inner call
-of one outer call.
+A ladder is a node generator with what is built from it, each built on
+first use and kept read-only: one run of nodes per level and direction
+(see _run), whose blocks past the head are kept as views of it, and the
+fused heads.  There are two, both fixed and kept for the process:
+exp-sinh on (0, inf), and tanh-sinh on (0, 1) with each abscissa given as
+the pair (s, 1 - s).  So the abscissae an integrand receives are
+read-only, and integrands must not write to them, and a revisited block
+reaches the integrand as the same object.  The quadrant hands its
+integrand one column object for every inner call of one outer call.
 
 A quadrant caller may pass a support box outside which it guarantees its
 integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
-ladder, a child of the fixed one that lives for one integral: its blocks
-are the fixed blocks with their outer tails cut, so no value known to be 0
-is computed, the fixed ladder's cache does not grow, and the sums differ
-from the unclipped ones only in how a cut block's terms are grouped.
+ladder, a child of the fixed one that lives for one integral: its runs
+are the fixed runs with their outer tails cut, so no value known to be 0
+is computed, the fixed ladder keeps nothing for the child, and the sums
+differ from the unclipped ones only in how a cut block's terms are
+grouped.
 
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
 never converges stops at its ladder's last level after bounded work
@@ -70,7 +73,6 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -154,19 +156,21 @@ class QuadResult:
 class _Ladder:
     """A node generator, its valid() mask and what is built from it.
 
-    kept maps (direction, spacing, offset, k0) to a block (see _block) and
-    a tuple of levels to a head (see _head), each built once, read-only,
-    and kept for as long as the ladder lives: the two fixed ladders are
-    module constants.  A clipped ladder (see _clipped) has a parent, whose
-    blocks it cuts at [lo, hi], and lives for one integral.
+    runs maps (level, direction) to a run (see _run), and heads maps a
+    tuple of levels to a head (see _head), each built once, read-only, and
+    kept for as long as the ladder lives: the two fixed ladders are module
+    constants.  The maps are apart because a head key such as (0, 1) equals
+    the run key (0, 1.0).  A clipped ladder (see _clipped) has a parent,
+    whose runs it cuts at [lo, hi], and lives for one integral.
     """
 
-    __slots__ = ("nodes", "valid", "kept", "parent", "lo", "hi")
+    __slots__ = ("nodes", "valid", "runs", "heads", "parent", "lo", "hi")
 
     def __init__(self, nodes, valid, parent=None, lo=0.0, hi=math.inf):
         self.nodes = nodes
         self.valid = valid
-        self.kept: dict[tuple, object] = {}
+        self.runs: dict[tuple, tuple] = {}
+        self.heads: dict[tuple, tuple] = {}
         self.parent = parent
         self.lo, self.hi = lo, hi
 
@@ -216,10 +220,9 @@ _FIRST_NODES = (math.exp(-_HALF_PI * math.sinh(_BASE_STEP)),
 def _clipped(lo: float, hi: float) -> _Ladder:
     """The exp-sinh ladder cut to the nodes in [lo, hi], for one integral.
 
-    The span is widened to keep each level's first nodes.  Its blocks are
-    the fixed ladder's kept blocks with their outer tails cut, built on
-    first use and kept by the child alone, so the fixed ladder's cache
-    does not grow; a block cut to nothing ends its direction.
+    The span is widened to keep each level's first nodes.  Its runs are
+    the fixed ladder's runs with their outer tails cut, built on first use
+    and kept by the child alone, so the fixed ladder keeps nothing for it.
     """
     lo, hi = min(lo, _FIRST_NODES[0]), max(hi, _FIRST_NODES[1])
     return _Ladder(_EXP_SINH.nodes, _EXP_SINH.valid, _EXP_SINH, lo, hi)
@@ -230,68 +233,61 @@ def _largest(a) -> float:
     return float(np.maximum.reduce(np.abs(a), axis=None)) if isinstance(a, np.ndarray) else abs(a)
 
 
-def _block(ladder: _Ladder, direction: float, spacing: float, offset: float, k0: int):
-    """The surviving (x, w) of nodes k0 .. k0 + _BLOCK - 1, or None.
+def _run(ladder: _Ladder, level: int, direction: float):
+    """(x, w, tail): the surviving nodes of one direction of a level.
 
     A node survives when it is valid and its weight is finite and positive.
-    A clipped ladder takes its parent's block and keeps the nodes inside
-    [lo, hi]: exp-sinh nodes run outward, so they are a leading run.
+    The nodes run outward and are generated _BLOCK at a time, and the run
+    ends at the first block not kept whole: the survivors of each block
+    lead it, so only the last block of a run can be short.  tail holds the
+    blocks past the head (see _head) as views of the run, so a revisited
+    block reaches f as the same object.  A clipped ladder cuts its parent's
+    run to the nodes inside [lo, hi]: exp-sinh nodes run outward, so they
+    are a leading run.
     """
-    key = (direction, spacing, offset, k0)
-    if key in ladder.kept:
-        return ladder.kept[key]
-    block = None
+    key = (level, direction)
+    if key in ladder.runs:
+        return ladder.runs[key]
     if ladder.parent is not None:
-        block = _block(ladder.parent, direction, spacing, offset, k0)
-        if block is not None:
-            x, w = block
-            n = np.count_nonzero(x <= ladder.hi if direction > 0 else x >= ladder.lo)
-            if n < len(x):
-                block = (x[:n], w[:n]) if n else None
+        x, w, _ = _run(ladder.parent, level, direction)
+        n = np.count_nonzero(x <= ladder.hi if direction > 0 else x >= ladder.lo)
+        x, w = x[:n], w[:n]
     else:
-        u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
-        x, w = ladder.nodes(u)
-        keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
-        if keep.any():
-            x, w = x[keep], w[keep]
-            x.flags.writeable = w.flags.writeable = False
-            block = x, w
-    ladder.kept[key] = block
-    return block
-
-
-def _blocks(ladder: _Ladder, direction: float, spacing: float, offset: float):
-    """The blocks of one direction of a level, outward, until the ladder ends."""
-    k0 = 1 if (direction < 0 and offset == 0.0) else 0
-    while offset + spacing * k0 <= _U_MAX:
-        block = _block(ladder, direction, spacing, offset, k0)
-        if block is None:
-            return
-        yield block
-        k0 += _BLOCK
+        spacing, offset, _ = _LEVELS[level]
+        k0 = 1 if (direction < 0 and offset == 0.0) else 0
+        xs, ws = [], []
+        while offset + spacing * k0 <= _U_MAX:
+            u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
+            x, w = ladder.nodes(u)
+            keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
+            xs.append(x[keep])
+            ws.append(w[keep])
+            if not keep.all():
+                break
+            k0 += _BLOCK
+        x, w = np.concatenate(xs), np.concatenate(ws)
+        x.flags.writeable = w.flags.writeable = False
+    tail = [(x[k:k + _BLOCK], w[k:k + _BLOCK]) for k in range(2 * _BLOCK, len(x), _BLOCK)]
+    ladder.runs[key] = run = x, w, tail
+    return run
 
 
 def _head(ladder: _Ladder, levels: tuple):
     """The (x, w) every scan on levels must evaluate, fused.
 
-    levels lists one (spacing, offset) per level.  A scan stops a direction
-    only after two quiet blocks, so whatever the values it evaluates the
-    first two blocks of each direction, or fewer where the ladder ends.
-    The head holds those blocks' abscissae and weights in scan order.  It
+    levels lists level indices.  A scan stops a direction only after two
+    quiet blocks, so whatever the values it evaluates the first 2 * _BLOCK
+    nodes of each direction's run, or the whole run where it is shorter.
+    The head holds those nodes' abscissae and weights in scan order.  It
     is never empty: u = 0 and u = offset are nodes of both ladders.
     """
-    if levels in ladder.kept:
-        return ladder.kept[levels]
-    blocks = [
-        block
-        for spacing, offset in levels
-        for direction in (+1.0, -1.0)
-        for block in islice(_blocks(ladder, direction, spacing, offset), 2)
-    ]
-    x = np.concatenate([x for x, _ in blocks])
-    w = np.concatenate([w for _, w in blocks])
+    if levels in ladder.heads:
+        return ladder.heads[levels]
+    runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
+    x = np.concatenate([x[:2 * _BLOCK] for x, _, _ in runs])
+    w = np.concatenate([w[:2 * _BLOCK] for _, w, _ in runs])
     x.flags.writeable = w.flags.writeable = False
-    ladder.kept[levels] = head = x, w
+    ladder.heads[levels] = head = x, w
     return head
 
 
@@ -327,53 +323,52 @@ def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     )
 
 
-def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: tuple, at: int):
-    """Sum f(x(u))*w(u) over u = dir*(offset + k*spacing), k = 0, 1, 2, ...
+def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
+    """Sum f(x(u))*w(u) over the nodes of one level (see _LEVELS and _run).
 
-    With offset 0 this is a full trapezoid pass (u = 0 counted once); with
-    offset h and spacing 2h it adds the odd nodes of the next level.  Each
-    direction extends outward in blocks until terms fall below the
-    truncation threshold, measured against the largest running sum.  The
-    abscissae run along the first axis of x; trailing axes, such as the
-    (s, 1 - s) pair, reach f unchanged.  f returns one value per abscissa
-    or a (rows, abscissae) batch; sums run over the last axis.
+    Level 0 is a full trapezoid pass (u = 0 counted once); each later level
+    adds the odd nodes of its step.  Each direction extends outward in
+    blocks until terms fall below the truncation threshold, measured
+    against the largest running sum.  The abscissae run along the first
+    axis of x; trailing axes, such as the (s, 1 - s) pair, reach f
+    unchanged.  f returns one value per abscissa or a (rows, abscissae)
+    batch; sums run over the last axis.
 
     head is (values, terms) of a fused call (see _head), terms being the
     values times the head's weights; from index at on they hold this
     level's head.  Each direction's part of the head is summed in one
     pass.  A non-finite term leaves its row's sum non-finite, so one check
-    of that sum stands for a check of every term.  Only where the ladder
-    goes on past the head are its blocks tested for quiet, against the
-    total after the head; each block past it costs one call of f, checked
-    and tested block by block.  Returns (sum, the offset past this level's
-    head).  It sets no error state: it runs under its entry point's.
+    of that sum stands for a check of every term.  Only where the run has
+    a tail past the head are the head's blocks tested for quiet, against
+    the total after the head; each block of the tail costs one call of f,
+    checked and tested block by block.  Returns (sum, the offset past this
+    level's head).  It sets no error state: it runs under its entry
+    point's.
     """
     values, head_terms = head
     total = 0.0
     for direction in (+1.0, -1.0):
-        blocks = _blocks(ladder, direction, spacing, offset)
-        first = list(islice(blocks, 2))  # this direction's part of the head
-        end = at + sum(len(x) for x, _ in first)
+        x, _, tail = _run(ladder, level, direction)
+        end = at + min(len(x), 2 * _BLOCK)
         y, terms = values[..., at:end], head_terms[..., at:end]
+        at = end
         part = _sum(terms)
         if not np.isfinite(part).all():
-            for x, _ in first:
-                n = len(x)
-                if not np.isfinite(terms[..., :n]).all():
-                    _raise_non_finite(x, y[..., :n], terms[..., :n])
-                y, terms = y[..., n:], terms[..., n:]
+            for k in (0, _BLOCK):
+                block = terms[..., k:k + _BLOCK]
+                if not np.isfinite(block).all():
+                    _raise_non_finite(x[k:k + _BLOCK], y[..., k:k + _BLOCK], block)
             raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
         total = total + part
-        at = end
-        quiet = None
-        for x, w in blocks:
-            if quiet is None:  # the ladder goes on: were the head's blocks quiet?
-                quiet, edge = 0, _TRUNC_EPS * max(_largest(total), 1e-300)
-                for hx, _ in first:
-                    block, terms = terms[..., :len(hx)], terms[..., len(hx):]
-                    quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
-                if quiet >= 2:
-                    break
+        if not tail:
+            continue
+        quiet, edge = 0, _TRUNC_EPS * max(_largest(total), 1e-300)
+        for k in (0, _BLOCK):  # were the head's blocks quiet?
+            block = terms[..., k:k + _BLOCK]
+            quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
+        for x, w in tail:
+            if quiet >= 2:
+                break
             y = np.asarray(f(x))
             # w is finite and positive, so a term is non-finite only when y
             # is or when the product overflowed; max propagates both NaN
@@ -385,8 +380,6 @@ def _scan(f, ladder: _Ladder, spacing: float, offset: float, head: tuple, at: in
             total = total + _sum(terms)
             if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
                 quiet += 1
-                if quiet >= 2:
-                    break
             else:
                 quiet = 0
     return total, at
@@ -414,21 +407,20 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
 
     def fetch(levels):
         # f's values on the fused head of levels, and their terms
-        x, w = _head(ladder, tuple((spacing, offset) for spacing, offset, _ in levels))
+        x, w = _head(ladder, levels)
         y = np.asarray(f(x))
         return (y, y * w), 0
 
-    levels = _LEVELS[:_MAX_LEVEL + 1]
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
     raw, value, estimate, converged = 0.0, 0.0, math.inf, False
     try:
-        head, at = fetch(levels[:first + 1])
-        for level, (spacing, offset, step) in enumerate(levels):
+        head, at = fetch(tuple(range(first + 1)))
+        for level in range(_MAX_LEVEL + 1):
             if level > first:
-                head, at = fetch(levels[level:level + 1])
-            part, at = _scan(f, ladder, spacing, offset, head, at)
+                head, at = fetch((level,))
+            part, at = _scan(f, ladder, level, head, at)
             prev, raw = value, raw + part
-            value = step * raw
+            value = _LEVELS[level][2] * raw
             if level:
                 estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
                 if level >= first and tol.met_by(estimate, value, floor):

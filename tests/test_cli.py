@@ -24,6 +24,14 @@ class TestList:
         rows = [line for line in out.splitlines() if line and not line.startswith(" ")]
         assert len(rows) - 1 >= 20  # header plus at least twenty rules
 
+    def test_erratum_is_flagged_once(self, capsys):
+        # trusted is `not erratum`, so one flag says both
+        code, out, _ = run_cli(capsys, "list")
+        assert code == 0
+        row = next(line for line in out.splitlines() if line.startswith("E1-uncorrected-pbm "))
+        assert row.split()[-1] == "erratum"
+        assert "untrusted" not in out
+
     def test_family_filter(self, capsys):
         code, out, _ = run_cli(capsys, "list", "--family", "inverse-exp")
         assert code == 0

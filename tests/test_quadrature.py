@@ -18,8 +18,8 @@ from quadred.quadrature import (
 
 SQPI = math.sqrt(math.pi)
 FIXED_LADDERS = [quadrature._EXP_SINH, quadrature._UNIT_PAIR]
-# the (spacing, offset) of levels 0 to 3, whose heads a drive's first call fetches
-FIRST_HEAD = tuple((spacing, offset) for spacing, offset, _ in quadrature._LEVELS[:4])
+# levels 0 to 3, whose heads a drive's first call fetches
+FIRST_HEAD = (0, 1, 2, 3)
 
 
 def closed_form_half_line_cases():
@@ -259,18 +259,16 @@ class TestSupport:
 
     def test_clipped_blocks_are_leading_runs_of_the_fixed_blocks(self):
         child = quadrature._clipped(1e-3, 800.0)
-        for direction in (1.0, -1.0):
-            for k0 in range(1 if direction < 0 else 0, 400, quadrature._BLOCK):
-                fixed = quadrature._block(quadrature._EXP_SINH, direction, 0.0625, 0.0, k0)
-                cut = quadrature._block(child, direction, 0.0625, 0.0, k0)
-                if cut is None:
-                    continue
-                x, w = cut
+        for level in range(len(quadrature._LEVELS)):
+            for direction in (1.0, -1.0):
+                fixed_x, fixed_w, _ = quadrature._run(quadrature._EXP_SINH, level, direction)
+                x, w, tail = quadrature._run(child, level, direction)
                 assert not x.flags.writeable and not w.flags.writeable
                 assert np.all((x >= 1e-3) & (x <= 800.0))
-                assert x.base is fixed[0] or x is fixed[0]
-                assert np.array_equal(x, fixed[0][:len(x)])
-                assert np.array_equal(w, fixed[1][:len(w)])
+                assert x.base is fixed_x and w.base is fixed_w
+                assert np.array_equal(x, fixed_x[:len(x)])
+                assert np.array_equal(w, fixed_w[:len(w)])
+                assert all(bx.base is fixed_x for bx, _ in tail)
 
     def test_box_of_one_point_keeps_every_head(self):
         # every level's first nodes survive a box that holds 1 alone
@@ -465,8 +463,14 @@ def _fresh_block(ladder, direction, spacing, offset, k0):
 LADDER_IDS = ["exp-sinh", "unit-pair"]
 
 
+def _kept_abscissae(ladder) -> list:
+    """Every abscissa array a drive on ladder hands its integrand."""
+    heads = [x for x, _ in ladder.heads.values()]
+    return heads + [bx for _, _, tail in ladder.runs.values() for bx, _ in tail]
+
+
 class TestNodeLadder:
-    """Blocks and heads of a ladder are built once, read-only and bounded."""
+    """Runs and heads of a ladder are built once, read-only and bounded."""
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize("level", [0, 3, 11])
@@ -475,20 +479,32 @@ class TestNodeLadder:
         h = quadrature._BASE_STEP * 0.5**level
         # level 0 is the full pass; later levels add the odd nodes
         spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
+        assert quadrature._LEVELS[level][:2] == (spacing, offset)
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
-        block = quadrature._block(ladder, direction, spacing, offset, k0)
-        x, w = block
-        fresh_x, fresh_w = _fresh_block(ladder, direction, spacing, offset, k0)
+        run = quadrature._run(ladder, level, direction)
+        x, w, tail = run
+        # the run is the fresh 32-node blocks that cover it, back to back
+        blocks = [
+            _fresh_block(ladder, direction, spacing, offset, k)
+            for k in range(k0, k0 + len(x), quadrature._BLOCK)
+        ]
+        fresh_x = np.concatenate([fx for fx, _ in blocks])
+        fresh_w = np.concatenate([fw for _, fw in blocks])
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
-        assert ladder.kept[(direction, spacing, offset, k0)] is block
-        again = quadrature._block(ladder, direction, spacing, offset, k0)
-        assert again is block
+        # its blocks past the head are kept as views of it
+        assert len(tail) == max(len(blocks) - 2, 0)
+        for (bx, bw), (fx, fw) in zip(tail, blocks[2:]):
+            assert bx.base is x and bw.base is w
+            assert bx.tobytes() == fx.tobytes() and bw.tobytes() == fw.tobytes()
+        assert ladder.runs[(level, direction)] is run
+        again = quadrature._run(ladder, level, direction)
+        assert again is run
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize(
         "levels",
-        [((0.5, 0.0), (0.5, 0.25)), ((0.125, 0.0625),), FIRST_HEAD],
+        [(0, 1), (3,), FIRST_HEAD],
         ids=["levels-0-1", "level-3", "levels-0-3"],
     )
     def test_cached_head_fuses_the_fresh_blocks(self, ladder, levels):
@@ -496,20 +512,21 @@ class TestNodeLadder:
         x, w = head
         assert not x.flags.writeable and not w.flags.writeable
         assert quadrature._head(ladder, levels) is head
-        assert ladder.kept[levels] is head
+        assert ladder.heads[levels] is head
         fresh, fresh_w, at = [], [], 0
-        for spacing, offset in levels:
+        for level in levels:
+            spacing, offset, _ = quadrature._LEVELS[level]
             for direction in (1.0, -1.0):
                 # two live blocks, or fewer where the ladder ends
                 k0 = 1 if (direction < 0 and offset == 0.0) else 0
+                _, rw, _ = quadrature._run(ladder, level, direction)
                 for i in range(2):
                     k = k0 + i * quadrature._BLOCK
                     fx, fw = _fresh_block(ladder, direction, spacing, offset, k)
-                    block = quadrature._block(ladder, direction, spacing, offset, k)
+                    bw = rw[i * quadrature._BLOCK:(i + 1) * quadrature._BLOCK]
                     if fx.size == 0:
-                        assert block is None
+                        assert bw.size == 0
                         break
-                    _, bw = block
                     assert x[at:at + len(fx)].tobytes() == fx.tobytes()
                     assert bw.tobytes() == fw.tobytes()
                     at += len(fx)
@@ -519,15 +536,38 @@ class TestNodeLadder:
         assert x.tobytes() == np.concatenate(fresh).tobytes()
         assert w.tobytes() == np.concatenate(fresh_w).tobytes()
 
-    def test_dead_block_is_kept_as_none(self):
-        # exp-sinh nodes at u >= 16 all lie beyond the 1e160 rail
-        ladder = quadrature._EXP_SINH
-        assert quadrature._block(ladder, 1.0, 0.5, 0.0, 32) is None
-        assert ladder.kept[(1.0, 0.5, 0.0, 32)] is None
+    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_runs_end_at_the_first_block_not_kept_whole(self, ladder, direction):
+        # over a run's u-range plus one more block, the surviving nodes are
+        # a leading run as long as the run: every block but its last is
+        # full, and the block after a full last block keeps nothing
+        for level in range(len(quadrature._LEVELS)):
+            spacing, offset, _ = quadrature._LEVELS[level]
+            x, _, _ = quadrature._run(ladder, level, direction)
+            k0 = 1 if (direction < 0 and offset == 0.0) else 0
+            end = k0 + (-(-len(x) // quadrature._BLOCK) + 1) * quadrature._BLOCK
+            assert offset + spacing * end <= quadrature._U_MAX  # not the rail
+            u = direction * (offset + spacing * np.arange(k0, end))
+            nx, nw = ladder.nodes(u)
+            keep = ladder.valid(nx) & np.isfinite(nw) & (nw > 0.0)
+            assert len(x) > 0 and keep[:len(x)].all() and not keep[len(x):].any()
+
+    @pytest.mark.parametrize("fixed", FIXED_LADDERS, ids=LADDER_IDS)
+    def test_head_key_never_reads_a_run(self, fixed):
+        # the head key (0, 1) equals the run key (0, 1.0): were they kept in
+        # one map, a drive capped at level 1 would fetch a run as its head
+        ladder = quadrature._Ladder(fixed.nodes, fixed.valid)
+        quadrature._run(ladder, 0, 1.0)
+        x, w = quadrature._head(ladder, (0, 1))
+        runs = [quadrature._run(ladder, level, d) for level in (0, 1) for d in (1.0, -1.0)]
+        fused = [(rx[:2 * quadrature._BLOCK], rw[:2 * quadrature._BLOCK]) for rx, rw, _ in runs]
+        assert x.tobytes() == np.concatenate([fx for fx, _ in fused]).tobytes()
+        assert w.tobytes() == np.concatenate([fw for _, fw in fused]).tobytes()
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     def test_cached_arrays_are_read_only(self, ladder):
-        x, w = quadrature._block(ladder, 1.0, 0.5, 0.0, 0)
+        x, w, _ = quadrature._run(ladder, 0, 1.0)
         with pytest.raises(ValueError):
             x[0] = 1.0
         with pytest.raises(ValueError):
@@ -535,37 +575,43 @@ class TestNodeLadder:
 
     def test_repeated_interval_reads_the_kept_pair_ladder(self):
         # the interval runs on the process-wide (s, 1 - s) ladder: a repeat
-        # builds nothing and hands the integrand the ladder's own blocks
+        # builds nothing and hands the integrand the ladder's own arrays
         seen = []
 
         def f(x):
             seen.append(x)
             return x[:, 0] ** -0.5
 
+        ladder = quadrature._UNIT_PAIR
         first = integrate_interval(f)
-        size = len(quadrature._UNIT_PAIR.kept)
+        size = len(ladder.runs), len(ladder.heads)
         seen.clear()
         second = integrate_interval(f)
-        assert len(quadrature._UNIT_PAIR.kept) == size
+        assert (len(ladder.runs), len(ladder.heads)) == size
         assert first.converged and second == first
-        # blocks and heads are kept as (x, w), a dead block as None
-        kept = [v[0] for v in quadrature._UNIT_PAIR.kept.values() if v is not None]
+        # each call gets a kept head or a kept block of a run's tail
+        kept = _kept_abscissae(ladder)
         assert seen and all(not x.flags.writeable for x in seen)
         assert all(x.ndim == 2 and any(x is k for k in kept) for x in seen)
 
     def test_repeated_quadrant_adds_no_entry(self):
+        ladder = quadrature._EXP_SINH
         first = integrate_quadrant(_seed_cross_check_f2)
-        size = len(quadrature._EXP_SINH.kept)
+        size = len(ladder.runs), len(ladder.heads)
         second = integrate_quadrant(_seed_cross_check_f2)
-        assert len(quadrature._EXP_SINH.kept) == size
+        assert (len(ladder.runs), len(ladder.heads)) == size
         assert second == first
 
     def test_results_do_not_depend_on_ladder_state(self, monkeypatch):
+        ladder = quadrature._EXP_SINH
         warm = integrate_quadrant(_seed_cross_check_f2)
-        monkeypatch.setattr(quadrature._EXP_SINH, "kept", {})
+        monkeypatch.setattr(ladder, "runs", {})
+        monkeypatch.setattr(ladder, "heads", {})
         cold = integrate_quadrant(_seed_cross_check_f2)
         assert cold == warm
-        assert 0 < len(quadrature._EXP_SINH.kept) < 1000
+        # at most one run per level and direction, one head per fetch
+        assert 0 < len(ladder.runs) <= 2 * len(quadrature._LEVELS)
+        assert 0 < len(ladder.heads) <= len(quadrature._LEVELS) - quadrature._FIRST_TEST_LEVEL
 
     def test_quadrant_hands_over_stable_read_only_blocks(self):
         # within one integral, equal contents arrive as one object: the
@@ -588,8 +634,8 @@ class TestNodeLadder:
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
-        # a row is the exp-sinh ladder's own 1-D block or head
-        kept = [v[0] for v in quadrature._EXP_SINH.kept.values() if v is not None]
+        # a row is the exp-sinh ladder's own 1-D head or tail block
+        kept = _kept_abscissae(quadrature._EXP_SINH)
         assert all(objs[0].ndim == 1 for objs in rows.values())
         assert all(any(objs[0] is k for k in kept) for objs in rows.values())
 
@@ -643,15 +689,16 @@ class TestFetchRule:
         # the reference is the loop the head's one-pass sums replaced, run
         # over every block to the ladder's end: the grouping differs, so
         # the sums agree within rounding of the sum of |terms|
-        for spacing, offset, _ in quadrature._LEVELS[:6]:
-            x, w = quadrature._head(ladder, ((spacing, offset),))
+        for level in range(6):
+            x, w = quadrature._head(ladder, (level,))
             y = f(x)
-            got, at = quadrature._scan(f, ladder, spacing, offset, (y, y * w), 0)
+            got, at = quadrature._scan(f, ladder, level, (y, y * w), 0)
             assert at == len(x)
             ref = size = 0.0
             for direction in (1.0, -1.0):
-                for bx, bw in quadrature._blocks(ladder, direction, spacing, offset):
-                    terms = f(bx) * bw
+                rx, rw, _ = quadrature._run(ladder, level, direction)
+                for k in range(0, len(rx), quadrature._BLOCK):
+                    terms = f(rx[k:k + quadrature._BLOCK]) * rw[k:k + quadrature._BLOCK]
                     ref += terms.sum()
                     size += np.abs(terms).sum()
             assert abs(got - ref) <= 1e-15 * size

@@ -409,11 +409,12 @@ class TestQuadrantSupport:
                 oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
 
     def test_oracle_calls_leave_the_fixed_ladders_alone(self):
-        # once every block and head of the fixed ladders is built, 50 oracle
+        # once every run and head of the fixed ladders is built, 50 oracle
         # calls with different boxes add no entry to them and replace none
-        for ladder in (quadrature._EXP_SINH, quadrature._UNIT_PAIR):
-            _build_every_block_and_head(ladder)
-        before = [dict(ladder.kept) for ladder in (quadrature._EXP_SINH, quadrature._UNIT_PAIR)]
+        ladders = (quadrature._EXP_SINH, quadrature._UNIT_PAIR)
+        for ladder in ladders:
+            _build_every_run_and_head(ladder)
+        before = [(dict(ladder.runs), dict(ladder.heads)) for ladder in ladders]
         ids = [r.id for r in list_rules(include_erratum=False)]
         boxes = set()
         for i in range(50):
@@ -423,18 +424,18 @@ class TestQuadrantSupport:
             boxes.add(quadrant_support(params, f, tilde))
             assert direct_2d(params, f, tilde=tilde).converged
         assert len(boxes) == 50
-        for ladder, kept in zip((quadrature._EXP_SINH, quadrature._UNIT_PAIR), before):
-            assert ladder.kept.keys() == kept.keys()
-            assert all(ladder.kept[key] is value for key, value in kept.items())
+        for ladder, maps in zip(ladders, before):
+            for now, kept in zip((ladder.runs, ladder.heads), maps):
+                assert now.keys() == kept.keys()
+                assert all(now[key] is value for key, value in kept.items())
 
 
-def _build_every_block_and_head(ladder) -> None:
-    """Build every block and head a drive on ladder can ask for."""
-    levels = [(spacing, offset) for spacing, offset, _ in quadrature._LEVELS]
-    for spacing, offset in levels:
+def _build_every_run_and_head(ladder) -> None:
+    """Build every run and head a drive on ladder can ask for."""
+    levels = range(len(quadrature._LEVELS))
+    for level in levels:
         for direction in (1.0, -1.0):
-            for _ in quadrature._blocks(ladder, direction, spacing, offset):
-                pass
+            quadrature._run(ladder, level, direction)
     first = quadrature._FIRST_TEST_LEVEL + 1
     quadrature._head(ladder, tuple(levels[:first]))
     for level in levels[first:]:
@@ -609,8 +610,7 @@ class TestRInnerIntegral:
 
         monkeypatch.setattr(kernels, "integrate_interval", spy)
         get_rule("R1-rint").reduce_to_1d(params, f)
-        levels = tuple((spacing, offset) for spacing, offset, _ in quadrature._LEVELS[:4])
-        head, _ = quadrature._head(quadrature._UNIT_PAIR, levels)
+        head, _ = quadrature._head(quadrature._UNIT_PAIR, (0, 1, 2, 3))
         assert first_calls and all(x is head for x in first_calls)
 
     def test_unconverged_inner_batch_is_not_silent(self, monkeypatch):
