@@ -111,6 +111,7 @@ def _print_result(value, err, evals, converged, fmt: str) -> int:
         print(f"value = {shown}")
         print(f"abs_error_estimate = {float(err)!r}")
         print(f"evaluations = {evals}")
+        print(f"converged = {converged}")
     return 0 if converged else 1
 
 

@@ -34,13 +34,10 @@ an inner value only within the tolerance it was judged by.
 
 A ladder is a node generator with what is built from it, each built on
 first use and kept read-only: one run of nodes per level and direction
-(see _run), whose blocks past the head are kept as views of it, and the
-fused heads.  There are two, both fixed and kept for the process:
-exp-sinh on (0, inf), and tanh-sinh on (0, 1) with each abscissa given as
-the pair (s, 1 - s).  So the abscissae an integrand receives are
-read-only, and integrands must not write to them, and a revisited block
-reaches the integrand as the same object.  The quadrant hands its
-integrand one column object for every inner call of one outer call.
+(see _run), and the fused heads.  There are two, both fixed and kept for
+the process: exp-sinh on (0, inf), and tanh-sinh on (0, 1) with each
+abscissa given as the pair (s, 1 - s).  So the abscissae an integrand
+receives are read-only, and integrands must not write to them.
 
 A quadrant caller may pass a support box outside which it guarantees its
 integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
@@ -234,22 +231,20 @@ def _largest(a) -> float:
 
 
 def _run(ladder: _Ladder, level: int, direction: float):
-    """(x, w, tail): the surviving nodes of one direction of a level.
+    """(x, w): the surviving nodes of one direction of a level.
 
     A node survives when it is valid and its weight is finite and positive.
     The nodes run outward and are generated _BLOCK at a time, and the run
     ends at the first block not kept whole: the survivors of each block
-    lead it, so only the last block of a run can be short.  tail holds the
-    blocks past the head (see _head) as views of the run, so a revisited
-    block reaches f as the same object.  A clipped ladder cuts its parent's
-    run to the nodes inside [lo, hi]: exp-sinh nodes run outward, so they
-    are a leading run.
+    lead it, so only the last block of a run can be short.  A clipped
+    ladder cuts its parent's run to the nodes inside [lo, hi]: exp-sinh
+    nodes run outward, so they are a leading run.
     """
     key = (level, direction)
     if key in ladder.runs:
         return ladder.runs[key]
     if ladder.parent is not None:
-        x, w, _ = _run(ladder.parent, level, direction)
+        x, w = _run(ladder.parent, level, direction)
         n = np.count_nonzero(x <= ladder.hi if direction > 0 else x >= ladder.lo)
         x, w = x[:n], w[:n]
     else:
@@ -267,8 +262,7 @@ def _run(ladder: _Ladder, level: int, direction: float):
             k0 += _BLOCK
         x, w = np.concatenate(xs), np.concatenate(ws)
         x.flags.writeable = w.flags.writeable = False
-    tail = [(x[k:k + _BLOCK], w[k:k + _BLOCK]) for k in range(2 * _BLOCK, len(x), _BLOCK)]
-    ladder.runs[key] = run = x, w, tail
+    ladder.runs[key] = run = x, w
     return run
 
 
@@ -284,8 +278,8 @@ def _head(ladder: _Ladder, levels: tuple):
     if levels in ladder.heads:
         return ladder.heads[levels]
     runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
-    x = np.concatenate([x[:2 * _BLOCK] for x, _, _ in runs])
-    w = np.concatenate([w[:2 * _BLOCK] for _, w, _ in runs])
+    x = np.concatenate([x[:2 * _BLOCK] for x, _ in runs])
+    w = np.concatenate([w[:2 * _BLOCK] for _, w in runs])
     x.flags.writeable = w.flags.writeable = False
     ladder.heads[levels] = head = x, w
     return head
@@ -313,14 +307,23 @@ def _sum(terms):
 
 
 def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
-    """Raise for one block holding a non-finite term: NaN is named first."""
-    nan = np.isnan(y)
-    if nan.any():
-        raise QuadratureError(f"integrand returned NaN at {_where(x, nan)}")
-    raise QuadratureError(
-        f"integrand*weight overflowed at {_where(x, ~np.isfinite(terms))}; "
-        "integral likely divergent"
-    )
+    """Raise for a chunk whose sum is not finite.
+
+    The first block holding a non-finite term names a NaN value first, then
+    an overflowed term; a chunk of finite terms raises for its sum.
+    """
+    for k in range(0, terms.shape[-1], _BLOCK):
+        bx, block = x[k:k + _BLOCK], terms[..., k:k + _BLOCK]
+        if np.isfinite(block).all():
+            continue
+        nan = np.isnan(y[..., k:k + _BLOCK])
+        if nan.any():
+            raise QuadratureError(f"integrand returned NaN at {_where(bx, nan)}")
+        raise QuadratureError(
+            f"integrand*weight overflowed at {_where(bx, ~np.isfinite(block))}; "
+            "integral likely divergent"
+        )
+    raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
 
 
 def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
@@ -336,52 +339,37 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
 
     head is (values, terms) of a fused call (see _head), terms being the
     values times the head's weights; from index at on they hold this
-    level's head.  Each direction's part of the head is summed in one
-    pass.  A non-finite term leaves its row's sum non-finite, so one check
-    of that sum stands for a check of every term.  Only where the run has
-    a tail past the head are the head's blocks tested for quiet, against
-    the total after the head; each block of the tail costs one call of f,
-    checked and tested block by block.  Returns (sum, the offset past this
-    level's head).  It sets no error state: it runs under its entry
-    point's.
+    level's head.  Each direction is summed chunk by chunk: its part of
+    the head, then one block of its run per call of f.  A chunk is summed
+    in one pass; a non-finite term leaves its row's sum non-finite, so one
+    check of that sum stands for a check of every term.  Where the run
+    goes on, each block of the chunk is tested for quiet against the new
+    total.  Returns (sum, the offset past this level's head).  It sets no
+    error state: it runs under its entry point's.
     """
     values, head_terms = head
     total = 0.0
     for direction in (+1.0, -1.0):
-        x, _, tail = _run(ladder, level, direction)
-        end = at + min(len(x), 2 * _BLOCK)
-        y, terms = values[..., at:end], head_terms[..., at:end]
-        at = end
-        part = _sum(terms)
-        if not np.isfinite(part).all():
-            for k in (0, _BLOCK):
+        x, w = _run(ladder, level, direction)
+        start, end, quiet = 0, min(len(x), 2 * _BLOCK), 0
+        y, terms = values[..., at:at + end], head_terms[..., at:at + end]
+        at += end
+        while True:
+            part = _sum(terms)
+            if not np.isfinite(part).all():
+                _raise_non_finite(x[start:end], y, terms)
+            total = total + part
+            if end == len(x):
+                break
+            edge = _TRUNC_EPS * max(_largest(total), 1e-300)
+            for k in range(0, end - start, _BLOCK):
                 block = terms[..., k:k + _BLOCK]
-                if not np.isfinite(block).all():
-                    _raise_non_finite(x[k:k + _BLOCK], y[..., k:k + _BLOCK], block)
-            raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
-        total = total + part
-        if not tail:
-            continue
-        quiet, edge = 0, _TRUNC_EPS * max(_largest(total), 1e-300)
-        for k in (0, _BLOCK):  # were the head's blocks quiet?
-            block = terms[..., k:k + _BLOCK]
-            quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
-        for x, w in tail:
+                quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
             if quiet >= 2:
                 break
-            y = np.asarray(f(x))
-            # w is finite and positive, so a term is non-finite only when y
-            # is or when the product overflowed; max propagates both NaN
-            # and inf, so one pass measures size and finiteness
-            terms = y * w
-            tmax = float(np.maximum.reduce(np.abs(terms), axis=None)) if terms.size else 0.0
-            if not math.isfinite(tmax):
-                _raise_non_finite(x, y, terms)
-            total = total + _sum(terms)
-            if tmax <= _TRUNC_EPS * max(_largest(total), 1e-300):
-                quiet += 1
-            else:
-                quiet = 0
+            start, end = end, min(end + _BLOCK, len(x))
+            y = np.asarray(f(x[start:end]))
+            terms = y * w[start:end]
     return total, at
 
 
@@ -501,8 +489,7 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
     a column holds up to four blocks of x, sixteen for levels 0 to 3, and
-    so does a row of y.  Every inner call of one outer call gets the same
-    column object.
+    so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
     and outside which the caller guarantees integrand2d is exactly 0 at

@@ -95,12 +95,8 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     [1e-160, 1e160] ladder.  Every factor that depends on x alone or on y
     alone is folded, as a logarithm, into one column or one row term; each
     (x, y) point then costs one log, of ix + iy, and one exp.  A complex h
-    adds a unit-modulus phase factor.
+    adds a unit-modulus phase factor.  It keeps no state between calls.
 
-    The column terms are kept in one slot while x is the same read-only
-    array as on the previous call: the quadrant driver hands over one
-    column object for every inner call of an outer call.  A writable or
-    non-array x, and every y, has its terms computed afresh.
     It sets no numpy error state of its own: it runs under the quadrature
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.
@@ -116,19 +112,12 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     decay = f.sigma + c
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
-    kept_x = kept = None  # the last read-only column and its terms
 
     def integrand(x, y):
         # x arrives as a column and y as a row: only s = ix + iy and what
         # follows from it is full-size
-        nonlocal kept_x, kept
-        if x is kept_x:
-            col, ix = kept
-        else:
-            ix = 1.0 / x
-            col = lead + kx * np.log(x) - p * x - a * ix
-            if isinstance(x, np.ndarray) and not x.flags.writeable:
-                kept_x, kept = x, (col, ix)
+        ix = 1.0 / x
+        col = lead + kx * np.log(x) - p * x - a * ix
         iy = 1.0 / y
         row = ky * np.log(y) - q * y - b * iy
         s = ix + iy

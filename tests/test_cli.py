@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quadred import catalog, quadrature, reducer
+from quadred import applications, catalog, quadrature, reducer
 from quadred.cli import main
 
 
@@ -66,6 +66,7 @@ class TestEval:
         value = float(out.splitlines()[0].split("=")[1])
         assert value == pytest.approx(0.7089815403622064, rel=1e-9)
         assert "abs_error_estimate" in out and "evaluations" in out
+        assert out.splitlines()[-1] == "converged = True"
 
     def test_application_value(self, capsys):
         code, out, _ = run_cli(
@@ -130,6 +131,16 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err.startswith("error: R1 inner integral did not converge")
+
+    def test_unconverged_value_says_so(self, capsys, monkeypatch):
+        # the human output names the verdict that the exit code 1 gives
+        unconverged = quadrature.QuadResult(3.25, 4e-5, 1234, False)
+        monkeypatch.setattr(applications, "fourier_pair_tau_result", lambda spec, tol: unconverged)
+        code, out, _ = run_cli(
+            capsys, "eval", "fourier-tau", "--eta1", "1", "--eta2", "0.5", "--x2", "1", "--k", "1",
+        )
+        assert code == 1
+        assert out.splitlines()[2:] == ["evaluations = 1234", "converged = False"]
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(

@@ -261,14 +261,16 @@ class TestSupport:
         child = quadrature._clipped(1e-3, 800.0)
         for level in range(len(quadrature._LEVELS)):
             for direction in (1.0, -1.0):
-                fixed_x, fixed_w, _ = quadrature._run(quadrature._EXP_SINH, level, direction)
-                x, w, tail = quadrature._run(child, level, direction)
+                fixed_x, fixed_w = quadrature._run(quadrature._EXP_SINH, level, direction)
+                x, w = quadrature._run(child, level, direction)
                 assert not x.flags.writeable and not w.flags.writeable
                 assert np.all((x >= 1e-3) & (x <= 800.0))
                 assert x.base is fixed_x and w.base is fixed_w
                 assert np.array_equal(x, fixed_x[:len(x)])
                 assert np.array_equal(w, fixed_w[:len(w)])
-                assert all(bx.base is fixed_x for bx, _ in tail)
+                # so the blocks a scan slices past the head are views of it
+                blocks = range(2 * quadrature._BLOCK, len(x), quadrature._BLOCK)
+                assert all(x[k:k + quadrature._BLOCK].base is fixed_x for k in blocks)
 
     def test_box_of_one_point_keeps_every_head(self):
         # every level's first nodes survive a box that holds 1 alone
@@ -378,6 +380,23 @@ class TestFailurePaths:
         with pytest.raises(QuadratureError, match=r"integrand\*weight sum overflowed"):
             integrate_interval(lambda x: np.full(len(x), 1e308))
 
+    def test_tail_block_sum_overflow(self):
+        # past the head, a block of finite terms whose sum is not finite
+        # raises as a head does
+        ladder = quadrature._EXP_SINH
+        rx, rw = quadrature._run(ladder, 5, 1.0)
+        assert len(rx) == 197
+
+        def f(t):
+            return np.where(t == rx[64], 1e308 / rw[64], np.where(t == rx[65], 1e308 / rw[65], 1.0))
+
+        x, w = quadrature._head(ladder, (5,))
+        y = f(x)
+        with np.errstate(all="ignore"), pytest.raises(
+            QuadratureError, match=r"integrand\*weight sum overflowed"
+        ):
+            quadrature._scan(f, ladder, 5, (y, y * w), 0)
+
     def test_nan_outranks_overflow(self):
         # the first block holds both NaN values and overflowing terms
         with pytest.raises(QuadratureError, match="integrand returned NaN"):
@@ -463,10 +482,10 @@ def _fresh_block(ladder, direction, spacing, offset, k0):
 LADDER_IDS = ["exp-sinh", "unit-pair"]
 
 
-def _kept_abscissae(ladder) -> list:
-    """Every abscissa array a drive on ladder hands its integrand."""
-    heads = [x for x, _ in ladder.heads.values()]
-    return heads + [bx for _, _, tail in ladder.runs.values() for bx, _ in tail]
+def _from_kept(x, ladder) -> bool:
+    """Whether x is one of ladder's heads or a view of one of its runs."""
+    return (any(x is hx for hx, _ in ladder.heads.values())
+            or any(x.base is rx for rx, _ in ladder.runs.values()))
 
 
 class TestNodeLadder:
@@ -482,7 +501,7 @@ class TestNodeLadder:
         assert quadrature._LEVELS[level][:2] == (spacing, offset)
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
         run = quadrature._run(ladder, level, direction)
-        x, w, tail = run
+        x, w = run
         # the run is the fresh 32-node blocks that cover it, back to back
         blocks = [
             _fresh_block(ladder, direction, spacing, offset, k)
@@ -492,9 +511,9 @@ class TestNodeLadder:
         fresh_w = np.concatenate([fw for _, fw in blocks])
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
-        # its blocks past the head are kept as views of it
-        assert len(tail) == max(len(blocks) - 2, 0)
-        for (bx, bw), (fx, fw) in zip(tail, blocks[2:]):
+        # a scan slices its blocks past the head as views of it
+        for k, (fx, fw) in zip(range(2 * quadrature._BLOCK, len(x), quadrature._BLOCK), blocks[2:]):
+            bx, bw = x[k:k + quadrature._BLOCK], w[k:k + quadrature._BLOCK]
             assert bx.base is x and bw.base is w
             assert bx.tobytes() == fx.tobytes() and bw.tobytes() == fw.tobytes()
         assert ladder.runs[(level, direction)] is run
@@ -519,7 +538,7 @@ class TestNodeLadder:
             for direction in (1.0, -1.0):
                 # two live blocks, or fewer where the ladder ends
                 k0 = 1 if (direction < 0 and offset == 0.0) else 0
-                _, rw, _ = quadrature._run(ladder, level, direction)
+                _, rw = quadrature._run(ladder, level, direction)
                 for i in range(2):
                     k = k0 + i * quadrature._BLOCK
                     fx, fw = _fresh_block(ladder, direction, spacing, offset, k)
@@ -544,7 +563,7 @@ class TestNodeLadder:
         # full, and the block after a full last block keeps nothing
         for level in range(len(quadrature._LEVELS)):
             spacing, offset, _ = quadrature._LEVELS[level]
-            x, _, _ = quadrature._run(ladder, level, direction)
+            x, _ = quadrature._run(ladder, level, direction)
             k0 = 1 if (direction < 0 and offset == 0.0) else 0
             end = k0 + (-(-len(x) // quadrature._BLOCK) + 1) * quadrature._BLOCK
             assert offset + spacing * end <= quadrature._U_MAX  # not the rail
@@ -561,13 +580,13 @@ class TestNodeLadder:
         quadrature._run(ladder, 0, 1.0)
         x, w = quadrature._head(ladder, (0, 1))
         runs = [quadrature._run(ladder, level, d) for level in (0, 1) for d in (1.0, -1.0)]
-        fused = [(rx[:2 * quadrature._BLOCK], rw[:2 * quadrature._BLOCK]) for rx, rw, _ in runs]
+        fused = [(rx[:2 * quadrature._BLOCK], rw[:2 * quadrature._BLOCK]) for rx, rw in runs]
         assert x.tobytes() == np.concatenate([fx for fx, _ in fused]).tobytes()
         assert w.tobytes() == np.concatenate([fw for _, fw in fused]).tobytes()
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     def test_cached_arrays_are_read_only(self, ladder):
-        x, w, _ = quadrature._run(ladder, 0, 1.0)
+        x, w = quadrature._run(ladder, 0, 1.0)
         with pytest.raises(ValueError):
             x[0] = 1.0
         with pytest.raises(ValueError):
@@ -589,10 +608,9 @@ class TestNodeLadder:
         second = integrate_interval(f)
         assert (len(ladder.runs), len(ladder.heads)) == size
         assert first.converged and second == first
-        # each call gets a kept head or a kept block of a run's tail
-        kept = _kept_abscissae(ladder)
+        # each call gets a kept head or a view of a kept run
         assert seen and all(not x.flags.writeable for x in seen)
-        assert all(x.ndim == 2 and any(x is k for k in kept) for x in seen)
+        assert all(x.ndim == 2 and _from_kept(x, ladder) for x in seen)
 
     def test_repeated_quadrant_adds_no_entry(self):
         ladder = quadrature._EXP_SINH
@@ -614,11 +632,11 @@ class TestNodeLadder:
         assert 0 < len(ladder.heads) <= len(quadrature._LEVELS) - quadrature._FIRST_TEST_LEVEL
 
     def test_quadrant_hands_over_stable_read_only_blocks(self):
-        # within one integral, equal contents arrive as one object: the
-        # column of an outer block, and the row of a revisited inner block.
-        # At the default targets this integral takes one call, the fused
-        # heads of levels 0-3; at these its drives go past level 3, so
-        # columns get more than one inner call and rows are revisited
+        # within one integral, the column of an outer block and the row of
+        # an inner block come back with the same contents, read-only.  At
+        # the default targets this integral takes one call, the fused heads
+        # of levels 0-3; at these its drives go past level 3, so columns get
+        # more than one inner call and rows are revisited
         cols: dict[bytes, list] = {}
         rows: dict[bytes, list] = {}
 
@@ -629,15 +647,13 @@ class TestNodeLadder:
             return _seed_cross_check_f2(x, y)
 
         assert integrate_quadrant(f2, Tolerance(rel=1e-11)).converged
-        for seen in (cols, rows):
-            assert all(all(o is objs[0] for o in objs) for objs in seen.values())
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
-        # a row is the exp-sinh ladder's own 1-D head or tail block
-        kept = _kept_abscissae(quadrature._EXP_SINH)
-        assert all(objs[0].ndim == 1 for objs in rows.values())
-        assert all(any(objs[0] is k for k in kept) for objs in rows.values())
+        # a row is the exp-sinh ladder's own 1-D head or a view of its run
+        ladder = quadrature._EXP_SINH
+        assert all(o.ndim == 1 for objs in rows.values() for o in objs)
+        assert all(_from_kept(o, ladder) for objs in rows.values() for o in objs)
 
 
 def _raise_on_nan(t):
@@ -696,7 +712,7 @@ class TestFetchRule:
             assert at == len(x)
             ref = size = 0.0
             for direction in (1.0, -1.0):
-                rx, rw, _ = quadrature._run(ladder, level, direction)
+                rx, rw = quadrature._run(ladder, level, direction)
                 for k in range(0, len(rx), quadrature._BLOCK):
                     terms = f(rx[k:k + quadrature._BLOCK]) * rw[k:k + quadrature._BLOCK]
                     ref += terms.sum()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadred import kernels, quadrature
+from quadred import kernels, quadrature, reducer
 from quadred.catalog import ApplicabilityError, Family, get_rule, list_rules
 from quadred.kernels import ErfcxSqrtInvFactor
 from quadred.params import Params, TestIntegrand
@@ -266,10 +266,10 @@ class TestQuadrantIntegrand:
                 assert abs(got - ref) <= bound, (x, y, got, ref)
 
     @pytest.mark.parametrize("case", ["plain", "tilde", "j", "real-h", "complex-h"])
-    def test_kept_terms_match_a_fresh_closure(self, case):
-        # one closure keeps the terms of the last read-only column;
-        # interleaved, re-used and equal-content inputs must give exactly
-        # what a newly built closure gives
+    def test_calls_do_not_depend_on_earlier_calls(self, case):
+        # one closure serves every call: interleaved, re-used and
+        # equal-content inputs must give exactly what a newly built
+        # closure gives
         params, f, tilde = self.CASES[case]
 
         def frozen(a):
@@ -287,15 +287,15 @@ class TestQuadrantIntegrand:
             (frozen(col_a), frozen(row_1)), (col_a, row_1),
             (writable, row_2),
         ]
-        kept = quadrant_integrand(params, f, tilde)
+        shared = quadrant_integrand(params, f, tilde)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             for x, y in calls:
-                got = kept(x, y)
+                got = shared(x, y)
                 want = quadrant_integrand(params, f, tilde)(x, y)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            # a writable input may change between calls and is never kept
+            # a writable input changed between calls gives its new terms
             writable[:] = col_a
-            got = kept(writable, row_1)
+            got = shared(writable, row_1)
             want = quadrant_integrand(params, f, tilde)(col_a, row_1)
             assert got.tobytes() == want.tobytes()
 
@@ -304,17 +304,30 @@ class TestOracleWork:
     """The oracle's evaluation counts on three seed-42 sweep draws.
 
     A change to the integrand that moves where a truncation scan stops
-    shows up here as a changed count, not only as moved digits.
+    shows up here as a changed count, not only as moved digits.  The
+    integrand calls are pinned too: one per fused head and one per block
+    past a head.
     """
 
+    WORK = [("K1-111", 0, 77_248, 19), ("T5-nu2", 13, 132_326, 22), ("K5-1m75", 9, 35_100, 4)]
+
     @pytest.mark.parametrize(
-        "rule_id, case_index, evaluations",
-        [("K1-111", 0, 77_248), ("T5-nu2", 13, 132_326), ("K5-1m75", 9, 35_100)],
+        "rule_id, case_index, evaluations, calls",
+        WORK,
+        ids=[f"{rule_id}-{index}-{evaluations}" for rule_id, index, evaluations, _ in WORK],
     )
-    def test_evaluations_pinned(self, rule_id, case_index, evaluations):
+    def test_evaluations_pinned(self, rule_id, case_index, evaluations, calls, monkeypatch):
+        seen = []
+
+        def counted(*args):
+            integrand = quadrant_integrand(*args)
+            return lambda x, y: seen.append(x.shape) or integrand(x, y)
+
+        monkeypatch.setattr(reducer, "quadrant_integrand", counted)
         params, f = _sweep_case(rule_id, 42, case_index)
         tilde = get_rule(rule_id).family is Family.MIXED_TILDE
         assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
+        assert len(seen) == calls
 
     @pytest.mark.parametrize(
         "rule_id, case_index, value_hex",
