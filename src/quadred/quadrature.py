@@ -55,6 +55,13 @@ a work bound, _QUADRANT_MAX_EVALUATIONS; a Tolerance sets targets only.
 An inner batch that would pass it stops its inner drive, and the outer
 integrand then stops the outer drive at its last completed level.
 
+The quadrant's inner drive retires rows: from level _FIRST_TEST_LEVEL on,
+a row whose own estimate is within a tenth (_RETIRE_SHARE) of its batch's
+bound keeps the value it has, and later heads and blocks evaluate the live
+rows only.  Double-exponential rules about double their correct digits
+per level, so such a row gains nothing from more levels.  The 1-D drives,
+R1's inner batch included, keep every row to the end.
+
 _drive sets no error state: each entry point enters one
 np.errstate(all="ignore"), under which all its drives run, the quadrant's
 inner ones included.  Non-finite terms are caught by value instead.
@@ -89,6 +96,9 @@ _LEVELS = [(_BASE_STEP, 0.0, _BASE_STEP)] + [
 # A drive first tests for convergence after this level, and fetches the
 # heads of levels 0 to it in its first integrand call (see _drive).
 _FIRST_TEST_LEVEL = 3
+# From that level on, a row of the oracle's inner batch retires once its own
+# estimate is within this share of the batch's bound (see _drive).
+_RETIRE_SHARE = 0.1
 
 
 class QuadratureError(Exception):
@@ -112,12 +122,16 @@ class Tolerance:
         if not (self.abs > 0.0 and math.isfinite(self.abs)):
             raise ValueError("abs tolerance must be finite and positive")
 
-    def met_by(self, estimate: float, value, floor: float = 1.0) -> bool:
-        """Whether estimate is within tolerance at the scale of value.
+    def bound(self, value, floor: float = 1.0) -> float:
+        """The largest estimate within tolerance at the scale of value.
 
         The scale of a batch is its largest row, bounded below by floor.
         """
-        return estimate <= max(self.abs, self.rel * max(floor, _largest(value)))
+        return max(self.abs, self.rel * max(floor, _largest(value)))
+
+    def met_by(self, estimate: float, value, floor: float = 1.0) -> bool:
+        """Whether estimate is within tolerance at the scale of value (see bound)."""
+        return estimate <= self.bound(value, floor)
 
 
 # Default targets for the two-dimensional oracle.
@@ -373,7 +387,7 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
     return total, at
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
+def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
@@ -386,11 +400,22 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
     A drive that never converges stops after level _MAX_LEVEL, which
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
     and fetch down to it.  A batch converges when its largest row does, at
-    a scale bounded below by floor (see Tolerance.met_by).  A drive whose
+    a scale bounded below by floor (see Tolerance.bound).  A drive whose
     f raises _BudgetExceeded stops at its last completed level,
     unconverged, or at value 0 with an infinite estimate if there is none.
     It sets no error state: it runs under its entry point's (see the
     module).
+
+    narrow, if given, lets a batch retire its rows.  After each tested
+    level that does not converge, a row whose own estimate
+    |value - previous value| + 4e-16 |value| is at most _RETIRE_SHARE of
+    the batch's bound keeps the value it has at that level (the step times
+    its raw sum, not the raw sum, which later steps would halve), and the
+    drive calls narrow(keep), keep being a mask over the live rows; f then
+    returns the kept rows only.  The scans, the work a caller counts in f
+    and the estimate are those of the live rows, and the bound is taken
+    over every row's value, retired rows included.  A level at which every
+    live row would retire passes the test, so narrow never empties a batch.
     """
 
     def fetch(levels):
@@ -401,6 +426,8 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
 
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
     raw, value, estimate, converged = 0.0, 0.0, math.inf, False
+    # once a row retires: the indices of the live rows, and every row's value
+    live = values = None
     try:
         head, at = fetch(tuple(range(first + 1)))
         for level in range(_MAX_LEVEL + 1):
@@ -409,14 +436,26 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0):
             part, at = _scan(f, ladder, level, head, at)
             prev, raw = value, raw + part
             value = _LEVELS[level][2] * raw
+            if live is not None:
+                values[live] = value
             if level:
-                estimate = _largest(abs(value - prev) + 4e-16 * abs(value))
-                if level >= first and tol.met_by(estimate, value, floor):
-                    converged = True
-                    break
+                error = abs(value - prev) + 4e-16 * abs(value)
+                estimate = _largest(error)
+                if level >= first:
+                    bound = tol.bound(value if live is None else values, floor)
+                    if estimate <= bound:
+                        converged = True
+                        break
+                    if narrow is not None:
+                        keep = error > _RETIRE_SHARE * bound
+                        if not keep.all():
+                            if live is None:
+                                live, values = np.arange(len(value)), value.copy()
+                            live, raw, value = live[keep], raw[keep], value[keep]
+                            narrow(keep)
     except _BudgetExceeded:
         pass
-    return value, estimate, converged
+    return (value if live is None else values), estimate, converged
 
 
 def _result(level, evaluations: int) -> QuadResult:
@@ -480,14 +519,19 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     it is divided out again on return, and the batch is judged with no
     floor of 1 on its scale.  So a row far out on the x-ladder, whose
     weight is 1e-154, no longer holds its batch to the precision of its
-    own large value.  An inner drive that does not converge clears
+    own large value.  From level _FIRST_TEST_LEVEL on, a row whose own
+    estimate is within a tenth of its batch's bound retires with the value
+    it has (see _drive): later calls of integrand2d get a column of the
+    live rows only, never empty, and only their values are counted
+    against the work bound.  An inner drive that does not converge clears
     converged of the result.  Whatever tol is, an inner batch that would
     take the evaluations of integrand2d past _QUADRANT_MAX_EVALUATIONS is
     not run, and the outer drive stops at its last completed level (see
     the module).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
-    a 1-D row, both read-only.  Both drives fetch fused heads (see _drive):
+    a 1-D row, both read-only; once rows retire, the column is a copy that
+    holds the live ones.  Both drives fetch fused heads (see _drive):
     a column holds up to four blocks of x, sixteen for levels 0 to 3, and
     so does a row of y.
 
@@ -509,19 +553,24 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
 
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         nonlocal failures
-        col = xs[:, None]
         # each row's outer exp-sinh weight, rounded down to a power of two
         weight = xs * np.hypot(_HALF_PI, np.log(xs))
         share = np.ldexp(0.5, np.frexp(weight)[1])[:, None]
+        col, live_share = xs[:, None], share  # the live rows
 
         def batch(ys: np.ndarray):
             nonlocal evaluations
-            evaluations += xs.size * ys.size
+            evaluations += col.size * ys.size
             if evaluations > _QUADRANT_MAX_EVALUATIONS:
                 raise _BudgetExceeded
-            return integrand2d(col, ys) * share
+            return integrand2d(col, ys) * live_share
 
-        value, _, converged = _drive(batch, inner, inner_tol, floor=0.0)
+        def narrow(keep: np.ndarray):
+            nonlocal col, live_share
+            col, live_share = col[keep], live_share[keep]
+            col.flags.writeable = False  # a mask makes a writable copy
+
+        value, _, converged = _drive(batch, inner, inner_tol, floor=0.0, narrow=narrow)
         if evaluations > _QUADRANT_MAX_EVALUATIONS:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged

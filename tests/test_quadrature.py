@@ -234,6 +234,88 @@ class TestQuadrant:
             pass  # overflow detection is an equally loud failure
 
 
+class TestRowRetirement:
+    """An inner row retires once its own estimate is a tenth of its batch's bound.
+
+    The outer drive is replaced by one call of its integrand on two nodes,
+    so the quadrant's own inner drive runs a two-row batch: at x = 1 the
+    algebraic 1/(1 + y)**2, whose estimate is within that tenth at level
+    3, and at x = 2 exp(-y) cos 5y, which converges only at level 7.
+    """
+
+    XS = np.array([1.0, 2.0])
+
+    @staticmethod
+    def integrand2d(x, y):
+        return np.where(x == 1.0, 1.0 / (1.0 + y) ** 2, np.exp(-y) * np.cos(5.0 * y))
+
+    def run(self, monkeypatch, retire=True):
+        """(the two rows' inner integrals, the quadrant's result, each call's column)."""
+        drive, rows, columns = quadrature._drive, [], []
+
+        def two_row_outer(f, ladder, tol, floor=1.0, narrow=None):
+            if narrow is None:  # the outer drive
+                xs = self.XS.copy()
+                xs.flags.writeable = False
+                rows.append(f(xs))
+                return 0.0, 0.0, True
+            return drive(f, ladder, tol, floor, narrow if retire else None)
+
+        def spy(x, y):
+            assert not x.flags.writeable
+            columns.append(x[:, 0].copy())
+            return self.integrand2d(x, y)
+
+        monkeypatch.setattr(quadrature, "_drive", two_row_outer)
+        res = integrate_quadrant(spy)
+        monkeypatch.setattr(quadrature, "_drive", drive)
+        return rows[0], res, columns
+
+    def test_later_calls_see_only_the_live_row(self, monkeypatch):
+        _, res, columns = self.run(monkeypatch)
+        assert res.converged
+        # the fused head of levels 0-3 for both rows, then the slow row alone
+        assert np.array_equal(columns[0], self.XS)
+        assert len(columns) > 1
+        assert all(np.array_equal(col, self.XS[1:]) for col in columns[1:])
+
+    def test_retired_row_keeps_its_level_3_value(self, monkeypatch):
+        rows, _, _ = self.run(monkeypatch)
+        # the same batch stopped after level 3 with no row retired: the
+        # fast row's value there, which a retired row must not rescale
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", quadrature._FIRST_TEST_LEVEL)
+        at_3, _, _ = self.run(monkeypatch, retire=False)
+        assert rows[0] == at_3[0]
+        assert rows[1] != at_3[1]
+
+    def test_agrees_with_the_unretired_batch_for_less_work(self, monkeypatch):
+        rows, res, _ = self.run(monkeypatch)
+        full_rows, full, _ = self.run(monkeypatch, retire=False)
+        assert full.converged
+        assert res.evaluations < full.evaluations
+        # within the inner batch's bound, taken on the rows times their shares
+        share = np.array([1.0, 2.0])  # each node's outer weight, rounded down to a power of two
+        outer = quadrature.QUADRANT_TOLERANCE
+        inner = Tolerance(rel=outer.rel / 10.0, abs=outer.abs)
+        bound = inner.bound(full_rows * share, floor=0.0)
+        assert np.all(np.abs(rows - full_rows) * share <= bound)
+
+    @pytest.mark.parametrize(
+        "tol", [None, Tolerance(rel=1e-11), Tolerance(rel=1e-13, abs=1e-300)],
+        ids=["default", "1e-11", "1e-13"],
+    )
+    def test_no_call_gets_an_empty_column(self, tol):
+        # every inner drive of a whole quadrant, at three targets
+        sizes = []
+
+        def f2(x, y):
+            sizes.append(x.shape[0])
+            return _seed_cross_check_f2(x, y)
+
+        assert integrate_quadrant(f2, tol).converged
+        assert min(sizes) > 0
+
+
 class TestSupport:
     """integrate_quadrant(support=box) computes no value outside the box."""
 
@@ -319,9 +401,10 @@ class TestBudgetExhaustion:
     def test_quadrant_exhausted_inside_inner_rows(self, monkeypatch):
         # only inner evaluations are counted, so the bound always runs out
         # inside an inner batch; that stops the outer integral as well.  At
-        # this tolerance the outer drive goes past its first call (77 027
-        # evaluations) to level 4, whose second inner batch takes it past
-        # 100 000: level 3's value and estimate are returned
+        # this tolerance the outer drive goes past its first call (50 449
+        # evaluations as inner rows retire) to level 4, whose third inner
+        # batch takes it from 94 385 past 100 000: level 3's value and
+        # estimate are returned
         monkeypatch.setattr(quadrature, "_QUADRANT_MAX_EVALUATIONS", 100_000)
         res = integrate_quadrant(_seed_cross_check_f2, Tolerance(rel=1e-11))
         assert not res.converged
@@ -335,7 +418,7 @@ class TestBudgetExhaustion:
         passed = integrate_quadrant(_divergent_f2, Tolerance(rel=1e-9, abs=1e-14))
         assert default == passed
         assert not default.converged
-        assert default.evaluations == 304_365
+        assert default.evaluations == 300_059
 
     def test_evaluations_count_integrand_points_only(self):
         points = []
@@ -755,19 +838,27 @@ class TestFetchRule:
         assert early.converged and early.evaluations < len(head)
 
     def test_quadrant_drives_start_at_the_fused_head_of_levels_0_to_3(self):
-        # the outer drive's first column, and each inner drive's first row
-        head, _ = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
-        first_rows = {}
+        # the outer drive's first column, and each inner drive's first row.
+        # An inner drive's column is a view of the outer drive's nodes until
+        # a row retires; from then on it is a narrowed copy.  So a drive
+        # starts at each call whose column is a view other than the last
+        ladder = quadrature._EXP_SINH
+        head, _ = quadrature._head(ladder, FIRST_HEAD)
+        calls = []
 
         def f2(x, y):
-            first_rows.setdefault(id(x), (x, y))
+            calls.append((x, y))
             return np.exp(-x - y)
 
         res = integrate_quadrant(f2)
         assert res.converged
-        (col, _), *_ = first_rows.values()
+        kept = [hx for hx, _ in ladder.heads.values()] + [rx for rx, _ in ladder.runs.values()]
+        views = [(x, y) for x, y in calls if any(x.base is k for k in kept)]
+        starts = [call for k, call in enumerate(views) if k == 0 or call[0] is not views[k - 1][0]]
+        assert len(views) < len(calls)  # rows retired
+        (col, _), *_ = starts
         assert col[:, 0].tobytes() == head.tobytes()
-        assert all(y is head for _, y in first_rows.values())
+        assert all(y is head for _, y in starts)
 
     def test_quadrant_outer_fetches_fused_heads(self):
         # inner rows are judged by their share of the outer sum, so the
