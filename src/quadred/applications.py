@@ -175,14 +175,10 @@ def fourier_params(spec: FourierSpec) -> Params:
 
 def _erfi_kernel(spec: FourierSpec) -> list[KernelTerm]:
     # t^(-m/2) e^(-b/t - c t) times the closed inner integral
-    # sqrt(pi)/(k sqrt(t)) e^(-zp^2) (erfi(zp) - erfi(zm)); the Gaussian
-    # decay lives inside the special factor so nothing overflows
-    return [
-        KernelTerm(
-            SQPI / spec.k, -2.5,
-            special=FourierErfiFactor(spec.k, spec.k_dot_x2, spec.eta1, spec.eta2, spec.x2),
-        )
-    ]
+    # sqrt(pi)/(k sqrt(t)) e^(-zp^2) (erfi(zp) - erfi(zm)); the term carries
+    # the Gaussians' common decay and the factor what is left, bounded
+    factor = FourierErfiFactor(spec.k, spec.k_dot_x2, spec.eta1, spec.eta2, spec.x2)
+    return [KernelTerm(SQPI / spec.k, -2.5, beta=factor.beta, gamma=factor.gamma, special=factor)]
 
 
 def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) -> QuadResult:

@@ -48,7 +48,9 @@ class _Factor:
       floor_decay()      additional small-t decay of bounded_part itself, as a
                          power of t, or math.inf for an exponential cut-off;
                          read only by the convergence floor (KernelTerm.mu_floor)
-      is_complex()       True when bounded_part returns complex values
+
+    A factor's exponentials go to its KernelTerm's beta and gamma, where the
+    dead-row test sees them, except RInnerFactor's (see there).
     """
 
     def alpha_shift(self) -> float:
@@ -56,9 +58,6 @@ class _Factor:
 
     def floor_decay(self) -> float:
         return 0.0
-
-    def is_complex(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,18 @@ class KummerFactor(_Factor):
 
 @dataclass(frozen=True)
 class FourierErfiFactor(_Factor):
-    """The momentum-transform kernel factor, Gaussians folded in:
+    """The momentum-transform kernel factor with its Gaussians taken out:
 
         exp(-eta2^2/(4t) - x2^2 t) * exp(-zp^2) * (erfi(zp) - erfi(zm))
+            = exp(-beta t - gamma/t) * bounded_part(t)
 
     with z+- = (i chi t + (eta1^2 - eta2^2)/4 +- k^2/4) / (k sqrt(t)) and
-    chi the scalar product of the momentum with the separation.  Evaluated
-    through the Faddeeva function so every exponent keeps a non-positive
-    real part; the lower half plane is reached via the w(-z) reflection.
+    chi the scalar product of the momentum with the separation.  gamma is
+    the common cut-off min(eta1, eta2)^2/4 and beta the Cauchy-Schwarz
+    residual max(x2^2 - (chi/k)^2, 0); both go to the factor's KernelTerm.
+    Evaluated through the Faddeeva function so every exponent keeps a
+    non-positive real part, and each of the two terms is at most 3 in
+    magnitude; the lower half plane is reached via the w(-z) reflection.
     """
 
     k: float
@@ -161,33 +164,36 @@ class FourierErfiFactor(_Factor):
     eta2: float
     x2: float
 
-    def floor_decay(self) -> float:
-        return math.inf if self.eta1 > 0.0 and self.eta2 > 0.0 else 0.0
+    @property
+    def gamma(self) -> float:
+        return min(self.eta1, self.eta2) ** 2 / 4.0
 
-    def is_complex(self) -> bool:
-        return True
+    @property
+    def beta(self) -> float:
+        return max(self.x2 * self.x2 - (self.chi / self.k) ** 2, 0.0)
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        k, chi, x2 = self.k, self.chi, self.x2
+        k, chi, gamma = self.k, self.chi, self.gamma
         g = (self.eta1**2 - self.eta2**2) / 4.0
         d = k * k / 4.0
         rt = np.sqrt(t)
         zp = (1j * chi * t + (g + d)) / (k * rt)
         zm = (1j * chi * t + (g - d)) / (k * rt)
-        # prefactor exponents, assembled so each real part is <= 0
-        a2 = -self.eta2**2 / (4.0 * t) - x2 * x2 * t + 0j
-        a1 = -self.eta1**2 / (4.0 * t) - x2 * x2 * t - 1j * chi
-        # expo - z^2, built analytically: the x2^2 t part cancels against
-        # (chi/k)^2 t up to the Cauchy-Schwarz residual, which must not be
-        # left to floating-point subtraction of huge intermediates
-        resid = max(x2 * x2 - (chi / k) ** 2, 0.0)
+        # prefactor exponents with -beta t - gamma/t taken out, each real part <= 0
+        cut1, cut2 = self.eta1**2 / 4.0 - gamma, self.eta2**2 / 4.0 - gamma
+        decay = self.x2 * self.x2 - self.beta
+        a2 = -cut2 / t - decay * t + 0j
+        a1 = -cut1 / t - decay * t - 1j * chi
 
-        def minus_z2(eta: float, gg: float, phase0: float) -> np.ndarray:
-            re = -eta * eta / (4.0 * t) - resid * t - gg * gg / (k * k * t)
+        # expo - z^2, built analytically: the x2^2 t part cancels against
+        # (chi/k)^2 t up to the residual beta, which must not be left to
+        # floating-point subtraction of huge intermediates
+        def minus_z2(cut: float, gg: float, phase0: float) -> np.ndarray:
+            re = -(cut + gg * gg / (k * k)) / t
             return re + 1j * (phase0 - 2.0 * chi * gg / (k * k))
 
-        a1_z2 = minus_z2(self.eta1, g - d, -chi)
-        a2_z2 = minus_z2(self.eta2, g + d, 0.0)
+        a1_z2 = minus_z2(cut1, g - d, -chi)
+        a2_z2 = minus_z2(cut2, g + d, 0.0)
 
         def stable_term(z, expo, expo_minus_z2):
             out = np.zeros(z.shape, dtype=complex)
@@ -224,7 +230,10 @@ class RInnerFactor(_Factor):
     judged by its largest row against _R_INNER_TOL with no work bound of
     its own: the level cap bounds the work, and a batch that has not
     converged by then raises QuadratureError.  So a row's value depends,
-    within _R_INNER_TOL.rel, on which t share the call.
+    within _R_INNER_TOL.rel, on which t share the call, and the cut-off
+    stays folded on purpose: in the term's gamma it would leave rows that
+    the term scales away as large as the rest, and hold the batch to their
+    precision (the 20 seed-42 R1-rint draws' s-evaluations rose 2.8-fold).
     """
 
     n: int
@@ -238,15 +247,12 @@ class RInnerFactor(_Factor):
     def floor_decay(self) -> float:
         return math.inf if self.a > 0.0 and self.b > 0.0 else 0.0
 
-    def is_complex(self) -> bool:
-        return complex(self.h).imag != 0.0
-
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         pr = (self.n + self.nu) / 2.0 - 2.0
         ps = (self.m + self.nu) / 2.0 - 2.0
         h = complex(self.h)
         out = np.zeros(t.shape, dtype=complex if h.imag != 0.0 else float)
-        live = min(self.a, self.b) / t <= 745.0  # beyond, the folded exponent underflowed
+        live = min(self.a, self.b) / t <= -_LOG_DEAD  # beyond, the folded exponent underflowed
         rows = int(live.sum())
         if rows == 0:
             return out
@@ -302,18 +308,15 @@ def kernel_mu_min(terms: list[KernelTerm]) -> float:
     return max(term.mu_floor() for term in terms)
 
 
-def kernel_is_complex(terms: list[KernelTerm]) -> bool:
-    return any(term.special is not None and term.special.is_complex() for term in terms)
-
-
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
     """f(t) * w(t), assembled term by term in log magnitude.
 
     Finite for all t > 0 whenever f.mu exceeds the kernel's mu floor; nodes
-    whose exponential part underflows contribute exact zeros.
+    whose exponential part underflows contribute exact zeros.  The values
+    turn complex at the first complex contribution.
     """
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=complex if kernel_is_complex(terms) else float)
+    out = np.zeros(t.shape)
     logt = np.log(t)
     lead = abs(f.coeff)
     if lead == 0.0:
@@ -360,6 +363,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
             vals = np.exp(logtot)
         if phase is not None:
             vals = vals * phase
+        out = out.astype(np.result_type(out, vals), copy=False)
         out[live] += csign * vals
     return out
 

@@ -129,9 +129,9 @@ class Tolerance:
         """
         return max(self.abs, self.rel * max(floor, _largest(value)))
 
-    def met_by(self, estimate: float, value, floor: float = 1.0) -> bool:
+    def met_by(self, estimate: float, value) -> bool:
         """Whether estimate is within tolerance at the scale of value (see bound)."""
-        return estimate <= self.bound(value, floor)
+        return estimate <= self.bound(value)
 
 
 # Default targets for the two-dimensional oracle.

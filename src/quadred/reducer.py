@@ -385,28 +385,24 @@ def verify(
     """
     if isinstance(rule, str):
         rule = get_rule(rule)
-
-    def failed(reason: str, lhs=None, rhs=None) -> VerificationRecord:
-        return VerificationRecord(
-            rule.id, params, f, lhs, rhs, math.nan, math.nan,
-            compare_tol.rel, compare_tol.abs, False, rule.trusted,
-            seed, case_index, reason,
-        )
-
+    abs_diff = rel_diff = math.nan
     try:
         rule.check_applicability(params)
         lhs = direct_2d(params, f, tilde=rule.family is Family.MIXED_TILDE)
         rhs = rule.reduce_to_1d(params, f)
     except (ApplicabilityError, KernelError, QuadratureError, DivergentIntegralError) as exc:
-        return failed(str(exc))
-    abs_diff = abs(complex(lhs.value) - complex(rhs.value))
-    rel_diff = abs_diff / max(1.0, abs(complex(lhs.value)))
-    ok = compare_tol.met_by(abs_diff, lhs.value) and lhs.converged and rhs.converged
-    reason = None
-    if not (lhs.converged and rhs.converged):
-        reason = "quadrature did not converge"
-    elif not ok:
-        reason = "sides disagree beyond tolerance"
+        lhs = rhs = None  # a failed record keeps neither side
+        ok, reason = False, str(exc)
+    else:
+        abs_diff = abs(complex(lhs.value) - complex(rhs.value))
+        rel_diff = abs_diff / max(1.0, abs(complex(lhs.value)))
+        converged = lhs.converged and rhs.converged
+        ok = converged and compare_tol.met_by(abs_diff, lhs.value)
+        reason = None
+        if not converged:
+            reason = "quadrature did not converge"
+        elif not ok:
+            reason = "sides disagree beyond tolerance"
     return VerificationRecord(
         rule.id, params, f, lhs, rhs, abs_diff, rel_diff,
         compare_tol.rel, compare_tol.abs, ok, rule.trusted, seed, case_index, reason,

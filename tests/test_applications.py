@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from quadred import applications
+from quadred import applications, kernels
 from quadred.applications import (
     FourierSpec,
     YukawaPairSpec,
@@ -20,6 +20,7 @@ from quadred.applications import (
     yukawa_pair_reduced,
     yukawa_pair_reduced_alt,
 )
+from quadred.kernels import FourierErfiFactor
 from quadred.quadrature import QuadratureError, QuadResult
 
 SQPI = math.sqrt(math.pi)
@@ -262,6 +263,31 @@ class TestFourier:
                 a = erfi_value(spec)
                 b = tau_value(spec)
                 assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 0.0, 1.0, 0.5, 1.0),
+        (2.0, 1.0, 1.0, 2.0, 0.5),
+        (0.5, 4.0, 1.0, 0.6, 8.0),
+        (1.3, -0.4, 0.7, 1.8, 0.9),
+    ])
+    def test_erfi_factor_sees_live_rows_only(self, monkeypatch, args):
+        # the term carries the factor's exponentials exp(-beta t - gamma/t),
+        # so no t at which the term underflows reaches the Faddeeva functions
+        spec = FourierSpec(*args)
+        gamma = min(spec.eta1, spec.eta2) ** 2 / 4.0
+        beta = max(spec.x2 * spec.x2 - (spec.k_dot_x2 / spec.k) ** 2, 0.0)
+        seen = []
+        bounded_part = FourierErfiFactor.bounded_part
+
+        def spy(factor, t):
+            seen.append(np.array(t))
+            return bounded_part(factor, t)
+
+        monkeypatch.setattr(FourierErfiFactor, "bounded_part", spy)
+        assert fourier_pair_erfi_result(spec).converged
+        ts = np.concatenate(seen)
+        logmag = math.log(SQPI / spec.k) - np.log(ts) - beta * ts - gamma / ts
+        assert logmag.min() >= kernels._LOG_DEAD
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k_dot_x2"):

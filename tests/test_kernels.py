@@ -185,9 +185,12 @@ class TestKummerFactor:
 class TestFourierErfiFactor:
     def test_matches_raw_erfi_formula(self):
         # at moderate t the naive erfi expression is representable; the
-        # Faddeeva-based factor must reproduce it
+        # Faddeeva-based factor, times the exponentials its term carries,
+        # must reproduce it
         k, chi, e1, e2, x2 = 1.3, 0.4, 1.0, 0.7, 0.9
         factor = FourierErfiFactor(k, chi, e1, e2, x2)
+        beta, gamma = x2 * x2 - (chi / k) ** 2, e2 * e2 / 4.0
+        assert (factor.beta, factor.gamma) == pytest.approx((beta, gamma), rel=1e-15)
         g = (e1 * e1 - e2 * e2) / 4.0
         d = k * k / 4.0
         for t in (0.3, 1.0, 2.0):
@@ -200,7 +203,7 @@ class TestFourierErfiFactor:
                 * np.exp(-zp * zp)
                 * erfi_diff
             )
-            mine = factor.bounded_part(np.array([t]))[0]
+            mine = math.exp(-beta * t - gamma / t) * factor.bounded_part(np.array([t]))[0]
             assert mine == pytest.approx(naive, rel=1e-11)
 
     def test_finite_everywhere(self):
@@ -208,6 +211,29 @@ class TestFourierErfiFactor:
         ts = np.geomspace(1e-150, 1e150, 120)
         vals = factor.bounded_part(ts)
         assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("args", [
+        (2.0, -1.5, 1.0, 2.0, 1.0),
+        (1.3, 0.4, 1.0, 0.7, 0.9),
+        (0.5, 4.0, 1.0, 0.6, 8.0),  # |chi| = k x2: beta = 0
+        (0.5, -4.0, 0.7, 1.8, 8.0),
+        (1e-3, 0.0, 0.5, 0.5, 3.0),
+    ])
+    def test_bounded_everywhere(self, args):
+        # every exponent has a real part <= 0 once the term's exponentials
+        # are out, so each Faddeeva term is at most 3 in magnitude
+        vals = FourierErfiFactor(*args).bounded_part(np.geomspace(1e-150, 1e150, 120))
+        assert np.all(np.abs(vals) <= 6.0)
+
+    def test_dead_rows_are_real_zeros(self):
+        # no live term at t = 1e-6: the factor is not called, and the
+        # kernel's values turn complex only where a complex term adds in
+        factor = FourierErfiFactor(1.3, 0.4, 1.0, 0.7, 0.9)
+        terms = [KernelTerm(1.0, -2.5, beta=factor.beta, gamma=factor.gamma, special=factor)]
+        dead = eval_kernel_with_f(terms, TestIntegrand(1.0, 1.5, 0.0), np.array([1e-6]))
+        assert dead.dtype == np.float64 and dead[0] == 0.0
+        both = eval_kernel_with_f(terms, TestIntegrand(1.0, 1.5, 0.0), np.array([1e-6, 1.0]))
+        assert both.dtype == np.complex128 and both[0] == 0.0 and both[1] != 0.0
 
 
 class TestRInnerFactor:

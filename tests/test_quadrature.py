@@ -917,9 +917,9 @@ class TestTolerance:
         assert not tol.met_by(2.5e-10, batch)
         small = np.array([1e-3, 2e-3])
         assert tol.met_by(1e-10, small)
-        assert not tol.met_by(1e-10, small, floor=0.0)
-        assert tol.met_by(1e-13, small, floor=0.0)
-        assert tol.met_by(1e-14, np.zeros(2), floor=0.0)
+        assert 1e-10 > tol.bound(small, floor=0.0)
+        assert 1e-13 <= tol.bound(small, floor=0.0)
+        assert 1e-14 <= tol.bound(np.zeros(2), floor=0.0)
 
     @pytest.mark.parametrize("field", ["rel", "abs"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

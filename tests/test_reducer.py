@@ -300,6 +300,12 @@ class TestQuadrantIntegrand:
             assert got.tobytes() == want.tobytes()
 
 
+def _by_draw(rows):
+    """Parameters whose ids name the draw alone, rule and case, so a re-pin
+    keeps the test's name."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
 class TestOracleWork:
     """The oracle's evaluation counts on three seed-42 sweep draws.
 
@@ -309,15 +315,11 @@ class TestOracleWork:
     past a head.
     """
 
-    WORK = [("K1-111", 0, 43_945, 19), ("T5-nu2", 13, 43_256, 16), ("K5-1m75", 9, 25_785, 4)]
-
-    # each id names the count its pin first held, so that a re-pin renames
-    # no test: the counts before inner rows retired
-    @pytest.mark.parametrize(
-        "rule_id, case_index, evaluations, calls",
-        WORK,
-        ids=["K1-111-0-77248", "T5-nu2-13-132326", "K5-1m75-9-35100"],
-    )
+    @pytest.mark.parametrize("rule_id, case_index, evaluations, calls", _by_draw([
+        ("K1-111", 0, 43_945, 19),
+        ("T5-nu2", 13, 43_256, 16),
+        ("K5-1m75", 9, 25_785, 4),
+    ]))
     def test_evaluations_pinned(self, rule_id, case_index, evaluations, calls, monkeypatch):
         seen = []
 
@@ -331,19 +333,13 @@ class TestOracleWork:
         assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
         assert len(seen) == calls
 
-    # as above, each id names the bits its pin first held
-    @pytest.mark.parametrize(
-        "rule_id, case_index, value_hex",
-        [
-            pytest.param("K1-111", 0, "0x1.ce9a826641712p+0",
-                         id="K1-111-0-0x1.ce9a8266416f6p+0"),
-            pytest.param("T5-nu2", 13, "0x1.5c09cbbef6e94p+1",
-                         id="T5-nu2-13-0x1.5c09cbbef6eacp+1"),
-            ("K5-1m75", 9, "0x1.290c5dcbe2f8ap+1"),
-            ("G1-general", 0, "0x1.04cfad0f771c8p+1"),  # real h
-            ("R1-rint", 0, "0x1.0c5cbbc4be682p-3"),  # j and real h
-        ],
-    )
+    @pytest.mark.parametrize("rule_id, case_index, value_hex", _by_draw([
+        ("K1-111", 0, "0x1.ce9a826641712p+0"),
+        ("T5-nu2", 13, "0x1.5c09cbbef6e94p+1"),
+        ("K5-1m75", 9, "0x1.290c5dcbe2f8ap+1"),
+        ("G1-general", 0, "0x1.04cfad0f771c8p+1"),  # real h
+        ("R1-rint", 0, "0x1.0c5cbbc4be682p-3"),  # j and real h
+    ]))
     def test_value_bits_pinned(self, rule_id, case_index, value_hex):
         # a change that moves a rounding anywhere in the oracle moves a bit here
         params, f = _sweep_case(rule_id, 42, case_index)
