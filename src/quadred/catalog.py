@@ -261,51 +261,51 @@ def _e5_kernel(params: Params) -> list[KernelTerm]:
     ]
 
 
-def _macdonald(params: Params, order: int) -> BesselKFactor:
-    return BesselKFactor(order, 2.0 * math.sqrt(params.p * params.q))
+def _macdonald(coeff: float, alpha: float, params: Params, order: int) -> KernelTerm:
+    """coeff t**alpha e^(-(p+q)t) K_order(2 sqrt(pq) t), alpha as displayed.
+
+    The factor carries t**order K_order, so the term's own power is
+    alpha - order (see BesselKFactor).
+    """
+    p, q = params.p, params.q
+    return KernelTerm(coeff, alpha - order, beta=p + q,
+                      special=BesselKFactor(order, 2.0 * math.sqrt(p * q)))
 
 
 def _k1_kernel(params):
-    return [KernelTerm(2.0, -0.5, beta=params.p + params.q, special=_macdonald(params, 0))]
+    return [_macdonald(2.0, -0.5, params, 0)]
 
 
 def _k2_kernel(params):
-    return [KernelTerm(2.0, -1.0, beta=params.p + params.q, special=_macdonald(params, 0))]
+    return [_macdonald(2.0, -1.0, params, 0)]
 
 
 def _k3_kernel(params):
-    ratio = 2.0 * math.sqrt(params.p / params.q)
-    return [KernelTerm(ratio, 1.0, beta=params.p + params.q, special=_macdonald(params, 1))]
+    return [_macdonald(2.0 * math.sqrt(params.p / params.q), 1.0, params, 1)]
 
 
 def _k4_kernel(params):
-    ratio = 2.0 * math.sqrt(params.p / params.q)
-    return [KernelTerm(ratio, 0.5, beta=params.p + params.q, special=_macdonald(params, 1))]
+    return [_macdonald(2.0 * math.sqrt(params.p / params.q), 0.5, params, 1)]
 
 
 def _k5_kernel(params):
-    return [
-        KernelTerm(2.0 * params.p / params.q, 1.5, beta=params.p + params.q,
-                   special=_macdonald(params, 2))
-    ]
+    return [_macdonald(2.0 * params.p / params.q, 1.5, params, 2)]
 
 
 def _k6_kernel(params):
     p, q = params.p, params.q
     return [
-        KernelTerm(2.0, 0.5, beta=p + q, special=_macdonald(params, 0)),
-        KernelTerm(2.0 * math.sqrt(q / p), 0.5, beta=p + q, special=_macdonald(params, 1)),
+        _macdonald(2.0, 0.5, params, 0),
+        _macdonald(2.0 * math.sqrt(q / p), 0.5, params, 1),
     ]
 
 
 def _k7_kernel(params):
     p, q = params.p, params.q
     return [
-        KernelTerm(2.0 * (p + q) / p, 1.5, beta=p + q, special=_macdonald(params, 0)),
-        KernelTerm(4.0 * math.sqrt(q) / math.sqrt(p), 1.5, beta=p + q,
-                   special=_macdonald(params, 1)),
-        KernelTerm(2.0 * math.sqrt(q) / p**1.5, 0.5, beta=p + q,
-                   special=_macdonald(params, 1)),
+        _macdonald(2.0 * (p + q) / p, 1.5, params, 0),
+        _macdonald(4.0 * math.sqrt(q) / math.sqrt(p), 1.5, params, 1),
+        _macdonald(2.0 * math.sqrt(q) / p**1.5, 0.5, params, 1),
     ]
 
 

@@ -20,10 +20,9 @@ from .catalog import (
     get_rule,
     list_rules,
 )
-from .kernels import KernelError
 from .params import Params, TestIntegrand
 from .quadrature import QuadratureError, Tolerance
-from .reducer import DEFAULT_COMPARE_TOL, DivergentIntegralError, run_sweep
+from .reducer import DEFAULT_COMPARE_TOL, run_sweep
 
 _APPLICATIONS = (
     "yukawa-pair",
@@ -58,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("eta1", "eta2", "x2", "k"):
         p_eval.add_argument(f"--{name}", type=float, default=None)
     p_eval.add_argument("--k-dot-x2", type=float, default=0.0)
-    p_eval.add_argument("--rel", type=float, default=1e-10)
-    p_eval.add_argument("--abs", type=float, default=1e-14)
+    p_eval.add_argument("--rel", type=float, default=Tolerance().rel)
+    p_eval.add_argument("--abs", type=float, default=Tolerance().abs)
     p_eval.add_argument("--format", choices=("human", "json"), default="human")
 
     p_verify = sub.add_parser("verify", help="oracle-verification sweep")
@@ -221,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_verify(args)
-    except (ApplicabilityError, KernelError, DivergentIntegralError, ValueError) as exc:
+    except ValueError as exc:  # the applicability, kernel and divergence errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -6,14 +6,14 @@ with w a short sum of
     coeff * t**alpha * exp(-beta*t - gamma/t) * special(t)
 
 The special factors are kept in forms that stay bounded on (0, inf):
-Macdonald functions of order k >= 1 are carried as (s*t)**k K_k(s*t) with
-the compensating power folded into the term's exponent, and the
+a Macdonald function of order k >= 1 is carried as t**k K_k(s*t), its
+t**-k pole (DLMF 10.30.2) written into the term's alpha, and the
 complementary-error factors of the constrained-exponential family are
 carried as erfcx so their exp(4(a-b)/t) growth cancels analytically.
-The evaluator assembles f(t) times each term in log magnitude, so
-integrands stay finite wherever the convergence floor mu > mu_min holds,
-no matter how deep the quadrature probes.  Each special factor follows
-the protocol of ``_Factor``.
+The evaluator computes exactly that sum, assembling f(t) times each term
+in log magnitude, so integrands stay finite wherever the convergence
+floor mu > mu_min holds, no matter how deep the quadrature probes.  Each
+special factor follows the protocol of ``_Factor``.
 """
 
 from __future__ import annotations
@@ -41,20 +41,19 @@ class KernelError(ValueError):
 
 
 class _Factor:
-    """Special-factor protocol, with the defaults a factor overrides as needed:
+    """Special-factor protocol, with the default a factor overrides as needed:
 
-      bounded_part(t)    value of t**(-alpha_shift()) * factor(t); O(1) near 0
-      alpha_shift()      power folded out of bounded_part into the term exponent
+      bounded_part(t)    the factor's value special(t); O(1) near 0, or for
+                         K_0 logarithmic
       floor_decay()      additional small-t decay of bounded_part itself, as a
                          power of t, or math.inf for an exponential cut-off;
                          read only by the convergence floor (KernelTerm.mu_floor)
 
-    A factor's exponentials go to its KernelTerm's beta and gamma, where the
-    dead-row test sees them, except RInnerFactor's (see there).
+    A factor's powers of t go to its KernelTerm's alpha, and its exponentials
+    to beta and gamma, where the dead-row test sees them, except
+    RInnerFactor's (see there).  A factor sets no np.errstate: it runs under
+    the evaluator's.
     """
-
-    def alpha_shift(self) -> float:
-        return 0.0
 
     def floor_decay(self) -> float:
         return 0.0
@@ -62,14 +61,14 @@ class _Factor:
 
 @dataclass(frozen=True)
 class BesselKFactor(_Factor):
-    """K_order(scale * t), order in {0, 1, 2}."""
+    """t**order K_order(scale * t), order in {0, 1, 2}.
+
+    K_k(x) ~ 2**(k-1) (k-1)! x**-k as x -> 0 for k >= 1 (DLMF 10.30.2); the
+    t**order taken in here is the t**-order its KernelTerm's alpha carries.
+    """
 
     order: int
     scale: float
-
-    def alpha_shift(self) -> float:
-        # K_k(x) ~ x**-k for k >= 1; the pole is folded into the exponent
-        return -float(self.order)
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
@@ -85,8 +84,7 @@ class BesselKFactor(_Factor):
         g = np.empty_like(x)
         g[small] = 2.0 ** (k - 1) * math.factorial(k - 1)
         xs = x[~small]
-        with np.errstate(under="ignore"):
-            g[~small] = xs**k * _sp.kv(k, xs)
+        g[~small] = xs**k * _sp.kv(k, xs)
         return g / self.scale**k
 
 
@@ -198,15 +196,14 @@ class FourierErfiFactor(_Factor):
         def stable_term(z, expo, expo_minus_z2):
             out = np.zeros(z.shape, dtype=complex)
             up = z.imag >= 0.0
-            with np.errstate(under="ignore"):
-                out[up] = np.exp(expo[up]) * _sp.wofz(z[up])
-                dn = ~up
-                if dn.any():
-                    # w(z) = 2 exp(-z^2) - w(-z); both exponents stay <= 0
-                    out[dn] = (
-                        2.0 * np.exp(expo_minus_z2[dn])
-                        - np.exp(expo[dn]) * _sp.wofz(-z[dn])
-                    )
+            out[up] = np.exp(expo[up]) * _sp.wofz(z[up])
+            dn = ~up
+            if dn.any():
+                # w(z) = 2 exp(-z^2) - w(-z); both exponents stay <= 0
+                out[dn] = (
+                    2.0 * np.exp(expo_minus_z2[dn])
+                    - np.exp(expo[dn]) * _sp.wofz(-z[dn])
+                )
             return out
 
         return 1j * (stable_term(zm, a1, a1_z2) - stable_term(zp, a2, a2_z2))
@@ -298,10 +295,8 @@ class KernelTerm:
         """Smallest power mu with t**mu * term integrable at the origin."""
         if self.gamma > 0.0:
             return -math.inf
-        decay = self.alpha
-        if self.special is not None:
-            decay += self.special.alpha_shift() + self.special.floor_decay()
-        return -1.0 - decay
+        decay = self.special.floor_decay() if self.special is not None else 0.0
+        return -1.0 - (self.alpha + decay)
 
 
 def kernel_mu_min(terms: list[KernelTerm]) -> float:
@@ -313,7 +308,9 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
 
     Finite for all t > 0 whenever f.mu exceeds the kernel's mu floor; nodes
     whose exponential part underflows contribute exact zeros.  The values
-    turn complex at the first complex contribution.
+    turn complex at the first complex contribution.  The terms, their
+    special factors included, run under one np.errstate that ignores
+    log(0) and underflow whatever the caller has set.
     """
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
@@ -322,49 +319,40 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     if lead == 0.0:
         return out
     fsign = 1.0 if f.coeff >= 0 else -1.0
-    for term in terms:
-        if term.coeff == 0.0:
-            continue
-        shift = term.special.alpha_shift() if term.special is not None else 0.0
-        csign = fsign * (1.0 if term.coeff >= 0 else -1.0)
-        logmag = (
-            math.log(lead * abs(term.coeff))
-            + (f.mu + term.alpha + shift) * logt
-            - (f.sigma + term.beta) * t
-            - term.gamma / t
-        )
-        live = logmag > _LOG_DEAD
-        if not live.any():
-            continue
-        if term.special is None:
-            logtot = logmag[live]
-            phase = None
-        else:
-            bounded = term.special.bounded_part(t[live])
-            if np.iscomplexobj(bounded):
-                # lift denormals into the normal range before the complex
-                # division: numpy's complex divide NaNs out on denormals
-                lift = np.where(np.abs(bounded) < 1e-280, 2.0**1000, 1.0)
-                bounded = bounded * lift
-                mag = np.abs(bounded)
-                with np.errstate(divide="ignore"):
-                    logtot = logmag[live] + np.log(mag) - np.log(lift)
-                phase = np.where(mag > 0.0, bounded / np.where(mag > 0.0, mag, 1.0), 0.0)
-            else:
-                mag = np.abs(bounded)
-                with np.errstate(divide="ignore"):
-                    logtot = logmag[live] + np.log(mag)
-                phase = np.sign(bounded)
-        if np.any(logtot > _LOG_OVERFLOW):
-            raise KernelError(
-                "kernel term overflow: f violates the convergence floor of this rule"
+    with np.errstate(divide="ignore", under="ignore"):
+        for term in terms:
+            if term.coeff == 0.0:
+                continue
+            csign = fsign * (1.0 if term.coeff >= 0 else -1.0)
+            logmag = (
+                math.log(lead * abs(term.coeff))
+                + (f.mu + term.alpha) * logt
+                - (f.sigma + term.beta) * t
+                - term.gamma / t
             )
-        with np.errstate(under="ignore"):
-            vals = np.exp(logtot)
-        if phase is not None:
-            vals = vals * phase
-        out = out.astype(np.result_type(out, vals), copy=False)
-        out[live] += csign * vals
+            live = logmag > _LOG_DEAD
+            if not live.any():
+                continue
+            logtot, phase = logmag[live], 1.0
+            if term.special is not None:
+                bounded = term.special.bounded_part(t[live])
+                mag, lift = np.abs(bounded), 1.0
+                if mag.min() < 1e-280:
+                    # lift denormals into the normal range before the division:
+                    # numpy's complex divide NaNs out on denormals
+                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
+                    bounded = bounded * lift
+                    mag = np.abs(bounded)
+                logtot = logtot + np.log(mag) - np.log(lift)
+                # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
+                phase = bounded / np.maximum(mag, 1e-300)
+            if np.any(logtot > _LOG_OVERFLOW):
+                raise KernelError(
+                    "kernel term overflow: f violates the convergence floor of this rule"
+                )
+            vals = np.exp(logtot) * phase
+            out = out.astype(np.result_type(out, vals), copy=False)
+            out[live] += csign * vals
     return out
 
 

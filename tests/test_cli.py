@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from quadred import applications, catalog, quadrature, reducer
-from quadred.cli import main
+from quadred.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +151,11 @@ class TestEval:
         doc = json.loads(out)
         assert doc["converged"] is True
         assert doc["value"]["re"] == pytest.approx(3.196415162413308, rel=1e-8)
+
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["eval", "K1-111"])
+        default = quadrature.Tolerance()
+        assert (args.rel, args.abs) == (default.rel, default.abs)
 
 
 class TestVerify:

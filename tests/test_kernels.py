@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from quadred import kernels
+from quadred import applications, kernels
 from quadred.applications import FourierSpec, fourier_params
 from quadred.catalog import G1_GRID, R1_GRID, get_rule
 from quadred.kernels import (
@@ -70,8 +70,9 @@ class TestTermEvaluation:
             eval_kernel([KernelTerm(1.0, 0.0)], -1.0)
 
     def test_deep_nodes_stay_finite(self):
-        # t^(3/2) K2(s t) underflow x overflow region must come out finite
-        terms = [KernelTerm(2.0, 1.5, beta=1.0, special=BesselKFactor(2, 2.0))]
+        # t^(3/2) K2(s t) underflow x overflow region must come out finite;
+        # the factor is t^2 K2(s t), so the term's own power is 3/2 - 2
+        terms = [KernelTerm(2.0, 1.5 - 2, beta=1.0, special=BesselKFactor(2, 2.0))]
         f = TestIntegrand(1.0, 0.5, 0.0)
         ts = np.geomspace(1e-160, 1e150, 200)
         vals = eval_kernel_with_f(terms, f, ts)
@@ -79,7 +80,7 @@ class TestTermEvaluation:
 
     def test_floor_overflow_raises(self):
         # mu far below the floor must be caught loudly, not return inf
-        terms = [KernelTerm(1.0, -1.0, beta=1.0, special=BesselKFactor(2, 2.0))]
+        terms = [KernelTerm(1.0, -1.0 - 2, beta=1.0, special=BesselKFactor(2, 2.0))]
         with pytest.raises(KernelError, match="floor"):
             eval_kernel_with_f(terms, TestIntegrand(1.0, -1.0, 0.0), np.array([1e-140]))
 
@@ -121,6 +122,66 @@ class TestBesselBranch:
             for t, value in zip(ts, got):
                 ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
                 assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+
+# The paper's displayed Macdonald kernels, coeff t^alpha e^-(p+q)t K_k(2 sqrt(pq) t)
+# summed over (coeff, alpha, k), written out here independently of the catalog
+_MACDONALD_DISPLAYED = {
+    "K3-0m44": lambda p, q: [(2 * mp.sqrt(p / q), 1.0, 1)],
+    "K4-1m33": lambda p, q: [(2 * mp.sqrt(p / q), 0.5, 1)],
+    "K5-1m75": lambda p, q: [(2 * p / q, 1.5, 2)],
+    "K6-m111": lambda p, q: [(2, 0.5, 0), (2 * mp.sqrt(q / p), 0.5, 1)],
+    "K7-m311": lambda p, q: [
+        (2 * (p + q) / p, 1.5, 0),
+        (4 * mp.sqrt(q) / mp.sqrt(p), 1.5, 1),
+        (2 * mp.sqrt(q) / p**1.5, 0.5, 1),
+    ],
+}
+
+
+class TestMacdonaldTerms:
+    """Each K rule's weight, its pole written into alpha, against its displayed form."""
+
+    @pytest.mark.parametrize("rule_id", sorted(_MACDONALD_DISPLAYED))
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 0.5), (0.15, 7.0)])
+    def test_against_mpmath(self, rule_id, p, q):
+        rule = get_rule(rule_id)
+        params = Params(*rule.triple, p=p, q=q)
+        s = 2.0 * math.sqrt(p * q)
+        # across BesselKFactor's small-argument branch at s t = 1e-8
+        ts = np.concatenate([np.geomspace(1e-12, 60.0, 80),
+                             np.array([0.5e-8, 0.99e-8, 1.01e-8, 2e-8]) / s])
+        got = rule.kernel_weight(params, ts)
+        with mp.workdps(30):
+            mp_p, mp_q = mp.mpf(p), mp.mpf(q)
+            mp_s = 2 * mp.sqrt(mp_p * mp_q)
+            for t, value in zip(ts, got):
+                t = mp.mpf(t)
+                ref = sum(
+                    c * t**alpha * mp.exp(-(mp_p + mp_q) * t) * mp.besselk(k, mp_s * t)
+                    for c, alpha, k in _MACDONALD_DISPLAYED[rule_id](mp_p, mp_q)
+                )
+                assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+
+class TestErrorState:
+    """The evaluator enters one np.errstate of its own and leaves the caller's as it was."""
+
+    @pytest.mark.parametrize("weight", [
+        lambda ts: eval_kernel(applications._erfi_kernel(FourierSpec(1.0, 0.3, 1.0, 0.5, 1.0)), ts),
+        lambda ts: get_rule("K5-1m75").kernel_weight(Params(1, -7, 5, p=2.0, q=0.5), ts),
+        lambda ts: get_rule("G1-general").kernel_weight(
+            Params(4, 4, 0, a=1.3, b=0.0, c=0.8, h=0.6), ts),
+        lambda ts: get_rule("T4-nu1").kernel_weight(Params(0, 7, 1, a=2.0, b=0.5, c=1.0), ts),
+    ], ids=["fourier-erfi", "K5-1m75", "G1-general", "T4-nu1"])
+    def test_caller_raising_on_underflow_and_divide(self, weight):
+        ts = np.geomspace(1e-3, 1e3, 400)
+        expected = weight(ts)
+        with np.errstate(under="raise", divide="raise"):
+            caller = np.geterr()
+            got = weight(ts)
+            assert np.geterr() == caller
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestErfFactor:
@@ -336,12 +397,13 @@ class TestMuFloor:
         assert kernel_mu_min(terms) == pytest.approx(-0.5)
 
     def test_macdonald_pole_raises_floor(self):
-        terms = [KernelTerm(1.0, 1.0, beta=1.0, special=BesselKFactor(1, 2.0))]
+        # t K1(2t): the factor t K1 is bounded, and the pole t^-1 is in alpha
+        terms = [KernelTerm(1.0, 1.0 - 1, beta=1.0, special=BesselKFactor(1, 2.0))]
         assert kernel_mu_min(terms) == pytest.approx(-1.0)
 
     def test_sum_takes_worst_term(self):
         terms = [
             KernelTerm(1.0, 0.5, beta=1.0, special=BesselKFactor(0, 2.0)),
-            KernelTerm(1.0, 0.5, beta=1.0, special=BesselKFactor(1, 2.0)),
+            KernelTerm(1.0, 0.5 - 1, beta=1.0, special=BesselKFactor(1, 2.0)),
         ]
         assert kernel_mu_min(terms) == pytest.approx(-0.5)
