@@ -451,7 +451,8 @@ def _g1_kernel(params):
 
 def _r1_kernel(params):
     return [
-        KernelTerm(1.0, -params.m / 2.0, beta=params.c, gamma=0.0,
+        KernelTerm(1.0, 1.0 - (params.n + params.m + params.nu) / 2.0,
+                   beta=params.c, gamma=min(params.a, params.b),
                    special=RInnerFactor(params.n, params.m, params.nu,
                                         params.a, params.b, params.h, params.j))
     ]

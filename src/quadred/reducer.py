@@ -249,7 +249,9 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
     delta in (1/2, -1/2, 1, -1, 3/2, -3/2, 2, -2), then the same ladder on
     the axis-mirrored integral (valid only for h = 0).  Returns the first
     (rule, params', f') whose applicability and convergence floor hold;
-    raises ApplicabilityError if there is none.
+    raises ApplicabilityError if there is none.  Mixed-tilde rules are
+    skipped: their 2-D side carries the factor exp(-(a-b)(x+y)^2/(x y^2)),
+    which Params does not name.
     """
     candidates = [params]
     if params.h == 0:
@@ -260,7 +262,7 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
             cand = replace(base, n=n2, m=m2, nu=nu2)
             f2 = f.shifted(delta)
             for rule in RULES:
-                if rule.erratum:
+                if rule.erratum or rule.family is Family.MIXED_TILDE:
                     continue
                 if rule.triple is not None and rule.triple != cand.triple:
                     continue

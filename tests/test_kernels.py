@@ -1,5 +1,6 @@
 """Kernel-term evaluation: frozen values, stability branches, special factors."""
 
+import dataclasses
 import itertools
 import math
 
@@ -299,17 +300,36 @@ class TestFourierErfiFactor:
 
 class TestRInnerFactor:
     def test_matches_closed_form_without_quadratic(self):
-        # with n = m = 4, nu = 0 and j = h = 0 the inner integral is
-        # e^-b/t (1 - e^-(a-b)/t)/(a - b)
+        # with n = m = 4, nu = 0 and j = h = 0, J = t (1 - e^-(a-b)/t)/(a - b)
         a, b = 1.2, 0.5
         factor = RInnerFactor(4, 4, 0, a, b, 0.0, 0.0)
         for t in (0.2, 1.0, 4.0):
-            expected = math.exp(-b / t) * (1.0 - math.exp(-(a - b) / t)) / (a - b)
+            expected = t * -math.expm1(-(a - b) / t) / (a - b)
             assert factor.bounded_part(np.array([t]))[0] == pytest.approx(expected, rel=1e-10)
 
-    def test_early_exit_deep_t(self):
-        factor = RInnerFactor(4, 4, 0, 1.0, 0.5, 0.0, 1.0)
-        assert factor.bounded_part(np.array([1e-10]))[0] == 0.0
+    def test_early_exit_deep_t(self, monkeypatch):
+        # e^(-b/t) underflows at t = 1e-10: the evaluator's dead-row test
+        # drops the row before the factor sees it
+        rows = []
+        bounded_part = RInnerFactor.bounded_part
+
+        def spy(self, t):
+            rows.append(t.copy())
+            return bounded_part(self, t)
+
+        monkeypatch.setattr(RInnerFactor, "bounded_part", spy)
+        params = Params(4, 4, 0, a=1.0, b=0.5, j=1.0)
+        w = get_rule("R1-rint").kernel_weight(params, np.array([1e-10, 1.0]))
+        assert w[0] == 0.0 and w[1] > 0.0
+        assert [list(t) for t in rows] == [[1.0]]
+
+    def test_bounded_by_the_beta_function(self):
+        # every part of J's exponent is <= 0, so |J| <= B(pr + 1, ps + 1)
+        ts = np.geomspace(1e-3, 1e6, 120)
+        for (n, m, nu), (a, b, h, j) in itertools.product(R1_GRID, _R1_CORNERS):
+            bound = sp.beta((n + nu) / 2.0 - 1.0, (m + nu) / 2.0 - 1.0)
+            got = RInnerFactor(n, m, nu, a, b, h, j).bounded_part(ts)
+            assert np.all(np.abs(got) <= bound * (1.0 + 1e-12)), ((n, m, nu), (a, b, h, j))
 
     def test_kernel_weight_runs_one_integrate_interval_batch(self, monkeypatch):
         results = []
@@ -339,13 +359,14 @@ _R1_CORNERS = [
 ]
 
 
-def _r_inner_reference(factor: RInnerFactor, t: float) -> complex:
-    """The inner integral over r in [0, 1/t], by mpmath at 30 digits."""
+def _r1_weight_reference(params: Params, t: float) -> complex:
+    """R1's weight at c = 0: t**(-m/2) times the inner integral over r in
+    [0, 1/t], by mpmath at 30 digits."""
     with mp.workdps(30):
-        pr = mp.mpf(factor.n + factor.nu) / 2 - 2
-        ps = mp.mpf(factor.m + factor.nu) / 2 - 2
-        a, b, j, h, t = (mp.mpf(factor.a), mp.mpf(factor.b), mp.mpf(factor.j),
-                         mp.mpc(factor.h), mp.mpf(t))
+        pr = mp.mpf(params.n + params.nu) / 2 - 2
+        ps = mp.mpf(params.m + params.nu) / 2 - 2
+        a, b, j, h, t = (mp.mpf(params.a), mp.mpf(params.b), mp.mpf(params.j),
+                         mp.mpc(params.h), mp.mpf(t))
 
         def integrand(r):
             return (r**pr * (1 - r * t) ** ps
@@ -357,18 +378,20 @@ def _r_inner_reference(factor: RInnerFactor, t: float) -> complex:
         value, error = mp.quad(integrand, [0, hi / 10_000, hi / 100, hi / 2, hi],
                                error=True, maxdegree=4)
         assert error <= 1e-16 * max(1, abs(value))
-        return complex(value)
+        return complex(t ** (-mp.mpf(params.m) / 2) * value)
 
 
-def _assert_matches_mpmath(factor: RInnerFactor) -> None:
-    got = factor.bounded_part(np.array(_R1_EDGE_TS))
+def _assert_weight_matches_mpmath(params: Params) -> None:
+    """The catalog's R1 weight, the factor with its term's power and cut-off."""
+    assert params.c == 0.0
+    got = get_rule("R1-rint").kernel_weight(params, np.array(_R1_EDGE_TS))
     for t, value in zip(_R1_EDGE_TS, got):
-        ref = _r_inner_reference(factor, t)
-        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (factor, t, value, ref)
+        ref = _r1_weight_reference(params, t)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (params, t, value, ref)
 
 
 class TestRInnerFactorEdges:
-    """One batched call over t in 1e-3..1e3 against mpmath."""
+    """One batched weight call over t in 1e-3..1e3 against mpmath."""
 
     @pytest.mark.parametrize("triple", R1_GRID)
     def test_sampler_edges(self, triple):
@@ -376,15 +399,15 @@ class TestRInnerFactorEdges:
         # endpoint r = 1/t; the two extreme corners for the other triples
         corners = _R1_CORNERS if triple == (4, 2, 1) else [_R1_CORNERS[0], _R1_CORNERS[-1]]
         for a, b, h, j in corners:
-            _assert_matches_mpmath(RInnerFactor(*triple, a, b, h, j))
+            _assert_weight_matches_mpmath(Params(*triple, a=a, b=b, h=h, j=j))
 
     def test_imaginary_h_fourier_route(self):
-        params = fourier_params(FourierSpec(1.0, 0.4, 1.0, 0.7, 0.9))
+        params = dataclasses.replace(fourier_params(FourierSpec(1.0, 0.4, 1.0, 0.7, 0.9)), c=0.0)
         factor = RInnerFactor(params.n, params.m, params.nu,
                               params.a, params.b, params.h, params.j)
         assert complex(factor.h).real == 0.0
         assert np.iscomplexobj(factor.bounded_part(np.array([1.0])))
-        _assert_matches_mpmath(factor)
+        _assert_weight_matches_mpmath(params)
 
 
 class TestMuFloor:

@@ -120,12 +120,15 @@ class TestNormalize:
             (Params(0, 1, 3, a=1.0, b=0.4, c=0.9), TestIntegrand(1.0, 1.0, 0.3)),  # erf family
             (Params(4, 4, 0, a=1.0, b=0.3, c=0.8, h=0.6), TestIntegrand(1.0, 1.5, 0.1)),  # 1F1
             (Params(4, 4, 0, a=1.0, b=0.3, c=0.8, h=0.6, j=0.5), TestIntegrand(1.0, 1.5, 0.1)),
+            # the mixed-tilde rules of this triple integrate another 2-D side
+            (Params(3, 4, 0, a=2.0, b=1.0, c=1.0), TestIntegrand(1.0, 1.0, 0.5)),
         ],
     )
     def test_soundness_across_families(self, params, f):
         res = normalize(params, f)
         assert res is not None
         rule, params2, f2 = res
+        assert rule.family is not Family.MIXED_TILDE
         lhs = direct_2d(params, f)
         rhs = rule.reduce_to_1d(params2, f2)
         assert complex(lhs.value).real == pytest.approx(
@@ -638,6 +641,39 @@ class TestRInnerIntegral:
         lhs = direct_2d(params, f)
         assert rhs.converged and lhs.converged
         assert abs(rhs.value - lhs.value) <= 1e-12 * abs(lhs.value)
+
+    @pytest.mark.parametrize(
+        "params, mu",
+        [
+            (Params(4, 4, 0, a=1.0, b=0.5, h=0.3, j=0.2), 1.5),
+            (Params(4, 2, 1, a=1.2, b=0.5, h=0.3, j=0.7), 1.2),
+            (Params(3, 3, 1, a=0.7, b=0.2, j=0.4), 1.4),
+        ],
+    )
+    def test_converges_without_linear_decay(self, params, mu):
+        # at c = sigma = 0 the weight decays as t**(1 - (n+m+nu)/2), its alpha
+        f = TestIntegrand(1.0, mu, 0.0)
+        rhs = get_rule("R1-rint").reduce_to_1d(params, f)
+        lhs = direct_2d(params, f)
+        assert rhs.converged and lhs.converged
+        assert abs(rhs.value - lhs.value) <= 1e-12 * abs(lhs.value)
+
+    def test_inner_evaluations_of_the_seed_42_draws(self, monkeypatch):
+        # each row's share of the weight keeps the sigma-batches to the work
+        # they did with the cut-off folded inside the factor (429 999)
+        evaluations = 0
+
+        def spy(integrand, tol):
+            nonlocal evaluations
+            res = quadrature.integrate_interval(integrand, tol)
+            evaluations += res.evaluations
+            return res
+
+        monkeypatch.setattr(kernels, "integrate_interval", spy)
+        for case_index in range(20):
+            params, f = _sweep_case("R1-rint", 42, case_index)
+            get_rule("R1-rint").reduce_to_1d(params, f)
+        assert 0 < evaluations <= 429_999
 
     def test_inner_batch_starts_at_the_fused_head_of_levels_0_to_3(self, monkeypatch):
         params, f = _sweep_case("R1-rint", 42, 3)
