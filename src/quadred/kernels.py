@@ -306,13 +306,20 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     turn complex at the first complex contribution.  The terms, their
     special factors included, run under one np.errstate that ignores
     log(0) and underflow whatever the caller has set.
+
+    A call costs more per term than per node (a quadrature block is 32
+    nodes), so each term takes its live rows by a mask only when some row
+    is dead, and its tests are ufunc reductions rather than numpy's
+    Python-level any/min; either way each node gets the same arithmetic,
+    so the values keep their bits.
     """
     t = np.asarray(t, dtype=float)
+    shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
     out = np.zeros(t.shape)
     logt = np.log(t)
     lead = abs(f.coeff)
     if lead == 0.0:
-        return out
+        return out.reshape(shape)
     fsign = 1.0 if f.coeff >= 0 else -1.0
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
@@ -326,13 +333,15 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                 - term.gamma / t
             )
             live = logmag > _LOG_DEAD
-            if not live.any():
+            rows = np.count_nonzero(live)
+            if rows == 0:
                 continue
-            logtot, phase = logmag[live], 1.0
+            whole = rows == live.size
+            logtot, phase = logmag if whole else logmag[live], 1.0
             if term.special is not None:
-                bounded = term.special.bounded_part(t[live])
+                bounded = term.special.bounded_part(t if whole else t[live])
                 mag, lift = np.abs(bounded), 1.0
-                if mag.min() < 1e-280:
+                if np.minimum.reduce(mag, axis=None) < 1e-280:
                     # lift denormals into the normal range before the division:
                     # numpy's complex divide NaNs out on denormals
                     lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
@@ -341,14 +350,17 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                 logtot = logtot + np.log(mag) - np.log(lift)
                 # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
                 phase = bounded / np.maximum(mag, 1e-300)
-            if np.any(logtot > _LOG_OVERFLOW):
+            if np.logical_or.reduce(logtot > _LOG_OVERFLOW, axis=None):
                 raise KernelError(
                     "kernel term overflow: f violates the convergence floor of this rule"
                 )
             vals = np.exp(logtot) * phase
             out = out.astype(np.result_type(out, vals), copy=False)
-            out[live] += csign * vals
-    return out
+            if whole:
+                out += csign * vals
+            else:
+                out[live] += csign * vals
+    return out.reshape(shape)
 
 
 def eval_kernel(terms: list[KernelTerm], t) -> np.ndarray | complex | float:

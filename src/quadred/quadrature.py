@@ -15,21 +15,26 @@ are bit-reproducible.
 The driver's own rules fix some blocks in advance: a scan stops a
 direction only after two quiet blocks, and the first convergence test
 follows level _FIRST_TEST_LEVEL (3).  So the first two blocks of each
-direction (a level's head) are evaluated whatever the values, and they
-are fetched together: one integrand call for the heads of levels 0 to 3,
-one for each later level's head, and one per block past a head.  A drive
-pays per call more than per node (on a 2-core Xeon VM, an oracle call of
-43 x 32 values costs about 37 us, and one of 43 x 258 about 147 us), and
-nearly every drive reaches level 3, so levels 2 and 3 ride in the first
-call.  Testing from level 3 also keeps two coarse levels that agree by
-chance from passing for convergence.  A head is multiplied by its
-weights in one pass and each direction's part of it summed in one pass,
-so a head's terms are grouped otherwise than block by block, which can
-move a last bit; a complex sum is two real sums, so a real row of a
-complex batch keeps the bits it has alone.  Every drive fetches this
-way, the quadrant's outer and inner drives and R1's inner batch
-included: the outer drive's inner rows are judged by their share of the
-outer sum (see integrate_quadrant), so which x nodes share a call moves
+direction are evaluated whatever the values, and they are fetched
+together as the level's head: one integrand call for the heads of levels
+0 to 3, one for each later level's head, and one per block past a head.
+A drive pays per call more than per node (on a 2-core Xeon VM, an oracle
+call of 43 x 32 values costs about 37 us, and one of 43 x 258 about
+147 us), and nearly every drive reaches level 3, so levels 2 and 3 ride
+in the first call.  For the same reason a head holds a short run whole,
+one of at most _WHOLE_RUN_BLOCKS blocks: a drive takes one call for
+level 4, whose runs have 98 nodes, and evaluates the nodes past a quiet
+stop that the head holds (2 per direction where a scan stops after its
+third block).  Runs are longer than that from level 5 on.  Testing from
+level 3 also keeps two coarse levels that agree by chance from passing
+for convergence.  A head is multiplied by its weights in one pass and
+each direction's first two blocks are summed in one pass, so those
+terms are grouped otherwise than block by block, which can move a last
+bit; a complex sum is two real sums, so a real row of a complex batch
+keeps the bits it has alone.  Every drive fetches this way, the
+quadrant's outer and inner drives and R1's inner batch included: the
+outer drive's inner rows are judged by their share of the outer sum
+(see integrate_quadrant), so which x nodes share a call moves
 an inner value only within the tolerance it was judged by.
 
 A ladder is a node generator with what is built from it, each built on
@@ -85,6 +90,8 @@ _HALF_PI = math.pi / 2.0
 # of the running sum.
 _TRUNC_EPS = 1e-18
 _BLOCK = 32
+# A head holds a run of at most this many blocks whole (see _head).
+_WHOLE_RUN_BLOCKS = 4
 _MAX_LEVEL = 11
 _BASE_STEP = 0.5
 _U_MAX = 700.0  # |u| rail; transformed nodes under/overflow long before this
@@ -280,20 +287,28 @@ def _run(ladder: _Ladder, level: int, direction: float):
     return run
 
 
+def _held(n: int) -> int:
+    """How many of a run's n nodes its level's head holds (see _head)."""
+    return n if n <= _WHOLE_RUN_BLOCKS * _BLOCK else 2 * _BLOCK
+
+
 def _head(ladder: _Ladder, levels: tuple):
-    """The (x, w) every scan on levels must evaluate, fused.
+    """The (x, w) of every run on levels that a scan fetches first, fused.
 
     levels lists level indices.  A scan stops a direction only after two
     quiet blocks, so whatever the values it evaluates the first 2 * _BLOCK
     nodes of each direction's run, or the whole run where it is shorter.
-    The head holds those nodes' abscissae and weights in scan order.  It
-    is never empty: u = 0 and u = offset are nodes of both ladders.
+    A run of at most _WHOLE_RUN_BLOCKS blocks is held whole, since a call
+    costs more than the nodes a quiet stop might spare (see the module);
+    a longer run gives its first 2 * _BLOCK nodes (see _held).  The head
+    holds those nodes' abscissae and weights in scan order.  It is never
+    empty: u = 0 and u = offset are nodes of both ladders.
     """
     if levels in ladder.heads:
         return ladder.heads[levels]
     runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
-    x = np.concatenate([x[:2 * _BLOCK] for x, _ in runs])
-    w = np.concatenate([w[:2 * _BLOCK] for _, w in runs])
+    x = np.concatenate([x[:_held(len(x))] for x, _ in runs])
+    w = np.concatenate([w[:_held(len(w))] for _, w in runs])
     x.flags.writeable = w.flags.writeable = False
     ladder.heads[levels] = head = x, w
     return head
@@ -353,24 +368,32 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
 
     head is (values, terms) of a fused call (see _head), terms being the
     values times the head's weights; from index at on they hold this
-    level's head.  Each direction is summed chunk by chunk: its part of
-    the head, then one block of its run per call of f.  A chunk is summed
-    in one pass; a non-finite term leaves its row's sum non-finite, so one
-    check of that sum stands for a check of every term.  Where the run
-    goes on, each block of the chunk is tested for quiet against the new
-    total.  Returns (sum, the offset past this level's head).  It sets no
-    error state: it runs under its entry point's.
+    level's head.  Each direction is summed chunk by chunk: its first
+    2 * _BLOCK nodes, then one block at a time, sliced from the head
+    while it holds them and fetched by one call of f each past it.  So
+    the sums, and where a scan stops, do not depend on how much of a run
+    the head holds.  A chunk is summed in one pass; a non-finite term
+    leaves its row's sum non-finite, so one check of that sum stands for
+    a check of every term.  Where the run goes on, each block of the
+    chunk is tested for quiet against the new total.  Returns (sum, the
+    offset past this level's head).  It sets no error state: it runs
+    under its entry point's.
     """
     values, head_terms = head
     total = 0.0
     for direction in (+1.0, -1.0):
         x, w = _run(ladder, level, direction)
+        held = _held(len(x))
         start, end, quiet = 0, min(len(x), 2 * _BLOCK), 0
-        y, terms = values[..., at:at + end], head_terms[..., at:at + end]
-        at += end
         while True:
+            if end <= held:
+                y = values[..., at + start:at + end]
+                terms = head_terms[..., at + start:at + end]
+            else:
+                y = np.asarray(f(x[start:end]))
+                terms = y * w[start:end]
             part = _sum(terms)
-            if not np.isfinite(part).all():
+            if not np.logical_and.reduce(np.isfinite(part), axis=None):
                 _raise_non_finite(x[start:end], y, terms)
             total = total + part
             if end == len(x):
@@ -382,8 +405,7 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
             if quiet >= 2:
                 break
             start, end = end, min(end + _BLOCK, len(x))
-            y = np.asarray(f(x[start:end]))
-            terms = y * w[start:end]
+        at += held
     return total, at
 
 
@@ -463,7 +485,7 @@ def _result(level, evaluations: int) -> QuadResult:
     if np.ndim(value) == 0:
         value = complex(value)
     # a batch has one value per row, real when every imaginary part is 0
-    out = value if np.any(np.imag(value)) else value.real
+    out = value if np.logical_or.reduce(np.imag(value), axis=None) else value.real
     return QuadResult(out, float(estimate), evaluations, converged)
 
 
@@ -526,13 +548,16 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     against the work bound.  An inner drive that does not converge clears
     converged of the result.  Whatever tol is, an inner batch that would
     take the evaluations of integrand2d past _QUADRANT_MAX_EVALUATIONS is
-    not run, and the outer drive stops at its last completed level (see
-    the module).
+    neither run nor counted, and the outer drive stops at its last
+    completed level (see the module).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only; once rows retire, the column is a copy that
-    holds the live ones.  Both drives fetch fused heads (see _drive):
-    a column holds up to four blocks of x, sixteen for levels 0 to 3, and
+    holds the live ones.  Both drives fetch fused heads (see _drive and
+    _head): a column holds the x nodes of one head, a run's first two
+    blocks or the whole of a run of at most four blocks per direction
+    and level (on the unclipped ladder 197 nodes for levels 0 to 3, 196
+    for level 4 and 128 for each later level), or one block past a head;
     so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
@@ -547,6 +572,7 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))
     evaluations = failures = 0
+    exhausted = False  # an inner batch was refused: the outer drive stops too
     outer = inner = _EXP_SINH
     if support is not None:
         outer, inner = _clipped(*support[0]), _clipped(*support[1])
@@ -559,10 +585,11 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
         col, live_share = xs[:, None], share  # the live rows
 
         def batch(ys: np.ndarray):
-            nonlocal evaluations
-            evaluations += col.size * ys.size
-            if evaluations > _QUADRANT_MAX_EVALUATIONS:
+            nonlocal evaluations, exhausted
+            if evaluations + col.size * ys.size > _QUADRANT_MAX_EVALUATIONS:
+                exhausted = True
                 raise _BudgetExceeded
+            evaluations += col.size * ys.size
             return integrand2d(col, ys) * live_share
 
         def narrow(keep: np.ndarray):
@@ -571,7 +598,7 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
             col.flags.writeable = False  # a mask makes a writable copy
 
         value, _, converged = _drive(batch, inner, inner_tol, floor=0.0, narrow=narrow)
-        if evaluations > _QUADRANT_MAX_EVALUATIONS:
+        if exhausted:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged
         return value / share[:, 0]

@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from quadred import applications, kernels
 from quadred.applications import FourierSpec, fourier_params
-from quadred.catalog import G1_GRID, R1_GRID, get_rule
+from quadred.catalog import G1_GRID, R1_GRID, get_rule, list_rules
 from quadred.kernels import (
     BesselKFactor,
     ErfSqrtInvFactor,
@@ -27,6 +27,7 @@ from quadred.kernels import (
 )
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import integrate_interval
+from quadred.reducer import _case_inputs
 
 SQPI = math.sqrt(math.pi)
 
@@ -84,6 +85,107 @@ class TestTermEvaluation:
         terms = [KernelTerm(1.0, -1.0 - 2, beta=1.0, special=BesselKFactor(2, 2.0))]
         with pytest.raises(KernelError, match="floor"):
             eval_kernel_with_f(terms, TestIntegrand(1.0, -1.0, 0.0), np.array([1e-140]))
+
+
+def _reference_eval_kernel_with_f(terms, f, t, seen: set):
+    """The evaluator as it was before its fast paths: every term gathers its
+    live rows and scatters its values by mask.  seen collects which cases
+    ran: whole, part or dead terms, the denormal lift, complex values."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    logt = np.log(t)
+    lead = abs(f.coeff)
+    if lead == 0.0:
+        return out
+    fsign = 1.0 if f.coeff >= 0 else -1.0
+    with np.errstate(divide="ignore", under="ignore"):
+        for term in terms:
+            if term.coeff == 0.0:
+                continue
+            csign = fsign * (1.0 if term.coeff >= 0 else -1.0)
+            logmag = (
+                math.log(lead * abs(term.coeff))
+                + (f.mu + term.alpha) * logt
+                - (f.sigma + term.beta) * t
+                - term.gamma / t
+            )
+            live = logmag > kernels._LOG_DEAD
+            if not live.any():
+                seen.add("dead")
+                continue
+            seen.add("whole" if live.all() else "part")
+            logtot, phase = logmag[live], 1.0
+            if term.special is not None:
+                bounded = term.special.bounded_part(t[live])
+                mag, lift = np.abs(bounded), 1.0
+                if mag.min() < 1e-280:
+                    if np.any((mag > 0.0) & (mag < 1e-280)):
+                        seen.add("lift")  # of a value that is not 0
+                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
+                    bounded = bounded * lift
+                    mag = np.abs(bounded)
+                logtot = logtot + np.log(mag) - np.log(lift)
+                phase = bounded / np.maximum(mag, 1e-300)
+            if np.any(logtot > kernels._LOG_OVERFLOW):
+                raise KernelError(
+                    "kernel term overflow: f violates the convergence floor of this rule"
+                )
+            vals = np.exp(logtot) * phase
+            seen.add(vals.dtype.kind)
+            out = out.astype(np.result_type(out, vals), copy=False)
+            out[live] += csign * vals
+    return out
+
+
+def _evaluator_cases():
+    """(id, terms, f): every non-erratum rule's first seed-42 sweep draw,
+    and the momentum-space erfi kernel, its colinear spec pushing the
+    factor through the denormal range."""
+    cases = []
+    for index, rule in enumerate(list_rules(include_erratum=False)):
+        params, f = _case_inputs(rule, 42, index, 0)
+        cases.append((rule.id, rule.build_kernel(params), f))
+    for args in [(1.0, 0.3, 1.0, 0.5, 1.0), (0.5, 4.0, 1.0, 0.6, 8.0)]:
+        terms = applications._erfi_kernel(FourierSpec(*args))
+        cases.append((f"erfi-{args[1]}", terms, TestIntegrand(1.0, 1.5, 0.0)))
+    return cases
+
+
+# a log grid over the half line's span, and a dense one on [1, 100], where
+# the colinear erfi factor falls through the denormal range to 0
+_T_GRID = np.union1d(np.geomspace(1e-160, 1e160, 801), np.linspace(1.0, 100.0, 793))
+# the whole grid, where a term is partly dead, and windows of 8 nodes, where
+# terms are also wholly live or wholly dead
+_T_WINDOWS = [_T_GRID] + [_T_GRID[k:k + 8] for k in range(0, len(_T_GRID), 8)]
+
+
+class TestEvaluatorKeepsItsBits:
+    """eval_kernel_with_f gives the bits of its per-term masked reference."""
+
+    @staticmethod
+    def _bits(evaluate, terms, f, t):
+        out = evaluate(terms, f, t)
+        return out.dtype.str, out.tobytes()
+
+    def test_bitwise_equal(self):
+        seen = set()
+        for case_id, terms, f in _evaluator_cases():
+            for t in _T_WINDOWS:
+                want = self._bits(
+                    lambda *args: _reference_eval_kernel_with_f(*args, seen), terms, f, t)
+                assert self._bits(eval_kernel_with_f, terms, f, t) == want, (case_id, t[0])
+        # every path of the evaluator ran, complex ("c") and real ("f") values
+        assert seen == {"whole", "part", "dead", "lift", "c", "f"}
+
+    def test_shape_of_t_is_kept(self):
+        # a scalar t and a 2-D t give the reference's shape and bits; a
+        # factor still gets a 1-D array of rows, as R1's inner batch needs
+        for case_id, terms, f in _evaluator_cases():
+            for t in (np.float64(1.0), np.geomspace(1e-3, 1e3, 8).reshape(2, 4)):
+                got = eval_kernel_with_f(terms, f, t)
+                want = _reference_eval_kernel_with_f(terms, f, t, set())
+                assert got.shape == want.shape == np.shape(t), case_id
+                assert got.tobytes() == want.tobytes(), case_id
 
 
 class TestBesselBranch:

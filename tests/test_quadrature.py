@@ -50,6 +50,20 @@ def _seed_cross_check_f2(x, y):
     return (x + y) ** -0.5 * np.exp(-t - x - y)
 
 
+def _damped_cosine(t):
+    return t**-0.5 * np.exp(-t) * (1.0 + np.cos(3.0 * t))
+
+
+def _fast_cosine(x):
+    return x[:, 0] ** -0.5 * (1.0 + np.cos(200.0 * x[:, 0]))
+
+
+def _damped_cosines_f2(x, y):
+    # the seed cross-check's integrand times (1 + cos 3x)(1 + cos 3y): its
+    # drives go past level 4, so scans fetch blocks past their heads
+    return _seed_cross_check_f2(x, y) * (1.0 + np.cos(3.0 * x)) * (1.0 + np.cos(3.0 * y))
+
+
 def _divergent_f2(x, y):
     # (x+y)^-1/2 exp(-xy/(x+y)) alone is not integrable over the quadrant
     t = 1.0 / (1.0 / x + 1.0 / y)
@@ -401,10 +415,10 @@ class TestBudgetExhaustion:
     def test_quadrant_exhausted_inside_inner_rows(self, monkeypatch):
         # only inner evaluations are counted, so the bound always runs out
         # inside an inner batch; that stops the outer integral as well.  At
-        # this tolerance the outer drive goes past its first call (50 449
-        # evaluations as inner rows retire) to level 4, whose third inner
-        # batch takes it from 94 385 past 100 000: level 3's value and
-        # estimate are returned
+        # this tolerance the outer drive goes past its first call (50 569
+        # evaluations as inner rows retire) to level 4, whose inner batch
+        # runs its first call (to 89 181) and would take it past 100 000 with
+        # its second: level 3's value and estimate are returned
         monkeypatch.setattr(quadrature, "_QUADRANT_MAX_EVALUATIONS", 100_000)
         res = integrate_quadrant(_seed_cross_check_f2, Tolerance(rel=1e-11))
         assert not res.converged
@@ -418,9 +432,9 @@ class TestBudgetExhaustion:
         passed = integrate_quadrant(_divergent_f2, Tolerance(rel=1e-9, abs=1e-14))
         assert default == passed
         assert not default.converged
-        assert default.evaluations == 300_059
+        assert default.evaluations == 297_531
 
-    def test_evaluations_count_integrand_points_only(self):
+    def test_evaluations_count_integrand_points_only(self, monkeypatch):
         points = []
 
         def f(t):
@@ -439,6 +453,14 @@ class TestBudgetExhaustion:
         assert res.evaluations == sum(points)
         points.clear()
         res = integrate_quadrant(f2)
+        assert res.evaluations == sum(points)
+        points.clear()
+        # a budget-stopped oracle counts the inner batches it ran, not the
+        # one it refused
+        monkeypatch.setattr(quadrature, "_QUADRANT_MAX_EVALUATIONS", 300_000)
+        res = integrate_quadrant(
+            lambda x, y: points.append(x.size * y.size) or _divergent_f2(x, y))
+        assert not res.converged
         assert res.evaluations == sum(points)
 
 
@@ -716,10 +738,13 @@ class TestNodeLadder:
 
     def test_quadrant_hands_over_stable_read_only_blocks(self):
         # within one integral, the column of an outer block and the row of
-        # an inner block come back with the same contents, read-only.  At
-        # the default targets this integral takes one call, the fused heads
-        # of levels 0-3; at these its drives go past level 3, so columns get
-        # more than one inner call and rows are revisited
+        # an inner block come back with the same contents, read-only.  A
+        # level's head holds its whole run up to level 4, so a column gets
+        # more than one inner call only where an inner drive scans past a
+        # head of 64 nodes per direction, from level 5 on.  Damped
+        # oscillation in x and y takes both drives there at the default
+        # targets, so columns get more than one inner call and rows are
+        # revisited
         cols: dict[bytes, list] = {}
         rows: dict[bytes, list] = {}
 
@@ -727,9 +752,9 @@ class TestNodeLadder:
             assert not x.flags.writeable and not y.flags.writeable
             cols.setdefault(x.tobytes(), []).append(x)
             rows.setdefault(y.tobytes(), []).append(y)
-            return _seed_cross_check_f2(x, y)
+            return _damped_cosines_f2(x, y)
 
-        assert integrate_quadrant(f2, Tolerance(rel=1e-11)).converged
+        assert integrate_quadrant(f2).converged
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
@@ -755,7 +780,7 @@ class TestFetchRule:
     PINNED = {
         "half-line-exp": (
             lambda: integrate_half_line(lambda t: np.exp(-t)),
-            "0x1.0000000000000p+0", 391,
+            "0x1.0000000000000p+0", 393,
         ),
         "half-line-bilateral": (
             lambda: integrate_half_line(lambda t: t**-0.5 * np.exp(-t - 1.0 / t)),
@@ -803,8 +828,8 @@ class TestFetchRule:
             assert abs(got - ref) <= 1e-15 * size
 
     def test_half_line_call_count(self):
-        # levels 0-3 in one call, one head call for level 4, and three
-        # blocks past level 4's head (17 calls at one per block)
+        # levels 0-3 in one call, and level 4's runs of 98 nodes per
+        # direction whole in one head call (17 calls at one per block)
         sizes = []
 
         def f(t):
@@ -812,8 +837,71 @@ class TestFetchRule:
             return np.exp(-t)
 
         res = integrate_half_line(f)
-        assert len(sizes) == 5
-        assert sum(sizes) == res.evaluations == 391
+        assert sizes == [len(quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)[0]), 196]
+        assert sum(sizes) == res.evaluations == 393
+
+    # (ladder, run lengths per direction at levels 0 to 5, or 6 where clipped)
+    RUNS = {
+        "exp-sinh": (
+            quadrature._EXP_SINH,
+            [(13, 12), (12, 12), (25, 25), (49, 49), (98, 98), (197, 197)],
+        ),
+        "unit-pair": (
+            quadrature._UNIT_PAIR,
+            [(13, 12), (12, 12), (24, 24), (49, 49), (98, 98), (196, 196)],
+        ),
+        "clipped": (
+            quadrature._clipped(1e-3, 1e3),
+            [(5, 4), (4, 4), (9, 9), (17, 17), (35, 35), (70, 70), (140, 140)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_head_holds_runs_of_at_most_four_blocks_whole(self, name):
+        # a longer run gives its first two blocks; from level 5 on every
+        # fixed run is longer, and a clipped ladder's short runs go further
+        ladder, lengths = self.RUNS[name]
+        assert quadrature._WHOLE_RUN_BLOCKS * quadrature._BLOCK == 128
+        for level in range(len(quadrature._LEVELS)):
+            x, w = quadrature._head(ladder, (level,))
+            runs = [quadrature._run(ladder, level, d) for d in (1.0, -1.0)]
+            sizes = tuple(len(rx) for rx, _ in runs)
+            if level < len(lengths):
+                assert sizes == lengths[level]
+            else:
+                assert min(sizes) >= 196
+            held = [(rx, rw) if len(rx) <= 128 else (rx[:64], rw[:64]) for rx, rw in runs]
+            assert x.tobytes() == np.concatenate([hx for hx, _ in held]).tobytes()
+            assert w.tobytes() == np.concatenate([hw for _, hw in held]).tobytes()
+
+    @pytest.mark.parametrize("route", ["half-line", "interval", "quadrant"])
+    def test_no_node_is_fetched_twice(self, route):
+        # a scan slices what its head holds and calls f only past it, so
+        # no node of one drive reaches f twice; these integrands scan past
+        # heads of 64 nodes per direction
+        calls = []
+        if route == "half-line":
+            res = integrate_half_line(lambda t: calls.append(t) or _damped_cosine(t))
+            drives = [calls]
+        elif route == "interval":
+            # the pairs (s, 1 - s), since s rounds to 1 near 1
+            res = integrate_interval(lambda x: calls.append(x) or _fast_cosine(x))
+            drives = [calls]
+        else:
+            res = integrate_quadrant(lambda x, y: calls.append((x, y)) or _damped_cosines_f2(x, y))
+            # each outer call starts an inner drive at the fused head of levels
+            # 0 to 3, with the outer call's whole column
+            first, _ = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+            starts = [k for k, (_, y) in enumerate(calls) if y is first]
+            drives = [[calls[k][0][:, 0] for k in starts]]
+            for a, b in zip(starts, starts[1:] + [len(calls)]):
+                drives.append([y for _, y in calls[a:b]])
+        assert res.converged
+        # some call is a block past a head
+        assert min(len(nodes) for drive in drives for nodes in drive) <= quadrature._BLOCK
+        for drive in drives:
+            nodes = np.concatenate(drive)
+            assert len(np.unique(nodes, axis=0)) == len(nodes)
 
     # integrands that meet the default targets at level 2 when tested from level 1
     EARLY = {

@@ -319,9 +319,9 @@ class TestOracleWork:
     """
 
     @pytest.mark.parametrize("rule_id, case_index, evaluations, calls", _by_draw([
-        ("K1-111", 0, 43_945, 19),
-        ("T5-nu2", 13, 43_256, 16),
-        ("K5-1m75", 9, 25_785, 4),
+        ("K1-111", 0, 42_545, 4),
+        ("T5-nu2", 13, 43_409, 10),
+        ("K5-1m75", 9, 25_785, 2),
     ]))
     def test_evaluations_pinned(self, rule_id, case_index, evaluations, calls, monkeypatch):
         seen = []
@@ -337,7 +337,7 @@ class TestOracleWork:
         assert len(seen) == calls
 
     @pytest.mark.parametrize("rule_id, case_index, value_hex", _by_draw([
-        ("K1-111", 0, "0x1.ce9a826641712p+0"),
+        ("K1-111", 0, "0x1.ce9a826641704p+0"),
         ("T5-nu2", 13, "0x1.5c09cbbef6e94p+1"),
         ("K5-1m75", 9, "0x1.290c5dcbe2f8ap+1"),
         ("G1-general", 0, "0x1.04cfad0f771c8p+1"),  # real h
