@@ -151,9 +151,11 @@ class FourierErfiFactor(_Factor):
     chi the scalar product of the momentum with the separation.  gamma is
     the common cut-off min(eta1, eta2)^2/4 and beta the Cauchy-Schwarz
     residual max(x2^2 - (chi/k)^2, 0); both go to the factor's KernelTerm.
-    Evaluated through the Faddeeva function so every exponent keeps a
-    non-positive real part, and each of the two terms is at most 3 in
-    magnitude; the lower half plane is reached via the w(-z) reflection.
+    Evaluated through the Faddeeva function w, z- and z+ as the two rows of
+    one array, so every exponent keeps a non-positive real part and each of
+    the two terms is at most 3 in magnitude.  Im z+- = chi sqrt(t)/k has the
+    sign of chi at every t > 0, so one branch serves a whole call: w(z) for
+    chi >= 0, else the reflection w(z) = 2 exp(-z^2) - w(-z) (DLMF 7.4.3).
     """
 
     k: float
@@ -171,42 +173,24 @@ class FourierErfiFactor(_Factor):
         return max(self.x2 * self.x2 - (self.chi / self.k) ** 2, 0.0)
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        k, chi, gamma = self.k, self.chi, self.gamma
-        g = (self.eta1**2 - self.eta2**2) / 4.0
-        d = k * k / 4.0
-        rt = np.sqrt(t)
-        zp = (1j * chi * t + (g + d)) / (k * rt)
-        zm = (1j * chi * t + (g - d)) / (k * rt)
+        k, chi = self.k, self.chi
+        g, d = (self.eta1**2 - self.eta2**2) / 4.0, k * k / 4.0
+        # rows z- and z+: real offsets, cut-offs less gamma, exponent phases
+        gg = np.array([[g - d], [g + d]])
+        cut = np.array([[self.eta1**2 / 4.0], [self.eta2**2 / 4.0]]) - self.gamma
+        phase = np.array([[-chi], [0.0]])
+        z = (1j * chi * t + gg) / (k * np.sqrt(t))
         # prefactor exponents with -beta t - gamma/t taken out, each real part <= 0
-        cut1, cut2 = self.eta1**2 / 4.0 - gamma, self.eta2**2 / 4.0 - gamma
-        decay = self.x2 * self.x2 - self.beta
-        a2 = -cut2 / t - decay * t + 0j
-        a1 = -cut1 / t - decay * t - 1j * chi
-
-        # expo - z^2, built analytically: the x2^2 t part cancels against
-        # (chi/k)^2 t up to the residual beta, which must not be left to
-        # floating-point subtraction of huge intermediates
-        def minus_z2(cut: float, gg: float, phase0: float) -> np.ndarray:
-            re = -(cut + gg * gg / (k * k)) / t
-            return re + 1j * (phase0 - 2.0 * chi * gg / (k * k))
-
-        a1_z2 = minus_z2(cut1, g - d, -chi)
-        a2_z2 = minus_z2(cut2, g + d, 0.0)
-
-        def stable_term(z, expo, expo_minus_z2):
-            out = np.zeros(z.shape, dtype=complex)
-            up = z.imag >= 0.0
-            out[up] = np.exp(expo[up]) * _sp.wofz(z[up])
-            dn = ~up
-            if dn.any():
-                # w(z) = 2 exp(-z^2) - w(-z); both exponents stay <= 0
-                out[dn] = (
-                    2.0 * np.exp(expo_minus_z2[dn])
-                    - np.exp(expo[dn]) * _sp.wofz(-z[dn])
-                )
-            return out
-
-        return 1j * (stable_term(zm, a1, a1_z2) - stable_term(zp, a2, a2_z2))
+        expo = -cut / t - (self.x2 * self.x2 - self.beta) * t + 1j * phase
+        if chi >= 0.0:
+            terms = np.exp(expo) * _sp.wofz(z)
+        else:
+            # expo - z^2, built analytically: the x2^2 t part cancels against
+            # (chi/k)^2 t up to the residual beta, which must not be left to
+            # floating-point subtraction of huge intermediates
+            minus_z2 = -(cut + gg * gg / (k * k)) / t + 1j * (phase - 2.0 * chi * gg / (k * k))
+            terms = 2.0 * np.exp(minus_z2) - np.exp(expo) * _sp.wofz(-z)
+        return 1j * (terms[0] - terms[1])
 
 
 @dataclass(frozen=True)
@@ -308,10 +292,10 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     log(0) and underflow whatever the caller has set.
 
     A call costs more per term than per node (a quadrature block is 32
-    nodes), so each term takes its live rows by a mask only when some row
-    is dead, and its tests are ufunc reductions rather than numpy's
-    Python-level any/min; either way each node gets the same arithmetic,
-    so the values keep their bits.
+    nodes), so a term masks its live rows only where some row is dead,
+    tests by ufunc reductions, and skips what cannot change a bit: a zero
+    beta or gamma (t is finite and positive), a phase or lift of 1, and a
+    sign, added or subtracted.  So the values keep their bits.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
@@ -320,46 +304,48 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     lead = abs(f.coeff)
     if lead == 0.0:
         return out.reshape(shape)
-    fsign = 1.0 if f.coeff >= 0 else -1.0
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            csign = fsign * (1.0 if term.coeff >= 0 else -1.0)
-            logmag = (
-                math.log(lead * abs(term.coeff))
-                + (f.mu + term.alpha) * logt
-                - (f.sigma + term.beta) * t
-                - term.gamma / t
-            )
+            logmag = math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
+            if f.sigma + term.beta != 0.0:
+                logmag = logmag - (f.sigma + term.beta) * t
+            if term.gamma != 0.0:
+                logmag = logmag - term.gamma / t
             live = logmag > _LOG_DEAD
             rows = np.count_nonzero(live)
             if rows == 0:
                 continue
             whole = rows == live.size
-            logtot, phase = logmag if whole else logmag[live], 1.0
+            logtot, phase = logmag if whole else logmag[live], None
             if term.special is not None:
                 bounded = term.special.bounded_part(t if whole else t[live])
-                mag, lift = np.abs(bounded), 1.0
+                mag = np.abs(bounded)
                 if np.minimum.reduce(mag, axis=None) < 1e-280:
                     # lift denormals into the normal range before the division:
                     # numpy's complex divide NaNs out on denormals
                     lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
                     bounded = bounded * lift
                     mag = np.abs(bounded)
-                logtot = logtot + np.log(mag) - np.log(lift)
+                    logtot = logtot + np.log(mag) - np.log(lift)
+                else:
+                    logtot = logtot + np.log(mag)
                 # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
                 phase = bounded / np.maximum(mag, 1e-300)
-            if np.logical_or.reduce(logtot > _LOG_OVERFLOW, axis=None):
+            # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
+            if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
                 raise KernelError(
                     "kernel term overflow: f violates the convergence floor of this rule"
                 )
-            vals = np.exp(logtot) * phase
-            out = out.astype(np.result_type(out, vals), copy=False)
+            vals = np.exp(logtot) if phase is None else np.exp(logtot) * phase
+            if vals.dtype.kind == "c" and out.dtype.kind != "c":
+                out = out.astype(vals.dtype)
+            add = np.subtract if (f.coeff >= 0) != (term.coeff >= 0) else np.add
             if whole:
-                out += csign * vals
+                add(out, vals, out=out)
             else:
-                out[live] += csign * vals
+                out[live] = add(out[live], vals)
     return out.reshape(shape)
 
 

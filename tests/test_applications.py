@@ -315,6 +315,44 @@ class TestFourier:
         assert via_rule == pytest.approx(erfi_value(spec), rel=1e-8)
 
 
+def _bits(res: QuadResult) -> tuple[str, str, int]:
+    value = complex(res.value)
+    return value.real.hex(), value.imag.hex(), res.evaluations
+
+
+class TestRouteBitsArePinned:
+    """Each route's value bits and evaluations; a change that moves them re-pins
+    them and gives the old and new values in CHANGES.md."""
+
+    PINS = {
+        # chi > 0, chi < 0 and chi = 0: the erfi factor's two branches
+        FourierSpec(1.0, 0.4, 1.0, 0.5, 1.0): (
+            ("0x1.90ebc89a669d7p+1", "-0x1.067ec44e86419p-1", 393),
+            ("0x1.90ebc89a669d7p+1", "-0x1.067ec44e86419p-1", 195),
+        ),
+        FourierSpec(1.3, -0.7, 0.8, 1.4, 0.9): (
+            ("0x1.914f03008ea6ap+0", "0x1.5fb8635728f6ap-1", 393),
+            ("0x1.914f03008ea6ap+0", "0x1.5fb8635728f6ap-1", 195),
+        ),
+        FourierSpec(0.7, 0.0, 1.2, 0.6, 1.5): (
+            ("0x1.accc2be3a73e4p+0", "0x1.3cfd87a197d9ap-53", 393),
+            ("0x1.accc2be3a73e6p+0", "0x0.0p+0", 195),
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINS, key=lambda spec: spec.k_dot_x2),
+                             ids=["chi<0", "chi=0", "chi>0"])
+    def test_fourier_routes(self, spec):
+        erfi, tau = self.PINS[spec]
+        assert _bits(fourier_pair_erfi_result(spec)) == erfi
+        assert _bits(fourier_pair_tau_result(spec)) == tau
+
+    def test_yukawa_reduced(self):
+        res = yukawa_pair_reduced(YukawaPairSpec(1.0, 2.0, 1.0))
+        assert isinstance(res.value, float)
+        assert _bits(res) == ("0x1.f2ba71329dae9p-1", "0x0.0p+0", 393)
+
+
 class TestCheshire:
     def test_wrapped_derivative_agreement(self):
         rep = cheshire_check(1.0, 1.0)

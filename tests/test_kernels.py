@@ -148,6 +148,12 @@ def _evaluator_cases():
     for args in [(1.0, 0.3, 1.0, 0.5, 1.0), (0.5, 4.0, 1.0, 0.6, 8.0)]:
         terms = applications._erfi_kernel(FourierSpec(*args))
         cases.append((f"erfi-{args[1]}", terms, TestIntegrand(1.0, 1.5, 0.0)))
+    # the arithmetic the evaluator skips: a term with gamma = 0 and
+    # sigma + beta = 0, negative coefficients of a term and of f
+    terms = [KernelTerm(1.0, 0.0), KernelTerm(-2.0, -1.0, beta=0.5, gamma=0.3),
+             KernelTerm(0.5, -0.5, gamma=1.0, special=ErfSqrtInvFactor(0.7))]
+    for coeff in (1.0, -1.5):
+        cases.append((f"signs-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
     return cases
 
 
@@ -186,6 +192,31 @@ class TestEvaluatorKeepsItsBits:
                 want = _reference_eval_kernel_with_f(terms, f, t, set())
                 assert got.shape == want.shape == np.shape(t), case_id
                 assert got.tobytes() == want.tobytes(), case_id
+
+
+class _NanAtOne(kernels._Factor):
+    """A factor that is NaN at t = 1 and 1 elsewhere."""
+
+    def bounded_part(self, t):
+        return np.where(t == 1.0, np.nan, 1.0)
+
+
+class TestEvaluatorOverflow:
+    """A live row above the overflow bound raises, whatever a NaN row holds."""
+
+    TERMS = [KernelTerm(1.0, 5.0, special=_NanAtOne())]
+    F = TestIntegrand(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [[1.0, 1e100], [1e100, 1.0]], ids=["nan-first", "nan-last"])
+    def test_nan_row_does_not_hide_overflow(self, t):
+        # log|term| at t = 1e100 is 5 * 230 = 1151, above 705
+        with pytest.raises(KernelError, match="overflow"):
+            eval_kernel_with_f(self.TERMS, self.F, np.array(t))
+
+    def test_nan_row_alone_is_returned(self):
+        got = eval_kernel_with_f(self.TERMS, self.F, np.array([1.0, 2.0]))
+        want = _reference_eval_kernel_with_f(self.TERMS, self.F, np.array([1.0, 2.0]), set())
+        assert got.tobytes() == want.tobytes() and math.isnan(got[0])
 
 
 class TestBesselBranch:
@@ -400,6 +431,62 @@ class TestFourierErfiFactor:
         assert both.dtype == np.complex128 and both[0] == 0.0 and both[1] != 0.0
 
 
+def _reference_erfi_bounded_part(factor: FourierErfiFactor, t: np.ndarray) -> np.ndarray:
+    """FourierErfiFactor.bounded_part as it was before it branched once per
+    call: each of z- and z+ by itself, the reflection w(z) = 2 exp(-z^2) - w(-z)
+    chosen row by row by a mask on Im z."""
+    k, chi, gamma = factor.k, factor.chi, factor.gamma
+    g = (factor.eta1**2 - factor.eta2**2) / 4.0
+    d = k * k / 4.0
+    rt = np.sqrt(t)
+    zp = (1j * chi * t + (g + d)) / (k * rt)
+    zm = (1j * chi * t + (g - d)) / (k * rt)
+    cut1, cut2 = factor.eta1**2 / 4.0 - gamma, factor.eta2**2 / 4.0 - gamma
+    decay = factor.x2 * factor.x2 - factor.beta
+    a2 = -cut2 / t - decay * t + 0j
+    a1 = -cut1 / t - decay * t - 1j * chi
+
+    def minus_z2(cut: float, gg: float, phase0: float) -> np.ndarray:
+        re = -(cut + gg * gg / (k * k)) / t
+        return re + 1j * (phase0 - 2.0 * chi * gg / (k * k))
+
+    a1_z2 = minus_z2(cut1, g - d, -chi)
+    a2_z2 = minus_z2(cut2, g + d, 0.0)
+
+    def stable_term(z, expo, expo_minus_z2):
+        out = np.zeros(z.shape, dtype=complex)
+        up = z.imag >= 0.0
+        out[up] = np.exp(expo[up]) * sp.wofz(z[up])
+        dn = ~up
+        if dn.any():
+            out[dn] = 2.0 * np.exp(expo_minus_z2[dn]) - np.exp(expo[dn]) * sp.wofz(-z[dn])
+        return out
+
+    return 1j * (stable_term(zm, a1, a1_z2) - stable_term(zp, a2, a2_z2))
+
+
+class TestFourierErfiKeepsItsBits:
+    """One (2, n) pass branched on the sign of chi gives the masked reference's bits."""
+
+    @pytest.mark.parametrize("args", [
+        (1.3, 0.4, 1.0, 0.7, 0.9),    # chi > 0
+        (1.3, -0.4, 1.0, 0.7, 0.9),   # chi < 0
+        (1.3, 0.0, 1.0, 0.7, 0.9),    # chi = 0
+        (1.3, -0.0, 0.7, 1.0, 0.9),   # chi = -0, eta1 < eta2
+        (1.0, 0.5, 1.0, 1.0, 1.0),    # eta1 = eta2: both cuts are 0
+        (1.0, -0.5, 1.0, 1.0, 1.0),
+        (0.5, 4.0, 1.0, 0.6, 8.0),    # |chi| = k x2: beta = 0
+        (0.5, -4.0, 0.7, 1.8, 8.0),
+        (2.0, -1.5, 1.0, 2.0, 1.0),
+    ])
+    def test_bitwise_equal(self, args):
+        factor = FourierErfiFactor(*args)
+        with np.errstate(all="ignore"):  # as under the evaluator
+            got = factor.bounded_part(_T_GRID)
+            want = _reference_erfi_bounded_part(factor, _T_GRID)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestRInnerFactor:
     def test_matches_closed_form_without_quadratic(self):
         # with n = m = 4, nu = 0 and j = h = 0, J = t (1 - e^-(a-b)/t)/(a - b)
@@ -490,6 +577,29 @@ def _assert_weight_matches_mpmath(params: Params) -> None:
     for t, value in zip(_R1_EDGE_TS, got):
         ref = _r1_weight_reference(params, t)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (params, t, value, ref)
+
+
+class TestRInnerFactorPointwise:
+    """J(t) itself against a 40-digit mp.quad of its sigma-integral."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 13: a row of J is accurate relative to its batch's "
+        "largest scaled row, not to itself (3.9e-8 off here)",
+    )
+    def test_small_row_within_1e_12_relative(self):
+        n, m, nu, a, b, h, j, t = 4, 2, 1, 10.0, 0.5, 0.1, 0.1, 1e-3
+        got = RInnerFactor(n, m, nu, a, b, h, j).bounded_part(np.array([t]))[0]
+        with mp.workdps(40):
+            pr, ps = mp.mpf(n + nu) / 2 - 2, mp.mpf(m + nu) / 2 - 2
+            slope, j, h, t = mp.mpf(a - b), mp.mpf(j), mp.mpf(h), mp.mpf(t)
+
+            def integrand(s):
+                # a >= b, so s' = s; the mass sits within ~t/(a - b) of s = 0
+                return s**pr * (1 - s) ** ps * mp.exp(-(slope * s + j * s * (1 - s)) / t - h * s)
+
+            ref = mp.quad(integrand, [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [1])
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
 class TestRInnerFactorEdges:

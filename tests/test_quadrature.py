@@ -539,6 +539,70 @@ class TestFailurePaths:
         # the first bad column of the (rows, n) batch names its y node
         assert _abscissa(err) > 2.0
 
+    # Each fault as a half-line integrand, past t = 10 on the first level:
+    # a NaN value, a value whose term overflows, and a NaN imaginary part
+    FAULTS = {
+        "nan": (lambda t: np.where(t > 10.0, np.nan, np.exp(-t)), "integrand returned NaN"),
+        "overflow": (lambda t: np.where(t > 10.0, 1e300, np.exp(-t)),
+                     r"integrand\*weight overflowed"),
+        "nan-imag": (lambda t: np.where(t > 10.0, complex(1.0, math.nan), np.exp(-t) + 0j),
+                     "integrand returned NaN"),
+    }
+    # how each kind of sum takes a fault's values: alone, with an imaginary
+    # part added, or as the second row of a batch whose first row is healthy
+    KINDS = {
+        "real": lambda y: y,
+        "complex": lambda y: y + 0.5j,
+        "batch": lambda y: np.stack([np.zeros(y.shape), y]),
+    }
+
+    @pytest.mark.parametrize("fault, kind", [
+        ("nan", "real"), ("nan", "complex"), ("nan", "batch"),
+        ("overflow", "real"), ("overflow", "complex"), ("overflow", "batch"),
+        ("nan-imag", "complex"), ("nan-imag", "batch"),  # a real sum has no imaginary part
+    ])
+    def test_each_fault_of_each_kind_of_sum(self, fault, kind):
+        values, message = self.FAULTS[fault]
+        with pytest.raises(QuadratureError, match=message):
+            integrate_half_line(lambda t: self.KINDS[kind](values(t)))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_finite_terms_whose_sum_overflows(self, kind):
+        # each term, 1e308 times a tanh-sinh weight of at most pi/4, is finite
+        with pytest.raises(QuadratureError, match=r"integrand\*weight sum overflowed"):
+            integrate_interval(lambda x: self.KINDS[kind](np.full(len(x), 1e308)))
+
+    @pytest.mark.parametrize("total, finite", [
+        (np.float64(1.5), True), (np.float64(math.nan), False), (np.float64(-math.inf), False),
+        (np.complex128(complex(1.5, math.nan)), False), (np.complex128(complex(math.inf, 1.5)), False),
+        (np.complex128(1.5e308 + 1.5e308j), True),  # its modulus is above the double range
+        (np.array([1.5, 2.5]), True), (np.array([1.5 + 0j, complex(2.5, math.nan)]), False),
+    ])
+    def test_finite_reads_each_part_and_each_row(self, total, finite):
+        assert quadrature._finite(total) == finite
+
+    def test_complex_sum_above_the_double_range_in_modulus(self):
+        # each part of the head chunk's sum is 1.5e308, finite, while its
+        # modulus is not a double: the finiteness test reads the parts
+        ladder = quadrature._EXP_SINH
+        x, w = quadrature._head(ladder, (5,))
+        assert quadrature._held(len(quadrature._run(ladder, 5, 1.0)[0])) == 64
+        y = np.zeros(len(x), dtype=complex)
+        y[:64] = 1.5e308 / 64 * (1.0 + 1.0j) / w[:64]
+        with np.errstate(all="ignore"):
+            total, _ = quadrature._scan(lambda t: np.zeros(len(t)), ladder, 5, (y, y * w), 0)
+        assert math.isfinite(total.real) and math.isfinite(total.imag)
+        assert abs(total) == math.inf
+
+    @pytest.mark.parametrize("imag, real", [(0.0, True), (-0.0, True), (math.nan, False)],
+                             ids=["+0", "-0", "nan"])
+    def test_result_is_real_unless_an_imaginary_part_is_set(self, imag, real):
+        for value in (np.complex128(complex(1.5, imag)), complex(1.5, imag),
+                      np.array([1.5 + 0j, complex(2.5, imag)])):
+            out = quadrature._result((value, 0.0, True), 1).value
+            assert np.isrealobj(out) == real, value
+            assert np.all(np.real(out) == np.real(value))
+
 
 def _abscissa(err) -> float:
     return float(re.search(r" at abscissa (\S+?);?(?: |$)", str(err.value)).group(1))
