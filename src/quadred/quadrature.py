@@ -338,11 +338,18 @@ def _sum(terms):
 
     A complex sum is taken as two real sums, so a real row of a complex
     batch keeps the bits it has alone (numpy's complex pairwise sum groups
-    the terms otherwise).
+    the terms otherwise), and is built from them as they are: a NaN or
+    infinite imaginary part leaves the real part alone.  A single sum is a
+    numpy complex, whose abs is inf above the double range (see _largest).
     """
     if terms.dtype.kind != "c":
         return np.add.reduce(terms, axis=-1)
-    return np.add.reduce(terms.real, axis=-1) + 1j * np.add.reduce(terms.imag, axis=-1)
+    re, im = np.add.reduce(terms.real, axis=-1), np.add.reduce(terms.imag, axis=-1)
+    if terms.ndim == 1:
+        return np.complex128(complex(re, im))
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):

@@ -594,6 +594,19 @@ class TestFailurePaths:
         assert math.isfinite(total.real) and math.isfinite(total.imag)
         assert abs(total) == math.inf
 
+    @pytest.mark.parametrize("imag", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_complex_sum_keeps_its_real_part(self, imag):
+        # a chunk whose imaginary part is not finite keeps a finite real
+        # part, alone or as a row of a batch, and a single sum stays a
+        # numpy complex
+        terms = np.array([1.5 + 0.5j, complex(2.0, imag), -0.25 + 0j])
+        single = quadrature._sum(terms)
+        batch = quadrature._sum(np.stack([terms, terms.real + 0j]))
+        assert isinstance(single, np.complex128)
+        assert single.real == 3.25 and np.isnan(single.imag) == np.isnan(imag)
+        assert np.array_equal(batch.real, [3.25, 3.25]) and batch.imag[1] == 0.0
+        assert not quadrature._finite(single) and not quadrature._finite(batch)
+
     @pytest.mark.parametrize("imag, real", [(0.0, True), (-0.0, True), (math.nan, False)],
                              ids=["+0", "-0", "nan"])
     def test_result_is_real_unless_an_imaginary_part_is_set(self, imag, real):
