@@ -25,17 +25,18 @@ in the first call.  For the same reason a head holds a short run whole,
 one of at most _WHOLE_RUN_BLOCKS blocks: a drive takes one call for
 level 4, whose runs have 98 nodes, and evaluates the nodes past a quiet
 stop that the head holds (2 per direction where a scan stops after its
-third block).  Runs are longer than that from level 5 on.  Testing from
-level 3 also keeps two coarse levels that agree by chance from passing
-for convergence.  A head is multiplied by its weights in one pass and
-each direction's first two blocks are summed in one pass, so those
-terms are grouped otherwise than block by block, which can move a last
-bit; a complex sum is two real sums, so a real row of a complex batch
-keeps the bits it has alone.  Every drive fetches this way, the
-quadrant's outer and inner drives and R1's inner batch included: the
-outer drive's inner rows are judged by their share of the outer sum
-(see integrate_quadrant), so which x nodes share a call moves
-an inner value only within the tolerance it was judged by.
+third block); runs are longer from level 5 on.  Testing from level 3
+also keeps two coarse levels that agree by chance from passing for
+convergence.  No run of levels 0 to 3 is longer than two blocks, so no
+scan can stop in them: the first head's terms are summed in two groups,
+levels 0 to 2 and level 3, and a later scan sums each direction's first
+two blocks in one pass, groupings that can move a last bit.  A complex
+sum is two real sums, so a real row of a complex batch keeps the bits it
+has alone.  Every drive fetches this way, the quadrant's outer and inner
+drives and R1's inner batch included: the outer drive's inner rows are
+judged by their share of the outer sum (see integrate_quadrant), so
+which x nodes share a call moves an inner value only within the
+tolerance it was judged by.
 
 A ladder is a node generator with what is built from it, each built on
 first use and kept read-only: one run of nodes per level and direction
@@ -302,7 +303,7 @@ def _held(n: int) -> int:
 
 
 def _head(ladder: _Ladder, levels: tuple):
-    """The (x, w) of every run on levels that a scan fetches first, fused.
+    """(x, w, split): every run on levels that a scan fetches first, fused.
 
     levels lists level indices.  A scan stops a direction only after two
     quiet blocks, so whatever the values it evaluates the first 2 * _BLOCK
@@ -310,8 +311,9 @@ def _head(ladder: _Ladder, levels: tuple):
     A run of at most _WHOLE_RUN_BLOCKS blocks is held whole, since a call
     costs more than the nodes a quiet stop might spare (see the module);
     a longer run gives its first 2 * _BLOCK nodes (see _held).  The head
-    holds those nodes' abscissae and weights in scan order.  It is never
-    empty: u = 0 and u = offset are nodes of both ladders.
+    holds those nodes' abscissae and weights in scan order, the last
+    level's from index split on.  It is never empty: u = 0 and u = offset
+    are nodes of both ladders.
     """
     if levels in ladder.heads:
         return ladder.heads[levels]
@@ -319,7 +321,8 @@ def _head(ladder: _Ladder, levels: tuple):
     x = np.concatenate([x[:_held(len(x))] for x, _ in runs])
     w = np.concatenate([w[:_held(len(w))] for _, w in runs])
     x.flags.writeable = w.flags.writeable = False
-    ladder.heads[levels] = head = x, w
+    split = len(x) - sum(_held(len(rx)) for rx, _ in runs[-2:])
+    ladder.heads[levels] = head = x, w, split
     return head
 
 
@@ -336,11 +339,10 @@ def _sum(terms):
     """The sum of terms over their last axis: a numpy scalar for a single
     integral, one value per row for a batch (see _finite).
 
-    A complex sum is taken as two real sums, so a real row of a complex
-    batch keeps the bits it has alone (numpy's complex pairwise sum groups
-    the terms otherwise), and is built from them as they are: a NaN or
-    infinite imaginary part leaves the real part alone.  A single sum is a
-    numpy complex, whose abs is inf above the double range (see _largest).
+    A complex sum is two real sums, built as they are: a real row of a
+    complex batch keeps the bits it has alone (numpy's complex pairwise sum
+    groups the terms otherwise), and a non-finite imaginary part leaves the
+    real part alone.  One sum is a numpy complex, whose abs may be inf.
     """
     if terms.dtype.kind != "c":
         return np.add.reduce(terms, axis=-1)
@@ -372,7 +374,7 @@ def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
 
 
-def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
+def _scan(f, ladder: _Ladder, level: int, head: tuple):
     """Sum f(x(u))*w(u) over the nodes of one level (see _LEVELS and _run).
 
     Level 0 is a full trapezoid pass (u = 0 counted once); each later level
@@ -383,21 +385,19 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
     unchanged.  f returns one value per abscissa or a (rows, abscissae)
     batch; sums run over the last axis.
 
-    head is (values, terms) of a fused call (see _head), terms being the
-    values times the head's weights; from index at on they hold this
-    level's head.  Each direction is summed chunk by chunk: its first
-    2 * _BLOCK nodes, then one block at a time, sliced from the head
-    while it holds them and fetched by one call of f each past it.  So
-    the sums, and where a scan stops, do not depend on how much of a run
+    head is (values, terms) of this level's head (see _head), terms being
+    the values times its weights.  Each direction is summed chunk by
+    chunk: its first 2 * _BLOCK nodes, then one block at a time, sliced
+    from the head while it holds them and fetched by one call of f each
+    past it.  So where a scan stops does not depend on how much of a run
     the head holds.  A chunk is summed in one pass; a non-finite term
     leaves its row's sum non-finite, so one test of that sum (_finite, in
     Python for a single integral) stands for a test of every term.  Where
     the run goes on, each block of the chunk is tested for quiet against
-    the new total.  Returns (sum, the offset past this level's head).  It
-    sets no error state: it runs under its entry point's.
+    the new total.  It sets no error state: it runs under its entry point's.
     """
     values, head_terms = head
-    total = 0.0
+    total, at = 0.0, 0
     for direction in (+1.0, -1.0):
         x, w = _run(ladder, level, direction)
         held = _held(len(x))
@@ -423,7 +423,7 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple, at: int):
                 break
             start, end = end, min(end + _BLOCK, len(x))
         at += held
-    return total, at
+    return total
 
 
 def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
@@ -432,9 +432,11 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
     Level 0 is the full pass at step _BASE_STEP; each later level halves
     the step and adds the odd nodes (see _LEVELS).  The first convergence
     test follows level _FIRST_TEST_LEVEL, so the heads of levels 0 to it
-    (see _head) are fetched in one call of f, and each later level's head
-    in one call before its scan; only blocks past a head cost a call each.
-    Each fetched head is multiplied by its weights once, in one pass.
+    (see _head) are fetched in one call of f and summed in two groups,
+    the levels below it and the level itself: no run of them is longer
+    than 2 * _BLOCK, so no scan could stop in them.  Each later level's
+    head takes one call and a _scan; only blocks past a head cost a call
+    each.  Each head is multiplied by its weights once, in one pass.
 
     A drive that never converges stops after level _MAX_LEVEL, which
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
@@ -458,21 +460,27 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
     """
 
     def fetch(levels):
-        # f's values on the fused head of levels, and their terms
-        x, w = _head(ladder, levels)
+        # the fused head of levels, f's values there and their terms
+        x, w, split = _head(ladder, levels)
         y = np.asarray(f(x))
-        return (y, y * w), 0
+        return x, y, y * w, split
 
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
-    raw, value, estimate, converged = 0.0, 0.0, math.inf, False
+    part, value, estimate, converged = 0.0, 0.0, math.inf, False
     # once a row retires: the indices of the live rows, and every row's value
     live = values = None
     try:
-        head, at = fetch(tuple(range(first + 1)))
-        for level in range(_MAX_LEVEL + 1):
+        # the raw sums of the levels below first, as one group, and of level first
+        x, y, terms, split = fetch(tuple(range(first + 1)))
+        for group in (slice(split), slice(split, None)):
+            raw, part = part, _sum(terms[..., group])
+            if not _finite(part):
+                _raise_non_finite(x[group], y[..., group], terms[..., group])
+        value = _LEVELS[first - 1][2] * raw
+        for level in range(first, _MAX_LEVEL + 1):
             if level > first:
-                head, at = fetch((level,))
-            part, at = _scan(f, ladder, level, head, at)
+                _, y, terms, _ = fetch((level,))
+                part = _scan(f, ladder, level, (y, terms))
             prev, raw = value, raw + part
             value = _LEVELS[level][2] * raw
             if live is not None:
@@ -480,18 +488,17 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
             if level:
                 error = abs(value - prev) + 4e-16 * abs(value)
                 estimate = _largest(error)
-                if level >= first:
-                    bound = tol.bound(value if live is None else values, floor)
-                    if estimate <= bound:
-                        converged = True
-                        break
-                    if narrow is not None:
-                        keep = error > _RETIRE_SHARE * bound
-                        if not keep.all():
-                            if live is None:
-                                live, values = np.arange(len(value)), value.copy()
-                            live, raw, value = live[keep], raw[keep], value[keep]
-                            narrow(keep)
+                bound = tol.bound(value if live is None else values, floor)
+                if estimate <= bound:
+                    converged = True
+                    break
+                if narrow is not None:
+                    keep = error > _RETIRE_SHARE * bound
+                    if not keep.all():
+                        if live is None:
+                            live, values = np.arange(len(value)), value.copy()
+                        live, raw, value = live[keep], raw[keep], value[keep]
+                        narrow(keep)
     except _BudgetExceeded:
         pass
     return (value if live is None else values), estimate, converged
