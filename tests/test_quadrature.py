@@ -539,6 +539,35 @@ class TestFailurePaths:
         # the first bad column of the (rows, n) batch names its y node
         assert _abscissa(err) > 2.0
 
+    # Each fault only at level 3's nodes of a drive's first fetch, which
+    # its second group sums: a NaN value past t = 10, a value whose term
+    # overflows there, and both, the overflow from t = 10 and the NaN past
+    # t = 100 in the same block, where the NaN is named
+    LEVEL_3 = np.concatenate([quadrature._run(quadrature._EXP_SINH, 3, d)[0] for d in (1.0, -1.0)])
+    SECOND_GROUP = {
+        "nan": ((np.nan, 10.0), (1e308, math.inf), "integrand returned NaN"),
+        "overflow": ((np.nan, math.inf), (1e308, 10.0), r"integrand\*weight overflowed"),
+        "both": ((np.nan, 100.0), (1e308, 10.0), "integrand returned NaN"),
+    }
+
+    @pytest.mark.parametrize("route", ["half-line", "quadrant"])
+    @pytest.mark.parametrize("fault", list(SECOND_GROUP))
+    def test_fault_in_the_first_fetch_second_group(self, fault, route):
+        (nan, past_nan), (big, past_big), message = self.SECOND_GROUP[fault]
+
+        def values(t):
+            at = np.isin(t, self.LEVEL_3)
+            healthy = np.where(at & (t > past_big), big, np.exp(-t))
+            return np.where(at & (t > past_nan), nan, healthy)
+
+        with pytest.raises(QuadratureError, match=message) as err:
+            if route == "half-line":
+                integrate_half_line(values)
+            else:  # the first inner batch: every row takes the same y faults
+                integrate_quadrant(lambda x, y: values(y) * np.exp(-x))
+        assert _abscissa(err) in self.LEVEL_3
+        assert _abscissa(err) > (past_nan if "NaN" in message else past_big)
+
     # Each fault as a half-line integrand, past t = 10 on the first level:
     # a NaN value, a value whose term overflows, and a NaN imaginary part
     FAULTS = {
@@ -716,6 +745,8 @@ class TestNodeLadder:
         assert ladder.heads[levels] is head
         fresh, fresh_w, at = [], [], 0
         for level in levels:
+            if level == levels[-1]:  # the last level's nodes start at split
+                assert split == at
             spacing, offset, _ = quadrature._LEVELS[level]
             for direction in (1.0, -1.0):
                 # two live blocks, or fewer where the ladder ends
@@ -937,6 +968,43 @@ class TestFetchRule:
             [(5, 4), (4, 4), (9, 9), (17, 17), (35, 35), (70, 70), (140, 140)],
         ),
     }
+
+    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
+    def test_first_fetch_runs_fit_a_scan_chunk(self, ladder):
+        # so no scan of these levels could stop early, and a drive sums
+        # them as two groups; a clipped run is a prefix of a fixed one
+        for level in range(quadrature._FIRST_TEST_LEVEL + 1):
+            for direction in (1.0, -1.0):
+                assert len(quadrature._run(ladder, level, direction)[0]) <= 2 * quadrature._BLOCK
+
+    # (route, ladder, the integrand of each row of a two-row batch)
+    GROUPED = {
+        "half-line": (integrate_half_line, quadrature._EXP_SINH,
+                      (lambda t: t**-0.5 * np.exp(-t), lambda t: np.exp(-t))),
+        "interval": (integrate_interval, quadrature._UNIT_PAIR,
+                     (_beta_half_half, lambda x: x[:, 0] ** 0.3 * np.exp(x[:, 1]))),
+    }
+
+    @pytest.mark.parametrize("first", [3, 1])
+    @pytest.mark.parametrize("route", list(GROUPED))
+    def test_first_fetch_is_two_group_sums(self, route, first, monkeypatch):
+        # a drive stopped at its first tested level holds that level's step
+        # times the sum of the coarser levels' terms plus the sum of its own,
+        # both taken over the fused head: bitwise, alone and for each row
+        integrate, ladder, rows = self.GROUPED[route]
+        monkeypatch.setattr(quadrature, "_FIRST_TEST_LEVEL", first)
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", first)
+        x, w, split = quadrature._head(ladder, tuple(range(first + 1)))
+        coarse = [quadrature._run(ladder, level, d)[0] for level in range(first) for d in (1.0, -1.0)]
+        assert split == sum(len(rx) for rx in coarse)
+        step = quadrature._LEVELS[first][2]
+        expected = []
+        for f in rows:
+            terms = f(x) * w
+            expected.append(step * (np.add.reduce(terms[:split]) + np.add.reduce(terms[split:])))
+            assert integrate(f).value == expected[-1]
+        batch = integrate(lambda x: np.stack([f(x) for f in rows]))
+        assert batch.value.tolist() == expected
 
     @pytest.mark.parametrize("name", list(RUNS))
     def test_head_holds_runs_of_at_most_four_blocks_whole(self, name):

@@ -824,6 +824,15 @@ class TestSweep:
         b = run_sweep(["K1-111"], samples=1, seed=2)
         assert a.records[0].params != b.records[0].params
 
+    def test_north_star_sweep_work_is_pinned(self):
+        # the seed-42 sweep of every non-erratum rule: a change that only
+        # regroups sums moves value bits here, never an evaluation count
+        rep = run_sweep([rule.id for rule in list_rules(include_erratum=False)],
+                        samples=20, seed=42)
+        assert rep.n_pass == len(rep.records) == 700
+        assert sum(r.lhs.evaluations for r in rep.records) == 18_850_337
+        assert sum(r.rhs.evaluations for r in rep.records) == 185_092
+
     def test_erratum_sweep_counts_failures(self):
         rep = run_sweep(["E1-uncorrected-pbm"], samples=2, seed=7)
         assert not rep.all_passed
