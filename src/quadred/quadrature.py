@@ -49,9 +49,9 @@ A quadrant caller may pass a support box outside which it guarantees its
 integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
 ladder, a child of the fixed one that lives for one integral: its runs
 are the fixed runs with their outer tails cut, so no value known to be 0
-is computed, the fixed ladder keeps nothing for the child, and the sums
-differ from the unclipped ones only in how a cut block's terms are
-grouped.
+is computed, and the sums differ from the unclipped ones only in how a
+cut block's terms are grouped.  The fixed ladder builds for the child only
+what an unclipped drive builds: runs, and heads of levels 0 to 4 (_head).
 
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
 never converges stops at its ladder's last level after bounded work
@@ -240,9 +240,9 @@ _FIRST_NODES = (math.exp(-_HALF_PI * math.sinh(_BASE_STEP)),
 def _clipped(lo: float, hi: float) -> _Ladder:
     """The exp-sinh ladder cut to the nodes in [lo, hi], for one integral.
 
-    The span is widened to keep each level's first nodes.  Its runs are
-    the fixed ladder's runs with their outer tails cut, built on first use
-    and kept by the child alone, so the fixed ladder keeps nothing for it.
+    The span is widened to keep each level's first nodes.  Its runs and
+    heads are the fixed ladder's with their outer tails cut, built on
+    first use and kept by the child for its integral (see _run and _head).
     """
     lo, hi = min(lo, _FIRST_NODES[0]), max(hi, _FIRST_NODES[1])
     return _Ladder(_EXP_SINH.nodes, _EXP_SINH.valid, _EXP_SINH, lo, hi)
@@ -314,14 +314,25 @@ def _head(ladder: _Ladder, levels: tuple):
     holds those nodes' abscissae and weights in scan order, the last
     level's from index split on.  It is never empty: u = 0 and u = offset
     are nodes of both ladders.
+
+    A clipped ladder's runs are leading cuts of its parent's, so where the
+    parent holds every run whole (levels 0 to 4), the child's head is the
+    parent's, kept by the parent, cut to [lo, hi] by one mask.
     """
     if levels in ladder.heads:
         return ladder.heads[levels]
-    runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
-    x = np.concatenate([x[:_held(len(x))] for x, _ in runs])
-    w = np.concatenate([w[:_held(len(w))] for _, w in runs])
+    parent = ladder.parent
+    if parent is not None and all(len(_run(parent, level, direction)[0]) <= _WHOLE_RUN_BLOCKS * _BLOCK
+                                  for level in levels for direction in (+1.0, -1.0)):
+        x, w, split = _head(parent, levels)
+        keep = (x >= ladder.lo) & (x <= ladder.hi)
+        x, w, split = x[keep], w[keep], int(np.count_nonzero(keep[:split]))
+    else:
+        runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
+        x = np.concatenate([x[:_held(len(x))] for x, _ in runs])
+        w = np.concatenate([w[:_held(len(w))] for _, w in runs])
+        split = len(x) - sum(_held(len(rx)) for rx, _ in runs[-2:])
     x.flags.writeable = w.flags.writeable = False
-    split = len(x) - sum(_held(len(rx)) for rx, _ in runs[-2:])
     ladder.heads[levels] = head = x, w, split
     return head
 

@@ -37,6 +37,9 @@ _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 # exp underflows to exactly 0 below about -745.1; quadrant_support cuts its
 # box where a bound on the integrand's log-magnitude falls below this
 _LOG_UNDERFLOW = -800.0
+# np.exp(x) is exactly 0 for every x <= -745.1332191019412, and off numpy's
+# fast path: quadrant_integrand writes 0 below this instead of calling it
+_EXP_ZERO = -745.2
 _LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
 # a box edge lies within this of the bound's crossing, in log x or log y
 _EDGE_TOL = 0.25
@@ -94,7 +97,8 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     y/(x+y) = t*ix, so no intermediate overflows on the quadrature's
     [1e-160, 1e160] ladder.  Every factor that depends on x alone or on y
     alone is folded, as a logarithm, into one column or one row term; each
-    (x, y) point then costs one log, of ix + iy, and one exp.  A complex h
+    (x, y) point then costs one log, of ix + iy, and one exp, taken only
+    where it can be nonzero (not below _EXP_ZERO; NaN passes).  A complex h
     adds a unit-modulus phase factor.  It keeps no state between calls.
 
     It sets no numpy error state of its own: it runs under the quadrature
@@ -133,7 +137,7 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
                 logmag -= j * (frac * iy)  # j/(x+y)
         if tilde and ab != 0.0:  # at a = b the term is 0, and 0 * inf would be NaN
             logmag -= ab * (x * s * s)  # (x+y)^2/(x y^2)
-        vals = np.exp(logmag)
+        vals = np.exp(logmag, out=np.zeros(logmag.shape), where=~(logmag < _EXP_ZERO))
         if negative:
             vals = -vals
         if h.imag != 0.0:

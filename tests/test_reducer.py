@@ -30,6 +30,8 @@ from quadred.reducer import (
 )
 
 SQPI = math.sqrt(math.pi)
+# levels 0 to 3, whose heads a drive's first call fetches
+FIRST_HEAD = (0, 1, 2, 3)
 
 
 class TestShiftPower:
@@ -215,6 +217,47 @@ def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float
         )
 
 
+def _unmasked_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
+    """quadrant_integrand as it was built before it skipped exp below
+    reducer._EXP_ZERO: the same terms, with exp taken at every point."""
+    n, m, nu = params.n, params.m, params.nu
+    a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
+    h = complex(params.h)
+    ab = params.a - params.b
+    negative = f.coeff < 0
+    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
+    kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
+    decay = f.sigma + c
+    mixed = h != 0.0 or j != 0.0
+
+    def integrand(x, y):
+        ix = 1.0 / x
+        col = lead + kx * np.log(x) - p * x - a * ix
+        iy = 1.0 / y
+        row = ky * np.log(y) - q * y - b * iy
+        s = ix + iy
+        t = 1.0 / s
+        logmag = col + row
+        logmag -= kt * np.log(s)
+        logmag -= decay * t
+        if mixed:
+            frac = t * ix
+            if h.real != 0.0:
+                logmag -= h.real * frac
+            if j != 0.0:
+                logmag -= j * (frac * iy)
+        if tilde and ab != 0.0:
+            logmag -= ab * (x * s * s)
+        vals = np.exp(logmag)
+        if negative:
+            vals = -vals
+        if h.imag != 0.0:
+            vals = vals * np.exp(-1j * h.imag * frac)
+        return vals
+
+    return integrand
+
+
 class TestIntegrandValidation:
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_mu_is_rejected(self, mu):
@@ -301,6 +344,52 @@ class TestQuadrantIntegrand:
             got = shared(writable, row_1)
             want = quadrant_integrand(params, f, tilde)(col_a, row_1)
             assert got.tobytes() == want.tobytes()
+
+
+    def test_exp_is_skipped_only_where_it_gives_exactly_0(self):
+        # every value, on each seed-42 draw's own first clipped outer head
+        # times its first clipped inner head, keeps the bits of an integrand
+        # that takes exp everywhere; the draws reach both slow bands of exp
+        zeros = subnormals = 0
+        for rule in list_rules(include_erratum=False):
+            tilde = rule.family is Family.MIXED_TILDE
+            for case_index in range(3):
+                params, f = _sweep_case(rule.id, 42, case_index)
+                (x_box, y_box) = quadrant_support(params, f, tilde)
+                x = quadrature._head(quadrature._clipped(*x_box), FIRST_HEAD)[0]
+                y = quadrature._head(quadrature._clipped(*y_box), FIRST_HEAD)[0]
+                with np.errstate(all="ignore"):
+                    got = quadrant_integrand(params, f, tilde)(x[:, None], y)
+                    want = _unmasked_integrand(params, f, tilde)(x[:, None], y)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule.id
+                zeros += np.count_nonzero(got == 0.0)
+                subnormals += np.count_nonzero((got != 0.0) & (abs(got) < np.finfo(float).tiny))
+        assert zeros > 0 and subnormals > 0
+
+    def test_nan_and_inf_still_reach_the_values(self):
+        # a NaN column gives NaN and an overflowing one inf, never the 0
+        # written below the cut, so the driver still names them
+        params, f = Params(4, 0, 2, b=0.5, c=1.0, q=1.0), TestIntegrand(1.0, 0.0, 0.0)
+        x = np.array([[math.nan], [1e-300], [0.0], [math.inf], [1.0]])
+        y = np.array([0.5, 1.0, 2.0])
+        with np.errstate(all="ignore"):
+            got = quadrant_integrand(params, f)(x, y)
+            want = _unmasked_integrand(params, f)(x, y)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[[0, 2, 3]]).all() and np.isposinf(got[1]).all()
+        assert np.isfinite(got[4]).all() and (got[4] > 0.0).all()
+        integrand = quadrant_integrand(params, f)
+        with pytest.raises(QuadratureError, match="integrand returned NaN"):
+            quadrature.integrate_quadrant(lambda x, y: integrand(np.where(x > 2.0, math.nan, x), y))
+        with pytest.raises(QuadratureError, match="overflowed"):
+            quadrature.integrate_quadrant(lambda x, y: integrand(np.where(x > 2.0, 1e-300, x), y))
+
+    def test_exp_cut_lies_where_exp_is_exactly_0(self):
+        cut = reducer._EXP_ZERO
+        for x in (cut, np.nextafter(cut, -math.inf)):
+            assert np.exp(x).tobytes() == np.float64(0.0).tobytes()
+        # the cut sits below the last argument whose exp is not 0
+        assert cut <= -745.1332191019412 and np.exp(-745.1332191019411) > 0.0
 
 
 def _by_draw(rows):
@@ -472,6 +561,92 @@ class TestQuadrantSupport:
             for now, kept in zip((ladder.runs, ladder.heads), maps):
                 assert now.keys() == kept.keys()
                 assert all(now[key] is value for key, value in kept.items())
+
+
+    def test_oracle_calls_on_cold_ladders_build_only_unclipped_heads(self, monkeypatch):
+        # with the fixed exp-sinh ladder's maps emptied first, 350 oracle
+        # calls leave in it only the heads an unclipped drive builds for
+        # levels 0 to 4, which the clipped heads are cut from
+        ladder = quadrature._EXP_SINH
+        monkeypatch.setattr(ladder, "runs", {})
+        monkeypatch.setattr(ladder, "heads", {})
+        ids = [r.id for r in list_rules(include_erratum=False)]
+        for i in range(350):
+            rule_id = ids[i % len(ids)]
+            params, f = _sweep_case(rule_id, 42, i // len(ids))
+            tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+            assert direct_2d(params, f, tilde=tilde).converged
+        assert sorted(ladder.heads) == [FIRST_HEAD, (4,)]
+        assert sum(x.nbytes + w.nbytes for x, w, _ in ladder.heads.values()) == 6288
+        assert sorted(ladder.runs) == [(level, d) for level in range(6) for d in (-1.0, 1.0)]
+
+
+def _cut_runs_head(ladder, levels):
+    """A clipped ladder's head built as its cut runs, concatenated: a run of
+    at most four blocks whole, a longer one's first two blocks."""
+    block = quadrature._BLOCK
+    runs = [quadrature._run(ladder, level, d) for level in levels for d in (1.0, -1.0)]
+    held = [n if n <= 4 * block else 2 * block for n in (len(rx) for rx, _ in runs)]
+    x = np.concatenate([rx[:n] for (rx, _), n in zip(runs, held)])
+    w = np.concatenate([rw[:n] for (_, rw), n in zip(runs, held)])
+    return x, w, len(x) - sum(held[-2:])
+
+
+def _level_cut(level: int, plus: int, minus: int):
+    """A box whose edges are the fixed ladder's level nodes at those indices
+    of its outward (+1) and inward (-1) runs."""
+    fixed = quadrature._EXP_SINH
+    return (quadrature._run(fixed, level, -1.0)[0][minus],
+            quadrature._run(fixed, level, 1.0)[0][plus])
+
+
+class TestClippedHeads:
+    """A clipped ladder's heads, whichever way built, are its cut runs fused."""
+
+    @staticmethod
+    def _sweep_spans():
+        ids = [r.id for r in list_rules(include_erratum=False)]
+        spans = []
+        for i in range(50):
+            rule_id = ids[i % len(ids)]
+            params, f = _sweep_case(rule_id, 42, i // len(ids))
+            spans.extend(quadrant_support(params, f, get_rule(rule_id).family is Family.MIXED_TILDE))
+        return spans
+
+    @staticmethod
+    def _check(span):
+        ladder = quadrature._clipped(*span)
+        for levels in [FIRST_HEAD] + [(level,) for level in range(4, len(quadrature._LEVELS))]:
+            head = quadrature._head(ladder, levels)
+            x, w, split = head
+            want_x, want_w, want_split = _cut_runs_head(ladder, levels)
+            assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes(), (span, levels)
+            assert w.dtype == want_w.dtype and w.tobytes() == want_w.tobytes(), (span, levels)
+            assert split == want_split and type(split) is int
+            assert not x.flags.writeable and not w.flags.writeable
+            assert quadrature._head(ladder, levels) is head
+        return ladder
+
+    def test_first_50_sweep_boxes(self):
+        spans = self._sweep_spans()
+        assert len(spans) == 100
+        for span in spans:
+            self._check(span)
+
+    def test_box_of_one_point(self):
+        self._check((1.0, 1.0))
+
+    def test_box_that_cuts_inside_level_4_runs(self):
+        # edges on nodes 40 and 60 of level 4's runs of 98 nodes
+        ladder = self._check(_level_cut(4, plus=40, minus=60))
+        assert [len(quadrature._run(ladder, 4, d)[0]) for d in (1.0, -1.0)] == [41, 61]
+
+    def test_box_whose_level_5_runs_are_held_whole_but_cut(self):
+        # the clipped level-5 runs have 65 to 128 nodes: held whole, more
+        # than the fixed ladder's level-5 head holds of its longer runs
+        ladder = self._check(_level_cut(5, plus=99, minus=79))
+        assert [len(quadrature._run(ladder, 5, d)[0]) for d in (1.0, -1.0)] == [100, 80]
+        assert len(quadrature._head(ladder, (5,))[0]) == 180
 
 
 def _build_every_run_and_head(ladder) -> None:
