@@ -232,7 +232,7 @@ class CheshireReport:
 
     @property
     def rel_diff(self) -> float:
-        return abs(self.wrapped_erfi - self.wrapped_tau) / max(1.0, abs(self.wrapped_tau))
+        return abs(self.wrapped_erfi - self.wrapped_tau) / Tolerance.scale(self.wrapped_tau)
 
 
 def _wrapped_derivative(route, spec: FourierSpec, step: float) -> complex:

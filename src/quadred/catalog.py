@@ -362,13 +362,8 @@ def _n5_kernel(params):
 
 
 def _n6_kernel(params):
-    n, m, nu = params.n, params.m, params.nu
-    ratio = (
-        gamma_fn((m + nu - 2) / 2.0)
-        * gamma_fn((n + nu - 2) / 2.0)
-        / gamma_fn((m + n + 2 * nu - 4) / 2.0)
-    )
-    return [KernelTerm(ratio, (2.0 - m - n - nu) / 2.0, beta=params.c, gamma=params.b)]
+    # at a = b (and h = 0) G1's Kummer factor is 1F1(A; B; 0) = 1
+    return [replace(_g1_kernel(params)[0], special=None)]
 
 
 def _tilde_gamma(params) -> float:
@@ -445,7 +440,7 @@ def _g1_kernel(params):
     ratio = gamma_fn((m + nu - 2) / 2.0) * gamma_fn(a_par) / gamma_fn(b_par)
     return [
         KernelTerm(ratio, (2.0 - m - n - nu) / 2.0, beta=params.c, gamma=params.b,
-                   special=KummerFactor(a_par, b_par, params.a - params.b, complex(params.h).real))
+                   special=KummerFactor(a_par, b_par, params.a - params.b, params.h.real))
     ]
 
 
@@ -495,7 +490,7 @@ def _needs_n6(params: Params) -> str | None:
 def _needs_g1(params: Params) -> str | None:
     if (reason := _needs_exponent_sums(params)) is not None:
         return reason
-    h = complex(params.h)
+    h = params.h
     if h.imag != 0.0:
         return "requires real h"
     if h.real < 0.0:
@@ -512,7 +507,7 @@ def _needs_r1(params: Params) -> str | None:
         return reason
     if not (params.a > 0.0 and params.b > 0.0):
         return "requires a>0 and b>0"
-    if complex(params.h).real < 0.0:
+    if params.h.real < 0.0:
         return "requires Re(h)>=0"
     return None
 

@@ -21,7 +21,7 @@ from .catalog import (
     list_rules,
 )
 from .params import Params, TestIntegrand
-from .quadrature import QuadratureError, Tolerance
+from .quadrature import QuadResult, QuadratureError, Tolerance
 from .reducer import DEFAULT_COMPARE_TOL, run_sweep
 
 _APPLICATIONS = (
@@ -97,21 +97,20 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _print_result(value, err, evals, converged, fmt: str) -> int:
+def _print_result(res: QuadResult, fmt: str) -> int:
+    v = complex(res.value)
     if fmt == "json":
-        val = {"re": complex(value).real, "im": complex(value).imag}
         print(json.dumps({
-            "value": val, "abs_error_estimate": err,
-            "evaluations": evals, "converged": converged,
+            "value": {"re": v.real, "im": v.imag}, "abs_error_estimate": res.abs_error_estimate,
+            "evaluations": res.evaluations, "converged": res.converged,
         }, sort_keys=True))
     else:
-        v = complex(value)
         shown = repr(v.real) if v.imag == 0.0 else repr(v)
         print(f"value = {shown}")
-        print(f"abs_error_estimate = {float(err)!r}")
-        print(f"evaluations = {evals}")
-        print(f"converged = {converged}")
-    return 0 if converged else 1
+        print(f"abs_error_estimate = {float(res.abs_error_estimate)!r}")
+        print(f"evaluations = {res.evaluations}")
+        print(f"converged = {res.converged}")
+    return 0 if res.converged else 1
 
 
 def _eval_application(args) -> int:
@@ -129,13 +128,12 @@ def _eval_application(args) -> int:
         need("eta1", "eta2", "x2")
         spec = apps.YukawaPairSpec(args.eta1, args.eta2, args.x2)
         fn = apps.yukawa_pair if name == "yukawa-pair" else apps.hydrogenic_pair
-        return _print_result(fn(spec), 0.0, 0, True, args.format)
+        # a closed form: exact, at no evaluation
+        return _print_result(QuadResult(fn(spec), 0.0, 0, True), args.format)
     need("eta1", "eta2", "x2", "k")
     spec = apps.FourierSpec(args.k, args.k_dot_x2, args.eta1, args.eta2, args.x2)
     fn = apps.fourier_pair_erfi_result if name == "fourier-erfi" else apps.fourier_pair_tau_result
-    res = fn(spec, tol)
-    return _print_result(res.value, res.abs_error_estimate, res.evaluations,
-                         res.converged, args.format)
+    return _print_result(fn(spec, tol), args.format)
 
 
 def cmd_eval(args) -> int:
@@ -151,9 +149,8 @@ def cmd_eval(args) -> int:
     params = Params(n, m, nu, a=args.a, b=args.b, c=args.c,
                     h=complex(args.h_re, args.h_im), j=args.j, p=args.p, q=args.q)
     f = TestIntegrand(args.f_coeff, args.f_mu, args.f_sigma)
-    res = rule.reduce_to_1d(params, f, Tolerance(rel=args.rel, abs=args.abs))
-    return _print_result(res.value, res.abs_error_estimate, res.evaluations,
-                         res.converged, args.format)
+    return _print_result(rule.reduce_to_1d(params, f, Tolerance(rel=args.rel, abs=args.abs)),
+                         args.format)
 
 
 def _report_body(report, fmt: str) -> str:

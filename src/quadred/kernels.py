@@ -26,9 +26,11 @@ import numpy as np
 from scipy import special as _sp
 
 from .params import TestIntegrand
-from .quadrature import QuadratureError, Tolerance, integrate_interval
+from .quadrature import QuadratureError, Tolerance, _row_share, integrate_interval
 
-_LOG_DEAD = -745.0
+# np.exp(x) is exactly 0, and slow, for every x <= -745.1332191019412: here and in
+# reducer.quadrant_integrand a log-magnitude below this is 0, without exp
+_EXP_ZERO = -745.2
 _LOG_OVERFLOW = 705.0
 _KUMMER_LEADING_FROM = 1e16
 # Targets of R1's inner integrate_interval batch; the level cap bounds its
@@ -213,10 +215,10 @@ class RInnerFactor(_Factor):
     QuadratureError.  Each row is judged by its share of the weight, as in
     integrate_quadrant: its values are multiplied by its term scale
     t**-(pr+1) exp(-min(a,b)/t), taken in logs, rounded down to a power of
-    two and clipped to the normal range; that share is divided out again on
-    return.  So a row's value
-    depends, within _R_INNER_TOL.rel, on which t share the call, and it is
-    accurate relative to its batch's largest scaled row, not to itself:
+    two and clipped to the normal range (quadrature._row_share); that share
+    is divided out again on return.  So a row's value depends, within
+    _R_INNER_TOL.rel, on which t share the call, and it is accurate
+    relative to its batch's largest scaled row, not to itself:
     alone at t = 1e-3, the row of (4, 2, 1) with a = 10, b = 0.5 and
     h = j = 0.1 is 3.9e-8 off relative.
     """
@@ -234,8 +236,7 @@ class RInnerFactor(_Factor):
         ps = (self.m + self.nu) / 2.0 - 2.0
         h = complex(self.h)
         col = t[:, None]
-        log2_scale = (-(pr + 1.0) * np.log(col) - min(self.a, self.b) / col) / math.log(2.0)
-        share = np.ldexp(1.0, np.clip(np.floor(log2_scale), -1022, 1023).astype(int))
+        share = _row_share((-(pr + 1.0) * np.log(col) - min(self.a, self.b) / col) / math.log(2.0))
         slope = abs(self.a - self.b)
         near = 0 if self.a >= self.b else 1  # the pair's member that is s'
 
@@ -313,7 +314,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                 logmag = logmag - (f.sigma + term.beta) * t
             if term.gamma != 0.0:
                 logmag = logmag - term.gamma / t
-            live = logmag > _LOG_DEAD
+            live = logmag > _EXP_ZERO
             rows = np.count_nonzero(live)
             if rows == 0:
                 continue

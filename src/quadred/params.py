@@ -46,6 +46,7 @@ class Params:
         h = complex(self.h)
         if not (math.isfinite(h.real) and math.isfinite(h.imag)):
             raise ValueError("h must be finite")
+        object.__setattr__(self, "h", h)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -54,8 +55,9 @@ class Params:
     def mirrored(self) -> "Params":
         """Swap the roles of x and y: (n, a, p) <-> (m, b, q).
 
-        Only an identity of the integral when h == 0, since h couples to
-        y/(x+y) alone.
+        The bare swap is an identity of the integral only when h == 0: as
+        y/(x+y) = 1 - x/(x+y), the general mirror also takes h -> -h and the
+        factor e^(-h), which this method does not apply (ROADMAP items 6, 15).
         """
         if self.h != 0:
             raise ValueError("mirror swap is only valid for h = 0")
@@ -65,7 +67,7 @@ class Params:
         return {
             "n": self.n, "m": self.m, "nu": self.nu,
             "a": self.a, "b": self.b, "c": self.c,
-            "h": {"re": complex(self.h).real, "im": complex(self.h).imag},
+            "h": {"re": self.h.real, "im": self.h.imag},
             "j": self.j, "p": self.p, "q": self.q,
         }
 

@@ -108,6 +108,8 @@ _FIRST_TEST_LEVEL = 3
 # From that level on, a row of the oracle's inner batch retires once its own
 # estimate is within this share of the batch's bound (see _drive).
 _RETIRE_SHARE = 0.1
+# Below this scale targets and differences are absolute (Tolerance.scale)
+_SCALE_FLOOR = 1.0
 
 
 class QuadratureError(Exception):
@@ -131,12 +133,14 @@ class Tolerance:
         if not (self.abs > 0.0 and math.isfinite(self.abs)):
             raise ValueError("abs tolerance must be finite and positive")
 
-    def bound(self, value, floor: float = 1.0) -> float:
-        """The largest estimate within tolerance at the scale of value.
+    @staticmethod
+    def scale(value, floor: float = _SCALE_FLOOR) -> float:
+        """|value|, or a batch's largest |row|, bounded below by floor."""
+        return max(floor, _largest(value))
 
-        The scale of a batch is its largest row, bounded below by floor.
-        """
-        return max(self.abs, self.rel * max(floor, _largest(value)))
+    def bound(self, value, floor: float = _SCALE_FLOOR) -> float:
+        """The largest estimate within tolerance at the scale of value."""
+        return max(self.abs, self.rel * self.scale(value, floor))
 
     def met_by(self, estimate: float, value) -> bool:
         """Whether estimate is within tolerance at the scale of value (see bound)."""
@@ -261,6 +265,12 @@ def _finite(a) -> bool:
     return cmath.isfinite(a)
 
 
+def _row_share(log2_scale: np.ndarray) -> np.ndarray:
+    """2 ** floor(log2_scale) in the normal range: a row's exact share (see integrate_quadrant)."""
+    # np.clip, through its Python wrapper, costs more than these two ufuncs
+    return np.ldexp(1.0, np.minimum(np.maximum(np.floor(log2_scale), -1022.0), 1023.0).astype(int))
+
+
 def _run(ladder: _Ladder, level: int, direction: float):
     """(x, w): the surviving nodes of one direction of a level.
 
@@ -322,8 +332,8 @@ def _head(ladder: _Ladder, levels: tuple):
     if levels in ladder.heads:
         return ladder.heads[levels]
     parent = ladder.parent
-    if parent is not None and all(len(_run(parent, level, direction)[0]) <= _WHOLE_RUN_BLOCKS * _BLOCK
-                                  for level in levels for direction in (+1.0, -1.0)):
+    parent_runs = (_run(parent, level, direction) for level in levels for direction in (+1.0, -1.0))
+    if parent is not None and all(_held(len(x)) == len(x) for x, _ in parent_runs):
         x, w, split = _head(parent, levels)
         keep = (x >= ladder.lo) & (x <= ladder.hi)
         x, w, split = x[keep], w[keep], int(np.count_nonzero(keep[:split]))
@@ -437,7 +447,7 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple):
     return total
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = 1.0, narrow=None):
+def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = _SCALE_FLOOR, narrow=None):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
@@ -574,20 +584,19 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     with the inner tolerance tightened by a factor of 10.  Each row is
     judged by what it adds to the outer sum: before the inner drive sees
     it, row i is multiplied by its outer exp-sinh weight
-    w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two so
-    that the scaling is exact while the product stays a normal double, and
+    w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two by
+    _row_share, an exact scaling that keeps the product a normal double;
     it is divided out again on return, and the batch is judged with no
-    floor of 1 on its scale.  So a row far out on the x-ladder, whose
-    weight is 1e-154, no longer holds its batch to the precision of its
-    own large value.  From level _FIRST_TEST_LEVEL on, a row whose own
-    estimate is within a tenth of its batch's bound retires with the value
-    it has (see _drive): later calls of integrand2d get a column of the
-    live rows only, never empty, and only their values are counted
-    against the work bound.  An inner drive that does not converge clears
-    converged of the result.  Whatever tol is, an inner batch that would
-    take the evaluations of integrand2d past _QUADRANT_MAX_EVALUATIONS is
-    neither run nor counted, and the outer drive stops at its last
-    completed level (see the module).
+    floor on its scale.  So a row far out on the x-ladder, whose weight
+    is 1e-154, no longer holds its batch to the precision of its own large
+    value.  From level _FIRST_TEST_LEVEL on, a row whose own estimate is
+    within a tenth of its batch's bound retires with the value it has (see
+    _drive): later calls of integrand2d get a column of the live rows only,
+    never empty, and only their values are counted against the work bound.
+    An inner drive that does not converge clears converged of the result.
+    Whatever tol is, an inner batch that would take the evaluations of
+    integrand2d past _QUADRANT_MAX_EVALUATIONS is neither run nor counted,
+    and the outer drive stops at its last completed level (see the module).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only; once rows retire, the column is a copy that
@@ -618,8 +627,7 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         nonlocal failures
         # each row's outer exp-sinh weight, rounded down to a power of two
-        weight = xs * np.hypot(_HALF_PI, np.log(xs))
-        share = np.ldexp(0.5, np.frexp(weight)[1])[:, None]
+        share = _row_share(np.log2(xs * np.hypot(_HALF_PI, np.log(xs))))[:, None]
         col, live_share = xs[:, None], share  # the live rows
 
         def batch(ys: np.ndarray):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
-from .kernels import KernelError
+from .kernels import _EXP_ZERO, KernelError
 from .params import Params, TestIntegrand
 from .quadrature import (
     HALF_LINE_SPAN,
@@ -34,12 +34,9 @@ DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9)
 # largest relative residual the K6/K7 derivative cross-check accepts
 _DERIVATIVE_CHECK_PASS = 1e-4
 _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
-# exp underflows to exactly 0 below about -745.1; quadrant_support cuts its
-# box where a bound on the integrand's log-magnitude falls below this
+# quadrant_support cuts its box where a bound on the integrand's
+# log-magnitude falls below this, a margin under _EXP_ZERO
 _LOG_UNDERFLOW = -800.0
-# np.exp(x) is exactly 0 for every x <= -745.1332191019412, and off numpy's
-# fast path: quadrant_integrand writes 0 below this instead of calling it
-_EXP_ZERO = -745.2
 _LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
 # a box edge lies within this of the bound's crossing, in log x or log y
 _EDGE_TOL = 0.25
@@ -90,6 +87,16 @@ def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
         raise DivergentIntegralError("divergent along the diagonal (no large-t decay)")
 
 
+def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, float]:
+    """(log |coeff|, kx, ky, kt): the log-magnitude that quadrant_integrand
+    takes and quadrant_support bounds is log |coeff| + kx log x + ky log y
+    - kt log(1/x + 1/y) plus its exponents."""
+    n, m, nu = params.n, params.m, params.nu
+    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
+    # x^(-n/2) y^(-m/2) (x+y)^(-nu/2) t^mu, with log(x+y) = log x + log y - log t
+    return lead, -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
+
+
 def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     """The 2-D integrand as a numpy-broadcasting callable.
 
@@ -105,14 +112,10 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.
     """
-    n, m, nu = params.n, params.m, params.nu
-    a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
-    h = complex(params.h)
-    ab = params.a - params.b
+    a, b, c, h, j, p, q = params.a, params.b, params.c, params.h, params.j, params.p, params.q
+    ab = a - b
     negative = f.coeff < 0
-    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
-    # x^(-n/2) y^(-m/2) (x+y)^(-nu/2) t^mu, with log(x+y) = log x + log y - log t
-    kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
+    lead, kx, ky, kt = _powers(params, f)
     decay = f.sigma + c
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
@@ -198,10 +201,8 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     past it exp gives exactly 0.
     """
     _check_convergence(params, f, tilde)
-    n, m, nu = params.n, params.m, params.nu
-    kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
-    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
-    lead += max(-complex(params.h).real, 0.0) - min(kt, 0.0) * math.log(2.0)
+    lead, kx, ky, kt = _powers(params, f)
+    lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
     pick = min if kt >= 0.0 else max
 
     def g(k, p, a, l):
@@ -345,7 +346,7 @@ class VerificationRecord:
         }
 
     def to_csv_row(self) -> str:
-        h = complex(self.params.h)
+        h = self.params.h
         lv = complex(self.lhs.value) if self.lhs else complex(math.nan)
         rv = complex(self.rhs.value) if self.rhs else complex(math.nan)
         cells = [
@@ -383,11 +384,12 @@ def verify(
     reason recorded, never silent values.  When both sides converged, a
     record passes if compare_tol.met_by(abs_diff, lhs), the rule each
     side's own convergence test applies: abs_diff within
-    max(abs, rel * max(1, |lhs|)).  rel_diff = abs_diff / max(1, |lhs|) is
-    reported beside it.  So below 1 the test is absolute: with the defaults
-    two values below 5e-7 always agree, since their difference already
-    meets rel, and the abs clause decides nothing unless it exceeds rel.
-    ROADMAP item 1 will make both relative to the integral's size.
+    max(abs, rel * max(1, |lhs|)), and rel_diff = abs_diff / max(1, |lhs|)
+    is reported beside it, both at Tolerance.scale(lhs).  So below 1 the
+    test is absolute: with the defaults two values below 5e-7 always agree,
+    since their difference already meets rel, and the abs clause decides
+    nothing unless it exceeds rel.  ROADMAP item 1 will make both relative
+    to the integral's size.
     """
     if isinstance(rule, str):
         rule = get_rule(rule)
@@ -401,7 +403,7 @@ def verify(
         ok, reason = False, str(exc)
     else:
         abs_diff = abs(complex(lhs.value) - complex(rhs.value))
-        rel_diff = abs_diff / max(1.0, abs(complex(lhs.value)))
+        rel_diff = abs_diff / Tolerance.scale(lhs.value)
         converged = lhs.converged and rhs.converged
         ok = converged and compare_tol.met_by(abs_diff, lhs.value)
         reason = None
@@ -556,9 +558,9 @@ def derivative_check_k7(
 
     A central difference of the K6 value in p is matched against the K7
     value of the same parameters; the report records which sign agrees and
-    the relative residual.  (Differentiating exp(-p x) under the integral
-    pulls down -x, so the minus sign is the expected winner; the check
-    records the empirical answer rather than assuming it.)
+    the residual at Tolerance.scale(K7).  (Differentiating exp(-p x) under
+    the integral pulls down -x, so the minus sign is the expected winner;
+    the check records the empirical answer rather than assuming it.)
     """
     k6 = get_rule("K6-m111")
     k7 = get_rule("K7-m311")
@@ -573,8 +575,8 @@ def derivative_check_k7(
     dn = k6.reduce_to_1d(replace(k6_params, p=params.p - step), f, tol).require_converged()
     fd = (complex(up.value).real - complex(dn.value).real) / (2.0 * step)
     companion = complex(k7.reduce_to_1d(k7_params, f, tol).require_converged().value).real
-    res_plus = abs(fd - companion) / max(1.0, abs(companion))
-    res_minus = abs(fd + companion) / max(1.0, abs(companion))
+    scale = Tolerance.scale(companion)
+    res_plus, res_minus = abs(fd - companion) / scale, abs(fd + companion) / scale
     if res_minus <= res_plus:
         return DerivativeCheckReport(params, f, step, fd, companion, -1, res_minus)
     return DerivativeCheckReport(params, f, step, fd, companion, +1, res_plus)

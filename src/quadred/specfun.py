@@ -134,6 +134,21 @@ def _kummer_far_left(a: float, b: float, z: complex) -> complex | None:
     return None
 
 
+def _bessel_i_sum(a: float, m: int, d: int, sign: float, z: complex) -> complex:
+    """1F1(a; b; z) at b = 2a - m (d = m, sign -1) or b = 2a + m (d = 0,
+    sign +1), where v = a - d - 1/2 and each order v + k is formed from a:
+
+        Gamma(v) (z/4)^-v e^(z/2) sum_k sign^k (-m)_k (2v)_k (v+k) I_(v+k)(z/2) / ((b)_k k!).
+    """
+    b = 2 * a + sign * m
+    total = 0.0 + 0.0j
+    for k in range(m + 1):
+        coeff = (sign**k * pochhammer(-m, k) * pochhammer(2 * a - 2 * d - 1, k) * (a + k - d - 0.5)
+                 / (pochhammer(b, k) * math.factorial(k)))
+        total += coeff * complex(_sp.ive(a + k - d - 0.5, z / 2.0))
+    return gamma_fn(a - d - 0.5) * _cpow(z / 4.0, d - a + 0.5) * _exp_half_scaled(z) * total
+
+
 def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
     """1F1(a; 2a-m; z) through a finite sum of Bessel-I terms.
 
@@ -155,18 +170,7 @@ def kummer_via_bessel_2a_minus(a: float, m: int, z: complex) -> complex:
         far = _kummer_far_left(a, 2 * a - m, z)
         if far is not None:
             return far
-    total = 0.0 + 0.0j
-    for k in range(m + 1):
-        coeff = (
-            (-1.0) ** k
-            * pochhammer(-m, k)
-            * pochhammer(2 * a - 2 * m - 1, k)
-            * (a + k - m - 0.5)
-            / (pochhammer(2 * a - m, k) * math.factorial(k))
-        )
-        total += coeff * complex(_sp.ive(a + k - m - 0.5, z / 2.0))
-    pref = gamma_fn(a - m - 0.5) * _cpow(z / 4.0, m - a + 0.5) * _exp_half_scaled(z)
-    return pref * total
+    return _bessel_i_sum(a, m, m, -1.0, z)
 
 
 def kummer_via_bessel_2a(a: float, z: complex) -> complex:
@@ -204,17 +208,7 @@ def kummer_via_bessel_2a_plus(a: float, m: int, z: complex) -> complex:
         return 1.0 + 0.0j
     if z.real >= _FAR_OUT:
         return cmath.exp(z) * kummer_via_bessel_2a_minus(a + m, m, -z)
-    total = 0.0 + 0.0j
-    for k in range(m + 1):
-        coeff = (
-            pochhammer(-m, k)
-            * pochhammer(2 * a - 1, k)
-            * (a + k - 0.5)
-            / (pochhammer(2 * a + m, k) * math.factorial(k))
-        )
-        total += coeff * complex(_sp.ive(a + k - 0.5, z / 2.0))
-    pref = gamma_fn(a - 0.5) * _cpow(z / 4.0, 0.5 - a) * _exp_half_scaled(z)
-    return pref * total
+    return _bessel_i_sum(a, m, 0, 1.0, z)
 
 
 def kummer_via_laguerre(a: float, m: int, z: complex) -> complex:

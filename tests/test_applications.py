@@ -287,7 +287,7 @@ class TestFourier:
         assert fourier_pair_erfi_result(spec).converged
         ts = np.concatenate(seen)
         logmag = math.log(SQPI / spec.k) - np.log(ts) - beta * ts - gamma / ts
-        assert logmag.min() >= kernels._LOG_DEAD
+        assert logmag.min() >= kernels._EXP_ZERO
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k_dot_x2"):

@@ -109,7 +109,7 @@ def _reference_eval_kernel_with_f(terms, f, t, seen: set):
                 - (f.sigma + term.beta) * t
                 - term.gamma / t
             )
-            live = logmag > kernels._LOG_DEAD
+            live = logmag > kernels._EXP_ZERO
             if not live.any():
                 seen.add("dead")
                 continue

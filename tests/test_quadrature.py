@@ -1167,6 +1167,24 @@ class TestTolerance:
             Tolerance(**{field: value})
 
 
+class TestRowShare:
+    def test_oracle_shares_match_the_frexp_rule_on_every_node(self):
+        # the oracle's share of an inner row is the largest power of two
+        # <= its outer weight, ldexp(0.5, frexp(weight)[1]); _row_share of
+        # log2(weight) gives it bit for bit on every node of the ladder
+        x = np.concatenate([quadrature._run(quadrature._EXP_SINH, level, direction)[0]
+                            for level in range(len(quadrature._LEVELS))
+                            for direction in (1.0, -1.0)])
+        assert len(x) == 50_387
+        weight = x * np.hypot(math.pi / 2.0, np.log(x))
+        share = quadrature._row_share(np.log2(weight))
+        assert share.tobytes() == np.ldexp(0.5, np.frexp(weight)[1]).tobytes()
+
+    def test_shares_are_clipped_to_normal_powers_of_two(self):
+        share = quadrature._row_share(np.array([-2000.0, -1022.5, 0.5, 3.9, 1023.0, 5000.0]))
+        assert share.tolist() == [2.0**-1022, 2.0**-1022, 1.0, 8.0, 2.0**1023, 2.0**1023]
+
+
 class TestQuadResultScaled:
     def test_real_factor_keeps_the_value_type(self):
         res = QuadResult(2.5, 1e-12, 40, True).scaled(3.0)

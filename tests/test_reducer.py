@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadred import kernels, quadrature, reducer
+from quadred.applications import CheshireReport, FourierSpec
 from quadred.catalog import ApplicabilityError, Family, get_rule, list_rules
 from quadred.kernels import ErfcxSqrtInvFactor
 from quadred.params import Params, TestIntegrand
@@ -1038,3 +1039,72 @@ class TestSweep:
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+
+def _sweep_draws(seed: int = 42):
+    """(rule, params, f, case index) of every draw of `verify --rules all`."""
+    for rule_index, rule in enumerate(list_rules(include_erratum=False)):
+        for case_index in range(20):
+            yield (rule, *_case_inputs(rule, seed, rule_index, case_index), case_index)
+
+
+class TestTwins:
+    """Identities of the quadrant integral that need no referee: two
+    reductions of the same integral must agree."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: below 1 the 1-D drive's target is absolute, so a "
+        "reduction worth 5e-9 stops 9e-9 relative from its dilated twin",
+    )
+    def test_dilation_twins_agree(self):
+        # x, y -> x/lam, y/lam: I(P, f) = lam^(2 - (n+m+nu)/2 + mu) I(P_lam, f_lam),
+        # each scaling exact for lam a power of two
+        off = []
+        for lam in (2.0**-4, 2.0**4):
+            for rule, params, f, case_index in _sweep_draws():
+                twin = dataclasses.replace(params, a=params.a / lam, b=params.b / lam,
+                                           c=params.c * lam, j=params.j / lam,
+                                           p=params.p * lam, q=params.q * lam)
+                power = 2.0 - (params.n + params.m + params.nu) / 2.0 + f.mu
+                value = complex(rule.reduce_to_1d(params, f).value)
+                dilated = lam**power * complex(rule.reduce_to_1d(
+                    twin, TestIntegrand(f.coeff, f.mu, f.sigma * lam)).value)
+                rel = abs(dilated - value) / abs(value)
+                if rel > 1e-10:
+                    off.append((lam, rule.id, case_index, rel))
+        assert not off
+
+    def test_mirror_twins_agree(self):
+        # at h = 0 the axis swap is an identity: normalize routes the mirror
+        # of 192 of the non-tilde draws to another rule or other parameters
+        routed = 0
+        for rule, params, f, case_index in _sweep_draws():
+            if rule.family is Family.MIXED_TILDE or params.h != 0:
+                continue
+            mirror_rule, mirrored, mirrored_f = normalize(params.mirrored(), f)
+            if (mirror_rule, mirrored, mirrored_f) == (rule, params, f):
+                continue
+            routed += 1
+            value = complex(rule.reduce_to_1d(params, f).value)
+            twin = complex(mirror_rule.reduce_to_1d(mirrored, mirrored_f).value)
+            assert abs(twin - value) <= 1e-11 * abs(value), (rule.id, case_index, mirror_rule.id)
+        assert routed == 192
+
+
+class TestScaleOwner:
+    """Every relative difference a report gives divides by Tolerance.scale,
+    so the floor of its scale is set in one place."""
+
+    def test_relative_differences_follow_the_scale(self, monkeypatch):
+        scale = 2.0**10  # a power of two: each quotient below is exact
+        monkeypatch.setattr(quadrature.Tolerance, "scale",
+                            staticmethod(lambda value, floor=0.0: scale))
+        rec = verify("E1-pbm-corrected", Params(0, 0, 1, p=1.0, q=4.0),
+                     TestIntegrand(1e-3, 0.0, 1.0))
+        assert rec.abs_diff > 0.0 and rec.rel_diff == rec.abs_diff / scale
+        report = CheshireReport(FourierSpec(0.5, 0.0, 1.0, 0.5, 1.0), 1e-5, 3.0 + 1.0j, 2.0)
+        assert report.rel_diff == abs(1.0 + 1.0j) / scale
+        rep = derivative_check_k7(Params(-1, 1, 1, p=1.0, q=1.0), TestIntegrand(1.0, 0.5, 0.0))
+        fd, companion = rep.fd_value, rep.companion_value
+        assert rep.residual == min(abs(fd - companion), abs(fd + companion)) / scale
