@@ -216,21 +216,25 @@ def _sample_n6(triple, rng, index):
 # ----------------------------------------------------------------------------
 
 
+def _e_terms(params: Params, *rows) -> list[KernelTerm]:
+    """coeff t**alpha e^(-(sqrt p + sqrt q)^2 t) for each (coeff, alpha) row."""
+    beta = (math.sqrt(params.p) + math.sqrt(params.q)) ** 2
+    return [KernelTerm(coeff, alpha, beta=beta) for coeff, alpha in rows]
+
+
 def _e1_kernel(params: Params) -> list[KernelTerm]:
     sp, sq = math.sqrt(params.p), math.sqrt(params.q)
-    return [KernelTerm(SQPI * (sp + sq) / (sp * sq), 0.0, beta=(sp + sq) ** 2)]
+    return _e_terms(params, (SQPI * (sp + sq) / (sp * sq), 0.0))
 
 
 def _e1_uncorrected_kernel(params: Params) -> list[KernelTerm]:
     p, q = params.p, params.q
-    return [
-        KernelTerm(SQPI / math.sqrt(p * q * (p + q)), 0.0, beta=(math.sqrt(p) + math.sqrt(q)) ** 2)
-    ]
+    return _e_terms(params, (SQPI / math.sqrt(p * q * (p + q)), 0.0))
 
 
 def _e2_kernel(params: Params) -> list[KernelTerm]:
     sp, sq = math.sqrt(params.p), math.sqrt(params.q)
-    return [KernelTerm(SQPI * (sp + sq) / (sp * sq), -0.5, beta=(sp + sq) ** 2)]
+    return _e_terms(params, (SQPI * (sp + sq) / (sp * sq), -0.5))
 
 
 def _e3_kernel(params: Params) -> list[KernelTerm]:
@@ -239,26 +243,18 @@ def _e3_kernel(params: Params) -> list[KernelTerm]:
     # display, whose bracket coefficients are otherwise exact
     p, q = params.p, params.q
     sp, sq = math.sqrt(p), math.sqrt(q)
-    sig2 = (sp + sq) ** 2
-    return [
-        KernelTerm(SQPI * sig2 / (p * sq), 0.5, beta=sig2),
-        KernelTerm(SQPI / (2.0 * p**1.5), -0.5, beta=sig2),
-    ]
+    return _e_terms(params, (SQPI * (sp + sq) ** 2 / (p * sq), 0.5),
+                    (SQPI / (2.0 * p**1.5), -0.5))
 
 
 def _e4_kernel(params: Params) -> list[KernelTerm]:
-    sp, sq = math.sqrt(params.p), math.sqrt(params.q)
-    return [KernelTerm(SQPI / sq, -0.5, beta=(sp + sq) ** 2)]
+    return _e_terms(params, (SQPI / math.sqrt(params.q), -0.5))
 
 
 def _e5_kernel(params: Params) -> list[KernelTerm]:
     p, q = params.p, params.q
-    sp, sq = math.sqrt(p), math.sqrt(q)
-    sig2 = (sp + sq) ** 2
-    return [
-        KernelTerm(SQPI / (2.0 * q**1.5), -0.5, beta=sig2),
-        KernelTerm(SQPI * sp / q, 0.5, beta=sig2),
-    ]
+    return _e_terms(params, (SQPI / (2.0 * q**1.5), -0.5),
+                    (SQPI * math.sqrt(p) / q, 0.5))
 
 
 def _macdonald(coeff: float, alpha: float, params: Params, order: int) -> KernelTerm:
@@ -309,25 +305,27 @@ def _k7_kernel(params):
     ]
 
 
+def _split_terms(params: Params, *rows) -> list[KernelTerm]:
+    """coeff t**alpha e^(-ct - cutoff/t) for each (coeff, alpha, cutoff) row,
+    the cut-off being a or b."""
+    return [KernelTerm(coeff, alpha, beta=params.c, gamma=cutoff) for coeff, alpha, cutoff in rows]
+
+
 def _n1_kernel(params):
-    a, b, c = params.a, params.b, params.c
+    a, b = params.a, params.b
     pref = (a - b) ** -2
-    return [
-        KernelTerm(pref, -0.5, beta=c, gamma=a),
-        KernelTerm(pref * (a - b), -1.5, beta=c, gamma=b),
-        KernelTerm(-pref, -0.5, beta=c, gamma=b),
-    ]
+    return _split_terms(params, (pref, -0.5, a),
+                        (pref * (a - b), -1.5, b),
+                        (-pref, -0.5, b))
 
 
 def _n2_kernel(params):
-    a, b, c = params.a, params.b, params.c
+    a, b = params.a, params.b
     pref = (a - b) ** -3
-    return [
-        KernelTerm(pref * (a - b), -1.5, beta=c, gamma=b),
-        KernelTerm(-2.0 * pref, -0.5, beta=c, gamma=b),
-        KernelTerm(pref * (a - b), -1.5, beta=c, gamma=a),
-        KernelTerm(2.0 * pref, -0.5, beta=c, gamma=a),
-    ]
+    return _split_terms(params, (pref * (a - b), -1.5, b),
+                        (-2.0 * pref, -0.5, b),
+                        (pref * (a - b), -1.5, a),
+                        (2.0 * pref, -0.5, a))
 
 
 def _n3_kernel(params):
@@ -353,12 +351,10 @@ def _n5_kernel(params):
     # weight (a-b)^-1 t^-1 e^-ct (e^-b/t - e^-a/t); the tabulated display
     # carries t^-3/2, but only t^-1 matches the 2-D oracle and degenerates
     # into the a=b gamma-ratio form's t^-2 as b -> a
-    a, b, c = params.a, params.b, params.c
+    a, b = params.a, params.b
     pref = 1.0 / (a - b)
-    return [
-        KernelTerm(pref, -1.0, beta=c, gamma=b),
-        KernelTerm(-pref, -1.0, beta=c, gamma=a),
-    ]
+    return _split_terms(params, (pref, -1.0, b),
+                        (-pref, -1.0, a))
 
 
 def _n6_kernel(params):
@@ -366,71 +362,48 @@ def _n6_kernel(params):
     return [replace(_g1_kernel(params)[0], special=None)]
 
 
-def _tilde_gamma(params) -> float:
-    # every term of the constrained family carries exp(-(b + 2(a-b))/t)
-    return params.b + 2.0 * (params.a - params.b)
+def _tilde_terms(params: Params, *rows) -> list[KernelTerm]:
+    """coeff t**alpha e^(-ct - (b + 2(a-b))/t), times erfcx(2 sqrt((a-b)/t))
+    where flagged, for each (coeff, alpha, erfcx) row."""
+    a, b = params.a, params.b
+    gamma, erfcx = b + 2.0 * (a - b), ErfcxSqrtInvFactor(a - b)
+    return [KernelTerm(coeff, alpha, beta=params.c, gamma=gamma, special=erfcx if flagged else None)
+            for coeff, alpha, flagged in rows]
 
 
 def _t1_kernel(params):
-    a, b = params.a, params.b
     nu = params.nu
-    coeff = SQPI / (2.0 * math.sqrt(a - b))
-    g0 = _tilde_gamma(params)
-    return [
-        KernelTerm(coeff, (nu - 4) / 2.0, beta=params.c, gamma=g0),
-        KernelTerm(-coeff, (nu - 4) / 2.0, beta=params.c, gamma=g0,
-                   special=ErfcxSqrtInvFactor(a - b)),
-    ]
+    coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
+    return _tilde_terms(params, (coeff, (nu - 4) / 2.0, False),
+                        (-coeff, (nu - 4) / 2.0, True))
 
 
 def _t2_kernel(params):
-    a, b = params.a, params.b
     nu = params.nu
-    coeff = SQPI / (2.0 * math.sqrt(a - b))
-    g0 = _tilde_gamma(params)
-    return [
-        KernelTerm(coeff, nu / 2.0 - 1.0, beta=params.c, gamma=g0),
-        KernelTerm(coeff, nu / 2.0 - 1.0, beta=params.c, gamma=g0,
-                   special=ErfcxSqrtInvFactor(a - b)),
-    ]
+    coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
+    return _tilde_terms(params, (coeff, nu / 2.0 - 1.0, False),
+                        (coeff, nu / 2.0 - 1.0, True))
 
 
 def _t3_kernel(params):
-    a, b = params.a, params.b
-    nu = params.nu
-    g0 = _tilde_gamma(params)
-    return [
-        KernelTerm(SQPI / math.sqrt(a - b), (nu - 4) / 2.0, beta=params.c, gamma=g0,
-                   special=ErfcxSqrtInvFactor(a - b))
-    ]
+    coeff = SQPI / math.sqrt(params.a - params.b)
+    return _tilde_terms(params, (coeff, (params.nu - 4) / 2.0, True))
 
 
 def _t4_kernel(params):
-    a, b = params.a, params.b
-    nu = params.nu
-    g0 = _tilde_gamma(params)
-    ex = ErfcxSqrtInvFactor(a - b)
-    return [
-        KernelTerm(2.0 * SQPI / math.sqrt(a - b), (nu - 6) / 2.0, beta=params.c,
-                   gamma=g0, special=ex),
-        KernelTerm(-SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, beta=params.c,
-                   gamma=g0, special=ex),
-        KernelTerm(SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, beta=params.c, gamma=g0),
-        KernelTerm(-1.0 / (a - b), (nu - 5) / 2.0, beta=params.c, gamma=g0),
-    ]
+    a, b, nu = params.a, params.b, params.nu
+    return _tilde_terms(params, (2.0 * SQPI / math.sqrt(a - b), (nu - 6) / 2.0, True),
+                        (-SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, True),
+                        (SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, False),
+                        (-1.0 / (a - b), (nu - 5) / 2.0, False))
 
 
 def _t5_kernel(params):
-    a, b = params.a, params.b
-    nu = params.nu
-    g0 = _tilde_gamma(params)
-    ex = ErfcxSqrtInvFactor(a - b)
-    return [
-        KernelTerm(SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, beta=params.c, gamma=g0),
-        KernelTerm(SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, beta=params.c, gamma=g0, special=ex),
-        KernelTerm(1.0 / (a - b), (nu - 1) / 2.0, beta=params.c, gamma=g0),
-        KernelTerm(-SQPI / math.sqrt(a - b), (nu - 2) / 2.0, beta=params.c, gamma=g0, special=ex),
-    ]
+    a, b, nu = params.a, params.b, params.nu
+    return _tilde_terms(params, (SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, False),
+                        (SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, True),
+                        (1.0 / (a - b), (nu - 1) / 2.0, False),
+                        (-SQPI / math.sqrt(a - b), (nu - 2) / 2.0, True))
 
 
 def _g1_kernel(params):

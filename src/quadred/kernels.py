@@ -209,10 +209,11 @@ class RInnerFactor(_Factor):
     |J| <= B(pr+1, ps+1).  The integrand reads s' and 1 - s from the node
     pair (s, 1 - s), whose small member is the exact tanh-sinh offset from
     its endpoint, so nothing cancels.  All rows of one call are one
-    (rows, n) batch of integrate_interval, judged by its largest row
-    against _R_INNER_TOL with no work bound of its own: the level cap
-    bounds the work, and a batch not converged by then raises
-    QuadratureError.  Each row is judged by its share of the weight, as in
+    (rows, n) batch of integrate_interval, judged by its largest scaled
+    row, with no floor (see quadrature.Tolerance.scale), against
+    _R_INNER_TOL, and with no work bound of its own: the level cap bounds
+    the work, and a batch not converged by then raises QuadratureError.
+    Each row is judged by its share of the weight, as in
     integrate_quadrant: its values are multiplied by its term scale
     t**-(pr+1) exp(-min(a,b)/t), taken in logs, rounded down to a power of
     two and clipped to the normal range (quadrature._row_share); that share
@@ -292,11 +293,13 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     special factors included, run under one np.errstate that ignores
     log(0) and underflow whatever the caller has set.
 
-    A call costs more per term than per node (a quadrature block is 32
-    nodes), so a term masks its live rows only where some row is dead,
-    tests by ufunc reductions, and skips what cannot change a bit: a zero
-    beta or gamma (t is finite and positive), a phase or lift of 1, and a
-    sign, added or subtracted.  So the values keep their bits.
+    Each term takes the rows where it has not underflowed by one mask.  A
+    call costs more per term than per node (a quadrature block is 32
+    nodes), so a term tests by ufunc reductions and skips what cannot
+    change a bit: a zero gamma (t is finite and positive), a phase or lift
+    of 1, and a sign, added or subtracted.  -(sigma + beta) t is always
+    applied, and at sigma + beta = 0 it keeps every bit too.  So the values
+    keep their bits.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
@@ -309,19 +312,16 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            logmag = math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
-            if f.sigma + term.beta != 0.0:
-                logmag = logmag - (f.sigma + term.beta) * t
+            logmag = (math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
+                      - (f.sigma + term.beta) * t)
             if term.gamma != 0.0:
                 logmag = logmag - term.gamma / t
             live = logmag > _EXP_ZERO
-            rows = np.count_nonzero(live)
-            if rows == 0:
-                continue
-            whole = rows == live.size
-            logtot, phase = logmag if whole else logmag[live], None
+            if np.count_nonzero(live) == 0:
+                continue  # a factor never sees zero rows
+            logtot, phase = logmag[live], None
             if term.special is not None:
-                bounded = term.special.bounded_part(t if whole else t[live])
+                bounded = term.special.bounded_part(t[live])
                 mag = np.abs(bounded)
                 if np.minimum.reduce(mag, axis=None) < 1e-280:
                     # lift denormals into the normal range before the division:
@@ -343,10 +343,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
             if vals.dtype.kind == "c" and out.dtype.kind != "c":
                 out = out.astype(vals.dtype)
             add = np.subtract if (f.coeff >= 0) != (term.coeff >= 0) else np.add
-            if whole:
-                add(out, vals, out=out)
-            else:
-                out[live] = add(out[live], vals)
+            out[live] = add(out[live], vals)
     return out.reshape(shape)
 
 

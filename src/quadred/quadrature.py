@@ -108,7 +108,8 @@ _FIRST_TEST_LEVEL = 3
 # From that level on, a row of the oracle's inner batch retires once its own
 # estimate is within this share of the batch's bound (see _drive).
 _RETIRE_SHARE = 0.1
-# Below this scale targets and differences are absolute (Tolerance.scale)
+# Below this scale a single value's targets and differences are absolute
+# (Tolerance.scale); a batch has no floor
 _SCALE_FLOOR = 1.0
 
 
@@ -134,13 +135,18 @@ class Tolerance:
             raise ValueError("abs tolerance must be finite and positive")
 
     @staticmethod
-    def scale(value, floor: float = _SCALE_FLOOR) -> float:
-        """|value|, or a batch's largest |row|, bounded below by floor."""
-        return max(floor, _largest(value))
+    def scale(value) -> float:
+        """A batch's largest |row|, or a single value's |value| bounded
+        below by _SCALE_FLOOR.  A batch needs no floor: its rows arrive
+        scaled by their shares of a larger sum (see integrate_quadrant).
+        """
+        if isinstance(value, np.ndarray):
+            return _largest(value)
+        return max(_SCALE_FLOOR, abs(value))
 
-    def bound(self, value, floor: float = _SCALE_FLOOR) -> float:
+    def bound(self, value) -> float:
         """The largest estimate within tolerance at the scale of value."""
-        return max(self.abs, self.rel * self.scale(value, floor))
+        return max(self.abs, self.rel * self.scale(value))
 
     def met_by(self, estimate: float, value) -> bool:
         """Whether estimate is within tolerance at the scale of value (see bound)."""
@@ -447,7 +453,7 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple):
     return total
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = _SCALE_FLOOR, narrow=None):
+def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
@@ -462,11 +468,11 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = _SCALE_FLOOR, narr
     A drive that never converges stops after level _MAX_LEVEL, which
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
     and fetch down to it.  A batch converges when its largest row does, at
-    a scale bounded below by floor (see Tolerance.bound).  A drive whose
-    f raises _BudgetExceeded stops at its last completed level,
-    unconverged, or at value 0 with an infinite estimate if there is none.
-    It sets no error state: it runs under its entry point's (see the
-    module).
+    that row's scale; a single value's scale has a floor (see
+    Tolerance.scale).  A drive whose f raises _BudgetExceeded stops at its
+    last completed level, unconverged, or at value 0 with an infinite
+    estimate if there is none.  It sets no error state: it runs under its
+    entry point's (see the module).
 
     narrow, if given, lets a batch retire its rows.  After each tested
     level that does not converge, a row whose own estimate
@@ -506,20 +512,19 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, floor: float = _SCALE_FLOOR, narr
             value = _LEVELS[level][2] * raw
             if live is not None:
                 values[live] = value
-            if level:
-                error = abs(value - prev) + 4e-16 * abs(value)
-                estimate = _largest(error)
-                bound = tol.bound(value if live is None else values, floor)
-                if estimate <= bound:
-                    converged = True
-                    break
-                if narrow is not None:
-                    keep = error > _RETIRE_SHARE * bound
-                    if not keep.all():
-                        if live is None:
-                            live, values = np.arange(len(value)), value.copy()
-                        live, raw, value = live[keep], raw[keep], value[keep]
-                        narrow(keep)
+            error = abs(value - prev) + 4e-16 * abs(value)
+            estimate = _largest(error)
+            bound = tol.bound(value if live is None else values)
+            if estimate <= bound:
+                converged = True
+                break
+            if narrow is not None:
+                keep = error > _RETIRE_SHARE * bound
+                if not keep.all():
+                    if live is None:
+                        live, values = np.arange(len(value)), value.copy()
+                    live, raw, value = live[keep], raw[keep], value[keep]
+                    narrow(keep)
     except _BudgetExceeded:
         pass
     return (value if live is None else values), estimate, converged
@@ -557,8 +562,9 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     The integrand may blow up at 0 no worse than an integrable power and
     must decay at infinity.  It is never evaluated at t = 0.  It returns one
     value per t, or a (rows, n) batch: then the value holds one integral
-    per row, the batch converges when its largest row does, and each of
-    its values counts as one evaluation.
+    per row, the batch converges when its largest row does, judged at that
+    row's own scale with no floor (see Tolerance.scale), and each of its
+    values counts as one evaluation.
     """
     return _integrate(integrand, _EXP_SINH, tol or Tolerance())
 
@@ -586,13 +592,14 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     it, row i is multiplied by its outer exp-sinh weight
     w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two by
     _row_share, an exact scaling that keeps the product a normal double;
-    it is divided out again on return, and the batch is judged with no
-    floor on its scale.  So a row far out on the x-ladder, whose weight
-    is 1e-154, no longer holds its batch to the precision of its own large
-    value.  From level _FIRST_TEST_LEVEL on, a row whose own estimate is
-    within a tenth of its batch's bound retires with the value it has (see
-    _drive): later calls of integrand2d get a column of the live rows only,
-    never empty, and only their values are counted against the work bound.
+    it is divided out again on return, and the batch is judged at its
+    largest scaled row, as every batch is.  So a row far out on the
+    x-ladder, whose weight is 1e-154, no longer holds its batch to the
+    precision of its own large value.  From level _FIRST_TEST_LEVEL on, a
+    row whose own estimate is within a tenth of its batch's bound retires
+    with the value it has (see _drive): later calls of integrand2d get a
+    column of the live rows only, never empty, and only their values are
+    counted against the work bound.
     An inner drive that does not converge clears converged of the result.
     Whatever tol is, an inner batch that would take the evaluations of
     integrand2d past _QUADRANT_MAX_EVALUATIONS is neither run nor counted,
@@ -643,7 +650,7 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
             col, live_share = col[keep], live_share[keep]
             col.flags.writeable = False  # a mask makes a writable copy
 
-        value, _, converged = _drive(batch, inner, inner_tol, floor=0.0, narrow=narrow)
+        value, _, converged = _drive(batch, inner, inner_tol, narrow=narrow)
         if exhausted:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged

@@ -171,6 +171,15 @@ class TestBatches:
         assert batch.evaluations == 2 * single.evaluations
         assert batch.converged
 
+    def test_batch_below_one_is_judged_at_its_own_scale(self):
+        # a single value's scale has a floor of 1, a batch's has none: its
+        # largest row sets it, 6.6e-8 here, so the bound is abs
+        tol = Tolerance()
+        rows = np.array([[1e-6], [2e-6]])
+        res = integrate_interval(lambda x: rows * np.cos(30.0 * x[:, 0]), tol)
+        assert res.converged
+        assert res.abs_error_estimate <= max(tol.abs, tol.rel * np.max(np.abs(res.value)))
+
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_complex_row_gives_a_complex_batch(self, route):
         integrate, f, _ = self.ROUTES[route]
@@ -267,13 +276,13 @@ class TestRowRetirement:
         """(the two rows' inner integrals, the quadrant's result, each call's column)."""
         drive, rows, columns = quadrature._drive, [], []
 
-        def two_row_outer(f, ladder, tol, floor=1.0, narrow=None):
+        def two_row_outer(f, ladder, tol, narrow=None):
             if narrow is None:  # the outer drive
                 xs = self.XS.copy()
                 xs.flags.writeable = False
                 rows.append(f(xs))
                 return 0.0, 0.0, True
-            return drive(f, ladder, tol, floor, narrow if retire else None)
+            return drive(f, ladder, tol, narrow if retire else None)
 
         def spy(x, y):
             assert not x.flags.writeable
@@ -311,7 +320,7 @@ class TestRowRetirement:
         share = np.array([1.0, 2.0])  # each node's outer weight, rounded down to a power of two
         outer = quadrature.QUADRANT_TOLERANCE
         inner = Tolerance(rel=outer.rel / 10.0, abs=outer.abs)
-        bound = inner.bound(full_rows * share, floor=0.0)
+        bound = inner.bound(full_rows * share)
         assert np.all(np.abs(rows - full_rows) * share <= bound)
 
     @pytest.mark.parametrize(
@@ -1154,10 +1163,10 @@ class TestTolerance:
         assert tol.met_by(1.5e-10, batch)
         assert not tol.met_by(2.5e-10, batch)
         small = np.array([1e-3, 2e-3])
-        assert tol.met_by(1e-10, small)
-        assert 1e-10 > tol.bound(small, floor=0.0)
-        assert 1e-13 <= tol.bound(small, floor=0.0)
-        assert 1e-14 <= tol.bound(np.zeros(2), floor=0.0)
+        assert not tol.met_by(1e-10, small)
+        assert 1e-10 > tol.bound(small)
+        assert 1e-13 <= tol.bound(small)
+        assert 1e-14 <= tol.bound(np.zeros(2))
 
     @pytest.mark.parametrize("field", ["rel", "abs"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
