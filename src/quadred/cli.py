@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+from dataclasses import replace
+
 from . import applications as apps
 from .catalog import (
     ApplicabilityError,
@@ -22,7 +24,7 @@ from .catalog import (
 )
 from .params import Params, TestIntegrand
 from .quadrature import QuadResult, QuadratureError, Tolerance
-from .reducer import DEFAULT_COMPARE_TOL, run_sweep
+from .reducer import DEFAULT_COMPARE_TOL, _quad_json, run_sweep
 
 _APPLICATIONS = (
     "yukawa-pair",
@@ -100,10 +102,7 @@ def cmd_list(args) -> int:
 def _print_result(res: QuadResult, fmt: str) -> int:
     v = complex(res.value)
     if fmt == "json":
-        print(json.dumps({
-            "value": {"re": v.real, "im": v.imag}, "abs_error_estimate": res.abs_error_estimate,
-            "evaluations": res.evaluations, "converged": res.converged,
-        }, sort_keys=True))
+        print(json.dumps(_quad_json(replace(res, value=v)), sort_keys=True))
     else:
         shown = repr(v.real) if v.imag == 0.0 else repr(v)
         print(f"value = {shown}")

@@ -154,10 +154,13 @@ class FourierErfiFactor(_Factor):
     the common cut-off min(eta1, eta2)^2/4 and beta the Cauchy-Schwarz
     residual max(x2^2 - (chi/k)^2, 0); both go to the factor's KernelTerm.
     Evaluated through the Faddeeva function w, z- and z+ as the two rows of
-    one array, so every exponent keeps a non-positive real part and each of
-    the two terms is at most 3 in magnitude.  Im z+- = chi sqrt(t)/k has the
-    sign of chi at every t > 0, so one branch serves a whole call: w(z) for
-    chi >= 0, else the reflection w(z) = 2 exp(-z^2) - w(-z) (DLMF 7.4.3).
+    one array.  Im z+- = chi sqrt(t)/k has the sign s of chi at every t > 0,
+    so one branch serves a whole call: w(z) for chi >= 0, else the
+    reflection w(z) = 2 exp(-z^2) - w(-z) (DLMF 7.4.3).  With expo a row's
+    prefactor exponent, the reflection's 2 exp(expo - z^2) is the same in
+    both rows, so it drops out of their difference and is never computed.
+    Each row is then s exp(expo) w(s z), with Re expo <= 0 and
+    Im(s z) >= 0, so at most 1 in magnitude.
     """
 
     k: float
@@ -184,15 +187,10 @@ class FourierErfiFactor(_Factor):
         z = (1j * chi * t + gg) / (k * np.sqrt(t))
         # prefactor exponents with -beta t - gamma/t taken out, each real part <= 0
         expo = -cut / t - (self.x2 * self.x2 - self.beta) * t + 1j * phase
-        if chi >= 0.0:
-            terms = np.exp(expo) * _sp.wofz(z)
-        else:
-            # expo - z^2, built analytically: the x2^2 t part cancels against
-            # (chi/k)^2 t up to the residual beta, which must not be left to
-            # floating-point subtraction of huge intermediates
-            minus_z2 = -(cut + gg * gg / (k * k)) / t + 1j * (phase - 2.0 * chi * gg / (k * k))
-            terms = 2.0 * np.exp(minus_z2) - np.exp(expo) * _sp.wofz(-z)
-        return 1j * (terms[0] - terms[1])
+        up = chi >= 0.0
+        terms = np.exp(expo) * _sp.wofz(z if up else -z)
+        # for chi < 0 both rows are negated, so the difference is taken the other way
+        return 1j * (terms[0] - terms[1] if up else terms[1] - terms[0])
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,6 @@ DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9)
 # largest relative residual the K6/K7 derivative cross-check accepts
 _DERIVATIVE_CHECK_PASS = 1e-4
 _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
-# quadrant_support cuts its box where a bound on the integrand's
-# log-magnitude falls below this, a margin under _EXP_ZERO
-_LOG_UNDERFLOW = -800.0
 _LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
 # a box edge lies within this of the bound's crossing, in log x or log y
 _EDGE_TOL = 0.25
@@ -164,18 +161,19 @@ def _peak(k: float, p: float, a: float) -> float:
 
 
 def _edge(bound, out: float, inner: float) -> float:
-    """A point between out and inner beyond which bound < _LOG_UNDERFLOW.
+    """A point between out and inner beyond which bound < _EXP_ZERO.
 
     bound is monotone from out to inner.  A bisection keeps out on the side
-    below the floor, so the point is safe whatever the tolerance.
+    where exp of the bound is exactly 0, so the point is safe whatever the
+    tolerance.
     """
-    if bound(inner) < _LOG_UNDERFLOW:
+    if bound(inner) < _EXP_ZERO:
         return inner
-    if bound(out) >= _LOG_UNDERFLOW:
+    if bound(out) >= _EXP_ZERO:
         return out
     while abs(inner - out) > _EDGE_TOL:
         mid = 0.5 * (out + inner)
-        if bound(mid) < _LOG_UNDERFLOW:
+        if bound(mid) < _EXP_ZERO:
             out = mid
         else:
             inner = mid
@@ -197,8 +195,9 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     g(l) = k l - p e^l - a e^-l is concave.  Its sup over the other
     variable on the ladders' log span is min (kt >= 0) or max (kt < 0) of
     two concave pieces, found in closed form (_peak).  The box edge on each
-    side of the peaks is where that bound crosses -800, found by bisection;
-    past it exp gives exactly 0.
+    side of the peaks is where that bound crosses _EXP_ZERO, found by
+    bisection; past it the integrand's exp is exactly 0, so every node the
+    box cuts has the value 0.0.
     """
     _check_convergence(params, f, tilde)
     lead, kx, ky, kt = _powers(params, f)

@@ -4,6 +4,8 @@ Consumers of ``verify --format json`` and ``list --format json`` can
 validate against these; the test suite does.
 """
 
+from .catalog import Family
+
 _COMPLEX = {
     "type": "object",
     "properties": {"re": {"type": "number"}, "im": {"type": "number"}},
@@ -114,9 +116,7 @@ RULE_DESCRIPTOR_SCHEMA = {
     "type": "object",
     "properties": {
         "id": {"type": "string"},
-        "family": {
-            "enum": ["positive-exp", "inverse-exp", "mixed-tilde", "general-h", "r-integral"]
-        },
+        "family": {"enum": [family.value for family in Family]},
         "triple": {
             "oneOf": [
                 {"type": "array", "items": {"type": "integer"},
