@@ -23,14 +23,13 @@ call of 43 x 32 values costs about 37 us, and one of 43 x 258 about
 147 us), and nearly every drive reaches level 3, so levels 2 and 3 ride
 in the first call.  For the same reason a head holds a short run whole,
 one of at most _WHOLE_RUN_BLOCKS blocks: a drive takes one call for
-level 4, whose runs have 98 nodes, and evaluates the nodes past a quiet
-stop that the head holds (2 per direction where a scan stops after its
-third block); runs are longer from level 5 on.  Testing from level 3
-also keeps two coarse levels that agree by chance from passing for
-convergence.  No run of levels 0 to 3 is longer than two blocks, so no
-scan can stop in them: the first head's terms are summed in two groups,
-levels 0 to 2 and level 3, and a later scan sums each direction's first
-two blocks in one pass, groupings that can move a last bit.  A complex
+level 4, whose runs have 98 nodes; runs are longer from level 5 on.  A
+held run is summed whole, in one pass and with no quiet test: its nodes
+are evaluated already, so adding them costs less than testing them.
+Testing from level 3 also keeps two coarse levels that agree by chance
+from passing for convergence.  The first head's terms are summed in two
+groups, levels 0 to 2 and level 3, and a later scan sums all a direction
+holds in one pass, groupings that can move a last bit.  A complex
 sum is two real sums, so a real row of a complex batch keeps the bits it
 has alone.  Every drive fetches this way, the quadrant's outer and inner
 drives and R1's inner batch included: the outer drive's inner rows are
@@ -49,8 +48,9 @@ A quadrant caller may pass a support box outside which it guarantees its
 integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
 ladder, a child of the fixed one that lives for one integral: its runs
 are the fixed runs with their outer tails cut, so no value known to be 0
-is computed, and the sums differ from the unclipped ones only in how a
-cut block's terms are grouped.  The fixed ladder builds for the child only
+is computed.  The sums differ from the unclipped ones in how a cut run's
+terms are grouped, and by the quiet terms a cut run held whole adds past
+where the uncut scan stops.  The fixed ladder builds for the child only
 what an unclipped drive builds: runs, and heads of levels 0 to 4 (_head).
 
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
@@ -325,11 +325,11 @@ def _head(ladder: _Ladder, levels: tuple):
     quiet blocks, so whatever the values it evaluates the first 2 * _BLOCK
     nodes of each direction's run, or the whole run where it is shorter.
     A run of at most _WHOLE_RUN_BLOCKS blocks is held whole, since a call
-    costs more than the nodes a quiet stop might spare (see the module);
-    a longer run gives its first 2 * _BLOCK nodes (see _held).  The head
-    holds those nodes' abscissae and weights in scan order, the last
-    level's from index split on.  It is never empty: u = 0 and u = offset
-    are nodes of both ladders.
+    costs more than the nodes a quiet stop might spare (see the module),
+    and is summed whole (see _scan); a longer run gives its first
+    2 * _BLOCK nodes (see _held).  The head holds those nodes' abscissae
+    and weights in scan order, the last level's from index split on.  It
+    is never empty: u = 0 and u = offset are nodes of both ladders.
 
     A clipped ladder's runs are leading cuts of its parent's, so where the
     parent holds every run whole (levels 0 to 4), the child's head is the
@@ -414,28 +414,24 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple):
 
     head is (values, terms) of this level's head (see _head), terms being
     the values times its weights.  Each direction is summed chunk by
-    chunk: its first 2 * _BLOCK nodes, then one block at a time, sliced
-    from the head while it holds them and fetched by one call of f each
-    past it.  So where a scan stops does not depend on how much of a run
-    the head holds.  A chunk is summed in one pass; a non-finite term
-    leaves its row's sum non-finite, so one test of that sum (_finite, in
-    Python for a single integral) stands for a test of every term.  Where
-    the run goes on, each block of the chunk is tested for quiet against
-    the new total.  It sets no error state: it runs under its entry point's.
+    chunk: all the head holds of it, then one block at a time, fetched by
+    one call of f each.  So a held run is summed whole, as one chunk that
+    is never tested for quiet: the nodes a quiet stop would spare are
+    evaluated already, and are added.  A chunk is summed in one pass; a
+    non-finite term leaves its row's sum non-finite, so one test of that
+    sum (_finite, in Python for a single integral) stands for a test of
+    every term.  Where the run goes on, each block of the chunk is tested
+    for quiet against the new total, and two quiet blocks in a row stop
+    the direction.  It sets no error state: it runs under its entry point's.
     """
     values, head_terms = head
     total, at = 0.0, 0
     for direction in (+1.0, -1.0):
         x, w = _run(ladder, level, direction)
         held = _held(len(x))
-        start, end, quiet = 0, min(len(x), 2 * _BLOCK), 0
+        start, end, quiet = 0, held, 0
+        y, terms = values[..., at:at + held], head_terms[..., at:at + held]
         while True:
-            if end <= held:
-                y = values[..., at + start:at + end]
-                terms = head_terms[..., at + start:at + end]
-            else:
-                y = np.asarray(f(x[start:end]))
-                terms = y * w[start:end]
             part = _sum(terms)
             if not _finite(part):
                 _raise_non_finite(x[start:end], y, terms)
@@ -449,6 +445,8 @@ def _scan(f, ladder: _Ladder, level: int, head: tuple):
             if quiet >= 2:
                 break
             start, end = end, min(end + _BLOCK, len(x))
+            y = np.asarray(f(x[start:end]))
+            terms = y * w[start:end]
         at += held
     return total
 
@@ -460,10 +458,11 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     the step and adds the odd nodes (see _LEVELS).  The first convergence
     test follows level _FIRST_TEST_LEVEL, so the heads of levels 0 to it
     (see _head) are fetched in one call of f and summed in two groups,
-    the levels below it and the level itself: no run of them is longer
-    than 2 * _BLOCK, so no scan could stop in them.  Each later level's
-    head takes one call and a _scan; only blocks past a head cost a call
-    each.  Each head is multiplied by its weights once, in one pass.
+    the levels below it and the level itself: the head holds each of
+    their runs whole, and a held run is summed whole.  Each later level's
+    head takes one call and a _scan, which sums each held run in one
+    pass; only blocks past a head cost a call each.  Each head is
+    multiplied by its weights once, in one pass.
 
     A drive that never converges stops after level _MAX_LEVEL, which
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
@@ -612,16 +611,18 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     blocks or the whole of a run of at most four blocks per direction
     and level (on the unclipped ladder 197 nodes for levels 0 to 3, 196
     for level 4 and 128 for each later level), or one block past a head;
-    so does a row of y.
+    so does a row of y.  Each drive sums a held run whole (see _scan).
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
     and outside which the caller guarantees integrand2d is exactly 0 at
     every node.  The outer drive then runs on the exp-sinh ladder clipped
     to [x_lo, x_hi] and every inner drive on it clipped to [y_lo, y_hi]
     (see _clipped), so no value known to be 0 is computed.  The clipped
-    scans add the same terms less those zeros; only the grouping of a cut
-    block's sum differs, which can move the last bit of a value.  A box
-    that cuts a nonzero value gives a wrong result, not an error.
+    scans add the same terms less those zeros, grouped otherwise, and a
+    cut run short enough to be held whole adds the quiet terms past where
+    the uncut scan stops, each below _TRUNC_EPS of the sum; either can
+    move the last bit of a value.  A box that cuts a nonzero value gives a
+    wrong result, not an error.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))

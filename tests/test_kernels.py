@@ -416,9 +416,9 @@ class TestFourierErfiFactor:
     ])
     def test_bounded_everywhere(self, args):
         # every exponent has a real part <= 0 once the term's exponentials
-        # are out, so each Faddeeva term is at most 3 in magnitude
+        # are out, so each Faddeeva term is at most 1 in magnitude
         vals = FourierErfiFactor(*args).bounded_part(np.geomspace(1e-150, 1e150, 120))
-        assert np.all(np.abs(vals) <= 6.0)
+        assert np.all(np.abs(vals) <= 2.0)
 
     def test_dead_rows_are_real_zeros(self):
         # no live term at t = 1e-6: the factor is not called, and the

@@ -889,6 +889,12 @@ def _raise_on_overflow(t):
     return np.full(t.shape, 1e300) * 1e300
 
 
+def _quiet_tail(t):
+    # e^-t plus a tail whose terms fall below _TRUNC_EPS of the sum once
+    # t passes a few hundred, but stay nonzero to the end of every run
+    return np.exp(-t) + 1e-25 * (1.0 + t) ** -1.5
+
+
 class TestFetchRule:
     """The blocks every scan must reach are fetched in one call per level head."""
 
@@ -961,6 +967,51 @@ class TestFetchRule:
         res = integrate_half_line(f)
         assert sizes == [len(quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)[0]), 196]
         assert sum(sizes) == res.evaluations == 393
+
+    def test_held_run_is_summed_whole(self, monkeypatch):
+        # a drive that reaches level 4 sums each direction of that level in
+        # one pass, with no integrand call in the scan, quiet blocks included
+        ladder, block = quadrature._EXP_SINH, quadrature._BLOCK
+        one_pass, sums, sizes = quadrature._sum, [], []
+        monkeypatch.setattr(quadrature, "_sum", lambda terms: sums.append(terms.shape[-1]) or one_pass(terms))
+        res = integrate_half_line(lambda t: sizes.append(t.size) or _quiet_tail(t))
+        n = len(quadrature._run(ladder, 4, 1.0)[0])
+        assert n == len(quadrature._run(ladder, 4, -1.0)[0]) == 98
+        assert res.converged and sizes == [len(quadrature._head(ladder, FIRST_HEAD)[0]), 2 * n]
+        assert len(sums) == 4 and sums[2:] == [n, n]  # two groups for levels 0 to 3
+        x, w, _ = quadrature._head(ladder, (4,))
+        y = _quiet_tail(x)
+        terms = y * w
+        sums.clear()
+        part = quadrature._scan(lambda t: pytest.fail("a held run was fetched"), ladder, 4, (y, terms))
+        assert sums == [n, n]
+        assert part == one_pass(terms[:n]) + one_pass(terms[n:])
+        # a walk block by block would stop the right run after its quiet
+        # blocks 1 and 2, dropping the nonzero terms past them
+        edge = quadrature._TRUNC_EPS * abs(part)
+        assert np.abs(terms[block:3 * block]).max() <= edge
+        assert np.all(terms[3 * block:n] != 0.0)
+
+    def test_longer_run_stops_after_two_quiet_blocks(self):
+        # from level 5 on a head holds a run's first two blocks, and the scan
+        # fetches one block a call until two in a row are quiet
+        ladder, block = quadrature._EXP_SINH, quadrature._BLOCK
+        x, w, _ = quadrature._head(ladder, (5,))
+        y = _quiet_tail(x)
+        fetched = []
+        total = quadrature._scan(lambda t: fetched.append(t) or _quiet_tail(t), ladder, 5, (y, y * w))
+        edge = quadrature._TRUNC_EPS * abs(total)
+        # the right run stops after its blocks 2 and 3, the left after 4 and 5
+        expected = []
+        for direction, last in ((1.0, 3), (-1.0, 5)):
+            rx, rw = quadrature._run(ladder, 5, direction)
+            quiet = [np.abs(_quiet_tail(rx[k:k + block]) * rw[k:k + block]).max() <= edge
+                     for k in range(0, len(rx), block)]
+            assert not quiet[last - 2] and quiet[last - 1] and quiet[last]
+            assert len(rx) > (last + 1) * block  # nonzero terms are left out
+            assert np.all(_quiet_tail(rx) * rw != 0.0)
+            expected += [rx[k * block:(k + 1) * block] for k in range(2, last + 1)]
+        assert [t.tobytes() for t in fetched] == [t.tobytes() for t in expected]
 
     # (ladder, run lengths per direction at levels 0 to 5, or 6 where clipped)
     RUNS = {
