@@ -9,49 +9,37 @@ Both push algebraic endpoint singularities into doubly-exponentially
 decaying trapezoid sums in u, so one level-halving driver serves
 integrands like t**(-1/2)*exp(-1/t) without special casing.  Each level
 reuses the previous level's sum (trapezoid interleaving), node ladders are
-fixed, and truncation scans are value-driven but deterministic, so results
-are bit-reproducible.
+fixed and each level is summed whole, so results are bit-reproducible.
 
-The driver's own rules fix some blocks in advance: a scan stops a
-direction only after two quiet blocks, and the first convergence test
-follows level _FIRST_TEST_LEVEL (3).  So the first two blocks of each
-direction are evaluated whatever the values, and they are fetched
-together as the level's head: one integrand call for the heads of levels
-0 to 3, one for each later level's head, and one per block past a head.
-A drive pays per call more than per node (on a 2-core Xeon VM, an oracle
-call of 43 x 32 values costs about 37 us, and one of 43 x 258 about
-147 us), and nearly every drive reaches level 3, so levels 2 and 3 ride
-in the first call.  For the same reason a head holds a short run whole,
-one of at most _WHOLE_RUN_BLOCKS blocks: a drive takes one call for
-level 4, whose runs have 98 nodes; runs are longer from level 5 on.  A
-held run is summed whole, in one pass and with no quiet test: its nodes
-are evaluated already, so adding them costs less than testing them.
-Testing from level 3 also keeps two coarse levels that agree by chance
-from passing for convergence.  The first head's terms are summed in two
-groups, levels 0 to 2 and level 3, and a later scan sums all a direction
-holds in one pass, groupings that can move a last bit.  A complex
-sum is two real sums, so a real row of a complex batch keeps the bits it
-has alone.  Every drive fetches this way, the quadrant's outer and inner
-drives and R1's inner batch included: the outer drive's inner rows are
-judged by their share of the outer sum (see integrate_quadrant), so
-which x nodes share a call moves an inner value only within the
-tolerance it was judged by.
+A drive fetches each level whole: one integrand call for the runs of
+levels 0 to _FIRST_TEST_LEVEL (3), where the first convergence test
+follows, and one for each later level, each summed in one pass.  A drive
+pays per call more than per node (on a 2-core Xeon VM, an oracle call of
+43 x 32 values costs about 37 us, and one of 43 x 258 about 147 us), and
+nearly every drive reaches level 3, so levels 2 and 3 ride in the first
+call.  Testing from level 3 also keeps two coarse levels that agree by
+chance from passing for convergence.  The first call's terms are summed
+in two groups, levels 0 to 2 and level 3.  A complex sum is two real
+sums, so a real row of a complex batch keeps the bits it has alone.
+Every drive fetches this way, the quadrant's outer and inner drives and
+R1's inner batch included: the outer drive's inner rows are judged by
+their share of the outer sum (see integrate_quadrant), so which x nodes
+share a call moves an inner value only within the tolerance it was
+judged by.
 
-A ladder is a node generator with what is built from it, each built on
-first use and kept read-only: one run of nodes per level and direction
-(see _run), and the fused heads.  There are two, both fixed and kept for
-the process: exp-sinh on (0, inf), and tanh-sinh on (0, 1) with each
-abscissa given as the pair (s, 1 - s).  So the abscissae an integrand
-receives are read-only, and integrands must not write to them.
+A ladder is a node generator with the fused heads built from it (see
+_head), each built on first use and kept read-only.  There are two, both
+fixed and kept for the process: exp-sinh on (0, inf), and tanh-sinh on
+(0, 1) with each abscissa given as the pair (s, 1 - s).  So the
+abscissae an integrand receives are read-only, and integrands must not
+write to them.
 
 A quadrant caller may pass a support box outside which it guarantees its
 integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
-ladder, a child of the fixed one that lives for one integral: its runs
-are the fixed runs with their outer tails cut, so no value known to be 0
-is computed.  The sums differ from the unclipped ones in how a cut run's
-terms are grouped, and by the quiet terms a cut run held whole adds past
-where the uncut scan stops.  The fixed ladder builds for the child only
-what an unclipped drive builds: runs, and heads of levels 0 to 4 (_head).
+ladder, a child of the fixed one that lives for one integral: each of its
+heads is the fixed head cut to the box by one mask, so no value known to
+be 0 is computed, and the sums differ from the unclipped ones only in how
+the terms are grouped.
 
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
 never converges stops at its ladder's last level after bounded work
@@ -63,8 +51,8 @@ integrand then stops the outer drive at its last completed level.
 
 The quadrant's inner drive retires rows: from level _FIRST_TEST_LEVEL on,
 a row whose own estimate is within a tenth (_RETIRE_SHARE) of its batch's
-bound keeps the value it has, and later heads and blocks evaluate the live
-rows only.  Double-exponential rules about double their correct digits
+bound keeps the value it has, and later heads evaluate the live rows
+only.  Double-exponential rules about double their correct digits
 per level, so such a row gains nothing from more levels.  The 1-D drives,
 R1's inner batch included, keep every row to the end.
 
@@ -88,12 +76,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _HALF_PI = math.pi / 2.0
-# A truncation scan stops after two consecutive blocks below this fraction
-# of the running sum.
-_TRUNC_EPS = 1e-18
 _BLOCK = 32
-# A head holds a run of at most this many blocks whole (see _head).
-_WHOLE_RUN_BLOCKS = 4
 _MAX_LEVEL = 11
 _BASE_STEP = 0.5
 _U_MAX = 700.0  # |u| rail; transformed nodes under/overflow long before this
@@ -184,22 +167,19 @@ class QuadResult:
 
 
 class _Ladder:
-    """A node generator, its valid() mask and what is built from it.
+    """A node generator, its valid() mask and the heads built from it.
 
-    runs maps (level, direction) to a run (see _run), and heads maps a
-    tuple of levels to a head (see _head), each built once, read-only, and
-    kept for as long as the ladder lives: the two fixed ladders are module
-    constants.  The maps are apart because a head key such as (0, 1) equals
-    the run key (0, 1.0).  A clipped ladder (see _clipped) has a parent,
-    whose runs it cuts at [lo, hi], and lives for one integral.
+    heads maps a tuple of levels to a head (see _head), each built once,
+    read-only, and kept for as long as the ladder lives: the two fixed
+    ladders are module constants.  A clipped ladder (see _clipped) has a
+    parent, whose heads it cuts at [lo, hi], and lives for one integral.
     """
 
-    __slots__ = ("nodes", "valid", "runs", "heads", "parent", "lo", "hi")
+    __slots__ = ("nodes", "valid", "heads", "parent", "lo", "hi")
 
     def __init__(self, nodes, valid, parent=None, lo=0.0, hi=math.inf):
         self.nodes = nodes
         self.valid = valid
-        self.runs: dict[tuple, tuple] = {}
         self.heads: dict[tuple, tuple] = {}
         self.parent = parent
         self.lo, self.hi = lo, hi
@@ -250,9 +230,9 @@ _FIRST_NODES = (math.exp(-_HALF_PI * math.sinh(_BASE_STEP)),
 def _clipped(lo: float, hi: float) -> _Ladder:
     """The exp-sinh ladder cut to the nodes in [lo, hi], for one integral.
 
-    The span is widened to keep each level's first nodes.  Its runs and
-    heads are the fixed ladder's with their outer tails cut, built on
-    first use and kept by the child for its integral (see _run and _head).
+    The span is widened to keep each level's first nodes.  Its heads are
+    the fixed ladder's cut to the span, built on first use and kept by the
+    child for its integral (see _head).
     """
     lo, hi = min(lo, _FIRST_NODES[0]), max(hi, _FIRST_NODES[1])
     return _Ladder(_EXP_SINH.nodes, _EXP_SINH.valid, _EXP_SINH, lo, hi)
@@ -283,71 +263,44 @@ def _run(ladder: _Ladder, level: int, direction: float):
     A node survives when it is valid and its weight is finite and positive.
     The nodes run outward and are generated _BLOCK at a time, and the run
     ends at the first block not kept whole: the survivors of each block
-    lead it, so only the last block of a run can be short.  A clipped
-    ladder cuts its parent's run to the nodes inside [lo, hi]: exp-sinh
-    nodes run outward, so they are a leading run.
+    lead it, so only the last block of a run can be short.
     """
-    key = (level, direction)
-    if key in ladder.runs:
-        return ladder.runs[key]
-    if ladder.parent is not None:
-        x, w = _run(ladder.parent, level, direction)
-        n = np.count_nonzero(x <= ladder.hi if direction > 0 else x >= ladder.lo)
-        x, w = x[:n], w[:n]
-    else:
-        spacing, offset, _ = _LEVELS[level]
-        k0 = 1 if (direction < 0 and offset == 0.0) else 0
-        xs, ws = [], []
-        while offset + spacing * k0 <= _U_MAX:
-            u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
-            x, w = ladder.nodes(u)
-            keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
-            xs.append(x[keep])
-            ws.append(w[keep])
-            if not keep.all():
-                break
-            k0 += _BLOCK
-        x, w = np.concatenate(xs), np.concatenate(ws)
-        x.flags.writeable = w.flags.writeable = False
-    ladder.runs[key] = run = x, w
-    return run
-
-
-def _held(n: int) -> int:
-    """How many of a run's n nodes its level's head holds (see _head)."""
-    return n if n <= _WHOLE_RUN_BLOCKS * _BLOCK else 2 * _BLOCK
+    spacing, offset, _ = _LEVELS[level]
+    k0 = 1 if (direction < 0 and offset == 0.0) else 0
+    xs, ws = [], []
+    while offset + spacing * k0 <= _U_MAX:
+        u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
+        x, w = ladder.nodes(u)
+        keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
+        xs.append(x[keep])
+        ws.append(w[keep])
+        if not keep.all():
+            break
+        k0 += _BLOCK
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _head(ladder: _Ladder, levels: tuple):
-    """(x, w, split): every run on levels that a scan fetches first, fused.
+    """(x, w, split): every run on levels, whole and fused.
 
-    levels lists level indices.  A scan stops a direction only after two
-    quiet blocks, so whatever the values it evaluates the first 2 * _BLOCK
-    nodes of each direction's run, or the whole run where it is shorter.
-    A run of at most _WHOLE_RUN_BLOCKS blocks is held whole, since a call
-    costs more than the nodes a quiet stop might spare (see the module),
-    and is summed whole (see _scan); a longer run gives its first
-    2 * _BLOCK nodes (see _held).  The head holds those nodes' abscissae
-    and weights in scan order, the last level's from index split on.  It
-    is never empty: u = 0 and u = offset are nodes of both ladders.
-
-    A clipped ladder's runs are leading cuts of its parent's, so where the
-    parent holds every run whole (levels 0 to 4), the child's head is the
-    parent's, kept by the parent, cut to [lo, hi] by one mask.
+    levels lists level indices.  The head holds its runs' abscissae and
+    weights, outward then inward on each level, the last level's from
+    index split on; a drive fetches it in one call (see _drive).  It is
+    never empty: u = 0 and u = offset are nodes of both ladders.  A
+    clipped ladder's head is its parent's, kept by the parent, cut to
+    [lo, hi] by one mask.
     """
     if levels in ladder.heads:
         return ladder.heads[levels]
-    parent = ladder.parent
-    parent_runs = (_run(parent, level, direction) for level in levels for direction in (+1.0, -1.0))
-    if parent is not None and all(_held(len(x)) == len(x) for x, _ in parent_runs):
-        x, w, split = _head(parent, levels)
+    if ladder.parent is not None:
+        x, w, split = _head(ladder.parent, levels)
         keep = (x >= ladder.lo) & (x <= ladder.hi)
         x, w, split = x[keep], w[keep], int(np.count_nonzero(keep[:split]))
     else:
         runs = [_run(ladder, level, direction) for level in levels for direction in (+1.0, -1.0)]
-        x = np.concatenate([x[:_held(len(x))] for x, _ in runs])
-        w = np.concatenate([w[:_held(len(w))] for _, w in runs])
-        split = len(x) - sum(_held(len(rx)) for rx, _ in runs[-2:])
+        x = np.concatenate([x for x, _ in runs])
+        w = np.concatenate([w for _, w in runs])
+        split = len(x) - sum(len(rx) for rx, _ in runs[-2:])
     x.flags.writeable = w.flags.writeable = False
     ladder.heads[levels] = head = x, w, split
     return head
@@ -382,10 +335,10 @@ def _sum(terms):
 
 
 def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
-    """Raise for a chunk whose sum is not finite.
+    """Raise for terms whose sum is not finite.
 
-    The first block holding a non-finite term names a NaN value first, then
-    an overflowed term; a chunk of finite terms raises for its sum.
+    The first block of _BLOCK terms holding a non-finite term names a NaN
+    value first, then an overflowed term; finite terms raise for their sum.
     """
     for k in range(0, terms.shape[-1], _BLOCK):
         bx, block = x[k:k + _BLOCK], terms[..., k:k + _BLOCK]
@@ -401,68 +354,29 @@ def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
 
 
-def _scan(f, ladder: _Ladder, level: int, head: tuple):
-    """Sum f(x(u))*w(u) over the nodes of one level (see _LEVELS and _run).
+def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
+    """_sum(terms), terms being f's values y at x times their weights.
 
-    Level 0 is a full trapezoid pass (u = 0 counted once); each later level
-    adds the odd nodes of its step.  Each direction extends outward in
-    blocks until terms fall below the truncation threshold, measured
-    against the largest running sum.  The abscissae run along the first
-    axis of x; trailing axes, such as the (s, 1 - s) pair, reach f
-    unchanged.  f returns one value per abscissa or a (rows, abscissae)
-    batch; sums run over the last axis.
-
-    head is (values, terms) of this level's head (see _head), terms being
-    the values times its weights.  Each direction is summed chunk by
-    chunk: all the head holds of it, then one block at a time, fetched by
-    one call of f each.  So a held run is summed whole, as one chunk that
-    is never tested for quiet: the nodes a quiet stop would spare are
-    evaluated already, and are added.  A chunk is summed in one pass; a
-    non-finite term leaves its row's sum non-finite, so one test of that
+    A non-finite term leaves its row's sum non-finite, so one test of the
     sum (_finite, in Python for a single integral) stands for a test of
-    every term.  Where the run goes on, each block of the chunk is tested
-    for quiet against the new total, and two quiet blocks in a row stop
-    the direction.  It sets no error state: it runs under its entry point's.
+    every term; a sum that fails it raises (see _raise_non_finite).
     """
-    values, head_terms = head
-    total, at = 0.0, 0
-    for direction in (+1.0, -1.0):
-        x, w = _run(ladder, level, direction)
-        held = _held(len(x))
-        start, end, quiet = 0, held, 0
-        y, terms = values[..., at:at + held], head_terms[..., at:at + held]
-        while True:
-            part = _sum(terms)
-            if not _finite(part):
-                _raise_non_finite(x[start:end], y, terms)
-            total = total + part
-            if end == len(x):
-                break
-            edge = _TRUNC_EPS * max(_largest(total), 1e-300)
-            for k in range(0, end - start, _BLOCK):
-                block = terms[..., k:k + _BLOCK]
-                quiet = quiet + 1 if np.maximum.reduce(np.abs(block), axis=None) <= edge else 0
-            if quiet >= 2:
-                break
-            start, end = end, min(end + _BLOCK, len(x))
-            y = np.asarray(f(x[start:end]))
-            terms = y * w[start:end]
-        at += held
-    return total
+    part = _sum(terms)
+    if not _finite(part):
+        _raise_non_finite(x, y, terms)
+    return part
 
 
 def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     """Halve the step until two levels agree; return (value, estimate, converged).
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
-    the step and adds the odd nodes (see _LEVELS).  The first convergence
-    test follows level _FIRST_TEST_LEVEL, so the heads of levels 0 to it
-    (see _head) are fetched in one call of f and summed in two groups,
-    the levels below it and the level itself: the head holds each of
-    their runs whole, and a held run is summed whole.  Each later level's
-    head takes one call and a _scan, which sums each held run in one
-    pass; only blocks past a head cost a call each.  Each head is
-    multiplied by its weights once, in one pass.
+    the step and adds the odd nodes (see _LEVELS).  Each level is fetched
+    whole, its head (see _head) in one call of f, multiplied by its
+    weights and summed in one pass (see _checked_sum).  The first
+    convergence test follows level _FIRST_TEST_LEVEL, so the first call
+    fetches the head of levels 0 to it, summed in two groups: the levels
+    below it and the level itself.
 
     A drive that never converges stops after level _MAX_LEVEL, which
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
@@ -479,7 +393,7 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     the batch's bound keeps the value it has at that level (the step times
     its raw sum, not the raw sum, which later steps would halve), and the
     drive calls narrow(keep), keep being a mask over the live rows; f then
-    returns the kept rows only.  The scans, the work a caller counts in f
+    returns the kept rows only.  The sums, the work a caller counts in f
     and the estimate are those of the live rows, and the bound is taken
     over every row's value, retired rows included.  A level at which every
     live row would retire passes the test, so narrow never empties a batch.
@@ -492,22 +406,19 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
         return x, y, y * w, split
 
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
-    part, value, estimate, converged = 0.0, 0.0, math.inf, False
+    value, estimate, converged = 0.0, math.inf, False
     # once a row retires: the indices of the live rows, and every row's value
     live = values = None
     try:
-        # the raw sums of the levels below first, as one group, and of level first
+        # the raw sum of the levels below first, as one group; each level's
+        # own sum runs from its head's split on
         x, y, terms, split = fetch(tuple(range(first + 1)))
-        for group in (slice(split), slice(split, None)):
-            raw, part = part, _sum(terms[..., group])
-            if not _finite(part):
-                _raise_non_finite(x[group], y[..., group], terms[..., group])
+        raw = _checked_sum(x[:split], y[..., :split], terms[..., :split])
         value = _LEVELS[first - 1][2] * raw
         for level in range(first, _MAX_LEVEL + 1):
             if level > first:
-                _, y, terms, _ = fetch((level,))
-                part = _scan(f, ladder, level, (y, terms))
-            prev, raw = value, raw + part
+                x, y, terms, split = fetch((level,))
+            prev, raw = value, raw + _checked_sum(x[split:], y[..., split:], terms[..., split:])
             value = _LEVELS[level][2] * raw
             if live is not None:
                 values[live] = value
@@ -571,11 +482,12 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
 def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
     """Integrate a function of s over (0, 1).
 
-    The integrand is called with an (n, 2) array of pairs (s, 1 - s), the
-    tanh-sinh ladder's own read-only blocks, and returns n values.  The
-    member near each endpoint is that endpoint's exact offset, so an
-    integrand that reads 1 - s from the pair never forms a cancelled
-    difference, and integrable powers of s and 1 - s are handled natively.
+    The integrand is called with an (n, 2) array of pairs (s, 1 - s), a
+    read-only head of the tanh-sinh ladder (see _head), and returns n
+    values.  The member near each endpoint is that endpoint's exact
+    offset, so an integrand that reads 1 - s from the pair never forms a
+    cancelled difference, and integrable powers of s and 1 - s are handled
+    natively.
     A (rows, n) batch gives one integral per row, as in integrate_half_line.
     """
     return _integrate(integrand, _UNIT_PAIR, tol or Tolerance())
@@ -606,23 +518,20 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
     a 1-D row, both read-only; once rows retire, the column is a copy that
-    holds the live ones.  Both drives fetch fused heads (see _drive and
-    _head): a column holds the x nodes of one head, a run's first two
-    blocks or the whole of a run of at most four blocks per direction
-    and level (on the unclipped ladder 197 nodes for levels 0 to 3, 196
-    for level 4 and 128 for each later level), or one block past a head;
-    so does a row of y.  Each drive sums a held run whole (see _scan).
+    holds the live ones.  Both drives fetch whole levels (see _drive and
+    _head): a column holds the x nodes of one head, every node of levels 0
+    to 3 or of one later level (on the unclipped ladder 197 nodes for
+    levels 0 to 3, 196 for level 4 and 394 for level 5, each level about
+    doubling the one before), and so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
     and outside which the caller guarantees integrand2d is exactly 0 at
     every node.  The outer drive then runs on the exp-sinh ladder clipped
     to [x_lo, x_hi] and every inner drive on it clipped to [y_lo, y_hi]
     (see _clipped), so no value known to be 0 is computed.  The clipped
-    scans add the same terms less those zeros, grouped otherwise, and a
-    cut run short enough to be held whole adds the quiet terms past where
-    the uncut scan stops, each below _TRUNC_EPS of the sum; either can
-    move the last bit of a value.  A box that cuts a nonzero value gives a
-    wrong result, not an error.
+    drives add the same terms less those zeros, grouped otherwise, which
+    can move the last bit of a value.  A box that cuts a nonzero value
+    gives a wrong result, not an error.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))

@@ -505,7 +505,8 @@ def run_sweep(
 
     Per-case seeds derive from (seed, rule position, case index), so reports
     are byte-identical for a fixed seed regardless of the jobs count; cases
-    run in separate processes when jobs > 1 and are reassembled in order.
+    run in separate processes when jobs > 1, in no more processes than there
+    are cases, and are reassembled in order.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -520,7 +521,7 @@ def run_sweep(
             cases.append((rule_id, rule_index, case_index, seed, compare_tol))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             records = list(pool.map(_sweep_case, cases, chunksize=4))
     else:
         records = [_sweep_case(c) for c in cases]

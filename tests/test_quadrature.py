@@ -60,7 +60,7 @@ def _fast_cosine(x):
 
 def _damped_cosines_f2(x, y):
     # the seed cross-check's integrand times (1 + cos 3x)(1 + cos 3y): its
-    # drives go past level 4, so scans fetch blocks past their heads
+    # drives go past level 4
     return _seed_cross_check_f2(x, y) * (1.0 + np.cos(3.0 * x)) * (1.0 + np.cos(3.0 * y))
 
 
@@ -363,19 +363,21 @@ class TestSupport:
         assert max(x for x, _ in seen) <= 800.0 and max(y for _, y in seen) <= 800.0
 
     def test_clipped_blocks_are_leading_runs_of_the_fixed_blocks(self):
+        # each level's clipped head holds, per direction, a leading run of
+        # the fixed run: exp-sinh nodes run outward, so the box cuts tails
         child = quadrature._clipped(1e-3, 800.0)
         for level in range(len(quadrature._LEVELS)):
+            x, w, split = quadrature._head(child, (level,))
+            assert not x.flags.writeable and not w.flags.writeable and split == 0
+            assert np.all((x >= 1e-3) & (x <= 800.0))
+            at = 0
             for direction in (1.0, -1.0):
                 fixed_x, fixed_w = quadrature._run(quadrature._EXP_SINH, level, direction)
-                x, w = quadrature._run(child, level, direction)
-                assert not x.flags.writeable and not w.flags.writeable
-                assert np.all((x >= 1e-3) & (x <= 800.0))
-                assert x.base is fixed_x and w.base is fixed_w
-                assert np.array_equal(x, fixed_x[:len(x)])
-                assert np.array_equal(w, fixed_w[:len(w)])
-                # so the blocks a scan slices past the head are views of it
-                blocks = range(2 * quadrature._BLOCK, len(x), quadrature._BLOCK)
-                assert all(x[k:k + quadrature._BLOCK].base is fixed_x for k in blocks)
+                n = np.count_nonzero((fixed_x >= 1e-3) & (fixed_x <= 800.0))
+                assert 0 < n and np.array_equal(x[at:at + n], fixed_x[:n])
+                assert np.array_equal(w[at:at + n], fixed_w[:n])
+                at += n
+            assert at == len(x)
 
     def test_box_of_one_point_keeps_every_head(self):
         # every level's first nodes survive a box that holds 1 alone
@@ -388,7 +390,7 @@ class TestLevelCap:
     """A 1-D drive that never converges stops at its ladder's last level.
 
     Each integrand jumps at its ladder's centre, u = 0, so no level agrees
-    with the one before, and decays so slowly that every scan runs to the
+    with the one before, and decays so slowly that every level runs to the
     ladder's ends.  The work is the ladder's, whatever the targets: a
     Tolerance sets no work bound.
     """
@@ -441,7 +443,7 @@ class TestBudgetExhaustion:
         passed = integrate_quadrant(_divergent_f2, Tolerance(rel=1e-9, abs=1e-14))
         assert default == passed
         assert not default.converged
-        assert default.evaluations == 297_531
+        assert default.evaluations == 272_409
 
     def test_evaluations_count_integrand_points_only(self, monkeypatch):
         points = []
@@ -495,21 +497,22 @@ class TestFailurePaths:
             integrate_interval(lambda x: np.full(len(x), 1e308))
 
     def test_tail_block_sum_overflow(self):
-        # past the head, a block of finite terms whose sum is not finite
-        # raises as a head does
-        ladder = quadrature._EXP_SINH
-        rx, rw = quadrature._run(ladder, 5, 1.0)
+        # past the first fetch, a level of finite terms whose sum is not
+        # finite raises as the first fetch does: two terms of 1e308 on the
+        # third block of level 5's outward run, reached by a drive that
+        # never converges (TestLevelCap)
+        rx, rw = quadrature._run(quadrature._EXP_SINH, 5, 1.0)
         assert len(rx) == 197
+        seen = []
 
         def f(t):
-            return np.where(t == rx[64], 1e308 / rw[64], np.where(t == rx[65], 1e308 / rw[65], 1.0))
+            seen.append(t)
+            slow = np.where(t > 1.0, 1.0, 0.5) / (t * (1.0 + np.log(t) ** 2))
+            return np.where(t == rx[64], 1e308 / rw[64], np.where(t == rx[65], 1e308 / rw[65], slow))
 
-        x, w, _ = quadrature._head(ladder, (5,))
-        y = f(x)
-        with np.errstate(all="ignore"), pytest.raises(
-            QuadratureError, match=r"integrand\*weight sum overflowed"
-        ):
-            quadrature._scan(f, ladder, 5, (y, y * w))
+        with pytest.raises(QuadratureError, match=r"integrand\*weight sum overflowed"):
+            integrate_half_line(f)
+        assert seen[-1] is quadrature._head(quadrature._EXP_SINH, (5,))[0]
 
     def test_nan_outranks_overflow(self):
         # the first block holds both NaN values and overflowing terms
@@ -620,15 +623,13 @@ class TestFailurePaths:
         assert quadrature._finite(total) == finite
 
     def test_complex_sum_above_the_double_range_in_modulus(self):
-        # each part of the head chunk's sum is 1.5e308, finite, while its
+        # each part of a whole level's sum is 1.5e308, finite, while its
         # modulus is not a double: the finiteness test reads the parts
-        ladder = quadrature._EXP_SINH
-        x, w, _ = quadrature._head(ladder, (5,))
-        assert quadrature._held(len(quadrature._run(ladder, 5, 1.0)[0])) == 64
+        x, w, _ = quadrature._head(quadrature._EXP_SINH, (5,))
         y = np.zeros(len(x), dtype=complex)
         y[:64] = 1.5e308 / 64 * (1.0 + 1.0j) / w[:64]
         with np.errstate(all="ignore"):
-            total = quadrature._scan(lambda t: np.zeros(len(t)), ladder, 5, (y, y * w))
+            total = quadrature._checked_sum(x, y, y * w)
         assert math.isfinite(total.real) and math.isfinite(total.imag)
         assert abs(total) == math.inf
 
@@ -703,13 +704,12 @@ LADDER_IDS = ["exp-sinh", "unit-pair"]
 
 
 def _from_kept(x, ladder) -> bool:
-    """Whether x is one of ladder's heads or a view of one of its runs."""
-    return (any(x is hx for hx, *_ in ladder.heads.values())
-            or any(x.base is rx for rx, _ in ladder.runs.values()))
+    """Whether x is one of ladder's heads."""
+    return any(x is hx for hx, *_ in ladder.heads.values())
 
 
 class TestNodeLadder:
-    """Runs and heads of a ladder are built once, read-only and bounded."""
+    """Runs are the fresh nodes; heads of a ladder are built once, read-only and bounded."""
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize("level", [0, 3, 11])
@@ -720,8 +720,7 @@ class TestNodeLadder:
         spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
         assert quadrature._LEVELS[level][:2] == (spacing, offset)
         k0 = 1 if (direction < 0 and offset == 0.0) else 0
-        run = quadrature._run(ladder, level, direction)
-        x, w = run
+        x, w = quadrature._run(ladder, level, direction)
         # the run is the fresh 32-node blocks that cover it, back to back
         blocks = [
             _fresh_block(ladder, direction, spacing, offset, k)
@@ -731,20 +730,17 @@ class TestNodeLadder:
         fresh_w = np.concatenate([fw for _, fw in blocks])
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
-        # a scan slices its blocks past the head as views of it
-        for k, (fx, fw) in zip(range(2 * quadrature._BLOCK, len(x), quadrature._BLOCK), blocks[2:]):
-            bx, bw = x[k:k + quadrature._BLOCK], w[k:k + quadrature._BLOCK]
-            assert bx.base is x and bw.base is w
-            assert bx.tobytes() == fx.tobytes() and bw.tobytes() == fw.tobytes()
-        assert ladder.runs[(level, direction)] is run
-        again = quadrature._run(ladder, level, direction)
-        assert again is run
+        # the level's kept head holds the run whole, the outward run first
+        hx, hw, _ = quadrature._head(ladder, (level,))
+        at = 0 if direction > 0 else len(quadrature._run(ladder, level, 1.0)[0])
+        assert hx[at:at + len(x)].tobytes() == x.tobytes()
+        assert hw[at:at + len(w)].tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize(
         "levels",
-        [(0, 1), (3,), FIRST_HEAD],
-        ids=["levels-0-1", "level-3", "levels-0-3"],
+        [(0, 1), (3,), FIRST_HEAD, (5,)],
+        ids=["levels-0-1", "level-3", "levels-0-3", "level-5"],
     )
     def test_cached_head_fuses_the_fresh_blocks(self, ladder, levels):
         head = quadrature._head(ladder, levels)
@@ -758,21 +754,17 @@ class TestNodeLadder:
                 assert split == at
             spacing, offset, _ = quadrature._LEVELS[level]
             for direction in (1.0, -1.0):
-                # two live blocks, or fewer where the ladder ends
-                k0 = 1 if (direction < 0 and offset == 0.0) else 0
-                _, rw = quadrature._run(ladder, level, direction)
-                for i in range(2):
-                    k = k0 + i * quadrature._BLOCK
+                # every live block, up to the first not kept whole
+                k = 1 if (direction < 0 and offset == 0.0) else 0
+                while True:
                     fx, fw = _fresh_block(ladder, direction, spacing, offset, k)
-                    bw = rw[i * quadrature._BLOCK:(i + 1) * quadrature._BLOCK]
-                    if fx.size == 0:
-                        assert bw.size == 0
-                        break
                     assert x[at:at + len(fx)].tobytes() == fx.tobytes()
-                    assert bw.tobytes() == fw.tobytes()
                     at += len(fx)
                     fresh.append(fx)
                     fresh_w.append(fw)
+                    if len(fx) < quadrature._BLOCK:
+                        break
+                    k += quadrature._BLOCK
         assert x.shape == np.concatenate(fresh).shape
         assert x.tobytes() == np.concatenate(fresh).tobytes()
         assert w.tobytes() == np.concatenate(fresh_w).tobytes()
@@ -796,19 +788,18 @@ class TestNodeLadder:
 
     @pytest.mark.parametrize("fixed", FIXED_LADDERS, ids=LADDER_IDS)
     def test_head_key_never_reads_a_run(self, fixed):
-        # the head key (0, 1) equals the run key (0, 1.0): were they kept in
-        # one map, a drive capped at level 1 would fetch a run as its head
+        # the head key (0, 1) reads like a run's (level 0, direction 1.0): on
+        # a fresh ladder, the head a drive capped at level 1 fetches is the
+        # whole runs of levels 0 and 1, fused
         ladder = quadrature._Ladder(fixed.nodes, fixed.valid)
-        quadrature._run(ladder, 0, 1.0)
         x, w, _ = quadrature._head(ladder, (0, 1))
         runs = [quadrature._run(ladder, level, d) for level in (0, 1) for d in (1.0, -1.0)]
-        fused = [(rx[:2 * quadrature._BLOCK], rw[:2 * quadrature._BLOCK]) for rx, rw in runs]
-        assert x.tobytes() == np.concatenate([fx for fx, _ in fused]).tobytes()
-        assert w.tobytes() == np.concatenate([fw for _, fw in fused]).tobytes()
+        assert x.tobytes() == np.concatenate([rx for rx, _ in runs]).tobytes()
+        assert w.tobytes() == np.concatenate([rw for _, rw in runs]).tobytes()
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     def test_cached_arrays_are_read_only(self, ladder):
-        x, w = quadrature._run(ladder, 0, 1.0)
+        x, w, _ = quadrature._head(ladder, FIRST_HEAD)
         with pytest.raises(ValueError):
             x[0] = 1.0
         with pytest.raises(ValueError):
@@ -825,43 +816,41 @@ class TestNodeLadder:
 
         ladder = quadrature._UNIT_PAIR
         first = integrate_interval(f)
-        size = len(ladder.runs), len(ladder.heads)
+        size = len(ladder.heads)
         seen.clear()
         second = integrate_interval(f)
-        assert (len(ladder.runs), len(ladder.heads)) == size
+        assert len(ladder.heads) == size
         assert first.converged and second == first
-        # each call gets a kept head or a view of a kept run
+        # each call gets a kept head
         assert seen and all(not x.flags.writeable for x in seen)
         assert all(x.ndim == 2 and _from_kept(x, ladder) for x in seen)
 
     def test_repeated_quadrant_adds_no_entry(self):
         ladder = quadrature._EXP_SINH
         first = integrate_quadrant(_seed_cross_check_f2)
-        size = len(ladder.runs), len(ladder.heads)
+        size = len(ladder.heads)
         second = integrate_quadrant(_seed_cross_check_f2)
-        assert (len(ladder.runs), len(ladder.heads)) == size
+        assert len(ladder.heads) == size
         assert second == first
 
     def test_results_do_not_depend_on_ladder_state(self, monkeypatch):
         ladder = quadrature._EXP_SINH
         warm = integrate_quadrant(_seed_cross_check_f2)
-        monkeypatch.setattr(ladder, "runs", {})
         monkeypatch.setattr(ladder, "heads", {})
         cold = integrate_quadrant(_seed_cross_check_f2)
         assert cold == warm
-        # at most one run per level and direction, one head per fetch
-        assert 0 < len(ladder.runs) <= 2 * len(quadrature._LEVELS)
+        # one head per fetch
         assert 0 < len(ladder.heads) <= len(quadrature._LEVELS) - quadrature._FIRST_TEST_LEVEL
 
-    def test_quadrant_hands_over_stable_read_only_blocks(self):
-        # within one integral, the column of an outer block and the row of
-        # an inner block come back with the same contents, read-only.  A
-        # level's head holds its whole run up to level 4, so a column gets
-        # more than one inner call only where an inner drive scans past a
-        # head of 64 nodes per direction, from level 5 on.  Damped
-        # oscillation in x and y takes both drives there at the default
-        # targets, so columns get more than one inner call and rows are
-        # revisited
+    def test_quadrant_hands_over_stable_read_only_blocks(self, monkeypatch):
+        # within one integral, the column of an outer head and the row of
+        # an inner head come back with the same contents, read-only.  An
+        # inner drive calls f once a level, so with no row retiring
+        # (_RETIRE_SHARE = 0) its column gets a call at every level it
+        # reaches, and the rows, the ladder's heads, are revisited by every
+        # inner drive.  Damped oscillation in x and y takes both drives
+        # past level 4 at the default targets
+        monkeypatch.setattr(quadrature, "_RETIRE_SHARE", 0.0)
         cols: dict[bytes, list] = {}
         rows: dict[bytes, list] = {}
 
@@ -875,7 +864,8 @@ class TestNodeLadder:
         assert max(len(objs) for objs in cols.values()) > 1
         assert max(len(objs) for objs in rows.values()) > 1
         assert 2 * len(rows) < sum(len(objs) for objs in rows.values())
-        # a row is the exp-sinh ladder's own 1-D head or a view of its run
+        assert max(len(y) for objs in rows.values() for y in objs) > 196
+        # a row is the exp-sinh ladder's own 1-D head
         ladder = quadrature._EXP_SINH
         assert all(o.ndim == 1 for objs in rows.values() for o in objs)
         assert all(_from_kept(o, ladder) for objs in rows.values() for o in objs)
@@ -889,14 +879,8 @@ def _raise_on_overflow(t):
     return np.full(t.shape, 1e300) * 1e300
 
 
-def _quiet_tail(t):
-    # e^-t plus a tail whose terms fall below _TRUNC_EPS of the sum once
-    # t passes a few hundred, but stay nonzero to the end of every run
-    return np.exp(-t) + 1e-25 * (1.0 + t) ** -1.5
-
-
 class TestFetchRule:
-    """The blocks every scan must reach are fetched in one call per level head."""
+    """Each level is fetched whole, in one call per level head, and summed in one pass."""
 
     # float.hex of the value, and the evaluations; the beta integral's
     # last bit moved when its first test went from level 1 to level 3, and
@@ -935,17 +919,14 @@ class TestFetchRule:
         ids=LADDER_IDS,
     )
     def test_scan_matches_a_block_by_block_sum(self, ladder, f):
-        # the reference is the loop the head's one-pass sums replaced, run
-        # over every block to the ladder's end: the grouping differs, so
-        # the sums agree within rounding of the sum of |terms|
+        # a level's one-pass sum over its whole head against a loop over
+        # every block of its runs: the grouping differs, so the sums agree
+        # within rounding of the sum of |terms|
         for level in range(6):
             x, w, _ = quadrature._head(ladder, (level,))
+            assert len(np.unique(x, axis=0)) == len(x)
             y = f(x)
-            past = []
-            got = quadrature._scan(lambda t: past.append(t) or f(t), ladder, level, (y, y * w))
-            # the scan takes what the head holds from it: f sees no node twice
-            seen = np.concatenate([x, *past])
-            assert len(np.unique(seen, axis=0)) == len(seen)
+            got = quadrature._checked_sum(x, y, y * w)
             ref = size = 0.0
             for direction in (1.0, -1.0):
                 rx, rw = quadrature._run(ladder, level, direction)
@@ -957,7 +938,7 @@ class TestFetchRule:
 
     def test_half_line_call_count(self):
         # levels 0-3 in one call, and level 4's runs of 98 nodes per
-        # direction whole in one head call (17 calls at one per block)
+        # direction whole in one head call
         sizes = []
 
         def f(t):
@@ -969,49 +950,27 @@ class TestFetchRule:
         assert sum(sizes) == res.evaluations == 393
 
     def test_held_run_is_summed_whole(self, monkeypatch):
-        # a drive that reaches level 4 sums each direction of that level in
-        # one pass, with no integrand call in the scan, quiet blocks included
-        ladder, block = quadrature._EXP_SINH, quadrature._BLOCK
+        # a drive that goes past level 4 fetches each later level whole in
+        # one call and sums it in one pass, its terms far below the sum
+        # included: no node of a level is left out, and none is fetched apart
+        ladder = quadrature._EXP_SINH
         one_pass, sums, sizes = quadrature._sum, [], []
-        monkeypatch.setattr(quadrature, "_sum", lambda terms: sums.append(terms.shape[-1]) or one_pass(terms))
-        res = integrate_half_line(lambda t: sizes.append(t.size) or _quiet_tail(t))
-        n = len(quadrature._run(ladder, 4, 1.0)[0])
-        assert n == len(quadrature._run(ladder, 4, -1.0)[0]) == 98
-        assert res.converged and sizes == [len(quadrature._head(ladder, FIRST_HEAD)[0]), 2 * n]
-        assert len(sums) == 4 and sums[2:] == [n, n]  # two groups for levels 0 to 3
-        x, w, _ = quadrature._head(ladder, (4,))
-        y = _quiet_tail(x)
-        terms = y * w
-        sums.clear()
-        part = quadrature._scan(lambda t: pytest.fail("a held run was fetched"), ladder, 4, (y, terms))
-        assert sums == [n, n]
-        assert part == one_pass(terms[:n]) + one_pass(terms[n:])
-        # a walk block by block would stop the right run after its quiet
-        # blocks 1 and 2, dropping the nonzero terms past them
-        edge = quadrature._TRUNC_EPS * abs(part)
-        assert np.abs(terms[block:3 * block]).max() <= edge
-        assert np.all(terms[3 * block:n] != 0.0)
+        monkeypatch.setattr(quadrature, "_sum", lambda terms: sums.append(terms) or one_pass(terms))
 
-    def test_longer_run_stops_after_two_quiet_blocks(self):
-        # from level 5 on a head holds a run's first two blocks, and the scan
-        # fetches one block a call until two in a row are quiet
-        ladder, block = quadrature._EXP_SINH, quadrature._BLOCK
-        x, w, _ = quadrature._head(ladder, (5,))
-        y = _quiet_tail(x)
-        fetched = []
-        total = quadrature._scan(lambda t: fetched.append(t) or _quiet_tail(t), ladder, 5, (y, y * w))
-        edge = quadrature._TRUNC_EPS * abs(total)
-        # the right run stops after its blocks 2 and 3, the left after 4 and 5
-        expected = []
-        for direction, last in ((1.0, 3), (-1.0, 5)):
-            rx, rw = quadrature._run(ladder, 5, direction)
-            quiet = [np.abs(_quiet_tail(rx[k:k + block]) * rw[k:k + block]).max() <= edge
-                     for k in range(0, len(rx), block)]
-            assert not quiet[last - 2] and quiet[last - 1] and quiet[last]
-            assert len(rx) > (last + 1) * block  # nonzero terms are left out
-            assert np.all(_quiet_tail(rx) * rw != 0.0)
-            expected += [rx[k * block:(k + 1) * block] for k in range(2, last + 1)]
-        assert [t.tobytes() for t in fetched] == [t.tobytes() for t in expected]
+        def f(t):
+            sizes.append(t.size)
+            return _damped_cosine(t) + 1e-25 * (1.0 + t) ** -1.5
+
+        res = integrate_half_line(f)
+        heads = [quadrature._head(ladder, levels) for levels in (FIRST_HEAD, (4,), (5,), (6,))]
+        assert res.converged and sizes == [len(x) for x, *_ in heads] == [197, 196, 394, 788]
+        split = heads[0][2]
+        assert [t.shape[-1] for t in sums] == [split, 197 - split, 196, 394, 788]
+        x, w, _ = heads[2]
+        terms = f(x) * w
+        assert sums[3].tobytes() == terms.tobytes()
+        part = one_pass(terms)
+        assert 0.0 < np.abs(terms).min() <= 1e-18 * abs(part)
 
     # (ladder, run lengths per direction at levels 0 to 5, or 6 where clipped)
     RUNS = {
@@ -1031,8 +990,8 @@ class TestFetchRule:
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     def test_first_fetch_runs_fit_a_scan_chunk(self, ladder):
-        # so no scan of these levels could stop early, and a drive sums
-        # them as two groups; a clipped run is a prefix of a fixed one
+        # the first call's runs are short, at most two blocks each; a
+        # clipped run is a prefix of a fixed one
         for level in range(quadrature._FIRST_TEST_LEVEL + 1):
             for direction in (1.0, -1.0):
                 assert len(quadrature._run(ladder, level, direction)[0]) <= 2 * quadrature._BLOCK
@@ -1067,28 +1026,29 @@ class TestFetchRule:
         assert batch.value.tolist() == expected
 
     @pytest.mark.parametrize("name", list(RUNS))
-    def test_head_holds_runs_of_at_most_four_blocks_whole(self, name):
-        # a longer run gives its first two blocks; from level 5 on every
-        # fixed run is longer, and a clipped ladder's short runs go further
+    def test_head_holds_every_run_whole(self, name):
+        # however long the run: from level 5 on every fixed run has at
+        # least 196 nodes; a clipped ladder's runs are the fixed runs cut
         ladder, lengths = self.RUNS[name]
-        assert quadrature._WHOLE_RUN_BLOCKS * quadrature._BLOCK == 128
+        fixed = quadrature._EXP_SINH if ladder.parent else ladder
         for level in range(len(quadrature._LEVELS)):
             x, w, _ = quadrature._head(ladder, (level,))
-            runs = [quadrature._run(ladder, level, d) for d in (1.0, -1.0)]
+            runs = [quadrature._run(fixed, level, d) for d in (1.0, -1.0)]
+            if ladder.parent:
+                runs = [(rx[keep], rw[keep]) for rx, rw in runs
+                        for keep in [(rx >= ladder.lo) & (rx <= ladder.hi)]]
             sizes = tuple(len(rx) for rx, _ in runs)
             if level < len(lengths):
                 assert sizes == lengths[level]
             else:
                 assert min(sizes) >= 196
-            held = [(rx, rw) if len(rx) <= 128 else (rx[:64], rw[:64]) for rx, rw in runs]
-            assert x.tobytes() == np.concatenate([hx for hx, _ in held]).tobytes()
-            assert w.tobytes() == np.concatenate([hw for _, hw in held]).tobytes()
+            assert x.tobytes() == np.concatenate([rx for rx, _ in runs]).tobytes()
+            assert w.tobytes() == np.concatenate([rw for _, rw in runs]).tobytes()
 
     @pytest.mark.parametrize("route", ["half-line", "interval", "quadrant"])
     def test_no_node_is_fetched_twice(self, route):
-        # a scan slices what its head holds and calls f only past it, so
-        # no node of one drive reaches f twice; these integrands scan past
-        # heads of 64 nodes per direction
+        # each level is fetched once, whole, so no node of one drive
+        # reaches f twice; these integrands take their drives past level 4
         calls = []
         if route == "half-line":
             res = integrate_half_line(lambda t: calls.append(t) or _damped_cosine(t))
@@ -1107,8 +1067,7 @@ class TestFetchRule:
             for a, b in zip(starts, starts[1:] + [len(calls)]):
                 drives.append([y for _, y in calls[a:b]])
         assert res.converged
-        # some call is a block past a head
-        assert min(len(nodes) for drive in drives for nodes in drive) <= quadrature._BLOCK
+        assert max(len(drive) for drive in drives) > 2
         for drive in drives:
             nodes = np.concatenate(drive)
             assert len(np.unique(nodes, axis=0)) == len(nodes)
@@ -1150,7 +1109,7 @@ class TestFetchRule:
 
         res = integrate_quadrant(f2)
         assert res.converged
-        kept = [hx for hx, *_ in ladder.heads.values()] + [rx for rx, _ in ladder.runs.values()]
+        kept = [hx for hx, *_ in ladder.heads.values()]
         views = [(x, y) for x, y in calls if any(x.base is k for k in kept)]
         starts = [call for k, call in enumerate(views) if k == 0 or call[0] is not views[k - 1][0]]
         assert len(views) < len(calls)  # rows retired

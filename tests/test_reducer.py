@@ -402,15 +402,14 @@ def _by_draw(rows):
 class TestOracleWork:
     """The oracle's evaluation counts on three seed-42 sweep draws.
 
-    A change to the integrand that moves where a truncation scan stops
-    shows up here as a changed count, not only as moved digits.  The
-    integrand calls are pinned too: one per fused head and one per block
-    past a head.
+    A change to the integrand that moves the level a drive stops at shows
+    up here as a changed count, not only as moved digits.  The integrand
+    calls are pinned too: one per fused head, each a whole level.
     """
 
     @pytest.mark.parametrize("rule_id, case_index, evaluations, calls", _by_draw([
         ("K1-111", 0, 42_418, 4),
-        ("T5-nu2", 13, 43_270, 10),
+        ("T5-nu2", 13, 43_891, 6),
         ("K5-1m75", 9, 25_650, 2),
     ]))
     def test_evaluations_pinned(self, rule_id, case_index, evaluations, calls, monkeypatch):
@@ -543,12 +542,12 @@ class TestQuadrantSupport:
                 oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
 
     def test_oracle_calls_leave_the_fixed_ladders_alone(self):
-        # once every run and head of the fixed ladders is built, 50 oracle
-        # calls with different boxes add no entry to them and replace none
+        # once every head of the fixed ladders is built, 50 oracle calls
+        # with different boxes add no entry to them and replace none
         ladders = (quadrature._EXP_SINH, quadrature._UNIT_PAIR)
         for ladder in ladders:
-            _build_every_run_and_head(ladder)
-        before = [(dict(ladder.runs), dict(ladder.heads)) for ladder in ladders]
+            _build_every_head(ladder)
+        before = [dict(ladder.heads) for ladder in ladders]
         ids = [r.id for r in list_rules(include_erratum=False)]
         boxes = set()
         for i in range(50):
@@ -558,18 +557,16 @@ class TestQuadrantSupport:
             boxes.add(quadrant_support(params, f, tilde))
             assert direct_2d(params, f, tilde=tilde).converged
         assert len(boxes) == 50
-        for ladder, maps in zip(ladders, before):
-            for now, kept in zip((ladder.runs, ladder.heads), maps):
-                assert now.keys() == kept.keys()
-                assert all(now[key] is value for key, value in kept.items())
+        for ladder, kept in zip(ladders, before):
+            assert ladder.heads.keys() == kept.keys()
+            assert all(ladder.heads[key] is value for key, value in kept.items())
 
 
     def test_oracle_calls_on_cold_ladders_build_only_unclipped_heads(self, monkeypatch):
-        # with the fixed exp-sinh ladder's maps emptied first, 350 oracle
+        # with the fixed exp-sinh ladder's heads emptied first, 350 oracle
         # calls leave in it only the heads an unclipped drive builds for
-        # levels 0 to 4, which the clipped heads are cut from
+        # the levels the clipped drives reach, which their heads are cut from
         ladder = quadrature._EXP_SINH
-        monkeypatch.setattr(ladder, "runs", {})
         monkeypatch.setattr(ladder, "heads", {})
         ids = [r.id for r in list_rules(include_erratum=False)]
         for i in range(350):
@@ -577,20 +574,25 @@ class TestQuadrantSupport:
             params, f = _sweep_case(rule_id, 42, i // len(ids))
             tilde = get_rule(rule_id).family is Family.MIXED_TILDE
             assert direct_2d(params, f, tilde=tilde).converged
-        assert sorted(ladder.heads) == [FIRST_HEAD, (4,)]
-        assert sum(x.nbytes + w.nbytes for x, w, _ in ladder.heads.values()) == 6288
-        assert sorted(ladder.runs) == [(level, d) for level in range(6) for d in (-1.0, 1.0)]
+        assert sorted(ladder.heads) == [FIRST_HEAD, (4,), (5,)]
+        assert sum(x.nbytes + w.nbytes for x, w, _ in ladder.heads.values()) == 12_592
+
+
+def _cut_runs(ladder, levels):
+    """The fixed ladder's runs on levels, each cut to the clipped ladder's
+    span: exp-sinh nodes run outward, so each is a leading run."""
+    fixed = quadrature._EXP_SINH
+    runs = [quadrature._run(fixed, level, d) for level in levels for d in (1.0, -1.0)]
+    cut = [np.count_nonzero((rx >= ladder.lo) & (rx <= ladder.hi)) for rx, _ in runs]
+    return [(rx[:n], rw[:n]) for (rx, rw), n in zip(runs, cut)]
 
 
 def _cut_runs_head(ladder, levels):
-    """A clipped ladder's head built as its cut runs, concatenated: a run of
-    at most four blocks whole, a longer one's first two blocks."""
-    block = quadrature._BLOCK
-    runs = [quadrature._run(ladder, level, d) for level in levels for d in (1.0, -1.0)]
-    held = [n if n <= 4 * block else 2 * block for n in (len(rx) for rx, _ in runs)]
-    x = np.concatenate([rx[:n] for (rx, _), n in zip(runs, held)])
-    w = np.concatenate([rw[:n] for (_, rw), n in zip(runs, held)])
-    return x, w, len(x) - sum(held[-2:])
+    """A clipped ladder's head built as its cut runs, each whole, fused."""
+    runs = _cut_runs(ladder, levels)
+    x = np.concatenate([rx for rx, _ in runs])
+    w = np.concatenate([rw for _, rw in runs])
+    return x, w, len(x) - sum(len(rx) for rx, _ in runs[-2:])
 
 
 def _level_cut(level: int, plus: int, minus: int):
@@ -602,7 +604,7 @@ def _level_cut(level: int, plus: int, minus: int):
 
 
 class TestClippedHeads:
-    """A clipped ladder's heads, whichever way built, are its cut runs fused."""
+    """A clipped ladder's heads, cut from the fixed heads, are its cut runs fused."""
 
     @staticmethod
     def _sweep_spans():
@@ -640,26 +642,47 @@ class TestClippedHeads:
     def test_box_that_cuts_inside_level_4_runs(self):
         # edges on nodes 40 and 60 of level 4's runs of 98 nodes
         ladder = self._check(_level_cut(4, plus=40, minus=60))
-        assert [len(quadrature._run(ladder, 4, d)[0]) for d in (1.0, -1.0)] == [41, 61]
+        assert [len(rx) for rx, _ in _cut_runs(ladder, (4,))] == [41, 61]
 
     def test_box_whose_level_5_runs_are_held_whole_but_cut(self):
-        # the clipped level-5 runs have 65 to 128 nodes: held whole, more
-        # than the fixed ladder's level-5 head holds of its longer runs
+        # the clipped level-5 runs, cut inside the fixed runs of 197 nodes,
+        # are held whole
         ladder = self._check(_level_cut(5, plus=99, minus=79))
-        assert [len(quadrature._run(ladder, 5, d)[0]) for d in (1.0, -1.0)] == [100, 80]
+        assert [len(rx) for rx, _ in _cut_runs(ladder, (5,))] == [100, 80]
         assert len(quadrature._head(ladder, (5,))[0]) == 180
 
 
-def _build_every_run_and_head(ladder) -> None:
-    """Build every run and head a drive on ladder can ask for."""
+def _build_every_head(ladder) -> None:
+    """Build every head a drive on ladder can ask for."""
     levels = range(len(quadrature._LEVELS))
-    for level in levels:
-        for direction in (1.0, -1.0):
-            quadrature._run(ladder, level, direction)
     first = quadrature._FIRST_TEST_LEVEL + 1
     quadrature._head(ladder, tuple(levels[:first]))
     for level in levels[first:]:
         quadrature._head(ladder, (level,))
+
+
+class TestSmallCoefficientOracle:
+    """The oracle converges on the mixed-tilde draws with every coefficient
+    scaled by 1e-2, and agrees with the reduction.
+
+    Small coefficients spread the integrand over many decades, so its
+    drives go deep into their ladders, where each level's runs are long;
+    a drive that cut a run short of its whole length left these oracles
+    unconverged and up to 11 % off after millions of evaluations.
+    """
+
+    @pytest.mark.parametrize("rule_id", [f"T{k}-nu{nu}" for k in range(1, 6) for nu in range(3)])
+    def test_seed_42_draws_at_a_hundredth(self, rule_id):
+        rule = get_rule(rule_id)
+        assert rule.family is Family.MIXED_TILDE
+        for case_index in range(3):
+            params, f = _sweep_case(rule_id, 42, case_index)
+            params = dataclasses.replace(params, **{k: 1e-2 * getattr(params, k) for k in "abchjpq"})
+            f = dataclasses.replace(f, sigma=1e-2 * f.sigma)
+            lhs = direct_2d(params, f, tilde=True)
+            rhs = rule.reduce_to_1d(params, f)
+            assert lhs.converged, (rule_id, case_index, lhs)
+            assert abs(lhs.value - rhs.value) <= 1e-10 * abs(rhs.value), (rule_id, case_index)
 
 
 class TestOracleInnerRows:
@@ -1006,8 +1029,33 @@ class TestSweep:
         rep = run_sweep([rule.id for rule in list_rules(include_erratum=False)],
                         samples=20, seed=42)
         assert rep.n_pass == len(rep.records) == 700
-        assert sum(r.lhs.evaluations for r in rep.records) == 18_773_869
-        assert sum(r.rhs.evaluations for r in rep.records) == 185_092
+        assert sum(r.lhs.evaluations for r in rep.records) == 18_795_071
+        assert sum(r.rhs.evaluations for r in rep.records) == 185_336
+
+    @pytest.mark.parametrize("jobs, samples, workers", [(64, 1, 1), (2, 3, 2), (3, 1, 1)])
+    def test_pool_has_no_more_workers_than_cases(self, jobs, samples, workers, monkeypatch):
+        # a pool forks every worker at its first submit, so a worker past
+        # the case count is a process that does nothing; the fake executor
+        # runs the cases in this process and starts none
+        asked = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(reducer, "ProcessPoolExecutor", FakeExecutor)
+        rep = run_sweep(["E1-pbm-corrected"], samples=samples, seed=3, jobs=jobs)
+        assert asked == [workers]
+        assert rep.to_json() == run_sweep(["E1-pbm-corrected"], samples=samples, seed=3).to_json()
 
     def test_erratum_sweep_counts_failures(self):
         rep = run_sweep(["E1-uncorrected-pbm"], samples=2, seed=7)
