@@ -7,8 +7,10 @@ coefficients may be nonzero, the validity predicate and the sampler
 (``_FAMILIES``); only N6-aeqb, the a = b form, overrides the last two:
 
   positive-exp   only p, q active: exp and Macdonald kernels
-  inverse-exp    only a, b, c active: split-exponential and erf kernels,
-                 plus the a = b gamma-ratio form
+  inverse-exp    only a, b, c active: N1-N5 weigh by G1's Kummer term at
+                 h = 0, their split-exponential and erf displays kept as
+                 descriptions and as the tests' reference; plus the a = b
+                 gamma-ratio form
   mixed-tilde    a, b, c active plus the pinned factor
                  exp(-(a-b)(x+y)^2/(x y^2)) on the 2-D side: erfcx kernels
   general-h      a, b, c, h active: confluent-hypergeometric kernel
@@ -37,7 +39,6 @@ import numpy as np
 
 from .kernels import (
     BesselKFactor,
-    ErfSqrtInvFactor,
     ErfcxSqrtInvFactor,
     KernelError,
     KernelTerm,
@@ -305,58 +306,6 @@ def _k7_kernel(params):
     ]
 
 
-def _split_terms(params: Params, *rows) -> list[KernelTerm]:
-    """coeff t**alpha e^(-ct - cutoff/t) for each (coeff, alpha, cutoff) row,
-    the cut-off being a or b."""
-    return [KernelTerm(coeff, alpha, beta=params.c, gamma=cutoff) for coeff, alpha, cutoff in rows]
-
-
-def _n1_kernel(params):
-    a, b = params.a, params.b
-    pref = (a - b) ** -2
-    return _split_terms(params, (pref, -0.5, a),
-                        (pref * (a - b), -1.5, b),
-                        (-pref, -0.5, b))
-
-
-def _n2_kernel(params):
-    a, b = params.a, params.b
-    pref = (a - b) ** -3
-    return _split_terms(params, (pref * (a - b), -1.5, b),
-                        (-2.0 * pref, -0.5, b),
-                        (pref * (a - b), -1.5, a),
-                        (2.0 * pref, -0.5, a))
-
-
-def _n3_kernel(params):
-    a, b, c = params.a, params.b, params.c
-    pref = (a - b) ** -1.5
-    erf_factor = ErfSqrtInvFactor(a - b)
-    return [
-        KernelTerm(pref * SQPI * (a - b), -1.5, beta=c, gamma=b, special=erf_factor),
-        KernelTerm(-pref * SQPI / 2.0, -0.5, beta=c, gamma=b, special=erf_factor),
-        KernelTerm(pref * math.sqrt(a - b), -1.0, beta=c, gamma=a),
-    ]
-
-
-def _n4_kernel(params):
-    a, b, c = params.a, params.b, params.c
-    return [
-        KernelTerm(SQPI / math.sqrt(a - b), -1.0, beta=c, gamma=b,
-                   special=ErfSqrtInvFactor(a - b))
-    ]
-
-
-def _n5_kernel(params):
-    # weight (a-b)^-1 t^-1 e^-ct (e^-b/t - e^-a/t); the tabulated display
-    # carries t^-3/2, but only t^-1 matches the 2-D oracle and degenerates
-    # into the a=b gamma-ratio form's t^-2 as b -> a
-    a, b = params.a, params.b
-    pref = 1.0 / (a - b)
-    return _split_terms(params, (pref, -1.0, b),
-                        (-pref, -1.0, a))
-
-
 def _n6_kernel(params):
     # at a = b (and h = 0) G1's Kummer factor is 1F1(A; B; 0) = 1
     return [replace(_g1_kernel(params)[0], special=None)]
@@ -574,19 +523,23 @@ RULES: tuple[ReductionRule, ...] = (
                   "two-term Macdonald kernel: sqrt(p) K0 + sqrt(q) K1, weight t^1/2", _k6_kernel),
     ReductionRule("K7-m311", Family.POSITIVE_EXP, (-3, 1, 1),
                   "three-term Macdonald kernel; minus the p-derivative of K6-m111", _k7_kernel),
+    # N1-N5 evaluate G1's 1F1 term, which never subtracts; their tabulated
+    # elementary displays, which do, stay as descriptions and as the tests'
+    # reference.  N5's display carries t^-3/2, but only t^-1 matches the 2-D
+    # oracle and degenerates into N6-aeqb's t^-2 as b -> a
     ReductionRule("N1-133", Family.INVERSE_EXP, (1, 3, 3),
                   "split-exponential kernel (a-b)^-2 t^-3/2 (t e^-a/t - (b-a+t) e^-b/t)",
-                  _n1_kernel),
+                  _g1_kernel),
     ReductionRule("N2-333", Family.INVERSE_EXP, (3, 3, 3),
                   "split-exponential kernel (a-b)^-3 t^-3/2 ((a-b-2t) e^-b/t + (a-b+2t) e^-a/t)",
-                  _n2_kernel),
+                  _g1_kernel),
     ReductionRule("N3-033", Family.INVERSE_EXP, (0, 3, 3),
                   "erf kernel: (a-b)^-3/2 t^-3/2 (sqrt(pi)(a-b-t/2) e^-b/t erf(sqrt((a-b)/t)) "
-                  "+ sqrt(t(a-b)) e^-a/t)", _n3_kernel),
+                  "+ sqrt(t(a-b)) e^-a/t)", _g1_kernel),
     ReductionRule("N4-122", Family.INVERSE_EXP, (1, 2, 2),
-                  "erf kernel: sqrt(pi/(a-b)) t^-1 e^-b/t erf(sqrt((a-b)/t))", _n4_kernel),
+                  "erf kernel: sqrt(pi/(a-b)) t^-1 e^-b/t erf(sqrt((a-b)/t))", _g1_kernel),
     ReductionRule("N5-222", Family.INVERSE_EXP, (2, 2, 2),
-                  "split-exponential kernel (a-b)^-1 t^-3/2 (e^-b/t - e^-a/t)", _n5_kernel),
+                  "split-exponential kernel (a-b)^-1 t^-3/2 (e^-b/t - e^-a/t)", _g1_kernel),
     ReductionRule("N6-aeqb", Family.INVERSE_EXP, None,
                   "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
                   "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",

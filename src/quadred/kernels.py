@@ -91,16 +91,6 @@ class BesselKFactor(_Factor):
 
 
 @dataclass(frozen=True)
-class ErfSqrtInvFactor(_Factor):
-    """erf(sqrt(amount / t))."""
-
-    amount: float
-
-    def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        return _sp.erf(np.sqrt(self.amount / t))
-
-
-@dataclass(frozen=True)
 class ErfcxSqrtInvFactor(_Factor):
     """erfcx(2 sqrt(amount / t)) = exp(4 amount/t) erfc(2 sqrt(amount/t))."""
 

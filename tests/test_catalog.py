@@ -4,9 +4,12 @@ import dataclasses
 import functools
 import json
 import math
+import types
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from quadred.catalog import (
     ApplicabilityError,
@@ -17,7 +20,7 @@ from quadred.catalog import (
 )
 from quadred.kernels import KernelError
 from quadred.params import Params, TestIntegrand
-from quadred.reducer import _case_inputs
+from quadred.reducer import _case_inputs, direct_2d
 
 SQPI = math.sqrt(math.pi)
 
@@ -187,63 +190,101 @@ class TestKernelWeights:
         assert wrong / corrected == pytest.approx(ratio, rel=1e-12)
 
 
-# below this the G1 weight is compared only by the N weight's size
-G1_LIVE = 1e-290
-SPLIT_RULES = ["N1-133", "N2-333", "N3-033", "N5-222"]
+# below this a weight is compared only by the other weight's size
+LIVE = 1e-290
+N_RULES = ["N1-133", "N2-333", "N3-033", "N4-122", "N5-222"]
+SPLIT_RULES = [rule_id for rule_id in N_RULES if rule_id != "N4-122"]
+N_T = np.logspace(-3.0, 3.0, 25)
+FLOAT = types.SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt, erf=sp.erf, pi=math.pi)
+MPMATH = types.SimpleNamespace(num=mp.mpf, exp=mp.exp, sqrt=mp.sqrt, erf=mp.erf, pi=mp.pi)
+
+
+def n_display(rule_id: str, params: Params, t, lib):
+    """The tabulated N1-N5 weight, as displayed, in lib's arithmetic;
+    N5's at t^-1, not its display's t^-3/2 (see the catalog's registry)."""
+    a, b, c = (lib.num(v) for v in (params.a, params.b, params.c))
+    d = a - b
+    ea, eb = lib.exp(-c * t - a / t), lib.exp(-c * t - b / t)
+    if rule_id == "N1-133":
+        return d**-2 * t**-1.5 * (t * ea - (b - a + t) * eb)
+    if rule_id == "N2-333":
+        return d**-3 * t**-1.5 * ((d - 2 * t) * eb + (d + 2 * t) * ea)
+    erf = lib.erf(lib.sqrt(d / t))
+    if rule_id == "N3-033":
+        return d**-1.5 * t**-1.5 * (lib.sqrt(lib.pi) * (d - t / 2) * eb * erf
+                                    + lib.sqrt(t * d) * ea)
+    if rule_id == "N4-122":
+        return lib.sqrt(lib.pi / d) / t * eb * erf
+    assert rule_id == "N5-222"
+    return (eb - ea) / (d * t)
 
 
 @functools.lru_cache(maxsize=None)
-def n_and_g1_weights(rule_id: str):
-    """z = (a - b)/t, w_N and w_G1 at the sweep draws of seeds 42 and 0.
+def n_weights(rule_id: str):
+    """z = (a - b)/t, the catalog's weight and its float display, and the
+    draws, at the sweep draws of seeds 42 and 0.
 
-    Each of cases 0-19 of each seed is taken at t in logspace(-3, 3, 25).
+    Each of cases 0-19 of each seed is taken at each t of N_T.
     """
-    rule, g1 = get_rule(rule_id), get_rule("G1-general")
+    rule = get_rule(rule_id)
     index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
-    t = np.logspace(-3.0, 3.0, 25)
-    rows = []
+    rows, draws = [], []
     for seed in (42, 0):
         for case_index in range(20):
             params, _ = _case_inputs(rule, seed, index, case_index)
-            rows.append(((params.a - params.b) / t, rule.kernel_weight(params, t),
-                         g1.kernel_weight(params, t)))
-    return tuple(np.concatenate(column) for column in zip(*rows))
+            with np.errstate(under="ignore"):
+                display = n_display(rule_id, params, N_T, FLOAT)
+            rows.append(((params.a - params.b) / N_T, rule.kernel_weight(params, N_T), display))
+            draws.append(params)
+    return (*(np.concatenate(column) for column in zip(*rows)), draws)
 
 
-def worst_rel_to_g1(rule_id: str, region) -> float:
-    """The largest |w_N - w_G1|/|w_G1| where region(z) holds and w_G1 is live.
+def worst_rel_to_float_display(rule_id: str, region) -> float:
+    """The largest |w - w_display|/|w| where region(z) holds and w is live.
 
-    Where w_G1 is below G1_LIVE the N weight must be below 1e-280.
+    Where w is below LIVE the display must be below 1e-280.
     """
-    z, w_n, w_g1 = n_and_g1_weights(rule_id)
-    live = np.abs(w_g1) >= G1_LIVE
-    assert np.all(np.abs(w_n[~live]) < 1e-280)
+    z, w, display, _ = n_weights(rule_id)
+    live = np.abs(w) >= LIVE
+    assert np.all(np.abs(display[~live]) < 1e-280)
     chosen = live & region(z)
     assert chosen.sum() >= 50
-    return float(np.max(np.abs(w_n[chosen] - w_g1[chosen]) / np.abs(w_g1[chosen])))
+    return float(np.max(np.abs(display[chosen] - w[chosen]) / np.abs(w[chosen])))
 
 
 class TestG1ReducesToElementary:
-    """The 1F1 kernel of G1-general equals the elementary N1-N5 kernels.
+    """N1-N5 weigh by G1-general's 1F1 term, which equals the paper's
+    elementary N1-N5 displays.
 
     This is the paper's simplification, checked on the kernels the catalog
-    evaluates rather than on scalar Kummer identities.
+    evaluates against the displays, rather than on scalar Kummer identities.
+    The displays subtract nearly equal terms once t >> a - b, so in floats
+    they are the reference only where z = (a - b)/t >= 1; at 40 digits they
+    are the reference everywhere.
     """
 
+    @pytest.mark.parametrize("rule_id", N_RULES)
+    def test_n_rules_build_g1s_term(self, rule_id):
+        params = Params(*get_rule(rule_id).triple, a=1.0, b=0.4, c=0.7)
+        assert get_rule(rule_id).build_kernel(params) == get_rule("G1-general").build_kernel(params)
+
     def test_erf_kernel_on_the_whole_grid(self):
-        assert worst_rel_to_g1("N4-122", np.isfinite) <= 1e-12
+        assert worst_rel_to_float_display("N4-122", np.isfinite) <= 1e-12
 
     @pytest.mark.parametrize("rule_id", SPLIT_RULES)
     def test_split_kernels_from_z_one(self, rule_id):
-        assert worst_rel_to_g1(rule_id, lambda z: z >= 1.0) <= 1e-12
+        assert worst_rel_to_float_display(rule_id, lambda z: z >= 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("rule_id", SPLIT_RULES)
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: the N forms subtract nearly equal terms once t >> a - b",
-    )
-    def test_split_kernels_below_z_one(self, rule_id):
-        assert worst_rel_to_g1(rule_id, lambda z: z < 1.0) <= 1e-12
+    @pytest.mark.parametrize("rule_id", N_RULES)
+    def test_displays_at_40_digits_on_the_whole_grid(self, rule_id):
+        _, w, _, draws = n_weights(rule_id)
+        with mp.workdps(40):
+            ref = np.array([float(n_display(rule_id, params, mp.mpf(float(t)), MPMATH))
+                            for params in draws for t in N_T])
+        live = np.abs(ref) >= LIVE
+        assert np.all(np.abs(w[~live]) < 1e-280)
+        assert live.sum() >= 500
+        assert np.max(np.abs(w[live] - ref[live]) / np.abs(ref[live])) <= 1e-12
 
 
 class TestReduceTo1D:
@@ -275,23 +316,17 @@ class TestReduceTo1D:
                 Params(2, 2, 2, a=1.0, b=0.5, c=0.0), TestIntegrand(1.0, 1.0, 0.0)
             )
 
-    def test_cancelling_instance_without_decay_is_rejected(self):
-        # unguarded, N3's split kernel returns -3.07e19 here through cancellation
-        with pytest.raises(KernelError, match="decay"):
-            get_rule("N3-033").reduce_to_1d(
-                Params(0, 3, 3, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.2, 0.0)
-            )
+    def test_cancelling_instance_without_decay_converges(self):
+        # N3's tabulated split kernel gives -3.07e19 here through cancellation;
+        # G1's term has t^-2 at large t, so with mu = 0.2 the integral converges
+        params, f = Params(0, 3, 3, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.2, 0.0)
+        res = get_rule("N3-033").reduce_to_1d(params, f)
+        oracle = direct_2d(params, f)
+        assert res.converged and oracle.converged
+        assert res.value == pytest.approx(oracle.value, rel=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=KernelError,
-        reason="ROADMAP item 4: the large-t guard reads only each term's power, so "
-        "it rejects this convergent instance; it may loosen only together with "
-        "cancellation-free kernels",
-    )
     def test_convergent_instance_without_c_or_sigma(self):
-        # the oracle converges to 8.347688506817965 here, and the unguarded
-        # reduction matches it to 2e-16
+        # the 2-D oracle gives this value to 6e-14
         res = get_rule("N4-122").reduce_to_1d(
             Params(1, 2, 2, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.25, 0.0)
         )
@@ -307,6 +342,23 @@ class TestReduceTo1D:
             f = TestIntegrand(1.0, floor + 1.0, 0.5)
             res = rule.reduce_to_1d(params, f)
             assert complex(res.value).real >= 0.0, rid
+
+
+class TestThroughAEqualsB:
+    @pytest.mark.parametrize("rule_id", N_RULES)
+    def test_n_rules_approach_the_a_eq_b_form(self, rule_id):
+        # b = a(1 - g): each N reduction converges and lies within 5 g of
+        # N6-aeqb's value at b = a, on seed-42 cases 0-1
+        rule, n6 = get_rule(rule_id), get_rule("N6-aeqb")
+        index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
+        for case_index in range(2):
+            params, f = _case_inputs(rule, 42, index, case_index)
+            limit = n6.reduce_to_1d(dataclasses.replace(params, b=params.a), f)
+            assert limit.converged
+            for g in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                res = rule.reduce_to_1d(dataclasses.replace(params, b=params.a * (1.0 - g)), f)
+                assert res.converged, (case_index, g)
+                assert abs(res.value - limit.value) <= 5.0 * g * abs(limit.value), (case_index, g)
 
 
 class TestMuFloors:

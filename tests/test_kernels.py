@@ -14,7 +14,6 @@ from quadred.applications import FourierSpec, fourier_params
 from quadred.catalog import G1_GRID, R1_GRID, get_rule, list_rules
 from quadred.kernels import (
     BesselKFactor,
-    ErfSqrtInvFactor,
     ErfcxSqrtInvFactor,
     FourierErfiFactor,
     KernelError,
@@ -59,7 +58,7 @@ class TestTermEvaluation:
         assert eval_kernel(terms, 1.0) == pytest.approx(0.2325441579348296, rel=1e-10)
 
     def test_vectorized_matches_scalar(self):
-        terms = [KernelTerm(1.5, -0.5, beta=2.0, gamma=0.3, special=ErfSqrtInvFactor(0.7))]
+        terms = [KernelTerm(1.5, -0.5, beta=2.0, gamma=0.3, special=ErfcxSqrtInvFactor(0.7))]
         ts = np.array([0.01, 0.1, 1.0, 10.0])
         vec = eval_kernel(terms, ts)
         for t, v in zip(ts, vec):
@@ -151,7 +150,7 @@ def _evaluator_cases():
     # the arithmetic the evaluator skips: a term with gamma = 0 and
     # sigma + beta = 0, negative coefficients of a term and of f
     terms = [KernelTerm(1.0, 0.0), KernelTerm(-2.0, -1.0, beta=0.5, gamma=0.3),
-             KernelTerm(0.5, -0.5, gamma=1.0, special=ErfSqrtInvFactor(0.7))]
+             KernelTerm(0.5, -0.5, gamma=1.0, special=ErfcxSqrtInvFactor(0.7))]
     for coeff in (1.0, -1.5):
         cases.append((f"signs-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
     return cases
@@ -316,17 +315,6 @@ class TestErrorState:
             got = weight(ts)
             assert np.geterr() == caller
         np.testing.assert_array_equal(got, expected)
-
-
-class TestErfFactor:
-    @pytest.mark.parametrize("amount", [1e-3, 0.7, 40.0])
-    def test_against_mpmath(self, amount):
-        ts = np.geomspace(1e-6, 1e6, 61)
-        got = ErfSqrtInvFactor(amount).bounded_part(ts)
-        with mp.workdps(30):
-            for t, value in zip(ts, got):
-                ref = mp.erf(mp.sqrt(mp.mpf(amount) / mp.mpf(t)))
-                assert abs(value - ref) <= 1e-14 * ref, (t, value, ref)
 
 
 class TestErfcxFactor:
