@@ -526,7 +526,8 @@ RULES: tuple[ReductionRule, ...] = (
     # N1-N5 evaluate G1's 1F1 term, which never subtracts; their tabulated
     # elementary displays, which do, stay as descriptions and as the tests'
     # reference.  N5's display carries t^-3/2, but only t^-1 matches the 2-D
-    # oracle and degenerates into N6-aeqb's t^-2 as b -> a
+    # oracle and degenerates into N6-aeqb's t^-2 as b -> a, so its
+    # description gives t^-1 and names the display's power
     ReductionRule("N1-133", Family.INVERSE_EXP, (1, 3, 3),
                   "split-exponential kernel (a-b)^-2 t^-3/2 (t e^-a/t - (b-a+t) e^-b/t)",
                   _g1_kernel),
@@ -539,7 +540,8 @@ RULES: tuple[ReductionRule, ...] = (
     ReductionRule("N4-122", Family.INVERSE_EXP, (1, 2, 2),
                   "erf kernel: sqrt(pi/(a-b)) t^-1 e^-b/t erf(sqrt((a-b)/t))", _g1_kernel),
     ReductionRule("N5-222", Family.INVERSE_EXP, (2, 2, 2),
-                  "split-exponential kernel (a-b)^-1 t^-3/2 (e^-b/t - e^-a/t)", _g1_kernel),
+                  "split-exponential kernel (a-b)^-1 t^-1 (e^-b/t - e^-a/t); the paper's display "
+                  "carries t^-3/2", _g1_kernel),
     ReductionRule("N6-aeqb", Family.INVERSE_EXP, None,
                   "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
                   "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",

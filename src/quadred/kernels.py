@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special as _sp
@@ -126,6 +127,8 @@ class KummerFactor(_Factor):
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         w = self.shift / t + self.h
         big = w >= _KUMMER_LEADING_FROM
+        if not np.logical_or.reduce(big):  # the usual call
+            return _sp.hyp1f1(self.a, self.b, -w)
         out = np.empty_like(w)
         out[~big] = _sp.hyp1f1(self.a, self.b, -w[~big])
         out[big] = _sp.gamma(self.b) * _sp.rgamma(self.b - self.a) * w[big] ** -self.a
@@ -167,13 +170,17 @@ class FourierErfiFactor(_Factor):
     def beta(self) -> float:
         return max(self.x2 * self.x2 - (self.chi / self.k) ** 2, 0.0)
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows z- and z+: real offsets, cut-offs less gamma, exponent phases."""
+        g, d = (self.eta1**2 - self.eta2**2) / 4.0, self.k * self.k / 4.0
+        return (np.array([[g - d], [g + d]]),
+                np.array([[self.eta1**2 / 4.0], [self.eta2**2 / 4.0]]) - self.gamma,
+                np.array([[-self.chi], [0.0]]))
+
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         k, chi = self.k, self.chi
-        g, d = (self.eta1**2 - self.eta2**2) / 4.0, k * k / 4.0
-        # rows z- and z+: real offsets, cut-offs less gamma, exponent phases
-        gg = np.array([[g - d], [g + d]])
-        cut = np.array([[self.eta1**2 / 4.0], [self.eta2**2 / 4.0]]) - self.gamma
-        phase = np.array([[-chi], [0.0]])
+        gg, cut, phase = self._rows
         z = (1j * chi * t + gg) / (k * np.sqrt(t))
         # prefactor exponents with -beta t - gamma/t taken out, each real part <= 0
         expo = -cut / t - (self.x2 * self.x2 - self.beta) * t + 1j * phase
@@ -285,9 +292,12 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     call costs more per term than per node (a quadrature block is 32
     nodes), so a term tests by ufunc reductions and skips what cannot
     change a bit: a zero gamma (t is finite and positive), a phase or lift
-    of 1, and a sign, added or subtracted.  -(sigma + beta) t is always
-    applied, and at sigma + beta = 0 it keeps every bit too.  So the values
-    keep their bits.
+    of 1, and a sign, added or subtracted.  A real factor whose values are
+    all at least 1e-280 is its own magnitude, with phase exactly 1, so it
+    goes into the log without abs or phase.  -(sigma + beta) t is always
+    applied, and at sigma + beta = 0 it keeps every bit too; it and gamma/t
+    are formed once per call for each value of sigma + beta and of gamma,
+    which a kernel's terms share.  So the values keep their bits.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
@@ -296,32 +306,42 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     lead = abs(f.coeff)
     if lead == 0.0:
         return out.reshape(shape)
+    # (sigma + beta) t and gamma / t by their factor: a kernel's terms share them
+    decay, inverse = {}, {}
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            logmag = (math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
-                      - (f.sigma + term.beta) * t)
+            rate = f.sigma + term.beta
+            if rate not in decay:
+                decay[rate] = rate * t
+            logmag = math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt - decay[rate]
             if term.gamma != 0.0:
-                logmag = logmag - term.gamma / t
+                if term.gamma not in inverse:
+                    inverse[term.gamma] = term.gamma / t
+                logmag = logmag - inverse[term.gamma]
             live = logmag > _EXP_ZERO
             if np.count_nonzero(live) == 0:
                 continue  # a factor never sees zero rows
             logtot, phase = logmag[live], None
             if term.special is not None:
                 bounded = term.special.bounded_part(t[live])
-                mag = np.abs(bounded)
-                if np.minimum.reduce(mag, axis=None) < 1e-280:
-                    # lift denormals into the normal range before the division:
-                    # numpy's complex divide NaNs out on denormals
-                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
-                    bounded = bounded * lift
-                    mag = np.abs(bounded)
-                    logtot = logtot + np.log(mag) - np.log(lift)
+                if bounded.dtype.kind != "c" and np.minimum.reduce(bounded) >= 1e-280:
+                    # positive and normal (a NaN fails the test): |b| is b, its phase 1
+                    logtot = logtot + np.log(bounded)
                 else:
-                    logtot = logtot + np.log(mag)
-                # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
-                phase = bounded / np.maximum(mag, 1e-300)
+                    mag = np.abs(bounded)
+                    if np.minimum.reduce(mag, axis=None) < 1e-280:
+                        # lift denormals into the normal range before the division:
+                        # numpy's complex divide NaNs out on denormals
+                        lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
+                        bounded = bounded * lift
+                        mag = np.abs(bounded)
+                        logtot = logtot + np.log(mag) - np.log(lift)
+                    else:
+                        logtot = logtot + np.log(mag)
+                    # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
+                    phase = bounded / np.maximum(mag, 1e-300)
             # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
             if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
                 raise KernelError(

@@ -56,6 +56,10 @@ only.  Double-exponential rules about double their correct digits
 per level, so such a row gains nothing from more levels.  The 1-D drives,
 R1's inner batch included, keep every row to the end.
 
+A drive counts the values it fetches (see _drive); a 1-D integral
+reports that count, and the quadrant counts its inner batches' values
+before it runs them, against its work bound.
+
 _drive sets no error state: each entry point enters one
 np.errstate(all="ignore"), under which all its drives run, the quadrant's
 inner ones included.  Non-finite terms are caught by value instead.
@@ -136,7 +140,8 @@ class Tolerance:
         return estimate <= self.bound(value)
 
 
-# Default targets for the two-dimensional oracle.
+# Default targets for the 1-D drives, and for the two-dimensional oracle.
+_DEFAULT_TOLERANCE = Tolerance()
 QUADRANT_TOLERANCE = Tolerance(rel=1e-9, abs=1e-14)
 # The oracle's work bound: an inner batch that would take its evaluations
 # of the integrand past this stops it at its last completed outer level.
@@ -368,7 +373,9 @@ def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
 
 
 def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
-    """Halve the step until two levels agree; return (value, estimate, converged).
+    """Halve the step until two levels agree; return (value, estimate,
+    converged, evaluations), evaluations counting every value f returned,
+    one per value whatever the trailing axes of its abscissae.
 
     Level 0 is the full pass at step _BASE_STEP; each later level halves
     the step and adds the odd nodes (see _LEVELS).  Each level is fetched
@@ -393,20 +400,22 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     the batch's bound keeps the value it has at that level (the step times
     its raw sum, not the raw sum, which later steps would halve), and the
     drive calls narrow(keep), keep being a mask over the live rows; f then
-    returns the kept rows only.  The sums, the work a caller counts in f
-    and the estimate are those of the live rows, and the bound is taken
+    returns the kept rows only.  The sums, the evaluations and the
+    estimate are those of the live rows, and the bound is taken
     over every row's value, retired rows included.  A level at which every
     live row would retire passes the test, so narrow never empties a batch.
     """
 
     def fetch(levels):
         # the fused head of levels, f's values there and their terms
+        nonlocal evaluations
         x, w, split = _head(ladder, levels)
         y = np.asarray(f(x))
+        evaluations += y.size
         return x, y, y * w, split
 
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
-    value, estimate, converged = 0.0, math.inf, False
+    value, estimate, converged, evaluations = 0.0, math.inf, False, 0
     # once a row retires: the indices of the live rows, and every row's value
     live = values = None
     try:
@@ -437,14 +446,15 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
                     narrow(keep)
     except _BudgetExceeded:
         pass
-    return (value if live is None else values), estimate, converged
+    return (value if live is None else values), estimate, converged, evaluations
 
 
 def _result(level, evaluations: int) -> QuadResult:
-    """A drive's QuadResult, real unless an imaginary part is nonzero or NaN:
-    a single value's is tested in Python, a batch's rows' by one reduction."""
+    """A drive's QuadResult from its (value, estimate, converged), real unless
+    an imaginary part is nonzero or NaN: a single value's is tested in
+    Python, a batch's rows' by one reduction."""
     value, estimate, converged = level
-    if np.ndim(value) == 0:
+    if not isinstance(value, np.ndarray):
         value = complex(value)
         imag = value.imag
     else:
@@ -453,16 +463,8 @@ def _result(level, evaluations: int) -> QuadResult:
 
 
 def _integrate(integrand, ladder: _Ladder, tol: Tolerance) -> QuadResult:
-    evaluations = 0
-
-    def counted(x: np.ndarray):
-        nonlocal evaluations
-        y = integrand(x)
-        evaluations += np.size(y)  # one per value, whatever the trailing axes of x
-        return y
-
     with np.errstate(all="ignore"):
-        level = _drive(counted, ladder, tol)
+        *level, evaluations = _drive(integrand, ladder, tol)
     return _result(level, evaluations)
 
 
@@ -476,7 +478,7 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     row's own scale with no floor (see Tolerance.scale), and each of its
     values counts as one evaluation.
     """
-    return _integrate(integrand, _EXP_SINH, tol or Tolerance())
+    return _integrate(integrand, _EXP_SINH, tol or _DEFAULT_TOLERANCE)
 
 
 def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
@@ -490,7 +492,7 @@ def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
     natively.
     A (rows, n) batch gives one integral per row, as in integrate_half_line.
     """
-    return _integrate(integrand, _UNIT_PAIR, tol or Tolerance())
+    return _integrate(integrand, _UNIT_PAIR, tol or _DEFAULT_TOLERANCE)
 
 
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=None) -> QuadResult:
@@ -560,12 +562,12 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
             col, live_share = col[keep], live_share[keep]
             col.flags.writeable = False  # a mask makes a writable copy
 
-        value, _, converged = _drive(batch, inner, inner_tol, narrow=narrow)
+        value, _, converged, _ = _drive(batch, inner, inner_tol, narrow=narrow)
         if exhausted:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged
         return value / share[:, 0]
 
     with np.errstate(all="ignore"):  # the inner drives run under it too
-        value, estimate, converged = _drive(inner_rows, outer, tol)
+        value, estimate, converged, _ = _drive(inner_rows, outer, tol)
     return _result((value, estimate, converged and failures == 0), evaluations)

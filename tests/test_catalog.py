@@ -182,6 +182,17 @@ class TestKernelWeights:
         val = get_rule("N5-222").kernel_weight(params, 1.0)
         assert val == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
 
+    def test_n5_weight_and_description_carry_t_to_the_minus_one(self):
+        # the paper's display carries t^-3/2, which is 0.71, 1.41 and 2.83
+        # times the weight at these t
+        a, b, c = 2.0, 1.0, 0.3
+        rule = get_rule("N5-222")
+        ts = np.array([0.5, 2.0, 8.0])
+        got = rule.kernel_weight(Params(2, 2, 2, a=a, b=b, c=c), ts)
+        want = (np.exp(-b / ts) - np.exp(-a / ts)) * np.exp(-c * ts) / ((a - b) * ts)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert "(a-b)^-1 t^-1 (e^-b/t - e^-a/t)" in rule.description
+
     def test_uncorrected_ratio(self):
         p, q = 1.0, 4.0
         corrected = get_rule("E1-pbm-corrected").kernel_weight(Params(0, 0, 1, p=p, q=q), 0.7)

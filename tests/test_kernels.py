@@ -153,7 +153,22 @@ def _evaluator_cases():
              KernelTerm(0.5, -0.5, gamma=1.0, special=ErfcxSqrtInvFactor(0.7))]
     for coeff in (1.0, -1.5):
         cases.append((f"signs-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
+        # a real factor beside and off the positive-and-normal path
+        cases.append((f"real-mixed-{coeff}", [KernelTerm(1.0, 0.0, special=_RealMixed())],
+                      TestIntegrand(coeff, 0.5, 0.0)))
     return cases
+
+
+class _RealMixed(kernels._Factor):
+    """A real factor, positive on most decades of t and on the others 0,
+    subnormal, negative or NaN: across _T_WINDOWS some calls hold only
+    positive normal values, and others hold the rest among them."""
+
+    def bounded_part(self, t):
+        decade = np.floor(np.log10(t)) % 12
+        positive = 0.5 + 1.0 / (1.0 + t)
+        return np.select([decade == 0, decade == 1, decade == 2, decade == 3],
+                         [0.0, 5e-310, -positive, np.nan], positive)
 
 
 # a log grid over the half line's span, and a dense one on [1, 100], where
@@ -191,6 +206,16 @@ class TestEvaluatorKeepsItsBits:
                 want = _reference_eval_kernel_with_f(terms, f, t, set())
                 assert got.shape == want.shape == np.shape(t), case_id
                 assert got.tobytes() == want.tobytes(), case_id
+
+    def test_real_factor_calls_take_both_paths(self):
+        # the windows of the real-mixed cases: some calls' values are all
+        # positive and normal, the others hold 0, a subnormal, a negative
+        # value or a NaN, and test_bitwise_equal runs both kinds
+        values = [_RealMixed().bounded_part(t) for t in _T_WINDOWS]
+        assert {bool(np.all(v >= 1e-280)) for v in values} == {True, False}
+        special = np.concatenate(values)
+        assert (special == 0.0).any() and np.isnan(special).any() and (special < 0.0).any()
+        assert ((special > 0.0) & (special < np.finfo(float).tiny)).any()
 
 
 class _NanAtOne(kernels._Factor):
@@ -255,6 +280,33 @@ class TestBesselBranch:
             for t, value in zip(ts, got):
                 ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
                 assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+
+class TestFactorBranchesKeepTheirBits:
+    """A node's value is the same whether or not its call also holds a node
+    of the factor's other branch: BesselKFactor's s t < 1e-8, KummerFactor's
+    w >= 1e16."""
+
+    @staticmethod
+    def _alone_and_together(factor, usual, other):
+        both = factor.bounded_part(np.concatenate([usual, other]))
+        for alone, together in ((factor.bounded_part(usual), both[:len(usual)]),
+                                (factor.bounded_part(other), both[len(usual):])):
+            assert alone.dtype == together.dtype and alone.tobytes() == together.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bessel(self, order):
+        scale = 3.0
+        usual = np.geomspace(1.01e-8, 60.0, 97) / scale
+        small = np.geomspace(1e-160, 0.99e-8, 31) / scale
+        self._alone_and_together(BesselKFactor(order, scale), usual, small)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 1.5)])
+    def test_kummer(self, a, b):
+        factor = KummerFactor(a, b, 1.0, 0.25)
+        usual = np.geomspace(1.001e-16, 1e160, 97)  # w = 1/t + 1/4 below 1e16
+        big = np.geomspace(1e-160, 0.999e-16, 31)
+        self._alone_and_together(factor, usual, big)
 
 
 # The paper's displayed Macdonald kernels, coeff t^alpha e^-(p+q)t K_k(2 sqrt(pq) t)

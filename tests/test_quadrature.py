@@ -281,7 +281,7 @@ class TestRowRetirement:
                 xs = self.XS.copy()
                 xs.flags.writeable = False
                 rows.append(f(xs))
-                return 0.0, 0.0, True
+                return 0.0, 0.0, True, len(xs)
             return drive(f, ladder, tol, narrow if retire else None)
 
         def spy(x, y):
@@ -473,6 +473,35 @@ class TestBudgetExhaustion:
             lambda x, y: points.append(x.size * y.size) or _divergent_f2(x, y))
         assert not res.converged
         assert res.evaluations == sum(points)
+
+
+class TestDriveCountsWhatItFetches:
+    """A 1-D drive's evaluations are the summed sizes of the heads _head gave
+    it for the levels it fetched, times the rows of a batch."""
+
+    CASES = {
+        "half-line": (integrate_half_line, _damped_cosine, 1),
+        "half-line-complex": (integrate_half_line,
+                              lambda t: t**-0.5 * np.exp(-(1.0 + 3.0j) * t), 1),
+        "interval-pairs": (integrate_interval, _fast_cosine, 1),
+        "half-line-batch": (integrate_half_line,
+                            lambda t: np.stack([_damped_cosine(t), np.exp(-t)]), 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_evaluations_are_the_fetched_heads(self, case, monkeypatch):
+        integrate, f, rows = self.CASES[case]
+        head, sizes = quadrature._head, []
+
+        def spy(ladder, levels):
+            x, w, split = head(ladder, levels)
+            sizes.append(len(x))
+            return x, w, split
+
+        monkeypatch.setattr(quadrature, "_head", spy)
+        res = integrate(f)
+        assert len(sizes) > 1, "the drive stopped at its first fetch"
+        assert res.evaluations == rows * sum(sizes)
 
 
 class TestFailurePaths:
