@@ -132,9 +132,9 @@ def _pair_params(spec: YukawaPairSpec) -> Params:
 
 def _reduced_pair(spec: YukawaPairSpec, params: Params, f: TestIntegrand,
                   tol: Tolerance | None) -> QuadResult:
-    # G1 needs a > b or h > 0; equal ranges take the gamma-ratio rule
-    rule = get_rule("G1-general") if spec.eta1 != spec.eta2 else get_rule("N6-aeqb")
-    return rule.reduce_to_1d(params, f, tol).scaled(SQPI)
+    # equal ranges included: at a = b, h = 0 G1's Kummer factor is exactly
+    # 1, so G1 gives N6-aeqb's value to the bit
+    return get_rule("G1-general").reduce_to_1d(params, f, tol).scaled(SQPI)
 
 
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:

@@ -307,7 +307,9 @@ def _k7_kernel(params):
 
 
 def _n6_kernel(params):
-    # at a = b (and h = 0) G1's Kummer factor is 1F1(A; B; 0) = 1
+    # at a = b (and h = 0) G1's Kummer factor is 1F1(A; B; -0.0) = 1 exactly,
+    # so G1-general, which takes a = b, gives this rule's value to the bit;
+    # the rule stays as the paper's a = b display
     return [replace(_g1_kernel(params)[0], special=None)]
 
 
@@ -410,6 +412,7 @@ def _needs_n6(params: Params) -> str | None:
 
 
 def _needs_g1(params: Params) -> str | None:
+    # a >= b and real h >= 0, a = b at h = 0 included (see _n6_kernel)
     if (reason := _needs_exponent_sums(params)) is not None:
         return reason
     h = params.h
@@ -419,8 +422,6 @@ def _needs_g1(params: Params) -> str | None:
         return "requires h>=0"
     if params.a < params.b:
         return "requires a>=b (mirror the axes for a<b)"
-    if params.a == params.b and h.real == 0.0:
-        return "requires a>b or h>0"
     return None
 
 

@@ -289,8 +289,8 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     log(0) and underflow whatever the caller has set.
 
     Each term takes the rows where it has not underflowed by one mask.  A
-    call costs more per term than per node (a quadrature block is 32
-    nodes), so a term tests by ufunc reductions and skips what cannot
+    call costs more per term than per node (a drive's first head is 197
+    nodes on the half line), so a term tests by ufunc reductions and skips what cannot
     change a bit: a zero gamma (t is finite and positive), a phase or lift
     of 1, and a sign, added or subtracted.  A real factor whose values are
     all at least 1e-280 is its own magnitude, with phase exactly 1, so it

@@ -80,10 +80,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _HALF_PI = math.pi / 2.0
-_BLOCK = 32
 _MAX_LEVEL = 11
 _BASE_STEP = 0.5
-_U_MAX = 700.0  # |u| rail; transformed nodes under/overflow long before this
+# Each run is generated up to |u| = _U_MAX, past both ladders' last valid
+# node (|u| = 6.151 on exp-sinh, 6.113 on the (s, 1 - s) ladder)
+_U_MAX = 6.5
 # (spacing, offset, step) of each level: level 0 is the full pass at step
 # _BASE_STEP, and level k adds the odd nodes of step h = _BASE_STEP / 2**k.
 _LEVELS = [(_BASE_STEP, 0.0, _BASE_STEP)] + [
@@ -265,24 +266,18 @@ def _row_share(log2_scale: np.ndarray) -> np.ndarray:
 def _run(ladder: _Ladder, level: int, direction: float):
     """(x, w): the surviving nodes of one direction of a level.
 
-    A node survives when it is valid and its weight is finite and positive.
-    The nodes run outward and are generated _BLOCK at a time, and the run
-    ends at the first block not kept whole: the survivors of each block
-    lead it, so only the last block of a run can be short.
+    The level's nodes in that direction, outward up to |u| = _U_MAX, are
+    generated as one array and masked once: a node survives when it is
+    valid and its weight is finite and positive.  The survivors form a
+    prefix of the array, and a node that does not survive follows them,
+    so _U_MAX cuts no run.
     """
     spacing, offset, _ = _LEVELS[level]
     k0 = 1 if (direction < 0 and offset == 0.0) else 0
-    xs, ws = [], []
-    while offset + spacing * k0 <= _U_MAX:
-        u = direction * (offset + spacing * np.arange(k0, k0 + _BLOCK))
-        x, w = ladder.nodes(u)
-        keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
-        xs.append(x[keep])
-        ws.append(w[keep])
-        if not keep.all():
-            break
-        k0 += _BLOCK
-    return np.concatenate(xs), np.concatenate(ws)
+    k = np.arange(k0, int((_U_MAX - offset) / spacing) + 1)
+    x, w = ladder.nodes(direction * (offset + spacing * k))
+    keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
+    return x[keep], w[keep]
 
 
 def _head(ladder: _Ladder, levels: tuple):
@@ -342,19 +337,16 @@ def _sum(terms):
 def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     """Raise for terms whose sum is not finite.
 
-    The first block of _BLOCK terms holding a non-finite term names a NaN
-    value first, then an overflowed term; finite terms raise for their sum.
+    Names the first NaN value of f anywhere in the sum, NaN being named
+    before overflow; else the first non-finite term; else the sum itself.
     """
-    for k in range(0, terms.shape[-1], _BLOCK):
-        bx, block = x[k:k + _BLOCK], terms[..., k:k + _BLOCK]
-        if np.isfinite(block).all():
-            continue
-        nan = np.isnan(y[..., k:k + _BLOCK])
-        if nan.any():
-            raise QuadratureError(f"integrand returned NaN at {_where(bx, nan)}")
+    nan = np.isnan(y)
+    if nan.any():
+        raise QuadratureError(f"integrand returned NaN at {_where(x, nan)}")
+    bad = ~np.isfinite(terms)
+    if bad.any():
         raise QuadratureError(
-            f"integrand*weight overflowed at {_where(bx, ~np.isfinite(block))}; "
-            "integral likely divergent"
+            f"integrand*weight overflowed at {_where(x, bad)}; integral likely divergent"
         )
     raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
 

@@ -11,6 +11,8 @@ seeds.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -359,7 +361,11 @@ class VerificationRecord:
             int(self.passed), int(self.trusted),
             self.failure_reason or "",
         ]
-        return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
+        # csv quotes a cell only where it must, as a failure reason with a comma
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n").writerow(
+            repr(c) if isinstance(c, float) else str(c) for c in cells)
+        return row.getvalue()[:-1]
 
 
 CSV_HEADER = (

@@ -20,7 +20,9 @@ from quadred.applications import (
     yukawa_pair_reduced,
     yukawa_pair_reduced_alt,
 )
+from quadred.catalog import get_rule
 from quadred.kernels import FourierErfiFactor
+from quadred.params import Params, TestIntegrand
 from quadred.quadrature import QuadratureError, QuadResult
 
 SQPI = math.sqrt(math.pi)
@@ -109,6 +111,21 @@ class TestYukawaRoutes:
         spec = YukawaPairSpec(1.0, 1.0, 1.0)
         red = complex(yukawa_pair_reduced(spec).value).real
         assert red == pytest.approx(yukawa_pair(spec), rel=1e-8)
+
+    @pytest.mark.parametrize("route", [yukawa_pair_reduced, yukawa_pair_reduced_alt])
+    def test_equal_range_routes_keep_the_gamma_ratio_bits(self, route):
+        # G1 takes a = b at h = 0, and gives N6-aeqb's result there bit for bit
+        n6 = get_rule("N6-aeqb")
+        for eta, x2 in itertools.product([0.5, 1.0, 2.0], [0.0, 0.7, 3.0]):
+            spec = YukawaPairSpec(eta, eta, x2)
+            base = applications._pair_params(spec)
+            if route is yukawa_pair_reduced:
+                params, f = base, TestIntegrand(1.0, 1.5, 0.0)
+            else:
+                params = Params(1, 1, 3, a=base.a, b=base.b, c=base.c)
+                f = TestIntegrand(1.0, 0.0, 0.0)
+            want = n6.reduce_to_1d(params, f).scaled(SQPI)
+            assert want.converged and route(spec) == want, (eta, x2)
 
 
 class TestHydrogenic:

@@ -143,7 +143,8 @@ class TestApplicability:
     def test_general_h_predicates(self):
         g1 = get_rule("G1-general")
         assert g1.applicability_failure(Params(1, 1, 3, a=1.0, b=0.5, c=1.0)) is None
-        assert g1.applicability_failure(Params(1, 1, 3, a=1.0, b=1.0, c=1.0)) == "requires a>b or h>0"
+        # a = b at h = 0 included: the Kummer factor is exactly 1 there
+        assert g1.applicability_failure(Params(1, 1, 3, a=1.0, b=1.0, c=1.0)) is None
         assert g1.applicability_failure(Params(1, 1, 3, a=1.0, b=1.0, c=1.0, h=0.5)) is None
         assert g1.applicability_failure(Params(1, 1, 0, a=1.0, b=0.5, c=1.0)) == "requires m+nu>2"
         assert g1.applicability_failure(Params(1, 1, 3, a=0.5, b=1.0, c=1.0)) is not None
@@ -370,6 +371,18 @@ class TestThroughAEqualsB:
                 res = rule.reduce_to_1d(dataclasses.replace(params, b=params.a * (1.0 - g)), f)
                 assert res.converged, (case_index, g)
                 assert abs(res.value - limit.value) <= 5.0 * g * abs(limit.value), (case_index, g)
+
+    def test_g1_at_a_eq_b_is_n6_to_the_bit(self):
+        # at a = b, h = 0 G1's Kummer factor is 1F1(A; B; -0.0) = 1 exactly,
+        # so on N6-aeqb's seed-42 draws G1 keeps every bit of N6's result
+        g1, n6 = get_rule("G1-general"), get_rule("N6-aeqb")
+        index = [r.id for r in list_rules(include_erratum=False)].index(n6.id)
+        for case_index in range(20):
+            params, f = _case_inputs(n6, 42, index, case_index)
+            assert g1.applicability_failure(params) is None
+            assert g1.mu_min(params) == n6.mu_min(params)
+            got, want = g1.reduce_to_1d(params, f), n6.reduce_to_1d(params, f)
+            assert want.converged and got == want, case_index
 
 
 class TestMuFloors:

@@ -527,8 +527,8 @@ class TestFailurePaths:
 
     def test_tail_block_sum_overflow(self):
         # past the first fetch, a level of finite terms whose sum is not
-        # finite raises as the first fetch does: two terms of 1e308 on the
-        # third block of level 5's outward run, reached by a drive that
+        # finite raises as the first fetch does: two terms of 1e308 at
+        # nodes 64 and 65 of level 5's outward run, reached by a drive that
         # never converges (TestLevelCap)
         rx, rw = quadrature._run(quadrature._EXP_SINH, 5, 1.0)
         assert len(rx) == 197
@@ -544,9 +544,28 @@ class TestFailurePaths:
         assert seen[-1] is quadrature._head(quadrature._EXP_SINH, (5,))[0]
 
     def test_nan_outranks_overflow(self):
-        # the first block holds both NaN values and overflowing terms
+        # the first group holds both NaN values and overflowing terms
         with pytest.raises(QuadratureError, match="integrand returned NaN"):
             integrate_half_line(lambda t: np.where(t > 1e100, np.nan, 1e300))
+
+    def test_nan_outranks_an_overflow_far_before_it(self):
+        # one overflowing term at level 0's node t = 2.267, and NaN at
+        # level 2's inward nodes below t = 1e-3, more than 32 terms later
+        # in the first group of the first fetch: the NaN is named
+        big = quadrature._run(quadrature._EXP_SINH, 0, 1.0)[0][1]
+        level_2 = quadrature._run(quadrature._EXP_SINH, 2, -1.0)[0]
+        nans = level_2[level_2 < 1e-3]
+        x, _, split = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+        first_nan = np.flatnonzero(np.isin(x, nans))[0]
+        assert np.flatnonzero(x == big)[0] + 32 < first_nan < split
+        assert repr(float(big)) == "2.2671750650755844"
+
+        def f(t):
+            return np.where(np.isin(t, nans), np.nan, np.where(t == big, 1e308, np.exp(-t)))
+
+        with pytest.raises(QuadratureError, match="integrand returned NaN at abscissa") as err:
+            integrate_half_line(f)
+        assert _abscissa(err) == x[first_nan] == nans[0]
 
     @pytest.mark.parametrize(
         "value, message",
@@ -583,7 +602,7 @@ class TestFailurePaths:
     # Each fault only at level 3's nodes of a drive's first fetch, which
     # its second group sums: a NaN value past t = 10, a value whose term
     # overflows there, and both, the overflow from t = 10 and the NaN past
-    # t = 100 in the same block, where the NaN is named
+    # t = 100 in the same group, where the NaN is named
     LEVEL_3 = np.concatenate([quadrature._run(quadrature._EXP_SINH, 3, d)[0] for d in (1.0, -1.0)])
     SECOND_GROUP = {
         "nan": ((np.nan, 10.0), (1e308, math.inf), "integrand returned NaN"),
@@ -722,11 +741,20 @@ class TestFailureLocation:
         assert s == 1.0 and 0.0 < rest < 1e-16
 
 
-def _fresh_block(ladder, direction, spacing, offset, k0):
-    u = direction * (offset + spacing * np.arange(k0, k0 + quadrature._BLOCK))
-    x, w = ladder.nodes(u)
-    keep = ladder.valid(x) & np.isfinite(w) & (w > 0.0)
-    return x[keep], w[keep]
+def _fresh_run(ladder, level, direction):
+    """A run built apart from _run: its nodes generated one u at a time,
+    outward, up to the first one not valid or whose weight is not finite
+    and positive."""
+    spacing, offset, _ = quadrature._LEVELS[level]
+    k = 1 if (direction < 0 and offset == 0.0) else 0
+    xs, ws = [], []
+    while True:
+        x, w = ladder.nodes(np.array([direction * (offset + spacing * k)]))
+        if not (ladder.valid(x)[0] and np.isfinite(w[0]) and w[0] > 0.0):
+            return np.concatenate(xs), np.concatenate(ws)
+        xs.append(x)
+        ws.append(w)
+        k += 1
 
 
 LADDER_IDS = ["exp-sinh", "unit-pair"]
@@ -748,15 +776,9 @@ class TestNodeLadder:
         # level 0 is the full pass; later levels add the odd nodes
         spacing, offset = (h, 0.0) if level == 0 else (2.0 * h, h)
         assert quadrature._LEVELS[level][:2] == (spacing, offset)
-        k0 = 1 if (direction < 0 and offset == 0.0) else 0
         x, w = quadrature._run(ladder, level, direction)
-        # the run is the fresh 32-node blocks that cover it, back to back
-        blocks = [
-            _fresh_block(ladder, direction, spacing, offset, k)
-            for k in range(k0, k0 + len(x), quadrature._BLOCK)
-        ]
-        fresh_x = np.concatenate([fx for fx, _ in blocks])
-        fresh_w = np.concatenate([fw for _, fw in blocks])
+        # the run is the nodes generated one at a time, to the first invalid one
+        fresh_x, fresh_w = _fresh_run(ladder, level, direction)
         assert x.shape == fresh_x.shape and x.tobytes() == fresh_x.tobytes()
         assert w.shape == fresh_w.shape and w.tobytes() == fresh_w.tobytes()
         # the level's kept head holds the run whole, the outward run first
@@ -781,39 +803,33 @@ class TestNodeLadder:
         for level in levels:
             if level == levels[-1]:  # the last level's nodes start at split
                 assert split == at
-            spacing, offset, _ = quadrature._LEVELS[level]
             for direction in (1.0, -1.0):
-                # every live block, up to the first not kept whole
-                k = 1 if (direction < 0 and offset == 0.0) else 0
-                while True:
-                    fx, fw = _fresh_block(ladder, direction, spacing, offset, k)
-                    assert x[at:at + len(fx)].tobytes() == fx.tobytes()
-                    at += len(fx)
-                    fresh.append(fx)
-                    fresh_w.append(fw)
-                    if len(fx) < quadrature._BLOCK:
-                        break
-                    k += quadrature._BLOCK
+                # each run generated apart, outward then inward
+                fx, fw = _fresh_run(ladder, level, direction)
+                assert x[at:at + len(fx)].tobytes() == fx.tobytes()
+                at += len(fx)
+                fresh.append(fx)
+                fresh_w.append(fw)
         assert x.shape == np.concatenate(fresh).shape
         assert x.tobytes() == np.concatenate(fresh).tobytes()
         assert w.tobytes() == np.concatenate(fresh_w).tobytes()
 
     @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
     @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_runs_end_at_the_first_block_not_kept_whole(self, ladder, direction):
-        # over a run's u-range plus one more block, the surviving nodes are
-        # a leading run as long as the run: every block but its last is
-        # full, and the block after a full last block keeps nothing
+    def test_runs_are_the_valid_prefix_within_the_rail(self, ladder, direction):
+        # a run is the leading surviving nodes of its direction, and _U_MAX
+        # never cuts one: the node just past it does not survive, and it is
+        # generated, |u| <= _U_MAX (at level 0 it is u = 6.5 itself)
         for level in range(len(quadrature._LEVELS)):
             spacing, offset, _ = quadrature._LEVELS[level]
-            x, _ = quadrature._run(ladder, level, direction)
+            x, w = quadrature._run(ladder, level, direction)
             k0 = 1 if (direction < 0 and offset == 0.0) else 0
-            end = k0 + (-(-len(x) // quadrature._BLOCK) + 1) * quadrature._BLOCK
-            assert offset + spacing * end <= quadrature._U_MAX  # not the rail
-            u = direction * (offset + spacing * np.arange(k0, end))
+            u = direction * (offset + spacing * np.arange(k0, k0 + len(x) + 1))
+            assert abs(u[-1]) <= quadrature._U_MAX
             nx, nw = ladder.nodes(u)
             keep = ladder.valid(nx) & np.isfinite(nw) & (nw > 0.0)
-            assert len(x) > 0 and keep[:len(x)].all() and not keep[len(x):].any()
+            assert len(x) > 0 and keep[:-1].all() and not keep[-1]
+            assert nx[:-1].tobytes() == x.tobytes() and nw[:-1].tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("fixed", FIXED_LADDERS, ids=LADDER_IDS)
     def test_head_key_never_reads_a_run(self, fixed):
@@ -948,8 +964,8 @@ class TestFetchRule:
         ids=LADDER_IDS,
     )
     def test_scan_matches_a_block_by_block_sum(self, ladder, f):
-        # a level's one-pass sum over its whole head against a loop over
-        # every block of its runs: the grouping differs, so the sums agree
+        # a level's one-pass sum over its whole head against the sum of its
+        # runs, each summed alone: the grouping differs, so the sums agree
         # within rounding of the sum of |terms|
         for level in range(6):
             x, w, _ = quadrature._head(ladder, (level,))
@@ -959,10 +975,9 @@ class TestFetchRule:
             ref = size = 0.0
             for direction in (1.0, -1.0):
                 rx, rw = quadrature._run(ladder, level, direction)
-                for k in range(0, len(rx), quadrature._BLOCK):
-                    terms = f(rx[k:k + quadrature._BLOCK]) * rw[k:k + quadrature._BLOCK]
-                    ref += terms.sum()
-                    size += np.abs(terms).sum()
+                terms = f(rx) * rw
+                ref += terms.sum()
+                size += np.abs(terms).sum()
             assert abs(got - ref) <= 1e-15 * size
 
     def test_half_line_call_count(self):
@@ -1016,14 +1031,6 @@ class TestFetchRule:
             [(5, 4), (4, 4), (9, 9), (17, 17), (35, 35), (70, 70), (140, 140)],
         ),
     }
-
-    @pytest.mark.parametrize("ladder", FIXED_LADDERS, ids=LADDER_IDS)
-    def test_first_fetch_runs_fit_a_scan_chunk(self, ladder):
-        # the first call's runs are short, at most two blocks each; a
-        # clipped run is a prefix of a fixed one
-        for level in range(quadrature._FIRST_TEST_LEVEL + 1):
-            for direction in (1.0, -1.0):
-                assert len(quadrature._run(ladder, level, direction)[0]) <= 2 * quadrature._BLOCK
 
     # (route, ladder, the integrand of each row of a two-row batch)
     GROUPED = {
@@ -1157,8 +1164,9 @@ class TestFetchRule:
             return _seed_cross_check_f2(x, y)
 
         assert integrate_quadrant(f2).converged
-        assert max(rows) > quadrature._BLOCK
-        assert max(nodes) > quadrature._BLOCK
+        # the first call's column and row are each the fused head of levels 0 to 3
+        head, *_ = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+        assert rows[0] == nodes[0] == len(head)
 
 
 class TestErrorStateRestored:

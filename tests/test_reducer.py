@@ -1,5 +1,6 @@
 """Normalization, the 2-D oracle, verification records and sweeps."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -787,6 +788,15 @@ class TestVerify:
         assert again["lhs"]["value"] == complex(rec.lhs.value).real
         row = rec.to_csv_row()
         assert row.count(",") == CSV_HEADER.count(",")
+
+    def test_csv_row_quotes_a_reason_with_a_comma(self):
+        # the reason names a triple, whose commas a bare join would split
+        rec = verify("N1-133", Params(1, 3, 4, a=1.0, b=0.5, c=1.0), TestIntegrand(1.0, 1.0, 0.0))
+        reason = "rule N1-133: requires exponent triple (1, 3, 3), got (1, 3, 4)"
+        assert rec.failure_reason == reason
+        [fields] = csv.reader([rec.to_csv_row()])
+        assert len(fields) == len(CSV_HEADER.split(",")) == 27
+        assert fields[-1] == reason
 
 
 class TestParamsExponents:
