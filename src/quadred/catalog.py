@@ -12,7 +12,9 @@ coefficients may be nonzero, the validity predicate and the sampler
                  descriptions and as the tests' reference; plus the a = b
                  gamma-ratio form
   mixed-tilde    a, b, c active plus the pinned factor
-                 exp(-(a-b)(x+y)^2/(x y^2)) on the 2-D side: erfcx kernels
+                 exp(-(a-b)(x+y)^2/(x y^2)) on the 2-D side: one erfcx term
+                 each, the sum of its tabulated terms, whose displays are
+                 kept as descriptions and as the tests' reference
   general-h      a, b, c, h active: confluent-hypergeometric kernel
   r-integral     a, b, c, h, j active: kernel carries a finite inner
                  integral evaluated numerically
@@ -313,48 +315,41 @@ def _n6_kernel(params):
     return [replace(_g1_kernel(params)[0], special=None)]
 
 
-def _tilde_terms(params: Params, *rows) -> list[KernelTerm]:
-    """coeff t**alpha e^(-ct - (b + 2(a-b))/t), times erfcx(2 sqrt((a-b)/t))
-    where flagged, for each (coeff, alpha, erfcx) row."""
+def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list[KernelTerm]:
+    """coeff t**alpha e^(-ct - (b + 2(a-b))/t) psi(2 sqrt((a-b)/t)), psi the
+    factor's form (see ErfcxSqrtInvFactor).
+
+    alpha is the largest power among the tabulated terms, so the large-t
+    guard in reduce_to_1d reads the display's power.
+    """
     a, b = params.a, params.b
-    gamma, erfcx = b + 2.0 * (a - b), ErfcxSqrtInvFactor(a - b)
-    return [KernelTerm(coeff, alpha, beta=params.c, gamma=gamma, special=erfcx if flagged else None)
-            for coeff, alpha, flagged in rows]
+    return [KernelTerm(coeff, alpha, beta=params.c, gamma=b + 2.0 * (a - b),
+                       special=ErfcxSqrtInvFactor(a - b, form))]
 
 
 def _t1_kernel(params):
-    nu = params.nu
     coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
-    return _tilde_terms(params, (coeff, (nu - 4) / 2.0, False),
-                        (-coeff, (nu - 4) / 2.0, True))
+    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "T1")
 
 
 def _t2_kernel(params):
-    nu = params.nu
     coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
-    return _tilde_terms(params, (coeff, nu / 2.0 - 1.0, False),
-                        (coeff, nu / 2.0 - 1.0, True))
+    return _tilde_kernel(params, coeff, (params.nu - 2) / 2.0, "T2")
 
 
 def _t3_kernel(params):
     coeff = SQPI / math.sqrt(params.a - params.b)
-    return _tilde_terms(params, (coeff, (params.nu - 4) / 2.0, True))
+    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "erfcx")
 
 
 def _t4_kernel(params):
-    a, b, nu = params.a, params.b, params.nu
-    return _tilde_terms(params, (2.0 * SQPI / math.sqrt(a - b), (nu - 6) / 2.0, True),
-                        (-SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, True),
-                        (SQPI / (4.0 * (a - b) ** 1.5), (nu - 4) / 2.0, False),
-                        (-1.0 / (a - b), (nu - 5) / 2.0, False))
+    coeff = 1.0 / (4.0 * (params.a - params.b) ** 1.5)
+    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "T4")
 
 
 def _t5_kernel(params):
-    a, b, nu = params.a, params.b, params.nu
-    return _tilde_terms(params, (SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, False),
-                        (SQPI / (4.0 * (a - b) ** 1.5), nu / 2.0, True),
-                        (1.0 / (a - b), (nu - 1) / 2.0, False),
-                        (-SQPI / math.sqrt(a - b), (nu - 2) / 2.0, True))
+    coeff = SQPI / (4.0 * (params.a - params.b) ** 1.5)
+    return _tilde_kernel(params, coeff, params.nu / 2.0, "T5")
 
 
 def _g1_kernel(params):
@@ -462,30 +457,37 @@ _CORRECTED_NOTE = (
 
 
 def _tilde_rules() -> tuple[ReductionRule, ...]:
+    # each weight is one term, coeff t^alpha e^(-ct - (2a-b)/t) psi(z); the
+    # description gives it and, where the display has several, says so
     specs = (
         ("T1", lambda nu: (3 - nu, 4 - nu, nu), _t1_kernel,
-         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx(2 sqrt((a-b)/t)))", ""),
+         "sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx z)", "; the display's two terms as one",
+         ""),
         ("T2", lambda nu: (1 - nu, 4 - nu, nu), _t2_kernel,
-         "erfcx kernel sqrt(pi)/(2 sqrt(a-b)) t^((nu-2)/2) (1 + erfcx(2 sqrt((a-b)/t)))",
+         "sqrt(pi)/(2 sqrt(a-b)) t^((nu-2)/2) (1 + erfcx z)", "; the display's two terms as one",
          _CORRECTED_NOTE),
         ("T3", lambda nu: (1 - nu, 6 - nu, nu), _t3_kernel,
-         "erfcx kernel sqrt(pi)/sqrt(a-b) t^((nu-4)/2) erfcx(2 sqrt((a-b)/t))",
+         "sqrt(pi)/sqrt(a-b) t^((nu-4)/2) erfcx z", "",
          "tabulated display carries the reciprocal of the erfcx growth factor; "
          "this scaled form is what the 2-D oracle confirms"),
         ("T4", lambda nu: (1 - nu, 8 - nu, nu), _t4_kernel,
-         "four-term erfcx kernel",
+         "(a-b)^-3/2/4 t^((nu-4)/2) (sqrt(pi)((2z^2-1) erfcx z + 1) - 2z)",
+         "; the display's four terms as one",
          "tabulated display mixes incompatible powers of t; kernel re-derived "
          "from the completed-square substitution and oracle-confirmed"),
         ("T5", lambda nu: (-1 - nu, 6 - nu, nu), _t5_kernel,
-         "four-term erfcx kernel with positive leading power", _CORRECTED_NOTE),
+         "sqrt(pi)/(4 (a-b)^3/2) t^(nu/2) (1 + 2z/sqrt(pi) + (1-z^2) erfcx z)",
+         "; the display's four terms as one",
+         _CORRECTED_NOTE),
     )
     return tuple(
         ReductionRule(
             f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu),
-            desc + f" (nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
+            f"erfcx kernel {weight} e^(-ct-(2a-b)/t), z = 2 sqrt((a-b)/t){summed} "
+            f"(nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
             kernel, note=note,
         )
-        for base, triple_of, kernel, desc, note in specs
+        for base, triple_of, kernel, weight, summed, note in specs
         for nu in (0, 1, 2)
     )
 

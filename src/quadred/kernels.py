@@ -8,8 +8,11 @@ with w a short sum of
 The special factors are kept in forms that stay bounded on (0, inf):
 a Macdonald function of order k >= 1 is carried as t**k K_k(s*t), its
 t**-k pole (DLMF 10.30.2) written into the term's alpha, and the
-complementary-error factors of the constrained-exponential family are
-carried as erfcx so their exp(4(a-b)/t) growth cancels analytically.
+complementary-error factors of the mixed-tilde family are carried as one
+combination of erfcx per kernel, so their exp(4(a-b)/t) growth cancels
+analytically and their tabulated terms never subtract in floats (T5's
+combination grows like t**-1/2 at the origin, where its term's gamma
+cuts it off).
 The evaluator computes exactly that sum, assembling f(t) times each term
 in log magnitude, so integrands stay finite wherever the convergence
 floor mu > mu_min holds, no matter how deep the quadrature probes.  Each
@@ -34,6 +37,8 @@ from .quadrature import QuadratureError, Tolerance, _row_share, integrate_interv
 _EXP_ZERO = -745.2
 _LOG_OVERFLOW = 705.0
 _KUMMER_LEADING_FROM = 1e16
+_SQPI = math.sqrt(math.pi)
+_TWO_BY_SQPI = 2.0 / _SQPI
 # Targets of R1's inner integrate_interval batch; the level cap bounds its
 # work, at most 50 081 evaluations a row, every node of the (s, 1 - s) ladder
 _R_INNER_TOL = Tolerance(rel=1e-11, abs=1e-15)
@@ -47,7 +52,8 @@ class _Factor:
     """Special-factor protocol, with the default a factor overrides as needed:
 
       bounded_part(t)    the factor's value special(t); O(1) near 0, or for
-                         K_0 logarithmic
+                         K_0 logarithmic and for ErfcxSqrtInvFactor's T5
+                         form O(t**-1/2)
       floor_decay()      additional small-t decay of bounded_part itself, as a
                          power of t; read only by the convergence floor
                          (KernelTerm.mu_floor)
@@ -93,15 +99,68 @@ class BesselKFactor(_Factor):
 
 @dataclass(frozen=True)
 class ErfcxSqrtInvFactor(_Factor):
-    """erfcx(2 sqrt(amount / t)) = exp(4 amount/t) erfc(2 sqrt(amount/t))."""
+    """psi(z) at z = 2 sqrt(amount/t): one combination of erfcx(z) = exp(z^2) erfc(z).
+
+    form     psi(z)                                     a mixed-tilde kernel's
+    erfcx    erfcx z                                    T3
+    T1       1 - erfcx z                                T1
+    T2       1 + erfcx z                                T2
+    T4       sqrt(pi) ((2 z^2 - 1) erfcx z + 1) - 2 z   T4
+    T5       1 + 2 z/sqrt(pi) + (1 - z^2) erfcx z       T5
+
+    Each is the sum of its kernel's tabulated terms with their common
+    coefficient and power taken out, so a kernel is one term and computes
+    erfcx once.  Below z = 1 the tabulated terms cancel, T1's and T4's to
+    O(z) and O(z^2); there these two are formed from erf z = P(1/2, z^2)
+    and P(3/2, z^2) = erf z - 2 z e^(-z^2)/sqrt(pi), P the regularized lower
+    incomplete gamma function (DLMF 7.11.1, 8.8.5), which carry their
+    leading powers themselves:
+
+        1 - erfcx z = e^(z^2) erf z - expm1(z^2)
+        psi_4 = sqrt(pi) (2 z^2 erfcx z - expm1(z^2) + e^(z^2) P(3/2, z^2))
+              = sqrt(pi) sum_(k>=2) (k-1) (-z)^k / Gamma(k/2 + 1)
+
+    From z = 1 on, T5 loses at most a bit and T4 subtracts 2z from about
+    2z + sqrt(pi), which costs about z ulps: 1.5e-14 relative at z = 60,
+    where the term's gamma has cut it below e^-1800.  Every psi is
+    positive; T5's grows like z/sqrt(pi) as t -> 0, where the term's gamma
+    cuts it off.
+    """
 
     amount: float
+    form: str = "erfcx"
 
     def floor_decay(self) -> float:
-        return 0.5  # erfcx(x) ~ 1/(x sqrt(pi)), an extra sqrt(t) at the origin
+        # erfcx(x) ~ 1/(x sqrt(pi)): an extra sqrt(t) at the origin; T5's
+        # psi grows like z, a sqrt(t) less; the others tend to constants
+        return {"erfcx": 0.5, "T5": -0.5}.get(self.form, 0.0)
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        return _sp.erfcx(2.0 * np.sqrt(self.amount / t))
+        z = 2.0 * np.sqrt(self.amount / t)
+        ex = _sp.erfcx(z)
+        form = self.form
+        if form == "erfcx":
+            return ex
+        if form == "T2":
+            return 1.0 + ex
+        if form == "T5":
+            return 1.0 + _TWO_BY_SQPI * z + (1.0 - z * z) * ex
+        if form == "T1":
+            out = 1.0 - ex
+        elif form == "T4":
+            out = _SQPI * ((2.0 * z * z - 1.0) * ex + 1.0) - 2.0 * z
+        else:
+            raise KernelError(f"unknown erfcx combination {form!r}")
+        small = z < 1.0
+        if np.logical_or.reduce(small):
+            zs = z[small]
+            x = zs * zs
+            if form == "T1":
+                out[small] = np.exp(x) * _sp.erf(zs) - np.expm1(x)
+            else:
+                out[small] = _SQPI * (2.0 * x * ex[small] - np.expm1(x)
+                                      + np.exp(x) * _sp.gammainc(1.5, x))
+        return out
 
 
 @dataclass(frozen=True)
@@ -112,7 +171,9 @@ class KummerFactor(_Factor):
     lies in (0, 1], so the factor is bounded outright.  Below w = 1e16 it is
     scipy's hyp1f1; from there on it is the leading term of DLMF 13.7.2,
     Gamma(B)/Gamma(B-A) w**-A, whose next term is below rounding while
-    scipy's series degrades and finally returns 0 or NaN.
+    scipy's series degrades and finally returns 0 or NaN.  At shift = h = 0
+    (G1 at a = b) every value is 1F1(A; B; -0) = 1 exactly, returned without
+    a hyp1f1 call.
     """
 
     a: float
@@ -125,6 +186,8 @@ class KummerFactor(_Factor):
         return self.a if self.shift > 0.0 else 0.0
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
+        if self.shift == 0.0 and self.h == 0.0:
+            return np.ones_like(t)  # hyp1f1(A, B, -0.0) is exactly 1
         w = self.shift / t + self.h
         big = w >= _KUMMER_LEADING_FROM
         if not np.logical_or.reduce(big):  # the usual call

@@ -127,6 +127,16 @@ class TestYukawaRoutes:
             want = n6.reduce_to_1d(params, f).scaled(SQPI)
             assert want.converged and route(spec) == want, (eta, x2)
 
+    @pytest.mark.parametrize("route", [yukawa_pair_reduced, yukawa_pair_reduced_alt])
+    def test_equal_range_routes_make_no_hyp1f1_call(self, route, monkeypatch):
+        # at a = b, h = 0 the Kummer factor is 1 at every node, returned
+        # without scipy's series
+        def refuse(*args):
+            raise AssertionError("hyp1f1 called at shift = h = 0")
+
+        monkeypatch.setattr(kernels._sp, "hyp1f1", refuse)
+        assert route(YukawaPairSpec(1.0, 1.0, 1.0)).converged
+
 
 class TestHydrogenic:
     def test_derivative_definition(self):

@@ -18,9 +18,9 @@ from quadred.catalog import (
     get_rule,
     list_rules,
 )
-from quadred.kernels import KernelError
+from quadred.kernels import ErfcxSqrtInvFactor, KernelError
 from quadred.params import Params, TestIntegrand
-from quadred.reducer import _case_inputs, direct_2d
+from quadred.reducer import _case_inputs, direct_2d, verify
 
 SQPI = math.sqrt(math.pi)
 
@@ -207,8 +207,10 @@ LIVE = 1e-290
 N_RULES = ["N1-133", "N2-333", "N3-033", "N4-122", "N5-222"]
 SPLIT_RULES = [rule_id for rule_id in N_RULES if rule_id != "N4-122"]
 N_T = np.logspace(-3.0, 3.0, 25)
-FLOAT = types.SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt, erf=sp.erf, pi=math.pi)
-MPMATH = types.SimpleNamespace(num=mp.mpf, exp=mp.exp, sqrt=mp.sqrt, erf=mp.erf, pi=mp.pi)
+FLOAT = types.SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt, erf=sp.erf, erfcx=sp.erfcx,
+                              pi=math.pi)
+MPMATH = types.SimpleNamespace(num=mp.mpf, exp=mp.exp, sqrt=mp.sqrt, erf=mp.erf,
+                               erfcx=lambda x: mp.exp(x * x) * mp.erfc(x), pi=mp.pi)
 
 
 def n_display(rule_id: str, params: Params, t, lib):
@@ -229,6 +231,31 @@ def n_display(rule_id: str, params: Params, t, lib):
         return lib.sqrt(lib.pi / d) / t * eb * erf
     assert rule_id == "N5-222"
     return (eb - ea) / (d * t)
+
+
+def t_display(rule_id: str, params: Params, t, lib):
+    """The tabulated T1-T5 weight, the sum of its displayed terms, in lib's
+    arithmetic: e^(-ct - (b + 2(a-b))/t) times coeff t^power, times
+    erfcx(2 sqrt((a-b)/t)) where flagged, for each row.  T2's and T5's rows
+    carry the halved coefficients and T4's the re-derived powers that the
+    2-D oracle confirms (see the catalog's registry)."""
+    a, b, c = (lib.num(v) for v in (params.a, params.b, params.c))
+    nu = params.nu
+    d = a - b
+    sqpi = lib.sqrt(lib.pi)
+    half, whole, cube = sqpi / (2 * lib.sqrt(d)), sqpi / lib.sqrt(d), sqpi / (4 * d**1.5)
+    rows = {  # (coeff, power, erfcx flag) of each displayed term
+        "T1": [(half, (nu - 4) / 2, False), (-half, (nu - 4) / 2, True)],
+        "T2": [(half, (nu - 2) / 2, False), (half, (nu - 2) / 2, True)],
+        "T3": [(whole, (nu - 4) / 2, True)],
+        "T4": [(2 * whole, (nu - 6) / 2, True), (-cube, (nu - 4) / 2, True),
+               (cube, (nu - 4) / 2, False), (-1 / d, (nu - 5) / 2, False)],
+        "T5": [(cube, nu / 2, False), (cube, nu / 2, True),
+               (1 / d, (nu - 1) / 2, False), (-whole, (nu - 2) / 2, True)],
+    }[rule_id[:2]]
+    erfcx = lib.erfcx(2 * lib.sqrt(d / t))
+    return lib.exp(-c * t - (b + 2 * d) / t) * sum(
+        coeff * t**power * (erfcx if flagged else 1) for coeff, power, flagged in rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,6 +326,70 @@ class TestG1ReducesToElementary:
         assert np.max(np.abs(w[live] - ref[live]) / np.abs(ref[live])) <= 1e-12
 
 
+TILDE_RULES = [rule.id for rule in list_rules(Family.MIXED_TILDE)]
+T_T = np.logspace(-3.0, 6.0, 37)
+# b = a(1 - g): the draw itself at g = 0, then on towards a = b
+T_GAPS = (0.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+
+
+def _tilde_draws(rule_id: str, seeds=(42, 0), cases=range(20)):
+    """(params, f) of the rule's sweep draws at each seed and case."""
+    rule = get_rule(rule_id)
+    index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
+    return [_case_inputs(rule, seed, index, case_index) for seed in seeds for case_index in cases]
+
+
+class TestTildeKernelsAreTheirDisplays:
+    """T1-T5 weigh by one term, coeff t^alpha e^(-ct - (b + 2(a-b))/t) psi(z),
+    which equals the sum of the tabulated terms.
+
+    The tabulated T1 and T4 terms cancel once t >> a - b and as b -> a, so
+    at 40 digits they are the reference everywhere; in floats, only where
+    z = 2 sqrt((a-b)/t) >= 1.
+    """
+
+    @pytest.mark.parametrize("rule_id", TILDE_RULES)
+    def test_one_term_with_the_tilde_cut_off(self, rule_id):
+        params = Params(*get_rule(rule_id).triple, a=1.0, b=0.4, c=0.7)
+        (term,) = get_rule(rule_id).build_kernel(params)
+        assert (term.beta, term.gamma) == (0.7, 0.4 + 2.0 * 0.6)
+        assert isinstance(term.special, ErfcxSqrtInvFactor)
+        assert term.special.amount == 0.6
+        assert term.special.form == ("erfcx" if rule_id.startswith("T3") else rule_id[:2])
+
+    @pytest.mark.parametrize("rule_id", TILDE_RULES)
+    def test_float_displays_from_z_one(self, rule_id):
+        worst, chosen = 0.0, 0
+        for params, _ in _tilde_draws(rule_id):
+            w = get_rule(rule_id).kernel_weight(params, T_T)
+            with np.errstate(under="ignore"):
+                display = t_display(rule_id, params, T_T, FLOAT)
+            pick = (np.abs(w) >= LIVE) & (2.0 * np.sqrt((params.a - params.b) / T_T) >= 1.0)
+            chosen += pick.sum()
+            worst = max(worst, np.max(np.abs(display[pick] - w[pick]) / w[pick], initial=0.0))
+        assert chosen >= 50
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rule_id", TILDE_RULES)
+    def test_displays_at_40_digits_towards_a_eq_b(self, rule_id):
+        # seeds 42 and 0, cases 0, 4, 8, 12 and 16, each at every gap of
+        # T_GAPS; the tabulated T4 is 5.4e-10 off at the draws
+        rule, worst, live_count = get_rule(rule_id), 0.0, 0
+        with mp.workdps(40):
+            for draw, _ in _tilde_draws(rule_id, cases=range(0, 20, 4)):
+                for g in T_GAPS:
+                    params = dataclasses.replace(draw, b=draw.a * (1.0 - g)) if g else draw
+                    w = rule.kernel_weight(params, T_T)
+                    ref = np.array([float(t_display(rule_id, params, mp.mpf(float(t)), MPMATH))
+                                    for t in T_T])
+                    live = np.abs(ref) >= LIVE
+                    assert np.all(np.abs(w[~live]) < 1e-280)
+                    live_count += live.sum()
+                    worst = max(worst, np.max(np.abs(w[live] - ref[live]) / ref[live], initial=0.0))
+        assert live_count >= 1000
+        assert worst <= 1e-12
+
+
 class TestReduceTo1D:
     def test_seed_value(self):
         res = get_rule("E1-pbm-corrected").reduce_to_1d(
@@ -327,6 +418,25 @@ class TestReduceTo1D:
             get_rule("N5-222").reduce_to_1d(
                 Params(2, 2, 2, a=1.0, b=0.5, c=0.0), TestIntegrand(1.0, 1.0, 0.0)
             )
+
+    def test_large_t_guard_refusals_pinned(self):
+        # c = sigma = 0 on seed-42 cases 0-2 of each T rule: the guard reads
+        # the kernel's largest power, which each one-term T kernel keeps at
+        # the largest of its displayed terms, so it refuses 38 of these 45
+        # instances, the same 38 as the multi-term kernels did
+        accepted = []
+        for rule_id in TILDE_RULES:
+            draws = _tilde_draws(rule_id, seeds=(42,), cases=range(3))
+            for case_index, (params, f) in enumerate(draws):
+                try:
+                    get_rule(rule_id).reduce_to_1d(dataclasses.replace(params, c=0.0),
+                                                   dataclasses.replace(f, sigma=0.0))
+                except KernelError as err:
+                    assert "no decay at large t" in str(err)
+                    continue
+                accepted.append((rule_id, case_index))
+        assert accepted == [("T1-nu0", 0), ("T1-nu0", 1), ("T1-nu1", 2), ("T3-nu0", 2),
+                            ("T4-nu0", 0), ("T4-nu0", 1), ("T4-nu1", 0)]
 
     def test_cancelling_instance_without_decay_converges(self):
         # N3's tabulated split kernel gives -3.07e19 here through cancellation;
@@ -371,6 +481,17 @@ class TestThroughAEqualsB:
                 res = rule.reduce_to_1d(dataclasses.replace(params, b=params.a * (1.0 - g)), f)
                 assert res.converged, (case_index, g)
                 assert abs(res.value - limit.value) <= 5.0 * g * abs(limit.value), (case_index, g)
+
+    @pytest.mark.parametrize("rule_id", TILDE_RULES)
+    def test_t_rules_pass_towards_a_eq_b(self, rule_id):
+        # b = a(1 - g) on seed-42 cases 0-2: every record passes with both
+        # sides converged; the four-term T4 left six reductions unconverged
+        # at g = 1e-8
+        draws = _tilde_draws(rule_id, seeds=(42,), cases=range(3))
+        for case_index, (draw, f) in enumerate(draws):
+            for g in (1e-2, 1e-4, 1e-6, 1e-8):
+                rec = verify(rule_id, dataclasses.replace(draw, b=draw.a * (1.0 - g)), f)
+                assert rec.passed and rec.lhs.converged and rec.rhs.converged, (case_index, g)
 
     def test_g1_at_a_eq_b_is_n6_to_the_bit(self):
         # at a = b, h = 0 G1's Kummer factor is 1F1(A; B; -0.0) = 1 exactly,

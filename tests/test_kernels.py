@@ -285,7 +285,7 @@ class TestBesselBranch:
 class TestFactorBranchesKeepTheirBits:
     """A node's value is the same whether or not its call also holds a node
     of the factor's other branch: BesselKFactor's s t < 1e-8, KummerFactor's
-    w >= 1e16."""
+    w >= 1e16, and the z < 1 branch of ErfcxSqrtInvFactor's T1 and T4 forms."""
 
     @staticmethod
     def _alone_and_together(factor, usual, other):
@@ -307,6 +307,13 @@ class TestFactorBranchesKeepTheirBits:
         usual = np.geomspace(1.001e-16, 1e160, 97)  # w = 1/t + 1/4 below 1e16
         big = np.geomspace(1e-160, 0.999e-16, 31)
         self._alone_and_together(factor, usual, big)
+
+    @pytest.mark.parametrize("form", ["T1", "T4"])
+    def test_erfcx_forms(self, form):
+        amount = 0.7  # z = 2 sqrt(0.7/t) is 1 at t = 2.8
+        usual = np.geomspace(1e-3, 2.79, 97)
+        small = np.geomspace(2.81, 1e160, 31)
+        self._alone_and_together(ErfcxSqrtInvFactor(amount, form), usual, small)
 
 
 # The paper's displayed Macdonald kernels, coeff t^alpha e^-(p+q)t K_k(2 sqrt(pq) t)
@@ -389,6 +396,52 @@ class TestErfcxFactor:
                 x = 2 * mp.sqrt(mp.mpf(amount) / mp.mpf(t))
                 ref = mp.exp(x * x) * mp.erfc(x)
                 assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+
+    def test_default_form_is_plain_erfcx(self):
+        # T3's factor and every default-form factor keep the bits of erfcx
+        ts = np.geomspace(1e-14, 1e6, 81)
+        got = ErfcxSqrtInvFactor(0.7).bounded_part(ts)
+        assert got.tobytes() == sp.erfcx(2.0 * np.sqrt(0.7 / ts)).tobytes()
+
+    @staticmethod
+    def _psi(form, z):
+        """psi(z) as the factor's docstring defines it, in mpmath."""
+        erfcx, sqpi = mp.exp(z * z) * mp.erfc(z), mp.sqrt(mp.pi)
+        return {
+            "erfcx": erfcx,
+            "T1": 1 - erfcx,
+            "T2": 1 + erfcx,
+            "T4": sqpi * ((2 * z * z - 1) * erfcx + 1) - 2 * z,
+            "T5": 1 + 2 * z / sqpi + (1 - z * z) * erfcx,
+        }[form]
+
+    @pytest.mark.parametrize("form", ["erfcx", "T1", "T2", "T4", "T5"])
+    @pytest.mark.parametrize("zs, bound", [
+        (np.geomspace(1e-8, 0.999, 121), 4e-15),  # T1's and T4's cancellation-free branch
+        (np.geomspace(1.0, 60.0, 121), 5e-14),  # T4 subtracts 2z from sqrt(pi) (2z^2 - 1) erfcx z
+    ], ids=["below-one", "from-one"])
+    def test_forms_against_mpmath(self, form, zs, bound):
+        # every psi is positive, and its closed form at 60 digits absorbs the
+        # cancellation the float branches avoid
+        amount = 0.37
+        ts = 4.0 * amount / zs**2
+        got = ErfcxSqrtInvFactor(amount, form).bounded_part(ts)
+        with mp.workdps(60):
+            for t, value in zip(ts, got):
+                ref = self._psi(form, 2 * mp.sqrt(mp.mpf(amount) / mp.mpf(t)))
+                assert ref > 0 and abs(value - ref) <= bound * ref, (t, value, ref)
+
+    def test_t4_series_below_one(self):
+        # psi_4 = sqrt(pi) sum_(k>=2) (k-1) (-z)^k / Gamma(k/2 + 1), so
+        # psi_4 ~ sqrt(pi) z^2 with no cancellation as z -> 0
+        ts = 4.0 / np.geomspace(1e-150, 0.999, 61) ** 2
+        got = ErfcxSqrtInvFactor(1.0, "T4").bounded_part(ts)
+        with mp.workdps(40):
+            for t, value in zip(ts, got):
+                z = 2 / mp.sqrt(mp.mpf(t))
+                ref = mp.sqrt(mp.pi) * mp.fsum((k - 1) * (-z) ** k / mp.gamma(k / mp.mpf(2) + 1)
+                                               for k in range(2, 120))
+                assert abs(value - ref) <= 4e-15 * ref, (z, value, ref)
 
 
 def _g1_kummer_pairs() -> list[tuple[float, float]]:

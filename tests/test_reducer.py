@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from quadred import kernels, quadrature, reducer
 from quadred.applications import CheshireReport, FourierSpec
 from quadred.catalog import ApplicabilityError, Family, get_rule, list_rules
-from quadred.kernels import ErfcxSqrtInvFactor
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import QuadratureError
 from quadred.reducer import (
@@ -30,6 +29,8 @@ from quadred.reducer import (
     shift_power,
     verify,
 )
+
+from test_catalog import MPMATH, t_display
 
 SQPI = math.sqrt(math.pi)
 # levels 0 to 3, whose heads a drive's first call fetches
@@ -911,20 +912,13 @@ class TestRInnerIntegral:
 
 
 def _reduced_reference(rule_id: str, params: Params, f: TestIntegrand) -> float:
-    """integral f(t) w(t) dt over the rule's KernelTerm list, mpmath at 30 digits."""
-    terms = get_rule(rule_id).build_kernel(params)
+    """integral f(t) w(t) dt over the rule's tabulated T display (see
+    test_catalog.t_display), mpmath at 30 digits: a wrong kernel formula
+    shows here, not only a wrong evaluation of it."""
     with mp.workdps(30):
 
         def integrand(t):
-            total = mp.mpf(0)
-            for term in terms:
-                value = term.coeff * t**term.alpha * mp.exp(-term.beta * t - term.gamma / t)
-                if term.special is not None:
-                    assert isinstance(term.special, ErfcxSqrtInvFactor), term.special
-                    x = 2 * mp.sqrt(term.special.amount / t)
-                    value *= mp.exp(x * x) * mp.erfc(x)  # erfcx
-                total += value
-            return f.coeff * t**f.mu * mp.exp(-f.sigma * t) * total
+            return f.coeff * t**f.mu * mp.exp(-f.sigma * t) * t_display(rule_id, params, t, MPMATH)
 
         value, error = mp.quad(integrand, [0, 1e-6, 1e-3, 1, 10, 100, mp.inf], error=True)
         assert error <= 1e-25 * abs(value)
