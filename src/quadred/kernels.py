@@ -360,7 +360,9 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     goes into the log without abs or phase.  -(sigma + beta) t is always
     applied, and at sigma + beta = 0 it keeps every bit too; it and gamma/t
     are formed once per call for each value of sigma + beta and of gamma,
-    which a kernel's terms share.  So the values keep their bits.
+    which a kernel's terms share, and a special factor's values once per
+    call for each set of live rows: K7's second and third terms carry one
+    factor.  So the values keep their bits.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
@@ -371,6 +373,9 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
         return out.reshape(shape)
     # (sigma + beta) t and gamma / t by their factor: a kernel's terms share them
     decay, inverse = {}, {}
+    # (factor, live rows, values) of each special factor taken, for a later
+    # term that carries an equal factor
+    made = []
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
@@ -388,7 +393,14 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                 continue  # a factor never sees zero rows
             logtot, phase = logmag[live], None
             if term.special is not None:
-                bounded = term.special.bounded_part(t[live])
+                bounded = None
+                for factor, rows, values in made:
+                    if factor == term.special and np.array_equal(rows, live):
+                        bounded = values
+                        break
+                if bounded is None:
+                    bounded = term.special.bounded_part(t[live])
+                    made.append((term.special, live, bounded))
                 if bounded.dtype.kind != "c" and np.minimum.reduce(bounded) >= 1e-280:
                     # positive and normal (a NaN fails the test): |b| is b, its phase 1
                     logtot = logtot + np.log(bounded)

@@ -34,12 +34,12 @@ fixed and kept for the process: exp-sinh on (0, inf), and tanh-sinh on
 abscissae an integrand receives are read-only, and integrands must not
 write to them.
 
-A quadrant caller may pass a support box outside which it guarantees its
-integrand is exactly 0.  The quadrant then drives a clipped exp-sinh
-ladder, a child of the fixed one that lives for one integral: each of its
-heads is the fixed head cut to the box by one mask, so no value known to
-be 0 is computed, and the sums differ from the unclipped ones only in how
-the terms are grouped.
+A quadrant caller may pass a support box outside which it guarantees each
+node's term, value times weights, is 0 or negligible against the sum.
+The quadrant then drives a clipped exp-sinh ladder, a child of the fixed
+one that lives for one integral: each of its heads is the fixed head cut
+to the box by one mask, so no such term is computed, and the sums differ
+from the unclipped ones by the cut terms and in how the terms are grouped.
 
 A drive halves its step at most _MAX_LEVEL times, so a 1-D integral that
 never converges stops at its ladder's last level after bounded work
@@ -519,13 +519,15 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     doubling the one before), and so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
-    and outside which the caller guarantees integrand2d is exactly 0 at
-    every node.  The outer drive then runs on the exp-sinh ladder clipped
-    to [x_lo, x_hi] and every inner drive on it clipped to [y_lo, y_hi]
-    (see _clipped), so no value known to be 0 is computed.  The clipped
-    drives add the same terms less those zeros, grouped otherwise, which
-    can move the last bit of a value.  A box that cuts a nonzero value
-    gives a wrong result, not an error.
+    and outside which the caller guarantees each node's value of
+    integrand2d is 0, or its term, the value times both exp-sinh weights,
+    negligible against the sum: reducer.quadrant_support cuts terms below
+    e^-100 of the largest term it has seen.  The outer drive then runs on
+    the exp-sinh ladder clipped to [x_lo, x_hi] and every inner drive on it
+    clipped to [y_lo, y_hi] (see _clipped), so no cut value is computed.
+    The clipped drives add the same terms less the cut ones, grouped
+    otherwise, which can move the last bit of a value.  A box that cuts a
+    term that counts gives a wrong result, not an error.
     """
     tol = tol or QUADRANT_TOLERANCE
     inner_tol = replace(tol, rel=max(tol.rel / 10.0, 1e-14))

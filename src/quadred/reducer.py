@@ -25,10 +25,12 @@ from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RU
 from .kernels import _EXP_ZERO, KernelError
 from .params import Params, TestIntegrand
 from .quadrature import (
+    _EXP_SINH,
     HALF_LINE_SPAN,
     QuadResult,
     QuadratureError,
     Tolerance,
+    _run,
     integrate_quadrant,
 )
 
@@ -39,6 +41,15 @@ _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 _LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
 # a box edge lies within this of the bound's crossing, in log x or log y
 _EDGE_TOL = 0.25
+# the support box cuts a node whose term is bounded this many e-folds below
+# the largest term of its pilot (see quadrant_support)
+_TERM_CUT = 100.0
+# an exp-sinh weight is at most its node times e^this on the span:
+# w(x) = x sqrt((pi/2)^2 + log^2 x), and |log x| <= 368.4
+_LOG_WEIGHT_EXCESS = 6.0
+# the pilot's nodes and weights: the exp-sinh ladder's level 0
+_PILOT_X, _PILOT_W = (np.concatenate(part) for part in zip(
+    *(_run(_EXP_SINH, 0, direction) for direction in (1.0, -1.0))))
 
 
 class DivergentIntegralError(ValueError):
@@ -149,8 +160,13 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     return integrand
 
 
+def _g(k: float, p: float, a: float, l: float) -> float:
+    """k*l - p*e^l - a*e^-l, concave in l."""
+    return k * l - p * math.exp(l) - a * math.exp(-l)
+
+
 def _peak(k: float, p: float, a: float) -> float:
-    """Where k*l - p*e^l - a*e^-l, concave in l, peaks on the ladders' log span."""
+    """Where _g(k, p, a, l), concave in l, peaks on the ladders' log span."""
     root = math.sqrt(k * k + 4.0 * p * a)
     if k > 0.0:
         e = (k + root) / (2.0 * p) if p > 0.0 else math.inf
@@ -162,73 +178,179 @@ def _peak(k: float, p: float, a: float) -> float:
     return min(max(math.log(e), lo), hi) if e > 0.0 else lo
 
 
-def _edge(bound, out: float, inner: float) -> float:
-    """A point between out and inner beyond which bound < _EXP_ZERO.
+def _joined_peak(first: float, joint: float, second: float) -> float:
+    """The peak of a concave function that is one concave piece, peaking at
+    first, up to joint and another, peaking at second, from joint on."""
+    return first if first < joint else max(joint, second)
 
-    bound is monotone from out to inner.  A bisection keeps out on the side
-    where exp of the bound is exactly 0, so the point is safe whatever the
-    tolerance.
+
+def _bound(lead: float, own, other, kt: float, decay: float, cross: float = 0.0):
+    """(bound, peaks) for the box edges of one log variable l.
+
+    own and other are (k, p, a) of the two variables.  bound(l) is the sup
+    over the other variable l' on the span of
+
+        lead + _g(own, l) + _g(other, l') + kt min(l, l') - decay min(e^l, e^l')/2,
+
+    the larger of two concave functions of l, one for each side of l' = l,
+    each found in closed form: below, a concave function of l' clamped at
+    l; above, the other's own peak clamped at l.  peaks is (low, high), the
+    least and the greatest of their peaks, so bound is non-decreasing below
+    low and non-increasing above high.  cross > 0 moves half of the decay
+    on the side below into -cross e^(l/3) (see quadrant_support); that
+    side's peak is then only a point at or above it, so the bound serves a
+    high edge only.
     """
-    if bound(inner) < _EXP_ZERO:
-        return inner
-    if bound(out) >= _EXP_ZERO:
-        return out
+    k, p, a = own
+    ko, q, b = other
+    half = 0.5 * decay
+    near = 0.5 * half if cross else half
+    below_peak, above_peak = _peak(ko + kt, q + near, b), _peak(ko, q, b)
+    below_top, above_top = _g(ko + kt, q + near, b, below_peak), _g(ko, q, b, above_peak)
+
+    def bound(l: float) -> float:
+        e = math.exp(l)
+        ie = 1.0 / e
+        if l >= below_peak:
+            below = below_top
+        else:
+            below = (ko + kt) * l - (q + near) * e - b * ie
+        if cross:
+            below -= cross * math.exp(l / 3.0)
+        above = kt * l - half * e + (above_top if l <= above_peak else ko * l - q * e - b * ie)
+        return lead + k * l - p * e - a * ie + (below if below > above else above)
+
+    # the peak of each side's concave function of l
+    below = _joined_peak(_peak(k + ko + kt, p + q + near, a + b), below_peak, _peak(k, p, a))
+    if cross:
+        # from l = 0 on, that side's slope is at most slope - (cross/3) e^(l/3)
+        slope = k + a + max(ko + kt + b, 0.0)
+        below = min(below, 3.0 * math.log(3.0 * slope / cross) if 3.0 * slope > cross else 0.0)
+    above = _joined_peak(_peak(k + kt, p + half, a), above_peak,
+                         _peak(k + ko + kt, p + q + half, a + b))
+    return bound, (min(below, above), max(below, above))
+
+
+def _edge(bound, at: float, out: float, inner: float) -> float:
+    """A point between out and inner beyond which bound < at.
+
+    bound is monotone from inner to out.  A bisection keeps out on the side
+    where bound < at, so every point beyond it is cut whatever the
+    tolerance; where bound < at nowhere, out stays where it is.
+    """
     while abs(inner - out) > _EDGE_TOL:
         mid = 0.5 * (out + inner)
-        if bound(mid) < _EXP_ZERO:
+        if bound(mid) < at:
             out = mid
         else:
             inner = mid
     return out
 
 
-def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
-    """A box outside which quadrant_integrand is exactly 0 on the node ladders.
+def _pilot_peak(integrand) -> float:
+    """log of the largest |value| w(x) w(y) on the pilot's nodes, or -inf
+    where the pilot holds no nonzero value or any value that is not finite."""
+    with np.errstate(all="ignore"):
+        size = np.abs(integrand(_PILOT_X[:, None], _PILOT_X))
+        if not 0.0 < np.maximum.reduce(size, axis=None) < math.inf:  # NaN fails too
+            return -math.inf
+        log_w = np.log(_PILOT_W)
+        return float(np.maximum.reduce(np.log(size) + log_w[:, None] + log_w, axis=None))
 
-    Runs the oracle's convergence check first, so it returns a box for every
-    integral it does not reject: ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
-    The integrand's log-magnitude is bounded from above: every term that
-    is <= 0 for valid Params is dropped (c, sigma, j and the tilde term,
-    admitted only with a >= b), the h term is charged max(-Re h, 0), and with
-    kt = mu + nu/2 the term -kt log(1/x + 1/y) is charged
-    kt min(log x, log y) when kt >= 0 and |kt| (log 2 + max(-log x, -log y))
-    when kt < 0, the same kt min(log x, log y) plus |kt| log 2.  What is
-    left is lead + g_x(log x) + g_y(log y) + kt min(log x, log y), where
-    g(l) = k l - p e^l - a e^-l is concave.  Its sup over the other
-    variable on the ladders' log span is min (kt >= 0) or max (kt < 0) of
-    two concave pieces, found in closed form (_peak).  The box edge on each
-    side of the peaks is where that bound crosses _EXP_ZERO, found by
-    bisection; past it the integrand's exp is exactly 0, so every node the
-    box cuts has the value 0.0.
-    """
-    _check_convergence(params, f, tilde)
+
+def _support_box(params: Params, f: TestIntegrand, tilde: bool, pilot: float):
+    """quadrant_support's box for a pilot whose largest term has log pilot."""
     lead, kx, ky, kt = _powers(params, f)
     lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
-    pick = min if kt >= 0.0 else max
+    gap = params.a - params.b if tilde else 0.0  # >= 0 after the convergence check
+    decay = f.sigma + params.c
+    # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
+    cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
+    limit = pilot - _TERM_CUT
+    # (weighted, at, floor) for each cut: the term's bound below limit, each
+    # weight taken as its node times e^_LOG_WEIGHT_EXCESS, where the pilot
+    # has a largest term; and the value's bound below exp's zero.  A term's
+    # bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS, so at l <= floor
+    # each node whose value's bound is below exp's zero has its term's below
+    # limit, and the value's cut is tried only above floor
+    cuts = [(False, _EXP_ZERO, -math.inf)]
+    if limit > -math.inf:
+        floor = limit - _EXP_ZERO - 2.0 * _LOG_WEIGHT_EXCESS - _LOG_SPAN[1]
+        cuts = [(True, limit, -math.inf), (False, _EXP_ZERO, floor)]
 
-    def g(k, p, a, l):
-        return k * l - p * math.exp(l) - a * math.exp(-l)
+    def edge_bound(own, other, weighted, cross):
+        if not weighted:
+            return _bound(lead, own, other, kt, decay, cross)
+        (k, p, a), (ko, q, b) = own, other
+        return _bound(lead + 2.0 * _LOG_WEIGHT_EXCESS, (k + 1.0, p, a), (ko + 1.0, q, b),
+                      kt, decay, cross)
 
-    def box(own, other):
-        k, p, a = other
-        o0, o1 = _peak(k, p, a), _peak(k + kt, p, a)
-        # the other variable's sup, without and with the kt term on it
-        sup0, sup1 = g(k, p, a, o0), g(k, p, a, o1) + kt * o1
-        k, p, a = own
-
-        def bound(l):
-            return lead + g(k, p, a, l) + pick(kt * l + sup0, sup1)
-
-        l0, l1 = _peak(k, p, a), _peak(k + kt, p, a)
-        # bound rises up to the lower peak and falls from the upper one
-        lo = _edge(bound, _LOG_SPAN[0], min(l0, l1))
-        hi = _edge(bound, _LOG_SPAN[1], max(l0, l1))
+    def box(own, other, cross):
+        # each cut moves an edge inward from where the last one left it,
+        # bisecting where its bound is monotone; the box holds 1 whatever
+        # the cuts, so a cut is tried only where it can move an edge
+        lo, hi = _LOG_SPAN
+        for weighted, at, floor in cuts:
+            made = None
+            if floor < 0.0 and lo < 0.0:
+                made = edge_bound(own, other, weighted, 0.0)
+                fn, (low, _) = made
+                if low > lo:
+                    lo = _edge(fn, at, lo, low)
+            if hi > max(floor, 0.0):
+                if cross or made is None:
+                    made = edge_bound(own, other, weighted, cross)
+                fn, (_, high) = made
+                if high < hi:
+                    hi = _edge(fn, at, hi, high)
         # an edge at the span's end cuts nothing
         return (math.exp(min(lo, 0.0)) if lo > _LOG_SPAN[0] else 0.0,
                 math.exp(max(hi, 0.0)) if hi < _LOG_SPAN[1] else math.inf)
 
-    x_part, y_part = (kx, params.p, params.a), (ky, params.q, params.b)
-    return box(x_part, y_part), box(y_part, x_part)
+    x_part = (kx, params.p, params.a + gap)
+    y_part = (ky, params.q, params.b + 2.0 * gap)
+    return box(x_part, y_part, cross), box(y_part, x_part, 0.0)
+
+
+def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
+    """A box outside which quadrant_integrand's node terms are negligible.
+
+    Runs the oracle's convergence check first, so it returns a box for every
+    integral it does not reject: ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
+    Outside it each node of the exp-sinh ladders has the value 0.0, or a
+    term, value times both node weights, below e^-_TERM_CUT (e^-100) of the
+    largest term of a pilot.
+
+    The pilot is one integrand call on the exp-sinh ladder's level-0 nodes
+    (25 x 25).  Where it holds no nonzero value or a value that is not
+    finite, only the cut at exp's zero applies, so the box is the one where
+    every value outside is 0.0, and a value that overflows still reaches
+    the driver.
+
+    The integrand's log-magnitude is bounded from above.  The j term and
+    the part of the h term that is <= 0 are dropped, and the h term is
+    charged max(-Re h, 0).  With t = xy/(x+y) in [min(x, y)/2, min(x, y)]
+    and kt = mu + nu/2, kt log t is charged kt min(log x, log y), plus
+    |kt| log 2 when kt < 0, and -(sigma + c) t is charged
+    -(sigma + c) min(x, y)/2.  The tilde term -(a-b)(1/x + 2/y + x/y^2),
+    admitted only with a >= b, keeps its separable parts exactly; its x/y^2
+    part is dropped, except above the x peaks, where on the side y <= x
+    half the decay joins it: -(a-b) x/y^2 - (sigma + c) y/4 is at most
+    -3 2^(-2/3) (a-b)^(1/3) ((sigma + c)/4)^(2/3) x^(1/3).  What is left is,
+    on each side of y = x, concave in log y, so its sup over y is found in
+    closed form (_bound).  A weight w(x) = x sqrt((pi/2)^2 + log^2 x) is at
+    most x e^_LOG_WEIGHT_EXCESS on the span, which bounds the term.  Each box
+    edge is where a bound crosses its cut, the value's at _EXP_ZERO and the
+    term's at _TERM_CUT below the pilot's largest term, found by bisection
+    above all the bound's peaks for the high edge and below them for the low
+    one, where it is monotone.
+
+    Why e^-100 cuts nothing the oracle can see: its work bound allows at
+    most 1e8 terms, so the cut terms sum to at most 1e8 e^-100, about 4e-36,
+    of the pilot's largest term, and every estimate carries 4e-16 |value|.
+    """
+    _check_convergence(params, f, tilde)
+    return _support_box(params, f, tilde, _pilot_peak(quadrant_integrand(params, f, tilde)))
 
 
 def direct_2d(
@@ -242,7 +364,10 @@ def direct_2d(
 
     quadrant_support owns the convergence check and raises
     DivergentIntegralError for an integral that diverges; otherwise the
-    oracle evaluates nothing outside its box, where every value is exactly 0.
+    oracle evaluates nothing outside its box, where every node's value is 0
+    or its term below e^-100 of the largest term of the support's pilot.
+    The pilot's 625 values are the support's cost and are not counted in
+    evaluations.
     """
     return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
                               support=quadrant_support(params, f, tilde))

@@ -218,6 +218,51 @@ class TestEvaluatorKeepsItsBits:
         assert ((special > 0.0) & (special < np.finfo(float).tiny)).any()
 
 
+class TestSharedFactor:
+    """A factor that a later term carries again on the same live rows is
+    evaluated once a call, and the values keep their bits."""
+
+    @staticmethod
+    def _spy(monkeypatch, cls):
+        calls = []
+        bounded_part = cls.bounded_part
+
+        def spy(factor, t):
+            calls.append((factor, len(t)))
+            return bounded_part(factor, t)
+
+        monkeypatch.setattr(cls, "bounded_part", spy)
+        return calls
+
+    def test_k7_takes_each_bessel_factor_once(self, monkeypatch):
+        rule = get_rule("K7-m311")
+        index = [r.id for r in list_rules(include_erratum=False)].index(rule.id)
+        params, f = _case_inputs(rule, 42, index, 0)
+        terms = rule.build_kernel(params)
+        assert terms[1].special == terms[2].special != terms[0].special
+        t = np.geomspace(1e-3, 1e3, 50)
+        want = _reference_eval_kernel_with_f(terms, f, t, set())
+        calls = self._spy(monkeypatch, BesselKFactor)
+        got = eval_kernel_with_f(terms, f, t)
+        assert [factor.order for factor, _ in calls] == [0, 1]
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_rows_take_the_factor_again(self, monkeypatch):
+        # the second term's gamma kills the smallest t, so its rows differ
+        factor = ErfcxSqrtInvFactor(0.7)
+        terms = [KernelTerm(1.0, 0.0, beta=1.0, special=factor),
+                 KernelTerm(-0.5, 0.5, beta=1.0, gamma=1.0, special=factor)]
+        f = TestIntegrand(1.0, 0.5, 0.0)
+        t = np.geomspace(1e-5, 1e2, 40)
+        want = _reference_eval_kernel_with_f(terms, f, t, set())
+        calls = self._spy(monkeypatch, ErfcxSqrtInvFactor)
+        got = eval_kernel_with_f(terms, f, t)
+        assert [rows for _, rows in calls] == [40, np.count_nonzero(
+            math.log(0.5 * 1.0) + 1.0 * np.log(t) - t - 1.0 / t > kernels._EXP_ZERO)]
+        assert calls[1][1] < 40
+        assert got.tobytes() == want.tobytes()
+
+
 class _NanAtOne(kernels._Factor):
     """A factor that is NaN at t = 1 and 1 elsewhere."""
 

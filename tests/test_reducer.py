@@ -406,13 +406,15 @@ class TestOracleWork:
 
     A change to the integrand that moves the level a drive stops at shows
     up here as a changed count, not only as moved digits.  The integrand
-    calls are pinned too: one per fused head, each a whole level.
+    calls are pinned too: the support's pilot on the 25 level-0 nodes,
+    whose values are not counted in evaluations, then one per fused head,
+    each a whole level.
     """
 
     @pytest.mark.parametrize("rule_id, case_index, evaluations, calls", _by_draw([
-        ("K1-111", 0, 42_418, 4),
-        ("T5-nu2", 13, 43_891, 6),
-        ("K5-1m75", 9, 25_650, 2),
+        ("K1-111", 0, 32_252, 5),
+        ("T5-nu2", 13, 20_301, 7),
+        ("K5-1m75", 9, 16_401, 3),
     ]))
     def test_evaluations_pinned(self, rule_id, case_index, evaluations, calls, monkeypatch):
         seen = []
@@ -425,7 +427,7 @@ class TestOracleWork:
         params, f = _sweep_case(rule_id, 42, case_index)
         tilde = get_rule(rule_id).family is Family.MIXED_TILDE
         assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
-        assert len(seen) == calls
+        assert len(seen) == calls and seen[0] == (25, 1)
 
     @pytest.mark.parametrize("rule_id, case_index, value_hex", _by_draw([
         ("K1-111", 0, "0x1.ce9a826641704p+0"),
@@ -473,26 +475,47 @@ class TestOracleAccuracy:
 _SUPPORT_GRID = np.geomspace(1e-160, 1e160, 401)
 
 
-def _values_outside(params: Params, f: TestIntegrand, tilde: bool, box) -> np.ndarray:
-    """The integrand on a log grid over [1e-160, 1e160]^2, where it lies outside box.
+def _log_weight(x: np.ndarray) -> np.ndarray:
+    """log w(x) of the exp-sinh weight at x: x sqrt((pi/2)^2 + log^2 x)."""
+    return np.log(x * np.hypot(math.pi / 2.0, np.log(x)))
 
-    The grid also holds the points a relative 1e-12 past each edge.
+
+def _grid_terms(params: Params, f: TestIntegrand, tilde: bool, boxes):
+    """The integrand on a log grid over [1e-160, 1e160]^2 and log w(x) + log w(y)
+    there, with a mask for each box of the points outside it.
+
+    The grid also holds the points a relative 1e-12 past each box edge.
     """
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    near = [e * (1.0 + s) for e in (x_lo, x_hi, y_lo, y_hi) for s in (-1e-12, 1e-12)]
+    near = [e * (1.0 + s) for box in boxes for span in box for e in span for s in (-1e-12, 1e-12)]
     pts = np.union1d(_SUPPORT_GRID, [v for v in near if 1e-160 <= v <= 1e160])
-    integrand = quadrant_integrand(params, f, tilde)
-    cols = pts[(pts < x_lo) | (pts > x_hi)]
-    rows = pts[(pts < y_lo) | (pts > y_hi)]
     with np.errstate(all="ignore"):
-        return np.concatenate([
-            integrand(cols[:, None], pts[None, :]).ravel(),
-            integrand(pts[:, None], rows[None, :]).ravel(),
-        ])
+        values = quadrant_integrand(params, f, tilde)(pts[:, None], pts[None, :])
+    log_w = _log_weight(pts)[:, None] + _log_weight(pts)[None, :]
+    outside = [((pts < x_lo) | (pts > x_hi))[:, None] | ((pts < y_lo) | (pts > y_hi))[None, :]
+               for (x_lo, x_hi), (y_lo, y_hi) in boxes]
+    return values, log_w, outside
+
+
+def _pilot_log_term(params: Params, f: TestIntegrand, tilde: bool):
+    """log of the largest |value| w(x) w(y) on the exp-sinh ladder's level-0
+    nodes, or None where a value there is 0 everywhere or not finite."""
+    fixed = quadrature._EXP_SINH
+    runs = [quadrature._run(fixed, 0, direction) for direction in (1.0, -1.0)]
+    x = np.concatenate([rx for rx, _ in runs])
+    log_w = np.log(np.concatenate([rw for _, rw in runs]))
+    with np.errstate(all="ignore"):
+        size = np.abs(quadrant_integrand(params, f, tilde)(x[:, None], x))
+        if not np.isfinite(size).all() or not size.any():
+            return None
+        return float(np.max(np.log(size) + log_w[:, None] + log_w))
 
 
 class TestQuadrantSupport:
-    """quadrant_support's box: outside it every value is exactly 0."""
+    """quadrant_support's box: outside it every value is 0.0, or its term,
+    value times both exp-sinh weights, is below e^-100 of the largest term
+    of the pilot, an integrand call on the ladder's level-0 nodes.  A pilot
+    with no nonzero value, or with a value that is not finite, leaves only
+    the cut at exp's zero."""
 
     CORNERS = {
         "kt-negative": (Params(3, 3, 0, a=0.7, b=1.1, c=0.5),
@@ -507,15 +530,36 @@ class TestQuadrantSupport:
         "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, p=0.5, q=0.4),
                              TestIntegrand(2.5, 1.25, 0.0), True),
         "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0), False),
+        # a peak at x = 1.5, between the level-0 nodes 1 and 2.27, where each
+        # pilot value underflows to 0
+        "pilot-all-zero": (Params(0, 0, 1, a=1020.0, b=1.0, p=680.0 / 1.5, q=1.0),
+                           TestIntegrand(1e300, 0.5, 0.0), False),
+        # x^-1 y^-1 t^0.5 reaches 7e14 near the level-0 corner x = y = 2.5e-138
+        "pilot-overflows": (Params(2, 2, 0, p=1.0, q=1.0), TestIntegrand(1e308, 0.5, 0.0), False),
+        "complex-h-large-imaginary": (Params(0, 0, 1, c=1.0, h=0.8 + 12.0j, p=0.7, q=1.0),
+                                      TestIntegrand(1.0, 0.5, 0.4), False),
+        "tilde-wide-gap": (Params(1, 2, 1, a=6.0, b=0.5, c=0.3, q=0.4),
+                           TestIntegrand(2.5, 1.25, 0.0), True),
     }
 
     @staticmethod
     def _check(params, f, tilde):
         box = quadrant_support(params, f, tilde)
-        (x_lo, x_hi), (y_lo, y_hi) = box
-        assert x_lo <= 1.0 <= x_hi and y_lo <= 1.0 <= y_hi
-        vals = _values_outside(params, f, tilde, box)
-        assert np.all(vals == 0.0), (params, f, box)
+        # the cut at exp's zero alone, which carries no weight's slack
+        alone = reducer._support_box(params, f, tilde, -math.inf)
+        for (lo, hi) in box + alone:
+            assert lo <= 1.0 <= hi
+        values, log_w, (outside, outside_alone) = _grid_terms(params, f, tilde, [box, alone])
+        pilot = _pilot_log_term(params, f, tilde)
+        zero = values == 0.0
+        if pilot is None:
+            assert zero[outside].all(), (params, f, box)
+        else:
+            with np.errstate(divide="ignore"):
+                small = np.log(np.abs(values)) + log_w < pilot - 100.0
+            assert np.all((zero | small)[outside]), (params, f, box)
+        # every value outside the box cut at exp's zero alone is exactly 0
+        assert zero[outside_alone].all(), (params, f, alone)
         return box
 
     @pytest.mark.parametrize("seed", [0, 42])
@@ -530,11 +574,77 @@ class TestQuadrantSupport:
     def test_corner_cases(self, case):
         self._check(*self.CORNERS[case])
 
+    def test_weight_bound_holds_on_the_span(self):
+        # log w(x) - log x grows with |log x|, so the span's ends bound it
+        span = np.array(quadrature.HALF_LINE_SPAN)
+        assert np.all(_log_weight(span) - np.log(span) <= reducer._LOG_WEIGHT_EXCESS)
+
+    @pytest.mark.parametrize("case", [case for case in CORNERS if not case.startswith("pilot-")])
+    def test_pilot_reads_its_largest_term(self, case):
+        params, f, tilde = self.CORNERS[case]
+        want = _pilot_log_term(params, f, tilde)
+        assert reducer._pilot_peak(quadrant_integrand(params, f, tilde)) == pytest.approx(
+            want, abs=1e-12 * max(1.0, abs(want)))
+
+    @pytest.mark.parametrize("case", ["pilot-all-zero", "pilot-overflows"])
+    def test_unusable_pilot_gives_the_underflow_box(self, case):
+        params, f, tilde = self.CORNERS[case]
+        assert _pilot_log_term(params, f, tilde) is None
+        assert reducer._pilot_peak(quadrant_integrand(params, f, tilde)) == -math.inf
+        assert quadrant_support(params, f, tilde) == reducer._support_box(
+            params, f, tilde, -math.inf)
+
+    def test_pilot_all_zero_integral_is_found(self):
+        # the box from exp's zero alone keeps the peak the pilot misses
+        params, f, tilde = self.CORNERS["pilot-all-zero"]
+        res = direct_2d(params, f)
+        assert res.converged and res.value > 0.0
+        assert res.value == pytest.approx(
+            quadrature.integrate_quadrant(quadrant_integrand(params, f)).value, rel=1e-12)
+
+    def test_pilot_overflow_still_raises(self):
+        # the pilot disables the term cut, and the driver names the overflow
+        params, f, tilde = self.CORNERS["pilot-overflows"]
+        with pytest.raises(QuadratureError, match="overflowed"):
+            direct_2d(params, f)
+
+    def test_term_cut_narrows_the_box(self):
+        # the box is never wider than the one from exp's zero alone, and on
+        # K1-111 case 0 at seed 42 the term cut moves all four edges
+        for rule_id in ("K1-111", "T3-nu0", "G1-general", "R1-rint"):
+            params, f = _sweep_case(rule_id, 42, 0)
+            tilde = get_rule(rule_id).family is Family.MIXED_TILDE
+            (x_lo, x_hi), (y_lo, y_hi) = quadrant_support(params, f, tilde)
+            (u_lo, u_hi), (v_lo, v_hi) = reducer._support_box(params, f, tilde, -math.inf)
+            assert u_lo <= x_lo and x_hi <= u_hi and v_lo <= y_lo and y_hi <= v_hi, rule_id
+        params, f = _sweep_case("K1-111", 42, 0)
+        (x_lo, x_hi), (y_lo, y_hi) = quadrant_support(params, f)
+        (u_lo, u_hi), (v_lo, v_hi) = reducer._support_box(params, f, False, -math.inf)
+        assert u_lo < x_lo and x_hi < u_hi and v_lo < y_lo and y_hi < v_hi
+
     def test_cuts_the_ladder(self):
         # K1-111 case 0 at seed 42 has p, q > 0: both boxes end below 1e160
         params, f = _sweep_case("K1-111", 42, 0)
         (_, x_hi), (_, y_hi) = self._check(params, f, False)
         assert x_hi < 1e5 and y_hi < 1e5
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_oracle_agrees_with_the_unclipped_drive(self, family):
+        # the first seed-42 draw of the family's first rule, and the tilde
+        # corner with a - b = 5.5: the clipped oracle's value is the full
+        # ladder's within 1e-15 relative
+        rule = next(r for r in list_rules(include_erratum=False) if r.family is family)
+        params, f = _sweep_case(rule.id, 42, 0)
+        tilde = family is Family.MIXED_TILDE
+        draws = [(params, f, tilde)]
+        if tilde:
+            draws.append(self.CORNERS["tilde-wide-gap"])
+        for params, f, tilde in draws:
+            clipped = direct_2d(params, f, tilde=tilde)
+            full = quadrature.integrate_quadrant(quadrant_integrand(params, f, tilde), support=None)
+            assert clipped.converged and full.converged
+            assert clipped.evaluations < full.evaluations
+            assert abs(clipped.value - full.value) <= 1e-15 * abs(full.value), (rule.id, params)
 
     def test_tilde_with_a_below_b_is_divergent(self):
         params = Params(1, 2, 1, a=0.5, b=1.5, c=0.3, q=0.4)
@@ -578,6 +688,51 @@ class TestQuadrantSupport:
             assert direct_2d(params, f, tilde=tilde).converged
         assert sorted(ladder.heads) == [FIRST_HEAD, (4,), (5,)]
         assert sum(x.nbytes + w.nbytes for x, w, _ in ladder.heads.values()) == 12_592
+
+
+class TestSupportBound:
+    """reducer._bound, the sup over the other log variable that places each
+    box edge, against a brute-force sup over a fine grid of that variable,
+    and monotone where its peaks say."""
+
+    GRID = np.linspace(*reducer._LOG_SPAN, 14_001)
+    # (lead, own (k, p, a), other (k, q, b), kt, decay, cross)
+    CASES = [
+        (0.3, (-0.5, 1.2, 0.7), (-1.0, 0.3, 0.2), 0.6, 0.4, 0.0),
+        (-2.0, (-1.0, 0.0, 0.9), (-1.5, 0.4, 1.4), 1.1, 0.3, 0.0),  # p = 0
+        (1.0, (0.5, 0.2, 0.0), (0.5, 9.0, 0.0), -0.4, 0.0, 0.0),  # kt < 0, no decay
+        (0.0, (-1.5, 0.0, 3.0), (-1.0, 0.4, 5.5), 1.25, 0.3, 1.2),  # a tilde draw, with cross
+        (0.0, (-0.5, 0.0, 7.0), (0.0, 0.4, 11.5), 1.75, 0.8, 2.3),
+    ]
+
+    def _sup(self, lead, own, other, kt, decay, cross, l):
+        (k, p, a), (ko, q, b) = own, other
+        lp = np.append(self.GRID, l)
+        g = ko * lp - q * np.exp(lp) - b * np.exp(-lp)
+        near = decay / 4.0 if cross else decay / 2.0
+        below = g + kt * lp - near * np.exp(lp) - cross * math.exp(l / 3.0)
+        above = g + kt * l - decay / 2.0 * math.exp(l)
+        side = max(below[lp <= l].max(), above[lp >= l].max())
+        return lead + k * l - p * math.exp(l) - a * math.exp(-l) + side
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_closed_form_sup(self, case):
+        args = self.CASES[case]
+        bound, _ = reducer._bound(*args)
+        for l in np.linspace(-60.0, 60.0, 49):
+            want = self._sup(*args, l)
+            slack = 1e-9 * abs(want)
+            assert want - slack <= bound(l) <= want + 1e-3 + slack, (l, bound(l), want)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_monotone_beyond_the_peaks(self, case):
+        args = self.CASES[case]
+        bound, (low, high) = reducer._bound(*args)
+        above = [bound(l) for l in np.linspace(high, reducer._LOG_SPAN[1], 400)]
+        assert np.all(np.diff(above) <= 1e-9 * np.maximum(1.0, np.abs(above[1:])))
+        if not args[-1]:  # with cross the bound serves a high edge only
+            below = [bound(l) for l in np.linspace(reducer._LOG_SPAN[0], low, 400)]
+            assert np.all(np.diff(below) >= -1e-9 * np.maximum(1.0, np.abs(below[1:])))
 
 
 def _cut_runs(ladder, levels):
@@ -1033,7 +1188,7 @@ class TestSweep:
         rep = run_sweep([rule.id for rule in list_rules(include_erratum=False)],
                         samples=20, seed=42)
         assert rep.n_pass == len(rep.records) == 700
-        assert sum(r.lhs.evaluations for r in rep.records) == 18_795_071
+        assert sum(r.lhs.evaluations for r in rep.records) == 10_904_629
         assert sum(r.rhs.evaluations for r in rep.records) == 185_336
 
     @pytest.mark.parametrize("jobs, samples, workers", [(64, 1, 1), (2, 3, 2), (3, 1, 1)])
