@@ -130,8 +130,7 @@ def _pair_params(spec: YukawaPairSpec) -> Params:
     return Params(4, 4, 0, a=a, b=b, c=spec.x2**2)
 
 
-def _reduced_pair(spec: YukawaPairSpec, params: Params, f: TestIntegrand,
-                  tol: Tolerance | None) -> QuadResult:
+def _reduced_pair(params: Params, f: TestIntegrand, tol: Tolerance | None) -> QuadResult:
     # equal ranges included: at a = b, h = 0 G1's Kummer factor is exactly
     # 1, so G1 gives N6-aeqb's value to the bit
     return get_rule("G1-general").reduce_to_1d(params, f, tol).scaled(SQPI)
@@ -140,14 +139,14 @@ def _reduced_pair(spec: YukawaPairSpec, params: Params, f: TestIntegrand,
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the catalog: sqrt(pi) times the reduced
     (4,4,0) integral with f = t**(3/2)."""
-    return _reduced_pair(spec, _pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol)
+    return _reduced_pair(_pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol)
 
 
 def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """Same value through the alternative exponent choice (1,1,3) with mu = 0."""
     base = _pair_params(spec)
     params = Params(1, 1, 3, a=base.a, b=base.b, c=base.c)
-    return _reduced_pair(spec, params, TestIntegrand(1.0, 0.0, 0.0), tol)
+    return _reduced_pair(params, TestIntegrand(1.0, 0.0, 0.0), tol)
 
 
 def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.special import gamma
 
 from .kernels import (
     BesselKFactor,
@@ -52,7 +53,6 @@ from .kernels import (
 )
 from .params import Params, TestIntegrand
 from .quadrature import QuadResult, Tolerance, integrate_half_line
-from .specfun import gamma_fn
 
 SQPI = math.sqrt(math.pi)
 
@@ -356,7 +356,7 @@ def _g1_kernel(params):
     n, m, nu = params.n, params.m, params.nu
     a_par = (n + nu - 2) / 2.0
     b_par = (m + n + 2 * nu - 4) / 2.0
-    ratio = gamma_fn((m + nu - 2) / 2.0) * gamma_fn(a_par) / gamma_fn(b_par)
+    ratio = float(gamma((m + nu - 2) / 2.0)) * float(gamma(a_par)) / float(gamma(b_par))
     return [
         KernelTerm(ratio, (2.0 - m - n - nu) / 2.0, beta=params.c, gamma=params.b,
                    special=KummerFactor(a_par, b_par, params.a - params.b, params.h.real))

@@ -1,10 +1,9 @@
-"""Special functions: gamma and the 1F1 simplification identities.
+"""The paper's 1F1 simplification identities, kept as test reference code.
 
-The reduction kernels call scipy.special directly (error-function family,
-Faddeeva function, K0/K1/K2, real-argument 1F1); of this module they use
-only ``gamma_fn``, scipy's gamma with a pole check.  The rest is the
-paper's simplification claims: 1F1 at the parameter patterns b = 2a - m,
-2a, 2a + m written through Bessel I (``scipy.special.ive``, the
+No kernel evaluates 1F1 through these forms: G1's Kummer term calls scipy's
+hyp1f1 (see ``kernels.KummerFactor``).  They are kept so the tests can
+check the paper's claims: 1F1 at the parameter patterns b = 2a - m, 2a,
+2a + m written through Bessel I (``scipy.special.ive``, the
 exponentially scaled I of real order and complex z, so large |Re z|
 neither overflows nor underflows) and at b = a - m through a generalized
 Laguerre polynomial (DLMF 13.6).  Far out on the left the b = 2a - m sum
@@ -13,8 +12,9 @@ out on the right the b = 2a + m sum cancels alike, and Kummer's
 transformation (DLMF 13.2.39) maps it onto that same series.
 Laguerre polynomials and Pochhammer symbols are short exact recurrences,
 kept because scipy's ``eval_genlaguerre`` returns NaN for alpha <= -1,
-which the Laguerre form needs.  The tests check every identity against
-mpmath's 1F1.
+which the Laguerre form needs; ``gamma_fn`` is scipy's gamma with a pole
+check.  ``test_specfun.py`` and acceptance criterion 3 check every
+identity against mpmath's 1F1.
 
 Everything is a pure function; nothing mutates shared state.
 """

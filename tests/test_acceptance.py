@@ -31,7 +31,7 @@ from quadred.quadrature import (
     integrate_quadrant,
 )
 from quadred.reducer import derivative_check_k7, verify
-from quadred.specfun import (
+from kummer_reference import (
     SpecialFunctionError,
     kummer_via_bessel_2a,
     kummer_via_bessel_2a_minus,

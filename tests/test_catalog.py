@@ -149,6 +149,29 @@ class TestApplicability:
         assert g1.applicability_failure(Params(1, 1, 0, a=1.0, b=0.5, c=1.0)) == "requires m+nu>2"
         assert g1.applicability_failure(Params(1, 1, 3, a=0.5, b=1.0, c=1.0)) is not None
 
+    @pytest.mark.parametrize("rule_id, coeffs", [
+        *((rule_id, {"a": 1.0, "b": 0.5, "c": 1.0})
+          for rule_id in ("N1-133", "N2-333", "N3-033", "N4-122", "N5-222")),
+        ("N6-aeqb", {"a": 1.0, "b": 1.0, "c": 1.0}),
+        ("G1-general", {"a": 1.0, "b": 0.5, "c": 1.0, "h": 0.5}),
+    ])
+    def test_gamma_ratio_is_finite_wherever_applicable(self, rule_id, coeffs):
+        # the gamma ratio calls scipy's gamma bare, which returns inf or NaN
+        # at a pole without raising: applicability alone keeps its arguments
+        # positive, for every triple a rule accepts
+        rule, accepted = get_rule(rule_id), 0
+        for n in range(-4, 9):
+            for m in range(-4, 9):
+                for nu in range(-4, 9):
+                    params = Params(n, m, nu, **coeffs)
+                    if rule.applicability_failure(params) is not None:
+                        continue
+                    accepted += 1
+                    assert min(m + nu - 2, n + nu - 2, m + n + 2 * nu - 4) > 0, params
+                    coeff = rule.build_kernel(params)[0].coeff
+                    assert math.isfinite(coeff) and coeff > 0.0, (params, coeff)
+        assert accepted > 0
+
 
 class TestKernelWeights:
     def test_corrected_product_form(self):

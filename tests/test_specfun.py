@@ -1,9 +1,10 @@
 """Special-function checks against independent oracles.
 
 Two subjects: the scipy.special calls the kernel factors make directly
-(erf family, Faddeeva, K0/K1/K2, Bessel I, 1F1), and the package's own
-``specfun`` (gamma, Pochhammer, Laguerre and the ``kummer_via_*``
-simplification identities of 1F1).  Oracles are deliberately different
+(erf family, Faddeeva, K0/K1/K2, Bessel I, 1F1), and the paper's
+``kummer_via_*`` simplification identities of 1F1 with their gamma,
+Pochhammer and Laguerre helpers, kept as test reference code in
+``kummer_reference.py``.  Oracles are deliberately different
 routes from the implementation: explicit Maclaurin/asymptotic series,
 integral representations pushed through scipy's adaptive quadrature,
 three-term recurrences, and mpmath at 30 significant digits, which is the
@@ -21,7 +22,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from quadred.kernels import KummerFactor
-from quadred.specfun import (
+from kummer_reference import (
     SpecialFunctionError,
     gamma_fn,
     kummer_via_bessel_2a,
