@@ -139,7 +139,8 @@ class ReductionRule:
                 f"rule {self.id}: f has mu={f.mu}, below the convergence floor {floor}"
             )
         if f.sigma == 0.0 and all(term.beta == 0.0 for term in terms):
-            alpha_top = max(term.alpha for term in terms)
+            alpha_top = max(term.alpha - (term.special.large_t_decay() if term.special else 0.0)
+                            for term in terms)
             if f.mu + alpha_top >= -1.0:
                 raise KernelError(
                     f"rule {self.id}: no decay at large t (sigma=0, c=0, mu too large)"
@@ -319,8 +320,9 @@ def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list
     """coeff t**alpha e^(-ct - (b + 2(a-b))/t) psi(2 sqrt((a-b)/t)), psi the
     factor's form (see ErfcxSqrtInvFactor).
 
-    alpha is the largest power among the tabulated terms, so the large-t
-    guard in reduce_to_1d reads the display's power.
+    alpha is the largest power among the tabulated terms; the large-t guard
+    in reduce_to_1d takes from it the factor's large_t_decay, the power
+    the tabulated terms cancel at large t.
     """
     a, b = params.a, params.b
     return [KernelTerm(coeff, alpha, beta=params.c, gamma=b + 2.0 * (a - b),

@@ -35,7 +35,8 @@ abscissae an integrand receives are read-only, and integrands must not
 write to them.
 
 A quadrant caller may pass a support box outside which it guarantees each
-node's term, value times weights, is 0 or negligible against the sum.
+node's term, value times weights, is negligible against the sum
+(reducer.quadrant_support: below e^-100 of its pilot's largest term).
 The quadrant then drives a clipped exp-sinh ladder, a child of the fixed
 one that lives for one integral: each of its heads is the fixed head cut
 to the box by one mask, so no such term is computed, and the sums differ
@@ -519,10 +520,10 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     doubling the one before), and so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
-    and outside which the caller guarantees each node's value of
-    integrand2d is 0, or its term, the value times both exp-sinh weights,
-    negligible against the sum: reducer.quadrant_support cuts terms below
-    e^-100 of the largest term it has seen.  The outer drive then runs on
+    and outside which the caller guarantees each node's term, the value of
+    integrand2d times both exp-sinh weights, negligible against the sum:
+    outside reducer.quadrant_support's box each term is below e^-100 of the
+    largest term of its pilot.  The outer drive then runs on
     the exp-sinh ladder clipped to [x_lo, x_hi] and every inner drive on it
     clipped to [y_lo, y_hi] (see _clipped), so no cut value is computed.
     The clipped drives add the same terms less the cut ones, grouped

@@ -98,8 +98,8 @@ def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
 
 
 def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, float]:
-    """(log |coeff|, kx, ky, kt): the log-magnitude that quadrant_integrand
-    takes and quadrant_support bounds is log |coeff| + kx log x + ky log y
+    """(log |coeff|, kx, ky, kt): the log-magnitude that _log_magnitude
+    returns and quadrant_support bounds is log |coeff| + kx log x + ky log y
     - kt log(1/x + 1/y) plus its exponents."""
     n, m, nu = params.n, params.m, params.nu
     lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
@@ -107,30 +107,25 @@ def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, floa
     return lead, -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
 
 
-def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
-    """The 2-D integrand as a numpy-broadcasting callable.
+def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
+    """log |integrand| as a numpy-broadcasting callable of (x, y), returning
+    (log-magnitude, y/(x+y)); y/(x+y) is None unless h or j reads it.
 
     Built from ix = 1/x and iy = 1/y, with t = 1/(ix + iy) and
     y/(x+y) = t*ix, so no intermediate overflows on the quadrature's
     [1e-160, 1e160] ladder.  Every factor that depends on x alone or on y
     alone is folded, as a logarithm, into one column or one row term; each
-    (x, y) point then costs one log, of ix + iy, and one exp, taken only
-    where it can be nonzero (not below _EXP_ZERO; NaN passes).  A complex h
-    adds a unit-modulus phase factor.  It keeps no state between calls.
-
-    It sets no numpy error state of its own: it runs under the quadrature
-    driver's per-integral np.errstate, where overflow and underflow are
-    expected and ignored.
+    (x, y) point then costs one log, of ix + iy.  It keeps no state between
+    calls and sets no numpy error state of its own.
     """
     a, b, c, h, j, p, q = params.a, params.b, params.c, params.h, params.j, params.p, params.q
     ab = a - b
-    negative = f.coeff < 0
     lead, kx, ky, kt = _powers(params, f)
     decay = f.sigma + c
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
 
-    def integrand(x, y):
+    def log_magnitude(x, y):
         # x arrives as a column and y as a row: only s = ix + iy and what
         # follows from it is full-size
         ix = 1.0 / x
@@ -142,6 +137,7 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
         logmag = col + row
         logmag -= kt * np.log(s)
         logmag -= decay * t
+        frac = None
         if mixed:
             frac = t * ix  # y/(x+y) in (0, 1)
             if h.real != 0.0:
@@ -150,11 +146,34 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
                 logmag -= j * (frac * iy)  # j/(x+y)
         if tilde and ab != 0.0:  # at a = b the term is 0, and 0 * inf would be NaN
             logmag -= ab * (x * s * s)  # (x+y)^2/(x y^2)
+        return logmag, frac
+
+    return log_magnitude
+
+
+def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
+    """The 2-D integrand as a numpy-broadcasting callable.
+
+    Each call takes _log_magnitude's log-magnitude and one exp of it, taken
+    only where it can be nonzero (not below _EXP_ZERO; NaN passes), with
+    the sign of f's coefficient; a complex h adds a unit-modulus phase
+    factor.  It keeps no state between calls.
+
+    It sets no numpy error state of its own: it runs under the quadrature
+    driver's per-integral np.errstate, where overflow and underflow are
+    expected and ignored.
+    """
+    log_magnitude = _log_magnitude(params, f, tilde)
+    negative = f.coeff < 0
+    turn = params.h.imag
+
+    def integrand(x, y):
+        logmag, frac = log_magnitude(x, y)
         vals = np.exp(logmag, out=np.zeros(logmag.shape), where=~(logmag < _EXP_ZERO))
         if negative:
             vals = -vals
-        if h.imag != 0.0:
-            vals = vals * np.exp(-1j * h.imag * frac)
+        if turn != 0.0:
+            vals = vals * np.exp(-1j * turn * frac)
         return vals
 
     return integrand
@@ -247,69 +266,13 @@ def _edge(bound, at: float, out: float, inner: float) -> float:
     return out
 
 
-def _pilot_peak(integrand) -> float:
-    """log of the largest |value| w(x) w(y) on the pilot's nodes, or -inf
-    where the pilot holds no nonzero value or any value that is not finite."""
+def _pilot_peak(log_magnitude) -> float:
+    """The largest log-term, log |value| + log w(x) + log w(y), on the
+    pilot's nodes, taken in logs without forming a value."""
     with np.errstate(all="ignore"):
-        size = np.abs(integrand(_PILOT_X[:, None], _PILOT_X))
-        if not 0.0 < np.maximum.reduce(size, axis=None) < math.inf:  # NaN fails too
-            return -math.inf
-        log_w = np.log(_PILOT_W)
-        return float(np.maximum.reduce(np.log(size) + log_w[:, None] + log_w, axis=None))
-
-
-def _support_box(params: Params, f: TestIntegrand, tilde: bool, pilot: float):
-    """quadrant_support's box for a pilot whose largest term has log pilot."""
-    lead, kx, ky, kt = _powers(params, f)
-    lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
-    gap = params.a - params.b if tilde else 0.0  # >= 0 after the convergence check
-    decay = f.sigma + params.c
-    # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
-    cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
-    limit = pilot - _TERM_CUT
-    # (weighted, at, floor) for each cut: the term's bound below limit, each
-    # weight taken as its node times e^_LOG_WEIGHT_EXCESS, where the pilot
-    # has a largest term; and the value's bound below exp's zero.  A term's
-    # bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS, so at l <= floor
-    # each node whose value's bound is below exp's zero has its term's below
-    # limit, and the value's cut is tried only above floor
-    cuts = [(False, _EXP_ZERO, -math.inf)]
-    if limit > -math.inf:
-        floor = limit - _EXP_ZERO - 2.0 * _LOG_WEIGHT_EXCESS - _LOG_SPAN[1]
-        cuts = [(True, limit, -math.inf), (False, _EXP_ZERO, floor)]
-
-    def edge_bound(own, other, weighted, cross):
-        if not weighted:
-            return _bound(lead, own, other, kt, decay, cross)
-        (k, p, a), (ko, q, b) = own, other
-        return _bound(lead + 2.0 * _LOG_WEIGHT_EXCESS, (k + 1.0, p, a), (ko + 1.0, q, b),
-                      kt, decay, cross)
-
-    def box(own, other, cross):
-        # each cut moves an edge inward from where the last one left it,
-        # bisecting where its bound is monotone; the box holds 1 whatever
-        # the cuts, so a cut is tried only where it can move an edge
-        lo, hi = _LOG_SPAN
-        for weighted, at, floor in cuts:
-            made = None
-            if floor < 0.0 and lo < 0.0:
-                made = edge_bound(own, other, weighted, 0.0)
-                fn, (low, _) = made
-                if low > lo:
-                    lo = _edge(fn, at, lo, low)
-            if hi > max(floor, 0.0):
-                if cross or made is None:
-                    made = edge_bound(own, other, weighted, cross)
-                fn, (_, high) = made
-                if high < hi:
-                    hi = _edge(fn, at, hi, high)
-        # an edge at the span's end cuts nothing
-        return (math.exp(min(lo, 0.0)) if lo > _LOG_SPAN[0] else 0.0,
-                math.exp(max(hi, 0.0)) if hi < _LOG_SPAN[1] else math.inf)
-
-    x_part = (kx, params.p, params.a + gap)
-    y_part = (ky, params.q, params.b + 2.0 * gap)
-    return box(x_part, y_part, cross), box(y_part, x_part, 0.0)
+        logmag, _ = log_magnitude(_PILOT_X[:, None], _PILOT_X)
+    log_w = np.log(_PILOT_W)
+    return float(np.maximum.reduce(logmag + log_w[:, None] + log_w, axis=None))
 
 
 def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
@@ -317,15 +280,15 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
 
     Runs the oracle's convergence check first, so it returns a box for every
     integral it does not reject: ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
-    Outside it each node of the exp-sinh ladders has the value 0.0, or a
-    term, value times both node weights, below e^-_TERM_CUT (e^-100) of the
-    largest term of a pilot.
+    Outside it each node of the exp-sinh ladders has a term, value times
+    both node weights, below e^-_TERM_CUT (e^-100) of the largest term of
+    a pilot.
 
-    The pilot is one integrand call on the exp-sinh ladder's level-0 nodes
-    (25 x 25).  Where it holds no nonzero value or a value that is not
-    finite, only the cut at exp's zero applies, so the box is the one where
-    every value outside is 0.0, and a value that overflows still reaches
-    the driver.
+    The pilot reads the log-magnitude on the exp-sinh ladder's level-0
+    nodes (25 x 25) and adds both log weights, with no exp (Blanchard,
+    Higham & Higham, IMA J. Numer. Anal. 41 (2021) 2311), so its largest
+    term is finite where every value underflows or one overflows; that
+    node lies inside the box, so an overflow still reaches the driver.
 
     The integrand's log-magnitude is bounded from above.  The j term and
     the part of the h term that is <= 0 are dropped, and the h term is
@@ -340,17 +303,43 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     on each side of y = x, concave in log y, so its sup over y is found in
     closed form (_bound).  A weight w(x) = x sqrt((pi/2)^2 + log^2 x) is at
     most x e^_LOG_WEIGHT_EXCESS on the span, which bounds the term.  Each box
-    edge is where a bound crosses its cut, the value's at _EXP_ZERO and the
-    term's at _TERM_CUT below the pilot's largest term, found by bisection
-    above all the bound's peaks for the high edge and below them for the low
-    one, where it is monotone.
+    edge is where that bound crosses _TERM_CUT below the pilot's largest
+    term, found by bisection above all the bound's peaks for the high edge
+    and below them for the low one, where it is monotone.
 
     Why e^-100 cuts nothing the oracle can see: its work bound allows at
     most 1e8 terms, so the cut terms sum to at most 1e8 e^-100, about 4e-36,
     of the pilot's largest term, and every estimate carries 4e-16 |value|.
     """
     _check_convergence(params, f, tilde)
-    return _support_box(params, f, tilde, _pilot_peak(quadrant_integrand(params, f, tilde)))
+    limit = _pilot_peak(_log_magnitude(params, f, tilde)) - _TERM_CUT
+    lead, kx, ky, kt = _powers(params, f)
+    lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
+    # a term's bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS: the
+    # weights' slack here, their nodes as the 1 added to kx and ky below
+    lead += 2.0 * _LOG_WEIGHT_EXCESS
+    gap = params.a - params.b if tilde else 0.0  # >= 0 after the convergence check
+    decay = f.sigma + params.c
+    # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
+    cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
+
+    def box(own, other, cross):
+        # each edge moves inward by bisection where its bound is monotone
+        lo, hi = _LOG_SPAN
+        fn, (low, high) = _bound(lead, own, other, kt, decay, 0.0)
+        if low > lo:
+            lo = _edge(fn, limit, lo, low)
+        if cross:
+            fn, (_, high) = _bound(lead, own, other, kt, decay, cross)
+        if high < hi:
+            hi = _edge(fn, limit, hi, high)
+        # an edge at the span's end cuts nothing
+        return (math.exp(min(lo, 0.0)) if lo > _LOG_SPAN[0] else 0.0,
+                math.exp(max(hi, 0.0)) if hi < _LOG_SPAN[1] else math.inf)
+
+    x_part = (kx + 1.0, params.p, params.a + gap)
+    y_part = (ky + 1.0, params.q, params.b + 2.0 * gap)
+    return box(x_part, y_part, cross), box(y_part, x_part, 0.0)
 
 
 def direct_2d(
@@ -364,10 +353,10 @@ def direct_2d(
 
     quadrant_support owns the convergence check and raises
     DivergentIntegralError for an integral that diverges; otherwise the
-    oracle evaluates nothing outside its box, where every node's value is 0
-    or its term below e^-100 of the largest term of the support's pilot.
-    The pilot's 625 values are the support's cost and are not counted in
-    evaluations.
+    oracle evaluates nothing outside its box, where every node's term is
+    below e^-100 of the largest term of the support's pilot.  The pilot's
+    625 log-magnitudes are the support's cost: no integrand call, and not
+    counted in evaluations.
     """
     return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
                               support=quadrant_support(params, f, tilde))

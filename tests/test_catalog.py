@@ -442,24 +442,43 @@ class TestReduceTo1D:
                 Params(2, 2, 2, a=1.0, b=0.5, c=0.0), TestIntegrand(1.0, 1.0, 0.0)
             )
 
-    def test_large_t_guard_refusals_pinned(self):
-        # c = sigma = 0 on seed-42 cases 0-2 of each T rule: the guard reads
-        # the kernel's largest power, which each one-term T kernel keeps at
-        # the largest of its displayed terms, so it refuses 38 of these 45
-        # instances, the same 38 as the multi-term kernels did
+    @staticmethod
+    def _large_t_guard_accepted():
+        """(rule_id, case_index, params, f, result) for each seed-42 case 0-2
+        of each T rule, at c = sigma = 0, that the large-t guard accepts."""
         accepted = []
         for rule_id in TILDE_RULES:
             draws = _tilde_draws(rule_id, seeds=(42,), cases=range(3))
             for case_index, (params, f) in enumerate(draws):
+                params, f = dataclasses.replace(params, c=0.0), dataclasses.replace(f, sigma=0.0)
                 try:
-                    get_rule(rule_id).reduce_to_1d(dataclasses.replace(params, c=0.0),
-                                                   dataclasses.replace(f, sigma=0.0))
+                    res = get_rule(rule_id).reduce_to_1d(params, f)
                 except KernelError as err:
                     assert "no decay at large t" in str(err)
                     continue
-                accepted.append((rule_id, case_index))
+                accepted.append((rule_id, case_index, params, f, res))
+        return accepted
+
+    def test_large_t_guard_refusals_pinned(self):
+        # the guard reads each kernel's largest power less its factor's
+        # large-t decay: psi_1 ~ 2z/sqrt(pi) and psi_4 ~ sqrt(pi) z^2 as
+        # z = 2 sqrt((a-b)/t) -> 0, so it refuses 33 of these 45 instances
+        accepted = [(rule_id, case) for rule_id, case, *_ in self._large_t_guard_accepted()]
         assert accepted == [("T1-nu0", 0), ("T1-nu0", 1), ("T1-nu1", 2), ("T3-nu0", 2),
-                            ("T4-nu0", 0), ("T4-nu0", 1), ("T4-nu1", 0)]
+                            ("T4-nu0", 0), ("T4-nu0", 1), ("T4-nu1", 0), ("T4-nu1", 1),
+                            ("T4-nu1", 2), ("T4-nu2", 0), ("T4-nu2", 1), ("T4-nu2", 2)]
+
+    def test_large_t_guard_accepts_only_convergent_instances(self):
+        # each accepted instance converges on both sides, and the five that
+        # the large-t decay admits agree with the 2-D oracle within 1e-12
+        admitted = {("T4-nu1", 1), ("T4-nu1", 2), ("T4-nu2", 0), ("T4-nu2", 1), ("T4-nu2", 2)}
+        for rule_id, case_index, params, f, res in self._large_t_guard_accepted():
+            oracle = direct_2d(params, f, tilde=True)
+            assert res.converged and oracle.converged, (rule_id, case_index)
+            if (rule_id, case_index) in admitted:
+                assert abs(res.value - oracle.value) <= 1e-12 * abs(oracle.value), rule_id
+                admitted.discard((rule_id, case_index))
+        assert not admitted
 
     def test_cancelling_instance_without_decay_converges(self):
         # N3's tabulated split kernel gives -3.07e19 here through cancellation;
