@@ -51,7 +51,7 @@ from .kernels import (
     eval_kernel_with_f,
     kernel_mu_min,
 )
-from .params import Params, TestIntegrand
+from .params import Params, TestIntegrand, convergence_failure
 from .quadrature import QuadResult, Tolerance, integrate_half_line
 
 SQPI = math.sqrt(math.pi)
@@ -115,11 +115,12 @@ class ReductionRule:
             raise ApplicabilityError(f"rule {self.id}: {reason}")
 
     def mu_min(self, params: Params) -> float:
-        """Convergence floor: f = t**mu needs mu > mu_min on both sides.
+        """The kernel's floor: f = t**mu is integrable at t -> 0 iff mu > mu_min.
 
-        The kernel alone owns it: t = xy/(x+y) -> 0 exactly when x or y -> 0,
-        so for the nonnegative integrands an axis floor applies to, Tonelli
-        makes its floor at t -> 0 the 2-D side's floor at the axes.
+        The samplers draw mu above it and normalize asks it; whether an
+        instance converges is params.convergence_failure's to decide, which
+        reduce_to_1d asks.  t = xy/(x+y) -> 0 exactly when x or y -> 0, so by
+        Tonelli this floor is the contract's floor at the axes and the origin.
         """
         self.check_applicability(params)
         return kernel_mu_min(self.build_kernel(params))
@@ -132,19 +133,10 @@ class ReductionRule:
 
     def reduce_to_1d(self, params: Params, f: TestIntegrand, tol: Tolerance | None = None) -> QuadResult:
         self.check_applicability(params)
+        reason = convergence_failure(params, f, self.family is Family.MIXED_TILDE)
+        if reason is not None:
+            raise KernelError(f"rule {self.id}: {reason}")
         terms = self.build_kernel(params)
-        floor = kernel_mu_min(terms)
-        if not f.mu > floor:
-            raise KernelError(
-                f"rule {self.id}: f has mu={f.mu}, below the convergence floor {floor}"
-            )
-        if f.sigma == 0.0 and all(term.beta == 0.0 for term in terms):
-            alpha_top = max(term.alpha - (term.special.large_t_decay() if term.special else 0.0)
-                            for term in terms)
-            if f.mu + alpha_top >= -1.0:
-                raise KernelError(
-                    f"rule {self.id}: no decay at large t (sigma=0, c=0, mu too large)"
-                )
         return integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol)
 
     def sample_params(self, rng: np.random.Generator, index: int) -> Params:
@@ -320,9 +312,10 @@ def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list
     """coeff t**alpha e^(-ct - (b + 2(a-b))/t) psi(2 sqrt((a-b)/t)), psi the
     factor's form (see ErfcxSqrtInvFactor).
 
-    alpha is the largest power among the tabulated terms; the large-t guard
-    in reduce_to_1d takes from it the factor's large_t_decay, the power
-    the tabulated terms cancel at large t.
+    alpha is the largest power among the tabulated terms.  At large t,
+    psi_1 ~ 2z/sqrt(pi) and psi_4 ~ sqrt(pi) z^2 take a further t^-1/2 and
+    t^-1 off it, which params.convergence_failure's rays (1, 1) and (2, 1)
+    account for.
     """
     a, b = params.a, params.b
     return [KernelTerm(coeff, alpha, beta=params.c, gamma=b + 2.0 * (a - b),

@@ -55,10 +55,10 @@ class _Factor:
                          K_0 logarithmic and for ErfcxSqrtInvFactor's T5
                          form O(t**-1/2)
       floor_decay()      additional small-t decay of bounded_part itself, as a
-                         power of t; read only by the convergence floor
-                         (KernelTerm.mu_floor)
-      large_t_decay()    the power of t bounded_part decays like at large t;
-                         read only by reduce_to_1d's large-t guard
+                         power of t; read only by the kernel's floor
+                         (KernelTerm.mu_floor), which the samplers draw mu
+                         above; whether an instance converges is
+                         params.convergence_failure's to decide
 
     A factor's powers of t go to its KernelTerm's alpha, and its exponentials
     to beta and gamma, where the dead-row test sees them: bounded_part is
@@ -67,9 +67,6 @@ class _Factor:
     """
 
     def floor_decay(self) -> float:
-        return 0.0
-
-    def large_t_decay(self) -> float:
         return 0.0
 
 
@@ -134,16 +131,6 @@ class ErfcxSqrtInvFactor(_Factor):
 
     amount: float
     form: str = "erfcx"
-
-    def floor_decay(self) -> float:
-        # erfcx(x) ~ 1/(x sqrt(pi)): an extra sqrt(t) at the origin; T5's
-        # psi grows like z, a sqrt(t) less; the others tend to constants
-        return {"erfcx": 0.5, "T5": -0.5}.get(self.form, 0.0)
-
-    def large_t_decay(self) -> float:
-        # z -> 0 as t -> inf: psi_1 ~ 2z/sqrt(pi) and psi_4 ~ sqrt(pi) z^2,
-        # a t^-1/2 and a t^-1; the others tend to constants
-        return {"T1": 0.5, "T4": 1.0}.get(self.form, 0.0)
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         z = 2.0 * np.sqrt(self.amount / t)

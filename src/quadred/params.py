@@ -96,3 +96,52 @@ class TestIntegrand:
 
     def to_json(self) -> dict:
         return {"coeff": self.coeff, "mu": self.mu, "sigma": self.sigma}
+
+
+def convergence_failure(params: Params, f: TestIntegrand, tilde: bool = False) -> str | None:
+    """None when the quadrant integral converges, else where it diverges.
+
+    The one convergence contract, for the 2-D oracle and for every
+    reduction alike: a reduction integrates out one variable of the
+    quadrant integral after the change to t = xy/(x+y), so by Tonelli,
+    applied to the integrand's modulus, the two converge together.  With
+    u = log x and v = log y the integrand is exponentially damped along
+    every ray r (u, v), r -> inf, on which one of its exponents grows, and
+    elsewhere it goes like e^(r g(u, v)) with
+
+        g = (kx + 1) u + (ky + 1) v + kt min(u, v),
+        kx = -(n+nu)/2,  ky = -(m+nu)/2,  kt = mu + nu/2,
+
+    the 1s from dx dy = x y du dv.  It converges iff g < 0 on each
+    undamped ray.  The exponents change sign only on the rays +-x, +-y,
+    +-(1, 1) and +-(2, 1), the last where the tilde monomial x/y^2 is flat;
+    g is linear between them, so one check per ray decides.  The tilde
+    term -(a-b)(1/x + 2/y + x/y^2) (``tilde``) damps only when a > b: it
+    is 0 at a = b and grows as y -> 0 when a < b.  Along -(2, 1) a/x or
+    the tilde 1/x damps, and without the tilde cut +(2, 1) lies between
+    +x and (1, 1), so both follow from the others.
+    """
+    n, m, nu, a, b, mu = params.n, params.m, params.nu, params.a, params.b, f.mu
+    if tilde and a < b:
+        return "divergent at the y->0 axis (the tilde term grows when a<b)"
+    cut = tilde and a > b
+    if not (a > 0.0 or cut or mu > n / 2.0 - 1.0):
+        return f"divergent at the x->0 axis (a=0; mu={mu} is not above its floor {n / 2.0 - 1.0})"
+    if not (b > 0.0 or cut or mu > m / 2.0 - 1.0):
+        return f"divergent at the y->0 axis (b=0; mu={mu} is not above its floor {m / 2.0 - 1.0})"
+    if not (a or b or params.j or cut or mu > (n + m + nu) / 2.0 - 2.0):
+        return (f"divergent at the origin (a=b=j=0; mu={mu} is not above its floor "
+                f"{(n + m + nu) / 2.0 - 2.0})")
+    if not (params.p > 0.0 or cut or n + nu > 2):
+        return "divergent as x->inf (p=0 and n+nu<=2)"
+    if not (params.q > 0.0 or m + nu > 2):
+        return "divergent as y->inf (q=0 and m+nu<=2)"
+    if params.p > 0.0 or params.q > 0.0 or params.c > 0.0 or f.sigma > 0.0:
+        return None
+    if not mu < (n + m + nu) / 2.0 - 2.0:
+        return (f"no decay at large t along the diagonal (c=sigma=p=q=0; mu={mu} is not "
+                f"below its ceiling {(n + m + nu) / 2.0 - 2.0})")
+    if cut and not mu < n + m / 2.0 + nu - 3.0:
+        return (f"no decay at large t along x ~ y^2 (c=sigma=p=q=0 and a>b; mu={mu} is not "
+                f"below its ceiling {n + m / 2.0 + nu - 3.0})")
+    return None

@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import _EXP_ZERO, KernelError
-from .params import Params, TestIntegrand
+from .params import Params, TestIntegrand, convergence_failure
 from .quadrature import (
     _EXP_SINH,
     HALF_LINE_SPAN,
@@ -53,7 +53,7 @@ _PILOT_X, _PILOT_W = (np.concatenate(part) for part in zip(
 
 
 class DivergentIntegralError(ValueError):
-    """The quadrant integral fails the exponent-accounting convergence check."""
+    """The quadrant integral fails the convergence contract (params.convergence_failure)."""
 
 
 def shift_power(triple: tuple[int, int, int], delta: float) -> tuple[int, int, int]:
@@ -68,33 +68,6 @@ def shift_power(triple: tuple[int, int, int], delta: float) -> tuple[int, int, i
     d2 = int(round(two_delta))
     n, m, nu = triple
     return (n - d2, m - d2, nu + d2)
-
-
-def _check_convergence(params: Params, f: TestIntegrand, tilde: bool) -> None:
-    """The oracle's whole convergence contract, by exponent accounting.
-
-    The tilde term counts as decay only when a > b: it is 0 at a = b, and
-    with a < b it grows as y -> 0, so the integral diverges.
-    """
-    n, m, nu = params.n, params.m, params.nu
-    if tilde and params.a < params.b:
-        raise DivergentIntegralError("divergent at the y->0 axis (the tilde term grows when a<b)")
-    cut = tilde and params.a > params.b
-    if not (params.a > 0.0 or cut or f.mu - n / 2.0 > -1.0):
-        raise DivergentIntegralError("divergent at the x->0 axis (a=0 and mu too small)")
-    if not (params.b > 0.0 or cut or f.mu - m / 2.0 > -1.0):
-        raise DivergentIntegralError("divergent at the y->0 axis (b=0 and mu too small)")
-    if not (params.a or params.b or params.j or cut or f.mu - (n + m + nu) / 2.0 > -2.0):
-        raise DivergentIntegralError("divergent at the origin (a=b=j=0 and mu too small)")
-    if not (params.p > 0.0 or cut or n + nu > 2):
-        raise DivergentIntegralError("divergent as x->inf (p=0 and n+nu<=2)")
-    if not (params.q > 0.0 or m + nu > 2):
-        raise DivergentIntegralError("divergent as y->inf (q=0 and m+nu<=2)")
-    if not (
-        params.c > 0.0 or f.sigma > 0.0 or params.p > 0.0 or params.q > 0.0
-        or (n + m + nu) / 2.0 - f.mu > 2.0
-    ):
-        raise DivergentIntegralError("divergent along the diagonal (no large-t decay)")
 
 
 def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, float]:
@@ -278,8 +251,10 @@ def _pilot_peak(log_magnitude) -> float:
 def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     """A box outside which quadrant_integrand's node terms are negligible.
 
-    Runs the oracle's convergence check first, so it returns a box for every
-    integral it does not reject: ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
+    Asks the convergence contract first (params.convergence_failure, the
+    one the reductions ask too) and raises DivergentIntegralError with its
+    reason, so it returns a box for every integral that converges:
+    ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
     Outside it each node of the exp-sinh ladders has a term, value times
     both node weights, below e^-_TERM_CUT (e^-100) of the largest term of
     a pilot.
@@ -311,14 +286,16 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     most 1e8 terms, so the cut terms sum to at most 1e8 e^-100, about 4e-36,
     of the pilot's largest term, and every estimate carries 4e-16 |value|.
     """
-    _check_convergence(params, f, tilde)
+    reason = convergence_failure(params, f, tilde)
+    if reason is not None:
+        raise DivergentIntegralError(reason)
     limit = _pilot_peak(_log_magnitude(params, f, tilde)) - _TERM_CUT
     lead, kx, ky, kt = _powers(params, f)
     lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
     # a term's bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS: the
     # weights' slack here, their nodes as the 1 added to kx and ky below
     lead += 2.0 * _LOG_WEIGHT_EXCESS
-    gap = params.a - params.b if tilde else 0.0  # >= 0 after the convergence check
+    gap = params.a - params.b if tilde else 0.0  # >= 0 once the contract holds
     decay = f.sigma + params.c
     # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
     cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
@@ -351,8 +328,9 @@ def direct_2d(
 ) -> QuadResult:
     """Brute-force oracle: the quadrant integral evaluated directly.
 
-    quadrant_support owns the convergence check and raises
-    DivergentIntegralError for an integral that diverges; otherwise the
+    quadrant_support raises DivergentIntegralError, before any integrand
+    call, for an integral that params.convergence_failure finds divergent:
+    the contract reduce_to_1d refuses the same integrals by.  Otherwise the
     oracle evaluates nothing outside its box, where every node's term is
     below e^-100 of the largest term of the support's pilot.  The pilot's
     625 log-magnitudes are the support's cost: no integrand call, and not

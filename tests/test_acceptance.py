@@ -145,7 +145,7 @@ def test_criterion_4_yukawa_closed_forms():
         and abs(oracle - closed) <= 1e-6 * abs(closed)
         and abs(equal0 - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
         and abs(numeric_limit - limit_form) <= 1e-4 * abs(limit_form)
-        and hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(limit_form, rel=1e-12)
+        and hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(limit_form, rel=1e-12, abs=0)
     )
     report(
         4, "pair-overlap closed forms and the equal-range limits",

@@ -35,31 +35,31 @@ ZERO_SEPARATION_ETAS = [(1.0, 2.0), (2.0, 1.0), (0.01, 30.0), (30.0, 0.01), (0.7
 class TestYukawaClosedForms:
     def test_reference_point(self):
         expected = 4.0 * math.pi * (math.exp(-1.0) - math.exp(-2.0)) / 3.0
-        assert yukawa_pair(YukawaPairSpec(1.0, 2.0, 1.0)) == pytest.approx(expected, rel=1e-14)
+        assert yukawa_pair(YukawaPairSpec(1.0, 2.0, 1.0)) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_symmetry(self):
         a = yukawa_pair(YukawaPairSpec(1.0, 2.0, 1.0))
         b = yukawa_pair(YukawaPairSpec(2.0, 1.0, 1.0))
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0)
 
     def test_small_separation_limit(self):
         # x2 -> 0 limit is 4 pi/(eta1 + eta2)
         val = yukawa_pair(YukawaPairSpec(1.0, 2.0, 1e-6))
-        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-4)
+        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-4, abs=0)
 
     def test_equal_at_origin(self):
         assert yukawa_pair(YukawaPairSpec(1.0, 1.0, 0.0)) == pytest.approx(
-            2.0 * math.pi, rel=1e-14
+            2.0 * math.pi, rel=1e-14, abs=0
         )
 
     def test_equal_general(self):
         assert yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0)) == pytest.approx(
-            2.0 * math.pi / math.e, rel=1e-14
+            2.0 * math.pi / math.e, rel=1e-14, abs=0
         )
 
     def test_equal_is_the_limit(self):
         near = yukawa_pair(YukawaPairSpec(1.0, 1.0 + 1e-5, 1.0))
-        assert near == pytest.approx(yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0)), rel=1e-4)
+        assert near == pytest.approx(yukawa_pair(YukawaPairSpec(1.0, 1.0, 1.0)), rel=1e-4, abs=0)
 
     def test_equal_eta_routed_to_limit_form(self):
         # exprel(0) = 1: the general form is the limit 2 pi e^(-x2 eta)/eta
@@ -81,8 +81,8 @@ class TestYukawaRoutes:
     def test_reference_point_all_routes(self):
         spec = YukawaPairSpec(1.0, 2.0, 1.0)
         cf = yukawa_pair(spec)
-        assert complex(yukawa_pair_reduced(spec).value).real == pytest.approx(cf, rel=1e-8)
-        assert complex(yukawa_pair_oracle(spec).value).real == pytest.approx(cf, rel=1e-6)
+        assert complex(yukawa_pair_reduced(spec).value).real == pytest.approx(cf, rel=1e-8, abs=0)
+        assert complex(yukawa_pair_oracle(spec).value).real == pytest.approx(cf, rel=1e-6, abs=0)
 
     def test_route_agreement_random(self):
         rng = np.random.default_rng(21)
@@ -96,21 +96,21 @@ class TestYukawaRoutes:
             cf = yukawa_pair(spec)
             red = complex(yukawa_pair_reduced(spec).value).real
             orc = complex(yukawa_pair_oracle(spec).value).real
-            assert red == pytest.approx(cf, rel=1e-6)
-            assert orc == pytest.approx(cf, rel=1e-6)
-            assert orc == pytest.approx(red, rel=1e-6)
+            assert red == pytest.approx(cf, rel=1e-6, abs=0)
+            assert orc == pytest.approx(cf, rel=1e-6, abs=0)
+            assert orc == pytest.approx(red, rel=1e-6, abs=0)
 
     def test_exponent_choice_invariance(self):
         # f = t^(3/2) at (4,4,0) equals mu = 0 at (1,1,3)
         for spec in (YukawaPairSpec(1.0, 2.0, 1.0), YukawaPairSpec(2.2, 0.7, 0.6)):
             a = complex(yukawa_pair_reduced(spec).value).real
             b = complex(yukawa_pair_reduced_alt(spec).value).real
-            assert a == pytest.approx(b, rel=1e-8)
+            assert a == pytest.approx(b, rel=1e-8, abs=0)
 
     def test_equal_range_route(self):
         spec = YukawaPairSpec(1.0, 1.0, 1.0)
         red = complex(yukawa_pair_reduced(spec).value).real
-        assert red == pytest.approx(yukawa_pair(spec), rel=1e-8)
+        assert red == pytest.approx(yukawa_pair(spec), rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("route", [yukawa_pair_reduced, yukawa_pair_reduced_alt])
     def test_equal_range_routes_keep_the_gamma_ratio_bits(self, route):
@@ -148,14 +148,14 @@ class TestHydrogenic:
             - yukawa_pair(YukawaPairSpec(e1 - step, e2, x2))
         ) / (2.0 * step)
         expected = -(e1**1.5 / SQPI) * fd
-        assert hydrogenic_pair(YukawaPairSpec(e1, e2, x2)) == pytest.approx(expected, rel=1e-5)
+        assert hydrogenic_pair(YukawaPairSpec(e1, e2, x2)) == pytest.approx(expected, rel=1e-5, abs=0)
 
     def test_equal_limit_form(self):
         eta, x2 = 1.0, 1.0
         closed = SQPI * (1.0 + x2 * eta) / math.sqrt(eta) * math.exp(-eta * x2)
-        assert hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(closed, rel=1e-14)
+        assert hydrogenic_pair(YukawaPairSpec(eta, eta, x2)) == pytest.approx(closed, rel=1e-14, abs=0)
         near = hydrogenic_pair(YukawaPairSpec(1.0, 1.0 + 1e-5, 1.0))
-        assert near == pytest.approx(closed, rel=1e-4)
+        assert near == pytest.approx(closed, rel=1e-4, abs=0)
 
     def test_equal_ranges_take_the_general_form(self):
         # phi2 at z = 0: sqrt(pi) (1 + x2 eta)/sqrt(eta) e^(-eta x2)
@@ -238,7 +238,7 @@ class TestFourier:
             spec = FourierSpec(k, chi, e1, e2, x2)
             a = erfi_value(spec)
             b = tau_value(spec)
-            assert a == pytest.approx(b, rel=1e-6)
+            assert a == pytest.approx(b, rel=1e-6, abs=0)
 
     def test_real_when_phase_vanishes(self):
         spec = FourierSpec(1.0, 0.0, 1.0, 0.5, 1.0)
@@ -248,11 +248,11 @@ class TestFourier:
     def test_small_k_matches_static_pair(self):
         spec = FourierSpec(1e-3, 0.0, 1.0, 2.0, 1.0)
         static = yukawa_pair(YukawaPairSpec(1.0, 2.0, 1.0))
-        assert erfi_value(spec).real == pytest.approx(static, rel=1e-3)
+        assert erfi_value(spec).real == pytest.approx(static, rel=1e-3, abs=0)
 
     def test_tau_at_k0_equal_ranges(self):
         spec = FourierSpec(0.0, 0.0, 1.0, 1.0, 1.0)
-        assert tau_value(spec).real == pytest.approx(2.0 * math.pi / math.e, rel=1e-10)
+        assert tau_value(spec).real == pytest.approx(2.0 * math.pi / math.e, rel=1e-10, abs=0)
 
     def test_tau_against_mpmath(self):
         # the tau route's own integral, 2 pi int_0^1 e^(-i k.x2 tau) e^(-x2 L)/L,
@@ -284,7 +284,7 @@ class TestFourier:
     def test_hermiticity(self):
         up = erfi_value(FourierSpec(1.0, 0.5, 1.0, 2.0, 1.0))
         dn = erfi_value(FourierSpec(1.0, -0.5, 1.0, 2.0, 1.0))
-        assert up.conjugate() == pytest.approx(dn, rel=1e-10)
+        assert up.conjugate() == pytest.approx(dn, rel=1e-10, abs=0)
 
     def test_colinear_boundary(self):
         # |k.x2| = k*x2 saturates the Cauchy-Schwarz bound, where the
@@ -344,8 +344,8 @@ class TestFourier:
         spec = FourierSpec(1.0, 0.4, 1.0, 0.7, 0.9)
         res = get_rule("R1-rint").reduce_to_1d(fourier_params(spec), TestIntegrand(1.0, 1.5, 0.0))
         via_rule = SQPI * complex(res.value)
-        assert via_rule == pytest.approx(tau_value(spec), rel=1e-8)
-        assert via_rule == pytest.approx(erfi_value(spec), rel=1e-8)
+        assert via_rule == pytest.approx(tau_value(spec), rel=1e-8, abs=0)
+        assert via_rule == pytest.approx(erfi_value(spec), rel=1e-8, abs=0)
 
 
 def _bits(res: QuadResult) -> tuple[str, str, int]:

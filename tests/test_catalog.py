@@ -177,14 +177,14 @@ class TestKernelWeights:
     def test_corrected_product_form(self):
         params = Params(0, 0, 1, p=1.0, q=1.0)
         val = get_rule("E1-pbm-corrected").kernel_weight(params, 0.25)
-        assert val == pytest.approx(2.0 * SQPI * math.exp(-1.0), rel=1e-12)
+        assert val == pytest.approx(2.0 * SQPI * math.exp(-1.0), rel=1e-12, abs=0)
 
     def test_macdonald_weight(self):
         import scipy.special as sp
 
         params = Params(1, 1, 1, p=1.0, q=1.0)
         val = get_rule("K1-111").kernel_weight(params, 1.0)
-        assert val == pytest.approx(2.0 * math.exp(-2.0) * sp.kv(0, 2.0), rel=1e-12)
+        assert val == pytest.approx(2.0 * math.exp(-2.0) * sp.kv(0, 2.0), rel=1e-12, abs=0)
 
     def test_nan_t_rejected(self):
         params = Params(1, 1, 1, p=1.0, q=2.0)
@@ -204,7 +204,7 @@ class TestKernelWeights:
     def test_split_exponential_weight(self):
         params = Params(2, 2, 2, a=2.0, b=1.0, c=0.0)
         val = get_rule("N5-222").kernel_weight(params, 1.0)
-        assert val == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
+        assert val == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12, abs=0)
 
     def test_n5_weight_and_description_carry_t_to_the_minus_one(self):
         # the paper's display carries t^-3/2, which is 0.71, 1.41 and 2.83
@@ -222,7 +222,7 @@ class TestKernelWeights:
         corrected = get_rule("E1-pbm-corrected").kernel_weight(Params(0, 0, 1, p=p, q=q), 0.7)
         wrong = get_rule("E1-uncorrected-pbm").kernel_weight(Params(0, 0, 1, p=p, q=q), 0.7)
         ratio = 1.0 / ((math.sqrt(p) + math.sqrt(q)) * math.sqrt(p + q))
-        assert wrong / corrected == pytest.approx(ratio, rel=1e-12)
+        assert wrong / corrected == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 # below this a weight is compared only by the other weight's size
@@ -419,8 +419,8 @@ class TestReduceTo1D:
             Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(1.0, 0.0, 1.0)
         )
         assert res.converged
-        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-11)
-        assert complex(res.value).real == pytest.approx(0.7089815403622064, rel=1e-10)
+        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-11, abs=0)
+        assert complex(res.value).real == pytest.approx(0.7089815403622064, rel=1e-10, abs=0)
 
     def test_gamma_ratio_form(self):
         # a = b entry at (4,4,0) with f = t^(3/2): finite and positive
@@ -445,7 +445,8 @@ class TestReduceTo1D:
     @staticmethod
     def _large_t_guard_accepted():
         """(rule_id, case_index, params, f, result) for each seed-42 case 0-2
-        of each T rule, at c = sigma = 0, that the large-t guard accepts."""
+        of each T rule, at c = sigma = 0, that the convergence contract
+        admits at large t."""
         accepted = []
         for rule_id in TILDE_RULES:
             draws = _tilde_draws(rule_id, seeds=(42,), cases=range(3))
@@ -460,9 +461,10 @@ class TestReduceTo1D:
         return accepted
 
     def test_large_t_guard_refusals_pinned(self):
-        # the guard reads each kernel's largest power less its factor's
-        # large-t decay: psi_1 ~ 2z/sqrt(pi) and psi_4 ~ sqrt(pi) z^2 as
-        # z = 2 sqrt((a-b)/t) -> 0, so it refuses 33 of these 45 instances
+        # the contract checks the rays (1, 1) and x ~ y^2, which the
+        # kernel's large-t power matches (psi_1 ~ 2z/sqrt(pi) and
+        # psi_4 ~ sqrt(pi) z^2 as z = 2 sqrt((a-b)/t) -> 0), so it refuses 33
+        # of these 45 instances
         accepted = [(rule_id, case) for rule_id, case, *_ in self._large_t_guard_accepted()]
         assert accepted == [("T1-nu0", 0), ("T1-nu0", 1), ("T1-nu1", 2), ("T3-nu0", 2),
                             ("T4-nu0", 0), ("T4-nu0", 1), ("T4-nu1", 0), ("T4-nu1", 1),
@@ -487,7 +489,7 @@ class TestReduceTo1D:
         res = get_rule("N3-033").reduce_to_1d(params, f)
         oracle = direct_2d(params, f)
         assert res.converged and oracle.converged
-        assert res.value == pytest.approx(oracle.value, rel=1e-12)
+        assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=0)
 
     def test_convergent_instance_without_c_or_sigma(self):
         # the 2-D oracle gives this value to 6e-14
@@ -495,7 +497,7 @@ class TestReduceTo1D:
             Params(1, 2, 2, a=1.0, b=0.4, c=0.0), TestIntegrand(1.0, 0.25, 0.0)
         )
         assert res.converged
-        assert res.value == pytest.approx(8.347688506817965, rel=1e-12)
+        assert res.value == pytest.approx(8.347688506817965, rel=1e-12, abs=0)
 
     def test_positivity(self):
         rng = np.random.default_rng(5)

@@ -64,7 +64,7 @@ class TestEval:
         )
         assert code == 0
         value = float(out.splitlines()[0].split("=")[1])
-        assert value == pytest.approx(0.7089815403622064, rel=1e-9)
+        assert value == pytest.approx(0.7089815403622064, rel=1e-9, abs=0)
         assert "abs_error_estimate" in out and "evaluations" in out
         assert out.splitlines()[-1] == "converged = True"
 
@@ -74,7 +74,7 @@ class TestEval:
         )
         assert code == 0
         value = float(out.splitlines()[0].split("=")[1])
-        assert value == pytest.approx(0.9740786909377138, rel=1e-12)
+        assert value == pytest.approx(0.9740786909377138, rel=1e-12, abs=0)
 
     def test_applicability_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -150,7 +150,7 @@ class TestEval:
         assert code == 0
         doc = json.loads(out)
         assert doc["converged"] is True
-        assert doc["value"]["re"] == pytest.approx(3.196415162413308, rel=1e-8)
+        assert doc["value"]["re"] == pytest.approx(3.196415162413308, rel=1e-8, abs=0)
 
     def test_tolerance_defaults_are_the_library_defaults(self):
         args = _build_parser().parse_args(["eval", "K1-111"])

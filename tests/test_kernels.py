@@ -36,15 +36,15 @@ class TestTermEvaluation:
         # 2 sqrt(pi) e^{-4t} at t = 0.25  ->  2 sqrt(pi)/e
         term = KernelTerm(2.0 * SQPI, 0.0, beta=4.0)
         val = eval_kernel([term], 0.25)
-        assert val == pytest.approx(2.0 * SQPI * math.exp(-1.0), rel=1e-14)
-        assert val == pytest.approx(1.3040986643465844, rel=1e-10)
+        assert val == pytest.approx(2.0 * SQPI * math.exp(-1.0), rel=1e-14, abs=0)
+        assert val == pytest.approx(1.3040986643465844, rel=1e-10, abs=0)
 
     def test_macdonald_term(self):
         # 2 t^-1/2 e^-2t K0(2t) at t = 1
         term = KernelTerm(2.0, -0.5, beta=2.0, special=BesselKFactor(0, 2.0))
         expected = 2.0 * math.exp(-2.0) * sp.kv(0, 2.0)
-        assert eval_kernel([term], 1.0) == pytest.approx(expected, rel=1e-13)
-        assert expected == pytest.approx(0.03082771905494566, rel=1e-10)
+        assert eval_kernel([term], 1.0) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert expected == pytest.approx(0.03082771905494566, rel=1e-10, abs=0)
 
     def test_split_exponential_sum(self):
         # (a-b)^-1 t^-1 (e^-b/t - e^-a/t) at a=2, b=1, t=1
@@ -53,16 +53,16 @@ class TestTermEvaluation:
             KernelTerm(-1.0, -1.0, gamma=2.0),
         ]
         assert eval_kernel(terms, 1.0) == pytest.approx(
-            math.exp(-1.0) - math.exp(-2.0), rel=1e-14
+            math.exp(-1.0) - math.exp(-2.0), rel=1e-14, abs=0
         )
-        assert eval_kernel(terms, 1.0) == pytest.approx(0.2325441579348296, rel=1e-10)
+        assert eval_kernel(terms, 1.0) == pytest.approx(0.2325441579348296, rel=1e-10, abs=0)
 
     def test_vectorized_matches_scalar(self):
         terms = [KernelTerm(1.5, -0.5, beta=2.0, gamma=0.3, special=ErfcxSqrtInvFactor(0.7))]
         ts = np.array([0.01, 0.1, 1.0, 10.0])
         vec = eval_kernel(terms, ts)
         for t, v in zip(ts, vec):
-            assert eval_kernel(terms, float(t)) == pytest.approx(v, rel=1e-14)
+            assert eval_kernel(terms, float(t)) == pytest.approx(v, rel=1e-14, abs=0)
 
     def test_domain_error(self):
         with pytest.raises(KernelError):
@@ -295,14 +295,14 @@ class TestBesselBranch:
         below = factor.bounded_part(np.array([0.5e-8]))[0]
         above = factor.bounded_part(np.array([2.0e-8]))[0]
         exact = 2.0 ** (order - 1) * math.factorial(order - 1)
-        assert below == pytest.approx(exact, rel=1e-10)
-        assert above == pytest.approx(exact, rel=1e-10)
+        assert below == pytest.approx(exact, rel=1e-10, abs=0)
+        assert above == pytest.approx(exact, rel=1e-10, abs=0)
 
     def test_k0_small_argument(self):
         factor = BesselKFactor(0, 1.0)
         t = np.array([1e-12])
         expected = -math.log(0.5e-12) - np.euler_gamma
-        assert factor.bounded_part(t)[0] == pytest.approx(expected, rel=1e-10)
+        assert factor.bounded_part(t)[0] == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_matches_scipy_in_normal_range(self):
         # the factor contract is t**k K_k(s t), i.e. the k-th-order pole
@@ -428,7 +428,7 @@ class TestErfcxFactor:
         for t in (0.05, 0.5, 5.0):
             x = 2.0 * math.sqrt(amount / t)
             assert factor.bounded_part(np.array([t]))[0] == pytest.approx(
-                math.exp(x * x) * sp.erfc(x), rel=1e-12
+                math.exp(x * x) * sp.erfc(x), rel=1e-12, abs=0
             )
 
     @pytest.mark.parametrize("amount", [1e-3, 0.7, 40.0])
@@ -523,7 +523,7 @@ class TestFourierErfiFactor:
         k, chi, e1, e2, x2 = 1.3, 0.4, 1.0, 0.7, 0.9
         factor = FourierErfiFactor(k, chi, e1, e2, x2)
         beta, gamma = x2 * x2 - (chi / k) ** 2, e2 * e2 / 4.0
-        assert (factor.beta, factor.gamma) == pytest.approx((beta, gamma), rel=1e-15)
+        assert (factor.beta, factor.gamma) == pytest.approx((beta, gamma), rel=1e-15, abs=0)
         g = (e1 * e1 - e2 * e2) / 4.0
         d = k * k / 4.0
         for t in (0.3, 1.0, 2.0):
@@ -537,7 +537,7 @@ class TestFourierErfiFactor:
                 * erfi_diff
             )
             mine = math.exp(-beta * t - gamma / t) * factor.bounded_part(np.array([t]))[0]
-            assert mine == pytest.approx(naive, rel=1e-11)
+            assert mine == pytest.approx(naive, rel=1e-11, abs=0)
 
     def test_finite_everywhere(self):
         factor = FourierErfiFactor(2.0, -1.5, 1.0, 2.0, 1.0)
@@ -627,7 +627,7 @@ class TestRInnerFactor:
         factor = RInnerFactor(4, 4, 0, a, b, 0.0, 0.0)
         for t in (0.2, 1.0, 4.0):
             expected = t * -math.expm1(-(a - b) / t) / (a - b)
-            assert factor.bounded_part(np.array([t]))[0] == pytest.approx(expected, rel=1e-10)
+            assert factor.bounded_part(np.array([t]))[0] == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_early_exit_deep_t(self, monkeypatch):
         # e^(-b/t) underflows at t = 1e-10: the evaluator's dead-row test

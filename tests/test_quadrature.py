@@ -75,7 +75,7 @@ class TestHalfLine:
     def test_closed_forms(self, f, expected, label):
         res = integrate_half_line(f)
         assert res.converged
-        assert complex(res.value).real == pytest.approx(expected, rel=1e-10)
+        assert complex(res.value).real == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_bilateral_cross_check_double_resolution(self):
         # same integral at an 100x tighter tolerance must agree
@@ -83,7 +83,7 @@ class TestHalfLine:
         coarse = integrate_half_line(f, Tolerance(rel=1e-8))
         fine = integrate_half_line(f, Tolerance(rel=1e-12))
         assert complex(coarse.value).real == pytest.approx(
-            complex(fine.value).real, rel=1e-8
+            complex(fine.value).real, rel=1e-8, abs=0
         )
 
     def test_never_evaluates_at_zero(self):
@@ -121,7 +121,7 @@ class TestInterval:
         tol = Tolerance(rel=1e-7) if label == "beta-half-half" else Tolerance()
         res = integrate_interval(f, tol)
         assert res.converged
-        assert complex(res.value).real == pytest.approx(expected, rel=1e-7)
+        assert complex(res.value).real == pytest.approx(expected, rel=1e-7, abs=0)
 
     def test_beta_converges_at_the_default_tolerance(self):
         # both endpoint singularities see exact offsets from their endpoint
@@ -133,7 +133,7 @@ class TestInterval:
         res = integrate_interval(lambda x: np.exp(-2j * x[:, 0]))
         expected = (1.0 - np.exp(-2j)) / 2j
         assert res.converged
-        assert complex(res.value) == pytest.approx(expected, rel=1e-12)
+        assert complex(res.value) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_endpoints_untouched(self):
         def f(x):
@@ -142,7 +142,7 @@ class TestInterval:
             return x[:, 0] ** -0.25
 
         res = integrate_interval(f)
-        assert complex(res.value).real == pytest.approx(4.0 / 3.0, rel=1e-10)
+        assert complex(res.value).real == pytest.approx(4.0 / 3.0, rel=1e-10, abs=0)
 
 
 class TestBatches:
@@ -202,7 +202,7 @@ class TestTransformConsistency:
         direct = integrate_half_line(g)
         mapped = integrate_interval(compactified)
         assert complex(direct.value).real == pytest.approx(
-            complex(mapped.value).real, rel=1e-9
+            complex(mapped.value).real, rel=1e-9, abs=0
         )
 
     def test_linearity(self):
@@ -212,7 +212,7 @@ class TestTransformConsistency:
         combined = integrate_half_line(lambda t: a * f(t) + b * g(t))
         separate = a * integrate_half_line(f).value + b * integrate_half_line(g).value
         assert complex(combined.value).real == pytest.approx(
-            complex(separate).real, rel=1e-11
+            complex(separate).real, rel=1e-11, abs=0
         )
 
 
@@ -220,7 +220,7 @@ class TestQuadrant:
     def test_separable(self):
         res = integrate_quadrant(lambda x, y: np.exp(-x - y))
         assert res.converged
-        assert complex(res.value).real == pytest.approx(1.0, rel=1e-9)
+        assert complex(res.value).real == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_separable_matches_product_of_half_lines(self):
         fx = lambda x: x**0.25 * np.exp(-1.5 * x)
@@ -230,14 +230,14 @@ class TestQuadrant:
             * complex(integrate_half_line(fy).value).real
         )
         res = integrate_quadrant(lambda x, y: fx(x) * fy(y))
-        assert complex(res.value).real == pytest.approx(prod, rel=1e-9)
+        assert complex(res.value).real == pytest.approx(prod, rel=1e-9, abs=0)
 
     def test_seed_cross_check(self):
         # (x+y)^-1/2 exp(-xy/(x+y)) exp(-x-y) over the quadrant equals
         # 2 sqrt(pi)/5, the product-form reduction at p = q = 1, f = exp(-t)
         res = integrate_quadrant(_seed_cross_check_f2)
         assert res.converged
-        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-9)
+        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-9, abs=0)
 
     def test_unconverged_inner_rows_clear_converged(self):
         # a jump at y = 1 keeps every inner integral from converging, while
@@ -245,7 +245,7 @@ class TestQuadrant:
         # converges on its own; the inner failures must still show
         res = integrate_quadrant(lambda x, y: np.exp(-x - y) * (y > 1.0))
         assert res.evaluations < quadrature._QUADRANT_MAX_EVALUATIONS
-        assert complex(res.value).real == pytest.approx(math.exp(-1.0), rel=1e-3)
+        assert complex(res.value).real == pytest.approx(math.exp(-1.0), rel=1e-3, abs=0)
         assert not res.converged
 
     def test_divergent_flagged_never_silent(self, monkeypatch):
@@ -434,7 +434,7 @@ class TestBudgetExhaustion:
         res = integrate_quadrant(_seed_cross_check_f2, Tolerance(rel=1e-11))
         assert not res.converged
         assert res.value == 0.7089815403622064
-        assert res.abs_error_estimate == pytest.approx(1.1244511363717268e-11, rel=1e-9)
+        assert res.abs_error_estimate == pytest.approx(1.1244511363717268e-11, rel=1e-9, abs=0)
 
     def test_bound_does_not_depend_on_tol(self, monkeypatch):
         # the targets of QUADRANT_TOLERANCE, passed or left to the default

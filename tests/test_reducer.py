@@ -1,7 +1,9 @@
 """Normalization, the 2-D oracle, verification records and sweeps."""
 
+import collections
 import csv
 import dataclasses
+import itertools
 import json
 import math
 
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 
 from quadred import kernels, quadrature, reducer
 from quadred.applications import CheshireReport, FourierSpec
-from quadred.catalog import ApplicabilityError, Family, get_rule, list_rules
-from quadred.params import Params, TestIntegrand
+from quadred.catalog import RULES, ApplicabilityError, Family, get_rule, list_rules
+from quadred.kernels import KernelError
+from quadred.params import Params, TestIntegrand, convergence_failure
 from quadred.quadrature import QuadratureError
 from quadred.reducer import (
+    _SHIFT_SEARCH,
     CSV_HEADER,
     DivergentIntegralError,
     _case_inputs,
@@ -66,7 +70,7 @@ class TestShiftPower:
             Params(n2, m2, nu2, p=1.0, q=2.0), f.shifted(-0.5)
         )
         assert complex(base.value).real == pytest.approx(
-            complex(shifted.value).real, rel=1e-10
+            complex(shifted.value).real, rel=1e-10, abs=0
         )
 
 
@@ -86,7 +90,7 @@ class TestNormalize:
         lhs = direct_2d(params, f)
         rhs = rule.reduce_to_1d(params2, f2)
         assert complex(lhs.value).real == pytest.approx(
-            complex(rhs.value).real, rel=1e-6
+            complex(rhs.value).real, rel=1e-6, abs=0
         )
 
     def test_mirror_route(self):
@@ -101,7 +105,7 @@ class TestNormalize:
         lhs = direct_2d(params, f)
         rhs = rule.reduce_to_1d(params2, f2)
         assert complex(lhs.value).real == pytest.approx(
-            complex(rhs.value).real, rel=1e-6
+            complex(rhs.value).real, rel=1e-6, abs=0
         )
 
     def test_no_match(self):
@@ -137,7 +141,7 @@ class TestNormalize:
         lhs = direct_2d(params, f)
         rhs = rule.reduce_to_1d(params2, f2)
         assert complex(lhs.value).real == pytest.approx(
-            complex(rhs.value).real, rel=1e-6
+            complex(rhs.value).real, rel=1e-6, abs=0
         ), rule.id
 
     def test_deterministic(self):
@@ -152,7 +156,7 @@ class TestDirect2D:
     def test_seed_value(self):
         res = direct_2d(Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(1.0, 0.0, 1.0))
         assert res.converged
-        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-8)
+        assert complex(res.value).real == pytest.approx(2.0 * SQPI / 5.0, rel=1e-8, abs=0)
 
     def test_zero_integrand(self):
         res = direct_2d(Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(0.0, 0.0, 1.0))
@@ -183,7 +187,7 @@ class TestDirect2D:
             direct_2d(params, TestIntegrand(1.0, 0.9, 0.0))
         res = direct_2d(params, TestIntegrand(1.0, 1.2, 0.0))
         assert res.converged
-        assert res.value == pytest.approx(3.115707707878462, rel=1e-12)
+        assert res.value == pytest.approx(3.115707707878462, rel=1e-12, abs=0)
 
     def test_gamma_ratio_instance_matches_oracle(self):
         # equal inverse-exponential coefficients at (4,4,0), f = t^(3/2)
@@ -193,8 +197,128 @@ class TestDirect2D:
         rhs = get_rule("N6-aeqb").reduce_to_1d(params, f)
         assert complex(lhs.value).real > 0.0
         assert complex(lhs.value).real == pytest.approx(
-            complex(rhs.value).real, rel=1e-6
+            complex(rhs.value).real, rel=1e-6, abs=0
         )
+
+
+# mu around each variant's kernel floor, exactly at it included
+_MU_OFFSETS = (-3.0, -2.0, -1.5, -1.0, -0.5, -0.25, -1e-6, 0.0,
+               1e-6, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+# the power of t each mixed-tilde psi cancels at large t: psi_1 ~ 2z/sqrt(pi)
+# and psi_4 ~ sqrt(pi) z^2 as z = 2 sqrt((a-b)/t) -> 0
+_PSI_LARGE_T_DECAY = {"T1": 0.5, "T4": 1.0}
+
+
+def _contract_grid(seed: int = 42, cases=range(3)):
+    """(rule, params, f) over every rule, erratum included: each draw with
+    each subset of its nonzero coefficients zeroed where the rule admits it,
+    sigma as drawn and 0, and mu at _MU_OFFSETS from the variant's kernel
+    floor (from -1 where the floor is -inf)."""
+    for index, rule in enumerate(RULES):
+        for case_index in cases:
+            params, f = _case_inputs(rule, seed, index, case_index)
+            names = [name for name in sorted(rule.pattern) if getattr(params, name) != 0]
+            for k in range(len(names) + 1):
+                for zeroed in itertools.combinations(names, k):
+                    variant = dataclasses.replace(params, **{name: 0.0 for name in zeroed})
+                    if rule.applicability_failure(variant) is not None:
+                        continue
+                    floor = rule.mu_min(variant)
+                    base = floor if floor > -math.inf else -1.0
+                    for sigma in (f.sigma, 0.0):
+                        for offset in _MU_OFFSETS:
+                            yield rule, variant, TestIntegrand(1.0, base + offset, sigma)
+
+
+def _kernel_decays_at_large_t(rule, params: Params, f: TestIntegrand) -> bool:
+    """t**mu times the kernel is integrable at t -> inf: read off the
+    kernel's terms, each t**alpha e^(-beta t) times its factor."""
+    terms = rule.build_kernel(params)
+    if f.sigma > 0.0 or any(term.beta > 0.0 for term in terms):
+        return True
+    top = max(term.alpha - (_PSI_LARGE_T_DECAY.get(term.special.form, 0.0)
+                            if isinstance(term.special, kernels.ErfcxSqrtInvFactor) else 0.0)
+              for term in terms)
+    return f.mu + top < -1.0
+
+
+def _seven_condition_check(params: Params, f: TestIntegrand, tilde: bool) -> bool:
+    """The oracle's convergence check before the contract: seven
+    conditions, with no check along the ray x ~ y^2."""
+    n, m, nu, a, b = params.n, params.m, params.nu, params.a, params.b
+    if tilde and a < b:
+        return False
+    cut = tilde and a > b
+    return ((a > 0.0 or cut or f.mu - n / 2.0 > -1.0)
+            and (b > 0.0 or cut or f.mu - m / 2.0 > -1.0)
+            and bool(a or b or params.j or cut or f.mu - (n + m + nu) / 2.0 > -2.0)
+            and (params.p > 0.0 or cut or n + nu > 2)
+            and (params.q > 0.0 or m + nu > 2)
+            and (params.c > 0.0 or f.sigma > 0.0 or params.p > 0.0 or params.q > 0.0
+                 or (n + m + nu) / 2.0 - f.mu > 2.0))
+
+
+# the seed-42 T draws of cases 0-2, at c = sigma = 0, that the seven
+# conditions admit but that diverge along x ~ y^2: (rule, case index)
+_SEVEN_CONDITION_DIVERGENT = (("T2-nu0", 1), ("T3-nu0", 0), ("T3-nu1", 0),
+                              ("T3-nu2", 1), ("T4-nu0", 2))
+
+
+class TestConvergenceContract:
+    """params.convergence_failure decides convergence for the oracle and for
+    every reduction alike."""
+
+    def test_admits_exactly_above_the_kernel_floor_with_large_t_decay(self):
+        # the kernel's floor (rule.mu_min, what the samplers draw above) and
+        # its large-t power agree with the contract everywhere on the grid;
+        # the seven conditions it replaced differ only on the mixed-tilde
+        # family at c = sigma = 0, where they had no check along x ~ y^2
+        checks, differ = 0, collections.Counter()
+        for rule, params, f in _contract_grid():
+            tilde = rule.family is Family.MIXED_TILDE
+            admitted = convergence_failure(params, f, tilde) is None
+            kernel = f.mu > rule.mu_min(params) and _kernel_decays_at_large_t(rule, params, f)
+            assert admitted == kernel, (rule.id, params, f)
+            if admitted != _seven_condition_check(params, f, tilde):
+                assert tilde and params.c == f.sigma == 0.0 and not admitted, (rule.id, params, f)
+                differ[rule.id] += 1
+            checks += 1
+        assert checks == 11_040
+        assert sum(differ.values()) == 174
+        assert sorted(differ) == ["T2-nu0", "T2-nu1", "T2-nu2", "T3-nu0", "T3-nu1", "T3-nu2",
+                                  "T4-nu0", "T4-nu2", "T5-nu0", "T5-nu1", "T5-nu2"]
+
+    def test_verdict_is_invariant_under_power_shifts_and_the_mirror(self):
+        # both rewrite the same integral, so the verdict cannot move
+        for rule, params, f in _contract_grid():
+            if rule.family is Family.MIXED_TILDE or params.h != 0:
+                continue
+            verdict = convergence_failure(params, f) is None
+            for delta in _SHIFT_SEARCH:
+                shifted = dataclasses.replace(params, **dict(zip(
+                    ("n", "m", "nu"), shift_power(params.triple, delta))))
+                assert (convergence_failure(shifted, f.shifted(delta)) is None) == verdict
+            assert (convergence_failure(params.mirrored(), f) is None) == verdict
+
+    @pytest.mark.parametrize("rule_id, case_index", _SEVEN_CONDITION_DIVERGENT)
+    def test_divergent_draws_raise_before_any_integrand_call(self, rule_id, case_index,
+                                                              monkeypatch):
+        # the seven conditions let these through, and the oracle then ran
+        # 52-59 M evaluations and stopped unconverged
+        params, f = _sweep_case(rule_id, 42, case_index)
+        params, f = dataclasses.replace(params, c=0.0), dataclasses.replace(f, sigma=0.0)
+        assert _seven_condition_check(params, f, True)
+
+        def uncallable(*args):
+            def call(x, y):
+                raise AssertionError("the oracle called its integrand")
+            return call
+
+        monkeypatch.setattr(reducer, "quadrant_integrand", uncallable)
+        with pytest.raises(DivergentIntegralError, match="no decay at large t along x ~ y"):
+            direct_2d(params, f, tilde=True)
+        with pytest.raises(KernelError, match="no decay at large t along x ~ y"):
+            get_rule(rule_id).reduce_to_1d(params, f)
 
 
 # the ends and the middle of the quadrature's [1e-160, 1e160] node ladder
@@ -620,7 +744,7 @@ class TestQuadrantSupport:
         res = direct_2d(params, f)
         assert res.converged and res.value > 0.0
         assert res.value == pytest.approx(
-            quadrature.integrate_quadrant(quadrant_integrand(params, f)).value, rel=1e-12)
+            quadrature.integrate_quadrant(quadrant_integrand(params, f)).value, rel=1e-12, abs=0)
 
     def test_pilot_overflow_still_raises(self):
         # the pilot's overflowing node lies inside the box, so the driver
@@ -944,7 +1068,7 @@ class TestVerify:
         assert rec.passed and mirrored.passed
         direct = direct_2d(Params(-1, 1, 2, p=0.7, q=1.3), f)
         assert complex(direct.value).real == pytest.approx(
-            complex(rec.lhs.value).real, rel=1e-6
+            complex(rec.lhs.value).real, rel=1e-6, abs=0
         )
 
     def test_record_serialization(self):
@@ -1170,7 +1294,7 @@ class TestDerivativeCheck:
         f = TestIntegrand(1.0, 0.5, 0.0)
         coarse = derivative_check_k7(Params(-1, 1, 1, p=1.0, q=1.0), f, step=2e-3)
         fine = derivative_check_k7(Params(-1, 1, 1, p=1.0, q=1.0), f, step=1e-3)
-        assert coarse.residual / fine.residual == pytest.approx(4.0, rel=0.15)
+        assert coarse.residual / fine.residual == pytest.approx(4.0, rel=0.15, abs=0)
 
 
 class TestSweep:

@@ -38,7 +38,7 @@ mp.mp.dps = 30
 
 class TestGamma:
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0)
 
     def test_one(self):
         assert gamma_fn(1.0) == 1.0
@@ -46,8 +46,8 @@ class TestGamma:
     def test_recurrence_value(self):
         # Gamma(2.5) = 1.5 * 0.5 * Gamma(0.5)
         expected = 1.5 * 0.5 * math.sqrt(math.pi)
-        assert gamma_fn(2.5) == pytest.approx(expected, rel=1e-13)
-        assert expected == pytest.approx(1.3293403881791370, rel=1e-12)
+        assert gamma_fn(2.5) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert expected == pytest.approx(1.3293403881791370, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
     def test_pole(self, x):
@@ -58,7 +58,7 @@ class TestGamma:
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = float(rng.uniform(0.1, 50.0))
-            assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-10)
+            assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-10, abs=0)
 
 
 class TestErfFamily:
@@ -75,8 +75,8 @@ class TestErfFamily:
             for k in range(30)
         )
         oracle = 2.0 / math.sqrt(math.pi) * total
-        assert oracle == pytest.approx(0.8427007929497149, rel=1e-14)
-        assert sp.erf(1.0) == pytest.approx(oracle, rel=1e-14)
+        assert oracle == pytest.approx(0.8427007929497149, rel=1e-14, abs=0)
+        assert sp.erf(1.0) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_erfc_large_argument(self):
         # leading asymptotic term exp(-x^2)/(x sqrt(pi)) at x = 10
@@ -84,8 +84,8 @@ class TestErfFamily:
         asym = math.exp(-x * x) / (x * math.sqrt(math.pi)) * (1.0 - 1.0 / (2 * x * x))
         val = sp.erfc(10.0)
         assert val > 0.0
-        assert val == pytest.approx(asym, rel=1e-3)
-        assert val == pytest.approx(2.088e-45, rel=1e-3)
+        assert val == pytest.approx(asym, rel=1e-3, abs=0)
+        assert val == pytest.approx(2.088e-45, rel=1e-3, abs=0)
 
     @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
     def test_odd(self, x):
@@ -97,7 +97,7 @@ class TestErfFamily:
 
     def test_erfcx_is_scaled_erfc(self):
         for x in (0.1, 1.0, 3.0, 8.0):
-            assert sp.erfcx(x) == pytest.approx(math.exp(x * x) * sp.erfc(x), rel=1e-13)
+            assert sp.erfcx(x) == pytest.approx(math.exp(x * x) * sp.erfc(x), rel=1e-13, abs=0)
 
     def test_against_mpmath_100_points(self):
         rng = np.random.default_rng(12)
@@ -110,11 +110,11 @@ class TestFaddeeva:
     """scipy's wofz, which FourierErfiFactor calls directly."""
 
     def test_at_zero(self):
-        assert sp.wofz(0.0) == pytest.approx(1.0, rel=1e-14)
+        assert sp.wofz(0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_real_part_on_real_axis(self):
         for x in (0.3, 1.0, 2.5, 5.0):
-            assert sp.wofz(x).real == pytest.approx(math.exp(-x * x), rel=1e-12)
+            assert sp.wofz(x).real == pytest.approx(math.exp(-x * x), rel=1e-12, abs=0)
 
     @settings(max_examples=60)
     @given(
@@ -132,7 +132,7 @@ class TestFaddeeva:
         for _ in range(100):
             z = complex(rng.uniform(-4, 4), rng.uniform(-2, 4))
             ref = complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z)))
-            assert sp.wofz(z) == pytest.approx(ref, rel=1e-10)
+            assert sp.wofz(z) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 class TestBesselK:
@@ -143,19 +143,19 @@ class TestBesselK:
         oracle, _ = integrate.quad(
             lambda u: math.exp(-math.cosh(u)), 0.0, 10.0, epsabs=1e-14, epsrel=1e-13
         )
-        assert oracle == pytest.approx(0.4210244382407084, rel=1e-12)
-        assert sp.kv(0, 1.0) == pytest.approx(oracle, rel=1e-12)
+        assert oracle == pytest.approx(0.4210244382407084, rel=1e-12, abs=0)
+        assert sp.kv(0, 1.0) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 5.0])
     def test_recurrence_examples(self, x):
         lhs = sp.kv(2, x)
         rhs = sp.kv(0, x) + 2.0 * sp.kv(1, x) / x
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_recurrence_range(self):
         for x in np.geomspace(0.01, 50.0, 40):
             assert sp.kv(2, x) == pytest.approx(
-                sp.kv(0, x) + 2.0 * sp.kv(1, x) / x, rel=1e-12
+                sp.kv(0, x) + 2.0 * sp.kv(1, x) / x, rel=1e-12, abs=0
             )
 
     def test_small_x_limit_k1(self):
@@ -174,7 +174,7 @@ class TestBesselK:
         for _ in range(100):
             x = float(rng.uniform(0.01, 50.0))
             order = int(rng.integers(0, 3))
-            assert sp.kv(order, x) == pytest.approx(float(mp.besselk(order, x)), rel=1e-10)
+            assert sp.kv(order, x) == pytest.approx(float(mp.besselk(order, x)), rel=1e-10, abs=0)
 
 
 class TestBesselIHalf:
@@ -182,13 +182,13 @@ class TestBesselIHalf:
 
     def test_plus_half(self):
         expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        assert expected == pytest.approx(0.9376748882454959, rel=1e-12)
-        assert sp.iv(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(0.9376748882454959, rel=1e-12, abs=0)
+        assert sp.iv(0.5, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_minus_half(self):
         expected = math.sqrt(2.0 / math.pi) * math.cosh(1.0)
-        assert expected == pytest.approx(1.2312002145929675, rel=1e-14)
-        assert sp.iv(-0.5, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(1.2312002145929675, rel=1e-14, abs=0)
+        assert sp.iv(-0.5, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_three_halves_recurrence(self):
         # I_{3/2}(x) = I_{-1/2}(x) - (1/x) I_{1/2}(x) at x = 2, with the
@@ -198,8 +198,8 @@ class TestBesselIHalf:
             math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
             - math.sqrt(2.0 / (math.pi * x)) * math.sinh(x) / x
         )
-        assert oracle == pytest.approx(1.0994731886331106, rel=1e-13)
-        assert sp.iv(1.5, x) == pytest.approx(oracle, rel=1e-12)
+        assert oracle == pytest.approx(1.0994731886331106, rel=1e-13, abs=0)
+        assert sp.iv(1.5, x) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_against_mpmath_100_points(self):
         rng = np.random.default_rng(15)
@@ -207,7 +207,7 @@ class TestBesselIHalf:
             x = float(rng.uniform(0.05, 30.0))
             two_nu = int(rng.integers(-3, 6)) * 2 + 1
             ref = float(mp.besseli(two_nu / 2.0, x))
-            assert sp.iv(two_nu / 2.0, x) == pytest.approx(ref, rel=1e-10)
+            assert sp.iv(two_nu / 2.0, x) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def _hyp1f1(a: float, b: float, z: complex) -> complex:
@@ -222,6 +222,16 @@ _IDENTITIES = (
 )
 
 
+_RNG = np.random.default_rng(16)
+# (a, m, z) of TestKummer's 100 random points
+_RANDOM_POINTS = [(float(_RNG.uniform(0.3, 5.0)), int(_RNG.integers(0, 4)),
+                   complex(_RNG.uniform(-20.0, 20.0), _RNG.uniform(-10.0, 10.0)))
+                  for _ in range(100)]
+# the draws, all at m = 3 and Re z < -8, whose 2a-minus form is more than
+# 1e-10 off relative (ROADMAP item 4)
+_CANCELLING_DRAWS = (5, 16, 44, 91)
+
+
 class TestKummer:
     """The simplification identities kummer_via_* against mpmath's 1F1."""
 
@@ -229,12 +239,12 @@ class TestKummer:
         assert kummer_via_bessel_2a(2.3, 0.0) == 1.0
         assert kummer_via_bessel_2a_minus(2.3, 1, 0.0) == 1.0
         assert kummer_via_bessel_2a_plus(2.3, 1, 0.0) == 1.0
-        assert kummer_via_laguerre(2.3, 1, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert kummer_via_laguerre(2.3, 1, 0.0) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_exponential(self):
         # 1F1(a; a; z) = e^z is the Laguerre form at m = 0
         for a in (1.0, 1.7, 3.5):
-            assert kummer_via_laguerre(a, 0, 0.7) == pytest.approx(math.exp(0.7), rel=1e-13)
+            assert kummer_via_laguerre(a, 0, 0.7) == pytest.approx(math.exp(0.7), rel=1e-13, abs=0)
 
     def test_b_pole(self):
         with pytest.raises(SpecialFunctionError):
@@ -245,29 +255,38 @@ class TestKummer:
             kummer_via_laguerre(1.0, 3, 1.0)
 
     def test_against_mpmath_100_random_points(self):
-        rng = np.random.default_rng(16)
         checked = 0
-        for _ in range(100):
-            a = float(rng.uniform(0.3, 5.0))
-            m = int(rng.integers(0, 4))
-            z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-10.0, 10.0))
-            assert kummer_via_bessel_2a(a, z) == pytest.approx(_hyp1f1(a, 2 * a, z), rel=1e-10)
+        for draw, (a, m, z) in enumerate(_RANDOM_POINTS):
+            assert kummer_via_bessel_2a(a, z) == pytest.approx(_hyp1f1(a, 2 * a, z), rel=1e-10, abs=0)
             for fn, b in _IDENTITIES:
+                if fn is kummer_via_bessel_2a_minus and draw in _CANCELLING_DRAWS:
+                    continue  # test_2a_minus_cancelling_random_points
                 try:
                     val = fn(a, m, z)
                 except SpecialFunctionError:
                     continue
                 ref = _hyp1f1(a, b(a, m), z)
-                assert val == pytest.approx(ref, rel=1e-10), (fn.__name__, a, m, z)
+                assert val == pytest.approx(ref, rel=1e-10, abs=0), (fn.__name__, a, m, z)
                 checked += 1
         assert checked >= 250
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: at m = 3 the 2a-minus Bessel sum cancels to "
+        "O(|z|^-m) of its terms' size, 1.1e-10 to 6.0e-10 off relative at these draws",
+    )
+    def test_2a_minus_cancelling_random_points(self):
+        for draw in _CANCELLING_DRAWS:
+            a, m, z = _RANDOM_POINTS[draw]
+            ref = _hyp1f1(a, 2 * a - m, z)
+            assert kummer_via_bessel_2a_minus(a, m, z) == pytest.approx(ref, rel=1e-10, abs=0), draw
 
     @pytest.mark.parametrize("z", [-500.0, -1e4, -1e8, -1e20, -1e30])
     def test_deep_negative_argument(self, z):
         # the package's only 1F1 at deep negative argument: G1's KummerFactor
         # at w = shift/t = -z (scipy's hyp1f1, then DLMF 13.7.2's leading term)
         value = KummerFactor(1.5, 3.2, -z, 0.0).bounded_part(np.array([1.0]))[0]
-        assert value == pytest.approx(_hyp1f1(1.5, 3.2, z).real, rel=1e-12)
+        assert value == pytest.approx(_hyp1f1(1.5, 3.2, z).real, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("z", [-1e4, complex(-1e4, 3.0)], ids=["real", "complex"])
     @pytest.mark.parametrize(
@@ -284,7 +303,7 @@ class TestKummer:
     def test_bessel_forms_far_left(self, form, a, b, rel, z):
         # past -Re z ~ 1420, I_v(|z|/2) overflows and exp(z/2) underflows;
         # 1F1 itself is small and representable there
-        assert form(a, z) == pytest.approx(_hyp1f1(a, b(a), z), rel=rel)
+        assert form(a, z) == pytest.approx(_hyp1f1(a, b(a), z), rel=rel, abs=0)
 
     @pytest.mark.parametrize("z", [-1e4, complex(-1e4, 3.0)], ids=["real", "complex"])
     @pytest.mark.parametrize("m", [1, 2])
@@ -320,7 +339,7 @@ class TestKummer:
         # 1F1(A;2A;z) = 2^(2A-1) e^(z/2) (-z)^(1/2-A) Gamma(A+1/2) I_(A-1/2)(-z/2)
         val = kummer_via_bessel_2a(1.5, -2.0)
         ref = _hyp1f1(1.5, 3.0, -2.0)
-        assert val == pytest.approx(ref, rel=1e-10)
+        assert val == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_simplification_grid(self):
         # all four simplified forms against mpmath, on the real axis and at
@@ -334,7 +353,7 @@ class TestKummer:
         for a in (1.0, 1.5, 2.5):
             for z in zs:
                 ref = _hyp1f1(a, 2 * a, z)
-                assert kummer_via_bessel_2a(a, z) == pytest.approx(ref, rel=1e-10)
+                assert kummer_via_bessel_2a(a, z) == pytest.approx(ref, rel=1e-10, abs=0)
                 checked += 1
             for m in (0, 1, 2, 3):
                 for z in zs:
@@ -344,7 +363,7 @@ class TestKummer:
                         except SpecialFunctionError:
                             continue  # parameter pattern outside the identity's domain
                         ref = _hyp1f1(a, b(a, m), z)
-                        assert val == pytest.approx(ref, rel=1e-10), (fn.__name__, a, m, z)
+                        assert val == pytest.approx(ref, rel=1e-10, abs=0), (fn.__name__, a, m, z)
                         checked += 1
         assert checked == 899  # 174 on the real axis, 725 off it
 
@@ -355,14 +374,14 @@ class TestLaguerre:
 
     def test_degree_one(self):
         alpha, z = 0.7, 3.0
-        assert laguerre_gen(1, alpha, z) == pytest.approx(alpha + 1.0 - z, rel=1e-14)
+        assert laguerre_gen(1, alpha, z) == pytest.approx(alpha + 1.0 - z, rel=1e-14, abs=0)
 
     def test_degree_two_recurrence_oracle(self):
         # (k+1) L_{k+1} = (2k+1+alpha-z) L_k - (k+alpha) L_{k-1}
         alpha, z = 0.5, 1.0
         l0, l1 = 1.0, alpha + 1.0 - z
         l2 = ((3.0 + alpha - z) * l1 - (1.0 + alpha) * l0) / 2.0
-        assert laguerre_gen(2, alpha, z) == pytest.approx(l2, rel=1e-14)
+        assert laguerre_gen(2, alpha, z) == pytest.approx(l2, rel=1e-14, abs=0)
 
     def test_against_kummer_identity(self):
         # L_M^alpha(z) = (alpha+1)_M/M! 1F1(-M; alpha+1; z)
