@@ -76,6 +76,13 @@ class BesselKFactor(_Factor):
 
     K_k(x) ~ 2**(k-1) (k-1)! x**-k as x -> 0 for k >= 1 (DLMF 10.30.2); the
     t**order taken in here is the t**-order its KernelTerm's alpha carries.
+    Orders 0 and 1 are scipy's integer-order k0(x) and x k1(x) / scale at
+    x = scale * t, about half the cost of its general-order kv, and finite
+    down to x = 1e-300.  Only below that floor are they the limits
+    -log(x/2) - euler_gamma and 1 / scale; the half-line ladder's t > 1e-160
+    keeps catalog draws above it.  Order 2 is x**2 kv(2, x) / scale**2, and
+    2 / scale**2 below x = 1e-8, where x**2 kv(2, x) is 2 to rounding and,
+    from about x = 1e-154 down, overflows.
     """
 
     order: int
@@ -83,20 +90,21 @@ class BesselKFactor(_Factor):
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
-        small = x < 1e-8
-        if self.order == 0:
-            out = np.empty_like(x)
-            # kv itself overflows on denormal arguments
-            out[small] = -np.log(x[small] / 2.0) - np.euler_gamma
-            out[~small] = _sp.kv(0, x[~small])
-            return out
-        # t**k K_k(s t) = [(s t)**k K_k(s t)] / s**k, bounded at 0
-        k = self.order
-        g = np.empty_like(x)
-        g[small] = 2.0 ** (k - 1) * math.factorial(k - 1)
-        xs = x[~small]
-        g[~small] = xs**k * _sp.kv(k, xs)
-        return g / self.scale**k
+        if self.order == 2:
+            small = x < 1e-8
+            g = np.empty_like(x)
+            g[small] = 2.0
+            xs = x[~small]
+            g[~small] = xs**2 * _sp.kv(2, xs)
+            return g / self.scale**2
+        # t K_1(s t) = [(s t) K_1(s t)] / s, bounded at 0
+        out = _sp.k0(x) if self.order == 0 else x * _sp.k1(x) / self.scale
+        tiny = x < 1e-300
+        if np.logical_or.reduce(tiny):
+            # x k1(x) overflows on denormal arguments, and k0 is inf at 0
+            out[tiny] = (-np.log(x[tiny] / 2.0) - np.euler_gamma if self.order == 0
+                         else 1.0 / self.scale)
+        return out
 
 
 @dataclass(frozen=True)

@@ -478,9 +478,10 @@ def verify(
     """Evaluate both sides of one rule instance and compare.
 
     Applicability and convergence failures become failed records with the
-    reason recorded, never silent values.  When both sides converged, a
-    record passes if compare_tol.met_by(abs_diff, lhs), the rule each
-    side's own convergence test applies: abs_diff within
+    reason recorded, never silent values; such a record keeps the oracle's
+    result (lhs) when only the reduction raised, and rhs is None.  When
+    both sides converged, a record passes if compare_tol.met_by(abs_diff,
+    lhs), the rule each side's own convergence test applies: abs_diff within
     max(abs, rel * max(1, |lhs|)), and rel_diff = abs_diff / max(1, |lhs|)
     is reported beside it, both at Tolerance.scale(lhs).  So below 1 the
     test is absolute: with the defaults two values below 5e-7 always agree,
@@ -491,12 +492,13 @@ def verify(
     if isinstance(rule, str):
         rule = get_rule(rule)
     abs_diff = rel_diff = math.nan
+    lhs = rhs = None
     try:
         rule.check_applicability(params)
         lhs = direct_2d(params, f, tilde=rule.family is Family.MIXED_TILDE)
         rhs = rule.reduce_to_1d(params, f)
     except (ApplicabilityError, KernelError, QuadratureError, DivergentIntegralError) as exc:
-        lhs = rhs = None  # a failed record keeps neither side
+        # a failed record keeps the oracle if it ran: its work and converged flag
         ok, reason = False, str(exc)
     else:
         abs_diff = abs(complex(lhs.value) - complex(rhs.value))

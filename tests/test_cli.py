@@ -272,6 +272,30 @@ class TestVerify:
         assert code == 3
         assert "quadrature did not converge" in out
 
+    def test_unconverged_oracle_before_a_reduction_error_exits_three(self, capsys, monkeypatch):
+        # the oracle ran, unconverged, and the reduction then raised: the
+        # record keeps the oracle, so its unconverged side still gives exit 3
+        integrate_quadrant = reducer.integrate_quadrant
+
+        def unconverged(*args, **kwargs):
+            res = integrate_quadrant(*args, **kwargs)
+            res.converged = False
+            return res
+
+        def raises(*args, **kwargs):
+            raise quadrature.QuadratureError("quadrature did not converge")
+
+        monkeypatch.setattr(reducer, "integrate_quadrant", unconverged)
+        monkeypatch.setattr(catalog.ReductionRule, "reduce_to_1d", raises)
+        code, out, _ = run_cli(
+            capsys, "verify", "--rules", "K1-111", "--samples", "1", "--seed", "7",
+            "--jobs", "1", "--format", "json",
+        )
+        assert code == 3
+        [rec] = json.loads(out)["records"]
+        assert rec["lhs"]["converged"] is False and rec["lhs"]["evaluations"] > 0
+        assert rec["rhs"] is None and rec["failure_reason"] == "quadrature did not converge"
+
     def test_unknown_rule_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rules", "Z9-nope", "--samples", "1")
         assert code == 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from quadred import applications, kernels
+from quadred import applications, kernels, quadrature
 from quadred.applications import FourierSpec, fourier_params
 from quadred.catalog import G1_GRID, R1_GRID, get_rule, list_rules
 from quadred.kernels import (
@@ -288,21 +288,65 @@ class TestEvaluatorOverflow:
         assert got.tobytes() == want.tobytes() and math.isnan(got[0])
 
 
+# where BesselKFactor leaves scipy for the small-argument limit, by order
+_BESSEL_FLOOR = {0: 1e-300, 1: 1e-300, 2: 1e-8}
+
+
 class TestBesselBranch:
     @pytest.mark.parametrize("order", [1, 2])
     def test_small_argument_branch_continuous(self, order):
         factor = BesselKFactor(order, 1.0)
-        below = factor.bounded_part(np.array([0.5e-8]))[0]
-        above = factor.bounded_part(np.array([2.0e-8]))[0]
+        floor = _BESSEL_FLOOR[order]
+        # 1e-10 below order 1's floor is denormal, where x k1(x) overflows
+        below = factor.bounded_part(np.array([0.5 * floor, 1e-10 * floor]))
+        above = factor.bounded_part(np.array([2.0 * floor]))[0]
         exact = 2.0 ** (order - 1) * math.factorial(order - 1)
-        assert below == pytest.approx(exact, rel=1e-10, abs=0)
+        assert below == pytest.approx([exact, exact], rel=1e-10, abs=0)
         assert above == pytest.approx(exact, rel=1e-10, abs=0)
 
     def test_k0_small_argument(self):
+        # -log(x/2) - euler_gamma below the floor, k0 above it
         factor = BesselKFactor(0, 1.0)
-        t = np.array([1e-12])
-        expected = -math.log(0.5e-12) - np.euler_gamma
-        assert factor.bounded_part(t)[0] == pytest.approx(expected, rel=1e-10, abs=0)
+        t = np.array([1e-310, 0.5e-300, 2.0e-300])
+        expected = -np.log(t / 2.0) - np.euler_gamma
+        assert factor.bounded_part(t) == pytest.approx(expected, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_against_mpmath_down_to_the_floor(self, order, scale):
+        # s t log-spaced on [1e-300, 700], to 2e-15 relative; a power-of-2 scale
+        # makes s t exact, so the reference sees the factor's own argument.
+        # Order 2's kv loses up to 5.7e-14 from s t = 657 and is 0 from 697;
+        # there K5's term, below e^-(p+q)t K_2(s t) <= e^-2st, has long underflowed
+        top = 700.0 if order < 2 else 650.0
+        ts = np.geomspace(1e-300, top, 400) / scale
+        got = BesselKFactor(order, scale).bounded_part(ts)
+        with mp.workdps(40):
+            for t, value in zip(ts, got):
+                ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
+                assert abs(value - ref) <= 2e-15 * ref, (t, value, ref)
+
+    def test_catalog_draws_stay_above_the_floor(self, monkeypatch):
+        # every K rule's seed-42 draws, on the half line's level-0 to level-4
+        # heads, reach the factor with no node below the floor of its order
+        x, _, _ = quadrature._head(quadrature._EXP_SINH, (0, 1, 2, 3, 4))
+        lowest = {}
+        bounded_part = BesselKFactor.bounded_part
+
+        def spy(factor, t):
+            lowest[factor.order] = min(lowest.get(factor.order, math.inf), np.min(factor.scale * t))
+            return bounded_part(factor, t)
+
+        monkeypatch.setattr(BesselKFactor, "bounded_part", spy)
+        ids = [rule.id for rule in list_rules(include_erratum=False)]
+        k_rules = [rule for rule in list_rules(include_erratum=False) if rule.id.startswith("K")]
+        assert len(k_rules) == 7
+        for rule in k_rules:
+            for case_index in range(20):
+                params, f = _case_inputs(rule, 42, ids.index(rule.id), case_index)
+                eval_kernel_with_f(rule.build_kernel(params), f, x)
+        assert sorted(lowest) == [0, 1, 2]
+        assert all(lowest[order] >= _BESSEL_FLOOR[order] for order in (0, 1)), lowest
 
     def test_matches_scipy_in_normal_range(self):
         # the factor contract is t**k K_k(s t), i.e. the k-th-order pole
@@ -317,7 +361,7 @@ class TestBesselBranch:
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("scale", [0.2, 3.0])
     def test_against_mpmath(self, order, scale):
-        # s t runs from 1e-14 to 50, across the small-argument branch at 1e-8
+        # s t runs from 1e-14 to 50, across order 2's small-argument branch at 1e-8
         ts = np.concatenate([np.geomspace(1e-14, 50.0, 60), [0.5e-8, 0.99e-8, 1.01e-8, 2e-8]])
         ts = ts / scale
         got = BesselKFactor(order, scale).bounded_part(ts)
@@ -329,8 +373,9 @@ class TestBesselBranch:
 
 class TestFactorBranchesKeepTheirBits:
     """A node's value is the same whether or not its call also holds a node
-    of the factor's other branch: BesselKFactor's s t < 1e-8, KummerFactor's
-    w >= 1e16, and the z < 1 branch of ErfcxSqrtInvFactor's T1 and T4 forms."""
+    of the factor's other branch: BesselKFactor's s t below 1e-300 (orders 0
+    and 1) or 1e-8 (order 2), KummerFactor's w >= 1e16, and the z < 1
+    branch of ErfcxSqrtInvFactor's T1 and T4 forms."""
 
     @staticmethod
     def _alone_and_together(factor, usual, other):
@@ -341,9 +386,10 @@ class TestFactorBranchesKeepTheirBits:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_bessel(self, order):
-        scale = 3.0
-        usual = np.geomspace(1.01e-8, 60.0, 97) / scale
-        small = np.geomspace(1e-160, 0.99e-8, 31) / scale
+        scale, floor = 3.0, _BESSEL_FLOOR[order]
+        usual = np.geomspace(1.01 * floor, 60.0, 97) / scale
+        # down into the denormals, where x k1(x) overflows
+        small = np.geomspace(floor * (1e-10 if order < 2 else 1e-152), 0.99 * floor, 31) / scale
         self._alone_and_together(BesselKFactor(order, scale), usual, small)
 
     @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 1.5)])
@@ -385,7 +431,7 @@ class TestMacdonaldTerms:
         rule = get_rule(rule_id)
         params = Params(*rule.triple, p=p, q=q)
         s = 2.0 * math.sqrt(p * q)
-        # across BesselKFactor's small-argument branch at s t = 1e-8
+        # across BesselKFactor's order-2 small-argument branch at s t = 1e-8
         ts = np.concatenate([np.geomspace(1e-12, 60.0, 80),
                              np.array([0.5e-8, 0.99e-8, 1.01e-8, 2e-8]) / s])
         got = rule.kernel_weight(params, ts)

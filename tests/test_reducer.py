@@ -1083,6 +1083,38 @@ class TestVerify:
         row = rec.to_csv_row()
         assert row.count(",") == CSV_HEADER.count(",")
 
+    @pytest.mark.parametrize("error", [
+        QuadratureError("quadrature did not converge (estimate 1.000e-03 after 197 evaluations)"),
+        KernelError("kernel term overflow: f violates the convergence floor of this rule"),
+    ], ids=["quadrature", "kernel"])
+    def test_reduction_error_keeps_the_oracle(self, monkeypatch, error):
+        # the oracle runs first; a reduction that raises after it leaves its work in the record
+        args = ("K1-111", Params(1, 1, 1, p=1.0, q=3.0), TestIntegrand(1.0, 0.5, 0.5))
+        oracle = direct_2d(args[1], args[2])
+
+        def raises(*_args, **_kwargs):
+            raise error
+
+        monkeypatch.setattr(reducer.ReductionRule, "reduce_to_1d", raises)
+        rec = verify(*args)
+        assert rec.lhs == oracle and rec.rhs is None
+        assert not rec.passed and rec.failure_reason == str(error)
+        assert math.isnan(rec.abs_diff) and math.isnan(rec.rel_diff)
+        import jsonschema
+
+        from quadred.schemas import RECORD_SCHEMA
+
+        doc = json.loads(json.dumps(rec.to_json_dict(), allow_nan=False))
+        jsonschema.validate(doc, RECORD_SCHEMA)
+        assert doc["lhs"]["evaluations"] == oracle.evaluations and doc["rhs"] is None
+        [fields] = csv.reader([rec.to_csv_row()])
+        row = dict(zip(CSV_HEADER.split(","), fields))
+        assert row["lhs_re"] == repr(complex(oracle.value).real) and row["rhs_re"] == "nan"
+        report = reducer.SweepReport(42, 1, 1e-6, 1e-9, [rec])
+        assert not report.any_nonconverged()
+        rec.lhs.converged = False
+        assert report.any_nonconverged()
+
     def test_csv_row_quotes_a_reason_with_a_comma(self):
         # the reason names a triple, whose commas a bare join would split
         rec = verify("N1-133", Params(1, 3, 4, a=1.0, b=0.5, c=1.0), TestIntegrand(1.0, 1.0, 0.0))
