@@ -49,9 +49,8 @@ from .kernels import (
     RInnerFactor,
     eval_kernel,
     eval_kernel_with_f,
-    kernel_mu_min,
 )
-from .params import Params, TestIntegrand, convergence_failure
+from .params import Params, TestIntegrand, convergence_failure, mu_floor
 from .quadrature import QuadResult, Tolerance, integrate_half_line
 
 SQPI = math.sqrt(math.pi)
@@ -117,13 +116,14 @@ class ReductionRule:
     def mu_min(self, params: Params) -> float:
         """The kernel's floor: f = t**mu is integrable at t -> 0 iff mu > mu_min.
 
-        The samplers draw mu above it and normalize asks it; whether an
-        instance converges is params.convergence_failure's to decide, which
-        reduce_to_1d asks.  t = xy/(x+y) -> 0 exactly when x or y -> 0, so by
-        Tonelli this floor is the contract's floor at the axes and the origin.
+        t = xy/(x+y) -> 0 exactly when x or y -> 0, so by Tonelli this is
+        the contract's floor at the axes and the origin, params.mu_floor,
+        read without building the kernel.  The samplers draw mu above it;
+        whether an instance converges is params.convergence_failure's to
+        decide, which reduce_to_1d asks.
         """
         self.check_applicability(params)
-        return kernel_mu_min(self.build_kernel(params))
+        return mu_floor(params, self.family is Family.MIXED_TILDE)
 
     # -- evaluation ----------------------------------------------------------
 

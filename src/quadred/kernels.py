@@ -14,9 +14,10 @@ analytically and their tabulated terms never subtract in floats (T5's
 combination grows like t**-1/2 at the origin, where its term's gamma
 cuts it off).
 The evaluator computes exactly that sum, assembling f(t) times each term
-in log magnitude, so integrands stay finite wherever the convergence
-floor mu > mu_min holds, no matter how deep the quadrature probes.  Each
-special factor follows the protocol of ``_Factor``.
+in log magnitude, so integrands stay finite wherever f's power is above
+the convergence contract's small-t floor (params.mu_floor), no matter how
+deep the quadrature probes.  Each special factor follows the protocol of
+``_Factor``.
 """
 
 from __future__ import annotations
@@ -49,25 +50,15 @@ class KernelError(ValueError):
 
 
 class _Factor:
-    """Special-factor protocol, with the default a factor overrides as needed:
-
-      bounded_part(t)    the factor's value special(t); O(1) near 0, or for
-                         K_0 logarithmic and for ErfcxSqrtInvFactor's T5
-                         form O(t**-1/2)
-      floor_decay()      additional small-t decay of bounded_part itself, as a
-                         power of t; read only by the kernel's floor
-                         (KernelTerm.mu_floor), which the samplers draw mu
-                         above; whether an instance converges is
-                         params.convergence_failure's to decide
+    """Special-factor protocol: bounded_part(t) is the factor's value
+    special(t), O(1) near 0, or for K_0 logarithmic and for
+    ErfcxSqrtInvFactor's T5 form O(t**-1/2).
 
     A factor's powers of t go to its KernelTerm's alpha, and its exponentials
     to beta and gamma, where the dead-row test sees them: bounded_part is
     called with the t rows whose term has not underflowed, never with none.
     A factor sets no np.errstate: it runs under the evaluator's.
     """
-
-    def floor_decay(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -76,13 +67,13 @@ class BesselKFactor(_Factor):
 
     K_k(x) ~ 2**(k-1) (k-1)! x**-k as x -> 0 for k >= 1 (DLMF 10.30.2); the
     t**order taken in here is the t**-order its KernelTerm's alpha carries.
-    Orders 0 and 1 are scipy's integer-order k0(x) and x k1(x) / scale at
-    x = scale * t, about half the cost of its general-order kv, and finite
-    down to x = 1e-300.  Only below that floor are they the limits
-    -log(x/2) - euler_gamma and 1 / scale; the half-line ladder's t > 1e-160
-    keeps catalog draws above it.  Order 2 is x**2 kv(2, x) / scale**2, and
-    2 / scale**2 below x = 1e-8, where x**2 kv(2, x) is 2 to rounding and,
-    from about x = 1e-154 down, overflows.
+    Every order is formed from scipy's integer-order k0 and k1 at
+    x = scale * t: k0(x), x k1(x) / scale, and
+    x**2 K_2(x) = x**2 k0(x) + 2 x k1(x) (DLMF 10.29.1), whose terms are
+    never negative, over scale**2.  These are finite down to x = 1e-300;
+    only below it are they the limits -log(x/2) - euler_gamma and
+    order / scale**order.  The half-line ladder's t > 1e-160 keeps catalog
+    draws above that floor.
     """
 
     order: int
@@ -90,20 +81,18 @@ class BesselKFactor(_Factor):
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
-        if self.order == 2:
-            small = x < 1e-8
-            g = np.empty_like(x)
-            g[small] = 2.0
-            xs = x[~small]
-            g[~small] = xs**2 * _sp.kv(2, xs)
-            return g / self.scale**2
-        # t K_1(s t) = [(s t) K_1(s t)] / s, bounded at 0
-        out = _sp.k0(x) if self.order == 0 else x * _sp.k1(x) / self.scale
+        if self.order == 0:
+            out = _sp.k0(x)
+        else:
+            out = x * _sp.k1(x)
+            if self.order == 2:
+                out = x * (x * _sp.k0(x)) + 2.0 * out
+            out = out / self.scale**self.order
         tiny = x < 1e-300
         if np.logical_or.reduce(tiny):
             # x k1(x) overflows on denormal arguments, and k0 is inf at 0
             out[tiny] = (-np.log(x[tiny] / 2.0) - np.euler_gamma if self.order == 0
-                         else 1.0 / self.scale)
+                         else self.order / self.scale**self.order)
         return out
 
 
@@ -185,10 +174,6 @@ class KummerFactor(_Factor):
     b: float
     shift: float
     h: float
-
-    def floor_decay(self) -> float:
-        # 1F1(A;B;-w) ~ w**-A as w -> inf: an extra t**A of decay at 0
-        return self.a if self.shift > 0.0 else 0.0
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         if self.shift == 0.0 and self.h == 0.0:
@@ -335,22 +320,11 @@ class KernelTerm:
     gamma: float = 0.0
     special: _Factor | None = None
 
-    def mu_floor(self) -> float:
-        """Smallest power mu with t**mu * term integrable at the origin."""
-        if self.gamma > 0.0:
-            return -math.inf
-        decay = self.special.floor_decay() if self.special is not None else 0.0
-        return -1.0 - (self.alpha + decay)
-
-
-def kernel_mu_min(terms: list[KernelTerm]) -> float:
-    return max(term.mu_floor() for term in terms)
-
 
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
     """f(t) * w(t), assembled term by term in log magnitude.
 
-    Finite for all t > 0 whenever f.mu exceeds the kernel's mu floor; nodes
+    Finite for all t > 0 whenever f.mu exceeds params.mu_floor; nodes
     whose exponential part underflows contribute exact zeros.  The values
     turn complex at the first complex contribution.  The terms, their
     special factors included, run under one np.errstate that ignores

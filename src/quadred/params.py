@@ -98,6 +98,36 @@ class TestIntegrand:
         return {"coeff": self.coeff, "mu": self.mu, "sigma": self.sigma}
 
 
+def _small_t_floors(params: Params, tilde: bool) -> list[tuple[str, str, float]]:
+    """(where, what vanishes, floor) of each of the contract's floors on mu at
+    t -> 0: the x->0 axis when a = 0, the y->0 axis when b = 0 and the
+    origin when a = b = j = 0; none where the tilde cut damps (a > b)."""
+    if tilde and params.a > params.b:
+        return []
+    n, m, nu = params.triple
+    floors = []
+    if not params.a > 0.0:
+        floors.append(("the x->0 axis", "a=0", n / 2.0 - 1.0))
+    if not params.b > 0.0:
+        floors.append(("the y->0 axis", "b=0", m / 2.0 - 1.0))
+    if not (params.a or params.b or params.j):
+        floors.append(("the origin", "a=b=j=0", (n + m + nu) / 2.0 - 2.0))
+    return floors
+
+
+def mu_floor(params: Params, tilde: bool = False) -> float:
+    """The largest of the contract's small-t floors on mu, or -inf if none applies.
+
+    t = xy/(x+y) -> 0 exactly when x or y -> 0, so this is also each
+    reduction's floor: f = t**mu is integrable against its kernel at
+    t -> 0 iff mu > mu_floor.  A power shift moves mu and every floor by
+    the same delta, and the mirror swaps the x and y floors.  With
+    ``tilde`` and a < b the integral diverges at every mu
+    (convergence_failure says so).
+    """
+    return max((floor for _, _, floor in _small_t_floors(params, tilde)), default=-math.inf)
+
+
 def convergence_failure(params: Params, f: TestIntegrand, tilde: bool = False) -> str | None:
     """None when the quadrant integral converges, else where it diverges.
 
@@ -125,13 +155,9 @@ def convergence_failure(params: Params, f: TestIntegrand, tilde: bool = False) -
     if tilde and a < b:
         return "divergent at the y->0 axis (the tilde term grows when a<b)"
     cut = tilde and a > b
-    if not (a > 0.0 or cut or mu > n / 2.0 - 1.0):
-        return f"divergent at the x->0 axis (a=0; mu={mu} is not above its floor {n / 2.0 - 1.0})"
-    if not (b > 0.0 or cut or mu > m / 2.0 - 1.0):
-        return f"divergent at the y->0 axis (b=0; mu={mu} is not above its floor {m / 2.0 - 1.0})"
-    if not (a or b or params.j or cut or mu > (n + m + nu) / 2.0 - 2.0):
-        return (f"divergent at the origin (a=b=j=0; mu={mu} is not above its floor "
-                f"{(n + m + nu) / 2.0 - 2.0})")
+    for where, zero, floor in _small_t_floors(params, tilde):
+        if not mu > floor:
+            return f"divergent at {where} ({zero}; mu={mu} is not above its floor {floor})"
     if not (params.p > 0.0 or cut or n + nu > 2):
         return "divergent as x->inf (p=0 and n+nu<=2)"
     if not (params.q > 0.0 or m + nu > 2):

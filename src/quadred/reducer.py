@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import _EXP_ZERO, KernelError
-from .params import Params, TestIntegrand, convergence_failure
+from .params import Params, TestIntegrand, convergence_failure, mu_floor
 from .quadrature import (
     _EXP_SINH,
     HALF_LINE_SPAN,
@@ -346,15 +346,18 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
     Deterministic order: the exact triple first, then power shifts
     delta in (1/2, -1/2, 1, -1, 3/2, -3/2, 2, -2), then the same ladder on
     the axis-mirrored integral (valid only for h = 0).  Returns the first
-    (rule, params', f') whose applicability and convergence floor hold;
-    raises ApplicabilityError if there is none.  Mixed-tilde rules are
-    skipped: their 2-D side carries the factor exp(-(a-b)(x+y)^2/(x y^2)),
-    which Params does not name.
+    (rule, params', f') whose applicability holds; raises
+    ApplicabilityError if there is none, or if f.mu is not above
+    params.mu_floor.  That floor is tested once, before the search: a power
+    shift moves mu and every floor by the same delta, and the mirror swaps
+    the x and y floors, so it holds for every candidate or for none.
+    Mixed-tilde rules are skipped: their 2-D side carries the factor
+    exp(-(a-b)(x+y)^2/(x y^2)), which Params does not name.
     """
     candidates = [params]
     if params.h == 0:
         candidates.append(params.mirrored())
-    for base in candidates:
+    for base in candidates if f.mu > mu_floor(params) else ():
         for delta in _SHIFT_SEARCH:
             n2, m2, nu2 = shift_power(base.triple, delta)
             cand = replace(base, n=n2, m=m2, nu=nu2)
@@ -364,11 +367,8 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
                     continue
                 if rule.triple is not None and rule.triple != cand.triple:
                     continue
-                if rule.applicability_failure(cand) is not None:
-                    continue
-                if not f2.mu > rule.mu_min(cand):
-                    continue
-                return rule, cand, f2
+                if rule.applicability_failure(cand) is None:
+                    return rule, cand, f2
     nonzero = [name for name in _COEFF_NAMES if getattr(params, name) != 0] or ["none"]
     mirror = "tried" if len(candidates) > 1 else "not tried (h != 0)"
     raise ApplicabilityError(

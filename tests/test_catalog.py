@@ -1,7 +1,9 @@
 """Registry contracts, applicability predicates, kernel weights, floors."""
 
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import types
@@ -18,9 +20,9 @@ from quadred.catalog import (
     get_rule,
     list_rules,
 )
-from quadred.kernels import ErfcxSqrtInvFactor, KernelError
-from quadred.params import Params, TestIntegrand
-from quadred.reducer import _case_inputs, direct_2d, verify
+from quadred.kernels import ErfcxSqrtInvFactor, KernelError, KummerFactor
+from quadred.params import Params, TestIntegrand, mu_floor
+from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, shift_power, verify
 
 SQPI = math.sqrt(math.pi)
 
@@ -550,6 +552,35 @@ class TestThroughAEqualsB:
             assert want.converged and got == want, case_index
 
 
+def kernel_floor(rule, params: Params) -> float:
+    """The rule's small-t floor read off its kernel's terms: the reference
+    that the contract's floor, rule.mu_min, is compared with.  t**mu times
+    a term t**alpha e^(-gamma/t) special(t) is integrable at t -> 0 for every
+    mu where gamma > 0, else iff mu > -1 - alpha, less the A of a Kummer
+    factor 1F1(A; B; -shift/t - h), which decays like t**A when shift > 0;
+    every other factor is bounded near 0 or grows only logarithmically."""
+    floors = []
+    for term in rule.build_kernel(params):
+        if term.gamma > 0.0:
+            floors.append(-math.inf)
+            continue
+        special = term.special
+        decay = special.a if isinstance(special, KummerFactor) and special.shift > 0.0 else 0.0
+        floors.append(-1.0 - (term.alpha + decay))
+    return max(floors)
+
+
+def zeroed_variants(rule, params: Params):
+    """params with each subset of its nonzero coefficients zeroed, where the
+    rule admits the result, the empty subset first."""
+    names = [name for name in sorted(rule.pattern) if getattr(params, name) != 0]
+    for k in range(len(names) + 1):
+        for zeroed in itertools.combinations(names, k):
+            variant = dataclasses.replace(params, **{name: 0.0 for name in zeroed})
+            if rule.applicability_failure(variant) is None:
+                yield variant
+
+
 class TestMuFloors:
     @pytest.mark.parametrize(
         "rid,params,expected",
@@ -576,10 +607,10 @@ class TestMuFloors:
     @pytest.mark.parametrize("rule_id", [r.id for r in list_rules(include_erratum=False)
                                          if r.family is not Family.MIXED_TILDE])
     def test_kernel_floor_covers_the_axes(self, rule_id):
-        # t -> 0 exactly when x -> 0 or y -> 0, so the kernel's floor alone
-        # must hold the 2-D side's floors at the axes and the origin: at every
-        # seed-0 and seed-42 sweep draw, and at each draw's a = 0, b = 0 or
-        # a = b = 0 variant the rule admits
+        # t -> 0 exactly when x -> 0 or y -> 0, so the kernel's floor, read off
+        # its terms, must hold the 2-D side's floors at the axes and the origin:
+        # at every seed-0 and seed-42 sweep draw, and at each draw's a = 0,
+        # b = 0 or a = b = 0 variant the rule admits
         rule = get_rule(rule_id)
         index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
         checked = 0
@@ -592,7 +623,7 @@ class TestMuFloors:
                     if rule.applicability_failure(variant) is not None:
                         continue
                     n, m, nu = variant.triple
-                    floor = rule.mu_min(variant)
+                    floor = kernel_floor(rule, variant)
                     if variant.a == 0.0:
                         assert floor >= n / 2.0 - 1.0, variant
                         checked += 1
@@ -603,6 +634,38 @@ class TestMuFloors:
                         assert floor >= (n + m + nu) / 2.0 - 2.0, variant
         if rule.family is not Family.R_INTEGRAL:  # R1 admits no zero a or b
             assert checked > 0
+
+    def test_floor_builds_no_kernel(self):
+        def build(params):
+            raise AssertionError("mu_min built a kernel")
+
+        rule = dataclasses.replace(get_rule("G1-general"), build_kernel=build)
+        params = Params(4, 4, 0, a=1.0, b=0.0, c=1.0)
+        assert rule.mu_min(params) == mu_floor(params) == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_contract_floor_is_the_kernel_floor(self, seed):
+        # rule.mu_min reads params.mu_floor and builds no kernel; it equals the
+        # kernel's own floor bit for bit, -inf included, at every rule's sweep
+        # draws (erratum included), each with each admitted subset of its
+        # coefficients zeroed, and at every power-shifted triple the rule
+        # admits: the triples normalize reaches with G1, N6 and R1
+        checks, shifted_checks = 0, collections.Counter()
+        for index, rule in enumerate(RULES):
+            for case_index in range(20):
+                params, _ = _case_inputs(rule, seed, index, case_index)
+                for variant in zeroed_variants(rule, params):
+                    for delta in _SHIFT_SEARCH:
+                        n, m, nu = shift_power(variant.triple, delta)
+                        shifted = dataclasses.replace(variant, n=n, m=m, nu=nu)
+                        if rule.applicability_failure(shifted) is not None:
+                            continue
+                        assert rule.mu_min(shifted) == kernel_floor(rule, shifted), (rule.id, shifted)
+                        checks += 1
+                        shifted_checks[rule.id] += delta != 0.0
+        assert checks == 5964
+        assert {rule_id: count for rule_id, count in shifted_checks.items() if count} == {
+            "G1-general": 1728, "N6-aeqb": 640, "R1-rint": 1280}
 
     def test_reduction_builds_kernel_once(self):
         rule = get_rule("N1-133")

@@ -3,7 +3,6 @@
 import collections
 import csv
 import dataclasses
-import itertools
 import json
 import math
 
@@ -34,7 +33,7 @@ from quadred.reducer import (
     verify,
 )
 
-from test_catalog import MPMATH, t_display
+from test_catalog import MPMATH, kernel_floor, t_display, zeroed_variants
 
 SQPI = math.sqrt(math.pi)
 # levels 0 to 3, whose heads a drive's first call fetches
@@ -111,6 +110,25 @@ class TestNormalize:
     def test_no_match(self):
         with pytest.raises(ApplicabilityError, match=r"triple \(9, 9, 9\).*mirror was tried"):
             normalize(Params(9, 9, 9), TestIntegrand())
+
+    def test_floor_at_an_axis(self):
+        # b = 0: mu must be above m/2 - 1 = 1, the floor at the y->0 axis, on
+        # every candidate alike; just above it the search lands on G1
+        params = Params(4, 4, 0, a=1.0, b=0.0, c=1.0)
+        with pytest.raises(ApplicabilityError, match=(
+                r"^no catalog rule matches triple \(4, 4, 0\) with nonzero coefficients a, c "
+                r"and f mu=1\.0 under power shifts; the axis mirror was tried$")):
+            normalize(params, TestIntegrand(1.0, 1.0, 0.0))
+        rule, params2, f2 = normalize(params, TestIntegrand(1.0, 1.01, 0.0))
+        assert (rule.id, params2, f2) == ("G1-general", params, TestIntegrand(1.0, 1.01, 0.0))
+
+    def test_floor_at_the_origin(self):
+        # a = b = j = 0: both axes and the origin put the floor at -1/2
+        params = Params(1, 1, 1, p=1.0, q=1.0)
+        with pytest.raises(ApplicabilityError, match=r"triple \(1, 1, 1\).*mu=-0\.5 "):
+            normalize(params, TestIntegrand(1.0, -0.5, 0.0))
+        rule, params2, f2 = normalize(params, TestIntegrand(1.0, -0.49, 0.0))
+        assert (rule.id, params2, f2) == ("K1-111", params, TestIntegrand(1.0, -0.49, 0.0))
 
     def test_mixed_pattern_names_its_coefficients(self):
         # a/x and p x together fit no catalog pattern
@@ -217,17 +235,12 @@ def _contract_grid(seed: int = 42, cases=range(3)):
     for index, rule in enumerate(RULES):
         for case_index in cases:
             params, f = _case_inputs(rule, seed, index, case_index)
-            names = [name for name in sorted(rule.pattern) if getattr(params, name) != 0]
-            for k in range(len(names) + 1):
-                for zeroed in itertools.combinations(names, k):
-                    variant = dataclasses.replace(params, **{name: 0.0 for name in zeroed})
-                    if rule.applicability_failure(variant) is not None:
-                        continue
-                    floor = rule.mu_min(variant)
-                    base = floor if floor > -math.inf else -1.0
-                    for sigma in (f.sigma, 0.0):
-                        for offset in _MU_OFFSETS:
-                            yield rule, variant, TestIntegrand(1.0, base + offset, sigma)
+            for variant in zeroed_variants(rule, params):
+                floor = kernel_floor(rule, variant)
+                base = floor if floor > -math.inf else -1.0
+                for sigma in (f.sigma, 0.0):
+                    for offset in _MU_OFFSETS:
+                        yield rule, variant, TestIntegrand(1.0, base + offset, sigma)
 
 
 def _kernel_decays_at_large_t(rule, params: Params, f: TestIntegrand) -> bool:
@@ -269,15 +282,15 @@ class TestConvergenceContract:
     every reduction alike."""
 
     def test_admits_exactly_above_the_kernel_floor_with_large_t_decay(self):
-        # the kernel's floor (rule.mu_min, what the samplers draw above) and
-        # its large-t power agree with the contract everywhere on the grid;
+        # the kernel's floor and its large-t power, each read off its terms,
+        # agree with the contract everywhere on the grid;
         # the seven conditions it replaced differ only on the mixed-tilde
         # family at c = sigma = 0, where they had no check along x ~ y^2
         checks, differ = 0, collections.Counter()
         for rule, params, f in _contract_grid():
             tilde = rule.family is Family.MIXED_TILDE
             admitted = convergence_failure(params, f, tilde) is None
-            kernel = f.mu > rule.mu_min(params) and _kernel_decays_at_large_t(rule, params, f)
+            kernel = f.mu > kernel_floor(rule, params) and _kernel_decays_at_large_t(rule, params, f)
             assert admitted == kernel, (rule.id, params, f)
             if admitted != _seven_condition_check(params, f, tilde):
                 assert tilde and params.c == f.sigma == 0.0 and not admitted, (rule.id, params, f)

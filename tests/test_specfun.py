@@ -136,9 +136,10 @@ class TestFaddeeva:
 
 
 class TestBesselK:
-    """scipy's kv at orders 0, 1, 2.  BesselKFactor calls kv at order 2 and
-    the integer-order k0 and k1 at orders 0 and 1; test_kernels.py checks
-    all three orders of the factor against mpmath."""
+    """scipy's kv at orders 0, 1, 2, and the recurrence
+    K_2(x) = K_0(x) + 2 K_1(x)/x through which BesselKFactor forms order 2
+    from the integer-order k0 and k1; test_kernels.py checks all three
+    orders of the factor against mpmath."""
 
     def test_k0_integral_representation(self):
         # K0(x) = integral_0^inf exp(-x cosh u) du; the tail is dead by u = 10
