@@ -10,10 +10,8 @@ weights w, and every rule ships with a brute-force 2-D oracle check.
 """
 
 from .applications import (
-    CheshireReport,
     FourierSpec,
     YukawaPairSpec,
-    cheshire_check,
     fourier_pair_erfi_result,
     fourier_pair_tau_result,
     hydrogenic_pair,
@@ -42,7 +40,6 @@ from .quadrature import (
 from .reducer import (
     DivergentIntegralError,
     VerificationRecord,
-    derivative_check_k7,
     direct_2d,
     normalize,
     run_sweep,
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplicabilityError",
-    "CheshireReport",
     "DivergentIntegralError",
     "Family",
     "FourierSpec",
@@ -69,8 +65,6 @@ __all__ = [
     "Tolerance",
     "VerificationRecord",
     "YukawaPairSpec",
-    "cheshire_check",
-    "derivative_check_k7",
     "direct_2d",
     "fourier_pair_erfi_result",
     "fourier_pair_tau_result",

@@ -213,53 +213,3 @@ def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> 
         return vals
 
     return integrate_interval(integrand, tol).scaled(complex(2.0 * math.pi))
-
-
-# ----------------------------------------------------------------------------
-# The range-derivative cross-check at the scattering-amplitude configuration.
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class CheshireReport:
-    """Agreement of -d/d(eta2) of the momentum-space overlap between routes."""
-
-    spec: FourierSpec
-    step: float
-    wrapped_erfi: complex
-    wrapped_tau: complex
-
-    @property
-    def rel_diff(self) -> float:
-        return abs(self.wrapped_erfi - self.wrapped_tau) / Tolerance.scale(self.wrapped_tau)
-
-
-def _wrapped_derivative(route, spec: FourierSpec, step: float) -> complex:
-    pref = spec.eta1**1.5 * spec.eta2**1.5 / math.pi
-
-    def at(eta2: float) -> complex:
-        # an unconverged value raises rather than feed the difference
-        res = route(FourierSpec(spec.k, spec.k_dot_x2, spec.eta1, eta2, spec.x2))
-        return complex(res.require_converged().value)
-
-    fd = (at(spec.eta2 + step) - at(spec.eta2 - step)) / (2.0 * step)
-    return pref * (-fd)
-
-
-def cheshire_check(
-    kf_mag: float = 1.0,
-    x2: float = 1.0,
-    k_dot_x2: float = 0.0,
-    step: float = 1e-5,
-) -> CheshireReport:
-    """Central-difference -d/d(eta2) wrapper at eta1 = 1, eta2 = 1/2,
-    k = kf_mag/2, applied to both momentum-space routes.
-
-    Raises QuadratureError if either route does not converge at a step.
-    """
-    spec = FourierSpec(kf_mag / 2.0, k_dot_x2, 1.0, 0.5, x2)
-    return CheshireReport(
-        spec, step,
-        _wrapped_derivative(fourier_pair_erfi_result, spec, step),
-        _wrapped_derivative(fourier_pair_tau_result, spec, step),
-    )

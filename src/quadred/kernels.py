@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .params import TestIntegrand
-from .quadrature import QuadratureError, Tolerance, _row_share, integrate_interval
+from .quadrature import QuadratureError, Tolerance, integrate_interval
 
 # np.exp(x) is exactly 0, and slow, for every x <= -745.1332191019412: here and in
 # reducer.quadrant_integrand a log-magnitude below this is 0, without exp
@@ -256,20 +256,13 @@ class RInnerFactor(_Factor):
     cut-off in its gamma.  No part of J's exponent is positive, so
     |J| <= B(pr+1, ps+1).  The integrand reads s' and 1 - s from the node
     pair (s, 1 - s), whose small member is the exact tanh-sinh offset from
-    its endpoint, so nothing cancels.  All rows of one call are one
-    (rows, n) batch of integrate_interval, judged by its largest scaled
-    row, with no floor (see quadrature.Tolerance.scale), against
-    _R_INNER_TOL, and with no work bound of its own: the level cap bounds
-    the work, and a batch not converged by then raises QuadratureError.
-    Each row is judged by its share of the weight, as in
-    integrate_quadrant: its values are multiplied by its term scale
-    t**-(pr+1) exp(-min(a,b)/t), taken in logs, rounded down to a power of
-    two and clipped to the normal range (quadrature._row_share); that share
-    is divided out again on return.  So a row's value depends, within
-    _R_INNER_TOL.rel, on which t share the call, and it is accurate
-    relative to its batch's largest scaled row, not to itself:
-    alone at t = 1e-3, the row of (4, 2, 1) with a = 10, b = 0.5 and
-    h = j = 0.1 is 3.9e-8 off relative.
+    its endpoint, so nothing cancels.  All rows of one call are one row
+    batch of integrate_interval (see quadrature._drive), each row's share
+    its term scale t**-(pr+1) exp(-min(a,b)/t), against _R_INNER_TOL and
+    with no work bound of its own: the level cap bounds the work, and a
+    batch not converged by then raises QuadratureError.  Alone at
+    t = 1e-3, the row of (4, 2, 1) with a = 10, b = 0.5 and h = j = 0.1 is
+    3.9e-8 off relative.
     """
 
     n: int
@@ -284,12 +277,10 @@ class RInnerFactor(_Factor):
         pr = (self.n + self.nu) / 2.0 - 2.0
         ps = (self.m + self.nu) / 2.0 - 2.0
         h = complex(self.h)
-        col = t[:, None]
-        share = _row_share((-(pr + 1.0) * np.log(col) - min(self.a, self.b) / col) / math.log(2.0))
         slope = abs(self.a - self.b)
         near = 0 if self.a >= self.b else 1  # the pair's member that is s'
 
-        def batch(x: np.ndarray) -> np.ndarray:
+        def batch(col: np.ndarray, x: np.ndarray) -> np.ndarray:
             s, c = x.T
             logmag = (
                 pr * np.log(s) + ps * np.log(c)
@@ -299,15 +290,16 @@ class RInnerFactor(_Factor):
             vals = np.exp(logmag)
             if h.imag != 0.0:
                 vals = vals * np.exp(-1j * h.imag * s)
-            return vals * share
+            return vals
 
-        res = integrate_interval(batch, _R_INNER_TOL)
+        log2_share = (-(pr + 1.0) * np.log(t) - min(self.a, self.b) / t) / math.log(2.0)
+        res = integrate_interval(batch, _R_INNER_TOL, rows=(t[:, None], log2_share))
         if not res.converged:
             raise QuadratureError(
                 f"R1 inner integral did not converge over {len(t)} t rows "
                 f"(estimate {res.abs_error_estimate:.3e})"
             )
-        return res.value / share[:, 0]
+        return res.value
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,7 @@ call.  Testing from level 3 also keeps two coarse levels that agree by
 chance from passing for convergence.  The first call's terms are summed
 in two groups, levels 0 to 2 and level 3.  A complex sum is two real
 sums, so a real row of a complex batch keeps the bits it has alone.
-Every drive fetches this way, the quadrant's outer and inner drives and
-R1's inner batch included: the outer drive's inner rows are judged by
-their share of the outer sum (see integrate_quadrant), so which x nodes
-share a call moves an inner value only within the tolerance it was
-judged by.
+Every drive fetches this way, row batches included (see _drive).
 
 A ladder is a node generator with the fused heads built from it (see
 _head), each built on first use and kept read-only.  There are two, both
@@ -50,12 +46,9 @@ a work bound, _QUADRANT_MAX_EVALUATIONS; a Tolerance sets targets only.
 An inner batch that would pass it stops its inner drive, and the outer
 integrand then stops the outer drive at its last completed level.
 
-The quadrant's inner drive retires rows: from level _FIRST_TEST_LEVEL on,
-a row whose own estimate is within a tenth (_RETIRE_SHARE) of its batch's
-bound keeps the value it has, and later heads evaluate the live rows
-only.  Double-exponential rules about double their correct digits
-per level, so such a row gains nothing from more levels.  The 1-D drives,
-R1's inner batch included, keep every row to the end.
+The quadrant's inner batch and R1's inner batch are row batches: one
+integral per row, each row judged by its share of a larger sum and
+retired once done.  _drive alone scales and retires their rows.
 
 A drive counts the values it fetches (see _drive); a 1-D integral
 reports that count, and the quadrant counts its inner batches' values
@@ -94,8 +87,8 @@ _LEVELS = [(_BASE_STEP, 0.0, _BASE_STEP)] + [
 # A drive first tests for convergence after this level, and fetches the
 # heads of levels 0 to it in its first integrand call (see _drive).
 _FIRST_TEST_LEVEL = 3
-# From that level on, a row of the oracle's inner batch retires once its own
-# estimate is within this share of the batch's bound (see _drive).
+# From that level on, a row of a row batch retires once its own estimate
+# is within this share of the batch's bound (see _drive).
 _RETIRE_SHARE = 0.1
 # Below this scale a single value's targets and differences are absolute
 # (Tolerance.scale); a batch has no floor
@@ -127,7 +120,7 @@ class Tolerance:
     def scale(value) -> float:
         """A batch's largest |row|, or a single value's |value| bounded
         below by _SCALE_FLOOR.  A batch needs no floor: its rows arrive
-        scaled by their shares of a larger sum (see integrate_quadrant).
+        scaled by their shares of a larger sum (see _drive).
         """
         if isinstance(value, np.ndarray):
             return _largest(value)
@@ -259,7 +252,7 @@ def _finite(a) -> bool:
 
 
 def _row_share(log2_scale: np.ndarray) -> np.ndarray:
-    """2 ** floor(log2_scale) in the normal range: a row's exact share (see integrate_quadrant)."""
+    """2 ** floor(log2_scale) in the normal range: a row's exact share (see _drive)."""
     # np.clip, through its Python wrapper, costs more than these two ufuncs
     return np.ldexp(1.0, np.minimum(np.maximum(np.floor(log2_scale), -1022.0), 1023.0).astype(int))
 
@@ -365,7 +358,7 @@ def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     return part
 
 
-def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
+def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
     """Halve the step until two levels agree; return (value, estimate,
     converged, evaluations), evaluations counting every value f returned,
     one per value whatever the trailing axes of its abscissae.
@@ -387,26 +380,42 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
     estimate if there is none.  It sets no error state: it runs under its
     entry point's (see the module).
 
-    narrow, if given, lets a batch retire its rows.  After each tested
-    level that does not converge, a row whose own estimate
-    |value - previous value| + 4e-16 |value| is at most _RETIRE_SHARE of
-    the batch's bound keeps the value it has at that level (the step times
-    its raw sum, not the raw sum, which later steps would halve), and the
-    drive calls narrow(keep), keep being a mask over the live rows; f then
-    returns the kept rows only.  The sums, the evaluations and the
-    estimate are those of the live rows, and the bound is taken
-    over every row's value, retired rows included.  A level at which every
-    live row would retire passes the test, so narrow never empties a batch.
+    rows, if given, is (column, log2_share) and makes a row batch: one
+    integral per row of column, a (rows, 1) array, each row judged by its
+    share of a larger sum, log2_share holding each share's log2.  f is
+    called as f(column of the live rows, nodes), must not write to the
+    column, and returns one row of values per row.  The drive multiplies
+    row i by 2 ** floor(log2_share[i]) in the normal range (_row_share),
+    an exact scaling, and divides the shares out of the value it returns.
+    So a batch is judged at its largest scaled row, and a row its share
+    scales away does not hold the batch to the row's own precision: each
+    row is accurate relative to the batch's largest scaled row, not to
+    itself, and which rows share a call moves a value only within tol.rel
+    of that largest row.
+    A row batch retires its rows.  After each tested level that does not
+    converge, a row whose own estimate |value - previous value| +
+    4e-16 |value| is at most _RETIRE_SHARE of the batch's bound keeps the
+    value it has at that level (the step times its raw sum, not the raw
+    sum, which later steps would halve): double-exponential rules about
+    double their correct digits per level, so it would gain nothing from
+    more.  Later calls of f get a read-only column of the live rows only,
+    a copy.  The sums, the evaluations and the estimate are those of the
+    live rows, and the bound is taken over every row's value, retired
+    rows included.  A level at which every live row would retire passes
+    the test, so no call gets an empty column.
     """
 
     def fetch(levels):
         # the fused head of levels, f's values there and their terms
         nonlocal evaluations
         x, w, split = _head(ladder, levels)
-        y = np.asarray(f(x))
+        y = np.asarray(f(x) if rows is None else f(column, x) * share)
         evaluations += y.size
         return x, y, y * w, split
 
+    if rows is not None:
+        column, log2_share = rows
+        share = shares = _row_share(log2_share)[:, None]  # the live rows'; every row's
     first = min(_FIRST_TEST_LEVEL, _MAX_LEVEL)
     value, estimate, converged, evaluations = 0.0, math.inf, False, 0
     # once a row retires: the indices of the live rows, and every row's value
@@ -430,16 +439,18 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, narrow=None):
             if estimate <= bound:
                 converged = True
                 break
-            if narrow is not None:
+            if rows is not None:
                 keep = error > _RETIRE_SHARE * bound
                 if not keep.all():
                     if live is None:
                         live, values = np.arange(len(value)), value.copy()
                     live, raw, value = live[keep], raw[keep], value[keep]
-                    narrow(keep)
+                    column, share = column[keep], share[keep]
+                    column.flags.writeable = False  # a mask makes a writable copy
     except _BudgetExceeded:
         pass
-    return (value if live is None else values), estimate, converged, evaluations
+    value = value if live is None else values
+    return (value if rows is None else value / shares[:, 0]), estimate, converged, evaluations
 
 
 def _result(level, evaluations: int) -> QuadResult:
@@ -455,9 +466,9 @@ def _result(level, evaluations: int) -> QuadResult:
     return QuadResult(value if imag else value.real, float(estimate), evaluations, converged)
 
 
-def _integrate(integrand, ladder: _Ladder, tol: Tolerance) -> QuadResult:
+def _integrate(integrand, ladder: _Ladder, tol: Tolerance, rows=None) -> QuadResult:
     with np.errstate(all="ignore"):
-        *level, evaluations = _drive(integrand, ladder, tol)
+        *level, evaluations = _drive(integrand, ladder, tol, rows)
     return _result(level, evaluations)
 
 
@@ -474,7 +485,7 @@ def integrate_half_line(integrand, tol: Tolerance | None = None) -> QuadResult:
     return _integrate(integrand, _EXP_SINH, tol or _DEFAULT_TOLERANCE)
 
 
-def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
+def integrate_interval(integrand, tol: Tolerance | None = None, *, rows=None) -> QuadResult:
     """Integrate a function of s over (0, 1).
 
     The integrand is called with an (n, 2) array of pairs (s, 1 - s), a
@@ -484,40 +495,34 @@ def integrate_interval(integrand, tol: Tolerance | None = None) -> QuadResult:
     cancelled difference, and integrable powers of s and 1 - s are handled
     natively.
     A (rows, n) batch gives one integral per row, as in integrate_half_line.
+    rows, if given, is (column, log2_share) and makes the batch a row
+    batch, whose integrand is called as integrand(column, pairs) (see _drive).
     """
-    return _integrate(integrand, _UNIT_PAIR, tol or _DEFAULT_TOLERANCE)
+    return _integrate(integrand, _UNIT_PAIR, tol or _DEFAULT_TOLERANCE, rows)
 
 
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=None) -> QuadResult:
     """Integrate f(x, y) over (0, inf) x (0, inf) by iterated exp-sinh.
 
     The outer x-integral runs the 1-D driver; each outer call integrates
-    over y for all its x nodes at once, as a batch sharing one y-ladder,
-    with the inner tolerance tightened by a factor of 10.  Each row is
-    judged by what it adds to the outer sum: before the inner drive sees
-    it, row i is multiplied by its outer exp-sinh weight
-    w(x) = x sqrt((pi/2)^2 + ln^2 x), rounded down to a power of two by
-    _row_share, an exact scaling that keeps the product a normal double;
-    it is divided out again on return, and the batch is judged at its
-    largest scaled row, as every batch is.  So a row far out on the
-    x-ladder, whose weight is 1e-154, no longer holds its batch to the
-    precision of its own large value.  From level _FIRST_TEST_LEVEL on, a
-    row whose own estimate is within a tenth of its batch's bound retires
-    with the value it has (see _drive): later calls of integrand2d get a
-    column of the live rows only, never empty, and only their values are
-    counted against the work bound.
+    over y for all its x nodes at once, as a row batch sharing one
+    y-ladder (see _drive), with the inner tolerance tightened by a factor
+    of 10.  Each row's share is its outer exp-sinh weight
+    w(x) = x sqrt((pi/2)^2 + ln^2 x), what it adds to the outer sum; so a
+    row far out on the x-ladder, whose weight is 1e-154, does not hold its
+    batch to the precision of its own large value.  Only the live rows'
+    values are counted against the work bound.
     An inner drive that does not converge clears converged of the result.
     Whatever tol is, an inner batch that would take the evaluations of
     integrand2d past _QUADRANT_MAX_EVALUATIONS is neither run nor counted,
     and the outer drive stops at its last completed level (see the module).
 
     integrand2d is called as f(column of x, row of y), an (n, 1) column and
-    a 1-D row, both read-only; once rows retire, the column is a copy that
-    holds the live ones.  Both drives fetch whole levels (see _drive and
-    _head): a column holds the x nodes of one head, every node of levels 0
-    to 3 or of one later level (on the unclipped ladder 197 nodes for
-    levels 0 to 3, 196 for level 4 and 394 for level 5, each level about
-    doubling the one before), and so does a row of y.
+    a 1-D row, both read-only.  Both drives fetch whole levels (see _drive
+    and _head): a column holds the x nodes of one head, every node of
+    levels 0 to 3 or of one later level (on the unclipped ladder 197 nodes
+    for levels 0 to 3, 196 for level 4 and 394 for level 5, each level
+    about doubling the one before), and so does a row of y.
 
     support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
     and outside which the caller guarantees each node's term, the value of
@@ -538,30 +543,23 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     if support is not None:
         outer, inner = _clipped(*support[0]), _clipped(*support[1])
 
+    def inner_batch(col: np.ndarray, ys: np.ndarray):
+        nonlocal evaluations, exhausted
+        if evaluations + col.size * ys.size > _QUADRANT_MAX_EVALUATIONS:
+            exhausted = True
+            raise _BudgetExceeded
+        evaluations += col.size * ys.size
+        return integrand2d(col, ys)
+
     def inner_rows(xs: np.ndarray) -> np.ndarray:
         nonlocal failures
-        # each row's outer exp-sinh weight, rounded down to a power of two
-        share = _row_share(np.log2(xs * np.hypot(_HALF_PI, np.log(xs))))[:, None]
-        col, live_share = xs[:, None], share  # the live rows
-
-        def batch(ys: np.ndarray):
-            nonlocal evaluations, exhausted
-            if evaluations + col.size * ys.size > _QUADRANT_MAX_EVALUATIONS:
-                exhausted = True
-                raise _BudgetExceeded
-            evaluations += col.size * ys.size
-            return integrand2d(col, ys) * live_share
-
-        def narrow(keep: np.ndarray):
-            nonlocal col, live_share
-            col, live_share = col[keep], live_share[keep]
-            col.flags.writeable = False  # a mask makes a writable copy
-
-        value, _, converged, _ = _drive(batch, inner, inner_tol, narrow=narrow)
+        # each row's share: its outer exp-sinh weight
+        rows = xs[:, None], np.log2(xs * np.hypot(_HALF_PI, np.log(xs)))
+        value, _, converged, _ = _drive(inner_batch, inner, inner_tol, rows)
         if exhausted:
             raise _BudgetExceeded  # stop the outer drive too
         failures += not converged
-        return value / share[:, 0]
+        return value
 
     with np.errstate(all="ignore"):  # the inner drives run under it too
         value, estimate, converged, _ = _drive(inner_rows, outer, tol)

@@ -35,8 +35,6 @@ from .quadrature import (
 )
 
 DEFAULT_COMPARE_TOL = Tolerance(rel=1e-6, abs=1e-9)
-# largest relative residual the K6/K7 derivative cross-check accepts
-_DERIVATIVE_CHECK_PASS = 1e-4
 _SHIFT_SEARCH = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 _LOG_SPAN = tuple(math.log(t) for t in HALF_LINE_SPAN)
 # a box edge lies within this of the bound's crossing, in log x or log y
@@ -626,57 +624,3 @@ def run_sweep(
     else:
         records = [_sweep_case(c) for c in cases]
     return SweepReport(seed, samples, compare_tol.rel, compare_tol.abs, records)
-
-
-# ----------------------------------------------------------------------------
-# The derivative cross-check between the two- and three-term Macdonald rules.
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class DerivativeCheckReport:
-    params: Params
-    f: TestIntegrand
-    step: float
-    fd_value: float
-    companion_value: float
-    matched_sign: int
-    residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= _DERIVATIVE_CHECK_PASS
-
-
-def derivative_check_k7(
-    params: Params,
-    f: TestIntegrand,
-    step: float | None = None,
-    tol: Tolerance | None = None,
-) -> DerivativeCheckReport:
-    """Compare the p-derivative of the K6 reduction against +-K7.
-
-    A central difference of the K6 value in p is matched against the K7
-    value of the same parameters; the report records which sign agrees and
-    the residual at Tolerance.scale(K7).  (Differentiating exp(-p x) under
-    the integral pulls down -x, so the minus sign is the expected winner;
-    the check records the empirical answer rather than assuming it.)
-    """
-    k6 = get_rule("K6-m111")
-    k7 = get_rule("K7-m311")
-    if step is None:
-        step = 1e-4 * params.p
-    if not (params.p - step > 0.0):
-        raise ApplicabilityError("step too large: p - step must stay positive")
-    tol = tol or Tolerance(rel=1e-12, abs=1e-15)
-    k6_params = replace(params, n=-1, m=1, nu=1)
-    k7_params = replace(params, n=-3, m=1, nu=1)
-    up = k6.reduce_to_1d(replace(k6_params, p=params.p + step), f, tol).require_converged()
-    dn = k6.reduce_to_1d(replace(k6_params, p=params.p - step), f, tol).require_converged()
-    fd = (complex(up.value).real - complex(dn.value).real) / (2.0 * step)
-    companion = complex(k7.reduce_to_1d(k7_params, f, tol).require_converged().value).real
-    scale = Tolerance.scale(companion)
-    res_plus, res_minus = abs(fd - companion) / scale, abs(fd + companion) / scale
-    if res_minus <= res_plus:
-        return DerivativeCheckReport(params, f, step, fd, companion, -1, res_minus)
-    return DerivativeCheckReport(params, f, step, fd, companion, +1, res_plus)

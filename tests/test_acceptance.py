@@ -30,7 +30,8 @@ from quadred.quadrature import (
     integrate_interval,
     integrate_quadrant,
 )
-from quadred.reducer import derivative_check_k7, verify
+from quadred.reducer import verify
+from derivative_checks import derivative_check_k7
 from kummer_reference import (
     SpecialFunctionError,
     kummer_via_bessel_2a,

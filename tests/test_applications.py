@@ -11,7 +11,6 @@ from quadred import applications, kernels
 from quadred.applications import (
     FourierSpec,
     YukawaPairSpec,
-    cheshire_check,
     fourier_pair_erfi_result,
     fourier_pair_tau_result,
     hydrogenic_pair,
@@ -24,6 +23,9 @@ from quadred.catalog import get_rule
 from quadred.kernels import FourierErfiFactor
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import QuadratureError, QuadResult
+
+import derivative_checks
+from derivative_checks import cheshire_check
 
 SQPI = math.sqrt(math.pi)
 # equal ranges and zero separation take the general closed forms
@@ -401,6 +403,6 @@ class TestCheshire:
         def unconverged(spec, tol=None):
             return QuadResult(1.0 + 0.0j, math.inf, 50_081, False)
 
-        monkeypatch.setattr(applications, "fourier_pair_tau_result", unconverged)
+        monkeypatch.setattr(derivative_checks, "fourier_pair_tau_result", unconverged)
         with pytest.raises(QuadratureError, match="did not converge"):
             cheshire_check()

@@ -694,8 +694,9 @@ class TestRInnerFactor:
     def test_kernel_weight_runs_one_integrate_interval_batch(self, monkeypatch):
         results = []
 
-        def spy(integrand, tol=None):
-            results.append(integrate_interval(integrand, tol))
+        def spy(integrand, tol=None, *, rows=None):
+            assert rows is not None  # a row batch: each t row judged by its share
+            results.append(integrate_interval(integrand, tol, rows=rows))
             return results[-1]
 
         monkeypatch.setattr(kernels, "integrate_interval", spy)
@@ -748,6 +749,56 @@ def _assert_weight_matches_mpmath(params: Params) -> None:
     for t, value in zip(_R1_EDGE_TS, got):
         ref = _r1_weight_reference(params, t)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (params, t, value, ref)
+
+
+def _r_inner_batch(monkeypatch, factor: RInnerFactor, ts: np.ndarray, columns=None):
+    """factor.bounded_part(ts), and the integrand, tol and rows of its one
+    integrate_interval call; columns, if given, collects each call's t column."""
+    batch = {}
+
+    def spy(integrand, tol=None, *, rows):
+        batch.update(integrand=integrand, tol=tol, rows=rows)
+
+        def seen(col, x):
+            columns.append(col)
+            return integrand(col, x)
+
+        return integrate_interval(integrand if columns is None else seen, tol, rows=rows)
+
+    monkeypatch.setattr(kernels, "integrate_interval", spy)
+    return factor.bounded_part(ts), batch
+
+
+class TestRInnerRowRetirement:
+    """R1's sigma-batch is a row batch: its rows retire as the oracle's inner
+    rows do (see quadrature._drive)."""
+
+    TS = np.geomspace(1e-3, 1e6, 120)
+
+    def test_later_calls_get_a_narrower_read_only_column(self, monkeypatch):
+        columns = []
+        _r_inner_batch(monkeypatch, RInnerFactor(4, 2, 1, 10.0, 0.5, 0.1, 0.1), self.TS, columns)
+        # the fused head of levels 0-3 takes every t row, a later level the live ones
+        assert np.array_equal(columns[0][:, 0], self.TS)
+        assert len(columns) > 1
+        for before, col in zip(columns, columns[1:]):
+            assert not col.flags.writeable
+            assert 0 < len(col) < len(self.TS) and len(col) <= len(before)
+            assert np.isin(col[:, 0], before[:, 0]).all()
+
+    def test_within_the_batch_bound_of_the_unretired_batch(self, monkeypatch):
+        for (n, m, nu), (a, b, h, j) in itertools.product(R1_GRID, _R1_CORNERS):
+            got, batch = _r_inner_batch(monkeypatch, RInnerFactor(n, m, nu, a, b, h, j), self.TS)
+            col, log2_share = batch["rows"]
+            # the batch that keeps every row: a plain (rows, n) batch with each
+            # row's share, 2**floor(log2_share) in the normal range, multiplied in
+            share = np.ldexp(1.0, np.clip(np.floor(log2_share), -1022, 1023).astype(int))
+            full = integrate_interval(lambda x: batch["integrand"](col, x) * share[:, None],
+                                      batch["tol"])
+            assert full.converged
+            # within the batch's tolerance at its largest scaled row
+            bound = kernels._R_INNER_TOL.rel * np.abs(full.value).max()
+            assert np.all(np.abs(got - full.value / share) * share <= bound), (n, m, nu, a, b, h, j)
 
 
 class TestRInnerFactorPointwise:

@@ -273,26 +273,32 @@ class TestRowRetirement:
         return np.where(x == 1.0, 1.0 / (1.0 + y) ** 2, np.exp(-y) * np.cos(5.0 * y))
 
     def run(self, monkeypatch, retire=True):
-        """(the two rows' inner integrals, the quadrant's result, each call's column)."""
-        drive, rows, columns = quadrature._drive, [], []
+        """(the two rows' inner integrals, the quadrant's result, each call's column).
 
-        def two_row_outer(f, ladder, tol, narrow=None):
-            if narrow is None:  # the outer drive
+        With retire=False no row retires: a row's estimate is never at
+        most a share 0 of the bound.
+        """
+        drive, inner, columns = quadrature._drive, [], []
+
+        def two_row_outer(f, ladder, tol, rows=None):
+            if rows is None:  # the outer drive
                 xs = self.XS.copy()
                 xs.flags.writeable = False
-                rows.append(f(xs))
+                inner.append(f(xs))
                 return 0.0, 0.0, True, len(xs)
-            return drive(f, ladder, tol, narrow if retire else None)
+            return drive(f, ladder, tol, rows)
 
         def spy(x, y):
             assert not x.flags.writeable
             columns.append(x[:, 0].copy())
             return self.integrand2d(x, y)
 
-        monkeypatch.setattr(quadrature, "_drive", two_row_outer)
-        res = integrate_quadrant(spy)
-        monkeypatch.setattr(quadrature, "_drive", drive)
-        return rows[0], res, columns
+        with monkeypatch.context() as patched:
+            patched.setattr(quadrature, "_drive", two_row_outer)
+            if not retire:
+                patched.setattr(quadrature, "_RETIRE_SHARE", 0.0)
+            res = integrate_quadrant(spy)
+        return inner[0], res, columns
 
     def test_later_calls_see_only_the_live_row(self, monkeypatch):
         _, res, columns = self.run(monkeypatch)

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadred import kernels, quadrature, reducer
-from quadred.applications import CheshireReport, FourierSpec
+from quadred.applications import FourierSpec
 from quadred.catalog import RULES, ApplicabilityError, Family, get_rule, list_rules
 from quadred.kernels import KernelError
 from quadred.params import Params, TestIntegrand, convergence_failure
@@ -23,7 +23,6 @@ from quadred.reducer import (
     CSV_HEADER,
     DivergentIntegralError,
     _case_inputs,
-    derivative_check_k7,
     direct_2d,
     normalize,
     quadrant_integrand,
@@ -33,6 +32,7 @@ from quadred.reducer import (
     verify,
 )
 
+from derivative_checks import CheshireReport, derivative_check_k7
 from test_catalog import MPMATH, kernel_floor, t_display, zeroed_variants
 
 SQPI = math.sqrt(math.pi)
@@ -1207,13 +1207,14 @@ class TestRInnerIntegral:
         assert abs(rhs.value - lhs.value) <= 1e-12 * abs(lhs.value)
 
     def test_inner_evaluations_of_the_seed_42_draws(self, monkeypatch):
-        # each row's share of the weight keeps the sigma-batches to the work
-        # they did with the cut-off folded inside the factor (429 999)
+        # each row's share of the weight, and the rows that retire once done,
+        # keep the sigma-batches below the 429 803 evaluations of the batch
+        # that kept every row to the end
         evaluations = 0
 
-        def spy(integrand, tol):
+        def spy(integrand, tol, *, rows):
             nonlocal evaluations
-            res = quadrature.integrate_interval(integrand, tol)
+            res = quadrature.integrate_interval(integrand, tol, rows=rows)
             evaluations += res.evaluations
             return res
 
@@ -1221,15 +1222,16 @@ class TestRInnerIntegral:
         for case_index in range(20):
             params, f = _sweep_case("R1-rint", 42, case_index)
             get_rule("R1-rint").reduce_to_1d(params, f)
-        assert 0 < evaluations <= 429_999
+        assert 0 < evaluations <= 391_191
 
     def test_inner_batch_starts_at_the_fused_head_of_levels_0_to_3(self, monkeypatch):
         params, f = _sweep_case("R1-rint", 42, 3)
         first_calls = []
 
-        def spy(integrand, tol):
+        def spy(integrand, tol, *, rows):
             calls = []
-            res = quadrature.integrate_interval(lambda x: calls.append(x) or integrand(x), tol)
+            res = quadrature.integrate_interval(
+                lambda col, x: calls.append(x) or integrand(col, x), tol, rows=rows)
             first_calls.append(calls[0])
             return res
 
