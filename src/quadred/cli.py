@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-from dataclasses import replace
-
 from . import applications as apps
 from .catalog import (
     ApplicabilityError,
@@ -100,10 +98,10 @@ def cmd_list(args) -> int:
 
 
 def _print_result(res: QuadResult, fmt: str) -> int:
-    v = complex(res.value)
     if fmt == "json":
-        print(json.dumps(_quad_json(replace(res, value=v)), sort_keys=True))
+        print(json.dumps(_quad_json(res), sort_keys=True))
     else:
+        v = complex(res.value)
         shown = repr(v.real) if v.imag == 0.0 else repr(v)
         print(f"value = {shown}")
         print(f"abs_error_estimate = {float(res.abs_error_estimate)!r}")

@@ -329,11 +329,8 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     of 1, and a sign, added or subtracted.  A real factor whose values are
     all at least 1e-280 is its own magnitude, with phase exactly 1, so it
     goes into the log without abs or phase.  -(sigma + beta) t is always
-    applied, and at sigma + beta = 0 it keeps every bit too; it and gamma/t
-    are formed once per call for each value of sigma + beta and of gamma,
-    which a kernel's terms share, and a special factor's values once per
-    call for each set of live rows: K7's second and third terms carry one
-    factor.  So the values keep their bits.
+    applied, and at sigma + beta = 0 it keeps every bit too.  Each term
+    forms its own exponent and calls its own factor on its own live rows.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
@@ -342,36 +339,20 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     lead = abs(f.coeff)
     if lead == 0.0:
         return out.reshape(shape)
-    # (sigma + beta) t and gamma / t by their factor: a kernel's terms share them
-    decay, inverse = {}, {}
-    # (factor, live rows, values) of each special factor taken, for a later
-    # term that carries an equal factor
-    made = []
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            rate = f.sigma + term.beta
-            if rate not in decay:
-                decay[rate] = rate * t
-            logmag = math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt - decay[rate]
+            logmag = (math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
+                      - (f.sigma + term.beta) * t)
             if term.gamma != 0.0:
-                if term.gamma not in inverse:
-                    inverse[term.gamma] = term.gamma / t
-                logmag = logmag - inverse[term.gamma]
+                logmag = logmag - term.gamma / t
             live = logmag > _EXP_ZERO
             if np.count_nonzero(live) == 0:
                 continue  # a factor never sees zero rows
             logtot, phase = logmag[live], None
             if term.special is not None:
-                bounded = None
-                for factor, rows, values in made:
-                    if factor == term.special and np.array_equal(rows, live):
-                        bounded = values
-                        break
-                if bounded is None:
-                    bounded = term.special.bounded_part(t[live])
-                    made.append((term.special, live, bounded))
+                bounded = term.special.bounded_part(t[live])
                 if bounded.dtype.kind != "c" and np.minimum.reduce(bounded) >= 1e-280:
                     # positive and normal (a NaN fails the test): |b| is b, its phase 1
                     logtot = logtot + np.log(bounded)

@@ -341,11 +341,13 @@ def direct_2d(
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:
     """Search for a catalog rule equivalent to (params, f).
 
-    Deterministic order: the exact triple first, then power shifts
-    delta in (1/2, -1/2, 1, -1, 3/2, -3/2, 2, -2), then the same ladder on
-    the axis-mirrored integral (valid only for h = 0).  Returns the first
-    (rule, params', f') whose applicability holds; raises
-    ApplicabilityError if there is none, or if f.mu is not above
+    Deterministic order: every closed-form rule before R1-rint's numerical
+    kernel, so an instance that R1 accepts but whose mirror has a closed
+    form gets the closed form.  Each of the two passes tries the exact
+    triple first, then power shifts delta in (1/2, -1/2, 1, -1, 3/2, -3/2,
+    2, -2), then the same ladder on the axis-mirrored integral (valid only
+    for h = 0).  Returns the first (rule, params', f') whose applicability
+    holds; raises ApplicabilityError if there is none, or if f.mu is not above
     params.mu_floor.  That floor is tested once, before the search: a power
     shift moves mu and every floor by the same delta, and the mirror swaps
     the x and y floors, so it holds for every candidate or for none.
@@ -355,18 +357,20 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
     candidates = [params]
     if params.h == 0:
         candidates.append(params.mirrored())
-    for base in candidates if f.mu > mu_floor(params) else ():
-        for delta in _SHIFT_SEARCH:
-            n2, m2, nu2 = shift_power(base.triple, delta)
-            cand = replace(base, n=n2, m=m2, nu=nu2)
-            f2 = f.shifted(delta)
-            for rule in RULES:
-                if rule.erratum or rule.family is Family.MIXED_TILDE:
-                    continue
-                if rule.triple is not None and rule.triple != cand.triple:
-                    continue
-                if rule.applicability_failure(cand) is None:
-                    return rule, cand, f2
+    for numerical in (False, True) if f.mu > mu_floor(params) else ():
+        for base in candidates:
+            for delta in _SHIFT_SEARCH:
+                n2, m2, nu2 = shift_power(base.triple, delta)
+                cand = replace(base, n=n2, m=m2, nu=nu2)
+                f2 = f.shifted(delta)
+                for rule in RULES:
+                    if (rule.erratum or rule.family is Family.MIXED_TILDE
+                            or (rule.family is Family.R_INTEGRAL) != numerical):
+                        continue
+                    if rule.triple is not None and rule.triple != cand.triple:
+                        continue
+                    if rule.applicability_failure(cand) is None:
+                        return rule, cand, f2
     nonzero = [name for name in _COEFF_NAMES if getattr(params, name) != 0] or ["none"]
     mirror = "tried" if len(candidates) > 1 else "not tried (h != 0)"
     raise ApplicabilityError(

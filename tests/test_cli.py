@@ -152,6 +152,16 @@ class TestEval:
         assert doc["converged"] is True
         assert doc["value"]["re"] == pytest.approx(3.196415162413308, rel=1e-8, abs=0)
 
+    @pytest.mark.parametrize("argv", [
+        ("K1-111", "--p", "1", "--q", "2", "--f-mu", "1"),
+        ("yukawa-pair", "--eta1", "1", "--eta2", "2", "--x2", "1"),
+    ])
+    def test_json_real_value_is_a_number(self, capsys, argv):
+        # as in verify records: only a complex value is {"re", "im"}
+        code, out, _ = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert code == 0
+        assert type(json.loads(out)["value"]) is float
+
     def test_tolerance_defaults_are_the_library_defaults(self):
         args = _build_parser().parse_args(["eval", "K1-111"])
         default = quadrature.Tolerance()

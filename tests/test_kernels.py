@@ -218,8 +218,8 @@ class TestEvaluatorKeepsItsBits:
 
 
 class TestSharedFactor:
-    """A factor that a later term carries again on the same live rows is
-    evaluated once a call, and the values keep their bits."""
+    """Terms that carry equal factors each call their own, on their own
+    live rows, and the values keep their bits."""
 
     @staticmethod
     def _spy(monkeypatch, cls):
@@ -233,7 +233,7 @@ class TestSharedFactor:
         monkeypatch.setattr(cls, "bounded_part", spy)
         return calls
 
-    def test_k7_takes_each_bessel_factor_once(self, monkeypatch):
+    def test_k7_terms_take_their_own_bessel_factors(self, monkeypatch):
         rule = get_rule("K7-m311")
         index = [r.id for r in list_rules(include_erratum=False)].index(rule.id)
         params, f = _case_inputs(rule, 42, index, 0)
@@ -243,7 +243,7 @@ class TestSharedFactor:
         want = _reference_eval_kernel_with_f(terms, f, t, set())
         calls = self._spy(monkeypatch, BesselKFactor)
         got = eval_kernel_with_f(terms, f, t)
-        assert [factor.order for factor, _ in calls] == [0, 1]
+        assert [factor.order for factor, _ in calls] == [0, 1, 1]
         assert got.tobytes() == want.tobytes()
 
     def test_other_rows_take_the_factor_again(self, monkeypatch):

@@ -162,6 +162,29 @@ class TestNormalize:
             complex(rhs.value).real, rel=1e-6, abs=0
         ), rule.id
 
+    def test_closed_forms_before_r1(self):
+        # ROADMAP item 26's draw: 224 of 400 h = j = 0 instances route, and
+        # each gets a closed form, on the instance or on its mirror, before
+        # R1-rint's numerical kernel
+        rng = np.random.default_rng(7)
+        routed = collections.Counter()
+        for _ in range(400):
+            n, m, nu = (int(v) for v in rng.integers(-1, 6, size=3))
+            a, b, c = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+            params = Params(n, m, nu, a=float(a), b=float(b), c=float(c))
+            f = TestIntegrand(1.0, float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.0, 2.0)))
+            try:
+                routed[normalize(params, f)[0].family] += 1
+            except ApplicabilityError:
+                continue
+        assert sum(routed.values()) == 224 and Family.R_INTEGRAL not in routed
+
+    def test_j_still_reaches_r1(self):
+        # no closed form carries j
+        params = Params(2, 3, 1, a=0.5, b=1.5, c=1.0, j=0.3)
+        f = TestIntegrand(1.0, 1.5, 0.5)
+        assert normalize(params, f) == (get_rule("R1-rint"), params, f)
+
     def test_deterministic(self):
         params = Params(0, 4, 0, p=1.0, q=2.0)
         f = TestIntegrand(1.0, 2.5, 0.5)
@@ -1469,19 +1492,28 @@ class TestTwins:
 
     def test_mirror_twins_agree(self):
         # at h = 0 the axis swap is an identity: normalize routes the mirror
-        # of 192 of the non-tilde draws to another rule or other parameters
-        routed = 0
+        # of 88 of the non-tilde draws to another rule or other parameters.
+        # Where it routes the mirror back to the draw, R1-rint takes the
+        # mirror, so R1's numerical kernel still meets G1's Kummer term and
+        # the N rules: 116 more twins
+        r1 = get_rule("R1-rint")
+        twins = collections.Counter()
         for rule, params, f, case_index in _sweep_draws():
             if rule.family is Family.MIXED_TILDE or params.h != 0:
                 continue
-            mirror_rule, mirrored, mirrored_f = normalize(params.mirrored(), f)
-            if (mirror_rule, mirrored, mirrored_f) == (rule, params, f):
+            mirror = params.mirrored()
+            mirror_rule, mirrored, mirrored_f = normalize(mirror, f)
+            if (mirror_rule, mirrored, mirrored_f) != (rule, params, f):
+                twins["routed"] += 1
+            elif r1.applicability_failure(mirror) is None:
+                twins["r1"] += 1
+                mirror_rule, mirrored = r1, mirror
+            else:
                 continue
-            routed += 1
             value = complex(rule.reduce_to_1d(params, f).value)
             twin = complex(mirror_rule.reduce_to_1d(mirrored, mirrored_f).value)
             assert abs(twin - value) <= 1e-11 * abs(value), (rule.id, case_index, mirror_rule.id)
-        assert routed == 192
+        assert twins == {"routed": 88, "r1": 116}
 
 
 class TestScaleOwner:
