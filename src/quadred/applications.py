@@ -6,11 +6,12 @@ The overlap of two Yukawa potentials centered a distance x2 apart,
 
 reduces through Gaussian transforms to sqrt(pi) times the quadrant integral
 with exponents (4, 4, 0) and coefficients a = eta1^2/4, b = eta2^2/4,
-c = x2^2, taking f(t) = t**(3/2).  This module carries the closed forms,
-the catalog-reduction routes, and the brute-force oracle route, plus the
-momentum-space version where the phase exp(-i k.x) adds h = i k.x2 and
-j = k^2/4 and the reduced kernel acquires an erfi difference.  Every
-quantity is computable two independent ways, which is the whole point.
+c = x2^2, taking f(t) = t**(3/2): fourier_params at k = 0.  This module
+carries the closed forms, the catalog-reduction routes, and the
+brute-force oracle route, plus the momentum-space version where the
+phase exp(-i k.x) adds h = i k.x2 and j = k^2/4 and the reduced kernel
+acquires an erfi difference.  Every quantity is computable two
+independent ways, which is the whole point.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .quadrature import QuadResult, Tolerance, integrate_half_line, integrate_in
 from .reducer import direct_2d
 
 SQPI = math.sqrt(math.pi)
+# f = t^(3/2), the Gaussian transform's test function on the (4,4,0) instance
+_F_PAIR = TestIntegrand(1.0, 1.5, 0.0)
 # below this k (relative to the larger eta) the erfi route loses digits to
 # the removable k->0 structure; delegate to the tau route instead
 _ERFI_SMALL_K = 1e-3
@@ -121,38 +124,42 @@ def _phi2(z: float) -> float:
 
 
 def _pair_params(spec: YukawaPairSpec) -> Params:
-    # order the ranges so a >= b, which the hypergeometric rule requires;
-    # the (4,4,0) integral is symmetric under (a <-> b)
-    a = spec.eta1**2 / 4.0
-    b = spec.eta2**2 / 4.0
-    if a < b:
-        a, b = b, a
-    return Params(4, 4, 0, a=a, b=b, c=spec.x2**2)
+    # the momentum-space instance at k = 0, mirrored where a < b, as the
+    # hypergeometric rule requires a >= b; the mirror keeps the integral
+    params = fourier_params(FourierSpec(0.0, 0.0, spec.eta1, spec.eta2, spec.x2))
+    return params.mirrored() if params.a < params.b else params
 
 
 def _reduced_pair(params: Params, f: TestIntegrand, tol: Tolerance | None) -> QuadResult:
-    # equal ranges included: at a = b, h = 0 G1's Kummer factor is exactly
-    # 1, so G1 gives N6-aeqb's value to the bit
+    # equal ranges included: at a = b, h = 0 G1 builds N6-aeqb's kernel
+    # (see catalog._g1_kernel)
     return get_rule("G1-general").reduce_to_1d(params, f, tol).scaled(SQPI)
 
 
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the catalog: sqrt(pi) times the reduced
     (4,4,0) integral with f = t**(3/2)."""
-    return _reduced_pair(_pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol)
+    return _reduced_pair(_pair_params(spec), _F_PAIR, tol)
 
 
 def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
-    """Same value through the alternative exponent choice (1,1,3) with mu = 0."""
+    """Same value through the alternative exponent choice (1,1,3) with mu = 0.
+
+    This repeats yukawa_pair_reduced bit for bit.  The (1,1,3) instance is
+    the (4,4,0) one power-shifted by 3/2, and G1's kernel depends on the
+    triple only through A, B, the gamma ratio and alpha + mu, which a power
+    shift keeps.  So this route checks how the (1,1,3) instance is built,
+    not the kernel.
+    """
     base = _pair_params(spec)
     params = Params(1, 1, 3, a=base.a, b=base.b, c=base.c)
-    return _reduced_pair(params, TestIntegrand(1.0, 0.0, 0.0), tol)
+    return _reduced_pair(params, _F_PAIR.shifted(1.5), tol)
 
 
 def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the brute-force quadrant oracle."""
     # the integrand is real, so the oracle's value is a float
-    return direct_2d(_pair_params(spec), TestIntegrand(1.0, 1.5, 0.0), tol).scaled(SQPI)
+    return direct_2d(_pair_params(spec), _F_PAIR, tol).scaled(SQPI)
 
 
 # ----------------------------------------------------------------------------
@@ -161,7 +168,11 @@ def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> Qu
 
 
 def fourier_params(spec: FourierSpec) -> Params:
-    """The quadrant-integral parameters of the momentum-space overlap."""
+    """The quadrant-integral parameters of the momentum-space overlap.
+
+    At k = 0 these are the pair overlap's: (4,4,0) with a = eta1^2/4,
+    b = eta2^2/4 and c = x2^2, h = j = 0.
+    """
     return Params(
         4, 4, 0,
         a=spec.eta1**2 / 4.0,
@@ -189,8 +200,7 @@ def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) ->
     if spec.k < _ERFI_SMALL_K * max(spec.eta1, spec.eta2):
         return fourier_pair_tau_result(spec, tol)
     terms = _erfi_kernel(spec)
-    f = TestIntegrand(1.0, 1.5, 0.0)
-    res = integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol)
+    res = integrate_half_line(lambda t: eval_kernel_with_f(terms, _F_PAIR, t), tol)
     # a complex factor keeps the value complex when its imaginary part is 0
     return res.scaled(complex(SQPI))
 

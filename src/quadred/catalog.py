@@ -301,13 +301,6 @@ def _k7_kernel(params):
     ]
 
 
-def _n6_kernel(params):
-    # at a = b (and h = 0) G1's Kummer factor is 1F1(A; B; -0.0) = 1 exactly,
-    # so G1-general, which takes a = b, gives this rule's value to the bit;
-    # the rule stays as the paper's a = b display
-    return [replace(_g1_kernel(params)[0], special=None)]
-
-
 def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list[KernelTerm]:
     """coeff t**alpha e^(-ct - (b + 2(a-b))/t) psi(2 sqrt((a-b)/t)), psi the
     factor's form (see ErfcxSqrtInvFactor).
@@ -352,10 +345,13 @@ def _g1_kernel(params):
     a_par = (n + nu - 2) / 2.0
     b_par = (m + n + 2 * nu - 4) / 2.0
     ratio = float(gamma((m + nu - 2) / 2.0)) * float(gamma(a_par)) / float(gamma(b_par))
-    return [
-        KernelTerm(ratio, (2.0 - m - n - nu) / 2.0, beta=params.c, gamma=params.b,
-                   special=KummerFactor(a_par, b_par, params.a - params.b, params.h.real))
-    ]
+    # at a = b and h = 0 the factor is 1F1(A; B; -0) = 1 exactly, so none is
+    # built: the term is then N6-aeqb's gamma-ratio form, and N6 builds here
+    special = None
+    if params.a != params.b or params.h != 0:
+        special = KummerFactor(a_par, b_par, params.a - params.b, params.h.real)
+    return [KernelTerm(ratio, (2.0 - m - n - nu) / 2.0, beta=params.c, gamma=params.b,
+                       special=special)]
 
 
 def _r1_kernel(params):
@@ -402,7 +398,7 @@ def _needs_n6(params: Params) -> str | None:
 
 
 def _needs_g1(params: Params) -> str | None:
-    # a >= b and real h >= 0, a = b at h = 0 included (see _n6_kernel)
+    # a >= b and real h >= 0, a = b at h = 0 included (see _g1_kernel)
     if (reason := _needs_exponent_sums(params)) is not None:
         return reason
     h = params.h
@@ -543,7 +539,7 @@ RULES: tuple[ReductionRule, ...] = (
     ReductionRule("N6-aeqb", Family.INVERSE_EXP, None,
                   "a=b gamma-ratio form: G((m+nu-2)/2) G((n+nu-2)/2) / G((m+n+2nu-4)/2) "
                   "t^(2-m-n-nu)/2 e^-b/t, any m+nu>2, n+nu>2",
-                  _n6_kernel, extra_predicate=_needs_n6, sample=_sample_n6),
+                  _g1_kernel, extra_predicate=_needs_n6, sample=_sample_n6),
     *_tilde_rules(),
     ReductionRule("G1-general", Family.GENERAL_H, None,
                   "confluent-hypergeometric kernel 1F1((n+nu-2)/2; (m+n+2nu-4)/2; -(a-b+ht)/t) "

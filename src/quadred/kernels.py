@@ -14,9 +14,10 @@ analytically and their tabulated terms never subtract in floats (T5's
 combination grows like t**-1/2 at the origin, where its term's gamma
 cuts it off).
 The evaluator computes exactly that sum, assembling f(t) times each term
-in log magnitude, so integrands stay finite wherever f's power is above
-the convergence contract's small-t floor (params.mu_floor), no matter how
-deep the quadrature probes.  Each special factor follows the protocol of
+in log magnitude, so nothing overflows on the way, however deep the
+quadrature probes: with f's power above the convergence contract's
+small-t floor (params.mu_floor), a value is finite unless it leaves the
+double range itself.  Each special factor follows the protocol of
 ``_Factor``.
 """
 
@@ -165,9 +166,7 @@ class KummerFactor(_Factor):
     lies in (0, 1], so the factor is bounded outright.  Below w = 1e16 it is
     scipy's hyp1f1; from there on it is the leading term of DLMF 13.7.2,
     Gamma(B)/Gamma(B-A) w**-A, whose next term is below rounding while
-    scipy's series degrades and finally returns 0 or NaN.  At shift = h = 0
-    (G1 at a = b) every value is 1F1(A; B; -0) = 1 exactly, returned without
-    a hyp1f1 call.
+    scipy's series degrades and finally returns 0 or NaN.
     """
 
     a: float
@@ -176,8 +175,6 @@ class KummerFactor(_Factor):
     h: float
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
-        if self.shift == 0.0 and self.h == 0.0:
-            return np.ones_like(t)  # hyp1f1(A, B, -0.0) is exactly 1
         w = self.shift / t + self.h
         big = w >= _KUMMER_LEADING_FROM
         if not np.logical_or.reduce(big):  # the usual call
@@ -316,10 +313,11 @@ class KernelTerm:
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
     """f(t) * w(t), assembled term by term in log magnitude.
 
-    Finite for all t > 0 whenever f.mu exceeds params.mu_floor; nodes
-    whose exponential part underflows contribute exact zeros.  The values
-    turn complex at the first complex contribution.  The terms, their
-    special factors included, run under one np.errstate that ignores
+    Finite for all t > 0 whenever f.mu exceeds params.mu_floor and no
+    term leaves the double range; a term that does raises KernelError.
+    Nodes whose exponential part underflows contribute exact zeros.  The
+    values turn complex at the first complex contribution.  The terms,
+    their special factors included, run under one np.errstate that ignores
     log(0) and underflow whatever the caller has set.
 
     Each term takes the rows where it has not underflowed by one mask.  A
@@ -371,8 +369,9 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                     phase = bounded / np.maximum(mag, 1e-300)
             # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
             if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
+                at = float(t[live][np.argmax(logtot > _LOG_OVERFLOW)])
                 raise KernelError(
-                    "kernel term overflow: f violates the convergence floor of this rule"
+                    f"kernel term overflow at t = {at!r}: f(t) w(t) leaves the double range"
                 )
             vals = np.exp(logtot) if phase is None else np.exp(logtot) * phase
             if vals.dtype.kind == "c" and out.dtype.kind != "c":

@@ -340,9 +340,9 @@ def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     bad = ~np.isfinite(terms)
     if bad.any():
         raise QuadratureError(
-            f"integrand*weight overflowed at {_where(x, bad)}; integral likely divergent"
+            f"integrand*weight overflowed at {_where(x, bad)}; a term leaves the double range"
         )
-    raise QuadratureError("integrand*weight sum overflowed; integral likely divergent")
+    raise QuadratureError("integrand*weight sum overflowed; the sum leaves the double range")
 
 
 def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
@@ -524,13 +524,14 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
     for levels 0 to 3, 196 for level 4 and 394 for level 5, each level
     about doubling the one before), and so does a row of y.
 
-    support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) that holds 1
-    and outside which the caller guarantees each node's term, the value of
-    integrand2d times both exp-sinh weights, negligible against the sum:
-    outside reducer.quadrant_support's box each term is below e^-100 of the
-    largest term of its pilot.  The outer drive then runs on
-    the exp-sinh ladder clipped to [x_lo, x_hi] and every inner drive on it
-    clipped to [y_lo, y_hi] (see _clipped), so no cut value is computed.
+    support, if given, is a box ((x_lo, x_hi), (y_lo, y_hi)) outside
+    which the caller guarantees each node's term, the value of integrand2d
+    times both exp-sinh weights, negligible against the sum: outside
+    reducer.quadrant_support's box each term is below e^-100 of the
+    largest term of its pilot.  The outer drive then runs on the exp-sinh
+    ladder clipped to [x_lo, x_hi] and every inner drive on it clipped to
+    [y_lo, y_hi] (see _clipped), so no cut value is computed; _clipped
+    keeps each level's first nodes, so no box empties a head.
     The clipped drives add the same terms less the cut ones, grouped
     otherwise, which can move the last bit of a value.  A box that cuts a
     term that counts gives a wrong result, not an error.

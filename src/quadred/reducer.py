@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import _EXP_ZERO, KernelError
-from .params import Params, TestIntegrand, convergence_failure, mu_floor
+from .params import Params, TestIntegrand, convergence_failure
 from .quadrature import (
     _EXP_SINH,
     HALF_LINE_SPAN,
@@ -252,10 +252,11 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     Asks the convergence contract first (params.convergence_failure, the
     one the reductions ask too) and raises DivergentIntegralError with its
     reason, so it returns a box for every integral that converges:
-    ((x_lo, x_hi), (y_lo, y_hi)), holding 1.
-    Outside it each node of the exp-sinh ladders has a term, value times
-    both node weights, below e^-_TERM_CUT (e^-100) of the largest term of
-    a pilot.
+    ((x_lo, x_hi), (y_lo, y_hi)), with x_lo <= x_hi and y_lo <= y_hi.
+    It need not hold any node: quadrature._clipped keeps each level's
+    first nodes whatever the box.  Outside it each node of the exp-sinh
+    ladders has a term, value times both node weights, below e^-_TERM_CUT
+    (e^-100) of the largest term of a pilot.
 
     The pilot reads the log-magnitude on the exp-sinh ladder's level-0
     nodes (25 x 25) and adds both log weights, with no exp (Blanchard,
@@ -309,8 +310,8 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
         if high < hi:
             hi = _edge(fn, limit, hi, high)
         # an edge at the span's end cuts nothing
-        return (math.exp(min(lo, 0.0)) if lo > _LOG_SPAN[0] else 0.0,
-                math.exp(max(hi, 0.0)) if hi < _LOG_SPAN[1] else math.inf)
+        return (math.exp(lo) if lo > _LOG_SPAN[0] else 0.0,
+                math.exp(hi) if hi < _LOG_SPAN[1] else math.inf)
 
     x_part = (kx + 1.0, params.p, params.a + gap)
     y_part = (ky + 1.0, params.q, params.b + 2.0 * gap)
@@ -341,23 +342,28 @@ def direct_2d(
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:
     """Search for a catalog rule equivalent to (params, f).
 
-    Deterministic order: every closed-form rule before R1-rint's numerical
-    kernel, so an instance that R1 accepts but whose mirror has a closed
-    form gets the closed form.  Each of the two passes tries the exact
-    triple first, then power shifts delta in (1/2, -1/2, 1, -1, 3/2, -3/2,
-    2, -2), then the same ladder on the axis-mirrored integral (valid only
-    for h = 0).  Returns the first (rule, params', f') whose applicability
-    holds; raises ApplicabilityError if there is none, or if f.mu is not above
-    params.mu_floor.  That floor is tested once, before the search: a power
-    shift moves mu and every floor by the same delta, and the mirror swaps
-    the x and y floors, so it holds for every candidate or for none.
-    Mixed-tilde rules are skipped: their 2-D side carries the factor
-    exp(-(a-b)(x+y)^2/(x y^2)), which Params does not name.
+    It first asks the convergence contract (params.convergence_failure)
+    and raises ApplicabilityError with its reason for a divergent
+    integral, before any search.  Every clause of the contract is
+    invariant under a power shift and under the mirror, so it holds for
+    every candidate or for none.  Then the search, in a deterministic
+    order: every closed-form rule before R1-rint's numerical kernel, so an
+    instance that R1 accepts but whose mirror has a closed form gets the
+    closed form.  Each of the two passes tries the exact triple first, then
+    power shifts delta in (1/2, -1/2, 1, -1, 3/2, -3/2, 2, -2), then the
+    same ladder on the axis-mirrored integral (valid only for h = 0).
+    Returns the first (rule, params', f') whose applicability holds;
+    raises ApplicabilityError if there is none.  Mixed-tilde rules are
+    skipped: their 2-D side carries the factor exp(-(a-b)(x+y)^2/(x y^2)),
+    which Params does not name.
     """
+    reason = convergence_failure(params, f)
+    if reason is not None:
+        raise ApplicabilityError(f"no rule reduces a divergent integral: {reason}")
     candidates = [params]
     if params.h == 0:
         candidates.append(params.mirrored())
-    for numerical in (False, True) if f.mu > mu_floor(params) else ():
+    for numerical in (False, True):
         for base in candidates:
             for delta in _SHIFT_SEARCH:
                 n2, m2, nu2 = shift_power(base.triple, delta)

@@ -20,8 +20,9 @@ from quadred.catalog import (
     get_rule,
     list_rules,
 )
-from quadred.kernels import ErfcxSqrtInvFactor, KernelError, KummerFactor
+from quadred.kernels import ErfcxSqrtInvFactor, KernelError, KummerFactor, eval_kernel_with_f
 from quadred.params import Params, TestIntegrand, mu_floor
+from quadred.quadrature import integrate_half_line
 from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, shift_power, verify
 
 SQPI = math.sqrt(math.pi)
@@ -540,16 +541,31 @@ class TestThroughAEqualsB:
                 assert rec.passed and rec.lhs.converged and rec.rhs.converged, (case_index, g)
 
     def test_g1_at_a_eq_b_is_n6_to_the_bit(self):
-        # at a = b, h = 0 G1's Kummer factor is 1F1(A; B; -0.0) = 1 exactly,
-        # so on N6-aeqb's seed-42 draws G1 keeps every bit of N6's result
+        # N6-aeqb builds G1's kernel, which at a = b, h = 0 takes no Kummer
+        # factor: it would be 1F1(A; B; -0.0) = 1 exactly at every node.  So
+        # on N6's seed-42 draws the factor, put back, keeps every bit
         g1, n6 = get_rule("G1-general"), get_rule("N6-aeqb")
         index = [r.id for r in list_rules(include_erratum=False)].index(n6.id)
         for case_index in range(20):
             params, f = _case_inputs(n6, 42, index, case_index)
             assert g1.applicability_failure(params) is None
             assert g1.mu_min(params) == n6.mu_min(params)
-            got, want = g1.reduce_to_1d(params, f), n6.reduce_to_1d(params, f)
-            assert want.converged and got == want, case_index
+            [term] = g1.build_kernel(params)
+            assert term.special is None
+            n, m, nu = params.triple
+            one = KummerFactor((n + nu - 2) / 2.0, (m + n + 2 * nu - 4) / 2.0, 0.0, 0.0)
+            with_one = [dataclasses.replace(term, special=one)]
+            want = integrate_half_line(lambda t: eval_kernel_with_f(with_one, f, t))
+            got = g1.reduce_to_1d(params, f)
+            assert want.converged and got == want == n6.reduce_to_1d(params, f), case_index
+
+    def test_g1_builds_no_factor_at_a_eq_b(self):
+        # the a = b, h = 0 limit has one owner, G1's kernel builder
+        g1 = get_rule("G1-general")
+        assert g1.build_kernel(Params(4, 4, 0, a=1.0, b=1.0, c=1.0))[0].special is None
+        assert get_rule("N6-aeqb").build_kernel is g1.build_kernel
+        for params in (Params(4, 4, 0, a=1.0, b=0.5, c=1.0), Params(4, 4, 0, a=1.0, b=1.0, h=0.5)):
+            assert isinstance(g1.build_kernel(params)[0].special, KummerFactor), params
 
 
 def kernel_floor(rule, params: Params) -> float:

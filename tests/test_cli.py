@@ -344,15 +344,6 @@ class TestVerify:
         assert out == ""
         assert "no rules" in err
 
-    def test_bad_jobs_environment_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUADRED_JOBS", "x")
-        code, _, _ = run_cli(capsys, "list")
-        assert code == 0  # only verify reads --jobs
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--rules", "E1-pbm-corrected", "--samples", "1"])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-
 
 def test_entry_point_subprocess():
     proc = subprocess.run(

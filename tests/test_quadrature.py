@@ -386,10 +386,15 @@ class TestSupport:
             assert at == len(x)
 
     def test_box_of_one_point_keeps_every_head(self):
-        # every level's first nodes survive a box that holds 1 alone
-        res = integrate_quadrant(lambda x, y: np.zeros(np.broadcast(x, y).shape),
-                                 support=((1.0, 1.0), (1.0, 1.0)))
-        assert res.value == 0.0 and res.converged
+        # every level's first nodes, 0.44 and 2.27, survive a box that holds
+        # 1 alone, and a box beyond them that excludes 1
+        for box in ((1.0, 1.0), (5.0, 6.0)):
+            res = integrate_quadrant(lambda x, y: np.zeros(np.broadcast(x, y).shape),
+                                     support=(box, box))
+            assert res.value == 0.0 and res.converged, box
+            for level in range(len(quadrature._LEVELS)):
+                x, _, _ = quadrature._head(quadrature._clipped(*box), (level,))
+                assert x.size > 0 and x.min() <= quadrature._FIRST_NODES[1], (box, level)
 
 
 class TestLevelCap:

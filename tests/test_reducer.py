@@ -108,7 +108,14 @@ class TestNormalize:
         )
 
     def test_no_match(self):
+        # (9, 9, 9) converges with p, q > 0 and mu above its floors, 7/2 at
+        # the axes and 23/2 at the origin, and no shift reaches a rule
         with pytest.raises(ApplicabilityError, match=r"triple \(9, 9, 9\).*mirror was tried"):
+            normalize(Params(9, 9, 9, p=1.0, q=1.0), TestIntegrand(1.0, 12.0, 0.0))
+        # without them it diverges, which the contract says before any search
+        with pytest.raises(ApplicabilityError, match=(
+                r"^no rule reduces a divergent integral: divergent at the x->0 axis "
+                r"\(a=0; mu=0\.0 is not above its floor 3\.5\)$")):
             normalize(Params(9, 9, 9), TestIntegrand())
 
     def test_floor_at_an_axis(self):
@@ -116,19 +123,36 @@ class TestNormalize:
         # every candidate alike; just above it the search lands on G1
         params = Params(4, 4, 0, a=1.0, b=0.0, c=1.0)
         with pytest.raises(ApplicabilityError, match=(
-                r"^no catalog rule matches triple \(4, 4, 0\) with nonzero coefficients a, c "
-                r"and f mu=1\.0 under power shifts; the axis mirror was tried$")):
+                r"^no rule reduces a divergent integral: divergent at the y->0 axis "
+                r"\(b=0; mu=1\.0 is not above its floor 1\.0\)$")):
             normalize(params, TestIntegrand(1.0, 1.0, 0.0))
         rule, params2, f2 = normalize(params, TestIntegrand(1.0, 1.01, 0.0))
         assert (rule.id, params2, f2) == ("G1-general", params, TestIntegrand(1.0, 1.01, 0.0))
 
     def test_floor_at_the_origin(self):
-        # a = b = j = 0: both axes and the origin put the floor at -1/2
+        # a = b = j = 0: both axes and the origin put the floor at -1/2; the
+        # contract names the first of them, the x->0 axis
         params = Params(1, 1, 1, p=1.0, q=1.0)
-        with pytest.raises(ApplicabilityError, match=r"triple \(1, 1, 1\).*mu=-0\.5 "):
+        with pytest.raises(ApplicabilityError, match=(
+                r"^no rule reduces a divergent integral: divergent at the x->0 axis "
+                r"\(a=0; mu=-0\.5 is not above its floor -0\.5\)$")):
             normalize(params, TestIntegrand(1.0, -0.5, 0.0))
         rule, params2, f2 = normalize(params, TestIntegrand(1.0, -0.49, 0.0))
         assert (rule.id, params2, f2) == ("K1-111", params, TestIntegrand(1.0, -0.49, 0.0))
+
+    def test_divergence_is_told_before_any_search(self, monkeypatch):
+        # mu below the floor -1/2: normalize names the floor and tries no
+        # candidate, neither a power shift nor the mirror
+        def no_search(*_args):
+            raise AssertionError("normalize searched a divergent instance")
+
+        monkeypatch.setattr(reducer, "shift_power", no_search)
+        with pytest.raises(ApplicabilityError, match=r"floor -0\.5\)$") as err:
+            normalize(Params(1, 1, 1, p=1.0, q=1.0), TestIntegrand(1.0, -0.6, 0.0))
+        assert "mirror" not in str(err.value) and "rule matches" not in str(err.value)
+        # so is a divergence at large t, which no floor on mu shows
+        with pytest.raises(ApplicabilityError, match="no decay at large t along the diagonal"):
+            normalize(Params(4, 4, 0, a=1.0, b=0.5), TestIntegrand(1.0, 2.0, 0.0))
 
     def test_mixed_pattern_names_its_coefficients(self):
         # a/x and p x together fit no catalog pattern
@@ -137,7 +161,7 @@ class TestNormalize:
             normalize(params, TestIntegrand())
         # h couples to y/(x+y) alone, so the mirror is not an identity
         with pytest.raises(ApplicabilityError, match=r"mirror was not tried \(h != 0\)"):
-            normalize(Params(9, 9, 9, h=0.5), TestIntegrand())
+            normalize(Params(9, 9, 9, h=0.5, p=1.0, q=1.0), TestIntegrand(1.0, 12.0, 0.0))
 
     @pytest.mark.parametrize(
         "params,f",
@@ -738,7 +762,7 @@ class TestQuadrantSupport:
     def _check(params, f, tilde):
         box = quadrant_support(params, f, tilde)
         for (lo, hi) in box:
-            assert lo <= 1.0 <= hi
+            assert 0.0 <= lo <= hi
         log_terms, outside = _grid_log_terms(params, f, tilde, box)
         assert np.all(log_terms[outside] < _pilot_log_term(params, f, tilde) - 100.0), (
             params, f, box)
@@ -801,6 +825,16 @@ class TestQuadrantSupport:
         params, f = _sweep_case("K1-111", 42, 0)
         (_, x_hi), (_, y_hi) = self._check(params, f, False)
         assert x_hi < 1e5 and y_hi < 1e5
+
+    def test_box_need_not_hold_one(self):
+        # a = 1000 and p = 1 put the x peak near 32, so the box's x edges both
+        # lie above 1; the clipped ladder keeps each level's first nodes
+        # anyway, so the oracle runs as it did in a box widened to hold 1
+        params, f = Params(0, 0, 1, a=1000.0, b=1.0, p=1.0, q=1.0), TestIntegrand(1.0, 0.5, 0.0)
+        (x_lo, _), _ = self._check(params, f, False)
+        assert x_lo == pytest.approx(5.36, rel=1e-3, abs=0)
+        res = direct_2d(params, f)
+        assert res.converged and (res.value, res.evaluations) == (2.023950445606331e-28, 2301)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_oracle_agrees_with_the_unclipped_drive(self, family):
@@ -1121,7 +1155,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [
         QuadratureError("quadrature did not converge (estimate 1.000e-03 after 197 evaluations)"),
-        KernelError("kernel term overflow: f violates the convergence floor of this rule"),
+        KernelError("kernel term overflow at t = 1e-140: f(t) w(t) leaves the double range"),
     ], ids=["quadrature", "kernel"])
     def test_reduction_error_keeps_the_oracle(self, monkeypatch, error):
         # the oracle runs first; a reduction that raises after it leaves its work in the record
@@ -1150,6 +1184,21 @@ class TestVerify:
         assert not report.any_nonconverged()
         rec.lhs.converged = False
         assert report.any_nonconverged()
+
+    def test_overflow_is_not_called_divergent(self):
+        # f = 1e300 t^-0.45 on K1-111 converges by the contract (floor -1/2),
+        # but its values leave the double range: each side says so, and
+        # names no divergence and no floor
+        params, f = Params(1, 1, 1, p=1.0, q=1.0), TestIntegrand(1e300, -0.45, 0.0)
+        assert convergence_failure(params, f) is None
+        with pytest.raises(QuadratureError) as oracle:
+            direct_2d(params, f)
+        with pytest.raises(KernelError) as reduction:
+            get_rule("K1-111").reduce_to_1d(params, f)
+        rec = verify("K1-111", params, f)
+        for text in (str(oracle.value), str(reduction.value), rec.failure_reason):
+            assert "double range" in text, text
+            assert "divergent" not in text and "floor" not in text, text
 
     def test_csv_row_quotes_a_reason_with_a_comma(self):
         # the reason names a triple, whose commas a bare join would split
