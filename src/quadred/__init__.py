@@ -28,7 +28,7 @@ from .catalog import (
     list_rules,
 )
 from .kernels import KernelError, KernelTerm
-from .params import Params, TestIntegrand
+from .params import DivergentIntegralError, Params, TestIntegrand
 from .quadrature import (
     QuadratureError,
     QuadResult,
@@ -38,7 +38,6 @@ from .quadrature import (
     integrate_quadrant,
 )
 from .reducer import (
-    DivergentIntegralError,
     VerificationRecord,
     direct_2d,
     normalize,

@@ -4,10 +4,10 @@ The overlap of two Yukawa potentials centered a distance x2 apart,
 
     S1 = integral d^3x  exp(-eta1 |x|)/|x| * exp(-eta2 |x - x2|)/|x - x2|,
 
-reduces through Gaussian transforms to sqrt(pi) times the quadrant integral
-with exponents (4, 4, 0) and coefficients a = eta1^2/4, b = eta2^2/4,
-c = x2^2, taking f(t) = t**(3/2): fourier_params at k = 0.  This module
-carries the closed forms, the catalog-reduction routes, and the
+reduces through Gaussian transforms to the quadrant integral with
+exponents (4, 4, 0) and coefficients a = eta1^2/4, b = eta2^2/4,
+c = x2^2, taking f(t) = sqrt(pi) t**(3/2): fourier_params at k = 0.  This
+module carries the closed forms, the catalog-reduction routes, and the
 brute-force oracle route, plus the momentum-space version where the
 phase exp(-i k.x) adds h = i k.x2 and j = k^2/4 and the reduced kernel
 acquires an erfi difference.  Every quantity is computable two
@@ -30,8 +30,8 @@ from .quadrature import QuadResult, Tolerance, integrate_half_line, integrate_in
 from .reducer import direct_2d
 
 SQPI = math.sqrt(math.pi)
-# f = t^(3/2), the Gaussian transform's test function on the (4,4,0) instance
-_F_PAIR = TestIntegrand(1.0, 1.5, 0.0)
+# f = sqrt(pi) t^(3/2), the Gaussian transform's test function on the (4,4,0) instance
+_F_PAIR = TestIntegrand(SQPI, 1.5, 0.0)
 # below this k (relative to the larger eta) the erfi route loses digits to
 # the removable k->0 structure; delegate to the tau route instead
 _ERFI_SMALL_K = 1e-3
@@ -130,16 +130,11 @@ def _pair_params(spec: YukawaPairSpec) -> Params:
     return params.mirrored() if params.a < params.b else params
 
 
-def _reduced_pair(params: Params, f: TestIntegrand, tol: Tolerance | None) -> QuadResult:
-    # equal ranges included: at a = b, h = 0 G1 builds N6-aeqb's kernel
-    # (see catalog._g1_kernel)
-    return get_rule("G1-general").reduce_to_1d(params, f, tol).scaled(SQPI)
-
-
 def yukawa_pair_reduced(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
-    """The pair overlap through the catalog: sqrt(pi) times the reduced
-    (4,4,0) integral with f = t**(3/2)."""
-    return _reduced_pair(_pair_params(spec), _F_PAIR, tol)
+    """The pair overlap through the catalog: the reduced (4,4,0) integral
+    with f = sqrt(pi) t**(3/2).  Equal ranges included: at a = b, h = 0
+    G1 builds N6-aeqb's kernel (see catalog._g1_kernel)."""
+    return get_rule("G1-general").reduce_to_1d(_pair_params(spec), _F_PAIR, tol)
 
 
 def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
@@ -153,13 +148,13 @@ def yukawa_pair_reduced_alt(spec: YukawaPairSpec, tol: Tolerance | None = None) 
     """
     base = _pair_params(spec)
     params = Params(1, 1, 3, a=base.a, b=base.b, c=base.c)
-    return _reduced_pair(params, _F_PAIR.shifted(1.5), tol)
+    return get_rule("G1-general").reduce_to_1d(params, _F_PAIR.shifted(1.5), tol)
 
 
 def yukawa_pair_oracle(spec: YukawaPairSpec, tol: Tolerance | None = None) -> QuadResult:
     """The pair overlap through the brute-force quadrant oracle."""
     # the integrand is real, so the oracle's value is a float
-    return direct_2d(_pair_params(spec), _F_PAIR, tol).scaled(SQPI)
+    return direct_2d(_pair_params(spec), _F_PAIR, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -201,8 +196,9 @@ def fourier_pair_erfi_result(spec: FourierSpec, tol: Tolerance | None = None) ->
         return fourier_pair_tau_result(spec, tol)
     terms = _erfi_kernel(spec)
     res = integrate_half_line(lambda t: eval_kernel_with_f(terms, _F_PAIR, t), tol)
-    # a complex factor keeps the value complex when its imaginary part is 0
-    return res.scaled(complex(SQPI))
+    # f's coefficient, as reduce_to_1d applies it; a complex factor keeps
+    # the value complex when its imaginary part is 0
+    return res.scaled(complex(_F_PAIR.coeff))
 
 
 def fourier_pair_tau_result(spec: FourierSpec, tol: Tolerance | None = None) -> QuadResult:

@@ -43,14 +43,13 @@ from scipy.special import gamma
 from .kernels import (
     BesselKFactor,
     ErfcxSqrtInvFactor,
-    KernelError,
     KernelTerm,
     KummerFactor,
     RInnerFactor,
     eval_kernel,
     eval_kernel_with_f,
 )
-from .params import Params, TestIntegrand, convergence_failure, mu_floor
+from .params import DivergentIntegralError, Params, TestIntegrand, convergence_failure, mu_floor
 from .quadrature import QuadResult, Tolerance, integrate_half_line
 
 SQPI = math.sqrt(math.pi)
@@ -132,12 +131,14 @@ class ReductionRule:
         return eval_kernel(self.build_kernel(params), t)
 
     def reduce_to_1d(self, params: Params, f: TestIntegrand, tol: Tolerance | None = None) -> QuadResult:
+        """integral_0^inf f(t) w(t) dt: the half line taken with f's
+        coefficient as 1, and the result scaled by it once."""
         self.check_applicability(params)
         reason = convergence_failure(params, f, self.family is Family.MIXED_TILDE)
         if reason is not None:
-            raise KernelError(f"rule {self.id}: {reason}")
+            raise DivergentIntegralError(f"rule {self.id}: {reason}")
         terms = self.build_kernel(params)
-        return integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol)
+        return integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t), tol).scaled(f.coeff)
 
     def sample_params(self, rng: np.random.Generator, index: int) -> Params:
         return (self.sample or _FAMILIES[self.family].sample)(self.triple, rng, index)

@@ -13,11 +13,13 @@ combination of erfcx per kernel, so their exp(4(a-b)/t) growth cancels
 analytically and their tabulated terms never subtract in floats (T5's
 combination grows like t**-1/2 at the origin, where its term's gamma
 cuts it off).
-The evaluator computes exactly that sum, assembling f(t) times each term
-in log magnitude, so nothing overflows on the way, however deep the
-quadrature probes: with f's power above the convergence contract's
-small-t floor (params.mu_floor), a value is finite unless it leaves the
-double range itself.  Each special factor follows the protocol of
+The evaluator computes exactly that sum, assembling t**mu e^(-sigma t),
+f without its coefficient, times each term in log magnitude, so nothing
+overflows on the way, however deep the quadrature probes: with f's power
+above the convergence contract's small-t floor (params.mu_floor), a value
+is finite unless it leaves the double range itself.  f's coefficient
+scales the reduced integral once (ReductionRule.reduce_to_1d), so it
+never reaches an exp.  Each special factor follows the protocol of
 ``_Factor``.
 """
 
@@ -47,7 +49,9 @@ _R_INNER_TOL = Tolerance(rel=1e-11, abs=1e-15)
 
 
 class KernelError(ValueError):
-    """A kernel was evaluated outside its validity domain."""
+    """A kernel was evaluated outside its validity domain, or a term of it
+    left the double range (a divergent integral raises
+    params.DivergentIntegralError instead)."""
 
 
 class _Factor:
@@ -311,7 +315,9 @@ class KernelTerm:
 
 
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
-    """f(t) * w(t), assembled term by term in log magnitude.
+    """t**mu e^(-sigma t) w(t), f's power and exponential times the weight,
+    assembled term by term in log magnitude.  f's coefficient is not
+    read: the caller scales the integral by it (ReductionRule.reduce_to_1d).
 
     Finite for all t > 0 whenever f.mu exceeds params.mu_floor and no
     term leaves the double range; a term that does raises KernelError.
@@ -324,7 +330,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     call costs more per term than per node (a drive's first head is 197
     nodes on the half line), so a term tests by ufunc reductions and skips what cannot
     change a bit: a zero gamma (t is finite and positive), a phase or lift
-    of 1, and a sign, added or subtracted.  A real factor whose values are
+    of 1, and a term's sign, added or subtracted.  A real factor whose values are
     all at least 1e-280 is its own magnitude, with phase exactly 1, so it
     goes into the log without abs or phase.  -(sigma + beta) t is always
     applied, and at sigma + beta = 0 it keeps every bit too.  Each term
@@ -334,14 +340,11 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
     out = np.zeros(t.shape)
     logt = np.log(t)
-    lead = abs(f.coeff)
-    if lead == 0.0:
-        return out.reshape(shape)
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            logmag = (math.log(lead * abs(term.coeff)) + (f.mu + term.alpha) * logt
+            logmag = (math.log(abs(term.coeff)) + (f.mu + term.alpha) * logt
                       - (f.sigma + term.beta) * t)
             if term.gamma != 0.0:
                 logmag = logmag - term.gamma / t
@@ -376,7 +379,7 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
             vals = np.exp(logtot) if phase is None else np.exp(logtot) * phase
             if vals.dtype.kind == "c" and out.dtype.kind != "c":
                 out = out.astype(vals.dtype)
-            add = np.subtract if (f.coeff >= 0) != (term.coeff >= 0) else np.add
+            add = np.subtract if term.coeff < 0 else np.add
             out[live] = add(out[live], vals)
     return out.reshape(shape)
 

@@ -128,6 +128,14 @@ def mu_floor(params: Params, tilde: bool = False) -> float:
     return max((floor for _, _, floor in _small_t_floors(params, tilde)), default=-math.inf)
 
 
+class DivergentIntegralError(ValueError):
+    """The quadrant integral fails the convergence contract (convergence_failure).
+
+    The one verdict of divergence: the oracle, every reduction and
+    normalize raise it, each with convergence_failure's reason.
+    """
+
+
 def convergence_failure(params: Params, f: TestIntegrand, tilde: bool = False) -> str | None:
     """None when the quadrant integral converges, else where it diverges.
 

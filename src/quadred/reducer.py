@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import _COEFF_NAMES, ApplicabilityError, Family, ReductionRule, RULES, get_rule
 from .kernels import _EXP_ZERO, KernelError
-from .params import Params, TestIntegrand, convergence_failure
+from .params import DivergentIntegralError, Params, TestIntegrand, convergence_failure
 from .quadrature import (
     _EXP_SINH,
     HALF_LINE_SPAN,
@@ -50,10 +50,6 @@ _PILOT_X, _PILOT_W = (np.concatenate(part) for part in zip(
     *(_run(_EXP_SINH, 0, direction) for direction in (1.0, -1.0))))
 
 
-class DivergentIntegralError(ValueError):
-    """The quadrant integral fails the convergence contract (params.convergence_failure)."""
-
-
 def shift_power(triple: tuple[int, int, int], delta: float) -> tuple[int, int, int]:
     """Rewrite f = t**delta g: (n, m, nu) -> (n-2d, m-2d, nu+2d).
 
@@ -69,13 +65,13 @@ def shift_power(triple: tuple[int, int, int], delta: float) -> tuple[int, int, i
 
 
 def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, float]:
-    """(log |coeff|, kx, ky, kt): the log-magnitude that _log_magnitude
-    returns and quadrant_support bounds is log |coeff| + kx log x + ky log y
-    - kt log(1/x + 1/y) plus its exponents."""
+    """(kx, ky, kt, decay): the log-magnitude that _log_magnitude returns
+    and quadrant_support bounds is kx log x + ky log y - kt log(1/x + 1/y)
+    - decay t plus its other exponents, decay = sigma + c.  f's coefficient
+    is not in it: direct_2d scales the integral by it."""
     n, m, nu = params.n, params.m, params.nu
-    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
     # x^(-n/2) y^(-m/2) (x+y)^(-nu/2) t^mu, with log(x+y) = log x + log y - log t
-    return lead, -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
+    return -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu, f.sigma + params.c
 
 
 def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
@@ -89,10 +85,9 @@ def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
     (x, y) point then costs one log, of ix + iy.  It keeps no state between
     calls and sets no numpy error state of its own.
     """
-    a, b, c, h, j, p, q = params.a, params.b, params.c, params.h, params.j, params.p, params.q
+    a, b, h, j, p, q = params.a, params.b, params.h, params.j, params.p, params.q
     ab = a - b
-    lead, kx, ky, kt = _powers(params, f)
-    decay = f.sigma + c
+    kx, ky, kt, decay = _powers(params, f)
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
 
@@ -100,7 +95,7 @@ def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
         # x arrives as a column and y as a row: only s = ix + iy and what
         # follows from it is full-size
         ix = 1.0 / x
-        col = lead + kx * np.log(x) - p * x - a * ix
+        col = kx * np.log(x) - p * x - a * ix
         iy = 1.0 / y
         row = ky * np.log(y) - q * y - b * iy
         s = ix + iy
@@ -123,26 +118,24 @@ def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
 
 
 def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
-    """The 2-D integrand as a numpy-broadcasting callable.
+    """The 2-D integrand with f's coefficient taken as 1, as a
+    numpy-broadcasting callable (direct_2d scales the integral by it).
 
     Each call takes _log_magnitude's log-magnitude and one exp of it, taken
-    only where it can be nonzero (not below _EXP_ZERO; NaN passes), with
-    the sign of f's coefficient; a complex h adds a unit-modulus phase
-    factor.  It keeps no state between calls.
+    only where it can be nonzero (not below _EXP_ZERO; NaN passes); a
+    complex h adds a unit-modulus phase factor.  It keeps no state between
+    calls.
 
     It sets no numpy error state of its own: it runs under the quadrature
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.
     """
     log_magnitude = _log_magnitude(params, f, tilde)
-    negative = f.coeff < 0
     turn = params.h.imag
 
     def integrand(x, y):
         logmag, frac = log_magnitude(x, y)
         vals = np.exp(logmag, out=np.zeros(logmag.shape), where=~(logmag < _EXP_ZERO))
-        if negative:
-            vals = -vals
         if turn != 0.0:
             vals = vals * np.exp(-1j * turn * frac)
         return vals
@@ -249,6 +242,8 @@ def _pilot_peak(log_magnitude) -> float:
 def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     """A box outside which quadrant_integrand's node terms are negligible.
 
+    It bounds the integrand of f with coefficient 1, as quadrant_integrand
+    forms it, so the box is the same whatever f's coefficient, 0 included.
     Asks the convergence contract first (params.convergence_failure, the
     one the reductions ask too) and raises DivergentIntegralError with its
     reason, so it returns a box for every integral that converges:
@@ -289,13 +284,11 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     if reason is not None:
         raise DivergentIntegralError(reason)
     limit = _pilot_peak(_log_magnitude(params, f, tilde)) - _TERM_CUT
-    lead, kx, ky, kt = _powers(params, f)
-    lead += max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0)
+    kx, ky, kt, decay = _powers(params, f)
     # a term's bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS: the
     # weights' slack here, their nodes as the 1 added to kx and ky below
-    lead += 2.0 * _LOG_WEIGHT_EXCESS
+    lead = max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0) + 2.0 * _LOG_WEIGHT_EXCESS
     gap = params.a - params.b if tilde else 0.0  # >= 0 once the contract holds
-    decay = f.sigma + params.c
     # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
     cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
 
@@ -333,17 +326,20 @@ def direct_2d(
     oracle evaluates nothing outside its box, where every node's term is
     below e^-100 of the largest term of the support's pilot.  The pilot's
     625 log-magnitudes are the support's cost: no integrand call, and not
-    counted in evaluations.
+    counted in evaluations.  The integral is taken with f's coefficient as
+    1 and the result scaled by it once (QuadResult.scaled), so no
+    coefficient reaches an exp: at 1e300 or 1e-300 the value is the
+    coefficient times the unit integral, with the same evaluations.
     """
     return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
-                              support=quadrant_support(params, f, tilde))
+                              support=quadrant_support(params, f, tilde)).scaled(f.coeff)
 
 
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:
     """Search for a catalog rule equivalent to (params, f).
 
     It first asks the convergence contract (params.convergence_failure)
-    and raises ApplicabilityError with its reason for a divergent
+    and raises DivergentIntegralError with its reason for a divergent
     integral, before any search.  Every clause of the contract is
     invariant under a power shift and under the mirror, so it holds for
     every candidate or for none.  Then the search, in a deterministic
@@ -359,7 +355,7 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
     """
     reason = convergence_failure(params, f)
     if reason is not None:
-        raise ApplicabilityError(f"no rule reduces a divergent integral: {reason}")
+        raise DivergentIntegralError(f"no rule reduces a divergent integral: {reason}")
     candidates = [params]
     if params.h == 0:
         candidates.append(params.mirrored())

@@ -21,7 +21,7 @@ from quadred.catalog import (
     list_rules,
 )
 from quadred.kernels import ErfcxSqrtInvFactor, KernelError, KummerFactor, eval_kernel_with_f
-from quadred.params import Params, TestIntegrand, mu_floor
+from quadred.params import DivergentIntegralError, Params, TestIntegrand, mu_floor
 from quadred.quadrature import integrate_half_line
 from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, shift_power, verify
 
@@ -434,13 +434,13 @@ class TestReduceTo1D:
         assert complex(res.value).real > 0.0
 
     def test_floor_violation_raises(self):
-        with pytest.raises(KernelError, match="floor"):
+        with pytest.raises(DivergentIntegralError, match="floor"):
             get_rule("K2-220").reduce_to_1d(
                 Params(2, 2, 0, p=1.0, q=1.0), TestIntegrand(1.0, -0.25, 1.0)
             )
 
     def test_no_large_t_decay_raises(self):
-        with pytest.raises(KernelError, match="decay"):
+        with pytest.raises(DivergentIntegralError, match="decay"):
             get_rule("N5-222").reduce_to_1d(
                 Params(2, 2, 2, a=1.0, b=0.5, c=0.0), TestIntegrand(1.0, 1.0, 0.0)
             )
@@ -457,7 +457,7 @@ class TestReduceTo1D:
                 params, f = dataclasses.replace(params, c=0.0), dataclasses.replace(f, sigma=0.0)
                 try:
                     res = get_rule(rule_id).reduce_to_1d(params, f)
-                except KernelError as err:
+                except DivergentIntegralError as err:
                     assert "no decay at large t" in str(err)
                     continue
                 accepted.append((rule_id, case_index, params, f, res))
@@ -696,5 +696,5 @@ class TestMuFloors:
         res = counted.reduce_to_1d(params, TestIntegrand(mu=1.0, sigma=1.0))
         assert len(built) == 1
         assert res.value == rule.reduce_to_1d(params, TestIntegrand(mu=1.0, sigma=1.0)).value
-        with pytest.raises(KernelError, match="floor 0.5"):
+        with pytest.raises(DivergentIntegralError, match="floor 0.5"):
             counted.reduce_to_1d(params, TestIntegrand(mu=0.5))

@@ -88,22 +88,19 @@ class TestTermEvaluation:
 
 def _reference_eval_kernel_with_f(terms, f, t, seen: set):
     """The evaluator as it was before its fast paths: every term gathers its
-    live rows and scatters its values by mask.  seen collects which cases
-    ran: whole, part or dead terms, the denormal lift, complex values."""
+    live rows and scatters its values by mask, f's coefficient taken as 1.
+    seen collects which cases ran: whole, part or dead terms, the denormal
+    lift, complex values."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
     logt = np.log(t)
-    lead = abs(f.coeff)
-    if lead == 0.0:
-        return out
-    fsign = 1.0 if f.coeff >= 0 else -1.0
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
             if term.coeff == 0.0:
                 continue
-            csign = fsign * (1.0 if term.coeff >= 0 else -1.0)
+            csign = 1.0 if term.coeff >= 0 else -1.0
             logmag = (
-                math.log(lead * abs(term.coeff))
+                math.log(abs(term.coeff))
                 + (f.mu + term.alpha) * logt
                 - (f.sigma + term.beta) * t
                 - term.gamma / t
@@ -146,7 +143,8 @@ def _evaluator_cases():
         terms = applications._erfi_kernel(FourierSpec(*args))
         cases.append((f"erfi-{args[1]}", terms, TestIntegrand(1.0, 1.5, 0.0)))
     # the arithmetic the evaluator skips: a term with gamma = 0 and
-    # sigma + beta = 0, negative coefficients of a term and of f
+    # sigma + beta = 0, negative coefficients of a term and of f, which
+    # the evaluator does not read
     terms = [KernelTerm(1.0, 0.0), KernelTerm(-2.0, -1.0, beta=0.5, gamma=0.3),
              KernelTerm(0.5, -0.5, gamma=1.0, special=ErfcxSqrtInvFactor(0.7))]
     for coeff in (1.0, -1.5):
@@ -194,6 +192,16 @@ class TestEvaluatorKeepsItsBits:
                 assert self._bits(eval_kernel_with_f, terms, f, t) == want, (case_id, t[0])
         # every path of the evaluator ran, complex ("c") and real ("f") values
         assert seen == {"whole", "part", "dead", "lift", "c", "f"}
+
+    def test_coefficient_is_not_read(self):
+        # f's coefficient scales the reduced integral, in reduce_to_1d: the
+        # evaluator gives coefficient 1's bits for any other
+        for case_id, terms, f in _evaluator_cases():
+            want = self._bits(eval_kernel_with_f, terms, dataclasses.replace(f, coeff=1.0), _T_GRID)
+            for coeff in (1e300, -1e-300, -3.7, 0.0):
+                got = self._bits(eval_kernel_with_f, terms, dataclasses.replace(f, coeff=coeff),
+                                 _T_GRID)
+                assert got == want, (case_id, coeff)
 
     def test_shape_of_t_is_kept(self):
         # a scalar t and a 2-D t give the reference's shape and bits; a

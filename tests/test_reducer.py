@@ -113,7 +113,7 @@ class TestNormalize:
         with pytest.raises(ApplicabilityError, match=r"triple \(9, 9, 9\).*mirror was tried"):
             normalize(Params(9, 9, 9, p=1.0, q=1.0), TestIntegrand(1.0, 12.0, 0.0))
         # without them it diverges, which the contract says before any search
-        with pytest.raises(ApplicabilityError, match=(
+        with pytest.raises(DivergentIntegralError, match=(
                 r"^no rule reduces a divergent integral: divergent at the x->0 axis "
                 r"\(a=0; mu=0\.0 is not above its floor 3\.5\)$")):
             normalize(Params(9, 9, 9), TestIntegrand())
@@ -122,7 +122,7 @@ class TestNormalize:
         # b = 0: mu must be above m/2 - 1 = 1, the floor at the y->0 axis, on
         # every candidate alike; just above it the search lands on G1
         params = Params(4, 4, 0, a=1.0, b=0.0, c=1.0)
-        with pytest.raises(ApplicabilityError, match=(
+        with pytest.raises(DivergentIntegralError, match=(
                 r"^no rule reduces a divergent integral: divergent at the y->0 axis "
                 r"\(b=0; mu=1\.0 is not above its floor 1\.0\)$")):
             normalize(params, TestIntegrand(1.0, 1.0, 0.0))
@@ -133,7 +133,7 @@ class TestNormalize:
         # a = b = j = 0: both axes and the origin put the floor at -1/2; the
         # contract names the first of them, the x->0 axis
         params = Params(1, 1, 1, p=1.0, q=1.0)
-        with pytest.raises(ApplicabilityError, match=(
+        with pytest.raises(DivergentIntegralError, match=(
                 r"^no rule reduces a divergent integral: divergent at the x->0 axis "
                 r"\(a=0; mu=-0\.5 is not above its floor -0\.5\)$")):
             normalize(params, TestIntegrand(1.0, -0.5, 0.0))
@@ -147,11 +147,11 @@ class TestNormalize:
             raise AssertionError("normalize searched a divergent instance")
 
         monkeypatch.setattr(reducer, "shift_power", no_search)
-        with pytest.raises(ApplicabilityError, match=r"floor -0\.5\)$") as err:
+        with pytest.raises(DivergentIntegralError, match=r"floor -0\.5\)$") as err:
             normalize(Params(1, 1, 1, p=1.0, q=1.0), TestIntegrand(1.0, -0.6, 0.0))
         assert "mirror" not in str(err.value) and "rule matches" not in str(err.value)
         # so is a divergence at large t, which no floor on mu shows
-        with pytest.raises(ApplicabilityError, match="no decay at large t along the diagonal"):
+        with pytest.raises(DivergentIntegralError, match="no decay at large t along the diagonal"):
             normalize(Params(4, 4, 0, a=1.0, b=0.5), TestIntegrand(1.0, 2.0, 0.0))
 
     def test_mixed_pattern_names_its_coefficients(self):
@@ -199,7 +199,7 @@ class TestNormalize:
             f = TestIntegrand(1.0, float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.0, 2.0)))
             try:
                 routed[normalize(params, f)[0].family] += 1
-            except ApplicabilityError:
+            except (ApplicabilityError, DivergentIntegralError):
                 continue
         assert sum(routed.values()) == 224 and Family.R_INTEGRAL not in routed
 
@@ -377,7 +377,7 @@ class TestConvergenceContract:
         monkeypatch.setattr(reducer, "quadrant_integrand", uncallable)
         with pytest.raises(DivergentIntegralError, match="no decay at large t along x ~ y"):
             direct_2d(params, f, tilde=True)
-        with pytest.raises(KernelError, match="no decay at large t along x ~ y"):
+        with pytest.raises(DivergentIntegralError, match="no decay at large t along x ~ y"):
             get_rule(rule_id).reduce_to_1d(params, f)
 
 
@@ -386,7 +386,8 @@ _LADDER_POINTS = [1e-160, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e160]
 
 
 def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float, y: float):
-    """The defining formula of the quadrant integrand, in mpmath at 40 digits."""
+    """The defining formula of the quadrant integrand over f's coefficient,
+    which direct_2d applies to the integral, in mpmath at 40 digits."""
     with mp.workdps(40):
         x, y = mp.mpf(x), mp.mpf(y)
         s = x + y
@@ -399,26 +400,26 @@ def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float
         if tilde:
             expo -= (params.a - params.b) * s**2 / (x * y**2)
         return complex(
-            f.coeff * x ** (-params.n / 2) * y ** (-params.m / 2) * s ** (-params.nu / 2)
+            x ** (-params.n / 2) * y ** (-params.m / 2) * s ** (-params.nu / 2)
             * t**f.mu * mp.exp(expo)
         )
 
 
 def _unmasked_log_magnitude(params: Params, f: TestIntegrand, tilde: bool = False):
     """quadrant_integrand's log-magnitude as it was built before it skipped
-    exp below reducer._EXP_ZERO: (log |value|, y/(x+y) or None)."""
+    exp below reducer._EXP_ZERO, f's coefficient taken as 1:
+    (log |value|, y/(x+y) or None)."""
     n, m, nu = params.n, params.m, params.nu
     a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
     h = complex(params.h)
     ab = params.a - params.b
-    lead = math.log(abs(f.coeff)) if f.coeff != 0 else -math.inf
     kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
     decay = f.sigma + c
     mixed = h != 0.0 or j != 0.0
 
     def log_magnitude(x, y):
         ix = 1.0 / x
-        col = lead + kx * np.log(x) - p * x - a * ix
+        col = kx * np.log(x) - p * x - a * ix
         iy = 1.0 / y
         row = ky * np.log(y) - q * y - b * iy
         s = ix + iy
@@ -448,8 +449,6 @@ def _unmasked_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     def integrand(x, y):
         logmag, frac = log_magnitude(x, y)
         vals = np.exp(logmag)
-        if f.coeff < 0:
-            vals = -vals
         if params.h.imag != 0.0:
             vals = vals * np.exp(-1j * params.h.imag * frac)
         return vals
@@ -710,7 +709,8 @@ def _pilot_log_term(params: Params, f: TestIntegrand, tilde: bool) -> float:
 
 
 def _log_magnitude_reference(params: Params, f: TestIntegrand, tilde: bool, x: float, y: float):
-    """log |integrand| by the defining formula of params.py, in mpmath at 30 digits."""
+    """log |integrand| by the defining formula of params.py, f's coefficient
+    taken as 1, in mpmath at 30 digits."""
     with mp.workdps(30):
         x, y = mp.mpf(x), mp.mpf(y)
         s = x + y
@@ -721,7 +721,7 @@ def _log_magnitude_reference(params: Params, f: TestIntegrand, tilde: bool, x: f
         )
         if tilde:
             expo -= (params.a - params.b) * s**2 / (x * y**2)
-        return (mp.log(abs(f.coeff)) - mp.mpf(params.n) / 2 * mp.log(x)
+        return (-mp.mpf(params.n) / 2 * mp.log(x)
                 - mp.mpf(params.m) / 2 * mp.log(y) - mp.mpf(params.nu) / 2 * mp.log(s)
                 + f.mu * mp.log(t) + expo)
 
@@ -747,10 +747,12 @@ class TestQuadrantSupport:
                              TestIntegrand(2.5, 1.25, 0.0), True),
         "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0), False),
         # a peak at x = 1.5, between the level-0 nodes 1 and 2.27, where each
-        # pilot value underflows to 0
-        "pilot-all-zero": (Params(0, 0, 1, a=1020.0, b=1.0, p=680.0 / 1.5, q=1.0),
-                           TestIntegrand(1e300, 0.5, 0.0), False),
-        # x^-1 y^-1 t^0.5 reaches 7e14 near the level-0 corner x = y = 2.5e-138
+        # pilot value underflows to 0 and the integral is 4.56e-302
+        "pilot-all-zero": (Params(0, 0, 1, a=517.5, b=1.0, p=230.0, q=1.0),
+                           TestIntegrand(1.0, 0.5, 0.0), False),
+        # x^-1 y^-1 t^0.5 reaches 7e14 near the level-0 corner x = y = 2.5e-138,
+        # where f's coefficient would overflow it: the pilot and the box take
+        # f's coefficient as 1
         "pilot-overflows": (Params(2, 2, 0, p=1.0, q=1.0), TestIntegrand(1e308, 0.5, 0.0), False),
         "complex-h-large-imaginary": (Params(0, 0, 1, c=1.0, h=0.8 + 12.0j, p=0.7, q=1.0),
                                       TestIntegrand(1.0, 0.5, 0.4), False),
@@ -788,7 +790,7 @@ class TestQuadrantSupport:
     @pytest.mark.parametrize("case", list(CORNERS))
     def test_pilot_reads_its_largest_term(self, case):
         # against the defining formula at 30 digits, where the pilot's values
-        # underflow to 0 or overflow too: its largest term is always finite
+        # underflow to 0 too: its largest term is always finite
         params, f, tilde = self.CORNERS[case]
         x, log_w = _pilot_nodes()
         want = max(_log_magnitude_reference(params, f, tilde, xi, yk) + log_w[i] + log_w[k]
@@ -807,10 +809,11 @@ class TestQuadrantSupport:
             quadrature.integrate_quadrant(quadrant_integrand(params, f)).value, rel=1e-12, abs=0)
 
     def test_pilot_overflow_still_raises(self):
-        # the pilot's overflowing node lies inside the box, so the driver
-        # names the overflow
-        params, f, tilde = self.CORNERS["pilot-overflows"]
-        with pytest.raises(QuadratureError, match="overflowed"):
+        # K1-111 at mu = -0.45, 0.05 above its floor, whose value overflows
+        # at the corner node x = y = 4.129e-159 (ROADMAP item 9): that node
+        # lies inside the box, so the driver names the overflow
+        params, f = Params(1, 1, 1, p=1.0, q=1.0), TestIntegrand(1.0, -0.45, 0.0)
+        with pytest.raises(QuadratureError, match="overflowed at abscissa 4.129"):
             direct_2d(params, f)
 
     def test_term_cut_narrows_the_box(self):
@@ -849,7 +852,8 @@ class TestQuadrantSupport:
             draws.append(self.CORNERS["tilde-wide-gap"])
         for params, f, tilde in draws:
             clipped = direct_2d(params, f, tilde=tilde)
-            full = quadrature.integrate_quadrant(quadrant_integrand(params, f, tilde), support=None)
+            full = quadrature.integrate_quadrant(quadrant_integrand(params, f, tilde),
+                                                 support=None).scaled(f.coeff)
             assert clipped.converged and full.converged
             assert clipped.evaluations < full.evaluations
             assert abs(clipped.value - full.value) <= 1e-15 * abs(full.value), (rule.id, params)
@@ -1050,6 +1054,34 @@ class TestSmallCoefficientOracle:
             assert abs(lhs.value - rhs.value) <= 1e-10 * abs(rhs.value), (rule_id, case_index)
 
 
+class TestCoefficientScalesOnce:
+    """f's coefficient scales each side's result once: the oracle and the
+    reduction integrate f with coefficient 1, and no coefficient reaches
+    an exp, so none costs digits or leaves the double range on the way."""
+
+    PARAMS = Params(1, 1, 1, p=1.0, q=1.0)
+
+    @staticmethod
+    def _fields(res):
+        # repr tells every bit of a float apart, the sign of 0 included
+        return repr(res.value), repr(res.abs_error_estimate), res.evaluations, res.converged
+
+    @pytest.mark.parametrize("coeff", [1e300, -1e-300, -3.7])
+    def test_each_side_is_the_unit_result_scaled(self, coeff):
+        # K1-111 at mu = 0.5: at 1e300 the oracle once overflowed, and the
+        # reduction read 2.3e-14 off, on an integral of about 1e300
+        rule, unit = get_rule("K1-111"), TestIntegrand(1.0, 0.5, 0.0)
+        f = dataclasses.replace(unit, coeff=coeff)
+        for side in (lambda g: direct_2d(self.PARAMS, g),
+                     lambda g: rule.reduce_to_1d(self.PARAMS, g)):
+            assert self._fields(side(f)) == self._fields(side(unit).scaled(coeff))
+
+    def test_support_box_does_not_see_the_coefficient(self):
+        boxes = {quadrant_support(self.PARAMS, TestIntegrand(coeff, 0.5, 0.0))
+                 for coeff in (1.0, 1e300, -3.7, 0.0)}
+        assert len(boxes) == 1
+
+
 class TestOracleInnerRows:
     """Seed-42 draws with one inner row that barely counts.
 
@@ -1186,10 +1218,10 @@ class TestVerify:
         assert report.any_nonconverged()
 
     def test_overflow_is_not_called_divergent(self):
-        # f = 1e300 t^-0.45 on K1-111 converges by the contract (floor -1/2),
-        # but its values leave the double range: each side says so, and
-        # names no divergence and no floor
-        params, f = Params(1, 1, 1, p=1.0, q=1.0), TestIntegrand(1e300, -0.45, 0.0)
+        # f = t^150 on K1-111 at p = q = 0.05 converges by the contract,
+        # but its values leave the double range at t = 297.99: each side
+        # says so, and names no divergence and no floor
+        params, f = Params(1, 1, 1, p=0.05, q=0.05), TestIntegrand(1.0, 150.0, 0.0)
         assert convergence_failure(params, f) is None
         with pytest.raises(QuadratureError) as oracle:
             direct_2d(params, f)
@@ -1573,8 +1605,9 @@ class TestScaleOwner:
         scale = 2.0**10  # a power of two: each quotient below is exact
         monkeypatch.setattr(quadrature.Tolerance, "scale",
                             staticmethod(lambda value, floor=0.0: scale))
-        rec = verify("E1-pbm-corrected", Params(0, 0, 1, p=1.0, q=4.0),
-                     TestIntegrand(1e-3, 0.0, 1.0))
+        # p and q make |lhs| small, 3.0e-4
+        rec = verify("E1-pbm-corrected", Params(0, 0, 1, p=100.0, q=400.0),
+                     TestIntegrand(1.0, 0.0, 1.0))
         assert rec.abs_diff > 0.0 and rec.rel_diff == rec.abs_diff / scale
         report = CheshireReport(FourierSpec(0.5, 0.0, 1.0, 0.5, 1.0), 1e-5, 3.0 + 1.0j, 2.0)
         assert report.rel_diff == abs(1.0 + 1.0j) / scale
