@@ -93,9 +93,9 @@ class BesselKFactor(_Factor):
             if self.order == 2:
                 out = x * (x * _sp.k0(x)) + 2.0 * out
             out = out / self.scale**self.order
-        tiny = x < 1e-300
-        if np.logical_or.reduce(tiny):
+        if np.fmin.reduce(x) < 1e-300:  # fmin skips NaN, as the mask does
             # x k1(x) overflows on denormal arguments, and k0 is inf at 0
+            tiny = x < 1e-300
             out[tiny] = (-np.log(x[tiny] / 2.0) - np.euler_gamma if self.order == 0
                          else self.order / self.scale**self.order)
         return out
@@ -150,8 +150,8 @@ class ErfcxSqrtInvFactor(_Factor):
             out = _SQPI * ((2.0 * z * z - 1.0) * ex + 1.0) - 2.0 * z
         else:
             raise KernelError(f"unknown erfcx combination {form!r}")
-        small = z < 1.0
-        if np.logical_or.reduce(small):
+        if np.fmin.reduce(z) < 1.0:  # fmin skips NaN, as the mask does
+            small = z < 1.0
             zs = z[small]
             x = zs * zs
             if form == "T1":
@@ -180,9 +180,9 @@ class KummerFactor(_Factor):
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         w = self.shift / t + self.h
-        big = w >= _KUMMER_LEADING_FROM
-        if not np.logical_or.reduce(big):  # the usual call
+        if not np.fmax.reduce(w) >= _KUMMER_LEADING_FROM:  # the usual call; fmax skips NaN
             return _sp.hyp1f1(self.a, self.b, -w)
+        big = w >= _KUMMER_LEADING_FROM
         out = np.empty_like(w)
         out[~big] = _sp.hyp1f1(self.a, self.b, -w[~big])
         out[big] = _sp.gamma(self.b) * _sp.rgamma(self.b - self.a) * w[big] ** -self.a
@@ -328,17 +328,25 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
 
     Each term takes the rows where it has not underflowed by one mask.  A
     call costs more per term than per node (a drive's first head is 197
-    nodes on the half line), so a term tests by ufunc reductions and skips what cannot
-    change a bit: a zero gamma (t is finite and positive), a phase or lift
-    of 1, and a term's sign, added or subtracted.  A real factor whose values are
-    all at least 1e-280 is its own magnitude, with phase exactly 1, so it
-    goes into the log without abs or phase.  -(sigma + beta) t is always
-    applied, and at sigma + beta = 0 it keeps every bit too.  Each term
-    forms its own exponent and calls its own factor on its own live rows.
+    nodes on the half line), so a term tests by ufunc reductions and sizes
+    and skips what cannot change a bit: a zero gamma (t is finite and
+    positive), a phase or lift of 1, and a term's sign, added or
+    subtracted.  A real factor whose values are all at least 1e-280 is its
+    own magnitude, with phase exactly 1, so it goes into the log without
+    abs or phase.  -(sigma + beta) t is always applied, and at
+    sigma + beta = 0 it keeps every bit too.  The first term to contribute,
+    if its coefficient is positive and it has no phase, writes exp's values
+    into the zero output instead of adding them: 0.0 + v is v for every
+    value exp returns.  A 1-D t is neither flattened nor reshaped.  Each
+    term forms its own exponent and calls its own factor on its own live
+    rows.
     """
     t = np.asarray(t, dtype=float)
-    shape, t = t.shape, t.ravel()  # a factor takes a 1-D array of rows
+    shape = t.shape
+    if t.ndim != 1:
+        t = t.ravel()  # a factor takes a 1-D array of rows
     out = np.zeros(t.shape)
+    fresh = True  # out holds only zeros
     logt = np.log(t)
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
@@ -349,13 +357,14 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
             if term.gamma != 0.0:
                 logmag = logmag - term.gamma / t
             live = logmag > _EXP_ZERO
-            if np.count_nonzero(live) == 0:
-                continue  # a factor never sees zero rows
             logtot, phase = logmag[live], None
+            if not logtot.size:
+                continue  # a factor never sees zero rows
             if term.special is not None:
                 bounded = term.special.bounded_part(t[live])
-                if bounded.dtype.kind != "c" and np.minimum.reduce(bounded) >= 1e-280:
-                    # positive and normal (a NaN fails the test): |b| is b, its phase 1
+                if bounded.dtype.kind != "c" and bounded[bounded.argmin()] >= 1e-280:
+                    # positive and normal: |b| is b, its phase 1 (argmin, a fifth of a
+                    # minimum reduction's cost, finds the first NaN if there is one)
                     logtot = logtot + np.log(bounded)
                 else:
                     mag = np.abs(bounded)
@@ -376,12 +385,18 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
                 raise KernelError(
                     f"kernel term overflow at t = {at!r}: f(t) w(t) leaves the double range"
                 )
-            vals = np.exp(logtot) if phase is None else np.exp(logtot) * phase
-            if vals.dtype.kind == "c" and out.dtype.kind != "c":
-                out = out.astype(vals.dtype)
-            add = np.subtract if term.coeff < 0 else np.add
-            out[live] = add(out[live], vals)
-    return out.reshape(shape)
+            vals = np.exp(logtot)
+            if phase is None and fresh and term.coeff > 0.0:
+                out[live] = vals
+            else:
+                if phase is not None:
+                    vals = vals * phase
+                if vals.dtype.kind == "c" and out.dtype.kind != "c":
+                    out = out.astype(vals.dtype)
+                add = np.subtract if term.coeff < 0 else np.add
+                out[live] = add(out[live], vals)
+            fresh = False
+    return out if len(shape) == 1 else out.reshape(shape)
 
 
 def eval_kernel(terms: list[KernelTerm], t) -> np.ndarray | complex | float:

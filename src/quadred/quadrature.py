@@ -310,16 +310,21 @@ def _where(x: np.ndarray, bad: np.ndarray) -> str:
 
 
 def _sum(terms):
-    """The sum of terms over their last axis: a numpy scalar for a single
+    """The sum of terms over their last axis: one value for a single
     integral, one value per row for a batch (see _finite).
 
-    A complex sum is two real sums, built as they are: a real row of a
-    complex batch keeps the bits it has alone (numpy's complex pairwise sum
-    groups the terms otherwise), and a non-finite imaginary part leaves the
-    real part alone.  One sum is a numpy complex, whose abs may be inf.
+    A single real sum is a Python float, the same double as numpy's, so a
+    single real drive's per-level arithmetic, its tolerance test and its
+    result run on Python floats, not numpy scalars.  A complex sum is two
+    real sums, built as they are: a real row of a complex batch keeps the
+    bits it has alone (numpy's complex pairwise sum groups the terms
+    otherwise), and a non-finite imaginary part leaves the real part
+    alone.  One complex sum stays a numpy complex, whose abs is inf above
+    the double range, where a Python complex's abs raises OverflowError.
     """
     if terms.dtype.kind != "c":
-        return np.add.reduce(terms, axis=-1)
+        total = np.add.reduce(terms, axis=-1)
+        return float(total) if terms.ndim == 1 else total
     re, im = np.add.reduce(terms.real, axis=-1), np.add.reduce(terms.imag, axis=-1)
     if terms.ndim == 1:
         return np.complex128(complex(re, im))
@@ -456,7 +461,8 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
 def _result(level, evaluations: int) -> QuadResult:
     """A drive's QuadResult from its (value, estimate, converged), real unless
     an imaginary part is nonzero or NaN: a single value's is tested in
-    Python, a batch's rows' by one reduction."""
+    Python, a batch's rows' by one reduction.  A single real drive hands
+    it Python floats (see _sum)."""
     value, estimate, converged = level
     if not isinstance(value, np.ndarray):
         value = complex(value)

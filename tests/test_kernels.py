@@ -149,6 +149,9 @@ def _evaluator_cases():
              KernelTerm(0.5, -0.5, gamma=1.0, special=ErfcxSqrtInvFactor(0.7))]
     for coeff in (1.0, -1.5):
         cases.append((f"signs-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
+        # the first term to contribute subtracts: it is not written into
+        # the zero output as an adding term is
+        cases.append((f"first-subtracts-{coeff}", terms[1::-1], TestIntegrand(coeff, 0.5, 0.0)))
         # a real factor beside and off the positive-and-normal path
         cases.append((f"real-mixed-{coeff}", [KernelTerm(1.0, 0.0, special=_RealMixed())],
                       TestIntegrand(coeff, 0.5, 0.0)))
@@ -373,6 +376,27 @@ class TestBesselBranch:
                 assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
 
 
+def _bessel_branches(order):
+    scale, floor = 3.0, _BESSEL_FLOOR[order]
+    usual = np.geomspace(1.01 * floor, 60.0, 97) / scale
+    # down into the denormals, where x k1(x) overflows
+    small = np.geomspace(floor * 1e-10, 0.99 * floor, 31) / scale
+    return BesselKFactor(order, scale), usual, small
+
+
+def _kummer_branches(a, b):
+    usual = np.geomspace(1.001e-16, 1e160, 97)  # w = 1/t + 1/4 below 1e16
+    big = np.geomspace(1e-160, 0.999e-16, 31)
+    return KummerFactor(a, b, 1.0, 0.25), usual, big
+
+
+def _erfcx_branches(form):
+    amount = 0.7  # z = 2 sqrt(0.7/t) is 1 at t = 2.8
+    usual = np.geomspace(1e-3, 2.79, 97)
+    small = np.geomspace(2.81, 1e160, 31)
+    return ErfcxSqrtInvFactor(amount, form), usual, small
+
+
 class TestFactorBranchesKeepTheirBits:
     """A node's value is the same whether or not its call also holds a node
     of the factor's other branch: BesselKFactor's s t below 1e-300,
@@ -388,25 +412,32 @@ class TestFactorBranchesKeepTheirBits:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_bessel(self, order):
-        scale, floor = 3.0, _BESSEL_FLOOR[order]
-        usual = np.geomspace(1.01 * floor, 60.0, 97) / scale
-        # down into the denormals, where x k1(x) overflows
-        small = np.geomspace(floor * 1e-10, 0.99 * floor, 31) / scale
-        self._alone_and_together(BesselKFactor(order, scale), usual, small)
+        self._alone_and_together(*_bessel_branches(order))
 
     @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 1.5)])
     def test_kummer(self, a, b):
-        factor = KummerFactor(a, b, 1.0, 0.25)
-        usual = np.geomspace(1.001e-16, 1e160, 97)  # w = 1/t + 1/4 below 1e16
-        big = np.geomspace(1e-160, 0.999e-16, 31)
-        self._alone_and_together(factor, usual, big)
+        self._alone_and_together(*_kummer_branches(a, b))
 
     @pytest.mark.parametrize("form", ["T1", "T4"])
     def test_erfcx_forms(self, form):
-        amount = 0.7  # z = 2 sqrt(0.7/t) is 1 at t = 2.8
-        usual = np.geomspace(1e-3, 2.79, 97)
-        small = np.geomspace(2.81, 1e160, 31)
-        self._alone_and_together(ErfcxSqrtInvFactor(amount, form), usual, small)
+        self._alone_and_together(*_erfcx_branches(form))
+
+    @pytest.mark.parametrize("branches", [
+        lambda: _bessel_branches(0), lambda: _bessel_branches(1), lambda: _bessel_branches(2),
+        # at (1.5, 2) scipy's hyp1f1 leaves the leading term from w = 1e16 on
+        lambda: _kummer_branches(1.5, 2.0), lambda: _erfcx_branches("T1"),
+        lambda: _erfcx_branches("T4"),
+    ], ids=["bessel-0", "bessel-1", "bessel-2", "kummer", "erfcx-T1", "erfcx-T4"])
+    def test_a_nan_beside_the_other_branch(self, branches):
+        # a NaN row in the call: each factor decides its branch by a
+        # NaN-skipping reduction (fmin or fmax), so the other branch's rows
+        # still take it, as their own mask says; a NaN-propagating minimum
+        # or maximum would skip the branch and leave those rows scipy's raw
+        # values
+        factor, usual, other = branches()
+        nan = np.array([math.nan])
+        self._alone_and_together(factor, np.concatenate([nan, usual]), other)
+        self._alone_and_together(factor, nan, other)
 
 
 # The paper's displayed Macdonald kernels, coeff t^alpha e^-(p+q)t K_k(2 sqrt(pq) t)

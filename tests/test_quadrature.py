@@ -705,6 +705,25 @@ class TestFailurePaths:
         assert np.array_equal(batch.real, [3.25, 3.25]) and batch.imag[1] == 0.0
         assert not quadrature._finite(single) and not quadrature._finite(batch)
 
+    @pytest.mark.parametrize("size", [197, 1000])
+    def test_single_real_sum_is_a_float_with_numpy_bits(self, size):
+        # a single real drive's arithmetic runs on Python floats: its sum is
+        # numpy's pairwise sum, the same double, as a float
+        terms = np.random.default_rng(size).standard_normal(size) * np.geomspace(1e-3, 1e3, size)
+        total = quadrature._sum(terms)
+        assert type(total) is float
+        assert np.float64(total).tobytes() == np.add.reduce(terms, axis=-1).tobytes()
+
+    def test_single_complex_sum_stays_numpy(self):
+        # a complex sum is not made a Python complex: above the double range
+        # in modulus numpy's abs is inf, where Python's raises
+        total = quadrature._sum(np.array([1.5e308 + 1.5e308j, 0j]))
+        assert type(total) is np.complex128
+        assert (total.real, total.imag) == (1.5e308, 1.5e308)
+        assert abs(total) == math.inf
+        with pytest.raises(OverflowError):
+            abs(complex(total))
+
     @pytest.mark.parametrize("imag, real", [(0.0, True), (-0.0, True), (math.nan, False)],
                              ids=["+0", "-0", "nan"])
     def test_result_is_real_unless_an_imaginary_part_is_set(self, imag, real):
@@ -1187,6 +1206,10 @@ class TestErrorStateRestored:
         "half-line": lambda g: integrate_half_line(lambda t: g(t) + np.exp(-t)),
         "interval": lambda g: integrate_interval(lambda x: g(4.0 * x[:, 0]) + x[:, 0] ** -0.5),
         "quadrant": lambda g: integrate_quadrant(lambda x, y: g(x) + np.exp(-x - y)),
+        # an integral inside an integrand, as R1's inner integrals run: the
+        # inner exit must hand back the outer state, not the caller's
+        "nested": lambda g: integrate_half_line(
+            lambda t: g(t) + np.exp(-t) * integrate_interval(lambda x: x[:, 1]).value),
     }
 
     @pytest.mark.parametrize("run", list(RUNS))
