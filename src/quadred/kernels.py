@@ -25,6 +25,7 @@ never reaches an exp.  Each special factor follows the protocol of
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from dataclasses import dataclass
@@ -62,6 +63,10 @@ class _Factor:
     A factor's powers of t go to its KernelTerm's alpha, and its exponentials
     to beta and gamma, where the dead-row test sees them: bounded_part is
     called with the t rows whose term has not underflowed, never with none.
+    A complex factor must be bounded, its values multiplying exp's in the
+    evaluator (see eval_kernel_with_f): |FourierErfiFactor| <= 2, and
+    RInnerFactor's |J| <= B(pr+1, ps+1) <= B(1/2, 1/2) = pi, since R1
+    admits only n + nu >= 3 and m + nu >= 3.
     A factor sets no np.errstate: it runs under the evaluator's.
     """
 
@@ -198,16 +203,19 @@ class FourierErfiFactor(_Factor):
 
     with z+- = (i chi t + (eta1^2 - eta2^2)/4 +- k^2/4) / (k sqrt(t)) and
     chi the scalar product of the momentum with the separation.  gamma is
-    the common cut-off min(eta1, eta2)^2/4 and beta the Cauchy-Schwarz
-    residual max(x2^2 - (chi/k)^2, 0); both go to the factor's KernelTerm.
-    Evaluated through the Faddeeva function w, z- and z+ as the two rows of
-    one array.  Im z+- = chi sqrt(t)/k has the sign s of chi at every t > 0,
-    so one branch serves a whole call: w(z) for chi >= 0, else the
-    reflection w(z) = 2 exp(-z^2) - w(-z) (DLMF 7.4.3).  With expo a row's
-    prefactor exponent, the reflection's 2 exp(expo - z^2) is the same in
-    both rows, so it drops out of their difference and is never computed.
-    Each row is then s exp(expo) w(s z), with Re expo <= 0 and
-    Im(s z) >= 0, so at most 1 in magnitude.
+    the common cut-off min(eta1, eta2)^2/4 and beta the whole Gaussian
+    decay x2^2; both go to the factor's KernelTerm, whose dead-row test so
+    drops every t at which the decay underflows.  Evaluated through the
+    Faddeeva function w, z- and z+ as the two rows of one array.
+    Im z+- = chi sqrt(t)/k has the sign s of chi at every t > 0, so one
+    branch serves a whole call: w(z) for chi >= 0, else the reflection
+    w(z) = 2 exp(-z^2) - w(-z) (DLMF 7.4.3).  With expo a row's prefactor
+    exponent, the reflection's 2 exp(expo - z^2) is the same in both rows,
+    so it drops out of their difference and is never computed.  Each row
+    is then s exp(expo) w(s z), with expo = -cut/t real and <= 0, cut a
+    row's cut-off less gamma, and Im(s z) >= 0, so at most 1 in magnitude
+    (|w| <= 1 in the closed upper half plane).  z-'s row also carries the
+    phase e^(-i chi), one constant per factor.
     """
 
     k: float
@@ -222,26 +230,25 @@ class FourierErfiFactor(_Factor):
 
     @property
     def beta(self) -> float:
-        return max(self.x2 * self.x2 - (self.chi / self.k) ** 2, 0.0)
+        return self.x2 * self.x2
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows z- and z+: real offsets, cut-offs less gamma, exponent phases."""
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, complex]:
+        """Rows z- and z+: real offsets and cut-offs less gamma; z-'s phase."""
         g, d = (self.eta1**2 - self.eta2**2) / 4.0, self.k * self.k / 4.0
         return (np.array([[g - d], [g + d]]),
                 np.array([[self.eta1**2 / 4.0], [self.eta2**2 / 4.0]]) - self.gamma,
-                np.array([[-self.chi], [0.0]]))
+                cmath.exp(-1j * self.chi))
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         k, chi = self.k, self.chi
-        gg, cut, phase = self._rows
+        gg, cut, turn = self._rows
         z = (1j * chi * t + gg) / (k * np.sqrt(t))
-        # prefactor exponents with -beta t - gamma/t taken out, each real part <= 0
-        expo = -cut / t - (self.x2 * self.x2 - self.beta) * t + 1j * phase
         up = chi >= 0.0
-        terms = np.exp(expo) * _sp.wofz(z if up else -z)
+        terms = np.exp(-cut / t) * _sp.wofz(z if up else -z)
+        minus = terms[0] * turn
         # for chi < 0 both rows are negated, so the difference is taken the other way
-        return 1j * (terms[0] - terms[1] if up else terms[1] - terms[0])
+        return 1j * (minus - terms[1] if up else terms[1] - minus)
 
 
 @dataclass(frozen=True)
@@ -314,6 +321,7 @@ class KernelTerm:
     special: _Factor | None = None
 
 
+@np.errstate(divide="ignore", under="ignore")
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
     """t**mu e^(-sigma t) w(t), f's power and exponential times the weight,
     assembled term by term in log magnitude.  f's coefficient is not
@@ -322,9 +330,9 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     Finite for all t > 0 whenever f.mu exceeds params.mu_floor and no
     term leaves the double range; a term that does raises KernelError.
     Nodes whose exponential part underflows contribute exact zeros.  The
-    values turn complex at the first complex contribution.  The terms,
-    their special factors included, run under one np.errstate that ignores
-    log(0) and underflow whatever the caller has set.
+    values turn complex at the first complex contribution.  The function,
+    its factors included, runs under an np.errstate decorator that
+    ignores log(0) and underflow whatever the caller has set.
 
     Each term takes the rows where it has not underflowed by one mask.  A
     call costs more per term than per node (a drive's first head is 197
@@ -333,13 +341,19 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     positive), a phase or lift of 1, and a term's sign, added or
     subtracted.  A real factor whose values are all at least 1e-280 is its
     own magnitude, with phase exactly 1, so it goes into the log without
-    abs or phase.  -(sigma + beta) t is always applied, and at
-    sigma + beta = 0 it keeps every bit too.  The first term to contribute,
-    if its coefficient is positive and it has no phase, writes exp's values
-    into the zero output instead of adding them: 0.0 + v is v for every
-    value exp returns.  A 1-D t is neither flattened nor reshaped.  Each
-    term forms its own exponent and calls its own factor on its own live
-    rows.
+    abs or phase; any other real factor goes in as log |b| and its sign.
+    A complex factor's values multiply exp's instead, with no abs, log or
+    phase.  Every complex factor is bounded, |b| <= pi (see _Factor), so
+    the overflow test reads the exponent alone: a term whose exponent is
+    at most 705 is below pi e^705, finite, and one whose exponent is
+    above raises KernelError.  -(sigma + beta) t is always applied, and at
+    sigma + beta = 0 it keeps every bit too.  The first term to
+    contribute, if its coefficient is positive and it has neither a sign
+    nor a complex factor, writes exp's values into the zero output instead
+    of adding them: 0.0 + v is v for every value exp returns (a complex
+    product's part can be -0.0, where 0.0 + -0.0 is 0.0).  A 1-D t is
+    neither flattened nor reshaped.  Each term forms its own exponent and
+    calls its own factor on its own live rows.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape
@@ -348,54 +362,55 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     out = np.zeros(t.shape)
     fresh = True  # out holds only zeros
     logt = np.log(t)
-    with np.errstate(divide="ignore", under="ignore"):
-        for term in terms:
-            if term.coeff == 0.0:
-                continue
-            logmag = (math.log(abs(term.coeff)) + (f.mu + term.alpha) * logt
-                      - (f.sigma + term.beta) * t)
-            if term.gamma != 0.0:
-                logmag = logmag - term.gamma / t
-            live = logmag > _EXP_ZERO
-            logtot, phase = logmag[live], None
-            if not logtot.size:
-                continue  # a factor never sees zero rows
-            if term.special is not None:
-                bounded = term.special.bounded_part(t[live])
-                if bounded.dtype.kind != "c" and bounded[bounded.argmin()] >= 1e-280:
-                    # positive and normal: |b| is b, its phase 1 (argmin, a fifth of a
-                    # minimum reduction's cost, finds the first NaN if there is one)
-                    logtot = logtot + np.log(bounded)
-                else:
-                    mag = np.abs(bounded)
-                    if np.minimum.reduce(mag, axis=None) < 1e-280:
-                        # lift denormals into the normal range before the division:
-                        # numpy's complex divide NaNs out on denormals
-                        lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
-                        bounded = bounded * lift
-                        mag = np.abs(bounded)
-                        logtot = logtot + np.log(mag) - np.log(lift)
-                    else:
-                        logtot = logtot + np.log(mag)
-                    # every nonzero mag is now normal, and a zero's phase is 0 / 1e-300
-                    phase = bounded / np.maximum(mag, 1e-300)
-            # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
-            if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
-                at = float(t[live][np.argmax(logtot > _LOG_OVERFLOW)])
-                raise KernelError(
-                    f"kernel term overflow at t = {at!r}: f(t) w(t) leaves the double range"
-                )
-            vals = np.exp(logtot)
-            if phase is None and fresh and term.coeff > 0.0:
-                out[live] = vals
+    for term in terms:
+        if term.coeff == 0.0:
+            continue
+        logmag = (math.log(abs(term.coeff)) + (f.mu + term.alpha) * logt
+                  - (f.sigma + term.beta) * t)
+        if term.gamma != 0.0:
+            logmag = logmag - term.gamma / t
+        live = logmag > _EXP_ZERO
+        # mult multiplies exp's values: a complex factor whole, or a real one's sign
+        logtot, mult = logmag[live], None
+        if not logtot.size:
+            continue  # a factor never sees zero rows
+        if term.special is not None:
+            bounded = term.special.bounded_part(t[live])
+            if bounded.dtype.kind == "c":
+                mult = bounded  # bounded (see _Factor), so no log is needed
+            elif bounded[bounded.argmin()] >= 1e-280:
+                # positive and normal: |b| is b, its phase 1 (argmin, a fifth of a
+                # minimum reduction's cost, finds the first NaN if there is one)
+                logtot = logtot + np.log(bounded)
             else:
-                if phase is not None:
-                    vals = vals * phase
-                if vals.dtype.kind == "c" and out.dtype.kind != "c":
-                    out = out.astype(vals.dtype)
-                add = np.subtract if term.coeff < 0 else np.add
-                out[live] = add(out[live], vals)
-            fresh = False
+                mag = np.abs(bounded)
+                if np.minimum.reduce(mag, axis=None) < 1e-280:
+                    # lift denormals into the normal range before the log and the division
+                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
+                    bounded = bounded * lift
+                    mag = np.abs(bounded)
+                    logtot = logtot + np.log(mag) - np.log(lift)
+                else:
+                    logtot = logtot + np.log(mag)
+                # every nonzero mag is now normal, and a zero's sign is 0 / 1e-300
+                mult = bounded / np.maximum(mag, 1e-300)
+        # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
+        if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
+            at = float(t[live][np.argmax(logtot > _LOG_OVERFLOW)])
+            raise KernelError(
+                f"kernel term overflow at t = {at!r}: f(t) w(t) leaves the double range"
+            )
+        vals = np.exp(logtot)
+        if mult is None and fresh and term.coeff > 0.0:
+            out[live] = vals
+        else:
+            if mult is not None:
+                vals = vals * mult
+            if vals.dtype.kind == "c" and out.dtype.kind != "c":
+                out = out.astype(vals.dtype)
+            add = np.subtract if term.coeff < 0 else np.add
+            out[live] = add(out[live], vals)
+        fresh = False
     return out if len(shape) == 1 else out.reshape(shape)
 
 

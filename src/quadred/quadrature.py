@@ -54,9 +54,11 @@ A drive counts the values it fetches (see _drive); a 1-D integral
 reports that count, and the quadrant counts its inner batches' values
 before it runs them, against its work bound.
 
-_drive sets no error state: each entry point enters one
+_drive sets no error state: each entry point is decorated with one
 np.errstate(all="ignore"), under which all its drives run, the quadrant's
-inner ones included.  Non-finite terms are caught by value instead.
+inner ones included.  numpy >= 2 keeps the decorator's restore token per
+call, so an integral inside an integrand hands back the outer state.
+Non-finite terms are caught by value instead.
 
 Integrands must accept numpy arrays (every integrand built by this package
 does).  They are never called at an endpoint: of each (s, 1 - s) pair the
@@ -319,15 +321,18 @@ def _sum(terms):
     real sums, built as they are: a real row of a complex batch keeps the
     bits it has alone (numpy's complex pairwise sum groups the terms
     otherwise), and a non-finite imaginary part leaves the real part
-    alone.  One complex sum stays a numpy complex, whose abs is inf above
-    the double range, where a Python complex's abs raises OverflowError.
+    alone.  A single complex sum is a Python complex built from the same
+    two doubles, so a single complex drive runs on Python scalars too:
+    Python's float * complex, difference and abs give numpy's complex128
+    bits.  Its abs raises OverflowError where numpy's gives inf, for a
+    modulus past the double range, which no drive forms (see _drive).
     """
     if terms.dtype.kind != "c":
         total = np.add.reduce(terms, axis=-1)
         return float(total) if terms.ndim == 1 else total
     re, im = np.add.reduce(terms.real, axis=-1), np.add.reduce(terms.imag, axis=-1)
     if terms.ndim == 1:
-        return np.complex128(complex(re, im))
+        return complex(re, im)
     out = np.empty(re.shape, complex)
     out.real, out.imag = re, im
     return out
@@ -380,10 +385,18 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
     bounds its work; a cap below _FIRST_TEST_LEVEL moves the first test
     and fetch down to it.  A batch converges when its largest row does, at
     that row's scale; a single value's scale has a floor (see
-    Tolerance.scale).  A drive whose f raises _BudgetExceeded stops at its
-    last completed level, unconverged, or at value 0 with an infinite
-    estimate if there is none.  It sets no error state: it runs under its
-    entry point's (see the module).
+    Tolerance.scale).  A single drive's step product, difference and
+    moduli run on Python scalars, a complex one's too (see _sum).  Python's
+    abs raises OverflowError where finite parts have a modulus past the
+    double range, and no drive forms one.  Each part of a finite value or
+    difference is at most half the largest double: a level's value is its
+    step h <= 1/2 times a raw sum, and its difference from the level
+    before is h (level sum - raw sum before), with h <= 1/4 past level 0
+    and no raw sum before level 0.
+    A drive whose f raises _BudgetExceeded stops at its last completed
+    level, unconverged, or at value 0 with an infinite estimate if there
+    is none.  It sets no error state: it runs under its entry point's (see
+    the module).
 
     rows, if given, is (column, log2_share) and makes a row batch: one
     integral per row of column, a (rows, 1) array, each row judged by its
@@ -461,8 +474,8 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
 def _result(level, evaluations: int) -> QuadResult:
     """A drive's QuadResult from its (value, estimate, converged), real unless
     an imaginary part is nonzero or NaN: a single value's is tested in
-    Python, a batch's rows' by one reduction.  A single real drive hands
-    it Python floats (see _sum)."""
+    Python, a batch's rows' by one reduction.  A single drive hands it
+    Python scalars (see _sum)."""
     value, estimate, converged = level
     if not isinstance(value, np.ndarray):
         value = complex(value)
@@ -472,9 +485,9 @@ def _result(level, evaluations: int) -> QuadResult:
     return QuadResult(value if imag else value.real, float(estimate), evaluations, converged)
 
 
+@np.errstate(all="ignore")
 def _integrate(integrand, ladder: _Ladder, tol: Tolerance, rows=None) -> QuadResult:
-    with np.errstate(all="ignore"):
-        *level, evaluations = _drive(integrand, ladder, tol, rows)
+    *level, evaluations = _drive(integrand, ladder, tol, rows)
     return _result(level, evaluations)
 
 
@@ -507,6 +520,7 @@ def integrate_interval(integrand, tol: Tolerance | None = None, *, rows=None) ->
     return _integrate(integrand, _UNIT_PAIR, tol or _DEFAULT_TOLERANCE, rows)
 
 
+@np.errstate(all="ignore")  # the inner drives run under it too
 def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=None) -> QuadResult:
     """Integrate f(x, y) over (0, inf) x (0, inf) by iterated exp-sinh.
 
@@ -568,6 +582,5 @@ def integrate_quadrant(integrand2d, tol: Tolerance | None = None, *, support=Non
         failures += not converged
         return value
 
-    with np.errstate(all="ignore"):  # the inner drives run under it too
-        value, estimate, converged, _ = _drive(inner_rows, outer, tol)
+    value, estimate, converged, _ = _drive(inner_rows, outer, tol)
     return _result((value, estimate, converged and failures == 0), evaluations)

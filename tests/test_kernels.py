@@ -1,5 +1,6 @@
 """Kernel-term evaluation: frozen values, stability branches, special factors."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -89,8 +90,9 @@ class TestTermEvaluation:
 def _reference_eval_kernel_with_f(terms, f, t, seen: set):
     """The evaluator as it was before its fast paths: every term gathers its
     live rows and scatters its values by mask, f's coefficient taken as 1.
-    seen collects which cases ran: whole, part or dead terms, the denormal
-    lift, complex values."""
+    A real factor goes in as log |b| and its sign, a complex one, bounded,
+    multiplies exp's values.  seen collects which cases ran: whole, part or
+    dead terms, the denormal lift, complex values."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
     logt = np.log(t)
@@ -113,6 +115,9 @@ def _reference_eval_kernel_with_f(terms, f, t, seen: set):
             logtot, phase = logmag[live], 1.0
             if term.special is not None:
                 bounded = term.special.bounded_part(t[live])
+            if term.special is not None and np.iscomplexobj(bounded):
+                phase = bounded
+            elif term.special is not None:
                 mag, lift = np.abs(bounded), 1.0
                 if mag.min() < 1e-280:
                     if np.any((mag > 0.0) & (mag < 1e-280)):
@@ -598,7 +603,7 @@ class TestFourierErfiFactor:
         # must reproduce it
         k, chi, e1, e2, x2 = 1.3, 0.4, 1.0, 0.7, 0.9
         factor = FourierErfiFactor(k, chi, e1, e2, x2)
-        beta, gamma = x2 * x2 - (chi / k) ** 2, e2 * e2 / 4.0
+        beta, gamma = x2 * x2, e2 * e2 / 4.0  # the whole Gaussian decay, the common cut-off
         assert (factor.beta, factor.gamma) == pytest.approx((beta, gamma), rel=1e-15, abs=0)
         g = (e1 * e1 - e2 * e2) / 4.0
         d = k * k / 4.0
@@ -624,7 +629,7 @@ class TestFourierErfiFactor:
     @pytest.mark.parametrize("args", [
         (2.0, -1.5, 1.0, 2.0, 1.0),
         (1.3, 0.4, 1.0, 0.7, 0.9),
-        (0.5, 4.0, 1.0, 0.6, 8.0),  # |chi| = k x2: beta = 0
+        (0.5, 4.0, 1.0, 0.6, 8.0),  # |chi| = k x2, colinear
         (0.5, -4.0, 0.7, 1.8, 8.0),
         (1e-3, 0.0, 0.5, 0.5, 3.0),
     ])
@@ -650,28 +655,28 @@ def _reference_erfi_bounded_part(factor: FourierErfiFactor, t: np.ndarray) -> np
     call: each of z- and z+ by itself, the reflection w(z) = 2 exp(-z^2) - w(-z)
     chosen row by row by a mask on Im z.  A reflected row is -exp(expo) w(-z):
     its 2 exp(expo - z^2) is the same in both rows and cancels from their
-    difference."""
+    difference.  The term carries the factor's beta, the whole decay
+    x2^2, so a row's exponent is its real cut-off alone, and z-'s phase
+    e^(-i chi) multiplies its row."""
     k, chi, gamma = factor.k, factor.chi, factor.gamma
+    assert factor.beta == factor.x2 * factor.x2
     g = (factor.eta1**2 - factor.eta2**2) / 4.0
     d = k * k / 4.0
     rt = np.sqrt(t)
     zp = (1j * chi * t + (g + d)) / (k * rt)
     zm = (1j * chi * t + (g - d)) / (k * rt)
     cut1, cut2 = factor.eta1**2 / 4.0 - gamma, factor.eta2**2 / 4.0 - gamma
-    decay = factor.x2 * factor.x2 - factor.beta
-    a2 = -cut2 / t - decay * t + 0j
-    a1 = -cut1 / t - decay * t - 1j * chi
 
-    def stable_term(z, expo):
+    def stable_term(z, cut):
         out = np.zeros(z.shape, dtype=complex)
         up = z.imag >= 0.0
-        out[up] = np.exp(expo[up]) * sp.wofz(z[up])
+        out[up] = np.exp(-cut / t[up]) * sp.wofz(z[up])
         dn = ~up
         if dn.any():
-            out[dn] = -(np.exp(expo[dn]) * sp.wofz(-z[dn]))
+            out[dn] = -(np.exp(-cut / t[dn]) * sp.wofz(-z[dn]))
         return out
 
-    return 1j * (stable_term(zm, a1) - stable_term(zp, a2))
+    return 1j * (stable_term(zm, cut1) * cmath.exp(-1j * chi) - stable_term(zp, cut2))
 
 
 class TestFourierErfiKeepsItsBits:
@@ -684,7 +689,7 @@ class TestFourierErfiKeepsItsBits:
         (1.3, -0.0, 0.7, 1.0, 0.9),   # chi = -0, eta1 < eta2
         (1.0, 0.5, 1.0, 1.0, 1.0),    # eta1 = eta2: both cuts are 0
         (1.0, -0.5, 1.0, 1.0, 1.0),
-        (0.5, 4.0, 1.0, 0.6, 8.0),    # |chi| = k x2: beta = 0
+        (0.5, 4.0, 1.0, 0.6, 8.0),    # |chi| = k x2, colinear
         (0.5, -4.0, 0.7, 1.8, 8.0),
         (2.0, -1.5, 1.0, 2.0, 1.0),
     ])

@@ -683,25 +683,40 @@ class TestFailurePaths:
 
     def test_complex_sum_above_the_double_range_in_modulus(self):
         # each part of a whole level's sum is 1.5e308, finite, while its
-        # modulus is not a double: the finiteness test reads the parts
+        # modulus is not a double: the finiteness test reads the parts, and
+        # the Python complex's abs raises where numpy's would give inf
         x, w, _ = quadrature._head(quadrature._EXP_SINH, (5,))
         y = np.zeros(len(x), dtype=complex)
         y[:64] = 1.5e308 / 64 * (1.0 + 1.0j) / w[:64]
         with np.errstate(all="ignore"):
             total = quadrature._checked_sum(x, y, y * w)
         assert math.isfinite(total.real) and math.isfinite(total.imag)
-        assert abs(total) == math.inf
+        with pytest.raises(OverflowError):
+            abs(total)
+
+    def test_drive_over_a_sum_past_the_double_range_ends_as_before(self):
+        # the first group's raw sum is 1.5e308 (1 + 1j), its modulus past the
+        # double range, and every later level adds 0: a drive forms no
+        # modulus past the range (see _drive), so it raises no OverflowError
+        # and halves its value to the level cap, with the bits it had when
+        # its sums were numpy complexes
+        x, w, _ = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+        big = 1.5e308 * (1.0 + 1.0j) / w[0]
+        res = integrate_half_line(lambda t: np.where(t == x[0], big, 0j))
+        value = complex(res.value)
+        assert (value.real.hex(), value.imag.hex()) == ("0x1.ab36d48e1acf0p+1011",) * 2
+        assert res.abs_error_estimate.hex() == "0x1.2e1606ff93d79p+1012"
+        assert (res.evaluations, res.converged) == (50_387, False)
 
     @pytest.mark.parametrize("imag", [math.inf, math.nan], ids=["inf", "nan"])
     def test_complex_sum_keeps_its_real_part(self, imag):
         # a chunk whose imaginary part is not finite keeps a finite real
-        # part, alone or as a row of a batch, and a single sum stays a
-        # numpy complex
+        # part, alone or as a row of a batch; a single sum is a Python complex
         terms = np.array([1.5 + 0.5j, complex(2.0, imag), -0.25 + 0j])
         single = quadrature._sum(terms)
         batch = quadrature._sum(np.stack([terms, terms.real + 0j]))
-        assert isinstance(single, np.complex128)
-        assert single.real == 3.25 and np.isnan(single.imag) == np.isnan(imag)
+        assert type(single) is complex
+        assert single.real == 3.25 and math.isnan(single.imag) == math.isnan(imag)
         assert np.array_equal(batch.real, [3.25, 3.25]) and batch.imag[1] == 0.0
         assert not quadrature._finite(single) and not quadrature._finite(batch)
 
@@ -714,15 +729,20 @@ class TestFailurePaths:
         assert type(total) is float
         assert np.float64(total).tobytes() == np.add.reduce(terms, axis=-1).tobytes()
 
-    def test_single_complex_sum_stays_numpy(self):
-        # a complex sum is not made a Python complex: above the double range
-        # in modulus numpy's abs is inf, where Python's raises
-        total = quadrature._sum(np.array([1.5e308 + 1.5e308j, 0j]))
-        assert type(total) is np.complex128
-        assert (total.real, total.imag) == (1.5e308, 1.5e308)
-        assert abs(total) == math.inf
-        with pytest.raises(OverflowError):
-            abs(complex(total))
+    @pytest.mark.parametrize("size", [197, 1000])
+    def test_single_complex_sum_is_a_complex_with_numpy_bits(self, size):
+        # a single complex drive's arithmetic runs on Python scalars: its sum
+        # is a Python complex whose parts are numpy's pairwise sums of the
+        # parts, signed zeros included
+        rng = np.random.default_rng(size)
+        scale = np.geomspace(1e-3, 1e3, size)
+        terms = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+        terms[:3] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
+        for part in (terms, terms[:3]):
+            total = quadrature._sum(part)
+            assert type(total) is complex
+            assert np.float64(total.real).tobytes() == np.add.reduce(part.real).tobytes()
+            assert np.float64(total.imag).tobytes() == np.add.reduce(part.imag).tobytes()
 
     @pytest.mark.parametrize("imag, real", [(0.0, True), (-0.0, True), (math.nan, False)],
                              ids=["+0", "-0", "nan"])
@@ -732,6 +752,33 @@ class TestFailurePaths:
             out = quadrature._result((value, 0.0, True), 1).value
             assert np.isrealobj(out) == real, value
             assert np.all(np.real(out) == np.real(value))
+
+
+class TestComplexDrivesKeepTheirBits:
+    """A single complex drive runs on Python scalars and keeps the value,
+    estimate and evaluations it had on numpy complex scalars."""
+
+    PINS = {
+        # converges at level 6, past level 4
+        "half-line, level 6": (
+            lambda: integrate_half_line(lambda t: t**0.7 * np.exp(-(2.3 - 10j) * t)),
+            ("-0x1.74e46208930e5p-7", "0x1.ad42e511bf632p-7", "0x1.46e7470c503ecp-40", 1575)),
+        "half-line": (
+            lambda: integrate_half_line(lambda t: np.exp(-(1.0 + 0.5j) * t) / (1.0 + t)),
+            ("0x1.105b3e7a5b65ep-1", "-0x1.6a2934228bd82p-3", "0x1.7594b820f9b82p-46", 393)),
+        "interval": (
+            lambda: integrate_interval(lambda x: x[:, 0] ** -0.5 * np.exp(-3j * x[:, 1])),
+            ("-0x1.511ec7793bb7ep-1", "-0x1.225c5ceb4515ep+0", "0x1.2e6890536a1c8p-51", 195)),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS))
+    def test_bits(self, case):
+        run, pinned = self.PINS[case]
+        res = run()
+        value = complex(res.value)
+        assert res.converged
+        assert (value.real.hex(), value.imag.hex(), res.abs_error_estimate.hex(),
+                res.evaluations) == pinned
 
 
 def _abscissa(err) -> float:
