@@ -6,7 +6,11 @@ weight w.  Rules come in five families, and the family fixes which
 coefficients may be nonzero, the validity predicate and the sampler
 (``_FAMILIES``); only N6-aeqb, the a = b form, overrides the last two:
 
-  positive-exp   only p, q active: exp and Macdonald kernels
+  positive-exp   only p, q active: one builder, G&R 3.471.9's Macdonald
+                 sum for the triple, gives exp terms at half-integer
+                 orders and one term of K0 and K1 weights at integer
+                 ones; the displays kept as descriptions and as the
+                 tests' reference
   inverse-exp    only a, b, c active: N1-N5 weigh by G1's Kummer term at
                  h = 0, their split-exponential and erf displays kept as
                  descriptions and as the tests' reference; plus the a = b
@@ -32,6 +36,7 @@ substitution that yields T1/T3, and keep a note saying so.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from dataclasses import dataclass, replace
@@ -213,93 +218,86 @@ def _sample_n6(triple, rng, index):
 # ----------------------------------------------------------------------------
 
 
-def _e_terms(params: Params, *rows) -> list[KernelTerm]:
-    """coeff t**alpha e^(-(sqrt p + sqrt q)^2 t) for each (coeff, alpha) row."""
-    beta = (math.sqrt(params.p) + math.sqrt(params.q)) ** 2
-    return [KernelTerm(coeff, alpha, beta=beta) for coeff, alpha in rows]
+def _order_rows(v: float) -> list[tuple[str, float, float]]:
+    """K_v(x) as rows (basis, shift, c), the sum of c x**shift basis(x)
+    with basis "exp" e^-x, "k0" K_0(x) or "k1" x K_1(x).
+
+    K_-v = K_v.  A half-integer order N + 1/2 is sqrt(pi/(2x)) e^-x times
+    sum_j (N+j)!/(j! (N-j)! (2x)**j) (DLMF 10.49.12), (N+j)!/(N-j)! being
+    math.perm(N+j, 2j).  An integer order comes from K_0 and
+    K_1 = x**-1 (x K_1) by the upward recurrence
+    K_(u+1) = K_(u-1) + (2u/x) K_u (DLMF 10.29.1).  Every c is positive.
+    """
+    whole = int(abs(v))
+    if abs(v) != whole:
+        return [("exp", -0.5 - j, math.sqrt(math.pi / 2.0) * math.perm(whole + j, 2 * j)
+                 / (math.factorial(j) * 2**j)) for j in range(whole + 1)]
+    below, at = [("k0", 0, 1)], [("k1", -1, 1)]
+    for u in range(1, whole):
+        below, at = at, below + [(basis, shift - 1, 2 * u * c) for basis, shift, c in at]
+    return at if whole else below
 
 
-def _e1_kernel(params: Params) -> list[KernelTerm]:
-    sp, sq = math.sqrt(params.p), math.sqrt(params.q)
-    return _e_terms(params, (SQPI * (sp + sq) / (sp * sq), 0.0))
+@functools.lru_cache(maxsize=None)
+def _pq_shape(n: int, m: int, nu: int):
+    """What of _pq_kernel the triple alone fixes: the lowest power alpha of
+    t, whether the orders are half-integers, the number of coefficients
+    and of K_0 weights among them, and the monomials (j, c, v, e), each
+    adding c sqrt(p/q)**v s**e to coefficient j.  Half-integer orders
+    have a coefficient for each power alpha + j of t.  Integer orders have
+    one for each K_0 weight, of t**j, then one for each x K_1 weight.  The
+    last coefficient is never 0.
+    """
+    k, odd = divmod(4 - (n + m + 2 * nu), 2)
+    if k < 0 or odd:
+        raise ApplicabilityError(f"no pq sum at {(n, m, nu)}: 2 - (n+m+2nu)/2 is no whole k >= 0")
+    power = 1.0 - (n + m + nu) / 2.0
+    orders = [(n + nu) / 2.0 - 1.0 + i for i in range(k + 1)]
+    rows = [(basis, power + shift, v, 2.0 * math.comb(k, i) * c)
+            for i, v in enumerate(orders) for basis, shift, c in _order_rows(v)]
+    alpha = min(at for _, at, _, _ in rows)
+    # a basis's coefficients run from t**alpha to its highest power, x K_1's after K_0's
+    count = {basis: round(max(at for b, at, _, _ in rows if b == basis) - alpha) + 1
+             for basis, _, _, _ in rows}
+    split = count.get("k0", 0)
+    # x**shift is s**shift t**shift, and x K_1(x) is s times the factor's x K_1(x)/s
+    monomials = tuple(((basis == "k1") * split + round(at - alpha), c, v, at - power + (basis == "k1"))
+                      for basis, at, v, c in rows)
+    return alpha, "exp" in count, sum(count.values()), split, monomials
+
+
+def _pq_kernel(params: Params) -> list[KernelTerm]:
+    """The pq pattern's weight for any triple with k = 2 - (n+m+2nu)/2 a
+    whole number >= 0 (Gradshteyn and Ryzhik 3.471.9):
+
+        w(t) = t**(1-(n+m+nu)/2) e^(-(p+q)t)
+               sum_(i=0..k) C(k, i) 2 (p/q)**(v_i/2) K_(v_i)(2 sqrt(pq) t),
+
+    with v_i = (n+nu)/2 - 1 + i, from the sigma-integral the quadrant
+    reduces to, with u = sigma/(1-sigma).  Every summand is positive.
+    Half-integer orders give exponential terms at
+    beta = (sqrt p + sqrt q)**2, one for each power of t.  Integer orders
+    give one term, whose BesselKFactor carries the K_0 and K_1 weights, the
+    last (x K_1's at its highest power of t if it has one, else K_0's) taken
+    out as the term's coefficient.
+    """
+    root, s = math.sqrt(params.p / params.q), 2.0 * math.sqrt(params.p * params.q)
+    alpha, half, size, split, monomials = _pq_shape(params.n, params.m, params.nu)
+    values = [0.0] * size
+    for j, c, v, e in monomials:
+        values[j] += c * root**v * s**e
+    if half:
+        beta = (math.sqrt(params.p) + math.sqrt(params.q)) ** 2
+        return [KernelTerm(value, alpha + j, beta=beta) for j, value in enumerate(values)]
+    weights = [value / values[-1] for value in values]
+    return [KernelTerm(values[-1], alpha, beta=params.p + params.q, special=BesselKFactor(
+        s, tuple(weights[:split]), tuple(weights[split:])))]
 
 
 def _e1_uncorrected_kernel(params: Params) -> list[KernelTerm]:
-    p, q = params.p, params.q
-    return _e_terms(params, (SQPI / math.sqrt(p * q * (p + q)), 0.0))
-
-
-def _e2_kernel(params: Params) -> list[KernelTerm]:
-    sp, sq = math.sqrt(params.p), math.sqrt(params.q)
-    return _e_terms(params, (SQPI * (sp + sq) / (sp * sq), -0.5))
-
-
-def _e3_kernel(params: Params) -> list[KernelTerm]:
-    # weight sqrt(pi) t^-1/2 e^-(sqrt p+sqrt q)^2 t (1/(2p^3/2) + t (sqrt p+sqrt q)^2/(p sqrt q));
-    # the t^-1/2, implied by the m=1 exponent, is missing from the tabulated
-    # display, whose bracket coefficients are otherwise exact
-    p, q = params.p, params.q
-    sp, sq = math.sqrt(p), math.sqrt(q)
-    return _e_terms(params, (SQPI * (sp + sq) ** 2 / (p * sq), 0.5),
-                    (SQPI / (2.0 * p**1.5), -0.5))
-
-
-def _e4_kernel(params: Params) -> list[KernelTerm]:
-    return _e_terms(params, (SQPI / math.sqrt(params.q), -0.5))
-
-
-def _e5_kernel(params: Params) -> list[KernelTerm]:
-    p, q = params.p, params.q
-    return _e_terms(params, (SQPI / (2.0 * q**1.5), -0.5),
-                    (SQPI * math.sqrt(p) / q, 0.5))
-
-
-def _macdonald(coeff: float, alpha: float, params: Params, order: int) -> KernelTerm:
-    """coeff t**alpha e^(-(p+q)t) K_order(2 sqrt(pq) t), alpha as displayed.
-
-    The factor carries t**order K_order, so the term's own power is
-    alpha - order (see BesselKFactor).
-    """
-    p, q = params.p, params.q
-    return KernelTerm(coeff, alpha - order, beta=p + q,
-                      special=BesselKFactor(order, 2.0 * math.sqrt(p * q)))
-
-
-def _k1_kernel(params):
-    return [_macdonald(2.0, -0.5, params, 0)]
-
-
-def _k2_kernel(params):
-    return [_macdonald(2.0, -1.0, params, 0)]
-
-
-def _k3_kernel(params):
-    return [_macdonald(2.0 * math.sqrt(params.p / params.q), 1.0, params, 1)]
-
-
-def _k4_kernel(params):
-    return [_macdonald(2.0 * math.sqrt(params.p / params.q), 0.5, params, 1)]
-
-
-def _k5_kernel(params):
-    return [_macdonald(2.0 * params.p / params.q, 1.5, params, 2)]
-
-
-def _k6_kernel(params):
-    p, q = params.p, params.q
-    return [
-        _macdonald(2.0, 0.5, params, 0),
-        _macdonald(2.0 * math.sqrt(q / p), 0.5, params, 1),
-    ]
-
-
-def _k7_kernel(params):
-    p, q = params.p, params.q
-    return [
-        _macdonald(2.0 * (p + q) / p, 1.5, params, 0),
-        _macdonald(4.0 * math.sqrt(q) / math.sqrt(p), 1.5, params, 1),
-        _macdonald(2.0 * math.sqrt(q) / p**1.5, 0.5, params, 1),
-    ]
+    # the published coefficient is the true one times this error factor
+    error = 1.0 / ((math.sqrt(params.p) + math.sqrt(params.q)) * math.sqrt(params.p + params.q))
+    return [replace(term, coeff=term.coeff * error) for term in _pq_kernel(params)]
 
 
 def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list[KernelTerm]:
@@ -487,37 +485,37 @@ def _tilde_rules() -> tuple[ReductionRule, ...]:
 RULES: tuple[ReductionRule, ...] = (
     ReductionRule("E1-pbm-corrected", Family.POSITIVE_EXP, (0, 0, 1),
                   "corrected product-form identity: sqrt(pi)(sqrt p+sqrt q)/sqrt(pq) "
-                  "exp(-(sqrt p+sqrt q)^2 t)", _e1_kernel),
+                  "exp(-(sqrt p+sqrt q)^2 t)", _pq_kernel),
     ReductionRule("E1-uncorrected-pbm", Family.POSITIVE_EXP, (0, 0, 1),
                   "as-tabulated coefficient sqrt(pi)/sqrt(pq(p+q)); wrong by "
                   "1/((sqrt p+sqrt q) sqrt(p+q)) and kept as a runnable erratum",
                   _e1_uncorrected_kernel, erratum=True),
     ReductionRule("E2-110", Family.POSITIVE_EXP, (1, 1, 0),
                   "power-shifted companion of E1: same exponential kernel times t^-1/2",
-                  _e2_kernel),
+                  _pq_kernel),
     ReductionRule("E3-m110", Family.POSITIVE_EXP, (-1, 1, 0),
                   "dissimilar-power identity: exponential kernel with a linear-in-t polynomial",
-                  _e3_kernel),
+                  _pq_kernel),
     ReductionRule("E4-1m12", Family.POSITIVE_EXP, (1, -1, 2),
                   "unlike-power identity: sqrt(pi)/sqrt(q) t^-1/2 exponential kernel",
-                  _e4_kernel),
+                  _pq_kernel),
     ReductionRule("E5-1m54", Family.POSITIVE_EXP, (1, -5, 4),
                   "unlike-power identity: t^-1/2 (1 + 2 sqrt(pq) t) exponential kernel",
-                  _e5_kernel),
+                  _pq_kernel),
     ReductionRule("K1-111", Family.POSITIVE_EXP, (1, 1, 1),
-                  "Macdonald kernel 2 t^-1/2 e^-(p+q)t K0(2 sqrt(pq) t)", _k1_kernel),
+                  "Macdonald kernel 2 t^-1/2 e^-(p+q)t K0(2 sqrt(pq) t)", _pq_kernel),
     ReductionRule("K2-220", Family.POSITIVE_EXP, (2, 2, 0),
-                  "Macdonald kernel 2 t^-1 e^-(p+q)t K0(2 sqrt(pq) t)", _k2_kernel),
+                  "Macdonald kernel 2 t^-1 e^-(p+q)t K0(2 sqrt(pq) t)", _pq_kernel),
     ReductionRule("K3-0m44", Family.POSITIVE_EXP, (0, -4, 4),
-                  "Macdonald kernel 2 sqrt(p/q) t e^-(p+q)t K1(2 sqrt(pq) t)", _k3_kernel),
+                  "Macdonald kernel 2 sqrt(p/q) t e^-(p+q)t K1(2 sqrt(pq) t)", _pq_kernel),
     ReductionRule("K4-1m33", Family.POSITIVE_EXP, (1, -3, 3),
-                  "Macdonald kernel 2 sqrt(p/q) t^1/2 e^-(p+q)t K1(2 sqrt(pq) t)", _k4_kernel),
+                  "Macdonald kernel 2 sqrt(p/q) t^1/2 e^-(p+q)t K1(2 sqrt(pq) t)", _pq_kernel),
     ReductionRule("K5-1m75", Family.POSITIVE_EXP, (1, -7, 5),
-                  "Macdonald kernel 2 (p/q) t^3/2 e^-(p+q)t K2(2 sqrt(pq) t)", _k5_kernel),
+                  "Macdonald kernel 2 (p/q) t^3/2 e^-(p+q)t K2(2 sqrt(pq) t)", _pq_kernel),
     ReductionRule("K6-m111", Family.POSITIVE_EXP, (-1, 1, 1),
-                  "two-term Macdonald kernel: sqrt(p) K0 + sqrt(q) K1, weight t^1/2", _k6_kernel),
+                  "two-term Macdonald kernel: sqrt(p) K0 + sqrt(q) K1, weight t^1/2", _pq_kernel),
     ReductionRule("K7-m311", Family.POSITIVE_EXP, (-3, 1, 1),
-                  "three-term Macdonald kernel; minus the p-derivative of K6-m111", _k7_kernel),
+                  "three-term Macdonald kernel; minus the p-derivative of K6-m111", _pq_kernel),
     # N1-N5 evaluate G1's 1F1 term, which never subtracts; their tabulated
     # elementary displays, which do, stay as descriptions and as the tests'
     # reference.  N5's display carries t^-3/2, but only t^-1 matches the 2-D

@@ -6,8 +6,9 @@ with w a short sum of
     coeff * t**alpha * exp(-beta*t - gamma/t) * special(t)
 
 The special factors are kept in forms that stay bounded on (0, inf):
-a Macdonald function of order k >= 1 is carried as t**k K_k(s*t), its
-t**-k pole (DLMF 10.30.2) written into the term's alpha, and the
+a Macdonald kernel's integer orders are carried as polynomials in t
+times K_0(s*t) and s*t K_1(s*t), their poles in t (DLMF 10.30.2) written
+into the term's alpha, and the
 complementary-error factors of the mixed-tilde family are carried as one
 combination of erfcx per kernel, so their exp(4(a-b)/t) growth cancels
 analytically and their tabulated terms never subtract in floats (T5's
@@ -73,37 +74,52 @@ class _Factor:
 
 @dataclass(frozen=True)
 class BesselKFactor(_Factor):
-    """t**order K_order(scale * t), order in {0, 1, 2}.
+    """A Macdonald kernel's integer orders, brought down to K_0 and K_1:
 
-    K_k(x) ~ 2**(k-1) (k-1)! x**-k as x -> 0 for k >= 1 (DLMF 10.30.2); the
-    t**order taken in here is the t**-order its KernelTerm's alpha carries.
-    Every order is formed from scipy's integer-order k0 and k1 at
-    x = scale * t: k0(x), x k1(x) / scale, and
-    x**2 K_2(x) = x**2 k0(x) + 2 x k1(x) (DLMF 10.29.1), whose terms are
-    never negative, over scale**2.  These are finite down to x = 1e-300;
-    only below it are they the limits -log(x/2) - euler_gamma and
-    order / scale**order.  The half-line ladder's t > 1e-160 keeps catalog
-    draws above that floor.
+        sum_j k0_weights[j] t**j K_0(x) + sum_j k1_weights[j] t**j x K_1(x) / scale
+
+    at x = scale * t.  The upward recurrence K_(v+1) = K_(v-1) + (2v/x) K_v
+    (DLMF 10.29.1), whose terms are never negative, takes every integer
+    order to these two (catalog._order_rows), and its poles in t go to the
+    KernelTerm's alpha, so the weights are of t**0, t**1, ... and, for the
+    catalog's kernels, never negative: nothing subtracts.  t**k K_k(s t) is
+    bounded near 0, K_k(x) ~ 2**(k-1) (k-1)! x**-k for k >= 1 (DLMF
+    10.30.2), and K_0 grows only like a logarithm.  scipy's integer-order
+    k0 and k1 are each called once, and only where their weights are not
+    empty; a weight of exactly 1 at t**0 alone is k0(x) or x k1(x) / scale,
+    with no multiply.  Both are finite down to x = 1e-300; only below it are
+    they the limits -log(x/2) - euler_gamma and x K_1(x) = 1.  The
+    half-line ladder's t > 1e-160 keeps catalog draws above that floor.
     """
 
-    order: int
     scale: float
+    k0_weights: tuple[float, ...] = (1.0,)
+    k1_weights: tuple[float, ...] = ()
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
-        if self.order == 0:
-            out = _sp.k0(x)
-        else:
-            out = x * _sp.k1(x)
-            if self.order == 2:
-                out = x * (x * _sp.k0(x)) + 2.0 * out
-            out = out / self.scale**self.order
-        if np.fmin.reduce(x) < 1e-300:  # fmin skips NaN, as the mask does
-            # x k1(x) overflows on denormal arguments, and k0 is inf at 0
-            tiny = x < 1e-300
-            out[tiny] = (-np.log(x[tiny] / 2.0) - np.euler_gamma if self.order == 0
-                         else self.order / self.scale**self.order)
-        return out
+        # fmin skips NaN, as the mask does
+        tiny = x < 1e-300 if np.fmin.reduce(x) < 1e-300 else None
+        parts = []
+        if self.k0_weights:
+            k0 = _sp.k0(x)
+            if tiny is not None:  # k0 is inf at 0
+                k0[tiny] = -np.log(x[tiny] / 2.0) - np.euler_gamma
+            parts.append(_weigh(self.k0_weights, t, k0))
+        if self.k1_weights:
+            xk1 = x * _sp.k1(x)
+            if tiny is not None:  # x k1(x) overflows on denormal arguments
+                xk1[tiny] = 1.0
+            parts.append(_weigh(self.k1_weights, t, xk1 / self.scale))
+        return sum(parts[1:], parts[0])
+
+
+def _weigh(weights: tuple[float, ...], t: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] t**j base, by Horner's rule; a lone weight 1 is base itself."""
+    acc = weights[-1]
+    for weight in weights[-2::-1]:
+        acc = acc * t + weight if weight else acc * t
+    return base if weights == (1.0,) else acc * base
 
 
 @dataclass(frozen=True)

@@ -355,17 +355,19 @@ def _raise_non_finite(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
     raise QuadratureError("integrand*weight sum overflowed; the sum leaves the double range")
 
 
-def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray):
-    """_sum(terms), terms being f's values y at x times their weights.
+def _checked_sum(x: np.ndarray, y: np.ndarray, terms: np.ndarray, before=None):
+    """_sum(terms), terms being f's values y at x times their weights,
+    added to before if given.
 
     A non-finite term leaves its row's sum non-finite, so one test of the
-    sum (_finite, in Python for a single integral) stands for a test of
-    every term; a sum that fails it raises (see _raise_non_finite).
+    result (_finite, in Python for a single integral) stands for a test of
+    every term and of the addition, where two finite sums can leave the
+    double range; a result that fails it raises (see _raise_non_finite).
     """
-    part = _sum(terms)
-    if not _finite(part):
+    total = _sum(terms) if before is None else before + _sum(terms)
+    if not _finite(total):
         _raise_non_finite(x, y, terms)
-    return part
+    return total
 
 
 def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
@@ -390,9 +392,10 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
     abs raises OverflowError where finite parts have a modulus past the
     double range, and no drive forms one.  Each part of a finite value or
     difference is at most half the largest double: a level's value is its
-    step h <= 1/2 times a raw sum, and its difference from the level
-    before is h (level sum - raw sum before), with h <= 1/4 past level 0
-    and no raw sum before level 0.
+    step h <= 1/2 times a raw sum, tested finite each time a level's sum
+    is added to it, and its difference from the level before is
+    h (level sum - raw sum before), with h <= 1/4 past level 0 and no raw
+    sum before level 0.
     A drive whose f raises _BudgetExceeded stops at its last completed
     level, unconverged, or at value 0 with an infinite estimate if there
     is none.  It sets no error state: it runs under its entry point's (see
@@ -447,7 +450,7 @@ def _drive(f, ladder: _Ladder, tol: Tolerance, rows=None):
         for level in range(first, _MAX_LEVEL + 1):
             if level > first:
                 x, y, terms, split = fetch((level,))
-            prev, raw = value, raw + _checked_sum(x[split:], y[..., split:], terms[..., split:])
+            prev, raw = value, _checked_sum(x[split:], y[..., split:], terms[..., split:], raw)
             value = _LEVELS[level][2] * raw
             if live is not None:
                 values[live] = value

@@ -17,13 +17,22 @@ from quadred.catalog import (
     ApplicabilityError,
     Family,
     RULES,
+    _pq_kernel,
     get_rule,
     list_rules,
 )
-from quadred.kernels import ErfcxSqrtInvFactor, KernelError, KummerFactor, eval_kernel_with_f
+from quadred.kernels import (
+    BesselKFactor,
+    ErfcxSqrtInvFactor,
+    KernelError,
+    KernelTerm,
+    KummerFactor,
+    eval_kernel,
+    eval_kernel_with_f,
+)
 from quadred.params import DivergentIntegralError, Params, TestIntegrand, mu_floor
 from quadred.quadrature import integrate_half_line
-from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, shift_power, verify
+from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, normalize, shift_power, verify
 
 SQPI = math.sqrt(math.pi)
 
@@ -414,6 +423,144 @@ class TestTildeKernelsAreTheirDisplays:
                     worst = max(worst, np.max(np.abs(w[live] - ref[live]) / ref[live], initial=0.0))
         assert live_count >= 1000
         assert worst <= 1e-12
+
+
+PQ_RULES = [rule.id for rule in list_rules(Family.POSITIVE_EXP)]
+
+
+def pq_rows(rule_id: str, p, q):
+    """The tabulated pq weight of a rule as rows (coeff, power, order), in
+    p's and q's arithmetic: coeff t^power e^(-(sqrt p + sqrt q)^2 t) where
+    order is None, else coeff t^power e^(-(p+q)t) K_order(2 sqrt(pq) t).
+
+    E3's display lacks the t^-1/2 that the m = 1 exponent implies, and its
+    bracket coefficients are otherwise exact; the rows carry it.
+    E1-uncorrected-pbm's row is the published coefficient, wrong by the
+    factor 1/((sqrt p + sqrt q) sqrt(p+q)).
+    """
+    sqpi, sp, sq = mp.sqrt(mp.pi), mp.sqrt(p), mp.sqrt(q)
+    return {
+        "E1-pbm-corrected": [(sqpi * (sp + sq) / (sp * sq), 0.0, None)],
+        "E1-uncorrected-pbm": [(sqpi / mp.sqrt(p * q * (p + q)), 0.0, None)],
+        "E2-110": [(sqpi * (sp + sq) / (sp * sq), -0.5, None)],
+        "E3-m110": [(sqpi * (sp + sq) ** 2 / (p * sq), 0.5, None),
+                    (sqpi / (2 * p**1.5), -0.5, None)],
+        "E4-1m12": [(sqpi / sq, -0.5, None)],
+        "E5-1m54": [(sqpi / (2 * q**1.5), -0.5, None), (sqpi * sp / q, 0.5, None)],
+        "K1-111": [(2, -0.5, 0)],
+        "K2-220": [(2, -1.0, 0)],
+        "K3-0m44": [(2 * sp / sq, 1.0, 1)],
+        "K4-1m33": [(2 * sp / sq, 0.5, 1)],
+        "K5-1m75": [(2 * p / q, 1.5, 2)],
+        "K6-m111": [(2, 0.5, 0), (2 * sq / sp, 0.5, 1)],
+        "K7-m311": [(2 * (p + q) / p, 1.5, 0), (4 * sq / sp, 1.5, 1), (2 * sq / p**1.5, 0.5, 1)],
+    }[rule_id]
+
+
+def pq_display(rule_id: str, p: float, q: float, t: float):
+    """The tabulated pq weight at t, in mpmath at its working precision."""
+    p, q, t = mp.mpf(p), mp.mpf(q), mp.mpf(t)
+    return sum(c * t**power * (mp.exp(-(mp.sqrt(p) + mp.sqrt(q)) ** 2 * t) if order is None
+                               else mp.exp(-(p + q) * t) * mp.besselk(order, 2 * mp.sqrt(p * q) * t))
+               for c, power, order in pq_rows(rule_id, p, q))
+
+
+def gr_sum(triple, p: float, q: float, t: float):
+    """Gradshteyn and Ryzhik 3.471.9's sum for the pq weight, in mpmath:
+    t^(1-(n+m+nu)/2) e^(-(p+q)t) sum_i C(k, i) 2 (p/q)^(v_i/2) K_(v_i)(2 sqrt(pq) t)
+    over i = 0..k, k = 2 - (n+m+2nu)/2 and v_i = (n+nu)/2 - 1 + i."""
+    n, m, nu = triple
+    p, q, t = mp.mpf(p), mp.mpf(q), mp.mpf(t)
+    k = 2 - (n + m + 2 * nu) // 2
+    orders = [mp.mpf(n + nu - 2 + 2 * i) / 2 for i in range(k + 1)]
+    return t ** (1 - mp.mpf(n + m + nu) / 2) * mp.exp(-(p + q) * t) * sum(
+        mp.binomial(k, i) * 2 * (p / q) ** (v / 2) * mp.besselk(v, 2 * mp.sqrt(p * q) * t)
+        for i, v in enumerate(orders))
+
+
+# pq triples that no rule takes: normalize refuses each.  (4, -10, 0) has
+# k = 5 and integer orders 1 to 6, (-3, -7, 0) k = 7 and half-integer
+# orders up to 9/2, beyond every catalog rule's
+REFUSED_PQ_TRIPLES = [(0, 0, 0), (-1, -1, 0), (2, -2, 1), (4, -10, 0), (-3, -7, 0)]
+
+
+class TestPqKernel:
+    """Every positive-exp rule weighs by _pq_kernel, G&R 3.471.9's sum for
+    its triple, the erratum by that weight times its published error
+    factor; test_kernels.TestMacdonaldTerms checks each against its
+    display (pq_display)."""
+
+    def test_terms_by_order(self):
+        # half-integer orders: one exp term a power of t; integer orders:
+        # one term, whose factor carries the K_0 and K_1 weights
+        p, q = 1.3, 0.7
+        kernels = {rule_id: get_rule(rule_id).build_kernel(Params(*get_rule(rule_id).triple,
+                                                                   p=p, q=q))
+                   for rule_id in PQ_RULES}
+        assert {rule_id: len(terms) for rule_id, terms in kernels.items()} == {
+            rule_id: 2 if rule_id in ("E3-m110", "E5-1m54") else 1 for rule_id in PQ_RULES}
+        beta = (math.sqrt(p) + math.sqrt(q)) ** 2
+        for rule_id, terms in kernels.items():
+            if rule_id.startswith("E"):
+                assert all(term.beta == beta and term.special is None for term in terms)
+            else:
+                assert terms[0].beta == p + q and isinstance(terms[0].special, BesselKFactor)
+
+    @pytest.mark.parametrize("rule_id, coeff, alpha, weights", [
+        ("K1-111", lambda p, q: 2.0, -0.5, ((1.0,), ())),
+        ("K2-220", lambda p, q: 2.0, -1.0, ((1.0,), ())),
+        ("K3-0m44", lambda p, q: 2.0 * math.sqrt(p / q), 0.0, ((), (1.0,))),
+        ("K4-1m33", lambda p, q: 2.0 * math.sqrt(p / q), -0.5, ((), (1.0,))),
+    ])
+    def test_one_macdonald_function_keeps_its_arithmetic(self, rule_id, coeff, alpha, weights):
+        # a weight of 1 at t^0 alone is k0(x) or x k1(x)/s, with the
+        # display's coefficient in the term and K_1's pole t^-1 in alpha
+        rule = get_rule(rule_id)
+        for p, q in ((1.3, 0.7), (0.1, 10.0), (7.25, 0.375)):
+            (term,) = rule.build_kernel(Params(*rule.triple, p=p, q=q))
+            assert term == KernelTerm(coeff(p, q), alpha, beta=p + q,
+                                      special=BesselKFactor(2.0 * math.sqrt(p * q), *weights))
+
+    @pytest.mark.parametrize("rule_id", [rule_id for rule_id in PQ_RULES
+                                         if rule_id != "E1-uncorrected-pbm"])
+    def test_against_the_sum_at_40_digits(self, rule_id):
+        # 6 log-uniform (p, q) on [0.1, 10]; beyond t = 3.7 the rounding of
+        # exp's argument (p+q)t, up to about 1500, dominates
+        rng = np.random.default_rng(27)
+        triple = get_rule(rule_id).triple
+        ts = np.concatenate([np.geomspace(1e-6, 3.7, 14), np.geomspace(3.7, 150.0, 8)[1:]])
+        worst = {True: 0.0, False: 0.0}
+        with mp.workdps(40):
+            for _ in range(6):
+                p, q = (float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))) for _ in "pq")
+                got = eval_kernel(_pq_kernel(Params(*triple, p=p, q=q)), ts)
+                ref = np.array([float(gr_sum(triple, p, q, t)) for t in ts])
+                live = ref >= LIVE
+                assert np.all(got[~live] < 1e-280)
+                rel = np.abs(got[live] - ref[live]) / ref[live]
+                for near in (True, False):
+                    chosen = rel[(ts[live] <= 3.7) == near]
+                    worst[near] = max(worst[near], np.max(chosen, initial=0.0))
+        assert worst[True] <= 2e-14 and worst[False] <= 5e-13, worst
+
+    @pytest.mark.parametrize("triple", REFUSED_PQ_TRIPLES)
+    def test_refused_triples_reduce_to_the_oracle(self, triple):
+        # no catalog rule reaches the recurrence above order 2 or the
+        # half-integer polynomials above N = 1; these triples do
+        params, f = Params(*triple, p=0.8, q=1.7), TestIntegrand(1.0, 2.5, 0.3)
+        with pytest.raises(ApplicabilityError):
+            normalize(params, f)
+        terms = _pq_kernel(params)
+        reduced = integrate_half_line(lambda t: eval_kernel_with_f(terms, f, t))
+        oracle = direct_2d(params, f)
+        assert reduced.converged and oracle.converged
+        assert abs(reduced.value - oracle.value) <= 1e-13 * abs(oracle.value)
+
+    @pytest.mark.parametrize("triple", [(1, 1, 2), (0, 1, 1), (5, 5, 0)])
+    def test_no_sum_without_a_whole_k(self, triple):
+        # k = 2 - (n+m+2nu)/2 must be a whole number >= 0
+        with pytest.raises(ApplicabilityError, match="no whole k >= 0"):
+            _pq_kernel(Params(*triple, p=1.0, q=1.0))
 
 
 class TestReduceTo1D:

@@ -12,7 +12,7 @@ from scipy import special as sp
 
 from quadred import applications, kernels, quadrature
 from quadred.applications import FourierSpec, fourier_params
-from quadred.catalog import G1_GRID, R1_GRID, get_rule, list_rules
+from quadred.catalog import G1_GRID, R1_GRID, _order_rows, get_rule, list_rules
 from quadred.kernels import (
     BesselKFactor,
     ErfcxSqrtInvFactor,
@@ -27,8 +27,25 @@ from quadred.kernels import (
 from quadred.params import Params, TestIntegrand
 from quadred.quadrature import integrate_interval
 from quadred.reducer import _case_inputs
+from test_catalog import PQ_RULES, pq_display
 
 SQPI = math.sqrt(math.pi)
+# the orders BesselKFactor's contract tests take: the catalog's 0, 1 and 2,
+# and 3 to 5, which only the recurrence reaches
+_BESSEL_ORDERS = [0, 1, 2, 3, 4, 5]
+
+
+def _bessel_factor(order: int, scale: float) -> BesselKFactor:
+    """t**order K_order(scale t) as a BesselKFactor, its weights from the
+    catalog's recurrence rows: K_order(x) is the sum of c x**shift K_0(x)
+    and c x**shift x K_1(x), and x**shift x K_1(x) = scale**(shift + 1)
+    t**shift (x K_1(x)/scale)."""
+    weights = {"k0": [], "k1": []}
+    for basis, shift, c in _order_rows(order):
+        row, j = weights[basis], order + shift
+        row.extend([0.0] * (j + 1 - len(row)))
+        row[j] += c * scale ** (shift + (basis == "k1"))
+    return BesselKFactor(scale, tuple(weights["k0"]), tuple(weights["k1"]))
 
 
 class TestTermEvaluation:
@@ -41,7 +58,7 @@ class TestTermEvaluation:
 
     def test_macdonald_term(self):
         # 2 t^-1/2 e^-2t K0(2t) at t = 1
-        term = KernelTerm(2.0, -0.5, beta=2.0, special=BesselKFactor(0, 2.0))
+        term = KernelTerm(2.0, -0.5, beta=2.0, special=BesselKFactor(2.0))
         expected = 2.0 * math.exp(-2.0) * sp.kv(0, 2.0)
         assert eval_kernel([term], 1.0) == pytest.approx(expected, rel=1e-13, abs=0)
         assert expected == pytest.approx(0.03082771905494566, rel=1e-10, abs=0)
@@ -71,20 +88,23 @@ class TestTermEvaluation:
             eval_kernel([KernelTerm(1.0, 0.0)], -1.0)
 
     def test_deep_nodes_stay_finite(self):
-        # t^(3/2) K2(s t) underflow x overflow region must come out finite;
-        # the factor is t^2 K2(s t), so the term's own power is 3/2 - 2
-        terms = [KernelTerm(2.0, 1.5 - 2, beta=1.0, special=BesselKFactor(2, 2.0))]
-        f = TestIntegrand(1.0, 0.5, 0.0)
+        # t^(3/2) K_k(s t) underflow x overflow region must come out finite;
+        # the factor is t^k K_k(s t), so the term's own power is 3/2 - k, and
+        # f's t^(k - 3/2) keeps the product's power at the origin 0
         ts = np.geomspace(1e-160, 1e150, 200)
-        vals = eval_kernel_with_f(terms, f, ts)
-        assert np.all(np.isfinite(vals))
+        for order in _BESSEL_ORDERS[2:]:
+            terms = [KernelTerm(2.0, 1.5 - order, beta=1.0, special=_bessel_factor(order, 2.0))]
+            vals = eval_kernel_with_f(terms, TestIntegrand(1.0, order - 1.5, 0.0), ts)
+            assert np.all(np.isfinite(vals)), order
 
     def test_floor_overflow_raises(self):
         # mu far below the floor must be caught loudly, not return inf; the
         # evaluator sees only that a term leaves the double range
-        terms = [KernelTerm(1.0, -1.0 - 2, beta=1.0, special=BesselKFactor(2, 2.0))]
-        with pytest.raises(KernelError, match=r"t = 1e-140: f\(t\) w\(t\) leaves the double range"):
-            eval_kernel_with_f(terms, TestIntegrand(1.0, -1.0, 0.0), np.array([1e-140]))
+        for order in _BESSEL_ORDERS[2:]:
+            terms = [KernelTerm(1.0, -1.0 - order, beta=1.0, special=_bessel_factor(order, 2.0))]
+            with pytest.raises(KernelError,
+                               match=r"t = 1e-140: f\(t\) w\(t\) leaves the double range"):
+                eval_kernel_with_f(terms, TestIntegrand(1.0, -1.0, 0.0), np.array([1e-140]))
 
 
 def _reference_eval_kernel_with_f(terms, f, t, seen: set):
@@ -234,7 +254,8 @@ class TestEvaluatorKeepsItsBits:
 
 class TestSharedFactor:
     """Terms that carry equal factors each call their own, on their own
-    live rows, and the values keep their bits."""
+    live rows, and the values keep their bits.  A kernel whose Macdonald
+    terms would share a factor, as K7's two K_1 terms did, is one term."""
 
     @staticmethod
     def _spy(monkeypatch, cls):
@@ -248,17 +269,22 @@ class TestSharedFactor:
         monkeypatch.setattr(cls, "bounded_part", spy)
         return calls
 
-    def test_k7_terms_take_their_own_bessel_factors(self, monkeypatch):
+    def test_k7_is_one_term_with_one_factor_call(self, monkeypatch):
+        # K7's K_0 and its two K_1 terms are one factor's weights: t**2 K_0
+        # and t**0, t**1 times x K_1(x)/s, the last weight 1
         rule = get_rule("K7-m311")
         index = [r.id for r in list_rules(include_erratum=False)].index(rule.id)
         params, f = _case_inputs(rule, 42, index, 0)
         terms = rule.build_kernel(params)
-        assert terms[1].special == terms[2].special != terms[0].special
+        assert len(terms) == 1 and terms[0].alpha == -0.5
+        factor = terms[0].special
+        assert len(factor.k0_weights) == 3 and factor.k0_weights[:2] == (0.0, 0.0)
+        assert len(factor.k1_weights) == 2 and factor.k1_weights[1] == 1.0
         t = np.geomspace(1e-3, 1e3, 50)
         want = _reference_eval_kernel_with_f(terms, f, t, set())
         calls = self._spy(monkeypatch, BesselKFactor)
         got = eval_kernel_with_f(terms, f, t)
-        assert [factor.order for factor, _ in calls] == [0, 1, 1]
+        assert [factor for factor, _ in calls] == [terms[0].special]
         assert got.tobytes() == want.tobytes()
 
     def test_other_rows_take_the_factor_again(self, monkeypatch):
@@ -302,15 +328,15 @@ class TestEvaluatorOverflow:
         assert got.tobytes() == want.tobytes() and math.isnan(got[0])
 
 
-# where BesselKFactor leaves scipy for the small-argument limit, by order
-_BESSEL_FLOOR = {0: 1e-300, 1: 1e-300, 2: 1e-300}
+# where BesselKFactor leaves scipy for the small-argument limit
+_BESSEL_FLOOR = 1e-300
 
 
 class TestBesselBranch:
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("order", _BESSEL_ORDERS[1:])
     def test_small_argument_branch_continuous(self, order):
-        factor = BesselKFactor(order, 1.0)
-        floor = _BESSEL_FLOOR[order]
+        factor = _bessel_factor(order, 1.0)
+        floor = _BESSEL_FLOOR
         # 1e-10 below the floor is denormal, where x k1(x) overflows
         below = factor.bounded_part(np.array([0.5 * floor, 1e-10 * floor]))
         above = factor.bounded_part(np.array([2.0 * floor]))[0]
@@ -320,18 +346,18 @@ class TestBesselBranch:
 
     def test_k0_small_argument(self):
         # -log(x/2) - euler_gamma below the floor, k0 above it
-        factor = BesselKFactor(0, 1.0)
+        factor = BesselKFactor(1.0)
         t = np.array([1e-310, 0.5e-300, 2.0e-300])
         expected = -np.log(t / 2.0) - np.euler_gamma
         assert factor.bounded_part(t) == pytest.approx(expected, rel=2e-15, abs=0)
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("order", _BESSEL_ORDERS)
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_against_mpmath_down_to_the_floor(self, order, scale):
         # s t log-spaced on [1e-300, 700], to 2e-15 relative; a power-of-2 scale
         # makes s t exact, so the reference sees the factor's own argument
         ts = np.geomspace(1e-300, 700.0, 400) / scale
-        got = BesselKFactor(order, scale).bounded_part(ts)
+        got = _bessel_factor(order, scale).bounded_part(ts)
         with mp.workdps(40):
             for t, value in zip(ts, got):
                 ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
@@ -339,42 +365,42 @@ class TestBesselBranch:
 
     def test_catalog_draws_stay_above_the_floor(self, monkeypatch):
         # every K rule's seed-42 draws, on the half line's level-0 to level-4
-        # heads, reach the factor with no node below the floor of its order
+        # heads, reach the factor with no node below the floor
         x, _, _ = quadrature._head(quadrature._EXP_SINH, (0, 1, 2, 3, 4))
         lowest = {}
         bounded_part = BesselKFactor.bounded_part
-
-        def spy(factor, t):
-            lowest[factor.order] = min(lowest.get(factor.order, math.inf), np.min(factor.scale * t))
-            return bounded_part(factor, t)
-
-        monkeypatch.setattr(BesselKFactor, "bounded_part", spy)
         ids = [rule.id for rule in list_rules(include_erratum=False)]
         k_rules = [rule for rule in list_rules(include_erratum=False) if rule.id.startswith("K")]
         assert len(k_rules) == 7
         for rule in k_rules:
+
+            def spy(factor, t, rule_id=rule.id):
+                lowest[rule_id] = min(lowest.get(rule_id, math.inf), np.min(factor.scale * t))
+                return bounded_part(factor, t)
+
+            monkeypatch.setattr(BesselKFactor, "bounded_part", spy)
             for case_index in range(20):
                 params, f = _case_inputs(rule, 42, ids.index(rule.id), case_index)
                 eval_kernel_with_f(rule.build_kernel(params), f, x)
-        assert sorted(lowest) == [0, 1, 2]
-        assert all(lowest[order] >= _BESSEL_FLOOR[order] for order in (0, 1, 2)), lowest
+        assert sorted(lowest) == [rule.id for rule in k_rules]
+        assert all(value >= _BESSEL_FLOOR for value in lowest.values()), lowest
 
     def test_matches_scipy_in_normal_range(self):
         # the factor contract is t**k K_k(s t), i.e. the k-th-order pole
         # stripped off into the term's power
-        for order in (0, 1, 2):
-            factor = BesselKFactor(order, 3.0)
+        for order in _BESSEL_ORDERS:
+            factor = _bessel_factor(order, 3.0)
             ts = np.geomspace(1e-4, 5.0, 30)
             mine = factor.bounded_part(ts)
             ref = ts**order * sp.kv(order, 3.0 * ts)
             assert np.allclose(mine, ref, rtol=1e-12)
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("order", _BESSEL_ORDERS)
     @pytest.mark.parametrize("scale", [0.2, 3.0])
     def test_against_mpmath(self, order, scale):
         # s t runs from 1e-14 to 50
         ts = np.geomspace(1e-14, 50.0, 60) / scale
-        got = BesselKFactor(order, scale).bounded_part(ts)
+        got = _bessel_factor(order, scale).bounded_part(ts)
         with mp.workdps(30):
             for t, value in zip(ts, got):
                 ref = mp.mpf(t) ** order * mp.besselk(order, scale * mp.mpf(t))
@@ -382,11 +408,11 @@ class TestBesselBranch:
 
 
 def _bessel_branches(order):
-    scale, floor = 3.0, _BESSEL_FLOOR[order]
+    scale, floor = 3.0, _BESSEL_FLOOR
     usual = np.geomspace(1.01 * floor, 60.0, 97) / scale
     # down into the denormals, where x k1(x) overflows
     small = np.geomspace(floor * 1e-10, 0.99 * floor, 31) / scale
-    return BesselKFactor(order, scale), usual, small
+    return _bessel_factor(order, scale), usual, small
 
 
 def _kummer_branches(a, b):
@@ -415,7 +441,7 @@ class TestFactorBranchesKeepTheirBits:
                                 (factor.bounded_part(other), both[len(usual):])):
             assert alone.dtype == together.dtype and alone.tobytes() == together.tobytes()
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("order", _BESSEL_ORDERS)
     def test_bessel(self, order):
         self._alone_and_together(*_bessel_branches(order))
 
@@ -429,10 +455,11 @@ class TestFactorBranchesKeepTheirBits:
 
     @pytest.mark.parametrize("branches", [
         lambda: _bessel_branches(0), lambda: _bessel_branches(1), lambda: _bessel_branches(2),
+        lambda: _bessel_branches(5),
         # at (1.5, 2) scipy's hyp1f1 leaves the leading term from w = 1e16 on
         lambda: _kummer_branches(1.5, 2.0), lambda: _erfcx_branches("T1"),
         lambda: _erfcx_branches("T4"),
-    ], ids=["bessel-0", "bessel-1", "bessel-2", "kummer", "erfcx-T1", "erfcx-T4"])
+    ], ids=["bessel-0", "bessel-1", "bessel-2", "bessel-5", "kummer", "erfcx-T1", "erfcx-T4"])
     def test_a_nan_beside_the_other_branch(self, branches):
         # a NaN row in the call: each factor decides its branch by a
         # NaN-skipping reduction (fmin or fmax), so the other branch's rows
@@ -445,25 +472,12 @@ class TestFactorBranchesKeepTheirBits:
         self._alone_and_together(factor, nan, other)
 
 
-# The paper's displayed Macdonald kernels, coeff t^alpha e^-(p+q)t K_k(2 sqrt(pq) t)
-# summed over (coeff, alpha, k), written out here independently of the catalog
-_MACDONALD_DISPLAYED = {
-    "K3-0m44": lambda p, q: [(2 * mp.sqrt(p / q), 1.0, 1)],
-    "K4-1m33": lambda p, q: [(2 * mp.sqrt(p / q), 0.5, 1)],
-    "K5-1m75": lambda p, q: [(2 * p / q, 1.5, 2)],
-    "K6-m111": lambda p, q: [(2, 0.5, 0), (2 * mp.sqrt(q / p), 0.5, 1)],
-    "K7-m311": lambda p, q: [
-        (2 * (p + q) / p, 1.5, 0),
-        (4 * mp.sqrt(q) / mp.sqrt(p), 1.5, 1),
-        (2 * mp.sqrt(q) / p**1.5, 0.5, 1),
-    ],
-}
-
-
 class TestMacdonaldTerms:
-    """Each K rule's weight, its pole written into alpha, against its displayed form."""
+    """Each pq rule's weight, a sum of Macdonald functions whose poles sit
+    in alpha, against its displayed form (test_catalog.pq_display), where
+    half-integer orders are exponentials."""
 
-    @pytest.mark.parametrize("rule_id", sorted(_MACDONALD_DISPLAYED))
+    @pytest.mark.parametrize("rule_id", sorted(PQ_RULES))
     @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 0.5), (0.15, 7.0)])
     def test_against_mpmath(self, rule_id, p, q):
         rule = get_rule(rule_id)
@@ -471,15 +485,12 @@ class TestMacdonaldTerms:
         ts = np.geomspace(1e-12, 60.0, 80)
         got = rule.kernel_weight(params, ts)
         with mp.workdps(30):
-            mp_p, mp_q = mp.mpf(p), mp.mpf(q)
-            mp_s = 2 * mp.sqrt(mp_p * mp_q)
             for t, value in zip(ts, got):
-                t = mp.mpf(t)
-                ref = sum(
-                    c * t**alpha * mp.exp(-(mp_p + mp_q) * t) * mp.besselk(k, mp_s * t)
-                    for c, alpha, k in _MACDONALD_DISPLAYED[rule_id](mp_p, mp_q)
-                )
-                assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
+                ref = pq_display(rule_id, p, q, t)
+                if ref < 1e-280:
+                    assert value < 1e-280, (t, value, ref)
+                else:
+                    assert abs(value - ref) <= 1e-13 * ref, (t, value, ref)
 
 
 class TestErrorState:

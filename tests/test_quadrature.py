@@ -554,6 +554,23 @@ class TestFailurePaths:
             integrate_half_line(f)
         assert seen[-1] is quadrature._head(quadrature._EXP_SINH, (5,))[0]
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1.0j], ids=["real", "complex"])
+    def test_running_sum_overflow(self, scale):
+        # the first group's sum and level 3's own sum are each 1.5e308, one
+        # term apiece at t = 1 and at level 3's node t = 1.1032..., and
+        # finite; the running sum they add to is not, and once came back as
+        # a converged inf (inf + nan j for the complex twin)
+        x, w, split = quadrature._head(quadrature._EXP_SINH, FIRST_HEAD)
+        first, own = np.flatnonzero(x == 1.0)[0], np.flatnonzero(x == 1.103226092399128)[0]
+        assert first < split <= own
+        big = {x[i]: 1.5e308 / w[i] * scale for i in (first, own)}
+
+        def f(t):
+            return np.array([big.get(value, 0.0 * scale) for value in t])
+
+        with pytest.raises(QuadratureError, match=r"integrand\*weight sum overflowed"):
+            integrate_half_line(f)
+
     def test_nan_outranks_overflow(self):
         # the first group holds both NaN values and overflowing terms
         with pytest.raises(QuadratureError, match="integrand returned NaN"):

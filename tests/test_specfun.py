@@ -137,9 +137,10 @@ class TestFaddeeva:
 
 class TestBesselK:
     """scipy's kv at orders 0, 1, 2, and the recurrence
-    K_2(x) = K_0(x) + 2 K_1(x)/x through which BesselKFactor forms order 2
-    from the integer-order k0 and k1; test_kernels.py checks all three
-    orders of the factor against mpmath."""
+    K_(v+1)(x) = K_(v-1)(x) + (2v/x) K_v(x) at v = 1, through which the
+    catalog brings every integer order down to the K_0 and K_1 weights of
+    a BesselKFactor, evaluated by the integer-order k0 and k1;
+    test_kernels.py checks the factor against mpmath at orders 0 to 5."""
 
     def test_k0_integral_representation(self):
         # K0(x) = integral_0^inf exp(-x cosh u) du; the tail is dead by u = 10
