@@ -300,9 +300,12 @@ def _e1_uncorrected_kernel(params: Params) -> list[KernelTerm]:
     return [replace(term, coeff=term.coeff * error) for term in _pq_kernel(params)]
 
 
-def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list[KernelTerm]:
-    """coeff t**alpha e^(-ct - (b + 2(a-b))/t) psi(2 sqrt((a-b)/t)), psi the
-    factor's form (see ErfcxSqrtInvFactor).
+def _tilde_kernel(numerator: float, gap_power: float, lift: int, form: str,
+                  params: Params) -> list[KernelTerm]:
+    """numerator/(a-b)**gap_power t**alpha e^(-ct - (b + 2(a-b))/t)
+    psi(2 sqrt((a-b)/t)), alpha = (nu-4)/2 + lift and psi the factor's form
+    (see ErfcxSqrtInvFactor); a row of _tilde_rules' table gives the first
+    four arguments.
 
     alpha is the largest power among the tabulated terms.  At large t,
     psi_1 ~ 2z/sqrt(pi) and psi_4 ~ sqrt(pi) z^2 take a further t^-1/2 and
@@ -310,33 +313,10 @@ def _tilde_kernel(params: Params, coeff: float, alpha: float, form: str) -> list
     account for.
     """
     a, b = params.a, params.b
-    return [KernelTerm(coeff, alpha, beta=params.c, gamma=b + 2.0 * (a - b),
-                       special=ErfcxSqrtInvFactor(a - b, form))]
-
-
-def _t1_kernel(params):
-    coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
-    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "T1")
-
-
-def _t2_kernel(params):
-    coeff = SQPI / (2.0 * math.sqrt(params.a - params.b))
-    return _tilde_kernel(params, coeff, (params.nu - 2) / 2.0, "T2")
-
-
-def _t3_kernel(params):
-    coeff = SQPI / math.sqrt(params.a - params.b)
-    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "erfcx")
-
-
-def _t4_kernel(params):
-    coeff = 1.0 / (4.0 * (params.a - params.b) ** 1.5)
-    return _tilde_kernel(params, coeff, (params.nu - 4) / 2.0, "T4")
-
-
-def _t5_kernel(params):
-    coeff = SQPI / (4.0 * (params.a - params.b) ** 1.5)
-    return _tilde_kernel(params, coeff, params.nu / 2.0, "T5")
+    # math.sqrt is correctly rounded, and ** 0.5 need not be
+    gap = math.sqrt(a - b) if gap_power == 0.5 else (a - b) ** gap_power
+    return [KernelTerm(numerator / gap, (params.nu - 4) / 2.0 + lift, beta=params.c,
+                       gamma=b + 2.0 * (a - b), special=ErfcxSqrtInvFactor(a - b, form))]
 
 
 def _g1_kernel(params):
@@ -447,25 +427,27 @@ _CORRECTED_NOTE = (
 
 
 def _tilde_rules() -> tuple[ReductionRule, ...]:
-    # each weight is one term, coeff t^alpha e^(-ct - (2a-b)/t) psi(z); the
-    # description gives it and, where the display has several, says so
+    # each weight is one term, coeff t^alpha e^(-ct - (2a-b)/t) psi(z), that
+    # _tilde_kernel builds from its row (numerator, gap power, lift of alpha
+    # over (nu-4)/2, form); the description gives the weight and, where the
+    # display has several terms, says so
     specs = (
-        ("T1", lambda nu: (3 - nu, 4 - nu, nu), _t1_kernel,
+        ("T1", lambda nu: (3 - nu, 4 - nu, nu), (SQPI / 2.0, 0.5, 0, "T1"),
          "sqrt(pi)/(2 sqrt(a-b)) t^((nu-4)/2) (1 - erfcx z)", "; the display's two terms as one",
          ""),
-        ("T2", lambda nu: (1 - nu, 4 - nu, nu), _t2_kernel,
+        ("T2", lambda nu: (1 - nu, 4 - nu, nu), (SQPI / 2.0, 0.5, 1, "T2"),
          "sqrt(pi)/(2 sqrt(a-b)) t^((nu-2)/2) (1 + erfcx z)", "; the display's two terms as one",
          _CORRECTED_NOTE),
-        ("T3", lambda nu: (1 - nu, 6 - nu, nu), _t3_kernel,
+        ("T3", lambda nu: (1 - nu, 6 - nu, nu), (SQPI, 0.5, 0, "erfcx"),
          "sqrt(pi)/sqrt(a-b) t^((nu-4)/2) erfcx z", "",
          "tabulated display carries the reciprocal of the erfcx growth factor; "
          "this scaled form is what the 2-D oracle confirms"),
-        ("T4", lambda nu: (1 - nu, 8 - nu, nu), _t4_kernel,
+        ("T4", lambda nu: (1 - nu, 8 - nu, nu), (0.25, 1.5, 0, "T4"),
          "(a-b)^-3/2/4 t^((nu-4)/2) (sqrt(pi)((2z^2-1) erfcx z + 1) - 2z)",
          "; the display's four terms as one",
          "tabulated display mixes incompatible powers of t; kernel re-derived "
          "from the completed-square substitution and oracle-confirmed"),
-        ("T5", lambda nu: (-1 - nu, 6 - nu, nu), _t5_kernel,
+        ("T5", lambda nu: (-1 - nu, 6 - nu, nu), (SQPI / 4.0, 1.5, 2, "T5"),
          "sqrt(pi)/(4 (a-b)^3/2) t^(nu/2) (1 + 2z/sqrt(pi) + (1-z^2) erfcx z)",
          "; the display's four terms as one",
          _CORRECTED_NOTE),
@@ -475,9 +457,9 @@ def _tilde_rules() -> tuple[ReductionRule, ...]:
             f"{base}-nu{nu}", Family.MIXED_TILDE, triple_of(nu),
             f"erfcx kernel {weight} e^(-ct-(2a-b)/t), z = 2 sqrt((a-b)/t){summed} "
             f"(nu={nu}; 2-D side carries exp(-(a-b)(x+y)^2/(x y^2)))",
-            kernel, note=note,
+            functools.partial(_tilde_kernel, *row), note=note,
         )
-        for base, triple_of, kernel, weight, summed, note in specs
+        for base, triple_of, row, weight, summed, note in specs
         for nu in (0, 1, 2)
     )
 
