@@ -5,11 +5,13 @@ with w a short sum of
 
     coeff * t**alpha * exp(-beta*t - gamma/t) * special(t)
 
-The special factors are kept in forms that stay bounded on (0, inf):
-a Macdonald kernel's integer orders are carried as polynomials in t
-times K_0(s*t) and s*t K_1(s*t), their poles in t (DLMF 10.30.2) written
-into the term's alpha, and the
-complementary-error factors of the mixed-tilde family are carried as one
+with coeff > 0 and a real special factor >= 0: every kernel the package
+builds from the paper's reductions is a sum of positive terms, so the
+evaluator only adds.  The special factors are kept in forms that stay
+bounded on (0, inf): a Macdonald kernel's integer orders are carried as
+polynomials in t times K_0(s*t) and s*t K_1(s*t), their poles in t
+(DLMF 10.30.2) written into the term's alpha, and the complementary-error
+factors of the mixed-tilde family are carried as one
 combination of erfcx per kernel, so their exp(4(a-b)/t) growth cancels
 analytically and their tabulated terms never subtract in floats (T5's
 combination grows like t**-1/2 at the origin, where its term's gamma
@@ -51,8 +53,8 @@ _R_INNER_TOL = Tolerance(rel=1e-11, abs=1e-15)
 
 
 class KernelError(ValueError):
-    """A kernel was evaluated outside its validity domain, or a term of it
-    left the double range (a divergent integral raises
+    """A kernel was built or evaluated outside its validity domain, or a
+    term of it left the double range (a divergent integral raises
     params.DivergentIntegralError instead)."""
 
 
@@ -61,9 +63,12 @@ class _Factor:
     special(t), O(1) near 0, or for K_0 logarithmic and for
     ErfcxSqrtInvFactor's T5 form O(t**-1/2).
 
-    A factor's powers of t go to its KernelTerm's alpha, and its exponentials
-    to beta and gamma, where the dead-row test sees them: bounded_part is
-    called with the t rows whose term has not underflowed, never with none.
+    A real factor's values are >= 0, or NaN, which the quadrature driver
+    reports: the evaluator takes their log as it is, where a negative
+    value would be an invalid log.  A factor's powers of t go to its
+    KernelTerm's alpha, and its exponentials to beta and gamma, where the
+    dead-row test sees them: bounded_part is called with the 1-D array of
+    t rows whose term has not underflowed, never with none.
     A complex factor must be bounded, its values multiplying exp's in the
     evaluator (see eval_kernel_with_f): |FourierErfiFactor| <= 2, and
     RInnerFactor's |J| <= B(pr+1, ps+1) <= B(1/2, 1/2) = pi, since R1
@@ -81,20 +86,27 @@ class BesselKFactor(_Factor):
     at x = scale * t.  The upward recurrence K_(v+1) = K_(v-1) + (2v/x) K_v
     (DLMF 10.29.1), whose terms are never negative, takes every integer
     order to these two (catalog._order_rows), and its poles in t go to the
-    KernelTerm's alpha, so the weights are of t**0, t**1, ... and, for the
-    catalog's kernels, never negative: nothing subtracts.  t**k K_k(s t) is
-    bounded near 0, K_k(x) ~ 2**(k-1) (k-1)! x**-k for k >= 1 (DLMF
-    10.30.2), and K_0 grows only like a logarithm.  scipy's integer-order
-    k0 and k1 are each called once, and only where their weights are not
-    empty; a weight of exactly 1 at t**0 alone is k0(x) or x k1(x) / scale,
-    with no multiply.  Both are finite down to x = 1e-300; only below it are
-    they the limits -log(x/2) - euler_gamma and x K_1(x) = 1.  The
-    half-line ladder's t > 1e-160 keeps catalog draws above that floor.
+    KernelTerm's alpha, so the weights are of t**0, t**1, ... and never
+    negative: nothing subtracts, and the factor is never negative.  A
+    factor with no weight, or a negative one, raises KernelError.
+    t**k K_k(s t) is bounded near 0, K_k(x) ~ 2**(k-1) (k-1)! x**-k for
+    k >= 1 (DLMF 10.30.2), and K_0 grows only like a logarithm.  scipy's
+    integer-order k0 and k1 are each called once, and only where their
+    weights are not empty; a weight of exactly 1 at t**0 alone is k0(x) or
+    x k1(x) / scale, with no multiply.  Both are finite down to x = 1e-300;
+    only below it are they the limits -log(x/2) - euler_gamma and
+    x K_1(x) = 1.  The half-line ladder's t > 1e-160 keeps catalog draws
+    above that floor.
     """
 
     scale: float
     k0_weights: tuple[float, ...] = (1.0,)
     k1_weights: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        weights = self.k0_weights + self.k1_weights
+        if not weights or not all(weight >= 0.0 for weight in weights):  # also rejects NaN
+            raise KernelError(f"no weight, or one not >= 0: {self.k0_weights}, {self.k1_weights}")
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
@@ -190,8 +202,12 @@ class KummerFactor(_Factor):
     For the parameter patterns the catalog produces (0 < A <= B) the value
     lies in (0, 1], so the factor is bounded outright.  Below w = 1e16 it is
     scipy's hyp1f1; from there on it is the leading term of DLMF 13.7.2,
-    Gamma(B)/Gamma(B-A) w**-A, whose next term is below rounding while
-    scipy's series degrades and finally returns 0 or NaN.
+    Gamma(B)/Gamma(B-A) w**-A, whose next term is A |A-B+1| / w of it,
+    while scipy's series degrades and finally returns 0 or NaN.  scipy
+    1.17's hyp1f1 already returns NaN below 1e16 for some (A, B), e.g.
+    A = 1 with B >= 10.5 and A = 1.5 with B >= 15.5 on w in [5.5e10, 1e16);
+    those rows alone take six terms of the same series, whose s-th term is
+    about (B/w)**s of the leading one.
     """
 
     a: float
@@ -200,13 +216,17 @@ class KummerFactor(_Factor):
     h: float
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
+        a, b = self.a, self.b
         w = self.shift / t + self.h
-        if not np.fmax.reduce(w) >= _KUMMER_LEADING_FROM:  # the usual call; fmax skips NaN
-            return _sp.hyp1f1(self.a, self.b, -w)
-        big = w >= _KUMMER_LEADING_FROM
-        out = np.empty_like(w)
-        out[~big] = _sp.hyp1f1(self.a, self.b, -w[~big])
-        out[big] = _sp.gamma(self.b) * _sp.rgamma(self.b - self.a) * w[big] ** -self.a
+        out = _sp.hyp1f1(a, b, -w)
+        if np.fmax.reduce(w) >= _KUMMER_LEADING_FROM:  # fmax skips NaN
+            big = w >= _KUMMER_LEADING_FROM
+            out[big] = _sp.gamma(b) * _sp.rgamma(b - a) * w[big] ** -a
+        if math.isnan(out[out.argmin()]):  # argmin finds the first NaN if there is one
+            lost = np.isnan(out)
+            series = [_sp.poch(a, s) * _sp.poch(a - b + 1.0, s) / math.factorial(s) for s in range(6)]
+            out[lost] = (_sp.gamma(b) * _sp.rgamma(b - a) * w[lost] ** -a
+                         * np.polynomial.polynomial.polyval(1.0 / w[lost], series))
         return out
 
 
@@ -328,7 +348,13 @@ class RInnerFactor(_Factor):
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """coeff * t**alpha * exp(-beta t - gamma/t) * special(t)."""
+    """coeff * t**alpha * exp(-beta t - gamma/t) * special(t), coeff finite and > 0.
+
+    Every kernel the catalog and the applications build is a sum of
+    positive terms, so a term's coefficient is a magnitude, and one that
+    is not finite and positive raises KernelError here rather than in the
+    evaluator.
+    """
 
     coeff: float
     alpha: float
@@ -336,12 +362,17 @@ class KernelTerm:
     gamma: float = 0.0
     special: _Factor | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.coeff < math.inf:  # also rejects NaN
+            raise KernelError(f"kernel term coefficient {self.coeff!r} is not finite and > 0")
+
 
 @np.errstate(divide="ignore", under="ignore")
 def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray) -> np.ndarray:
-    """t**mu e^(-sigma t) w(t), f's power and exponential times the weight,
-    assembled term by term in log magnitude.  f's coefficient is not
-    read: the caller scales the integral by it (ReductionRule.reduce_to_1d).
+    """t**mu e^(-sigma t) w(t) at a 1-D float array t of finite t > 0, f's
+    power and exponential times the weight, assembled term by term in log
+    magnitude.  f's coefficient is not read: the caller scales the integral
+    by it (ReductionRule.reduce_to_1d).
 
     Finite for all t > 0 whenever f.mu exceeds params.mu_floor and no
     term leaves the double range; a term that does raises KernelError.
@@ -354,89 +385,59 @@ def eval_kernel_with_f(terms: list[KernelTerm], f: TestIntegrand, t: np.ndarray)
     call costs more per term than per node (a drive's first head is 197
     nodes on the half line), so a term tests by ufunc reductions and sizes
     and skips what cannot change a bit: a zero gamma (t is finite and
-    positive), a phase or lift of 1, and a term's sign, added or
-    subtracted.  A real factor whose values are all at least 1e-280 is its
-    own magnitude, with phase exactly 1, so it goes into the log without
-    abs or phase; any other real factor goes in as log |b| and its sign.
-    A complex factor's values multiply exp's instead, with no abs, log or
-    phase.  Every complex factor is bounded, |b| <= pi (see _Factor), so
-    the overflow test reads the exponent alone: a term whose exponent is
-    at most 705 is below pi e^705, finite, and one whose exponent is
-    above raises KernelError.  -(sigma + beta) t is always applied, and at
-    sigma + beta = 0 it keeps every bit too.  The first term to
-    contribute, if its coefficient is positive and it has neither a sign
-    nor a complex factor, writes exp's values into the zero output instead
-    of adding them: 0.0 + v is v for every value exp returns (a complex
-    product's part can be -0.0, where 0.0 + -0.0 is 0.0).  A 1-D t is
-    neither flattened nor reshaped.  Each term forms its own exponent and
-    calls its own factor on its own live rows.
+    positive).  Every term is positive (see KernelTerm), and a real
+    factor's values are >= 0 or NaN (see _Factor), so a real factor goes
+    into the log as it is: log 0 is -inf, whose exp is an exact 0.  A
+    complex factor's values multiply exp's instead, with no log.  Every
+    complex factor is bounded, |b| <= pi (see _Factor), so the overflow
+    test reads the exponent alone: a term whose exponent is at most 705 is
+    below pi e^705, finite, and one whose exponent is above raises
+    KernelError.  -(sigma + beta) t is always applied, and at
+    sigma + beta = 0 it keeps every bit too.  The first term to contribute,
+    if its factor is not complex, writes exp's values into the zero output
+    instead of adding them: 0.0 + v is v for every value exp returns (a
+    complex product's part can be -0.0, where 0.0 + -0.0 is 0.0).  Each
+    term forms its own exponent and calls its own factor on its own live
+    rows.
     """
-    t = np.asarray(t, dtype=float)
-    shape = t.shape
-    if t.ndim != 1:
-        t = t.ravel()  # a factor takes a 1-D array of rows
     out = np.zeros(t.shape)
     fresh = True  # out holds only zeros
     logt = np.log(t)
     for term in terms:
-        if term.coeff == 0.0:
-            continue
-        logmag = (math.log(abs(term.coeff)) + (f.mu + term.alpha) * logt
+        logmag = (math.log(term.coeff) + (f.mu + term.alpha) * logt
                   - (f.sigma + term.beta) * t)
         if term.gamma != 0.0:
             logmag = logmag - term.gamma / t
         live = logmag > _EXP_ZERO
-        # mult multiplies exp's values: a complex factor whole, or a real one's sign
-        logtot, mult = logmag[live], None
+        # phase multiplies exp's values: a complex factor's, bounded, so no log is needed
+        logtot, phase = logmag[live], None
         if not logtot.size:
             continue  # a factor never sees zero rows
         if term.special is not None:
             bounded = term.special.bounded_part(t[live])
             if bounded.dtype.kind == "c":
-                mult = bounded  # bounded (see _Factor), so no log is needed
-            elif bounded[bounded.argmin()] >= 1e-280:
-                # positive and normal: |b| is b, its phase 1 (argmin, a fifth of a
-                # minimum reduction's cost, finds the first NaN if there is one)
-                logtot = logtot + np.log(bounded)
+                phase = bounded
             else:
-                mag = np.abs(bounded)
-                if np.minimum.reduce(mag, axis=None) < 1e-280:
-                    # lift denormals into the normal range before the log and the division
-                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
-                    bounded = bounded * lift
-                    mag = np.abs(bounded)
-                    logtot = logtot + np.log(mag) - np.log(lift)
-                else:
-                    logtot = logtot + np.log(mag)
-                # every nonzero mag is now normal, and a zero's sign is 0 / 1e-300
-                mult = bounded / np.maximum(mag, 1e-300)
+                logtot = logtot + np.log(bounded)
         # fmax skips NaN, so this is any(logtot > _LOG_OVERFLOW)
         if np.fmax.reduce(logtot) > _LOG_OVERFLOW:
             at = float(t[live][np.argmax(logtot > _LOG_OVERFLOW)])
-            raise KernelError(
-                f"kernel term overflow at t = {at!r}: f(t) w(t) leaves the double range"
-            )
+            raise KernelError(f"kernel term overflow at t = {at!r}: "
+                              "f(t) w(t) leaves the double range")
         vals = np.exp(logtot)
-        if mult is None and fresh and term.coeff > 0.0:
-            out[live] = vals
-        else:
-            if mult is not None:
-                vals = vals * mult
-            if vals.dtype.kind == "c" and out.dtype.kind != "c":
-                out = out.astype(vals.dtype)
-            add = np.subtract if term.coeff < 0 else np.add
-            out[live] = add(out[live], vals)
+        if phase is not None:
+            vals = vals * phase
+            out = out.astype(vals.dtype, copy=False)  # complex from the first complex term on
+        out[live] = vals if fresh and phase is None else out[live] + vals
         fresh = False
-    return out if len(shape) == 1 else out.reshape(shape)
+    return out
 
 
 def eval_kernel(terms: list[KernelTerm], t) -> np.ndarray | complex | float:
-    """Pointwise weight w(t) for finite t > 0."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    """Pointwise weight w(t) for finite t > 0, of t's shape: t is flattened
+    for eval_kernel_with_f and its values reshaped."""
+    ts = np.asarray(t, dtype=float)
     if not np.all((ts > 0.0) & (ts < math.inf)):  # also rejects NaN
         raise KernelError("kernel weights are defined for finite t > 0 only")
-    vals = eval_kernel_with_f(terms, TestIntegrand(1.0, 0.0, 0.0), ts)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        v = vals[0]
-        return complex(v) if np.iscomplexobj(vals) else float(v)
-    return vals
+    vals = eval_kernel_with_f(terms, TestIntegrand(1.0, 0.0, 0.0), ts.ravel()).reshape(ts.shape)
+    return vals if ts.ndim else vals.item()

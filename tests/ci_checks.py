@@ -36,7 +36,8 @@ from unittest import mock
 import numpy as np
 
 from quadred import applications as apps, catalog, kernels, quadrature, reducer
-from quadred.catalog import Family, list_rules
+from quadred.catalog import Family, get_rule, list_rules
+from quadred.params import Params, TestIntegrand
 
 # the sweep's oracle budget at seeds 42 and 0, and the largest relative
 # difference between a record's sides
@@ -222,10 +223,25 @@ def report_diff(directory: str) -> None:
             print(f"  {n}: {count} records{most}")
 
 
+# G1-general where scipy 1.17's hyp1f1 returns NaN on part of the rows (1F1(1; 10.5; -w)
+# on w in [5.5e10, 1e16)), at b = 0 and 1e-12: the routes listing's last two lines
+G1_NAN_ROWS = [(Params(4, 21, 0, a=1.0, b=b, c=1.0), TestIntegrand(1.0, 10.5, 0.5))
+               for b in (0.0, 1e-12)]
+
+
+def _reduced(rule, params, f) -> str:
+    """reduce_to_1d's result, or what it raised: a raise is a result too."""
+    try:
+        res = rule.reduce_to_1d(params, f)
+        return repr((res.value, res.abs_error_estimate, res.evaluations, res.converged))
+    except (quadrature.QuadratureError, ValueError) as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def routes(rules, cases) -> None:
-    """Each physics route's result and the reduce_to_1d result of each of
-    the rules' cases at seeds 1 and 7, one tab-separated line each: route,
-    spec, result."""
+    """Each physics route's result, the reduce_to_1d result of each of the
+    rules' cases at seeds 1 and 7, and that of G1-general at G1_NAN_ROWS,
+    one tab-separated line each: route, spec, result."""
     print("routes listing from", Path(reducer.__file__).parent, file=sys.stderr)
     # test_route_agreement_random's 20 specs, then nine equal-range specs
     rng = np.random.default_rng(21)
@@ -254,12 +270,11 @@ def routes(rules, cases) -> None:
             print(name, spec, repr(route(spec)), sep="\t")
     for seed in (1, 7):
         for rule, case_index, params, f in sweep_draws(rules, cases, seed):
-            try:
-                res = rule.reduce_to_1d(params, f)
-                out = repr((res.value, res.abs_error_estimate, res.evaluations, res.converged))
-            except (quadrature.QuadratureError, ValueError) as exc:  # a raise is a result too
-                out = f"raised {type(exc).__name__}: {exc}"
-            print("reduce_to_1d", f"{rule.id} seed {seed} case {case_index}", out, sep="\t")
+            print("reduce_to_1d", f"{rule.id} seed {seed} case {case_index}",
+                  _reduced(rule, params, f), sep="\t")
+    for params, f in G1_NAN_ROWS:
+        print("reduce_to_1d", f"G1-general {params} {f}",
+              _reduced(get_rule("G1-general"), params, f), sep="\t")
 
 
 def routes_diff(directory: str) -> None:

@@ -641,6 +641,17 @@ class TestReduceTo1D:
         assert res.converged and oracle.converged
         assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("b", [0.0, 1e-12])
+    def test_g1_where_scipy_hyp1f1_returns_nan(self, b):
+        # 1F1(1; 10.5; -w) on w in [5.5e10, 1e16), where scipy 1.17's hyp1f1
+        # returns NaN: the reduction raised "integrand returned NaN" until
+        # KummerFactor took DLMF 13.7.2's series on those rows
+        params, f = Params(4, 21, 0, a=1.0, b=b, c=1.0), TestIntegrand(1.0, 10.5, 0.5)
+        res = get_rule("G1-general").reduce_to_1d(params, f)
+        oracle = direct_2d(params, f)
+        assert res.converged and oracle.converged
+        assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=0)
+
     def test_convergent_instance_without_c_or_sigma(self):
         # the 2-D oracle gives this value to 6e-14
         res = get_rule("N4-122").reduce_to_1d(

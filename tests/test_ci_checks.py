@@ -6,6 +6,7 @@ that walk sweep draws on a few draws.  K1-111 case 0 raises at marginal mu
 (ROADMAP item 9), so the edge rows' pin on it is tier-1 too.
 """
 
+import ast
 import json
 import os
 import re
@@ -160,11 +161,17 @@ class TestParentComparisons:
         lines = [line.split("\t") for line in out.splitlines()]
         assert err == f"routes listing from {os.path.dirname(reducer.__file__)}\n"
         assert all(len(fields) == 3 for fields in lines)
-        # 29 Yukawa specs by five routes, 18 Fourier specs by two, each rule's case at seeds 1 and 7
-        assert len(lines) == 29 * 5 + 18 * 2 + 2 * 2
-        assert [fields[1] for fields in lines[-4:]] == [
+        # 29 Yukawa specs by five routes, 18 Fourier specs by two, each rule's
+        # case at seeds 1 and 7, and G1-general where scipy's hyp1f1 returns NaN
+        assert len(lines) == 29 * 5 + 18 * 2 + 2 * 2 + 2
+        assert [fields[1] for fields in lines[-6:-2]] == [
             "E1-pbm-corrected seed 1 case 1", "T1-nu0 seed 1 case 1",
             "E1-pbm-corrected seed 7 case 1", "T1-nu0 seed 7 case 1"]
+        for (params, f), (route, spec, result) in zip(ci_checks.G1_NAN_ROWS, lines[-2:]):
+            assert (route, spec) == ("reduce_to_1d", f"G1-general {params} {f}")
+            # a value, no longer "raised QuadratureError: integrand returned NaN ..."
+            value, _, _, converged = ast.literal_eval(result)
+            assert converged and value == pytest.approx(0.178388036, rel=1e-9, abs=0)
 
 
 class TestGates:

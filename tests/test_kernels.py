@@ -63,17 +63,6 @@ class TestTermEvaluation:
         assert eval_kernel([term], 1.0) == pytest.approx(expected, rel=1e-13, abs=0)
         assert expected == pytest.approx(0.03082771905494566, rel=1e-10, abs=0)
 
-    def test_split_exponential_sum(self):
-        # (a-b)^-1 t^-1 (e^-b/t - e^-a/t) at a=2, b=1, t=1
-        terms = [
-            KernelTerm(1.0, -1.0, gamma=1.0),
-            KernelTerm(-1.0, -1.0, gamma=2.0),
-        ]
-        assert eval_kernel(terms, 1.0) == pytest.approx(
-            math.exp(-1.0) - math.exp(-2.0), rel=1e-14, abs=0
-        )
-        assert eval_kernel(terms, 1.0) == pytest.approx(0.2325441579348296, rel=1e-10, abs=0)
-
     def test_vectorized_matches_scalar(self):
         terms = [KernelTerm(1.5, -0.5, beta=2.0, gamma=0.3, special=ErfcxSqrtInvFactor(0.7))]
         ts = np.array([0.01, 0.1, 1.0, 10.0])
@@ -110,19 +99,15 @@ class TestTermEvaluation:
 def _reference_eval_kernel_with_f(terms, f, t, seen: set):
     """The evaluator as it was before its fast paths: every term gathers its
     live rows and scatters its values by mask, f's coefficient taken as 1.
-    A real factor goes in as log |b| and its sign, a complex one, bounded,
+    A real factor goes into the log as it is, a complex one, bounded,
     multiplies exp's values.  seen collects which cases ran: whole, part or
-    dead terms, the denormal lift, complex values."""
-    t = np.asarray(t, dtype=float)
+    dead terms, complex values and real ones."""
     out = np.zeros(t.shape)
     logt = np.log(t)
     with np.errstate(divide="ignore", under="ignore"):
         for term in terms:
-            if term.coeff == 0.0:
-                continue
-            csign = 1.0 if term.coeff >= 0 else -1.0
             logmag = (
-                math.log(abs(term.coeff))
+                math.log(term.coeff)
                 + (f.mu + term.alpha) * logt
                 - (f.sigma + term.beta) * t
                 - term.gamma / t
@@ -135,24 +120,16 @@ def _reference_eval_kernel_with_f(terms, f, t, seen: set):
             logtot, phase = logmag[live], 1.0
             if term.special is not None:
                 bounded = term.special.bounded_part(t[live])
-            if term.special is not None and np.iscomplexobj(bounded):
-                phase = bounded
-            elif term.special is not None:
-                mag, lift = np.abs(bounded), 1.0
-                if mag.min() < 1e-280:
-                    if np.any((mag > 0.0) & (mag < 1e-280)):
-                        seen.add("lift")  # of a value that is not 0
-                    lift = np.where(mag < 1e-280, 2.0**1000, 1.0)
-                    bounded = bounded * lift
-                    mag = np.abs(bounded)
-                logtot = logtot + np.log(mag) - np.log(lift)
-                phase = bounded / np.maximum(mag, 1e-300)
+                if np.iscomplexobj(bounded):
+                    phase = bounded
+                else:
+                    logtot = logtot + np.log(bounded)
             if np.any(logtot > kernels._LOG_OVERFLOW):
                 raise KernelError("kernel term overflow: f(t) w(t) leaves the double range")
             vals = np.exp(logtot) * phase
             seen.add(vals.dtype.kind)
             out = out.astype(np.result_type(out, vals), copy=False)
-            out[live] += csign * vals
+            out[live] += vals
     return out
 
 
@@ -168,16 +145,13 @@ def _evaluator_cases():
         terms = applications._erfi_kernel(FourierSpec(*args))
         cases.append((f"erfi-{args[1]}", terms, TestIntegrand(1.0, 1.5, 0.0)))
     # the arithmetic the evaluator skips: a term with gamma = 0 and
-    # sigma + beta = 0, negative coefficients of a term and of f, which
-    # the evaluator does not read
-    terms = [KernelTerm(1.0, 0.0), KernelTerm(-2.0, -1.0, beta=0.5, gamma=0.3),
+    # sigma + beta = 0, and a negative coefficient of f, which the
+    # evaluator does not read
+    terms = [KernelTerm(1.0, 0.0), KernelTerm(2.0, -1.0, beta=0.5, gamma=0.3),
              KernelTerm(0.5, -0.5, gamma=1.0, special=ErfcxSqrtInvFactor(0.7))]
     for coeff in (1.0, -1.5):
-        cases.append((f"signs-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
-        # the first term to contribute subtracts: it is not written into
-        # the zero output as an adding term is
-        cases.append((f"first-subtracts-{coeff}", terms[1::-1], TestIntegrand(coeff, 0.5, 0.0)))
-        # a real factor beside and off the positive-and-normal path
+        cases.append((f"skips-{coeff}", terms, TestIntegrand(coeff, 0.5, 0.0)))
+        # a real factor's 0, subnormal and NaN values among positive ones
         cases.append((f"real-mixed-{coeff}", [KernelTerm(1.0, 0.0, special=_RealMixed())],
                       TestIntegrand(coeff, 0.5, 0.0)))
     return cases
@@ -185,14 +159,14 @@ def _evaluator_cases():
 
 class _RealMixed(kernels._Factor):
     """A real factor, positive on most decades of t and on the others 0,
-    subnormal, negative or NaN: across _T_WINDOWS some calls hold only
-    positive normal values, and others hold the rest among them."""
+    subnormal or NaN: across _T_WINDOWS some calls hold only positive
+    normal values, and others hold the rest among them."""
 
     def bounded_part(self, t):
         decade = np.floor(np.log10(t)) % 12
         positive = 0.5 + 1.0 / (1.0 + t)
-        return np.select([decade == 0, decade == 1, decade == 2, decade == 3],
-                         [0.0, 5e-310, -positive, np.nan], positive)
+        return np.select([decade == 0, decade == 1, decade == 2],
+                         [0.0, 5e-310, np.nan], positive)
 
 
 # a log grid over the half line's span, and a dense one on [1, 100], where
@@ -219,7 +193,7 @@ class TestEvaluatorKeepsItsBits:
                     lambda *args: _reference_eval_kernel_with_f(*args, seen), terms, f, t)
                 assert self._bits(eval_kernel_with_f, terms, f, t) == want, (case_id, t[0])
         # every path of the evaluator ran, complex ("c") and real ("f") values
-        assert seen == {"whole", "part", "dead", "lift", "c", "f"}
+        assert seen == {"whole", "part", "dead", "c", "f"}
 
     def test_coefficient_is_not_read(self):
         # f's coefficient scales the reduced integral, in reduce_to_1d: the
@@ -232,24 +206,103 @@ class TestEvaluatorKeepsItsBits:
                 assert got == want, (case_id, coeff)
 
     def test_shape_of_t_is_kept(self):
-        # a scalar t and a 2-D t give the reference's shape and bits; a
-        # factor still gets a 1-D array of rows, as R1's inner batch needs
-        for case_id, terms, f in _evaluator_cases():
-            for t in (np.float64(1.0), np.geomspace(1e-3, 1e3, 8).reshape(2, 4)):
-                got = eval_kernel_with_f(terms, f, t)
-                want = _reference_eval_kernel_with_f(terms, f, t, set())
-                assert got.shape == want.shape == np.shape(t), case_id
-                assert got.tobytes() == want.tobytes(), case_id
+        # eval_kernel flattens t for eval_kernel_with_f, which takes the 1-D
+        # t its drives give it, and reshapes the values: a 2-D t gives its
+        # shape and a scalar t a scalar, with the bits of the 1-D call
+        unit = TestIntegrand(1.0, 0.0, 0.0)
+        t = np.geomspace(1e-3, 1e3, 8)
+        for case_id, terms, _ in _evaluator_cases():
+            flat = eval_kernel_with_f(terms, unit, t)
+            got = eval_kernel(terms, t.reshape(2, 4))
+            assert got.shape == (2, 4) and got.tobytes() == flat.tobytes(), case_id
+            one = eval_kernel_with_f(terms, unit, np.array([2.0]))
+            for scalar in (2.0, np.float64(2.0), np.array(2.0)):
+                got = eval_kernel(terms, scalar)
+                assert type(got) is (complex if one.dtype.kind == "c" else float), case_id
+                assert np.array(got).tobytes() == one.tobytes(), case_id
 
     def test_real_factor_calls_take_both_paths(self):
         # the windows of the real-mixed cases: some calls' values are all
-        # positive and normal, the others hold 0, a subnormal, a negative
-        # value or a NaN, and test_bitwise_equal runs both kinds
+        # positive and normal, the others hold 0, a subnormal value or a
+        # NaN, which go into the log as they are, and test_bitwise_equal
+        # runs both kinds
         values = [_RealMixed().bounded_part(t) for t in _T_WINDOWS]
         assert {bool(np.all(v >= 1e-280)) for v in values} == {True, False}
         special = np.concatenate(values)
-        assert (special == 0.0).any() and np.isnan(special).any() and (special < 0.0).any()
+        assert (special == 0.0).any() and np.isnan(special).any()
         assert ((special > 0.0) & (special < np.finfo(float).tiny)).any()
+
+
+class _Recorded(kernels._Factor):
+    """A factor that keeps each value array it returns."""
+
+    def __init__(self, factor):
+        self.factor, self.values = factor, []
+
+    def bounded_part(self, t):
+        self.values.append(self.factor.bounded_part(t))
+        return self.values[-1]
+
+
+def _recorded_terms(terms):
+    return [dataclasses.replace(term, special=_Recorded(term.special))
+            if term.special is not None else term for term in terms]
+
+
+def _real_values(terms):
+    return [v for term in terms if term.special is not None
+            for v in term.special.values if v.dtype.kind == "f"]
+
+
+class TestTermsArePositive:
+    """The evaluator's contract: every term adds.  A term's coefficient is
+    finite and > 0, and a real factor's values are >= 0, so they go into
+    the log as they are."""
+
+    @pytest.mark.parametrize("coeff", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_kernel_term_rejects_its_coefficient(self, coeff):
+        with pytest.raises(KernelError, match="is not finite and > 0"):
+            KernelTerm(coeff, 0.0)
+
+    @pytest.mark.parametrize("weights", [((), ()), ((-1.0,), ()), ((1.0,), (0.5, -1.0)),
+                                         ((math.nan,), ())],
+                             ids=["empty", "negative-k0", "negative-k1", "nan"])
+    def test_bessel_factor_rejects_its_weights(self, weights):
+        # no weight was an IndexError on the first call, and a negative one
+        # gave negative values
+        with pytest.raises(ValueError, match="no weight, or one not >= 0"):
+            BesselKFactor(1.0, *weights)
+
+    def test_catalog_real_factors_are_not_negative(self):
+        # every real factor of every trusted rule's seed-42 draws, cases
+        # 0-2, on the rows of _T_GRID the evaluator gives it: those where
+        # its term has not underflowed
+        calls = 0
+        for index, rule in enumerate(list_rules(include_erratum=False)):
+            for case_index in range(3):
+                params, f = _case_inputs(rule, 42, index, case_index)
+                terms = _recorded_terms(rule.build_kernel(params))
+                eval_kernel_with_f(terms, f, _T_GRID)
+                for values in _real_values(terms):
+                    calls += 1
+                    assert np.all(values >= 0.0), (rule.id, case_index)  # NaN fails too
+        assert calls == 87  # one for each draw of the 29 rules with a real factor
+
+    @pytest.mark.parametrize("rule_id, case_index, value", [
+        ("K2-220", 6, "0x1.8f4698e775356p-11"), ("K3-0m44", 3, "0x1.2f1e8c6a3d4dap-7")])
+    def test_lifted_draws_keep_their_bits(self, monkeypatch, rule_id, case_index, value):
+        # the only sweep draws, at seeds 42 and 0, whose real factor returns
+        # a value below 1e-280 (2.6e-294, and the subnormal 8.4e-312), which
+        # the evaluator used to lift into the normal range before the log;
+        # their reduction keeps the bits it had then
+        rule = get_rule(rule_id)
+        index = [r.id for r in list_rules(include_erratum=False)].index(rule_id)
+        params, f = _case_inputs(rule, 0, index, case_index)
+        values, bounded_part = [], BesselKFactor.bounded_part
+        monkeypatch.setattr(BesselKFactor, "bounded_part",
+                            lambda factor, t: values.append(bounded_part(factor, t)) or values[-1])
+        assert rule.reduce_to_1d(params, f).value.hex() == value
+        assert 0.0 < np.concatenate(values).min() < 1e-280
 
 
 class TestSharedFactor:
@@ -291,7 +344,7 @@ class TestSharedFactor:
         # the second term's gamma kills the smallest t, so its rows differ
         factor = ErfcxSqrtInvFactor(0.7)
         terms = [KernelTerm(1.0, 0.0, beta=1.0, special=factor),
-                 KernelTerm(-0.5, 0.5, beta=1.0, gamma=1.0, special=factor)]
+                 KernelTerm(0.5, 0.5, beta=1.0, gamma=1.0, special=factor)]
         f = TestIntegrand(1.0, 0.5, 0.0)
         t = np.geomspace(1e-5, 1e2, 40)
         want = _reference_eval_kernel_with_f(terms, f, t, set())
@@ -605,6 +658,22 @@ class TestKummerFactor:
                 for t, value in zip(self._TS, got):
                     ref = mp.hyp1f1(a, b, -(mp.mpf(shift) / mp.mpf(t) + mp.mpf(h)))
                     assert abs(value - ref) <= 1e-13 * ref, (shift, h, t, value, ref)
+
+
+    # (A, B) where scipy 1.17's hyp1f1(A, B, -w) is NaN on w in [5.5e10, 1e16)
+    @pytest.mark.parametrize("a, b", [(1.0, 10.5), (1.0, 20.0), (1.5, 15.5), (1.5, 20.0)])
+    def test_where_scipy_returns_nan(self, a, b):
+        # those rows take six terms of DLMF 13.7.2's series, and every
+        # other row keeps scipy's bits
+        ts = 1.0 / np.geomspace(1e10, 0.999e16, 40)
+        got = KummerFactor(a, b, 1.0, 0.0).bounded_part(ts)
+        raw = sp.hyp1f1(a, b, -(1.0 / ts))
+        kept = ~np.isnan(raw)
+        assert got[kept].tobytes() == raw[kept].tobytes()
+        with mp.workdps(30):
+            for t, value in zip(ts[~kept], got[~kept]):
+                ref = mp.hyp1f1(a, b, -1 / mp.mpf(t))
+                assert abs(value - ref) <= 1e-15 * ref, (t, value, ref)
 
 
 class TestFourierErfiFactor:
