@@ -44,7 +44,7 @@ from .quadrature import QuadratureError, Tolerance, integrate_interval
 # reducer.quadrant_integrand a log-magnitude below this is 0, without exp
 _EXP_ZERO = -745.2
 _LOG_OVERFLOW = 705.0
-_KUMMER_LEADING_FROM = 1e16
+_KUMMER_SERIES_FROM = 1e5
 _SQPI = math.sqrt(math.pi)
 _TWO_BY_SQPI = 2.0 / _SQPI
 # Targets of R1's inner integrate_interval batch; the level cap bounds its
@@ -63,12 +63,15 @@ class _Factor:
     special(t), O(1) near 0, or for K_0 logarithmic and for
     ErfcxSqrtInvFactor's T5 form O(t**-1/2).
 
+    The evaluator calls bounded_part only on live rows: the 1-D array of
+    t at which its term has not underflowed, never an empty one.  A
+    factor's powers of t go to its KernelTerm's alpha, and its
+    exponentials to beta and gamma, where that dead-row test sees them.
+    A factor's contract holds on the rows its terms can leave live; where
+    it fails on rows no term leaves live, its docstring says where and why.
     A real factor's values are >= 0, or NaN, which the quadrature driver
     reports: the evaluator takes their log as it is, where a negative
-    value would be an invalid log.  A factor's powers of t go to its
-    KernelTerm's alpha, and its exponentials to beta and gamma, where the
-    dead-row test sees them: bounded_part is called with the 1-D array of
-    t rows whose term has not underflowed, never with none.
+    value would be an invalid log.
     A complex factor must be bounded, its values multiplying exp's in the
     evaluator (see eval_kernel_with_f): |FourierErfiFactor| <= 2, and
     RInnerFactor's |J| <= B(pr+1, ps+1) <= B(1/2, 1/2) = pi, since R1
@@ -93,10 +96,15 @@ class BesselKFactor(_Factor):
     k >= 1 (DLMF 10.30.2), and K_0 grows only like a logarithm.  scipy's
     integer-order k0 and k1 are each called once, and only where their
     weights are not empty; a weight of exactly 1 at t**0 alone is k0(x) or
-    x k1(x) / scale, with no multiply.  Both are finite down to x = 1e-300;
-    only below it are they the limits -log(x/2) - euler_gamma and
-    x K_1(x) = 1.  The half-line ladder's t > 1e-160 keeps catalog draws
-    above that floor.
+    x k1(x) / scale, with no multiply.  Below x = 1e-300 scipy's k0 is its
+    limit -log(x/2) - euler_gamma to the bit, finite down to the smallest
+    denormals, where x/2 is 0; x k1(x) overflows below x of about 5.6e-309,
+    so below 1e-300 it is its limit x K_1(x) = 1.  The half-line ladder's
+    t > 1e-160 keeps catalog draws above that floor.
+    The factor is finite for t below about 1e154.  From there on _weigh's
+    acc * t overflows for a weight at t**2 or above, and inf times an
+    underflowed k0 or x k1(x) is NaN; the term's e^-(p+q)t, p + q > 0, has
+    cut those rows off long before, so they are never live.
     """
 
     scale: float
@@ -110,24 +118,23 @@ class BesselKFactor(_Factor):
 
     def bounded_part(self, t: np.ndarray) -> np.ndarray:
         x = self.scale * t
-        # fmin skips NaN, as the mask does
-        tiny = x < 1e-300 if np.fmin.reduce(x) < 1e-300 else None
         parts = []
         if self.k0_weights:
-            k0 = _sp.k0(x)
-            if tiny is not None:  # k0 is inf at 0
-                k0[tiny] = -np.log(x[tiny] / 2.0) - np.euler_gamma
-            parts.append(_weigh(self.k0_weights, t, k0))
+            parts.append(_weigh(self.k0_weights, t, _sp.k0(x)))
         if self.k1_weights:
             xk1 = x * _sp.k1(x)
-            if tiny is not None:  # x k1(x) overflows on denormal arguments
-                xk1[tiny] = 1.0
+            if np.fmin.reduce(x) < 1e-300:  # fmin skips NaN, as the mask does
+                xk1[x < 1e-300] = 1.0  # x k1(x) overflows on denormal arguments
             parts.append(_weigh(self.k1_weights, t, xk1 / self.scale))
         return sum(parts[1:], parts[0])
 
 
 def _weigh(weights: tuple[float, ...], t: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] t**j base, by Horner's rule; a lone weight 1 is base itself."""
+    """sum_j weights[j] t**j base, by Horner's rule; a lone weight 1 is base itself.
+
+    acc * t overflows from t of about 1e154 for a weight at t**2 or above,
+    and its product with a base of 0 is NaN there: see BesselKFactor for
+    why no live row reaches it."""
     acc = weights[-1]
     for weight in weights[-2::-1]:
         acc = acc * t + weight if weight else acc * t
@@ -160,8 +167,11 @@ class ErfcxSqrtInvFactor(_Factor):
     From z = 1 on, T5 loses at most a bit and T4 subtracts 2z from about
     2z + sqrt(pi), which costs about z ulps: 1.5e-14 relative at z = 60,
     where the term's gamma has cut it below e^-1800.  Every psi is
-    positive; T5's grows like z/sqrt(pi) as t -> 0, where the term's gamma
-    cuts it off.
+    positive up to z of about 4e15; T5's grows like z/sqrt(pi) as t -> 0,
+    where the term's gamma cuts it off.  From z of about 4e15 on T4's
+    sqrt(pi) is below the rounding of its 2z terms, and the form is noise
+    that can be negative.  The term's gamma/t there is at least
+    2 amount/t = z^2/2, above 8e30, so those rows are never live.
     """
 
     amount: float
@@ -200,14 +210,20 @@ class KummerFactor(_Factor):
     """1F1(A; B; -w) with w = shift/t + h, shift >= 0, h >= 0.
 
     For the parameter patterns the catalog produces (0 < A <= B) the value
-    lies in (0, 1], so the factor is bounded outright.  Below w = 1e16 it is
-    scipy's hyp1f1; from there on it is the leading term of DLMF 13.7.2,
-    Gamma(B)/Gamma(B-A) w**-A, whose next term is A |A-B+1| / w of it,
-    while scipy's series degrades and finally returns 0 or NaN.  scipy
-    1.17's hyp1f1 already returns NaN below 1e16 for some (A, B), e.g.
-    A = 1 with B >= 10.5 and A = 1.5 with B >= 15.5 on w in [5.5e10, 1e16);
-    those rows alone take six terms of the same series, whose s-th term is
-    about (B/w)**s of the leading one.
+    lies in (0, 1], so the factor is bounded outright.  Below w = 1e5 it is
+    scipy's hyp1f1, finite and in (0, 1] there for 0.5 <= A <= 12 and
+    A < B <= 200.  From w = 1e5 on it is six terms of DLMF 13.7.2's series,
+
+        Gamma(B)/Gamma(B-A) w**-A sum_(s<6) (A)_s (A-B+1)_s / (s! w**s),
+
+    whose s-th term is about (A (B-A) / w)**s / s! of the leading one.
+    For A <= 12 and B <= 80 it is within 8.5e-16 of mpmath, at worst just
+    above w = 1e5, wherever the value is a normal double: w**-A is taken
+    in two halves, so it does not underflow before the value does.  There
+    scipy 1.17's hyp1f1 is 1.1e-12 off at w = 1e10 for (1, 10.5), and NaN
+    on [5.5e10, 1e16) for A = 1 with B >= 10.5 and A = 1.5 with
+    B >= 15.5.  The catalog's sweep draws and the Yukawa pairs leave no
+    row at w >= 5e4 live (tests pin it); G1 at b = 0 and small t does.
     """
 
     a: float
@@ -219,14 +235,12 @@ class KummerFactor(_Factor):
         a, b = self.a, self.b
         w = self.shift / t + self.h
         out = _sp.hyp1f1(a, b, -w)
-        if np.fmax.reduce(w) >= _KUMMER_LEADING_FROM:  # fmax skips NaN
-            big = w >= _KUMMER_LEADING_FROM
-            out[big] = _sp.gamma(b) * _sp.rgamma(b - a) * w[big] ** -a
-        if math.isnan(out[out.argmin()]):  # argmin finds the first NaN if there is one
-            lost = np.isnan(out)
+        if np.fmax.reduce(w) >= _KUMMER_SERIES_FROM:  # fmax skips NaN
+            big = w >= _KUMMER_SERIES_FROM
             series = [_sp.poch(a, s) * _sp.poch(a - b + 1.0, s) / math.factorial(s) for s in range(6)]
-            out[lost] = (_sp.gamma(b) * _sp.rgamma(b - a) * w[lost] ** -a
-                         * np.polynomial.polynomial.polyval(1.0 / w[lost], series))
+            half = w[big] ** (-0.5 * a)  # w**-a can underflow where the value does not
+            out[big] = (_sp.gamma(b) * _sp.rgamma(b - a) * half
+                        * np.polynomial.polynomial.polyval(1.0 / w[big], series) * half)
         return out
 
 

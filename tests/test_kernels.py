@@ -8,10 +8,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from quadred import applications, kernels, quadrature
-from quadred.applications import FourierSpec, fourier_params
+from quadred.applications import FourierSpec, YukawaPairSpec, fourier_params
 from quadred.catalog import G1_GRID, R1_GRID, _order_rows, get_rule, list_rules
 from quadred.kernels import (
     BesselKFactor,
@@ -381,7 +383,7 @@ class TestEvaluatorOverflow:
         assert got.tobytes() == want.tobytes() and math.isnan(got[0])
 
 
-# where BesselKFactor leaves scipy for the small-argument limit
+# where BesselKFactor leaves scipy's x k1(x) for its small-argument limit 1
 _BESSEL_FLOOR = 1e-300
 
 
@@ -398,11 +400,13 @@ class TestBesselBranch:
         assert above == pytest.approx(exact, rel=1e-10, abs=0)
 
     def test_k0_small_argument(self):
-        # -log(x/2) - euler_gamma below the floor, k0 above it
+        # below the floor scipy's k0 is its limit -log(x/2) - euler_gamma to
+        # the bit, down to the smallest denormal, where x/2 is 0 and both are inf
         factor = BesselKFactor(1.0)
-        t = np.array([1e-310, 0.5e-300, 2.0e-300])
-        expected = -np.log(t / 2.0) - np.euler_gamma
-        assert factor.bounded_part(t) == pytest.approx(expected, rel=2e-15, abs=0)
+        t = np.geomspace(5e-324, 1e-300, 2001)
+        with np.errstate(divide="ignore"):
+            expected = -np.log(t / 2.0) - np.euler_gamma
+        assert factor.bounded_part(t).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", _BESSEL_ORDERS)
     @pytest.mark.parametrize("scale", [0.5, 2.0])
@@ -469,8 +473,8 @@ def _bessel_branches(order):
 
 
 def _kummer_branches(a, b):
-    usual = np.geomspace(1.001e-16, 1e160, 97)  # w = 1/t + 1/4 below 1e16
-    big = np.geomspace(1e-160, 0.999e-16, 31)
+    usual = np.geomspace(1.001e-5, 1e160, 97)  # w = 1/t + 1/4 below 1e5
+    big = np.geomspace(1e-160, 0.999e-5, 31)
     return KummerFactor(a, b, 1.0, 0.25), usual, big
 
 
@@ -484,7 +488,7 @@ def _erfcx_branches(form):
 class TestFactorBranchesKeepTheirBits:
     """A node's value is the same whether or not its call also holds a node
     of the factor's other branch: BesselKFactor's s t below 1e-300,
-    KummerFactor's w >= 1e16, and the z < 1
+    KummerFactor's w >= 1e5, and the z < 1
     branch of ErfcxSqrtInvFactor's T1 and T4 forms."""
 
     @staticmethod
@@ -509,7 +513,7 @@ class TestFactorBranchesKeepTheirBits:
     @pytest.mark.parametrize("branches", [
         lambda: _bessel_branches(0), lambda: _bessel_branches(1), lambda: _bessel_branches(2),
         lambda: _bessel_branches(5),
-        # at (1.5, 2) scipy's hyp1f1 leaves the leading term from w = 1e16 on
+        # at (1.5, 2) the series takes over from scipy's hyp1f1 at w = 1e5
         lambda: _kummer_branches(1.5, 2.0), lambda: _erfcx_branches("T1"),
         lambda: _erfcx_branches("T4"),
     ], ids=["bessel-0", "bessel-1", "bessel-2", "bessel-5", "kummer", "erfcx-T1", "erfcx-T4"])
@@ -648,7 +652,7 @@ def _g1_kummer_pairs() -> list[tuple[float, float]]:
 class TestKummerFactor:
     """1F1(A; B; -w), w = shift/t + h, from w = 0 to past 1e160."""
 
-    _TS = np.concatenate([np.geomspace(1e-160, 1e160, 81), [0.999e-16, 1.001e-16]])
+    _TS = np.concatenate([np.geomspace(1e-160, 1e160, 81), [0.999e-5, 1.001e-5]])
 
     @pytest.mark.parametrize("a, b", _g1_kummer_pairs())
     def test_against_mpmath(self, a, b):
@@ -659,21 +663,69 @@ class TestKummerFactor:
                     ref = mp.hyp1f1(a, b, -(mp.mpf(shift) / mp.mpf(t) + mp.mpf(h)))
                     assert abs(value - ref) <= 1e-13 * ref, (shift, h, t, value, ref)
 
-
-    # (A, B) where scipy 1.17's hyp1f1(A, B, -w) is NaN on w in [5.5e10, 1e16)
-    @pytest.mark.parametrize("a, b", [(1.0, 10.5), (1.0, 20.0), (1.5, 15.5), (1.5, 20.0)])
-    def test_where_scipy_returns_nan(self, a, b):
-        # those rows take six terms of DLMF 13.7.2's series, and every
-        # other row keeps scipy's bits
-        ts = 1.0 / np.geomspace(1e10, 0.999e16, 40)
+    # the Yukawa pair's (1, 2), the pairs where scipy 1.17's hyp1f1(A, B, -w)
+    # is NaN on part of w in [5.5e10, 1e16), and larger A and B
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (1.0, 10.5), (1.0, 20.0), (1.5, 15.5),
+                                      (1.5, 20.0), (2.5, 6.0), (6.0, 10.5), (12.0, 80.0)])
+    def test_series_from_1e5(self, a, b):
+        # rows below w = 1e5 keep scipy's bits; from there on, six terms of
+        # DLMF 13.7.2's series are within 1e-15 of mpmath wherever the value
+        # is a normal double (w**-A alone may underflow there); w runs from
+        # 1e3 to 1e100, 21 rows of it within 2 % of 1e5
+        ts = np.union1d(np.geomspace(1e-3, 1e-100, 197), np.geomspace(0.98e-5, 1.02e-5, 21))
+        w = 1.0 / ts  # the factor's own w, at shift 1 and h 0
         got = KummerFactor(a, b, 1.0, 0.0).bounded_part(ts)
-        raw = sp.hyp1f1(a, b, -(1.0 / ts))
-        kept = ~np.isnan(raw)
-        assert got[kept].tobytes() == raw[kept].tobytes()
+        low = w < 1e5
+        assert got[low].tobytes() == sp.hyp1f1(a, b, -w[low]).tobytes()
+        checked = 0
         with mp.workdps(30):
-            for t, value in zip(ts[~kept], got[~kept]):
-                ref = mp.hyp1f1(a, b, -1 / mp.mpf(t))
-                assert abs(value - ref) <= 1e-15 * ref, (t, value, ref)
+            for wi, value in zip(w[~low], got[~low]):
+                ref = mp.hyp1f1(a, b, -mp.mpf(wi))
+                if ref >= np.finfo(float).tiny:
+                    assert abs(value - ref) <= 1e-15 * ref, (wi, value, ref)
+                    checked += 1
+        assert low.sum() > 10 and checked > 40
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.floats(0.5, 12.0).flatmap(
+               lambda a: st.tuples(st.just(a), st.floats(a, 80.0, exclude_min=True))),
+           st.floats(0.0, 300.0))
+    def test_in_the_unit_interval(self, ab, log10_w):
+        # both regimes, for A in [0.5, 12], B in (A, 80] and w log-uniform on
+        # [1, 1e300]: h = w and shift 0 hand the factor w exactly
+        a, b = ab
+        value = KummerFactor(a, b, 0.0, 10.0**log10_w).bounded_part(np.array([1.0]))[0]
+        assert 0.0 <= value <= 1.0, (a, b, log10_w, value)
+
+    def test_live_rows_stay_below_the_series(self, monkeypatch):
+        # the reductions of every seed-42 and seed-0 sweep draw of N1-N6 and
+        # G1-general, and G1 on Yukawa pairs spanning the physics workload's
+        # ranges, hand the factor no live row at w >= 5e4: scipy's hyp1f1
+        # computes every row of the sweep reports and the benchmark
+        ids = [rule.id for rule in list_rules(include_erratum=False)]
+        highest = {}
+        bounded_part = KummerFactor.bounded_part
+
+        def spy(factor, t):
+            w = factor.shift / t + factor.h
+            highest[where] = max(highest.get(where, 0.0), float(np.max(w)))
+            return bounded_part(factor, t)
+
+        monkeypatch.setattr(KummerFactor, "bounded_part", spy)
+        rules = [rule for rule in list_rules(include_erratum=False)
+                 if rule.id[0] == "N" or rule.id == "G1-general"]
+        for seed, rule, case_index in itertools.product((42, 0), rules, range(20)):
+            where = rule.id
+            params, f = _case_inputs(rule, seed, ids.index(rule.id), case_index)
+            rule.reduce_to_1d(params, f)
+        etas = (0.4, 1.0, 2.0, 3.0)
+        for eta1, eta2, x2 in itertools.product(etas, etas, (0.2, 1.0, 3.0)):
+            if eta1 != eta2:
+                where = "yukawa"
+                applications.yukawa_pair_reduced(YukawaPairSpec(eta1, eta2, x2))
+        assert set(highest) == {"yukawa", "G1-general", "N1-133", "N2-333", "N3-033",
+                                "N4-122", "N5-222"}, highest
+        assert max(highest.values()) < 5e4, highest
 
 
 class TestFourierErfiFactor:

@@ -288,7 +288,7 @@ class TestKummer:
     @pytest.mark.parametrize("z", [-500.0, -1e4, -1e8, -1e20, -1e30])
     def test_deep_negative_argument(self, z):
         # the package's only 1F1 at deep negative argument: G1's KummerFactor
-        # at w = shift/t = -z (scipy's hyp1f1, then DLMF 13.7.2's leading term)
+        # at w = shift/t = -z (scipy's hyp1f1 below w = 1e5, DLMF 13.7.2's series from there on)
         value = KummerFactor(1.5, 3.2, -z, 0.0).bounded_part(np.array([1.0]))[0]
         assert value == pytest.approx(_hyp1f1(1.5, 3.2, z).real, rel=1e-12, abs=0)
 
