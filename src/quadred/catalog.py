@@ -15,10 +15,10 @@ coefficients may be nonzero, the validity predicate and the sampler
                  h = 0, their split-exponential and erf displays kept as
                  descriptions and as the tests' reference; plus the a = b
                  gamma-ratio form
-  mixed-tilde    a, b, c active plus the pinned factor
-                 exp(-(a-b)(x+y)^2/(x y^2)) on the 2-D side: one erfcx term
-                 each, the sum of its tabulated terms, whose displays are
-                 kept as descriptions and as the tests' reference
+  mixed-tilde    a, b, c and g active, g = a - b exactly, g being the
+                 tilde factor exp(-g(x+y)^2/(x y^2)): one erfcx term each,
+                 the sum of its tabulated terms, whose displays are kept
+                 as descriptions and as the tests' reference
   general-h      a, b, c, h active: confluent-hypergeometric kernel
   r-integral     a, b, c, h, j active: kernel carries a finite inner
                  integral evaluated numerically
@@ -75,7 +75,7 @@ class ApplicabilityError(ValueError):
     """Parameters violate a rule's validity predicate."""
 
 
-_COEFF_NAMES = ("a", "b", "c", "h", "j", "p", "q")
+_COEFF_NAMES = ("a", "b", "c", "g", "h", "j", "p", "q")
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class ReductionRule:
         decide, which reduce_to_1d asks.
         """
         self.check_applicability(params)
-        return mu_floor(params, self.family is Family.MIXED_TILDE)
+        return mu_floor(params)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -139,7 +139,7 @@ class ReductionRule:
         """integral_0^inf f(t) w(t) dt: the half line taken with f's
         coefficient as 1, and the result scaled by it once."""
         self.check_applicability(params)
-        reason = convergence_failure(params, f, self.family is Family.MIXED_TILDE)
+        reason = convergence_failure(params, f)
         if reason is not None:
             raise DivergentIntegralError(f"rule {self.id}: {reason}")
         terms = self.build_kernel(params)
@@ -178,6 +178,11 @@ def _sample_pq(triple, rng, index):
 def _sample_abc(triple, rng, index):
     a = _loguni(rng)
     return Params(*triple, a=a, b=a * rng.uniform(0.05, 0.85), c=_loguni(rng))
+
+
+def _sample_tilde(triple, rng, index):
+    params = _sample_abc(triple, rng, index)
+    return replace(params, g=params.a - params.b)
 
 
 # fixed exponent grids for the rules that cover a triple range
@@ -361,6 +366,15 @@ def _needs_a_gt_b(params: Params) -> str | None:
     return None
 
 
+def _needs_tilde(params: Params) -> str | None:
+    if (reason := _needs_a_gt_b(params)) is not None:
+        return reason
+    # compared exactly, as N6 compares a = b
+    if params.g != params.a - params.b:
+        return f"requires g=a-b={params.a - params.b!r}, got g={params.g!r}"
+    return None
+
+
 def _needs_exponent_sums(params: Params) -> str | None:
     # positive gamma-ratio arguments; integrable endpoint powers in r for R1
     if not params.m + params.nu > 2:
@@ -415,7 +429,7 @@ class _FamilyTraits:
 _FAMILIES = {
     Family.POSITIVE_EXP: _FamilyTraits(frozenset("pq"), _needs_pq, _sample_pq),
     Family.INVERSE_EXP: _FamilyTraits(frozenset("abc"), _needs_a_gt_b, _sample_abc),
-    Family.MIXED_TILDE: _FamilyTraits(frozenset("abc"), _needs_a_gt_b, _sample_abc),
+    Family.MIXED_TILDE: _FamilyTraits(frozenset("abcg"), _needs_tilde, _sample_tilde),
     Family.GENERAL_H: _FamilyTraits(frozenset("abch"), _needs_g1, _sample_g1),
     Family.R_INTEGRAL: _FamilyTraits(frozenset("abchj"), _needs_r1, _sample_r1),
 }

@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("target", help="rule id or one of: " + ", ".join(_APPLICATIONS))
     for name in ("n", "m", "nu"):
         p_eval.add_argument(f"--{name}", type=int, default=None)
-    for name in ("a", "b", "c", "j", "p", "q"):
+    for name in ("a", "b", "c", "g", "j", "p", "q"):
         p_eval.add_argument(f"--{name}", type=float, default=0.0)
     p_eval.add_argument("--h-re", type=float, default=0.0)
     p_eval.add_argument("--h-im", type=float, default=0.0)
@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
     nu = args.nu if args.nu is not None else (triple[2] if triple else None)
     if None in (n, m, nu):
         raise ApplicabilityError(f"rule {rule.id} covers a triple range: pass --n --m --nu")
-    params = Params(n, m, nu, a=args.a, b=args.b, c=args.c,
+    params = Params(n, m, nu, a=args.a, b=args.b, c=args.c, g=args.g,
                     h=complex(args.h_re, args.h_im), j=args.j, p=args.p, q=args.q)
     f = TestIntegrand(args.f_coeff, args.f_mu, args.f_sigma)
     return _print_result(rule.reduce_to_1d(params, f, Tolerance(rel=args.rel, abs=args.abs)),

@@ -74,7 +74,7 @@ def _powers(params: Params, f: TestIntegrand) -> tuple[float, float, float, floa
     return -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu, f.sigma + params.c
 
 
-def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
+def _log_magnitude(params: Params, f: TestIntegrand):
     """log |integrand| as a numpy-broadcasting callable of (x, y), returning
     (log-magnitude, y/(x+y)); y/(x+y) is None unless h or j reads it.
 
@@ -85,8 +85,7 @@ def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
     (x, y) point then costs one log, of ix + iy.  It keeps no state between
     calls and sets no numpy error state of its own.
     """
-    a, b, h, j, p, q = params.a, params.b, params.h, params.j, params.p, params.q
-    ab = a - b
+    a, b, g, h, j, p, q = params.a, params.b, params.g, params.h, params.j, params.p, params.q
     kx, ky, kt, decay = _powers(params, f)
     # y/(x+y) is read only by the h and j terms
     mixed = h != 0.0 or j != 0.0
@@ -110,14 +109,14 @@ def _log_magnitude(params: Params, f: TestIntegrand, tilde: bool):
                 logmag -= h.real * frac
             if j != 0.0:
                 logmag -= j * (frac * iy)  # j/(x+y)
-        if tilde and ab != 0.0:  # at a = b the term is 0, and 0 * inf would be NaN
-            logmag -= ab * (x * s * s)  # (x+y)^2/(x y^2)
+        if g != 0.0:  # at g = 0 the term is 0, and 0 * inf would be NaN
+            logmag -= g * (x * s * s)  # (x+y)^2/(x y^2)
         return logmag, frac
 
     return log_magnitude
 
 
-def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
+def quadrant_integrand(params: Params, f: TestIntegrand):
     """The 2-D integrand with f's coefficient taken as 1, as a
     numpy-broadcasting callable (direct_2d scales the integral by it).
 
@@ -130,7 +129,7 @@ def quadrant_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
     driver's per-integral np.errstate, where overflow and underflow are
     expected and ignored.
     """
-    log_magnitude = _log_magnitude(params, f, tilde)
+    log_magnitude = _log_magnitude(params, f)
     turn = params.h.imag
 
     def integrand(x, y):
@@ -239,7 +238,7 @@ def _pilot_peak(log_magnitude) -> float:
     return float(np.maximum.reduce(logmag + log_w[:, None] + log_w, axis=None))
 
 
-def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
+def quadrant_support(params: Params, f: TestIntegrand):
     """A box outside which quadrant_integrand's node terms are negligible.
 
     It bounds the integrand of f with coefficient 1, as quadrant_integrand
@@ -264,11 +263,11 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     charged max(-Re h, 0).  With t = xy/(x+y) in [min(x, y)/2, min(x, y)]
     and kt = mu + nu/2, kt log t is charged kt min(log x, log y), plus
     |kt| log 2 when kt < 0, and -(sigma + c) t is charged
-    -(sigma + c) min(x, y)/2.  The tilde term -(a-b)(1/x + 2/y + x/y^2),
-    admitted only with a >= b, keeps its separable parts exactly; its x/y^2
-    part is dropped, except above the x peaks, where on the side y <= x
-    half the decay joins it: -(a-b) x/y^2 - (sigma + c) y/4 is at most
-    -3 2^(-2/3) (a-b)^(1/3) ((sigma + c)/4)^(2/3) x^(1/3).  What is left is,
+    -(sigma + c) min(x, y)/2.  The tilde term -g(1/x + 2/y + x/y^2), g >= 0,
+    keeps its separable parts exactly; its x/y^2 part is dropped, except
+    above the x peaks, where on the side y <= x half the decay joins it:
+    -g x/y^2 - (sigma + c) y/4 is at most
+    -3 2^(-2/3) g^(1/3) ((sigma + c)/4)^(2/3) x^(1/3).  What is left is,
     on each side of y = x, concave in log y, so its sup over y is found in
     closed form (_bound).  A weight w(x) = x sqrt((pi/2)^2 + log^2 x) is at
     most x e^_LOG_WEIGHT_EXCESS on the span, which bounds the term.  Each box
@@ -280,17 +279,16 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
     most 1e8 terms, so the cut terms sum to at most 1e8 e^-100, about 4e-36,
     of the pilot's largest term, and every estimate carries 4e-16 |value|.
     """
-    reason = convergence_failure(params, f, tilde)
+    reason = convergence_failure(params, f)
     if reason is not None:
         raise DivergentIntegralError(reason)
-    limit = _pilot_peak(_log_magnitude(params, f, tilde)) - _TERM_CUT
+    limit = _pilot_peak(_log_magnitude(params, f)) - _TERM_CUT
     kx, ky, kt, decay = _powers(params, f)
     # a term's bound is its value's plus l + l' + 2 _LOG_WEIGHT_EXCESS: the
     # weights' slack here, their nodes as the 1 added to kx and ky below
     lead = max(-params.h.real, 0.0) - min(kt, 0.0) * math.log(2.0) + 2.0 * _LOG_WEIGHT_EXCESS
-    gap = params.a - params.b if tilde else 0.0  # >= 0 once the contract holds
-    # -gap x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 gap x/decay)^(1/3)
-    cross = 3.0 * 2.0 ** (-2.0 / 3.0) * gap ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
+    # -g x/y^2 - (decay/4) y <= -cross x^(1/3), at y = (8 g x/decay)^(1/3)
+    cross = 3.0 * 2.0 ** (-2.0 / 3.0) * params.g ** (1.0 / 3.0) * (0.25 * decay) ** (2.0 / 3.0)
 
     def box(own, other, cross):
         # each edge moves inward by bisection where its bound is monotone
@@ -306,8 +304,8 @@ def quadrant_support(params: Params, f: TestIntegrand, tilde: bool = False):
         return (math.exp(lo) if lo > _LOG_SPAN[0] else 0.0,
                 math.exp(hi) if hi < _LOG_SPAN[1] else math.inf)
 
-    x_part = (kx + 1.0, params.p, params.a + gap)
-    y_part = (ky + 1.0, params.q, params.b + 2.0 * gap)
+    x_part = (kx + 1.0, params.p, params.a + params.g)
+    y_part = (ky + 1.0, params.q, params.b + 2.0 * params.g)
     return box(x_part, y_part, cross), box(y_part, x_part, 0.0)
 
 
@@ -330,9 +328,14 @@ def direct_2d(
     1 and the result scaled by it once (QuadResult.scaled), so no
     coefficient reaches an exp: at 1e300 or 1e-300 the value is the
     coefficient times the unit integral, with the same evaluations.
+
+    tilde=True sets g = a - b, the mixed-tilde rules' factor; a Params
+    that carries g needs no flag, and nothing in the library passes it.
     """
-    return integrate_quadrant(quadrant_integrand(params, f, tilde), tol,
-                              support=quadrant_support(params, f, tilde)).scaled(f.coeff)
+    if tilde:
+        params = replace(params, g=params.a - params.b)
+    return integrate_quadrant(quadrant_integrand(params, f), tol,
+                              support=quadrant_support(params, f)).scaled(f.coeff)
 
 
 def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, TestIntegrand]:
@@ -347,17 +350,17 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
     instance that R1 accepts but whose mirror has a closed form gets the
     closed form.  Each of the two passes tries the exact triple first, then
     power shifts delta in (1/2, -1/2, 1, -1, 3/2, -3/2, 2, -2), then the
-    same ladder on the axis-mirrored integral (valid only for h = 0).
+    same ladder on the axis-mirrored integral (valid only for h = g = 0).
     Returns the first (rule, params', f') whose applicability holds;
-    raises ApplicabilityError if there is none.  Mixed-tilde rules are
-    skipped: their 2-D side carries the factor exp(-(a-b)(x+y)^2/(x y^2)),
-    which Params does not name.
+    raises ApplicabilityError if there is none.  An instance with g > 0
+    can reach only a mixed-tilde rule, and only where g = a - b: a power
+    shift moves neither.
     """
     reason = convergence_failure(params, f)
     if reason is not None:
         raise DivergentIntegralError(f"no rule reduces a divergent integral: {reason}")
     candidates = [params]
-    if params.h == 0:
+    if params.h == 0 and params.g == 0:
         candidates.append(params.mirrored())
     for numerical in (False, True):
         for base in candidates:
@@ -366,15 +369,15 @@ def normalize(params: Params, f: TestIntegrand) -> tuple[ReductionRule, Params, 
                 cand = replace(base, n=n2, m=m2, nu=nu2)
                 f2 = f.shifted(delta)
                 for rule in RULES:
-                    if (rule.erratum or rule.family is Family.MIXED_TILDE
-                            or (rule.family is Family.R_INTEGRAL) != numerical):
+                    if rule.erratum or (rule.family is Family.R_INTEGRAL) != numerical:
                         continue
                     if rule.triple is not None and rule.triple != cand.triple:
                         continue
                     if rule.applicability_failure(cand) is None:
                         return rule, cand, f2
     nonzero = [name for name in _COEFF_NAMES if getattr(params, name) != 0] or ["none"]
-    mirror = "tried" if len(candidates) > 1 else "not tried (h != 0)"
+    mirror = ("tried" if len(candidates) > 1
+              else f"not tried ({'h' if params.h != 0 else 'g'} != 0)")
     raise ApplicabilityError(
         f"no catalog rule matches triple {params.triple} with nonzero coefficients "
         f"{', '.join(nonzero)} and f mu={f.mu} under power shifts; the axis mirror "
@@ -450,7 +453,7 @@ class VerificationRecord:
             self.rule_id, self.case_index, self.seed,
             self.params.n, self.params.m, self.params.nu,
             self.params.a, self.params.b, self.params.c, h.real, h.imag,
-            self.params.j, self.params.p, self.params.q,
+            self.params.j, self.params.p, self.params.q, self.params.g,
             self.f.coeff, self.f.mu, self.f.sigma,
             lv.real, lv.imag, rv.real, rv.imag,
             self.abs_diff, self.rel_diff, self.rel_tol,
@@ -465,7 +468,7 @@ class VerificationRecord:
 
 
 CSV_HEADER = (
-    "rule_id,case_index,seed,n,m,nu,a,b,c,h_re,h_im,j,p,q,"
+    "rule_id,case_index,seed,n,m,nu,a,b,c,h_re,h_im,j,p,q,g,"
     "f_coeff,f_mu,f_sigma,lhs_re,lhs_im,rhs_re,rhs_im,"
     "abs_diff,rel_diff,rel_tol,pass,trusted,failure_reason"
 )
@@ -499,7 +502,7 @@ def verify(
     lhs = rhs = None
     try:
         rule.check_applicability(params)
-        lhs = direct_2d(params, f, tilde=rule.family is Family.MIXED_TILDE)
+        lhs = direct_2d(params, f)
         rhs = rule.reduce_to_1d(params, f)
     except (ApplicabilityError, KernelError, QuadratureError, DivergentIntegralError) as exc:
         # a failed record keeps the oracle if it ran: its work and converged flag

@@ -48,6 +48,7 @@ RECORD_SCHEMA = {
             "j": {"type": "number"},
             "p": {"type": "number"},
             "q": {"type": "number"},
+            "g": {"type": "number"},
         }),
         "f": _object({
             "coeff": {"type": "number"},

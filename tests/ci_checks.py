@@ -70,6 +70,14 @@ def _fail(header: str, failures: list[str]) -> None:
         sys.exit(f"{header}:\n" + "\n".join(failures))
 
 
+def with_gap(params: Params, **changes) -> Params:
+    """params with changes, and its tilde coefficient g, where it has one,
+    set to a - b of the result, which the mixed-tilde rules require: g
+    scaled with a and b need not equal a - b of the scaled a and b."""
+    params = dataclasses.replace(params, **changes)
+    return dataclasses.replace(params, g=params.a - params.b) if params.g else params
+
+
 def sweep_draws(rules, cases, seed):
     """(rule, case index, params, f) for each of the cases of each trusted
     rule, rule by rule, drawn as the sweep at seed draws that case."""
@@ -223,6 +231,28 @@ def report_diff(directory: str) -> None:
             print(f"  {n}: {count} records{most}")
 
 
+TILDE_F = TestIntegrand(1.0, 2.5, 0.3)
+
+
+def tilde_grid() -> list[Params]:
+    """Tilde instances, g = a - b, on the grid n in [-3, 5], m in [-7, 9],
+    nu in [0, 5]: normalize routes those on a T rule's line of fixed
+    (n+nu, m+nu) by a power shift.  Built on call, so that this module
+    imports with a library whose Params has no g, as the parent's routes
+    listing needs."""
+    return [Params(n, m, nu, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+            for n in range(-3, 6) for m in range(-7, 10) for nu in range(6)]
+
+
+def tilde_routes():
+    """(params, (rule, params', f')) for each tilde_grid instance that normalize routes."""
+    for params in tilde_grid():
+        try:
+            yield params, reducer.normalize(params, TILDE_F)
+        except (catalog.ApplicabilityError, reducer.DivergentIntegralError):
+            continue
+
+
 # G1-general where scipy 1.17's hyp1f1 returns NaN on part of the rows (1F1(1; 10.5; -w)
 # on w in [5.5e10, 1e16)), at b = 0 and 1e-12: the routes listing's last two lines
 G1_NAN_ROWS = [(Params(4, 21, 0, a=1.0, b=b, c=1.0), TestIntegrand(1.0, 10.5, 0.5))
@@ -240,8 +270,10 @@ def _reduced(rule, params, f) -> str:
 
 def routes(rules, cases) -> None:
     """Each physics route's result, the reduce_to_1d result of each of the
-    rules' cases at seeds 1 and 7, and that of G1-general at G1_NAN_ROWS,
-    one tab-separated line each: route, spec, result."""
+    rules' cases at seeds 1 and 7 and of G1-general at G1_NAN_ROWS, and the
+    rule, shifted triple and reduction normalize gives each of
+    tilde_routes' instances, one tab-separated line each: route, spec,
+    result."""
     print("routes listing from", Path(reducer.__file__).parent, file=sys.stderr)
     # test_route_agreement_random's 20 specs, then nine equal-range specs
     rng = np.random.default_rng(21)
@@ -275,6 +307,9 @@ def routes(rules, cases) -> None:
     for params, f in G1_NAN_ROWS:
         print("reduce_to_1d", f"G1-general {params} {f}",
               _reduced(get_rule("G1-general"), params, f), sep="\t")
+    for params, (rule, shifted, f) in tilde_routes():
+        print("normalize", f"{params} {TILDE_F}",
+              f"{rule.id} at {shifted.triple} {_reduced(rule, shifted, f)}", sep="\t")
 
 
 def routes_diff(directory: str) -> None:
@@ -466,8 +501,7 @@ def _verified(rec, row, where, failures) -> bool:
 
 def _runs(rule, params):
     # the oracle and the reduction of the rule's instance, each a function of f
-    tilde = rule.family is Family.MIXED_TILDE
-    return (("lhs", lambda f: reducer.direct_2d(params, f, tilde=tilde)),
+    return (("lhs", lambda f: reducer.direct_2d(params, f)),
             ("rhs", lambda f: rule.reduce_to_1d(params, f)))
 
 
@@ -475,6 +509,7 @@ def edge_rows(rules, cases) -> None:
     """Aim 3's edge rows on the seed-42 draws of the cases of trusted rules:
     every rule with a, b, c, h, j, p, q and sigma scaled by 1e-3, 1e-2, 1e2
     and 1e3; N1-N5 and T1-T5 at b = a(1 - 1e-8); T1-T5 at c = sigma = 0;
+    each with g, where it has one, set to a - b (with_gap);
     every rule at f.coeff = 1e300 and -1e-290; every rule at
     mu = max(rule.mu_min, -0.75) + 0.05.
 
@@ -488,7 +523,7 @@ def edge_rows(rules, cases) -> None:
     for scale in (1e-3, 1e-2, 1e2, 1e3):
         row = Counter()
         for rule, case_index, params, f in sweep_draws(rules, cases, 42):
-            params = dataclasses.replace(params, **{k: scale * getattr(params, k) for k in "abchjpq"})
+            params = with_gap(params, **{k: scale * getattr(params, k) for k in "abchjpq"})
             rec = reducer.verify(rule, params, dataclasses.replace(f, sigma=scale * f.sigma))
             if not _verified(rec, row, f"x{scale:g} {rule.id} case {case_index}", failures):
                 row["raised"] += 1
@@ -502,7 +537,7 @@ def edge_rows(rules, cases) -> None:
     row = Counter()
     near = [rule for rule in rules if rule.id[0] in "NT" and rule.id[1] in "12345"]
     for rule, case_index, params, f in sweep_draws(near, cases, 42):
-        rec = reducer.verify(rule, dataclasses.replace(params, b=params.a * (1.0 - 1e-8)), f)
+        rec = reducer.verify(rule, with_gap(params, b=params.a * (1.0 - 1e-8)), f)
         _verified(rec, row, f"a~b {rule.id} case {case_index}", failures)
     print(f"b = a(1 - 1e-8): oracle {row['lhs']} evaluations, {row['lhs unconverged']} unconverged;",
           f"reduction {row['rhs']} evaluations, {row['rhs unconverged']} unconverged")

@@ -34,6 +34,8 @@ from quadred.params import DivergentIntegralError, Params, TestIntegrand, mu_flo
 from quadred.quadrature import integrate_half_line
 from quadred.reducer import _SHIFT_SEARCH, _case_inputs, direct_2d, normalize, shift_power, verify
 
+from ci_checks import with_gap
+
 SQPI = math.sqrt(math.pi)
 
 
@@ -74,7 +76,7 @@ class TestRegistry:
 
     def test_family_fixes_the_pattern(self):
         expected = {
-            Family.POSITIVE_EXP: "pq", Family.INVERSE_EXP: "abc", Family.MIXED_TILDE: "abc",
+            Family.POSITIVE_EXP: "pq", Family.INVERSE_EXP: "abc", Family.MIXED_TILDE: "abcg",
             Family.GENERAL_H: "abch", Family.R_INTEGRAL: "abchj",
         }
         for rule in RULES:
@@ -413,7 +415,7 @@ class TestTildeKernelsAreTheirDisplays:
         with mp.workdps(40):
             for draw, _ in _tilde_draws(rule_id, cases=range(0, 20, 4)):
                 for g in T_GAPS:
-                    params = dataclasses.replace(draw, b=draw.a * (1.0 - g)) if g else draw
+                    params = with_gap(draw, b=draw.a * (1.0 - g)) if g else draw
                     w = rule.kernel_weight(params, T_T)
                     ref = np.array([float(t_display(rule_id, params, mp.mpf(float(t)), MPMATH))
                                     for t in T_T])
@@ -695,7 +697,7 @@ class TestThroughAEqualsB:
         draws = _tilde_draws(rule_id, seeds=(42,), cases=range(3))
         for case_index, (draw, f) in enumerate(draws):
             for g in (1e-2, 1e-4, 1e-6, 1e-8):
-                rec = verify(rule_id, dataclasses.replace(draw, b=draw.a * (1.0 - g)), f)
+                rec = verify(rule_id, with_gap(draw, b=draw.a * (1.0 - g)), f)
                 assert rec.passed and rec.lhs.converged and rec.rhs.converged, (case_index, g)
 
     def test_g1_at_a_eq_b_is_n6_to_the_bit(self):
@@ -746,11 +748,14 @@ def kernel_floor(rule, params: Params) -> float:
 
 def zeroed_variants(rule, params: Params):
     """params with each subset of its nonzero coefficients zeroed, where the
-    rule admits the result, the empty subset first."""
-    names = [name for name in sorted(rule.pattern) if getattr(params, name) != 0]
+    rule admits the result, the empty subset first.  A tilde coefficient g
+    is not zeroed on its own: it follows a - b where that stays >= 0."""
+    names = [name for name in sorted(rule.pattern - {"g"}) if getattr(params, name) != 0]
     for k in range(len(names) + 1):
         for zeroed in itertools.combinations(names, k):
             variant = dataclasses.replace(params, **{name: 0.0 for name in zeroed})
+            if variant.a >= variant.b:
+                variant = with_gap(variant)
             if rule.applicability_failure(variant) is None:
                 yield variant
 

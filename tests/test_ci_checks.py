@@ -162,12 +162,18 @@ class TestParentComparisons:
         assert err == f"routes listing from {os.path.dirname(reducer.__file__)}\n"
         assert all(len(fields) == 3 for fields in lines)
         # 29 Yukawa specs by five routes, 18 Fourier specs by two, each rule's
-        # case at seeds 1 and 7, and G1-general where scipy's hyp1f1 returns NaN
-        assert len(lines) == 29 * 5 + 18 * 2 + 2 * 2 + 2
-        assert [fields[1] for fields in lines[-6:-2]] == [
+        # case at seeds 1 and 7, G1-general where scipy's hyp1f1 returns NaN,
+        # and the 24 tilde instances that normalize routes to a T rule
+        assert len(lines) == 29 * 5 + 18 * 2 + 2 * 2 + 2 + 24
+        assert [fields[1] for fields in lines[-30:-26]] == [
             "E1-pbm-corrected seed 1 case 1", "T1-nu0 seed 1 case 1",
             "E1-pbm-corrected seed 7 case 1", "T1-nu0 seed 7 case 1"]
-        for (params, f), (route, spec, result) in zip(ci_checks.G1_NAN_ROWS, lines[-2:]):
+        for route, spec, result in lines[-24:]:
+            assert route == "normalize" and spec.endswith(str(ci_checks.TILDE_F))
+            # a T rule at the shifted triple, and its converged reduction
+            reduced = re.fullmatch(r"T\d-nu\d at \(.*?\) (\(.*\))", result).group(1)
+            assert ast.literal_eval(reduced)[3], result
+        for (params, f), (route, spec, result) in zip(ci_checks.G1_NAN_ROWS, lines[-26:-24]):
             assert (route, spec) == ("reduce_to_1d", f"G1-general {params} {f}")
             # a value, no longer "raised QuadratureError: integrand returned NaN ..."
             value, _, _, converged = ast.literal_eval(result)

@@ -8,6 +8,7 @@ import pytest
 
 from quadred import applications, catalog, quadrature, reducer
 from quadred.cli import _build_parser, main
+from quadred.params import Params, TestIntegrand
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,23 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", *argv, "--format", "json")
         assert code == 0
         assert type(json.loads(out)["value"]) is float
+
+    # T1-nu0's instance: its rule requires the tilde coefficient g = a - b
+    TILDE_ARGV = ("T1-nu0", "--a", "1.3", "--b", "0.4", "--c", "0.7", "--f-mu", "1",
+                  "--f-sigma", "0.3")
+
+    def test_tilde_rule_takes_g(self, capsys):
+        params = Params(3, 4, 0, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+        want = catalog.get_rule("T1-nu0").reduce_to_1d(params, TestIntegrand(1.0, 1.0, 0.3))
+        code, out, _ = run_cli(capsys, "eval", *self.TILDE_ARGV, "--g", repr(1.3 - 0.4))
+        assert code == 0 and want.converged
+        assert out.splitlines()[0] == f"value = {want.value!r}"
+
+    def test_tilde_rule_without_g_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "eval", *self.TILDE_ARGV)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rule T1-nu0: requires g=a-b={1.3 - 0.4!r}, got g=0.0\n"
 
     def test_tolerance_defaults_are_the_library_defaults(self):
         args = _build_parser().parse_args(["eval", "K1-111"])

@@ -558,7 +558,8 @@ class TestErrorState:
         lambda ts: get_rule("K5-1m75").kernel_weight(Params(1, -7, 5, p=2.0, q=0.5), ts),
         lambda ts: get_rule("G1-general").kernel_weight(
             Params(4, 4, 0, a=1.3, b=0.0, c=0.8, h=0.6), ts),
-        lambda ts: get_rule("T4-nu1").kernel_weight(Params(0, 7, 1, a=2.0, b=0.5, c=1.0), ts),
+        lambda ts: get_rule("T4-nu1").kernel_weight(
+            Params(0, 7, 1, a=2.0, b=0.5, c=1.0, g=1.5), ts),
     ], ids=["fourier-erfi", "K5-1m75", "G1-general", "T4-nu1"])
     def test_caller_raising_on_underflow_and_divide(self, weight):
         ts = np.geomspace(1e-3, 1e3, 400)

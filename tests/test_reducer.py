@@ -32,6 +32,8 @@ from quadred.reducer import (
     verify,
 )
 
+import ci_checks
+
 from derivative_checks import CheshireReport, derivative_check_k7
 from test_catalog import MPMATH, kernel_floor, t_display, zeroed_variants
 
@@ -202,6 +204,30 @@ class TestNormalize:
             except (ApplicabilityError, DivergentIntegralError):
                 continue
         assert sum(routed.values()) == 224 and Family.R_INTEGRAL not in routed
+        # and an instance with g = 0 never reaches a mixed-tilde rule
+        assert routed == {Family.GENERAL_H: 217, Family.INVERSE_EXP: 7}
+
+    def test_tilde_grid_routes_by_power_shifts(self):
+        # the 24 tilde instances of the grid on a T rule's line of fixed
+        # (n+nu, m+nu) route to it by a power shift, and agree with the oracle
+        lines = {(3, 4), (1, 4), (1, 6), (1, 8), (-1, 6)}
+        f = ci_checks.TILDE_F
+        routes = list(ci_checks.tilde_routes())
+        assert [params.triple for params, _ in routes] == [
+            params.triple for params in ci_checks.tilde_grid()
+            if (params.n + params.nu, params.m + params.nu) in lines]
+        assert len(routes) == 24
+        for params, (rule, shifted, f2) in routes:
+            assert rule.family is Family.MIXED_TILDE and shifted.g == params.g
+            lhs, rhs = direct_2d(params, f), rule.reduce_to_1d(shifted, f2)
+            assert lhs.converged and rhs.converged
+            assert abs(lhs.value - rhs.value) <= 1e-12 * abs(lhs.value), (params.triple, rule.id)
+
+    def test_tilde_instance_off_the_lines_is_not_mirrored(self):
+        params = Params(2, 4, 0, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+        with pytest.raises(ApplicabilityError, match=r"nonzero coefficients a, b, c, g .*"
+                                                     r"mirror was not tried \(g != 0\)"):
+            normalize(params, TestIntegrand(1.0, 2.5, 0.3))
 
     def test_j_still_reaches_r1(self):
         # no closed form carries j
@@ -238,11 +264,12 @@ class TestDirect2D:
 
     @pytest.mark.parametrize("oracle", [direct_2d, quadrant_support])
     def test_tilde_term_at_a_equals_b_is_no_decay(self, oracle):
-        # the tilde term is 0 at a = b, so with p = 0 and n + nu = 2 nothing
-        # cuts off x -> inf; this input once ran 4.4M evaluations, unconverged
-        params = Params(1, 2, 1, a=0.9, b=0.9, c=0.3, q=0.4)
+        # the tilde term g = a - b is 0 at a = b, so with p = 0 and n + nu = 2
+        # nothing cuts off x -> inf; this input once ran 4.4M evaluations,
+        # unconverged
+        params = Params(1, 2, 1, a=0.9, b=0.9, c=0.3, g=0.9 - 0.9, q=0.4)
         with pytest.raises(DivergentIntegralError, match="x->inf"):
-            oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
+            oracle(params, TestIntegrand(2.5, 1.25, 0.0))
 
     def test_origin_divergence_rejected(self):
         # with a = b = 0 the origin needs mu > (n+m+nu)/2 - 2 = 1; both axes
@@ -302,13 +329,11 @@ def _kernel_decays_at_large_t(rule, params: Params, f: TestIntegrand) -> bool:
     return f.mu + top < -1.0
 
 
-def _seven_condition_check(params: Params, f: TestIntegrand, tilde: bool) -> bool:
+def _seven_condition_check(params: Params, f: TestIntegrand) -> bool:
     """The oracle's convergence check before the contract: seven
     conditions, with no check along the ray x ~ y^2."""
     n, m, nu, a, b = params.n, params.m, params.nu, params.a, params.b
-    if tilde and a < b:
-        return False
-    cut = tilde and a > b
+    cut = params.g > 0.0
     return ((a > 0.0 or cut or f.mu - n / 2.0 > -1.0)
             and (b > 0.0 or cut or f.mu - m / 2.0 > -1.0)
             and bool(a or b or params.j or cut or f.mu - (n + m + nu) / 2.0 > -2.0)
@@ -336,10 +361,10 @@ class TestConvergenceContract:
         checks, differ = 0, collections.Counter()
         for rule, params, f in _contract_grid():
             tilde = rule.family is Family.MIXED_TILDE
-            admitted = convergence_failure(params, f, tilde) is None
+            admitted = convergence_failure(params, f) is None
             kernel = f.mu > kernel_floor(rule, params) and _kernel_decays_at_large_t(rule, params, f)
             assert admitted == kernel, (rule.id, params, f)
-            if admitted != _seven_condition_check(params, f, tilde):
+            if admitted != _seven_condition_check(params, f):
                 assert tilde and params.c == f.sigma == 0.0 and not admitted, (rule.id, params, f)
                 differ[rule.id] += 1
             checks += 1
@@ -367,7 +392,7 @@ class TestConvergenceContract:
         # 52-59 M evaluations and stopped unconverged
         params, f = _sweep_case(rule_id, 42, case_index)
         params, f = dataclasses.replace(params, c=0.0), dataclasses.replace(f, sigma=0.0)
-        assert _seven_condition_check(params, f, True)
+        assert _seven_condition_check(params, f)
 
         def uncallable(*args):
             def call(x, y):
@@ -376,7 +401,7 @@ class TestConvergenceContract:
 
         monkeypatch.setattr(reducer, "quadrant_integrand", uncallable)
         with pytest.raises(DivergentIntegralError, match="no decay at large t along x ~ y"):
-            direct_2d(params, f, tilde=True)
+            direct_2d(params, f)
         with pytest.raises(DivergentIntegralError, match="no decay at large t along x ~ y"):
             get_rule(rule_id).reduce_to_1d(params, f)
 
@@ -385,7 +410,7 @@ class TestConvergenceContract:
 _LADDER_POINTS = [1e-160, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e160]
 
 
-def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float, y: float):
+def _integrand_reference(params: Params, f: TestIntegrand, x: float, y: float):
     """The defining formula of the quadrant integrand over f's coefficient,
     which direct_2d applies to the integral, in mpmath at 40 digits."""
     with mp.workdps(40):
@@ -395,24 +420,22 @@ def _integrand_reference(params: Params, f: TestIntegrand, tilde: bool, x: float
         h = mp.mpc(complex(params.h))
         expo = (
             -(f.sigma + params.c) * t - params.p * x - params.q * y
-            - params.a / x - params.b / y - params.j / s - h * y / s
+            - params.a / x - params.b / y - params.g * s**2 / (x * y**2)
+            - params.j / s - h * y / s
         )
-        if tilde:
-            expo -= (params.a - params.b) * s**2 / (x * y**2)
         return complex(
             x ** (-params.n / 2) * y ** (-params.m / 2) * s ** (-params.nu / 2)
             * t**f.mu * mp.exp(expo)
         )
 
 
-def _unmasked_log_magnitude(params: Params, f: TestIntegrand, tilde: bool = False):
+def _unmasked_log_magnitude(params: Params, f: TestIntegrand):
     """quadrant_integrand's log-magnitude as it was built before it skipped
     exp below reducer._EXP_ZERO, f's coefficient taken as 1:
     (log |value|, y/(x+y) or None)."""
     n, m, nu = params.n, params.m, params.nu
-    a, b, c, j, p, q = params.a, params.b, params.c, params.j, params.p, params.q
+    a, b, c, g, j, p, q = params.a, params.b, params.c, params.g, params.j, params.p, params.q
     h = complex(params.h)
-    ab = params.a - params.b
     kx, ky, kt = -0.5 * (n + nu), -0.5 * (m + nu), f.mu + 0.5 * nu
     decay = f.sigma + c
     mixed = h != 0.0 or j != 0.0
@@ -434,17 +457,17 @@ def _unmasked_log_magnitude(params: Params, f: TestIntegrand, tilde: bool = Fals
                 logmag -= h.real * frac
             if j != 0.0:
                 logmag -= j * (frac * iy)
-        if tilde and ab != 0.0:
-            logmag -= ab * (x * s * s)
+        if g != 0.0:
+            logmag -= g * (x * s * s)
         return logmag, frac
 
     return log_magnitude
 
 
-def _unmasked_integrand(params: Params, f: TestIntegrand, tilde: bool = False):
+def _unmasked_integrand(params: Params, f: TestIntegrand):
     """quadrant_integrand as it was built before it skipped exp below
     reducer._EXP_ZERO: the same terms, with exp taken at every point."""
-    log_magnitude = _unmasked_log_magnitude(params, f, tilde)
+    log_magnitude = _unmasked_log_magnitude(params, f)
 
     def integrand(x, y):
         logmag, frac = log_magnitude(x, y)
@@ -470,36 +493,36 @@ class TestQuadrantIntegrand:
 
     CASES = {
         "plain": (Params(0, 2, 1, a=0.7, c=0.4, p=1.1, q=0.6),
-                  TestIntegrand(1.5, 0.5, 0.2), False),
+                  TestIntegrand(1.5, 0.5, 0.2)),
         "real-h": (Params(2, 1, 1, a=1.0, b=0.3, c=0.8, h=0.6),
-                   TestIntegrand(1.0, 1.25, 0.1), False),
+                   TestIntegrand(1.0, 1.25, 0.1)),
         # y^-2 at y = 1e160 leaves (0.3, 1e160) a subnormal 3.7e-322
         "subnormal": (Params(4, 4, 0, a=1.0, b=0.3, c=0.8, h=0.6),
-                      TestIntegrand(1.0, 1.25, 0.1), False),
+                      TestIntegrand(1.0, 1.25, 0.1)),
         "j": (Params(2, 1, 1, b=0.4, c=0.5, j=1.3, q=0.9),
-              TestIntegrand(1.0, 0.75, 0.3), False),
-        "tilde": (Params(1, 2, 1, a=1.5, b=0.5, c=0.3, q=0.4),
-                  TestIntegrand(2.5, 1.25, 0.0), True),
+              TestIntegrand(1.0, 0.75, 0.3)),
+        "tilde": (Params(1, 2, 1, a=1.5, b=0.5, c=0.3, g=1.0, q=0.4),
+                  TestIntegrand(2.5, 1.25, 0.0)),
         "complex-h": (Params(0, 0, 1, c=1.0, h=0.8 + 2.5j, p=0.7, q=1.0),
-                      TestIntegrand(1.0, 0.5, 0.4), False),
+                      TestIntegrand(1.0, 0.5, 0.4)),
         "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8),
-                           TestIntegrand(-3.7, 2.0, 1.0), False),
-        "zero-coeff": (Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(0.0, 0.0, 1.0), False),
+                           TestIntegrand(-3.7, 2.0, 1.0)),
+        "zero-coeff": (Params(0, 0, 1, p=1.0, q=1.0), TestIntegrand(0.0, 0.0, 1.0)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_defining_formula(self, case):
-        params, f, tilde = self.CASES[case]
+        params, f = self.CASES[case]
         xs = np.array(_LADDER_POINTS)
         # the quadrature driver calls it with a column of x and a row of y,
         # under its per-integral errstate
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            vals = quadrant_integrand(params, f, tilde)(xs[:, None], xs[None, :])
+            vals = quadrant_integrand(params, f)(xs[:, None], xs[None, :])
         assert vals.shape == (xs.size, xs.size)
         assert not np.isnan(vals).any()
         for i, x in enumerate(xs):
             for k, y in enumerate(xs):
-                ref = _integrand_reference(params, f, tilde, x, y)
+                ref = _integrand_reference(params, f, x, y)
                 got = complex(vals[i, k])
                 if abs(ref) < 1e-320:
                     # subnormal or zero: within a few units of the least subnormal
@@ -514,7 +537,7 @@ class TestQuadrantIntegrand:
         # one closure serves every call: interleaved, re-used and
         # equal-content inputs must give exactly what a newly built
         # closure gives
-        params, f, tilde = self.CASES[case]
+        params, f = self.CASES[case]
 
         def frozen(a):
             a = np.array(a, dtype=float)
@@ -531,16 +554,16 @@ class TestQuadrantIntegrand:
             (frozen(col_a), frozen(row_1)), (col_a, row_1),
             (writable, row_2),
         ]
-        shared = quadrant_integrand(params, f, tilde)
+        shared = quadrant_integrand(params, f)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             for x, y in calls:
                 got = shared(x, y)
-                want = quadrant_integrand(params, f, tilde)(x, y)
+                want = quadrant_integrand(params, f)(x, y)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             # a writable input changed between calls gives its new terms
             writable[:] = col_a
             got = shared(writable, row_1)
-            want = quadrant_integrand(params, f, tilde)(col_a, row_1)
+            want = quadrant_integrand(params, f)(col_a, row_1)
             assert got.tobytes() == want.tobytes()
 
 
@@ -550,15 +573,14 @@ class TestQuadrantIntegrand:
         # that takes exp everywhere; the draws reach both slow bands of exp
         zeros = subnormals = 0
         for rule in list_rules(include_erratum=False):
-            tilde = rule.family is Family.MIXED_TILDE
             for case_index in range(3):
                 params, f = _sweep_case(rule.id, 42, case_index)
-                (x_box, y_box) = quadrant_support(params, f, tilde)
+                (x_box, y_box) = quadrant_support(params, f)
                 x = quadrature._head(quadrature._clipped(*x_box), FIRST_HEAD)[0]
                 y = quadrature._head(quadrature._clipped(*y_box), FIRST_HEAD)[0]
                 with np.errstate(all="ignore"):
-                    got = quadrant_integrand(params, f, tilde)(x[:, None], y)
-                    want = _unmasked_integrand(params, f, tilde)(x[:, None], y)
+                    got = quadrant_integrand(params, f)(x[:, None], y)
+                    want = _unmasked_integrand(params, f)(x[:, None], y)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule.id
                 zeros += np.count_nonzero(got == 0.0)
                 subnormals += np.count_nonzero((got != 0.0) & (abs(got) < np.finfo(float).tiny))
@@ -619,10 +641,9 @@ class TestOracleWork:
 
         monkeypatch.setattr(reducer, "quadrant_integrand", counted)
         params, f = _sweep_case(rule_id, 42, case_index)
-        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
-        quadrant_support(params, f, tilde)
+        quadrant_support(params, f)
         assert not seen
-        assert direct_2d(params, f, tilde=tilde).evaluations == evaluations
+        assert direct_2d(params, f).evaluations == evaluations
         assert len(seen) == calls
 
     @pytest.mark.parametrize("rule_id, case_index, value_hex", _by_draw([
@@ -635,8 +656,7 @@ class TestOracleWork:
     def test_value_bits_pinned(self, rule_id, case_index, value_hex):
         # a change that moves a rounding anywhere in the oracle moves a bit here
         params, f = _sweep_case(rule_id, 42, case_index)
-        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
-        value = direct_2d(params, f, tilde=tilde).value
+        value = direct_2d(params, f).value
         assert isinstance(value, float)
         assert value.hex() == value_hex
 
@@ -652,16 +672,16 @@ class TestOracleAccuracy:
     DRAWS = [("K1-111", 0), ("T5-nu2", 13), ("K5-1m75", 9), ("G1-general", 0), ("R1-rint", 0)]
 
     @staticmethod
-    def _agree(params: Params, f: TestIntegrand, tilde: bool = False):
-        default = direct_2d(params, f, tilde=tilde)
-        tight = direct_2d(params, f, quadrature.Tolerance(rel=1e-12, abs=1e-300), tilde=tilde)
+    def _agree(params: Params, f: TestIntegrand):
+        default = direct_2d(params, f)
+        tight = direct_2d(params, f, quadrature.Tolerance(rel=1e-12, abs=1e-300))
         assert default.converged and tight.converged
         assert abs(default.value - tight.value) <= 1e-12 * abs(tight.value)
 
     @pytest.mark.parametrize("rule_id, case_index", DRAWS)
     def test_sweep_draws(self, rule_id, case_index):
         params, f = _sweep_case(rule_id, 42, case_index)
-        self._agree(params, f, get_rule(rule_id).family is Family.MIXED_TILDE)
+        self._agree(params, f)
 
     def test_origin_case(self):
         # TestDirect2D.test_origin_divergence_rejected's convergent instance
@@ -676,7 +696,7 @@ def _log_weight(x: np.ndarray) -> np.ndarray:
     return np.log(x * np.hypot(math.pi / 2.0, np.log(x)))
 
 
-def _grid_log_terms(params: Params, f: TestIntegrand, tilde: bool, box):
+def _grid_log_terms(params: Params, f: TestIntegrand, box):
     """log |value| + log w(x) + log w(y) on a log grid over [1e-160, 1e160]^2,
     taken in logs so no term underflows or overflows, with a mask of the
     points outside box.
@@ -686,7 +706,7 @@ def _grid_log_terms(params: Params, f: TestIntegrand, tilde: bool, box):
     near = [e * (1.0 + s) for span in box for e in span for s in (-1e-12, 1e-12)]
     pts = np.union1d(_SUPPORT_GRID, [v for v in near if 1e-160 <= v <= 1e160])
     with np.errstate(all="ignore"):
-        logmag, _ = _unmasked_log_magnitude(params, f, tilde)(pts[:, None], pts[None, :])
+        logmag, _ = _unmasked_log_magnitude(params, f)(pts[:, None], pts[None, :])
     log_w = _log_weight(pts)
     (x_lo, x_hi), (y_lo, y_hi) = box
     outside = ((pts < x_lo) | (pts > x_hi))[:, None] | ((pts < y_lo) | (pts > y_hi))[None, :]
@@ -700,15 +720,15 @@ def _pilot_nodes():
             np.log(np.concatenate([rw for _, rw in runs])))
 
 
-def _pilot_log_term(params: Params, f: TestIntegrand, tilde: bool) -> float:
+def _pilot_log_term(params: Params, f: TestIntegrand) -> float:
     """The largest log |value| w(x) w(y) on the level-0 nodes, in logs."""
     x, log_w = _pilot_nodes()
     with np.errstate(all="ignore"):
-        logmag, _ = _unmasked_log_magnitude(params, f, tilde)(x[:, None], x)
+        logmag, _ = _unmasked_log_magnitude(params, f)(x[:, None], x)
     return float(np.max(logmag + log_w[:, None] + log_w))
 
 
-def _log_magnitude_reference(params: Params, f: TestIntegrand, tilde: bool, x: float, y: float):
+def _log_magnitude_reference(params: Params, f: TestIntegrand, x: float, y: float):
     """log |integrand| by the defining formula of params.py, f's coefficient
     taken as 1, in mpmath at 30 digits."""
     with mp.workdps(30):
@@ -717,10 +737,9 @@ def _log_magnitude_reference(params: Params, f: TestIntegrand, tilde: bool, x: f
         t = x * y / s
         expo = (
             -(f.sigma + params.c) * t - params.p * x - params.q * y
-            - params.a / x - params.b / y - params.j / s - params.h.real * y / s
+            - params.a / x - params.b / y - params.g * s**2 / (x * y**2)
+            - params.j / s - params.h.real * y / s
         )
-        if tilde:
-            expo -= (params.a - params.b) * s**2 / (x * y**2)
         return (-mp.mpf(params.n) / 2 * mp.log(x)
                 - mp.mpf(params.m) / 2 * mp.log(y) - mp.mpf(params.nu) / 2 * mp.log(s)
                 + f.mu * mp.log(t) + expo)
@@ -735,38 +754,38 @@ class TestQuadrantSupport:
 
     CORNERS = {
         "kt-negative": (Params(3, 3, 0, a=0.7, b=1.1, c=0.5),
-                        TestIntegrand(1.0, -0.6, 0.2), False),
+                        TestIntegrand(1.0, -0.6, 0.2)),
         "G1-b-zero": (Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6),
                       TestIntegrand(1.0, get_rule("G1-general").mu_min(
-                          Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6)) + 0.05, 0.0), False),
+                          Params(1, 4, 2, a=1.3, b=0.0, c=0.8, h=0.6)) + 0.05, 0.0)),
         "q-zero": (Params(1, 3, 1, a=0.9, b=0.4, c=0.6, p=0.5),
-                   TestIntegrand(1.0, 0.3, 0.0), False),
+                   TestIntegrand(1.0, 0.3, 0.0)),
         "complex-h-negative-real": (Params(0, 0, 1, c=1.0, h=-0.8 + 2.5j, p=0.7, q=1.0),
-                                    TestIntegrand(1.0, 0.5, 0.4), False),
-        "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, p=0.5, q=0.4),
-                             TestIntegrand(2.5, 1.25, 0.0), True),
-        "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0), False),
+                                    TestIntegrand(1.0, 0.5, 0.4)),
+        "tilde-a-equals-b": (Params(1, 2, 1, a=0.9, b=0.9, c=0.3, g=0.9 - 0.9, p=0.5, q=0.4),
+                             TestIntegrand(2.5, 1.25, 0.0)),
+        "negative-coeff": (Params(3, 1, 2, a=0.6, c=0.8), TestIntegrand(-3.7, 2.0, 1.0)),
         # a peak at x = 1.5, between the level-0 nodes 1 and 2.27, where each
         # pilot value underflows to 0 and the integral is 4.56e-302
         "pilot-all-zero": (Params(0, 0, 1, a=517.5, b=1.0, p=230.0, q=1.0),
-                           TestIntegrand(1.0, 0.5, 0.0), False),
+                           TestIntegrand(1.0, 0.5, 0.0)),
         # x^-1 y^-1 t^0.5 reaches 7e14 near the level-0 corner x = y = 2.5e-138,
         # where f's coefficient would overflow it: the pilot and the box take
         # f's coefficient as 1
-        "pilot-overflows": (Params(2, 2, 0, p=1.0, q=1.0), TestIntegrand(1e308, 0.5, 0.0), False),
+        "pilot-overflows": (Params(2, 2, 0, p=1.0, q=1.0), TestIntegrand(1e308, 0.5, 0.0)),
         "complex-h-large-imaginary": (Params(0, 0, 1, c=1.0, h=0.8 + 12.0j, p=0.7, q=1.0),
-                                      TestIntegrand(1.0, 0.5, 0.4), False),
-        "tilde-wide-gap": (Params(1, 2, 1, a=6.0, b=0.5, c=0.3, q=0.4),
-                           TestIntegrand(2.5, 1.25, 0.0), True),
+                                      TestIntegrand(1.0, 0.5, 0.4)),
+        "tilde-wide-gap": (Params(1, 2, 1, a=6.0, b=0.5, c=0.3, g=5.5, q=0.4),
+                           TestIntegrand(2.5, 1.25, 0.0)),
     }
 
     @staticmethod
-    def _check(params, f, tilde):
-        box = quadrant_support(params, f, tilde)
+    def _check(params, f):
+        box = quadrant_support(params, f)
         for (lo, hi) in box:
             assert 0.0 <= lo <= hi
-        log_terms, outside = _grid_log_terms(params, f, tilde, box)
-        assert np.all(log_terms[outside] < _pilot_log_term(params, f, tilde) - 100.0), (
+        log_terms, outside = _grid_log_terms(params, f, box)
+        assert np.all(log_terms[outside] < _pilot_log_term(params, f) - 100.0), (
             params, f, box)
         return box
 
@@ -774,9 +793,8 @@ class TestQuadrantSupport:
     @pytest.mark.parametrize("rule_id", [r.id for r in list_rules(include_erratum=False)
                                          if r.trusted])
     def test_sweep_draws(self, rule_id, seed):
-        tilde = get_rule(rule_id).family is Family.MIXED_TILDE
         for case_index in range(20):
-            self._check(*_sweep_case(rule_id, seed, case_index), tilde)
+            self._check(*_sweep_case(rule_id, seed, case_index))
 
     @pytest.mark.parametrize("case", list(CORNERS))
     def test_corner_cases(self, case):
@@ -791,18 +809,18 @@ class TestQuadrantSupport:
     def test_pilot_reads_its_largest_term(self, case):
         # against the defining formula at 30 digits, where the pilot's values
         # underflow to 0 too: its largest term is always finite
-        params, f, tilde = self.CORNERS[case]
+        params, f = self.CORNERS[case]
         x, log_w = _pilot_nodes()
-        want = max(_log_magnitude_reference(params, f, tilde, xi, yk) + log_w[i] + log_w[k]
+        want = max(_log_magnitude_reference(params, f, xi, yk) + log_w[i] + log_w[k]
                    for i, xi in enumerate(x) for k, yk in enumerate(x))
-        got = reducer._pilot_peak(reducer._log_magnitude(params, f, tilde))
+        got = reducer._pilot_peak(reducer._log_magnitude(params, f))
         assert math.isfinite(got)
         assert got == pytest.approx(float(want), abs=1e-12 * max(1.0, abs(float(want))))
 
     def test_pilot_all_zero_integral_is_found(self):
         # every pilot value underflows, yet its largest term, taken in logs,
         # places a box that keeps the peak the pilot misses
-        params, f, tilde = self.CORNERS["pilot-all-zero"]
+        params, f = self.CORNERS["pilot-all-zero"]
         res = direct_2d(params, f)
         assert res.converged and res.value > 0.0
         assert res.value == pytest.approx(
@@ -826,7 +844,7 @@ class TestQuadrantSupport:
     def test_cuts_the_ladder(self):
         # K1-111 case 0 at seed 42 has p, q > 0: both boxes end below 1e160
         params, f = _sweep_case("K1-111", 42, 0)
-        (_, x_hi), (_, y_hi) = self._check(params, f, False)
+        (_, x_hi), (_, y_hi) = self._check(params, f)
         assert x_hi < 1e5 and y_hi < 1e5
 
     def test_box_need_not_hold_one(self):
@@ -834,7 +852,7 @@ class TestQuadrantSupport:
         # lie above 1; the clipped ladder keeps each level's first nodes
         # anyway, so the oracle runs as it did in a box widened to hold 1
         params, f = Params(0, 0, 1, a=1000.0, b=1.0, p=1.0, q=1.0), TestIntegrand(1.0, 0.5, 0.0)
-        (x_lo, _), _ = self._check(params, f, False)
+        (x_lo, _), _ = self._check(params, f)
         assert x_lo == pytest.approx(5.36, rel=1e-3, abs=0)
         res = direct_2d(params, f)
         assert res.converged and (res.value, res.evaluations) == (2.023950445606331e-28, 2301)
@@ -845,25 +863,22 @@ class TestQuadrantSupport:
         # corner with a - b = 5.5: the clipped oracle's value is the full
         # ladder's within 1e-15 relative
         rule = next(r for r in list_rules(include_erratum=False) if r.family is family)
-        params, f = _sweep_case(rule.id, 42, 0)
-        tilde = family is Family.MIXED_TILDE
-        draws = [(params, f, tilde)]
-        if tilde:
+        draws = [_sweep_case(rule.id, 42, 0)]
+        if family is Family.MIXED_TILDE:
             draws.append(self.CORNERS["tilde-wide-gap"])
-        for params, f, tilde in draws:
-            clipped = direct_2d(params, f, tilde=tilde)
-            full = quadrature.integrate_quadrant(quadrant_integrand(params, f, tilde),
+        for params, f in draws:
+            clipped = direct_2d(params, f)
+            full = quadrature.integrate_quadrant(quadrant_integrand(params, f),
                                                  support=None).scaled(f.coeff)
             assert clipped.converged and full.converged
             assert clipped.evaluations < full.evaluations
             assert abs(clipped.value - full.value) <= 1e-15 * abs(full.value), (rule.id, params)
 
-    def test_tilde_with_a_below_b_is_divergent(self):
-        params = Params(1, 2, 1, a=0.5, b=1.5, c=0.3, q=0.4)
-        # the tilde term grows as y -> 0: rejected, where it once had no box
-        for oracle in (quadrant_support, direct_2d):
-            with pytest.raises(DivergentIntegralError, match="tilde term"):
-                oracle(params, TestIntegrand(2.5, 1.25, 0.0), tilde=True)
+    def test_tilde_with_a_below_b_is_refused(self):
+        # g = a - b < 0 would grow as y -> 0, where the oracle once had no
+        # box: Params refuses it, so no oracle sees it
+        with pytest.raises(ValueError, match="coefficient g must be finite and >= 0"):
+            Params(1, 2, 1, a=0.5, b=1.5, c=0.3, g=0.5 - 1.5, q=0.4)
 
     def test_oracle_calls_leave_the_fixed_ladders_alone(self):
         # once every head of the fixed ladders is built, 50 oracle calls
@@ -877,9 +892,8 @@ class TestQuadrantSupport:
         for i in range(50):
             rule_id = ids[i % len(ids)]
             params, f = _sweep_case(rule_id, 42, i // len(ids))
-            tilde = get_rule(rule_id).family is Family.MIXED_TILDE
-            boxes.add(quadrant_support(params, f, tilde))
-            assert direct_2d(params, f, tilde=tilde).converged
+            boxes.add(quadrant_support(params, f))
+            assert direct_2d(params, f).converged
         assert len(boxes) == 50
         for ladder, kept in zip(ladders, before):
             assert ladder.heads.keys() == kept.keys()
@@ -896,8 +910,7 @@ class TestQuadrantSupport:
         for i in range(350):
             rule_id = ids[i % len(ids)]
             params, f = _sweep_case(rule_id, 42, i // len(ids))
-            tilde = get_rule(rule_id).family is Family.MIXED_TILDE
-            assert direct_2d(params, f, tilde=tilde).converged
+            assert direct_2d(params, f).converged
         assert sorted(ladder.heads) == [FIRST_HEAD, (4,), (5,)]
         assert sum(x.nbytes + w.nbytes for x, w, _ in ladder.heads.values()) == 12_592
 
@@ -982,7 +995,7 @@ class TestClippedHeads:
         for i in range(50):
             rule_id = ids[i % len(ids)]
             params, f = _sweep_case(rule_id, 42, i // len(ids))
-            spans.extend(quadrant_support(params, f, get_rule(rule_id).family is Family.MIXED_TILDE))
+            spans.extend(quadrant_support(params, f))
         return spans
 
     @staticmethod
@@ -1046,9 +1059,9 @@ class TestSmallCoefficientOracle:
         assert rule.family is Family.MIXED_TILDE
         for case_index in range(3):
             params, f = _sweep_case(rule_id, 42, case_index)
-            params = dataclasses.replace(params, **{k: 1e-2 * getattr(params, k) for k in "abchjpq"})
+            params = ci_checks.with_gap(params, **{k: 1e-2 * getattr(params, k) for k in "abchjpq"})
             f = dataclasses.replace(f, sigma=1e-2 * f.sigma)
-            lhs = direct_2d(params, f, tilde=True)
+            lhs = direct_2d(params, f)
             rhs = rule.reduce_to_1d(params, f)
             assert lhs.converged, (rule_id, case_index, lhs)
             assert abs(lhs.value - rhs.value) <= 1e-10 * abs(rhs.value), (rule_id, case_index)
@@ -1178,7 +1191,7 @@ class TestVerify:
         doc = rec.to_json_dict()
         assert doc["rule_id"] == "K1-111"
         assert doc["pass"] is True
-        assert set(doc["params"]) == {"n", "m", "nu", "a", "b", "c", "h", "j", "p", "q"}
+        assert set(doc["params"]) == {"n", "m", "nu", "a", "b", "c", "g", "h", "j", "p", "q"}
         # numbers survive a JSON round trip exactly (shortest-repr floats)
         again = json.loads(json.dumps(doc))
         assert again["lhs"]["value"] == complex(rec.lhs.value).real
@@ -1238,7 +1251,7 @@ class TestVerify:
         reason = "rule N1-133: requires exponent triple (1, 3, 3), got (1, 3, 4)"
         assert rec.failure_reason == reason
         [fields] = csv.reader([rec.to_csv_row()])
-        assert len(fields) == len(CSV_HEADER.split(",")) == 27
+        assert len(fields) == len(CSV_HEADER.split(",")) == 28
         assert fields[-1] == reason
 
 
@@ -1260,6 +1273,61 @@ class TestParamsExponents:
     def test_non_integer_rejected(self, n):
         with pytest.raises(ValueError, match="exponent n must be an integer"):
             Params(n, 3, 0, a=1.0, b=0.5, c=1.0)
+
+
+class TestTildeCoefficient:
+    """Params.g names the tilde factor e^(-g(x+y)^2/(x y^2)), which the T
+    rules require at g = a - b and no other family admits."""
+
+    @pytest.mark.parametrize("g", [-0.9, math.nan, math.inf, -math.inf],
+                             ids=["negative", "nan", "inf", "-inf"])
+    def test_negative_or_non_finite_rejected(self, g):
+        with pytest.raises(ValueError, match="coefficient g must be finite and >= 0"):
+            Params(3, 4, 0, a=1.3, b=0.4, c=0.7, g=g)
+
+    def test_mirror_refuses_g(self):
+        params = Params(3, 4, 0, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+        with pytest.raises(ValueError, match="mirror swap is only valid for g = 0"):
+            params.mirrored()
+        assert dataclasses.replace(params, g=0.0).mirrored().triple == (4, 3, 0)
+
+    def test_serialized(self):
+        params = Params(3, 4, 0, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+        rec = verify("T1-nu0", params, TestIntegrand(1.0, 1.0, 0.3))
+        assert rec.passed and rec.to_json_dict()["params"]["g"] == 1.3 - 0.4
+        assert dict(zip(CSV_HEADER.split(","), next(csv.reader([rec.to_csv_row()]))))["g"] == repr(
+            1.3 - 0.4)
+
+    @pytest.mark.parametrize("rule_id", [rule.id for rule in list_rules(Family.MIXED_TILDE)])
+    def test_t_rules_require_g_equal_to_a_minus_b(self, rule_id):
+        rule = get_rule(rule_id)
+        params = Params(*rule.triple, a=1.3, b=0.4, c=0.7, g=1.3 - 0.4)
+        assert rule.applicability_failure(params) is None
+        # compared exactly, g = 0 included
+        for g in (0.0, math.nextafter(params.g, math.inf), 2.0 * params.g):
+            assert rule.applicability_failure(dataclasses.replace(params, g=g)) == (
+                f"requires g=a-b={1.3 - 0.4!r}, got g={g!r}")
+        # no g >= 0 is a - b > 0 when a <= b
+        assert rule.applicability_failure(dataclasses.replace(params, b=1.3, g=0.0)) == "requires a>b"
+
+    @pytest.mark.parametrize("rule_id", [rule.id for rule in RULES
+                                         if rule.family is not Family.MIXED_TILDE])
+    def test_other_families_refuse_g(self, rule_id):
+        rule = get_rule(rule_id)
+        params = rule.sample_params(np.random.default_rng(0), 0)
+        assert rule.applicability_failure(params) is None
+        assert rule.applicability_failure(dataclasses.replace(params, g=0.5)) == (
+            f"requires g=0 for family {rule.family.value}")
+
+    def test_tilde_grid_converges_where_it_did(self):
+        # at c > 0 the tilde cut leaves one clause of the contract, y -> inf
+        # at q = 0: m + nu > 2; the same 513 triples converged when the
+        # factor was a flag, set with a = 1.3 > b = 0.4
+        grid = ci_checks.tilde_grid()
+        admitted = [params.triple for params in grid
+                    if convergence_failure(params, ci_checks.TILDE_F) is None]
+        assert admitted == [params.triple for params in grid if params.m + params.nu > 2]
+        assert len(admitted) == 513
 
 
 def _sweep_case(rule_id: str, seed: int, case_index: int):
